@@ -7,4 +7,5 @@ let () =
   w "examples/models/launcher_permanent.slim" (Slimsim_models.Launcher.source ~variant:`Permanent);
   w "examples/models/launcher_recoverable.slim" (Slimsim_models.Launcher.source ~variant:`Recoverable);
   w "examples/models/sensor_filter_2_timed.slim" (Slimsim_models.Sensor_filter.timed_source ~n:2);
-  w "examples/models/mm1k.slim" (Slimsim_models.Queue_model.source ~arrival:0.8 ~service:1.0 ~capacity:4)
+  w "examples/models/mm1k.slim" (Slimsim_models.Queue_model.source ~arrival:0.8 ~service:1.0 ~capacity:4);
+  w "examples/models/mm1k_20.slim" (Slimsim_models.Queue_model.source ~arrival:0.8 ~service:1.0 ~capacity:20)

@@ -6,6 +6,8 @@ type report = {
   explore_seconds : float;
   lump_seconds : float;
   transient_seconds : float;
+  transient_steps : int;
+  steady_state : bool;
   total_seconds : float;
   peak_words : float;
 }
@@ -24,18 +26,20 @@ let check ?max_states ?hold ?(lump = true) net ~goal ~horizon =
       else (ctmc, 0.0)
     in
     let t0 = Unix.gettimeofday () in
-    let probability = Transient.reach_probability lumped ~horizon in
+    let transient = Transient.reach lumped ~horizon in
     let transient_seconds = Unix.gettimeofday () -. t0 in
     let gc = Gc.quick_stat () in
     Ok
       {
-        probability;
+        probability = transient.Transient.probability;
         stable_states = stats.Explorer.stable_states;
         transitions = stats.Explorer.transitions;
         lumped_states = lumped.Ctmc.n_states;
         explore_seconds = stats.Explorer.explore_seconds;
         lump_seconds;
         transient_seconds;
+        transient_steps = transient.Transient.steps;
+        steady_state = transient.Transient.steady_state;
         total_seconds =
           stats.Explorer.explore_seconds +. lump_seconds +. transient_seconds;
         peak_words = float_of_int gc.Gc.top_heap_words;
@@ -43,6 +47,7 @@ let check ?max_states ?hold ?(lump = true) net ~goal ~horizon =
 
 let pp_report ppf r =
   Fmt.pf ppf
-    "p = %.6f  (%d states -> %d lumped, %d transitions; explore %.2fs, lump %.2fs, transient %.2fs)"
+    "p = %.6f  (%d states -> %d lumped, %d transitions; explore %.2fs, lump %.2fs, transient %.2fs, %d steps%s)"
     r.probability r.stable_states r.lumped_states r.transitions
-    r.explore_seconds r.lump_seconds r.transient_seconds
+    r.explore_seconds r.lump_seconds r.transient_seconds r.transient_steps
+    (if r.steady_state then ", steady state" else "")

@@ -9,6 +9,10 @@ type report = {
   explore_seconds : float;
   lump_seconds : float;
   transient_seconds : float;
+  transient_steps : int;  (** uniformisation steps run *)
+  steady_state : bool;
+      (** the transient analysis stopped early because the undecided
+          mass fell within its error budget (see {!Transient.reach}) *)
   total_seconds : float;
   peak_words : float;  (** top heap words observed by the GC *)
 }

@@ -1,81 +1,213 @@
-(* log k! by summation; cached incrementally by the caller's loop. *)
-let log_poisson_weight ~lambda k =
-  if lambda <= 0.0 then if k = 0 then 0.0 else neg_infinity
-  else begin
+type result = { probability : float; steps : int; steady_state : bool }
+
+(* log m! - (m log m - m): summed exactly for small m, otherwise Stirling's
+   series, whose first omitted term is below 3e-12 from m = 16 on. *)
+let stirling_remainder m =
+  let x = float_of_int m in
+  if m < 16 then begin
     let log_fact = ref 0.0 in
-    for i = 2 to k do
+    for i = 2 to m do
       log_fact := !log_fact +. log (float_of_int i)
     done;
-    (-.lambda) +. (float_of_int k *. log lambda) -. !log_fact
+    !log_fact -. ((x *. log x) -. x)
   end
+  else
+    (0.5 *. log (2.0 *. Float.pi *. x))
+    +. (1.0 /. (12.0 *. x))
+    -. (1.0 /. (360.0 *. x *. x *. x))
+    +. (1.0 /. (1260.0 *. x *. x *. x *. x *. x))
 
-let reach_probability ?(precision = 1e-10) (c : Ctmc.t) ~horizon =
+(* The Poisson(lambda) pmf at its mode m = floor lambda, in closed form:
+   -lambda + m log lambda - log m! rewritten as
+   m log(lambda/m) - (lambda - m) - stirling_remainder m, in which no term
+   grows faster than log lambda, so nothing cancels catastrophically. *)
+let mode_weight ~lambda m =
+  if m = 0 then exp (-.lambda)
+  else
+    let x = float_of_int m in
+    exp
+      ((x *. Float.log1p ((lambda -. x) /. x))
+      -. (lambda -. x)
+      -. stirling_remainder m)
+
+(* Fox–Glynn-style truncation points: walking out from the mode by the
+   exact ratios w_(k+1)/w_k = lambda/(k+1), each tail beyond the current
+   point is bounded by a geometric series, because the ratio only shrinks
+   further out.  Stop once each tail bound is below epsilon/2. *)
+let truncation_points ~lambda ~epsilon =
+  let m = int_of_float (Float.floor lambda) in
+  let wm = mode_weight ~lambda m in
+  let half = epsilon /. 2.0 in
+  (* sum_(j<l) w_j <= w_(l-1) / (1 - (l-1)/lambda) *)
+  let rec left l w_l =
+    if l = 0 then 0
+    else
+      let w = w_l *. float_of_int l /. lambda in
+      if w /. (1.0 -. (float_of_int (l - 1) /. lambda)) <= half then l
+      else left (l - 1) w
+  in
+  (* sum_(j>r) w_j <= w_(r+1) / (1 - lambda/(r+2)) *)
+  let rec right r w_r =
+    let w = w_r *. lambda /. float_of_int (r + 1) in
+    if float_of_int (r + 2) > lambda
+       && w /. (1.0 -. (lambda /. float_of_int (r + 2))) <= half
+    then r
+    else right (r + 1) w
+  in
+  (left m wm, right m wm)
+
+let weights_between ~lambda left right =
+  let m = int_of_float (Float.floor lambda) in
+  let w = Array.make (right - left + 1) 0.0 in
+  w.(m - left) <- 1.0;
+  for k = m - 1 downto left do
+    w.(k - left) <- w.(k + 1 - left) *. float_of_int (k + 1) /. lambda
+  done;
+  for k = m + 1 to right do
+    w.(k - left) <- w.(k - 1 - left) *. lambda /. float_of_int k
+  done;
+  let total = Array.fold_left ( +. ) 0.0 w in
+  Array.map (fun x -> x /. total) w
+
+let poisson_weights ~lambda ~epsilon =
+  let left, right = truncation_points ~lambda ~epsilon in
+  (left, weights_between ~lambda left right)
+
+(* The states that can reach a goal without first passing a bad state:
+   backward reachability from the goal through states that are not bad.
+   The others are the probability-0 states. *)
+let can_reach_goal (c : Ctmc.t) =
+  let preds = Array.make c.Ctmc.n_states [] in
+  Array.iteri
+    (fun s row -> Array.iter (fun (t, _) -> preds.(t) <- s :: preds.(t)) row)
+    c.Ctmc.rows;
+  let reach = Array.copy c.Ctmc.goal in
+  let rec drain = function
+    | [] -> ()
+    | t :: todo ->
+      drain
+        (List.fold_left
+           (fun todo s ->
+             if reach.(s) || c.Ctmc.bad.(s) then todo
+             else begin
+               reach.(s) <- true;
+               s :: todo
+             end)
+           todo preds.(t))
+  in
+  drain (List.filter (fun s -> c.Ctmc.goal.(s)) (List.init c.Ctmc.n_states Fun.id));
+  reach
+
+let reach ?(precision = 1e-10) (c : Ctmc.t) ~horizon =
+  if not (precision > 0.0) then invalid_arg "Transient.reach: precision must be positive";
+  let n = c.Ctmc.n_states in
   let initial_goal_mass =
     Array.fold_left
       (fun acc (s, p) -> if c.Ctmc.goal.(s) then acc +. p else acc)
       0.0 c.Ctmc.initial
   in
-  if horizon <= 0.0 then initial_goal_mass
+  let decided = { probability = initial_goal_mass; steps = 0; steady_state = false } in
+  if horizon <= 0.0 then decided
   else begin
-    (* goal states become absorbing (success); bad states become
-       absorbing too (the hold condition failed first) *)
-    let rows =
-      Array.mapi
-        (fun s row -> if c.Ctmc.goal.(s) || c.Ctmc.bad.(s) then [||] else row)
-        c.Ctmc.rows
-    in
-    let absorbed = { c with Ctmc.rows } in
-    let q = Ctmc.max_exit_rate absorbed in
-    if q <= 0.0 then initial_goal_mass
+    (* Live states are the undecided ones.  Goal and bad states are
+       absorbing, and so are the states that cannot reach a goal: their
+       mass can never turn into goal mass, so it is dropped. *)
+    let reaches = can_reach_goal c in
+    let live = Array.init n (fun s -> reaches.(s) && not c.Ctmc.goal.(s)) in
+    let index = Array.make n (-1) in
+    let n_live = ref 0 in
+    Array.iteri
+      (fun s l ->
+        if l then begin
+          index.(s) <- !n_live;
+          incr n_live
+        end)
+      live;
+    let n_live = !n_live in
+    if n_live = 0 then { decided with steady_state = true }
     else begin
-      let p_matrix = Ctmc.uniformized_dtmc absorbed ~q in
-      let n = c.Ctmc.n_states in
-      let pi = Array.make n 0.0 in
-      Array.iter (fun (s, p) -> pi.(s) <- pi.(s) +. p) c.Ctmc.initial;
+      let rows = Array.mapi (fun s row -> if live.(s) then row else [||]) c.Ctmc.rows in
+      let q = Ctmc.max_exit_rate { c with Ctmc.rows } in
+      (* the uniformised DTMC restricted to live states, renumbered;
+         mass moving into a goal state is summed into [to_goal] *)
+      let p = Ctmc.uniformized_dtmc { c with Ctmc.rows } ~q in
+      let to_goal = Array.make n_live 0.0 in
+      let live_rows = Array.make n_live [||] in
+      Array.iteri
+        (fun s row ->
+          if live.(s) then begin
+            let i = index.(s) in
+            live_rows.(i) <-
+              Array.of_list
+                (List.filter_map
+                   (fun (t, x) ->
+                     if live.(t) then Some (index.(t), x)
+                     else begin
+                       if c.Ctmc.goal.(t) then to_goal.(i) <- to_goal.(i) +. x;
+                       None
+                     end)
+                   (Array.to_list row))
+          end)
+        p;
+      let pi = Array.make n_live 0.0 in
+      Array.iter
+        (fun (s, x) -> if live.(s) then pi.(index.(s)) <- pi.(index.(s)) +. x)
+        c.Ctmc.initial;
+      let scratch = Array.make n_live 0.0 in
+      (* Half the error budget goes to the two Poisson tails, half to the
+         undecided mass left when the loop stops early. *)
       let lambda = q *. horizon in
-      (* Incremental Poisson weights in log space to survive large
-         lambda; start from w_0 and recur w_{k+1} = w_k * lambda/(k+1)
-         on the log scale. *)
-      let log_w = ref (-.lambda) in
-      let cumulative = ref 0.0 in
-      let result = ref 0.0 in
-      let k = ref 0 in
-      let goal_mass pi =
-        let acc = ref 0.0 in
-        for s = 0 to n - 1 do
-          if c.Ctmc.goal.(s) then acc := !acc +. pi.(s)
+      let left, right = truncation_points ~lambda ~epsilon:(precision /. 2.0) in
+      let weights = lazy (weights_between ~lambda left right) in
+      (* Invariant at the top of each iteration: [pi] and [goal] are the
+         live and goal mass after k steps; [acc] = sum_(j<k) w_j g_j and
+         [used] = sum_(j<k) w_j.  Every later g_j lies in
+         [goal, goal + undecided].  The loop keeps its floats in local
+         refs so that it allocates nothing. *)
+      let k = ref 0 and goal = ref initial_goal_mass in
+      let acc = ref 0.0 and used = ref 0.0 in
+      let steady_state = ref false and running = ref true in
+      while !running do
+        let undecided = ref 0.0 in
+        for i = 0 to n_live - 1 do
+          undecided := !undecided +. pi.(i)
         done;
-        !acc
-      in
-      let scratch = Array.make n 0.0 in
-      let continue = ref true in
-      while !continue do
-        let w = exp !log_w in
-        result := !result +. (w *. goal_mass pi);
-        cumulative := !cumulative +. w;
-        (* stop once the residual mass cannot change the answer *)
-        if 1.0 -. !cumulative < precision && float_of_int !k >= lambda then
-          continue := false
+        if !undecided <= precision /. 2.0 then begin
+          acc := !acc +. (Float.max 0.0 (1.0 -. !used) *. !goal);
+          steady_state := true;
+          running := false
+        end
         else begin
-          (* pi <- pi * P *)
-          Array.fill scratch 0 n 0.0;
-          for s = 0 to n - 1 do
-            let mass = pi.(s) in
-            if mass > 0.0 then
-              Array.iter
-                (fun (t, p) -> scratch.(t) <- scratch.(t) +. (mass *. p))
-                p_matrix.(s)
-          done;
-          Array.blit scratch 0 pi 0 n;
-          incr k;
-          log_w := !log_w +. log lambda -. log (float_of_int !k);
-          (* hard safety cap: lambda + 20 sqrt(lambda) + 200 terms *)
-          if float_of_int !k > lambda +. (20.0 *. sqrt lambda) +. 200.0 then
-            continue := false
+          if !k >= left then begin
+            let w = (Lazy.force weights).(!k - left) in
+            acc := !acc +. (w *. !goal);
+            used := !used +. w
+          end;
+          if !k >= right then running := false
+          else begin
+            Array.fill scratch 0 n_live 0.0;
+            for i = 0 to n_live - 1 do
+              let mass = pi.(i) in
+              if mass > 0.0 then begin
+                goal := !goal +. (mass *. to_goal.(i));
+                let row = live_rows.(i) in
+                for e = 0 to Array.length row - 1 do
+                  let t, x = row.(e) in
+                  scratch.(t) <- scratch.(t) +. (mass *. x)
+                done
+              end
+            done;
+            Array.blit scratch 0 pi 0 n_live;
+            incr k
+          end
         end
       done;
-      (* The residual mass is in non-goal states at worst; [result] is a
-         lower bound within [precision]. *)
-      !result
+      {
+        probability = Float.min 1.0 (Float.max 0.0 !acc);
+        steps = !k;
+        steady_state = !steady_state;
+      }
     end
   end
+
+let reach_probability ?precision c ~horizon = (reach ?precision c ~horizon).probability

@@ -535,6 +535,9 @@ let test_bundled_models_clean () =
       ( "queue",
         Slimsim_models.Queue_model.source ~arrival:0.8 ~service:1.0 ~capacity:4
       );
+      ( "queue-20",
+        Slimsim_models.Queue_model.source ~arrival:0.8 ~service:1.0 ~capacity:20
+      );
     ]
 
 let suite =

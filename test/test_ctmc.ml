@@ -106,16 +106,187 @@ let test_initial_goal_mass () =
   Alcotest.(check (float 1e-12)) "absorbing chain stays" 0.75
     (Transient.reach_probability c ~horizon:100.0)
 
+(* log of the Poisson(lambda) pmf at k, evaluated for each k on its own:
+   -lambda + k log lambda - log k! directly for small k, otherwise with
+   log k! from Stirling's series so that the k log k terms cancel
+   analytically instead of in floating point. *)
+let log_pmf lambda k =
+  let x = float_of_int k in
+  if k < 30 then begin
+    let log_fact = ref 0.0 in
+    for i = 2 to k do
+      log_fact := !log_fact +. log (float_of_int i)
+    done;
+    -.lambda +. (x *. log lambda) -. !log_fact
+  end
+  else
+    (x *. log (lambda /. x)) +. (x -. lambda)
+    -. (0.5 *. log (2.0 *. Float.pi *. x))
+    -. (1.0 /. (12.0 *. x))
+    +. (1.0 /. (360.0 *. x *. x *. x))
+
 let test_poisson_weights () =
-  let lambda = 7.3 in
-  let total = ref 0.0 in
-  for k = 0 to 200 do
-    total := !total +. exp (Transient.log_poisson_weight ~lambda k)
+  List.iter
+    (fun lambda ->
+      let name what = Printf.sprintf "%s (lambda = %g)" what lambda in
+      let left, w = Transient.poisson_weights ~lambda ~epsilon:1e-10 in
+      let total = ref 0.0 and window_mass = ref 0.0 and worst = ref 0.0 in
+      let mode = ref 0 in
+      Array.iteri
+        (fun i x ->
+          let pmf = exp (log_pmf lambda (left + i)) in
+          total := !total +. x;
+          window_mass := !window_mass +. pmf;
+          worst := Float.max !worst (Float.abs (x -. pmf));
+          if x > w.(!mode) then mode := i)
+        w;
+      Alcotest.(check (float 1e-9)) (name "weights sum to 1") 1.0 !total;
+      Alcotest.(check (float 1e-9)) (name "window holds the mass") 1.0 !window_mass;
+      Alcotest.(check (float 1e-9)) (name "weights are the pmf") 0.0 !worst;
+      Alcotest.(check bool) (name "mode near lambda") true
+        (Float.abs (float_of_int (left + !mode) -. lambda) <= 1.0))
+    [ 7.3; 1e3; 1e6; 1e7 ]
+
+(* --- error bound against a naive reference --- *)
+
+(* Plain uniformisation: goal and bad states absorbing, no pre-pass, no
+   early stop, each weight from [log_pmf], summed to lambda + 10 sqrt
+   lambda + 50 terms. *)
+let reference_probability (c : Ctmc.t) ~horizon =
+  let n = c.Ctmc.n_states in
+  let absorbing s = c.Ctmc.goal.(s) || c.Ctmc.bad.(s) in
+  let pi = Array.make n 0.0 in
+  Array.iter (fun (s, x) -> pi.(s) <- pi.(s) +. x) c.Ctmc.initial;
+  let goal_mass () =
+    let acc = ref 0.0 in
+    Array.iteri (fun s x -> if c.Ctmc.goal.(s) then acc := !acc +. x) pi;
+    !acc
+  in
+  let q = ref 0.0 in
+  for s = 0 to n - 1 do
+    if not (absorbing s) then q := Float.max !q (Ctmc.exit_rate c s)
   done;
-  Alcotest.(check (float 1e-9)) "weights sum to 1" 1.0 !total;
-  Alcotest.(check bool) "mode near lambda" true
-    (Transient.log_poisson_weight ~lambda 7
-    > Transient.log_poisson_weight ~lambda 2)
+  if horizon <= 0.0 || !q = 0.0 then goal_mass ()
+  else begin
+    let q = !q in
+    let p = Array.make_matrix n n 0.0 in
+    for s = 0 to n - 1 do
+      if absorbing s then p.(s).(s) <- 1.0
+      else begin
+        p.(s).(s) <- 1.0 -. (Ctmc.exit_rate c s /. q);
+        Array.iter (fun (t, r) -> p.(s).(t) <- p.(s).(t) +. (r /. q)) c.Ctmc.rows.(s)
+      end
+    done;
+    let lambda = q *. horizon in
+    let result = ref 0.0 in
+    for k = 0 to int_of_float (lambda +. (10.0 *. sqrt lambda) +. 50.0) do
+      if k > 0 then begin
+        let next = Array.make n 0.0 in
+        for s = 0 to n - 1 do
+          for t = 0 to n - 1 do
+            next.(t) <- next.(t) +. (pi.(s) *. p.(s).(t))
+          done
+        done;
+        Array.blit next 0 pi 0 n
+      end;
+      result := !result +. (exp (log_pmf lambda k) *. goal_mass ())
+    done;
+    !result
+  end
+
+(* Random chains of 2..8 states with rates in [0.1, 10]; the last
+   [traps] states form a goal-free closed class the others may fall
+   into, so some mass can never reach the goal. *)
+let gen_chain =
+  QCheck2.Gen.(
+    let* n = int_range 2 8 in
+    let* traps = int_range 0 2 in
+    let traps = min traps (n - 1) in
+    let first_trap = n - traps in
+    let* edges = list_size (return (n * n)) (pair (int_range 0 2) (float_range 0.1 10.0)) in
+    let* goal = array_size (return n) (int_range 0 3) in
+    let* bad = array_size (return n) (int_range 0 4) in
+    let* i0 = int_range 0 (n - 1) and* i1 = int_range 0 (n - 1) in
+    let transitions =
+      List.concat
+        (List.mapi
+           (fun e (keep, rate) ->
+             let s = e / n and t = e mod n in
+             if keep = 0 && s <> t && (s < first_trap || t >= first_trap) then
+               [ (s, t, rate) ]
+             else [])
+           edges)
+    in
+    let goal = Array.mapi (fun s g -> g = 0 && s < first_trap) goal in
+    let bad = Array.mapi (fun s b -> b = 0 && s < first_trap) bad in
+    let initial = if i0 = i1 then [ (i0, 1.0) ] else [ (i0, 0.5); (i1, 0.5) ] in
+    return
+      (Ctmc.with_bad (Ctmc.make ~n_states:n ~initial ~transitions ~goal) bad))
+
+let print_chain (c : Ctmc.t) =
+  let flags a = String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") a)) in
+  Printf.sprintf "n=%d goal=%s bad=%s init=[%s] edges=[%s]" c.Ctmc.n_states
+    (flags c.Ctmc.goal) (flags c.Ctmc.bad)
+    (String.concat "; "
+       (Array.to_list (Array.map (fun (s, x) -> Printf.sprintf "%d:%g" s x) c.Ctmc.initial)))
+    (String.concat "; "
+       (List.concat
+          (Array.to_list
+             (Array.mapi
+                (fun s row ->
+                  Array.to_list (Array.map (fun (t, r) -> Printf.sprintf "%d->%d %.3g" s t r) row))
+                c.Ctmc.rows))))
+
+let test_error_bound =
+  let precision = 1e-10 in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"transient within 2 precision of the reference"
+       ~print:print_chain gen_chain (fun c ->
+         List.for_all
+           (fun horizon ->
+             let p = Transient.reach_probability ~precision c ~horizon in
+             let expected = reference_probability c ~horizon in
+             if p < 0.0 || p > 1.0 || Float.abs (p -. expected) > 2.0 *. precision then
+               QCheck2.Test.fail_reportf "horizon %g: p = %.17g, reference %.17g" horizon p
+                 expected
+             else true)
+           [ 0.1; 1.0; 10.0; 100.0; 1000.0 ]))
+
+let test_slow_leak () =
+  (* two live states swapping at rate 1, one leaking to the goal at rate
+     eps: lambda = q t = 1e7 and most mass is still live at the horizon,
+     so the loop runs to the right truncation point on the full Poisson
+     window.  Closed form from the 2x2 generator's eigenvalues. *)
+  let eps = 1e-7 and t = 1e7 in
+  let c =
+    Ctmc.make ~n_states:3 ~initial:[ (0, 1.0) ]
+      ~transitions:[ (0, 1, 1.0); (1, 0, 1.0); (0, 2, eps) ]
+      ~goal:[| false; false; true |]
+  in
+  let l2 = (-.(2.0 +. eps) -. sqrt (((2.0 +. eps) ** 2.0) -. (4.0 *. eps))) /. 2.0 in
+  let l1 = eps /. l2 in
+  let survive =
+    ((exp (l1 *. t) *. (-.eps -. l2)) -. (exp (l2 *. t) *. (-.eps -. l1))) /. (l1 -. l2)
+  in
+  let r = Transient.reach c ~horizon:t in
+  Alcotest.(check bool) "no early stop" false r.Transient.steady_state;
+  Alcotest.(check (float 1e-9)) "closed form at lambda 1e7" (1.0 -. survive)
+    r.Transient.probability
+
+let test_long_horizon_queue () =
+  (* lambda = q t = 9e6, yet the mass is decided after ~85k steps *)
+  let capacity = 20 in
+  let net = load (Slimsim_models.Queue_model.source ~arrival:0.8 ~service:1.0 ~capacity) in
+  let g = goal net (Slimsim_models.Queue_model.goal_full ~capacity) in
+  match Analysis.check net ~goal:g ~horizon:5e6 with
+  | Ok r ->
+    Alcotest.(check (float 1e-9)) "the queue fills with certainty" 1.0 r.Analysis.probability;
+    Alcotest.(check bool) "steady state detected" true r.Analysis.steady_state;
+    Alcotest.(check bool)
+      (Printf.sprintf "fewer than 2e5 steps (ran %d)" r.Analysis.transient_steps)
+      true
+      (r.Analysis.transient_steps < 200_000)
+  | Error e -> Alcotest.fail e
 
 (* --- explorer --- *)
 
@@ -169,7 +340,13 @@ root D.I;
   Alcotest.(check int) "vanishing state eliminated" 3 stats.Explorer.stable_states;
   Alcotest.(check bool) "closure visited the hub" true (stats.Explorer.vanishing_visits > 0);
   let p = Transient.reach_probability ctmc ~horizon:1000.0 in
-  Alcotest.(check (float 1e-6)) "half the mass goes left" 0.5 p
+  Alcotest.(check (float 1e-6)) "half the mass goes left" 0.5 p;
+  (* r is a goal-free trap: the pre-pass absorbs it, so the mass is
+     decided after one step even at a horizon of 1e6 *)
+  let long = Transient.reach ctmc ~horizon:1e6 in
+  Alcotest.(check (float 1e-9)) "trap chain at 1e6" 0.5 long.Transient.probability;
+  Alcotest.(check bool) "trap mass decided" true long.Transient.steady_state;
+  Alcotest.(check bool) "a handful of steps" true (long.Transient.steps <= 2)
 
 let test_explorer_rejects_timed () =
   let net = load Slimsim_models.Gps.nominal_only in
@@ -340,15 +517,17 @@ let test_pipeline_sensor_filter () =
     (fun n ->
       let net = load (Slimsim_models.Sensor_filter.source ~n) in
       let g = goal net (Slimsim_models.Sensor_filter.goal_all_failed ~n) in
-      let horizon = 1800.0 in
-      match Analysis.check net ~goal:g ~horizon with
-      | Ok r ->
-        Alcotest.(check (float 1e-6))
-          (Printf.sprintf "closed form at n=%d" n)
-          (Slimsim_models.Sensor_filter.closed_form ~n ~horizon)
-          r.Analysis.probability
-      | Error e -> Alcotest.fail e)
-    [ 1; 2; 3 ]
+      List.iter
+        (fun horizon ->
+          match Analysis.check net ~goal:g ~horizon with
+          | Ok r ->
+            Alcotest.(check (float 1e-9))
+              (Printf.sprintf "closed form at n=%d, horizon %g" n horizon)
+              (Slimsim_models.Sensor_filter.closed_form ~n ~horizon)
+              r.Analysis.probability
+          | Error e -> Alcotest.fail e)
+        [ 100.0; 1800.0; 1e4; 1e5 ])
+    [ 1; 2; 3; 4 ]
 
 let test_pipeline_lump_ablation () =
   let net = load (Slimsim_models.Sensor_filter.source ~n:2) in
@@ -372,6 +551,9 @@ let suite =
     Alcotest.test_case "goal made absorbing" `Quick test_goal_absorbing;
     Alcotest.test_case "initial goal mass" `Quick test_initial_goal_mass;
     Alcotest.test_case "poisson weights" `Quick test_poisson_weights;
+    test_error_bound;
+    Alcotest.test_case "long-horizon queue" `Quick test_long_horizon_queue;
+    Alcotest.test_case "slow leak, no early stop" `Quick test_slow_leak;
     Alcotest.test_case "explorer two states" `Quick test_explorer_two_state;
     Alcotest.test_case "vanishing elimination" `Quick test_explorer_immediate_elimination;
     Alcotest.test_case "timed models rejected" `Quick test_explorer_rejects_timed;
