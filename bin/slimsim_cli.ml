@@ -514,9 +514,9 @@ let simulate_cmd =
         match Slimsim_props.Pattern.parse_query q with
         | Error e -> die 1 ("slimsim: " ^ e)
         | Ok (Slimsim_props.Pattern.Prob _) -> `Prop q
-        | Ok parsed -> `Cost (q, parsed))
+        | Ok _ -> `Cost q)
     in
-    let prop_src = match query_form with `Prop p -> p | `Cost (q, _) -> q in
+    let prop_src = match query_form with `Prop p | `Cost p -> p in
     let m =
       match load file with Ok m -> m | Error e -> die 1 e
     in
@@ -569,30 +569,15 @@ let simulate_cmd =
     if mlmc_levels < 1 || mlmc_levels > 16 then
       die 1 "slimsim: --mlmc-levels must be between 1 and 16";
     match query_form with
-    | `Cost (qsrc, parsed) ->
-      (* Cost queries run in one process: distribution workers and the
-         serve protocol exchange plain probability estimates and have no
-         channel for a cost accumulator. *)
+    | `Cost qsrc ->
+      (* Cost queries run in one process, on any number of worker
+         domains: distribution workers and the serve protocol exchange
+         plain probability estimates and have no channel for a cost
+         accumulator. *)
       if distribute <> None then
         die 1
           "slimsim: cost queries are not supported with --distribute; run \
            them in a single process";
-      (match parsed with
-      | Slimsim_props.Pattern.Cost_expect _ | Slimsim_props.Pattern.Cost_dist _
-        ->
-        if generator = S.Generator.Mlmc then
-          die 1
-            "slimsim: --generator mlmc is not supported for E[...]/D[...] \
-             cost queries (the multilevel estimator targets a probability); \
-             use chernoff, hoeffding, gauss or chow-robbins";
-        if workers > 1 then
-          Log.warn
-            ~fields:[ ("requested_workers", Json.Int workers) ]
-            (Printf.sprintf
-               "cost accumulation drives a sequential sampler; running with \
-                workers = 1 (requested %d)"
-               workers)
-      | _ -> ());
       (match
          S.check_cost ~workers ~seed ~generator ~on_deadlock ~engine ~on_error
            ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path

@@ -149,9 +149,9 @@ let prepare ?workers ?seed ?(generator = Generator.Chernoff)
 
 (* invariance patterns report the complement; "successes" keeps counting
    the paths that reached the negated goal *)
-let estimate_of_result p (r : Campaign.result) =
+let estimate_of ~complement (r : Campaign.result) =
   let pr, lo, hi =
-    if p.complement then
+    if complement then
       (1.0 -. r.Campaign.probability, 1.0 -. r.Campaign.ci_high,
        1.0 -. r.Campaign.ci_low)
     else (r.Campaign.probability, r.Campaign.ci_low, r.Campaign.ci_high)
@@ -172,6 +172,8 @@ let estimate_of_result p (r : Campaign.result) =
     wall_seconds = r.Campaign.wall_seconds;
     certificate = None;
   }
+
+let estimate_of_result p r = estimate_of ~complement:p.complement r
 
 let prepass_metric result =
   if Slimsim_obs.Metrics.enabled () then
@@ -246,105 +248,83 @@ let exact_estimate ~complement (p_raw, report) =
     certificate = certificate_of ~complement report.Prepass.outcome;
   }
 
+(* Drive a freshly created campaign to its result; the heartbeat line
+   is cleared either way. *)
+let run_campaign ?progress created =
+  let result =
+    match created with
+    | Error e -> Error e
+    | Ok c -> Campaign.drive c
+  in
+  (match progress with
+  | Some pr -> Slimsim_obs.Progress.finish pr
+  | None -> ());
+  Result.map_error Path.error_to_string result
+
+(* The probability front-ends: parse, then either the pre-pass answers
+   exactly or [sample] estimates. *)
+let sample_property ~on_deadlock ?max_steps ?max_sim_time ?max_wall_per_path
+    ~prepass ~strategy (m : model) ~property sample =
+  let* goal, hold, horizon, complement = parse_pattern_full m property in
+  let config =
+    make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
+      ~horizon ()
+  in
+  match
+    prepass_shortcut ~prepass ~strategy ?hold ~config ~max_wall_per_path m
+      ~goal
+  with
+  | Some shortcut -> Ok (exact_estimate ~complement shortcut)
+  | None ->
+    Result.map (estimate_of ~complement) (sample ~goal ~hold ~horizon ~config)
+
 let check ?workers ?seed ?(generator = Generator.Chernoff)
     ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor ?progress
     ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true) (m : model)
     ~property ~strategy ~delta ~eps () =
-  let* goal, hold, horizon, complement = parse_pattern_full m property in
-  let config =
-    make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-      ~horizon ()
-  in
-  match
-    prepass_shortcut ~prepass ~strategy ?hold ~config ~max_wall_per_path m
-      ~goal
-  with
-  | Some shortcut -> Ok (exact_estimate ~complement shortcut)
-  | None -> (
-    (* The sampling path is "create a campaign, drive it to
-       completion": the same resumable value a resident service steps
-       incrementally, driven in one shot here. *)
-    match
-      prepare ?workers ?seed ~generator ~on_deadlock ?engine ?on_error
-        ?supervisor ?progress ?max_steps ?max_sim_time ?max_wall_per_path m
-        ~property ~strategy ~delta ~eps ()
-    with
-    | Error e -> Error e
-    | Ok p ->
-      let result =
-        match Campaign.drive p.campaign with
-        | Ok r -> Ok (estimate_of_result p r)
-        | Error e -> Error (Path.error_to_string e)
-      in
-      (match progress with
-      | Some pr -> Slimsim_obs.Progress.finish pr
-      | None -> ());
-      result)
+  sample_property ~on_deadlock ?max_steps ?max_sim_time ?max_wall_per_path
+    ~prepass ~strategy m ~property (fun ~goal ~hold ~horizon ~config ->
+      run_campaign ?progress
+        (Campaign.create ?workers ?seed ~config ?engine ?on_error ?hold
+           ?supervisor ?progress m.Loader.network ~goal ~horizon ~strategy
+           ~generator:(Generator.create generator ~delta ~eps) ()))
 
-(* The multilevel front-end: same parse / complement mapping / pre-pass
-   shortcut as [check], but the campaign is the coupled coarse/fine
-   driver of {!Slimsim_sim.Mlmc_run} instead of a single-level one.
-   Sequential by construction (the pair shares scratch state and the
-   allocator is consulted between samples). *)
+(* The multilevel front-end: the same parse / complement mapping /
+   pre-pass shortcut as [check], over the coupled coarse/fine campaign
+   of {!Slimsim_sim.Mlmc_run} (sequential: the pair shares scratch state
+   and the allocator is consulted between samples). *)
 let check_mlmc ?seed ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor
     ?progress ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true)
     ?levels ?warmup (m : model) ~property ~strategy ~delta ~eps () =
   let module Mlmc_run = Slimsim_sim.Mlmc_run in
-  let* goal, hold, horizon, complement = parse_pattern_full m property in
-  let config =
-    make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-      ~horizon ()
-  in
-  match
-    prepass_shortcut ~prepass ~strategy ?hold ~config ~max_wall_per_path m
-      ~goal
-  with
-  | Some shortcut -> Ok (exact_estimate ~complement shortcut)
-  | None -> (
-    match
-      Mlmc_run.create ?seed ~config ?engine ?on_error ?hold ?supervisor
-        ?progress ?levels ?warmup m.Loader.network ~goal ~horizon ~strategy
-        ~delta ~eps ()
-    with
-    | Error e -> Error (Path.error_to_string e)
-    | Ok t ->
-      let result =
-        match Mlmc_run.drive t with
-        | Error e -> Error (Path.error_to_string e)
-        | Ok r ->
-          (* The telescoped CLT interval is not confined to [0,1] the
-             way a Bernoulli estimator's is; clamp before the
-             complement mapping so the report stays a probability. *)
-          let clamp x = Float.min 1.0 (Float.max 0.0 x) in
-          let p = clamp r.Mlmc_run.probability in
-          let lo = clamp r.Mlmc_run.ci_low in
-          let hi = clamp r.Mlmc_run.ci_high in
-          let p, lo, hi =
-            if complement then (1.0 -. p, 1.0 -. hi, 1.0 -. lo)
-            else (p, lo, hi)
-          in
-          Ok
-            {
-              probability = p;
-              ci_low = lo;
-              ci_high = hi;
-              paths = r.Mlmc_run.paths;
-              successes = r.Mlmc_run.sat_paths;
-              deadlock_paths = r.Mlmc_run.deadlock_paths;
-              violated_paths = r.Mlmc_run.violated_paths;
-              errors = r.Mlmc_run.errors;
-              diverged_paths = r.Mlmc_run.diverged_paths;
-              dropped_paths = r.Mlmc_run.dropped_samples;
-              worker_restarts = 0;
-              interrupted = r.Mlmc_run.stopped = Campaign.Interrupted;
-              wall_seconds = r.Mlmc_run.wall_seconds;
-              certificate = None;
-            }
+  sample_property ~on_deadlock ?max_steps ?max_sim_time ?max_wall_per_path
+    ~prepass ~strategy m ~property (fun ~goal ~hold ~horizon ~config ->
+      let* r =
+        run_campaign ?progress
+          (Mlmc_run.create ?seed ~config ?engine ?on_error ?hold ?supervisor
+             ?progress ?levels ?warmup m.Loader.network ~goal ~horizon
+             ~strategy ~delta ~eps ())
       in
-      (match progress with
-      | Some pr -> Slimsim_obs.Progress.finish pr
-      | None -> ());
-      result)
+      (* The telescoped CLT interval is not confined to [0,1] the way a
+         Bernoulli estimator's is; clamp before the complement mapping
+         so the report stays a probability. *)
+      let clamp x = Float.min 1.0 (Float.max 0.0 x) in
+      Ok
+        {
+          Campaign.probability = clamp r.Mlmc_run.probability;
+          ci_low = clamp r.Mlmc_run.ci_low;
+          ci_high = clamp r.Mlmc_run.ci_high;
+          paths = r.Mlmc_run.paths;
+          successes = r.Mlmc_run.sat_paths;
+          deadlock_paths = r.Mlmc_run.deadlock_paths;
+          violated_paths = r.Mlmc_run.violated_paths;
+          errors = r.Mlmc_run.errors;
+          diverged_paths = r.Mlmc_run.diverged_paths;
+          dropped_paths = r.Mlmc_run.dropped_samples;
+          worker_restarts = 0;
+          stopped = r.Mlmc_run.stopped;
+          wall_seconds = r.Mlmc_run.wall_seconds;
+        })
 
 (* --- priced-STA cost queries (UPPAAL-SMC style, arXiv:1207.1272) --- *)
 
@@ -355,17 +335,18 @@ type cost_outcome =
   | Cost_expected of Cost_run.result
   | Cost_distribution of Cost_run.result
 
+(* The one place a query form meets its campaign: plain probabilities
+   go to [check], cost-bounded reachability to the Bernoulli campaign
+   with a cost hold, E[...]/D[...] to the cost accumulator.  The
+   multilevel generator truncates a finite time horizon to estimate a
+   probability, so no cost form takes it: cost-bounded reachability has
+   no time horizon (refused here), E[...]/D[...] estimate a cost
+   (refused by [Cost_run.create]). *)
 let check_cost ?workers ?seed ?(generator = Generator.Chernoff)
     ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor ?progress
     ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true) (m : model)
     ~query ~strategy ~delta ~eps () =
   let* q = Pattern.parse_query query in
-  let finish_progress result =
-    (match progress with
-    | Some pr -> Slimsim_obs.Progress.finish pr
-    | None -> ());
-    result
-  in
   match q with
   | Pattern.Prob _ ->
     let* e =
@@ -374,6 +355,11 @@ let check_cost ?workers ?seed ?(generator = Generator.Chernoff)
         ~prepass m ~property:query ~strategy ~delta ~eps ()
     in
     Ok (Cost_probability e)
+  | Pattern.Cost_reach _ when generator = Generator.Mlmc ->
+    Error
+      "cost-bounded reachability: the multilevel generator's levels \
+       truncate the time horizon, and P(<> [c <= C] ...) has none (its \
+       horizon is unbounded); use a fixed-size or chow-robbins generator"
   | Pattern.Cost_reach { cost_src; cost_bound; goal_src } -> (
     (* Cost-bounded reachability is bounded until in cost space: hold
        [c <= C], no time bound (the watchdog budgets backstop paths
@@ -397,27 +383,16 @@ let check_cost ?workers ?seed ?(generator = Generator.Chernoff)
     with
     | Some shortcut ->
       Ok (Cost_probability (exact_estimate ~complement:false shortcut))
-    | None -> (
-      let gen = Generator.create generator ~delta ~eps in
-      match
-        Campaign.create ?workers ?seed ~config ?engine ?on_error ~hold
-          ?supervisor ?progress m.Loader.network ~goal ~horizon ~strategy
-          ~generator:gen ()
-      with
-      | Error e -> Error (Path.error_to_string e)
-      | Ok c ->
-        finish_progress
-          (match Campaign.drive c with
-          | Ok r ->
-            Ok
-              (Cost_probability
-                 (estimate_of_result
-                    { campaign = c; complement = false; horizon }
-                    r))
-          | Error e -> Error (Path.error_to_string e))))
+    | None ->
+      let* r =
+        run_campaign ?progress
+          (Campaign.create ?workers ?seed ~config ?engine ?on_error ~hold
+             ?supervisor ?progress m.Loader.network ~goal ~horizon ~strategy
+             ~generator:(Generator.create generator ~delta ~eps) ())
+      in
+      Ok (Cost_probability (estimate_of ~complement:false r)))
   | Pattern.Cost_expect { cost_src; prob } | Pattern.Cost_dist { cost_src; prob }
     -> (
-    let dist = match q with Pattern.Cost_dist _ -> true | _ -> false in
     let* cv =
       Pattern.resolve_cost ~enum:(enum_lookup m) m.Loader.network cost_src
     in
@@ -442,18 +417,15 @@ let check_cost ?workers ?seed ?(generator = Generator.Chernoff)
            "expected cost undefined: the pre-pass certifies P = 0 for %s — \
             no path ever reaches the goal"
            (Pattern.to_string prob))
-    | _ -> (
-      match
-        Cost_run.create ?seed ~config ?engine ?on_error ?hold ?supervisor
-          ?progress m.Loader.network ~goal ~horizon ~strategy ~cost_var:cv
-          ~query:(Pattern.query_to_string q) ~kind:generator ~delta ~eps ()
-      with
-      | Error e -> Error (Path.error_to_string e)
-      | Ok t ->
-        finish_progress
-          (match Cost_run.drive t with
-          | Ok r -> Ok (if dist then Cost_distribution r else Cost_expected r)
-          | Error e -> Error (Path.error_to_string e))))
+    | _ ->
+      let* r =
+        run_campaign ?progress
+          (Cost_run.create ?workers ?seed ~config ?engine ?on_error ?hold
+             ?supervisor ?progress m.Loader.network ~goal ~horizon ~strategy
+             ~cost_var:cv ~query:(Pattern.query_to_string q) ~kind:generator
+             ~delta ~eps ())
+      in
+      Ok (match q with Pattern.Cost_dist _ -> Cost_distribution r | _ -> Cost_expected r))
 
 type exact = {
   exact_probability : float;

@@ -280,10 +280,12 @@ val check_cost :
     [c <= C] and runs with an unbounded horizon — the watchdog budgets
     backstop paths whose cost observer stalls under the bound; the
     qualitative pre-pass applies as in {!check}).  [E]/[D] forms run
-    the sequential {!Slimsim_sim.Cost_run} driver: [workers] is
-    ignored, [generator] must not be [Mlmc], and a pre-pass P=0
-    certificate is reported as an error (the conditional expectation is
-    undefined when no path can reach the goal). *)
+    the {!Slimsim_sim.Cost_run} accumulator on the same campaign, on
+    [workers] domains with a result independent of their number, and a
+    pre-pass P=0 certificate is reported as an error (the conditional
+    expectation is undefined when no path can reach the goal).  Cost
+    forms refuse [generator = Mlmc]: its levels truncate a finite time
+    horizon and estimate a probability. *)
 
 val pp_cost_outcome : Format.formatter -> cost_outcome -> unit
 (** {!pp_estimate} for probability forms, [Cost_run.pp_result] for

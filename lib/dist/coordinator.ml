@@ -117,10 +117,11 @@ exception Abort_run of Path.error
 
 let run ?supervisor ?progress cfg job ~generator =
   let sup = match supervisor with Some s -> s | None -> Supervisor.default () in
+  let acc = Campaign.bernoulli generator in
   let tally = Campaign.new_tally () in
   let robs = Campaign.make_run_obs () in
   let dobs = make_dobs () in
-  match Campaign.resume_base sup generator tally ~seed:job.seed with
+  match Campaign.resume sup acc tally ~seed:job.seed with
   | Error e -> Error e
   | Ok base ->
     let t0 = Unix.gettimeofday () in
@@ -333,11 +334,11 @@ let run ?supervisor ?progress cfg job ~generator =
               match
                 Campaign.consume ?robs ~on_error:job.on_error
                   ~on_divergence:sup.Supervisor.on_divergence
-                  ~drop_stall_limit:sup.Supervisor.drop_stall_limit ~path generator
+                  ~drop_stall_limit:sup.Supervisor.drop_stall_limit ~path acc
                   tally outcome
               with
-              | `Abort e -> raise (Abort_run e)
-              | `Fed | `Dropped -> progress_tick ()))
+              | Error e -> raise (Abort_run e)
+              | Ok () -> progress_tick ()))
     in
     let checkpoint () =
       match sup.Supervisor.checkpoint with
@@ -345,8 +346,7 @@ let run ?supervisor ?progress cfg job ~generator =
       | Some { Supervisor.file; _ } ->
         let st =
           {
-            (Campaign.checkpoint_state generator tally ~seed:job.seed
-               ~next_path:!cursor)
+            (acc.Campaign.save tally ~seed:job.seed ~next_path:!cursor)
             with
             Supervisor.Checkpoint.leases = Lease.outstanding table;
           }
@@ -474,7 +474,7 @@ let run ?supervisor ?progress cfg job ~generator =
       teardown ();
       (match progress with Some p -> Progress.finish p | None -> ());
       let result =
-        Campaign.summarize generator tally ~stopped (Unix.gettimeofday () -. t0)
+        acc.Campaign.summary tally ~stopped ~wall:(Unix.gettimeofday () -. t0)
       in
       Ok
         {

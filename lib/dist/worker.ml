@@ -14,7 +14,7 @@ let die_failed msg code =
 type session = {
   hello : Wire.hello;
   chaos : Chaos.t;
-  runner : int -> (Path.verdict, Path.error) Result.t;
+  runner : int -> (Path.verdict, Path.error) Result.t * float;
   reader : Wire.reader;
   leases : (int * int * int) Queue.t;
   mutable last_hb : float;
@@ -131,7 +131,7 @@ let run_lease s (id, lo, hi) =
   in
   for path = lo to hi - 1 do
     perform_chaos s ~path;
-    let outcome = s.runner path in
+    let outcome, _ = s.runner path in
     Buffer.add_char buf (Wire.verdict_char outcome);
     (match outcome with
     | Ok (Path.Diverged d) -> divs := (path, d) :: !divs

@@ -1,13 +1,19 @@
 (* A campaign is the engine's run loop turned inside out: instead of two
    monolithic sequential/parallel drivers owning the process until the
-   stopping rule fires, the loop state (generator, tallies, path cursor)
-   lives in a value and each [step] advances it by a bounded quota of
-   samples.  Everything determinism rests on is unchanged: path [i]
-   draws from an RNG derived from [(seed, i)] alone, and samples are
+   stopping rule fires, the loop state (tallies, path cursor, worker
+   session) lives in a value and each [step] advances it by a bounded
+   quota of samples.  Everything determinism rests on is unchanged: path
+   [i] draws from an RNG derived from [(seed, i)] alone, and samples are
    consumed in path order — sequentially or via the buffered balanced
    collection of §III-C — so the verdict stream is a function of
    [(model, property, strategy, generator, seed)] no matter how the
-   campaign is sliced, parked or resumed. *)
+   campaign is sliced, parked or resumed.
+
+   The kernel owns that lifecycle once: the policy router, the slice
+   loop, the checkpoint file, park/resume and wall-clock accounting.
+   What a campaign estimates is an accumulator plugged into it — the
+   Bernoulli generator here, the priced-query fold in [Cost_run], the
+   multilevel estimator in [Mlmc_run]. *)
 
 module Rng = Slimsim_stats.Rng
 module Generator = Slimsim_stats.Generator
@@ -16,6 +22,7 @@ module Metrics = Slimsim_obs.Metrics
 module Log = Slimsim_obs.Log
 module Json = Slimsim_obs.Json
 module Progress = Slimsim_obs.Progress
+module Checkpoint = Supervisor.Checkpoint
 
 type stop_reason = Converged | Interrupted
 
@@ -108,45 +115,53 @@ let make_run_obs () =
 let robs_incr robs field =
   match robs with Some r -> Metrics.incr (field r) | None -> ()
 
-(* Route one sample through the error and divergence policies.  An
-   errored or diverged path under the [`Unsat] policy is fed as a
+(* ------------------------------------------------------------------ *)
+(* Samples and accumulators. *)
+
+type sample =
+  | Sat of float
+  | Unsat
+  | Pair of { level : int; diff : float }
+  | Dropped
+
+type 'r accumulator = {
+  feed : sample -> unit;
+  stop : unit -> [ `Continue | `Converged | `Fail of Path.error ];
+  summary : tally -> stopped:stop_reason -> wall:float -> 'r;
+  save : tally -> seed:int64 -> next_path:int -> Checkpoint.state;
+  restore : Checkpoint.state -> (unit, string) Result.t;
+  estimate : unit -> float * float * float * int;
+}
+
+(* Route one path's outcome through the error and divergence policies:
+   tally its verdict class, count it, log the exceptional ones.  An
+   errored or diverged path under the [`Unsat] policy comes back as a
    failure (conservative for reachability estimates: it can only lower
-   the estimated probability); [`Drop] discards the sample without
-   feeding it, so the stopping rule keeps asking for more — the
-   re-planning is implicit in [Generator.needs_more] seeing fewer
-   trials. *)
-let consume ?robs ~on_error ~on_divergence ~drop_stall_limit ~path gen tally =
-  function
+   the estimated probability); under [`Drop] it comes back as [`Drop],
+   and the sample it belongs to is discarded.  [level] tags the events
+   of a multilevel half-sample. *)
+let apply_policies ?robs ?level ~on_error ~on_divergence ~path tally outcome =
+  let at fields =
+    match level with
+    | None -> ("path", Json.Int path) :: fields
+    | Some l -> ("level", Json.Int l) :: ("path", Json.Int path) :: fields
+  in
+  match outcome with
   | Ok (Path.Diverged d) -> (
     tally.diverged <- tally.diverged + 1;
     robs_incr robs (fun r -> r.v_diverged);
     Log.emit ~event:"divergence"
-      [
-        ("path", Json.Int path);
-        ("kind", Json.String (Path.divergence_to_string d));
-        ("policy", Json.String (Supervisor.divergence_policy_to_string on_divergence));
-      ];
+      (at
+         [
+           ("kind", Json.String (Path.divergence_to_string d));
+           ( "policy",
+             Json.String (Supervisor.divergence_policy_to_string on_divergence) );
+         ]);
     match on_divergence with
     | `Abort -> `Abort (Path.Diverged_path d)
-    | `Unsat ->
-      tally.consec_dropped <- 0;
-      Generator.feed gen false;
-      `Fed
-    | `Drop ->
-      tally.dropped <- tally.dropped + 1;
-      tally.consec_dropped <- tally.consec_dropped + 1;
-      robs_incr robs (fun r -> r.o_dropped);
-      if tally.consec_dropped >= drop_stall_limit then
-        `Abort
-          (Path.Model_error
-             (Printf.sprintf
-                "divergence policy `drop': %d consecutive paths diverged; \
-                 the estimate conditioned on non-divergence cannot converge \
-                 (raise the watchdog budgets or use --on-divergence unsat)"
-                tally.consec_dropped))
-      else `Dropped)
+    | `Unsat -> `Unsat
+    | `Drop -> `Drop)
   | Ok v ->
-    tally.consec_dropped <- 0;
     (match v with
     | Path.Unsat_deadlock | Path.Unsat_timelock ->
       tally.deadlocks <- tally.deadlocks + 1
@@ -163,25 +178,64 @@ let consume ?robs ~on_error ~on_divergence ~drop_stall_limit ~path gen tally =
         | Path.Unsat_violated _ -> r.v_violated
         | Path.Diverged _ -> r.v_diverged)
     | None -> ());
-    Generator.feed gen (match v with Path.Sat _ -> true | _ -> false);
-    `Fed
+    (match v with Path.Sat _ -> `Sat | _ -> `Unsat)
   | Error e -> (
     robs_incr robs (fun r -> r.v_error);
     Log.emit ~event:"path_error"
-      [
-        ("path", Json.Int path);
-        ("error", Json.String (Path.error_to_string e));
-        ( "policy",
-          Json.String (match on_error with `Abort -> "abort" | `Unsat -> "unsat")
-        );
-      ];
+      (at
+         [
+           ("error", Json.String (Path.error_to_string e));
+           ( "policy",
+             Json.String
+               (match on_error with `Abort -> "abort" | `Unsat -> "unsat") );
+         ]);
     match on_error with
     | `Abort -> `Abort e
     | `Unsat ->
-      tally.consec_dropped <- 0;
       tally.errors <- tally.errors + 1;
-      Generator.feed gen false;
-      `Fed)
+      `Unsat)
+
+(* A one-path sample, classified; [cost] is what the runner observed at
+   the goal crossing. *)
+let classify ?robs ~on_error ~on_divergence ~path tally outcome ~cost =
+  match apply_policies ?robs ~on_error ~on_divergence ~path tally outcome with
+  | `Sat -> Ok (Sat cost)
+  | `Unsat -> Ok Unsat
+  | `Drop -> Ok Dropped
+  | `Abort e -> Error e
+
+(* The per-sample half of the drop policy, then the fold.  The stopping
+   rule never sees a dropped sample, so it keeps asking for more — the
+   re-planning is implicit; a run of drops long enough to mean nothing
+   will ever converge aborts instead of spinning. *)
+let settle ?robs ~drop_stall_limit acc tally s =
+  (match s with
+  | Dropped ->
+    tally.dropped <- tally.dropped + 1;
+    tally.consec_dropped <- tally.consec_dropped + 1;
+    robs_incr robs (fun r -> r.o_dropped)
+  | Sat _ | Unsat | Pair _ -> tally.consec_dropped <- 0);
+  match s with
+  | Dropped when tally.consec_dropped >= drop_stall_limit ->
+    Error
+      (Path.Model_error
+         (Printf.sprintf
+            "divergence policy `drop': %d consecutive samples diverged; the \
+             estimate conditioned on non-divergence cannot converge (raise \
+             the watchdog budgets or use --on-divergence unsat)"
+            tally.consec_dropped))
+  | _ ->
+    acc.feed s;
+    Ok ()
+
+let consume ?robs ~on_error ~on_divergence ~drop_stall_limit ~path acc tally
+    outcome =
+  match classify ?robs ~on_error ~on_divergence ~path tally outcome ~cost:nan with
+  | Error e -> Error e
+  | Ok s -> settle ?robs ~drop_stall_limit acc tally s
+
+(* ------------------------------------------------------------------ *)
+(* The Bernoulli generator as an accumulator. *)
 
 let summarize gen tally ~stopped wall =
   let est = Generator.estimator gen in
@@ -225,15 +279,13 @@ let summarize gen tally ~stopped wall =
     ];
   r
 
-(* ------------------------------------------------------------------ *)
-(* Checkpointing glue: the campaign state is (seed, path cursor,
-   estimator counters, tallies) — see Supervisor.Checkpoint.  This
-   tuple is also exactly what a parked campaign is. *)
-
+(* The campaign state is (seed, path cursor, estimator counters,
+   tallies) — see Supervisor.Checkpoint.  This tuple is also exactly
+   what a parked campaign is. *)
 let checkpoint_state gen tally ~seed ~next_path =
   let est = Generator.estimator gen in
   {
-    Supervisor.Checkpoint.seed;
+    Checkpoint.seed;
     kind = Generator.kind gen;
     delta = Generator.delta gen;
     eps = Generator.eps gen;
@@ -250,6 +302,34 @@ let checkpoint_state gen tally ~seed ~next_path =
     cost = None;
   }
 
+let bernoulli gen =
+  {
+    feed =
+      (function
+      | Sat _ -> Generator.feed gen true
+      | Unsat -> Generator.feed gen false
+      | Pair _ | Dropped -> ());
+    stop =
+      (fun () -> if Generator.needs_more gen then `Continue else `Converged);
+    summary = (fun tally ~stopped ~wall -> summarize gen tally ~stopped wall);
+    save = checkpoint_state gen;
+    restore =
+      (fun st ->
+        Generator.restore gen ~trials:st.Checkpoint.trials
+          ~successes:st.Checkpoint.successes;
+        Ok ());
+    estimate =
+      (fun () ->
+        let est = Generator.estimator gen in
+        let lo, hi =
+          Estimator.confidence_interval est ~delta:(Generator.delta gen)
+        in
+        (Estimator.mean est, lo, hi, Estimator.trials est));
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Checkpoint files. *)
+
 (* One checkpoint write, observed: the save is counted and timed, the
    metric registry is re-exported next to it (so a crashed campaign
    leaves current metrics behind along with its progress), and a
@@ -257,10 +337,10 @@ let checkpoint_state gen tally ~seed ~next_path =
    bare historical save — when observability is off. *)
 let write_checkpoint ?robs sup ~file st =
   let observed = robs <> None || Log.active () in
-  if not observed then Supervisor.Checkpoint.save ~file st
+  if not observed then Checkpoint.save ~file st
   else begin
     let t0 = Unix.gettimeofday () in
-    Supervisor.Checkpoint.save ~file st;
+    Checkpoint.save ~file st;
     (match sup.Supervisor.metrics_file with
     | Some mf when Metrics.enabled () -> Metrics.write_file mf
     | _ -> ());
@@ -273,141 +353,69 @@ let write_checkpoint ?robs sup ~file st =
     Log.emit ~event:"checkpoint"
       [
         ("file", Json.String file);
-        ("next_path", Json.Int st.Supervisor.Checkpoint.next_path);
+        ("next_path", Json.Int st.Checkpoint.next_path);
         ("seconds", Json.Float dt);
       ]
   end
 
-let save_checkpoint ?robs sup gen tally ~seed ~next_path =
-  match sup.Supervisor.checkpoint with
-  | Some { Supervisor.file; _ } ->
-    write_checkpoint ?robs sup ~file (checkpoint_state gen tally ~seed ~next_path)
-  | None -> ()
-
-let maybe_checkpoint ?robs sup gen tally ~seed ~next_path =
-  match sup.Supervisor.checkpoint with
-  | Some { Supervisor.file; every } when next_path mod every = 0 ->
-    write_checkpoint ?robs sup ~file (checkpoint_state gen tally ~seed ~next_path)
-  | _ -> ()
-
-let resume_base sup gen tally ~seed =
+(* The one resume validator.  A checkpoint resumes only a campaign that
+   would have written the same header (seed, generator kind, delta/eps)
+   and carries no trailing block of another accumulator's kind; the
+   accumulator then checks and restores its own block. *)
+let resume sup acc tally ~seed =
   if not sup.Supervisor.resume then Ok 0
   else
     match sup.Supervisor.checkpoint with
     | None ->
       Error (Path.Model_error "resume requested without a checkpoint file")
-    | Some { Supervisor.file; _ } ->
+    | Some { Supervisor.file; _ } -> (
       if not (Sys.file_exists file) then Ok 0 (* fresh start, not an error *)
-      else (
-        match Supervisor.Checkpoint.load ~file with
-        | Error msg -> Error (Path.Model_error ("cannot resume: " ^ msg))
-        | Ok st ->
-          if st.Supervisor.Checkpoint.seed <> seed then
-            Error
-              (Path.Model_error
-                 (Printf.sprintf
-                    "cannot resume: checkpoint was taken with seed %Ld, not %Ld"
-                    st.Supervisor.Checkpoint.seed seed))
-          else if st.kind <> Generator.kind gen then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint was taken with a different \
-                  statistical generator")
-          else if st.delta <> Generator.delta gen || st.eps <> Generator.eps gen
-          then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint was taken with different delta/eps")
-          else if st.mlmc <> None then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint carries multilevel (mlmc) state; \
-                  resume it with --generator mlmc")
-          else if st.cost <> None then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint carries cost-accumulator state; \
-                  resume it with the same cost query")
-          else begin
-            Generator.restore gen ~trials:st.trials ~successes:st.successes;
-            tally.deadlocks <- st.deadlocks;
-            tally.violated <- st.violated;
-            tally.errors <- st.errors;
-            tally.diverged <- st.diverged;
-            tally.dropped <- st.dropped;
-            Ok st.next_path
-          end)
-
-(* Resume validation for a priced (cost) campaign: the same base checks,
-   plus the cost block must be present and carry the same canonical
-   query — a cost accumulator is meaningless under a different cost
-   variable or formula.  Returns the resume cursor and the block. *)
-let resume_cost sup gen tally ~seed ~query =
-  if not sup.Supervisor.resume then Ok (0, None)
-  else
-    match sup.Supervisor.checkpoint with
-    | None ->
-      Error (Path.Model_error "resume requested without a checkpoint file")
-    | Some { Supervisor.file; _ } ->
-      if not (Sys.file_exists file) then Ok (0, None)
-      else (
-        match Supervisor.Checkpoint.load ~file with
-        | Error msg -> Error (Path.Model_error ("cannot resume: " ^ msg))
-        | Ok st ->
-          if st.Supervisor.Checkpoint.seed <> seed then
-            Error
-              (Path.Model_error
-                 (Printf.sprintf
-                    "cannot resume: checkpoint was taken with seed %Ld, not %Ld"
-                    st.Supervisor.Checkpoint.seed seed))
-          else if st.kind <> Generator.kind gen then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint was taken with a different \
-                  statistical generator")
-          else if st.delta <> Generator.delta gen || st.eps <> Generator.eps gen
-          then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint was taken with different delta/eps")
-          else if st.mlmc <> None then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint carries multilevel (mlmc) state; \
-                  resume it with --generator mlmc")
-          else (
-            match st.cost with
-            | None ->
-              Error
-                (Path.Model_error
-                   "cannot resume: checkpoint has no cost-accumulator state \
-                    (it was taken by a plain reachability campaign)")
-            | Some c when c.Supervisor.Checkpoint.c_query <> query ->
-              Error
-                (Path.Model_error
-                   (Printf.sprintf
-                      "cannot resume: checkpoint was taken for query %s, not \
-                       %s"
-                      c.Supervisor.Checkpoint.c_query query))
-            | Some c ->
-              Generator.restore gen ~trials:st.trials ~successes:st.successes;
+      else
+        let reject msg = Error (Path.Model_error ("cannot resume: " ^ msg)) in
+        match Checkpoint.load ~file with
+        | Error msg -> reject msg
+        | Ok st -> (
+          let mine = acc.save tally ~seed ~next_path:0 in
+          if st.Checkpoint.seed <> seed then
+            reject
+              (Printf.sprintf "checkpoint was taken with seed %Ld, not %Ld"
+                 st.Checkpoint.seed seed)
+          else if st.kind <> mine.kind then
+            reject
+              "checkpoint was taken with a different statistical generator"
+          else if st.delta <> mine.delta || st.eps <> mine.eps then
+            reject "checkpoint was taken with different delta/eps"
+          else if st.mlmc <> None && mine.mlmc = None then
+            reject
+              "checkpoint carries multilevel (mlmc) state; resume it with \
+               --generator mlmc"
+          else if st.cost <> None && mine.cost = None then
+            reject
+              "checkpoint carries cost-accumulator state; resume it with the \
+               same cost query"
+          else
+            match acc.restore st with
+            | Error msg -> reject msg
+            | Ok () ->
               tally.deadlocks <- st.deadlocks;
               tally.violated <- st.violated;
               tally.errors <- st.errors;
               tally.diverged <- st.diverged;
               tally.dropped <- st.dropped;
-              Ok (st.next_path, Some c)))
+              Ok st.next_path))
 
-(* A runner factory: called once per worker (inside that worker's
+(* ------------------------------------------------------------------ *)
+(* The runner factory: called once per worker (inside that worker's
    domain, so per-worker scratch is domain-local), yielding the
-   path-id -> outcome function.  The compiled factory stages the
-   network once and shares the immutable tables across workers.
-   Crash recovery and park/resume both lean on this shape: a
-   replacement runner is a fresh factory call, and path [id] always
-   draws from an RNG derived from [(seed, id)] alone, so any path a
+   [config -> rng -> (outcome, cost)] function.  The compiled factory
+   stages the network once and shares the immutable tables across
+   workers.  Crash recovery and park/resume both lean on this shape: a
+   replacement runner is a fresh factory call, and path [i] always
+   draws from an RNG derived from [(seed, i)] alone, so any path a
    dying (or parked) worker lost is regenerated bit-identically by its
-   successor. *)
-(* Per-worker observability: the path generator's cell plus a
+   successor.
+
+   Per-worker observability: the path generator's cell plus a
    path-duration histogram, both labeled [worker="<w>"] and created in
    the worker's own domain (the factory runs there), so every series has
    a single writer.  [None] when metrics are off — the runner then calls
@@ -424,49 +432,50 @@ let worker_obs ~worker =
 
 let timed secs f = match secs with None -> f () | Some h -> Metrics.time h f
 
-let make_runner ~engine ~seed ?(hold = Slimsim_sta.Expr.true_) ?compiled cfg
-    net ~goal ~strategy =
-  match engine with
-  | `Interpreted ->
-    fun ~worker () ->
-      let obs, secs = worker_obs ~worker in
-      fun id ->
-        let rng = Rng.for_path ~seed ~path:id in
-        timed secs (fun () -> fst (Path.generate ~hold ?obs net cfg strategy rng ~goal))
-  | `Compiled ->
-    let c =
-      match compiled with
-      | Some c -> c
-      | None -> Slimsim_sta.Compiled.compile net
-    in
-    let q = Path.compile_query ~hold c ~goal in
-    fun ~worker () ->
-      let obs, secs = worker_obs ~worker in
-      let s = Slimsim_sta.Compiled.scratch c in
-      fun id ->
-        let rng = Rng.for_path ~seed ~path:id in
-        timed secs (fun () -> Path.generate_compiled ?obs c s q cfg strategy rng)
+type outcome = (Path.verdict, Path.error) Result.t
 
-(* The heartbeat is ticked once per consumed sample; the (mean,
-   half-width) closure is only evaluated when a line actually prints. *)
-let progress_tick progress generator =
-  match progress with
-  | None -> ()
-  | Some p ->
-    let est = Generator.estimator generator in
-    Progress.tick p ~paths:(Estimator.trials est) (fun () ->
-        let lo, hi =
-          Estimator.confidence_interval est ~delta:(Generator.delta generator)
-        in
-        (Estimator.mean est, (hi -. lo) /. 2.0))
+let path_runner ?(engine = `Compiled) ?(hold = Slimsim_sta.Expr.true_)
+    ?compiled ?cost_var net ~goal ~strategy =
+  let generator =
+    match engine with
+    | `Interpreted ->
+      fun obs cost cfg rng ->
+        fst (Path.generate ~hold ?obs ?cost net cfg strategy rng ~goal)
+    | `Compiled ->
+      let c =
+        match compiled with
+        | Some c -> c
+        | None -> Slimsim_sta.Compiled.compile net
+      in
+      let q = Path.compile_query ~hold c ~goal in
+      fun obs cost ->
+        let s = Slimsim_sta.Compiled.scratch c in
+        fun cfg rng -> Path.generate_compiled ?obs ?cost c s q cfg strategy rng
+  in
+  fun ~worker () ->
+    let obs, secs = worker_obs ~worker in
+    let cost = Option.map (fun v -> (v, ref nan)) cost_var in
+    let generate = generator obs cost in
+    fun cfg rng ->
+      timed secs (fun () ->
+          let o = generate cfg rng in
+          match (cost, o) with
+          | Some (_, cell), Ok (Path.Sat _) -> (o, !cell)
+          | _ -> (o, nan))
+
+let make_runner ?engine ~seed ?hold ?compiled ?cost_var cfg net ~goal
+    ~strategy =
+  let runner = path_runner ?engine ?hold ?compiled ?cost_var net ~goal ~strategy in
+  fun ~worker () ->
+    let run = runner ~worker () in
+    fun id -> run cfg (Rng.for_path ~seed ~path:id)
 
 (* ------------------------------------------------------------------ *)
 (* The campaign value. *)
 
-type outcome = (Path.verdict, Path.error) Result.t
-type runner = int -> outcome
+type runner = int -> outcome * float
 
-type slot = Sample of outcome | Crashed of string
+type slot = Sample of outcome * float | Crashed of string
 
 type buffer = {
   mutex : Mutex.t;
@@ -479,7 +488,7 @@ type buffer = {
    … into its own buffer; the collector consumes buffers in cyclic
    worker order, i.e. in path order base, base+1, base+2, …  This
    implements the buffered balanced collection of [22] — the sample
-   stream seen by the (possibly sequential) statistical generator is a
+   stream seen by the (possibly sequential) accumulator is a
    deterministic function of the seed, independent of scheduling and of
    [k].  Parking tears the whole session down; the next step builds a
    fresh one at the current cursor. *)
@@ -500,15 +509,16 @@ type exec =
   | Seq of seq
   | Par of par
 
-type status = Running | Done of result | Failed of Path.error
+type 'r state = Running | Done of 'r | Failed of Path.error
+type status = result state
 
-type t = {
+type 'r campaign = {
   sup : Supervisor.t;
   on_error : [ `Abort | `Unsat ];
   seed : int64;
-  generator : Generator.t;
+  acc : 'r accumulator;
+  source : 'r source;
   progress : Progress.t option;
-  make : worker:int -> unit -> runner;
   workers : int;
   tally : tally;
   robs : run_obs option;
@@ -516,146 +526,47 @@ type t = {
   mutable exec : exec;
   mutable active_seconds : float;  (* stepping wall time, past slices *)
   mutable slice_start : float;  (* start of the slice in flight *)
-  mutable outcome : status;
+  mutable outcome : 'r state;
 }
 
-let create ?(workers = 1) ?(seed = 0x51135113L) ?config ?(engine = `Compiled)
-    ?(on_error = `Abort) ?(hold = Slimsim_sta.Expr.true_) ?supervisor ?progress
-    ?compiled net ~goal ~horizon ~strategy ~generator () =
-  let sup =
-    match supervisor with Some s -> s | None -> Supervisor.default ()
-  in
-  let cfg =
-    match config with
-    | Some c -> { c with Path.horizon }
-    | None -> Path.default_config ~horizon
-  in
-  (* Scripts are stateful user callbacks observing immutable states:
-     they need the interpreter, and a single worker — parallel lanes
-     would interleave their observations.  Downgrading (rather than
-     erroring) keeps a campaign runnable when a generic harness passes
-     its usual --workers flag. *)
-  let engine =
-    match strategy with Strategy.Scripted _ -> `Interpreted | _ -> engine
-  in
-  let workers =
-    match strategy with
-    | Strategy.Scripted _ when workers > 1 ->
-      Log.warn
-        ~fields:[ ("requested_workers", Json.Int workers) ]
-        (Printf.sprintf
-           "scripted strategies are stateful callbacks; running with workers \
-            = 1 (requested %d)"
-           workers);
-      1
-    | _ -> workers
-  in
-  let tally = new_tally () in
-  match resume_base sup generator tally ~seed with
-  | Error e -> Error e
-  | Ok base ->
-    Ok
-      {
-        sup;
-        on_error;
-        seed;
-        generator;
-        progress;
-        make = make_runner ~engine ~seed ~hold ?compiled cfg net ~goal ~strategy;
-        workers;
-        tally;
-        robs = make_run_obs ();
-        next_path = base;
-        exec = Idle;
-        active_seconds = 0.0;
-        slice_start = 0.0;
-        outcome = Running;
-      }
+and 'r source =
+  | Paths of (worker:int -> unit -> runner)
+  | Draw of ('r campaign -> (sample, Path.error) Result.t)
 
-let wall_now t = t.active_seconds +. (Unix.gettimeofday () -. t.slice_start)
+type t = result campaign
 
-let finish_with t stopped =
-  save_checkpoint ?robs:t.robs t.sup t.generator t.tally ~seed:t.seed
-    ~next_path:t.next_path;
-  let r = summarize t.generator t.tally ~stopped (wall_now t) in
-  t.outcome <- Done r;
-  Done r
+let route t ?level ~path outcome =
+  apply_policies ?robs:t.robs ?level ~on_error:t.on_error
+    ~on_divergence:t.sup.Supervisor.on_divergence ~path t.tally outcome
 
-let fail_with t e =
-  t.outcome <- Failed e;
-  Failed e
+let classify_in t ~path (outcome, cost) =
+  classify ?robs:t.robs ~on_error:t.on_error
+    ~on_divergence:t.sup.Supervisor.on_divergence ~path t.tally outcome ~cost
 
-(* --- sequential stepping --- *)
+let save_checkpoint t =
+  match t.sup.Supervisor.checkpoint with
+  | Some { Supervisor.file; _ } ->
+    write_checkpoint ?robs:t.robs t.sup ~file
+      (t.acc.save t.tally ~seed:t.seed ~next_path:t.next_path)
+  | None -> ()
 
-(* A runner exception is a "worker crash" even in-process: rebuild the
-   runner (fresh scratch state) and replay the same path id —
-   deterministic regeneration makes the retry invisible in the verdict
-   stream. *)
-let seq_attempt t e i =
-  let rec attempt tries =
-    match
-      (match t.sup.Supervisor.chaos with
-      | Some inject -> inject ~worker:0 ~path:i
-      | None -> ());
-      e.runner i
-    with
-    | outcome -> Ok outcome
-    | exception exn ->
-      if tries >= t.sup.Supervisor.max_restarts then
-        Error (Path.Worker_crash (Printexc.to_string exn))
-      else begin
-        t.tally.restarts <- t.tally.restarts + 1;
-        robs_incr t.robs (fun r -> r.o_restarts);
-        Log.emit ~event:"worker_restart"
-          [
-            ("worker", Json.Int 0);
-            ("path", Json.Int i);
-            ("error", Json.String (Printexc.to_string exn));
-            ("attempt", Json.Int (tries + 1));
-          ];
-        Unix.sleepf (Supervisor.backoff_delay t.sup ~attempt:tries);
-        e.runner <- t.make ~worker:0 ();
-        attempt (tries + 1)
-      end
-  in
-  attempt 0
+let maybe_checkpoint t =
+  match t.sup.Supervisor.checkpoint with
+  | Some { Supervisor.every; _ } when t.next_path mod every = 0 ->
+    save_checkpoint t
+  | _ -> ()
 
-let step_seq t quota =
-  let e =
-    match t.exec with
-    | Seq e -> e
-    | Idle ->
-      let e = { runner = t.make ~worker:0 () } in
-      t.exec <- Seq e;
-      e
-    | Par _ -> assert false
-  in
-  let on_divergence = t.sup.Supervisor.on_divergence in
-  let drop_stall_limit = t.sup.Supervisor.drop_stall_limit in
-  let rec go budget =
-    if Supervisor.stop_requested t.sup then finish_with t Interrupted
-    else if not (Generator.needs_more t.generator) then finish_with t Converged
-    else if budget <= 0 then Running
-    else
-      let i = t.next_path in
-      match seq_attempt t e i with
-      | Error err -> fail_with t err
-      | Ok sample -> (
-        match
-          consume ?robs:t.robs ~on_error:t.on_error ~on_divergence
-            ~drop_stall_limit ~path:i t.generator t.tally sample
-        with
-        | `Abort err -> fail_with t err
-        | `Fed | `Dropped ->
-          t.next_path <- i + 1;
-          maybe_checkpoint ?robs:t.robs t.sup t.generator t.tally ~seed:t.seed
-            ~next_path:t.next_path;
-          progress_tick t.progress t.generator;
-          go (budget - 1))
-  in
-  go quota
+(* The heartbeat is ticked once per consumed sample; the estimate is
+   only evaluated when a line actually prints. *)
+let progress_tick t =
+  match t.progress with
+  | None -> ()
+  | Some p ->
+    Progress.tick p ~paths:t.next_path (fun () ->
+        let mean, lo, hi, _ = t.acc.estimate () in
+        (mean, (hi -. lo) /. 2.0))
 
-(* --- parallel stepping --- *)
+(* --- parallel sessions --- *)
 
 (* Each worker owns a bounded buffer with its own mutex and a condition
    per direction, so a push or pop wakes exactly the one party waiting
@@ -696,20 +607,20 @@ let pop b observe_occupancy =
    positions and path ids stay aligned; an exception escaping the
    runner surfaces as a terminal [Crashed] slot sitting exactly where
    the lost path's sample would have been. *)
-let worker_body t p w start () =
+let worker_body t make p w start () =
   match
     Log.emit ~event:"worker_start"
       [ ("worker", Json.Int w); ("first_path", Json.Int start) ];
-    let runner = t.make ~worker:w () in
+    let runner = make ~worker:w () in
     let rec go id =
       if Atomic.get p.par_stop then ()
       else begin
         (match t.sup.Supervisor.chaos with
         | Some inject -> inject ~worker:w ~path:id
         | None -> ());
-        let outcome = runner id in
+        let outcome, cost = runner id in
         push_sample ~max_buffer:t.sup.Supervisor.max_buffer ~stop:p.par_stop
-          p.buffers.(w) (Sample outcome);
+          p.buffers.(w) (Sample (outcome, cost));
         go (id + p.k)
       end
     in
@@ -718,8 +629,8 @@ let worker_body t p w start () =
   | () -> ()
   | exception exn -> push_dying p.buffers.(w) (Crashed (Printexc.to_string exn))
 
-let spawn_worker t p w start =
-  p.domains.(w) <- Some (Domain.spawn (worker_body t p w start))
+let spawn_worker t make p w start =
+  p.domains.(w) <- Some (Domain.spawn (worker_body t make p w start))
 
 let join_worker p w =
   match p.domains.(w) with
@@ -728,7 +639,7 @@ let join_worker p w =
     p.domains.(w) <- None
   | None -> ()
 
-let spawn_par t =
+let spawn_par t make =
   let k = t.workers in
   let p =
     {
@@ -749,11 +660,11 @@ let spawn_par t =
     }
   in
   for w = 0 to k - 1 do
-    spawn_worker t p w (p.base + w)
+    spawn_worker t make p w (p.base + w)
   done;
   p
 
-let halt_par t p =
+let halt_par p =
   Atomic.set p.par_stop true;
   Array.iter
     (fun b ->
@@ -764,21 +675,119 @@ let halt_par t p =
     p.buffers;
   for w = 0 to p.k - 1 do
     join_worker p w
-  done;
+  done
+
+(* Tear down whatever is running: workers are joined (their buffered,
+   unconsumed samples discarded) and runners dropped. *)
+let quiesce t =
+  (match t.exec with Par p -> halt_par p | Seq _ | Idle -> ());
   t.exec <- Idle
 
-let step_par t quota =
+(* --- the slice loop --- *)
+
+let wall_now t = t.active_seconds +. (Unix.gettimeofday () -. t.slice_start)
+
+let finish_with t stopped =
+  quiesce t;
+  save_checkpoint t;
+  let r = t.acc.summary t.tally ~stopped ~wall:(wall_now t) in
+  t.outcome <- Done r;
+  Done r
+
+let fail_with t e =
+  quiesce t;
+  t.outcome <- Failed e;
+  Failed e
+
+(* Consume up to [quota] samples from [next], which yields the
+   classified sample at cursor [t.next_path]: stop requested, converged
+   or failed by the accumulator's rule, quota spent — in that order,
+   before every sample — then the drop policy, the fold, the cursor,
+   the periodic checkpoint and the heartbeat after it. *)
+let run_slice t quota next =
+  let drop_stall_limit = t.sup.Supervisor.drop_stall_limit in
+  let rec go budget =
+    if Supervisor.stop_requested t.sup then finish_with t Interrupted
+    else
+      match t.acc.stop () with
+      | `Converged -> finish_with t Converged
+      | `Fail e -> fail_with t e
+      | `Continue when budget <= 0 -> Running
+      | `Continue -> (
+        match next () with
+        | Error e -> fail_with t e
+        | Ok s -> (
+          match settle ?robs:t.robs ~drop_stall_limit t.acc t.tally s with
+          | Error e -> fail_with t e
+          | Ok () ->
+            t.next_path <- t.next_path + 1;
+            maybe_checkpoint t;
+            progress_tick t;
+            go (budget - 1)))
+  in
+  go quota
+
+(* --- sequential stepping --- *)
+
+(* A runner exception is a "worker crash" even in-process: rebuild the
+   runner (fresh scratch state) and replay the same path id —
+   deterministic regeneration makes the retry invisible in the verdict
+   stream. *)
+let seq_attempt t make e i =
+  let rec attempt tries =
+    match
+      (match t.sup.Supervisor.chaos with
+      | Some inject -> inject ~worker:0 ~path:i
+      | None -> ());
+      e.runner i
+    with
+    | ran -> Ok ran
+    | exception exn ->
+      if tries >= t.sup.Supervisor.max_restarts then
+        Error (Path.Worker_crash (Printexc.to_string exn))
+      else begin
+        note_restart t.tally;
+        robs_incr t.robs (fun r -> r.o_restarts);
+        Log.emit ~event:"worker_restart"
+          [
+            ("worker", Json.Int 0);
+            ("path", Json.Int i);
+            ("error", Json.String (Printexc.to_string exn));
+            ("attempt", Json.Int (tries + 1));
+          ];
+        Unix.sleepf (Supervisor.backoff_delay t.sup ~attempt:tries);
+        e.runner <- make ~worker:0 ();
+        attempt (tries + 1)
+      end
+  in
+  attempt 0
+
+let step_seq t make quota =
+  let e =
+    match t.exec with
+    | Seq e -> e
+    | Idle | Par _ ->
+      let e = { runner = make ~worker:0 () } in
+      t.exec <- Seq e;
+      e
+  in
+  run_slice t quota (fun () ->
+      let i = t.next_path in
+      match seq_attempt t make e i with
+      | Error err -> Error err
+      | Ok ran -> classify_in t ~path:i ran)
+
+(* --- parallel stepping --- *)
+
+let step_par t make quota =
   let p =
     match t.exec with
     | Par p -> p
-    | Idle ->
-      let p = spawn_par t in
+    | Idle | Seq _ ->
+      let p = spawn_par t make in
       t.exec <- Par p;
       p
-    | Seq _ -> assert false
   in
-  let on_divergence = t.sup.Supervisor.on_divergence in
-  let drop_stall_limit = t.sup.Supervisor.drop_stall_limit in
   (* The collector owns the occupancy histogram: observed under the
      buffer lock just before each pop, it records how far ahead the
      popped worker was running. *)
@@ -787,69 +796,44 @@ let step_par t quota =
     | Some r -> Metrics.observe r.o_buffer (float_of_int (Queue.length q))
     | None -> ()
   in
-  let finish stopped =
-    halt_par t p;
-    finish_with t stopped
-  in
-  let fail e =
-    halt_par t p;
-    fail_with t e
-  in
-  let rec collect budget =
-    if Supervisor.stop_requested t.sup then finish Interrupted
-    else if not (Generator.needs_more t.generator) then finish Converged
-    else if budget <= 0 then Running
-    else begin
-      let w = p.session mod p.k in
-      match pop p.buffers.(w) observe_occupancy with
-      | Crashed msg ->
-        (* The worker already died; join reclaims the domain.  Its
-           replacement restarts at the exact path the collector is
-           waiting for — everything earlier was already buffered in
-           order, everything later is regenerated from per-path
-           seeds, so the verdict stream is bit-identical to a
-           crash-free run. *)
-        join_worker p w;
-        Log.emit ~event:"worker_crash"
+  let rec next () =
+    let w = p.session mod p.k in
+    match pop p.buffers.(w) observe_occupancy with
+    | Crashed msg ->
+      (* The worker already died; join reclaims the domain.  Its
+         replacement restarts at the exact path the collector is
+         waiting for — everything earlier was already buffered in
+         order, everything later is regenerated from per-path seeds, so
+         the verdict stream is bit-identical to a crash-free run. *)
+      join_worker p w;
+      Log.emit ~event:"worker_crash"
+        [
+          ("worker", Json.Int w);
+          ("path", Json.Int t.next_path);
+          ("error", Json.String msg);
+        ];
+      if p.restarts.(w) >= t.sup.Supervisor.max_restarts then
+        Error (Path.Worker_crash (Printf.sprintf "worker %d: %s" w msg))
+      else begin
+        let attempt = p.restarts.(w) in
+        p.restarts.(w) <- p.restarts.(w) + 1;
+        note_restart t.tally;
+        robs_incr t.robs (fun r -> r.o_restarts);
+        Log.emit ~event:"worker_restart"
           [
             ("worker", Json.Int w);
             ("path", Json.Int t.next_path);
-            ("error", Json.String msg);
+            ("attempt", Json.Int (attempt + 1));
           ];
-        if p.restarts.(w) >= t.sup.Supervisor.max_restarts then
-          fail (Path.Worker_crash (Printf.sprintf "worker %d: %s" w msg))
-        else begin
-          let attempt = p.restarts.(w) in
-          p.restarts.(w) <- p.restarts.(w) + 1;
-          t.tally.restarts <- t.tally.restarts + 1;
-          robs_incr t.robs (fun r -> r.o_restarts);
-          Log.emit ~event:"worker_restart"
-            [
-              ("worker", Json.Int w);
-              ("path", Json.Int t.next_path);
-              ("attempt", Json.Int (attempt + 1));
-            ];
-          Unix.sleepf (Supervisor.backoff_delay t.sup ~attempt);
-          spawn_worker t p w t.next_path;
-          collect budget
-        end
-      | Sample sample -> (
-        let path = p.base + p.session in
-        p.session <- p.session + 1;
-        t.next_path <- p.base + p.session;
-        match
-          consume ?robs:t.robs ~on_error:t.on_error ~on_divergence
-            ~drop_stall_limit ~path t.generator t.tally sample
-        with
-        | `Abort e -> fail e
-        | `Fed | `Dropped ->
-          maybe_checkpoint ?robs:t.robs t.sup t.generator t.tally ~seed:t.seed
-            ~next_path:t.next_path;
-          progress_tick t.progress t.generator;
-          collect (budget - 1))
-    end
+        Unix.sleepf (Supervisor.backoff_delay t.sup ~attempt);
+        spawn_worker t make p w t.next_path;
+        next ()
+      end
+    | Sample (outcome, cost) ->
+      p.session <- p.session + 1;
+      classify_in t ~path:t.next_path (outcome, cost)
   in
-  collect quota
+  run_slice t quota next
 
 (* --- public driving interface --- *)
 
@@ -859,7 +843,10 @@ let step ?(quota = max_int) t =
   | Running ->
     t.slice_start <- Unix.gettimeofday ();
     let s =
-      if t.workers <= 1 then step_seq t quota else step_par t quota
+      match t.source with
+      | Draw draw -> run_slice t quota (fun () -> draw t)
+      | Paths make when t.workers <= 1 -> step_seq t make quota
+      | Paths make -> step_par t make quota
     in
     t.active_seconds <-
       t.active_seconds +. (Unix.gettimeofday () -. t.slice_start);
@@ -869,12 +856,8 @@ let park t =
   match t.outcome with
   | Done _ | Failed _ -> ()
   | Running ->
-    (match t.exec with
-    | Par p -> halt_par t p
-    | Seq _ -> t.exec <- Idle
-    | Idle -> ());
-    save_checkpoint ?robs:t.robs t.sup t.generator t.tally ~seed:t.seed
-      ~next_path:t.next_path
+    quiesce t;
+    save_checkpoint t
 
 let rec drive t =
   match step t with
@@ -884,15 +867,77 @@ let rec drive t =
 
 let status t = t.outcome
 let consumed t = t.next_path
+let snapshot t = t.acc.estimate ()
 
-let snapshot t =
-  let est = Generator.estimator t.generator in
-  let lo, hi =
-    Estimator.confidence_interval est ~delta:(Generator.delta t.generator)
+(* --- construction --- *)
+
+let start ~workers ~seed ~on_error ?supervisor ?progress ~source acc =
+  let sup =
+    match supervisor with Some s -> s | None -> Supervisor.default ()
   in
-  (Estimator.mean est, lo, hi, Estimator.trials est)
+  let tally = new_tally () in
+  match resume sup acc tally ~seed with
+  | Error e -> Error e
+  | Ok base ->
+    Ok
+      {
+        sup;
+        on_error;
+        seed;
+        acc;
+        source;
+        progress;
+        workers;
+        tally;
+        robs = make_run_obs ();
+        next_path = base;
+        exec = Idle;
+        active_seconds = 0.0;
+        slice_start = 0.0;
+        outcome = Running;
+      }
 
-let generator_kind t = Generator.kind t.generator
+let create_with ?(workers = 1) ?(seed = 0x51135113L) ?config
+    ?(engine = `Compiled) ?(on_error = `Abort) ?hold ?supervisor ?progress
+    ?compiled ?cost_var net ~goal ~horizon ~strategy acc =
+  let cfg =
+    match config with
+    | Some c -> { c with Path.horizon }
+    | None -> Path.default_config ~horizon
+  in
+  (* Scripts are stateful user callbacks observing immutable states:
+     they need the interpreter, and a single worker — parallel lanes
+     would interleave their observations.  Downgrading (rather than
+     erroring) keeps a campaign runnable when a generic harness passes
+     its usual --workers flag. *)
+  let engine =
+    match strategy with Strategy.Scripted _ -> `Interpreted | _ -> engine
+  in
+  let workers =
+    match strategy with
+    | Strategy.Scripted _ when workers > 1 ->
+      Log.warn
+        ~fields:[ ("requested_workers", Json.Int workers) ]
+        (Printf.sprintf
+           "scripted strategies are stateful callbacks; running with workers \
+            = 1 (requested %d)"
+           workers);
+      1
+    | _ -> workers
+  in
+  let make =
+    make_runner ~engine ~seed ?hold ?compiled ?cost_var cfg net ~goal ~strategy
+  in
+  start ~workers ~seed ~on_error ?supervisor ?progress ~source:(Paths make) acc
+
+let create ?workers ?seed ?config ?engine ?on_error ?hold ?supervisor
+    ?progress ?compiled net ~goal ~horizon ~strategy ~generator () =
+  create_with ?workers ?seed ?config ?engine ?on_error ?hold ?supervisor
+    ?progress ?compiled net ~goal ~horizon ~strategy (bernoulli generator)
+
+let create_sequential ~seed ?(on_error = `Abort) ?supervisor ?progress ~draw
+    acc =
+  start ~workers:1 ~seed ~on_error ?supervisor ?progress ~source:(Draw draw) acc
 
 let pp_result ppf r =
   Fmt.pf ppf

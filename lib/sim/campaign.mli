@@ -1,7 +1,7 @@
 (** A statistical reachability campaign as a first-class, resumable
     value.
 
-    A campaign is created from [(network, goal, strategy, generator,
+    A campaign is created from [(network, goal, strategy, accumulator,
     supervisor config)] and then {e driven}: each {!step} consumes up to
     a quota of samples in deterministic path order and returns control
     to the caller, so a scheduler can time-slice many campaigns over one
@@ -15,7 +15,13 @@
     resumed at arbitrary points therefore produces the same verdict
     stream, the same estimate and the same checkpoints as one driven to
     completion in a single call — the property the one-shot
-    {!Engine.run} wrapper and the campaign service both build on. *)
+    {!Engine.run} wrapper and the campaign service both build on.
+
+    The lifecycle — policy routing, the slice loop, checkpoints,
+    park/resume, worker sessions, wall-clock accounting — lives here
+    once.  What is estimated is an {!accumulator}: the Bernoulli
+    generator ({!create}), the priced-query fold ({!Cost_run}) or the
+    multilevel estimator ({!Mlmc_run}). *)
 
 open Slimsim_sta
 
@@ -44,12 +50,66 @@ type result = {
           billed) *)
 }
 
-type t
+(** Verdict-class tallies kept by the kernel (read-only outside it). *)
+type tally = private {
+  mutable deadlocks : int;  (** deadlocked and timelocked paths *)
+  mutable violated : int;  (** paths whose [hold] condition broke *)
+  mutable errors : int;  (** errored paths kept under [`Unsat] *)
+  mutable diverged : int;
+  mutable dropped : int;  (** samples discarded under [`Drop] *)
+  mutable restarts : int;  (** worker restarts *)
+  mutable consec_dropped : int;
+}
 
-type status =
+(** {1 Accumulators} *)
+
+(** A consumed sample, as the policy router classifies it. *)
+type sample =
+  | Sat of float
+      (** one path reached the goal; the cost observed at the crossing
+          ([nan] when the campaign is not priced) *)
+  | Unsat
+      (** one path kept as a failure — including errored or diverged
+          paths under the [`Unsat] policies *)
+  | Pair of { level : int; diff : float }
+      (** a coupled multilevel sample: [Y_level - Y_(level-1)] *)
+  | Dropped  (** discarded under the [`Drop] divergence policy *)
+
+type 'r accumulator = {
+  feed : sample -> unit;
+      (** fold one sample, in path order (also called on [Dropped]) *)
+  stop : unit -> [ `Continue | `Converged | `Fail of Path.error ];
+      (** consulted before every sample *)
+  summary : tally -> stopped:stop_reason -> wall:float -> 'r;
+      (** close the books (and emit the end-of-campaign events) *)
+  save : tally -> seed:int64 -> next_path:int -> Supervisor.Checkpoint.state;
+      (** the checkpoint state at cursor [next_path]: the generator header
+          and counters, the tallies, and the accumulator's trailing block *)
+  restore : Supervisor.Checkpoint.state -> (unit, string) Result.t;
+      (** check a loaded checkpoint's trailing block and restore from it;
+          [Error msg] rejects the resume.  Called after the kernel has
+          validated the header *)
+  estimate : unit -> float * float * float * int;
+      (** the running [(mean, ci_low, ci_high, samples)] — for the
+          heartbeat and {!snapshot} *)
+}
+
+val bernoulli : Slimsim_stats.Generator.t -> result accumulator
+(** The classic accumulator: the generator's estimator and stopping
+    rule over sat/unsat verdicts. *)
+
+(** {1 Campaigns} *)
+
+type 'r campaign
+
+type t = result campaign
+
+type 'r state =
   | Running  (** the quota ran out before the stopping rule fired *)
-  | Done of result
+  | Done of 'r
   | Failed of Path.error
+
+type status = result state
 
 val create :
   ?workers:int ->
@@ -77,7 +137,53 @@ val create :
     more were requested.  [Error] is returned when [supervisor.resume]
     is set and the checkpoint file is unreadable or incompatible. *)
 
-val step : ?quota:int -> t -> status
+val create_with :
+  ?workers:int ->
+  ?seed:int64 ->
+  ?config:Path.config ->
+  ?engine:[ `Compiled | `Interpreted ] ->
+  ?on_error:[ `Abort | `Unsat ] ->
+  ?hold:Expr.t ->
+  ?supervisor:Supervisor.t ->
+  ?progress:Slimsim_obs.Progress.t ->
+  ?compiled:Compiled.t ->
+  ?cost_var:int ->
+  Network.t ->
+  goal:Expr.t ->
+  horizon:float ->
+  strategy:Strategy.t ->
+  'r accumulator ->
+  ('r campaign, Path.error) Result.t
+(** {!create} for any accumulator over one-path samples, sequential or
+    on [workers] domains.  With [cost_var], each [Sat] sample carries
+    the exact value of that clock or continuous variable at the goal
+    crossing. *)
+
+val create_sequential :
+  seed:int64 ->
+  ?on_error:[ `Abort | `Unsat ] ->
+  ?supervisor:Supervisor.t ->
+  ?progress:Slimsim_obs.Progress.t ->
+  draw:('r campaign -> (sample, Path.error) Result.t) ->
+  'r accumulator ->
+  ('r campaign, Path.error) Result.t
+(** A campaign whose samples come from [draw] (called once per sample at
+    cursor {!consumed}, after the stop test) instead of one path per
+    id; always sequential, with the same loop, policies, checkpoints and
+    resume validation.  [draw] runs its paths itself and classifies
+    them with {!route}. *)
+
+val route :
+  'r campaign ->
+  ?level:int ->
+  path:int ->
+  (Path.verdict, Path.error) Result.t ->
+  [ `Sat | `Unsat | `Drop | `Abort of Path.error ]
+(** The campaign's error/divergence policies applied to one path's
+    outcome: tallies, verdict counters and [divergence]/[path_error]
+    events (tagged with [level] when given). *)
+
+val step : ?quota:int -> 'r campaign -> 'r state
 (** Consume up to [quota] samples (default: run until the stopping rule
     or stop flag fires), spawning worker domains on demand.  [Running]
     means the quota ran out; workers are left running ahead into their
@@ -85,27 +191,25 @@ val step : ?quota:int -> t -> status
     call {!park} to quiesce instead.  Once [Done] or [Failed], further
     calls return the same status without simulating. *)
 
-val park : t -> unit
+val park : 'r campaign -> unit
 (** Halt worker domains (discarding their buffered, unconsumed samples)
     and write a checkpoint when the supervisor configures one.  A parked
     campaign holds no threads and no scratch state; the next {!step}
     resumes it bit-identically.  No-op on finished campaigns. *)
 
-val drive : t -> (result, Path.error) Result.t
+val drive : 'r campaign -> ('r, Path.error) Result.t
 (** Step to completion: the one-shot behaviour of the historical
     engine.  An [Interrupted] stop reason is an [Ok] result. *)
 
-val status : t -> status
+val status : 'r campaign -> 'r state
 (** Last known status; never simulates. *)
 
-val consumed : t -> int
-(** Paths consumed so far (the cursor the next sample is drawn at). *)
+val consumed : 'r campaign -> int
+(** Samples consumed so far (the cursor the next sample is drawn at). *)
 
-val snapshot : t -> float * float * float * int
-(** [(mean, ci_low, ci_high, trials)] of the running estimate — safe to
-    call between steps (the collector is not running). *)
-
-val generator_kind : t -> Slimsim_stats.Generator.kind
+val snapshot : 'r campaign -> float * float * float * int
+(** [(mean, ci_low, ci_high, samples)] of the running estimate — safe
+    to call between steps (the collector is not running). *)
 
 val pp_result : Format.formatter -> result -> unit
 
@@ -117,10 +221,6 @@ val pp_result : Format.formatter -> result -> unit
     same error/divergence policies, tallies, checkpoint states and
     summaries as the in-process loop — the accounting half of the
     bit-identity guarantee. *)
-
-(** Mutable verdict-class tallies (deadlocks, hold violations, errors,
-    divergences, drops, restarts). *)
-type tally
 
 val new_tally : unit -> tally
 
@@ -139,31 +239,15 @@ val consume :
   on_divergence:[ `Abort | `Unsat | `Drop ] ->
   drop_stall_limit:int ->
   path:int ->
-  Slimsim_stats.Generator.t ->
+  'r accumulator ->
   tally ->
   (Path.verdict, Path.error) Result.t ->
-  [ `Fed | `Dropped | `Abort of Path.error ]
+  (unit, Path.error) Result.t
 (** Route one sample (for path id [path]) through the error and
-    divergence policies: update the tallies, feed the generator (or
-    drop), or ask the caller to abort.  Samples must be presented in
-    strictly increasing path order for the estimate to be
+    divergence policies, update the tallies and feed the accumulator
+    (or drop); [Error] asks the caller to abort.  Samples must be
+    presented in strictly increasing path order for the estimate to be
     schedule-independent. *)
-
-val summarize :
-  Slimsim_stats.Generator.t -> tally -> stopped:stop_reason -> float -> result
-(** Close the books: the [result] for the generator's current estimate
-    and the tallies, billing the given wall-clock seconds.  Emits the
-    [campaign_end] event. *)
-
-val checkpoint_state :
-  Slimsim_stats.Generator.t ->
-  tally ->
-  seed:int64 ->
-  next_path:int ->
-  Supervisor.Checkpoint.state
-(** The persistable state at cursor [next_path], with no lease
-    bookkeeping ([leases = []]); a coordinator overrides [leases] with
-    its outstanding grants. *)
 
 val write_checkpoint :
   ?robs:run_obs -> Supervisor.t -> file:string -> Supervisor.Checkpoint.state -> unit
@@ -171,34 +255,39 @@ val write_checkpoint :
     re-exported per [supervisor.metrics_file]) when observability is
     on. *)
 
-val resume_base :
-  Supervisor.t ->
-  Slimsim_stats.Generator.t ->
-  tally ->
-  seed:int64 ->
-  (int, Path.error) Result.t
-(** When [supervisor.resume] is set, restore generator and tallies from
-    the checkpoint file and return the resume cursor (0 on a fresh
-    start; [Error] on an incompatible or unreadable checkpoint). *)
+val resume :
+  Supervisor.t -> 'r accumulator -> tally -> seed:int64 -> (int, Path.error) Result.t
+(** When [supervisor.resume] is set, validate the checkpoint file
+    against the accumulator (seed, generator kind, delta/eps, trailing
+    block), restore accumulator and tallies, and return the resume
+    cursor (0 on a fresh start; [Error] on an incompatible or unreadable
+    checkpoint). *)
 
-val resume_cost :
-  Supervisor.t ->
-  Slimsim_stats.Generator.t ->
-  tally ->
-  seed:int64 ->
-  query:string ->
-  (int * Supervisor.Checkpoint.cost_state option, Path.error) Result.t
-(** {!resume_base} for a priced campaign: the same base checks, plus
-    the checkpoint must carry a cost block for the same canonical
-    [query] (cross-resume between classic, multilevel and cost
-    checkpoints is rejected).  Returns the cursor and the block to
-    restore the cost accumulator from ([None] on a fresh start). *)
+val path_runner :
+  ?engine:[ `Compiled | `Interpreted ] ->
+  ?hold:Expr.t ->
+  ?compiled:Compiled.t ->
+  ?cost_var:int ->
+  Network.t ->
+  goal:Expr.t ->
+  strategy:Strategy.t ->
+  worker:int ->
+  unit ->
+  Path.config ->
+  Slimsim_stats.Rng.t ->
+  (Path.verdict, Path.error) Result.t * float
+(** The runner factory: stage the network (unless [compiled] is
+    supplied; once, before [worker] is applied), then build one worker's
+    path generator, observed per worker when metrics are on.  The float
+    is the [cost_var] value at the goal crossing of a [Sat] path, [nan]
+    otherwise. *)
 
 val make_runner :
-  engine:[ `Compiled | `Interpreted ] ->
+  ?engine:[ `Compiled | `Interpreted ] ->
   seed:int64 ->
   ?hold:Expr.t ->
   ?compiled:Compiled.t ->
+  ?cost_var:int ->
   Path.config ->
   Network.t ->
   goal:Expr.t ->
@@ -206,10 +295,8 @@ val make_runner :
   worker:int ->
   unit ->
   int ->
-  (Path.verdict, Path.error) Result.t
-(** The per-worker runner factory: stage the network (unless [compiled]
-    is supplied), then build the [path id -> outcome] function for one
-    worker.  Path [i] draws from an RNG derived from [(seed, i)] alone,
-    so a worker process handed any range of path ids — including a
-    range a dead worker lost — generates it bit-identically to the
-    in-process engine. *)
+  (Path.verdict, Path.error) Result.t * float
+(** {!path_runner} keyed by path id: path [i] draws from an RNG derived
+    from [(seed, i)] alone, so a worker process handed any range of path
+    ids — including a range a dead worker lost — generates it
+    bit-identically to the in-process engine. *)

@@ -1,12 +1,12 @@
-(* The priced-campaign driver: the simulation-side half of the cost
+(* The priced-campaign accumulator: the simulation-side half of the cost
    queries E[c ; <> [0,u] goal] and D[c ; <> [0,u] goal].
 
-   Each path is a classic full-horizon reachability path — same per-path
-   RNG streams (Rng.for_path), same step loop, same error/divergence
-   policies through Campaign.consume — plus a cost observer: on a Sat
-   verdict, Path hands back the exact value of the designated clock or
-   continuous variable at the crossing instant (step-start value plus
-   rate × dt, the linear-advance rule).  The driver folds the sat-path
+   Each path is a classic full-horizon reachability path run by the
+   campaign kernel — same per-path RNG streams, same step loop, same
+   error/divergence policies, same workers — plus a cost observer: on a
+   Sat verdict, Path hands back the exact value of the designated clock
+   or continuous variable at the crossing instant (step-start value plus
+   rate × dt, the linear-advance rule).  The accumulator folds the sat-path
    costs into a Welford accumulator (mean, CLT interval), tracks the
    observed range, and fills the 64 log2 histogram buckets
    (Metrics.bucket_of convention) that back the quantile table and the
@@ -27,13 +27,11 @@
    result is a function of (model, query, strategy, seed) and
    checkpoint/resume is bit-identical. *)
 
-module Rng = Slimsim_stats.Rng
 module Generator = Slimsim_stats.Generator
 module Welford = Slimsim_stats.Welford
 module Metrics = Slimsim_obs.Metrics
 module Log = Slimsim_obs.Log
 module Json = Slimsim_obs.Json
-module Progress = Slimsim_obs.Progress
 
 (* Minimum sat-path count before the sequential rule may stop — the
    CLT needs some samples before its half-width means anything; mirrors
@@ -58,11 +56,18 @@ type result = {
   cost_buckets : int array;  (* Metrics.bucket_of convention *)
 }
 
-type status = Running | Done of result | Failed of Path.error
+type 'r state = 'r Campaign.state =
+  | Running
+  | Done of 'r
+  | Failed of Path.error
 
-(* Cost-specific observability, single-writer (the driver is
-   sequential): the cost-value histogram is what lands the distribution
-   rows in --metrics output. *)
+type status = result state
+
+type t = result Campaign.campaign
+
+(* Cost-specific observability, single-writer (only the collecting
+   thread feeds the accumulator): the cost-value histogram is what lands
+   the distribution rows in --metrics output. *)
 type cost_obs = {
   h_value : Metrics.histogram;
   c_sat : Metrics.counter;
@@ -89,101 +94,84 @@ let make_cost_obs () =
             ~help:"Paths consumed by the cost campaign, by verdict class";
       }
 
-type t = {
-  sup : Supervisor.t;
-  on_error : [ `Abort | `Unsat ];
-  seed : int64;
+type acc = {
   query : string;
   gen : Generator.t;
-  tally : Campaign.tally;
-  robs : Campaign.run_obs option;
+  prob : Campaign.result Campaign.accumulator;  (* Bernoulli, over [gen] *)
   cobs : cost_obs option;
-  progress : Progress.t option;
-  runner : Rng.t -> (Path.verdict, Path.error) Result.t;
-  cost_cell : float ref;
   mutable wf : Welford.t;
   buckets : int array;
   mutable cost_min : float;
   mutable cost_max : float;
-  mutable cursor : int;
   mutable no_sat_run : int;
-  mutable active_seconds : float;
-  mutable slice_start : float;
-  mutable outcome : status;
 }
 
-let consumed t = t.cursor
-
-let checkpoint_state t =
-  let base =
-    Campaign.checkpoint_state t.gen t.tally ~seed:t.seed ~next_path:t.cursor
-  in
-  let n, mean, m2 = Welford.state t.wf in
-  {
-    base with
-    Supervisor.Checkpoint.cost =
-      Some
-        {
-          Supervisor.Checkpoint.c_query = t.query;
-          c_count = n;
-          c_mean = mean;
-          c_m2 = m2;
-          c_min = t.cost_min;
-          c_max = t.cost_max;
-          c_buckets = Array.copy t.buckets;
-        };
-  }
-
-let save_checkpoint t =
-  match t.sup.Supervisor.checkpoint with
-  | Some { Supervisor.file; _ } ->
-    Campaign.write_checkpoint ?robs:t.robs t.sup ~file (checkpoint_state t)
-  | None -> ()
-
-let maybe_checkpoint t =
-  match t.sup.Supervisor.checkpoint with
-  | Some { Supervisor.file; every } when t.cursor mod every = 0 ->
-    Campaign.write_checkpoint ?robs:t.robs t.sup ~file (checkpoint_state t)
-  | _ -> ()
-
-let sequential t =
-  match Generator.kind t.gen with
-  | Generator.Chernoff | Generator.Hoeffding | Generator.Gauss -> false
-  | Generator.Chow_robbins | Generator.Mlmc -> true
+(* The Bernoulli generator sees every sample; a kept sat sample's cost
+   is folded on top. *)
+let feed a s =
+  a.prob.Campaign.feed s;
+  match s with
+  | Campaign.Sat cost ->
+    a.no_sat_run <- 0;
+    Welford.add a.wf cost;
+    let b = Metrics.bucket_of cost in
+    a.buckets.(b) <- a.buckets.(b) + 1;
+    if cost < a.cost_min then a.cost_min <- cost;
+    if cost > a.cost_max then a.cost_max <- cost;
+    (match a.cobs with
+    | Some o ->
+      Metrics.observe o.h_value cost;
+      Metrics.incr o.c_sat
+    | None -> ())
+  | Campaign.Unsat | Campaign.Pair _ | Campaign.Dropped -> (
+    a.no_sat_run <- a.no_sat_run + 1;
+    match a.cobs with Some o -> Metrics.incr o.c_unsat | None -> ())
 
 (* Fixed-size generators keep their planned path count (the probability
    estimate keeps its guarantee); the sequential rule stops on the cost
-   mean's CLT half-width. *)
-let converged t =
-  if sequential t then
-    Welford.count t.wf >= min_sequential_samples
-    && Welford.half_width t.wf ~delta:(Generator.delta t.gen)
-       <= Generator.eps t.gen
-  else not (Generator.needs_more t.gen)
+   mean's CLT half-width, and gives up when the goal stops being
+   reached. *)
+let stop a () =
+  match Generator.kind a.gen with
+  | Generator.Chernoff | Generator.Hoeffding | Generator.Gauss ->
+    a.prob.Campaign.stop ()
+  | Generator.Chow_robbins | Generator.Mlmc ->
+    if
+      Welford.count a.wf >= min_sequential_samples
+      && Welford.half_width a.wf ~delta:(Generator.delta a.gen)
+         <= Generator.eps a.gen
+    then `Converged
+    else if a.no_sat_run >= no_sat_stall_limit then
+      `Fail
+        (Path.Model_error
+           (Printf.sprintf
+              "cost query: %d consecutive paths never reached the goal; the \
+               expected cost conditioned on reaching it cannot converge \
+               (check the property, or use a fixed-size generator to \
+               estimate the probability first)"
+              a.no_sat_run))
+    else `Continue
 
-let wall_now t = t.active_seconds +. (Unix.gettimeofday () -. t.slice_start)
-
-let summarize t stopped =
-  let reach = Campaign.summarize t.gen t.tally ~stopped (wall_now t) in
-  let delta = Generator.delta t.gen in
-  let lo, hi = Welford.confidence_interval t.wf ~delta in
-  let n = Welford.count t.wf in
+let summary a tally ~stopped ~wall =
+  let reach = a.prob.Campaign.summary tally ~stopped ~wall in
+  let lo, hi = Welford.confidence_interval a.wf ~delta:(Generator.delta a.gen) in
+  let n = Welford.count a.wf in
   let r =
     {
-      query = t.query;
+      query = a.query;
       reach;
       cost_samples = n;
-      cost_mean = (if n = 0 then nan else Welford.mean t.wf);
+      cost_mean = (if n = 0 then nan else Welford.mean a.wf);
       cost_ci_low = lo;
       cost_ci_high = hi;
-      cost_min = t.cost_min;
-      cost_max = t.cost_max;
-      cost_buckets = Array.copy t.buckets;
+      cost_min = a.cost_min;
+      cost_max = a.cost_max;
+      cost_buckets = Array.copy a.buckets;
     }
   in
   Log.emit ~event:"cost_end"
     [
-      ("query", Json.String t.query);
+      ("query", Json.String a.query);
       ( "stopped",
         Json.String
           (match stopped with
@@ -199,108 +187,75 @@ let summarize t stopped =
     ];
   r
 
-let finish_with t stopped =
-  save_checkpoint t;
-  let r = summarize t stopped in
-  t.outcome <- Done r;
-  Done r
+let save a tally ~seed ~next_path =
+  let n, mean, m2 = Welford.state a.wf in
+  {
+    (a.prob.Campaign.save tally ~seed ~next_path) with
+    Supervisor.Checkpoint.cost =
+      Some
+        {
+          Supervisor.Checkpoint.c_query = a.query;
+          c_count = n;
+          c_mean = mean;
+          c_m2 = m2;
+          c_min = a.cost_min;
+          c_max = a.cost_max;
+          c_buckets = Array.copy a.buckets;
+        };
+  }
 
-let fail_with t e =
-  t.outcome <- Failed e;
-  Failed e
+(* The block must be present and carry the same canonical query — a cost
+   accumulator is meaningless under a different cost variable or
+   formula. *)
+let restore a st =
+  match st.Supervisor.Checkpoint.cost with
+  | None ->
+    Error
+      "checkpoint has no cost-accumulator state (it was taken by a plain \
+       reachability campaign)"
+  | Some c when c.Supervisor.Checkpoint.c_query <> a.query ->
+    Error
+      (Printf.sprintf "checkpoint was taken for query %s, not %s"
+         c.Supervisor.Checkpoint.c_query a.query)
+  | Some c ->
+    Result.map
+      (fun () ->
+        a.wf <- Welford.restore ~n:c.c_count ~mean:c.c_mean ~m2:c.c_m2;
+        Array.blit c.c_buckets 0 a.buckets 0 (Array.length a.buckets);
+        a.cost_min <- c.c_min;
+        a.cost_max <- c.c_max)
+      (a.prob.Campaign.restore st)
 
-(* One path: run it, route the verdict through the shared policy code
-   (which also feeds the Bernoulli generator), then fold the cost of a
-   kept sat sample into the accumulator. *)
-let sample t =
-  let id = t.cursor in
-  let rng = Rng.for_path ~seed:t.seed ~path:id in
-  t.cost_cell := nan;
-  let outcome = t.runner rng in
-  let sat_cost =
-    match outcome with Ok (Path.Sat _) -> Some !(t.cost_cell) | _ -> None
+let estimate a () =
+  let lo, hi = Welford.confidence_interval a.wf ~delta:(Generator.delta a.gen) in
+  (Welford.mean a.wf, lo, hi, Welford.count a.wf)
+
+let accumulator ~query gen =
+  let a =
+    {
+      query;
+      gen;
+      prob = Campaign.bernoulli gen;
+      cobs = make_cost_obs ();
+      wf = Welford.create ();
+      buckets = Array.make Metrics.n_buckets 0;
+      cost_min = infinity;
+      cost_max = neg_infinity;
+      no_sat_run = 0;
+    }
   in
-  match
-    Campaign.consume ?robs:t.robs ~on_error:t.on_error
-      ~on_divergence:t.sup.Supervisor.on_divergence
-      ~drop_stall_limit:t.sup.Supervisor.drop_stall_limit ~path:id t.gen
-      t.tally outcome
-  with
-  | `Abort e -> `Abort e
-  | (`Fed | `Dropped) as r ->
-    t.cursor <- id + 1;
-    (match (r, sat_cost) with
-    | `Fed, Some cost ->
-      t.no_sat_run <- 0;
-      Welford.add t.wf cost;
-      let b = Metrics.bucket_of cost in
-      t.buckets.(b) <- t.buckets.(b) + 1;
-      if cost < t.cost_min then t.cost_min <- cost;
-      if cost > t.cost_max then t.cost_max <- cost;
-      (match t.cobs with
-      | Some o ->
-        Metrics.observe o.h_value cost;
-        Metrics.incr o.c_sat
-      | None -> ())
-    | _ ->
-      t.no_sat_run <- t.no_sat_run + 1;
-      (match t.cobs with Some o -> Metrics.incr o.c_unsat | None -> ()));
-    r
+  {
+    Campaign.feed = feed a;
+    stop = stop a;
+    summary = summary a;
+    save = save a;
+    restore = restore a;
+    estimate = estimate a;
+  }
 
-let progress_tick t =
-  match t.progress with
-  | None -> ()
-  | Some p ->
-    Progress.tick p ~paths:t.cursor (fun () ->
-        ( Welford.mean t.wf,
-          Welford.half_width t.wf ~delta:(Generator.delta t.gen) ))
-
-let step ?(quota = max_int) t =
-  match t.outcome with
-  | (Done _ | Failed _) as s -> s
-  | Running ->
-    t.slice_start <- Unix.gettimeofday ();
-    let rec go budget =
-      if Supervisor.stop_requested t.sup then finish_with t Campaign.Interrupted
-      else if converged t then finish_with t Campaign.Converged
-      else if sequential t && t.no_sat_run >= no_sat_stall_limit then
-        fail_with t
-          (Path.Model_error
-             (Printf.sprintf
-                "cost query: %d consecutive paths never reached the goal; \
-                 the expected cost conditioned on reaching it cannot \
-                 converge (check the property, or use a fixed-size \
-                 generator to estimate the probability first)"
-                t.no_sat_run))
-      else if budget <= 0 then Running
-      else
-        match sample t with
-        | `Abort e -> fail_with t e
-        | `Fed | `Dropped ->
-          maybe_checkpoint t;
-          progress_tick t;
-          go (budget - 1)
-    in
-    let s = go quota in
-    t.active_seconds <-
-      t.active_seconds +. (Unix.gettimeofday () -. t.slice_start);
-    s
-
-let rec drive t =
-  match step t with
-  | Done r -> Ok r
-  | Failed e -> Error e
-  | Running -> drive t
-
-let status t = t.outcome
-
-let create ?(seed = 0x51135113L) ?config ?(engine = `Compiled)
-    ?(on_error = `Abort) ?(hold = Slimsim_sta.Expr.true_) ?supervisor ?progress
+let create ?workers ?seed ?config ?engine ?on_error ?hold ?supervisor ?progress
     ?compiled net ~goal ~horizon ~strategy ~cost_var ~query ~kind ~delta ~eps
     () =
-  let sup =
-    match supervisor with Some s -> s | None -> Supervisor.default ()
-  in
   match kind with
   | Generator.Mlmc ->
     Error
@@ -309,78 +264,12 @@ let create ?(seed = 0x51135113L) ?config ?(engine = `Compiled)
           over coupled horizons, not a cost; use a fixed-size or \
           chow-robbins generator")
   | _ ->
-    let cfg =
-      match config with
-      | Some c -> { c with Path.horizon }
-      | None -> Path.default_config ~horizon
-    in
-    let obs =
-      if Metrics.enabled () then Some (Path.obs_cell ~worker:0) else None
-    in
-    let cost_cell = ref nan in
-    (* Scripted strategies observe immutable states: downgrade to the
-       interpreter, like the classic campaign does. *)
-    let engine =
-      match strategy with Strategy.Scripted _ -> `Interpreted | _ -> engine
-    in
-    let runner =
-      match engine with
-      | `Interpreted ->
-        fun rng ->
-          fst
-            (Path.generate ~hold ?obs ~cost:(cost_var, cost_cell) net cfg
-               strategy rng ~goal)
-      | `Compiled ->
-        let c =
-          match compiled with
-          | Some c -> c
-          | None -> Slimsim_sta.Compiled.compile net
-        in
-        let q = Path.compile_query ~hold c ~goal in
-        let s = Slimsim_sta.Compiled.scratch c in
-        fun rng ->
-          Path.generate_compiled ?obs ~cost:(cost_var, cost_cell) c s q cfg
-            strategy rng
-    in
-    let gen = Generator.create kind ~delta ~eps in
-    let tally = Campaign.new_tally () in
-    (match Campaign.resume_cost sup gen tally ~seed ~query with
-    | Error e -> Error e
-    | Ok (cursor, restored) ->
-      let t =
-        {
-          sup;
-          on_error;
-          seed;
-          query;
-          gen;
-          tally;
-          robs = Campaign.make_run_obs ();
-          cobs = make_cost_obs ();
-          progress;
-          runner;
-          cost_cell;
-          wf = Welford.create ();
-          buckets = Array.make Metrics.n_buckets 0;
-          cost_min = infinity;
-          cost_max = neg_infinity;
-          cursor;
-          no_sat_run = 0;
-          active_seconds = 0.0;
-          slice_start = 0.0;
-          outcome = Running;
-        }
-      in
-      (match restored with
-      | None -> ()
-      | Some c ->
-        t.wf <-
-          Welford.restore ~n:c.Supervisor.Checkpoint.c_count ~mean:c.c_mean
-            ~m2:c.c_m2;
-        Array.blit c.c_buckets 0 t.buckets 0 (Array.length t.buckets);
-        t.cost_min <- c.c_min;
-        t.cost_max <- c.c_max);
-      Ok t)
+    Campaign.create_with ?workers ?seed ?config ?engine ?on_error ?hold
+      ?supervisor ?progress ?compiled ~cost_var net ~goal ~horizon ~strategy
+      (accumulator ~query (Generator.create kind ~delta ~eps))
+
+let step = Campaign.step
+let drive = Campaign.drive
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.  The quantile table and histogram are deterministic

@@ -1,7 +1,7 @@
-(** The priced-campaign driver: expected cost and empirical cost
+(** The priced-campaign accumulator: expected cost and empirical cost
     distributions over reachability paths.
 
-    For a query [E[c ; phi]] or [D[c ; phi]] the driver runs the same
+    For a query [E[c ; phi]] or [D[c ; phi]] the campaign runs the same
     verdict stream as the classic campaign for [phi] — same per-path
     RNG streams, same step loop, same error/divergence policies — and
     additionally observes the exact value of the cost variable [c] (a
@@ -23,7 +23,8 @@
     Determinism: cost extraction runs after each verdict is decided and
     performs no RNG draws, so the verdict stream is bit-identical to
     the classic campaign's for the same [(model, property, strategy,
-    seed)]; the cost accumulator is a fold over it in path order, and
+    seed)]; the cost accumulator is a fold over it in path order, so
+    the result is the same on any number of worker domains, and
     checkpoint / resume reproduce both exactly. *)
 
 open Slimsim_sta
@@ -43,11 +44,19 @@ type result = {
           convention ([Metrics.n_buckets] entries) *)
 }
 
-type status = Running | Done of result | Failed of Path.error
+type 'r state = 'r Campaign.state =
+  | Running
+  | Done of 'r
+  | Failed of Path.error
 
-type t
+type status = result state
+
+type t = result Campaign.campaign
+(** A {!Campaign} over the cost accumulator: step, park, drive and
+    snapshot it with the {!Campaign} functions. *)
 
 val create :
+  ?workers:int ->
   ?seed:int64 ->
   ?config:Path.config ->
   ?engine:[ `Compiled | `Interpreted ] ->
@@ -72,24 +81,15 @@ val create :
     {!Slimsim_props.Pattern.resolve_cost}) and [query] (the canonical
     query string, pinned into checkpoints so a resume with a different
     query is rejected).  Scripted strategies downgrade to the
-    interpreter; [kind = Mlmc] is an error.  [Error] is returned when
-    [supervisor.resume] is set and the checkpoint is unreadable,
-    incompatible, or was taken for a different query. *)
+    interpreter on one worker; [kind = Mlmc] is an error.  [Error] is
+    returned when [supervisor.resume] is set and the checkpoint is
+    unreadable, incompatible, or was taken for a different query. *)
 
 val step : ?quota:int -> t -> status
-(** Consume up to [quota] samples in deterministic path order.
-    [Running] means the quota ran out.  Once [Done] or [Failed],
-    further calls return the same status without simulating. *)
+(** {!Campaign.step}. *)
 
 val drive : t -> (result, Path.error) Result.t
-(** Step to completion.  An [Interrupted] stop reason is an [Ok]
-    result. *)
-
-val status : t -> status
-(** Last known status; never simulates. *)
-
-val consumed : t -> int
-(** Paths consumed so far (the cursor the next sample is drawn at). *)
+(** {!Campaign.drive}. *)
 
 val pp_result : Format.formatter -> result -> unit
 (** One-line summary: cost mean and interval, then the underlying

@@ -1,5 +1,6 @@
-(* The multilevel campaign driver: the simulation-side half of the MLMC
-   estimator (the statistics live in Slimsim_stats.Mlmc).
+(* The multilevel campaign: the simulation-side half of the MLMC
+   estimator (the statistics live in Slimsim_stats.Mlmc), run as a
+   sequential sample schedule on the Campaign kernel.
 
    Level fidelity is horizon truncation: with L levels, level l runs the
    step loop at horizon H/2^(L-1-l) — the watchdog-budget knob of
@@ -32,7 +33,6 @@ module Mlmc = Slimsim_stats.Mlmc
 module Metrics = Slimsim_obs.Metrics
 module Log = Slimsim_obs.Log
 module Json = Slimsim_obs.Json
-module Progress = Slimsim_obs.Progress
 
 let max_levels = 16
 
@@ -53,10 +53,16 @@ type result = {
   wall_seconds : float;
 }
 
-type status = Running | Done of result | Failed of Path.error
+type 'r state = 'r Campaign.state =
+  | Running
+  | Done of 'r
+  | Failed of Path.error
+
+type status = result state
+type t = result Campaign.campaign
 
 (* Per-level observability: sample and path counters labeled with the
-   level, created once at campaign start (single writer: the driver is
+   level, created once at campaign start (single writer: the campaign is
    sequential). *)
 type level_obs = { c_samples : Metrics.counter; c_paths : Metrics.counter }
 
@@ -77,262 +83,87 @@ let make_level_obs levels =
                     one path at each of its two levels)";
            }))
 
-type t = {
-  sup : Supervisor.t;
-  on_error : [ `Abort | `Unsat ];
+(* The sample schedule: the allocator, per-level cursors and the
+   per-level path configurations.  Everything else — policies,
+   tallies, checkpoints, the loop — is the campaign kernel's. *)
+type sched = {
   seed : int64;
   est : Mlmc.t;
-  progress : Progress.t option;
-  runners : (Rng.t -> (Path.verdict, Path.error) Result.t) array;
+  run : Path.config -> Rng.t -> (Path.verdict, Path.error) Result.t * float;
+  configs : Path.config array;  (* level l runs at horizon H/2^(L-1-l) *)
   weights : float array;  (* per-path model cost at each level: h_l/H *)
   cursors : int array;
   lobs : level_obs array option;
   mutable paths : int;
   mutable sat : int;
   mutable cost : float;
-  mutable deadlocks : int;
-  mutable violated : int;
-  mutable errors : int;
-  mutable diverged : int;
-  mutable dropped : int;
-  mutable consec_dropped : int;
-  mutable active_seconds : float;
-  mutable slice_start : float;
-  mutable outcome : status;
 }
 
-let consumed t = Array.fold_left ( + ) 0 t.cursors
+(* One simulated half of a sample: run it, charge its model cost, and
+   route it through the campaign's error/divergence policies. *)
+let half m c ~level ~id rng =
+  let outcome, _ = m.run m.configs.(level) rng in
+  m.paths <- m.paths + 1;
+  m.cost <- m.cost +. m.weights.(level);
+  (match m.lobs with
+  | Some cells -> Metrics.incr cells.(level).c_paths
+  | None -> ());
+  let r = Campaign.route c ~level ~path:id outcome in
+  (match r with `Sat -> m.sat <- m.sat + 1 | _ -> ());
+  r
 
-let checkpoint_state t =
-  {
-    Supervisor.Checkpoint.seed = t.seed;
-    kind = Generator.Mlmc;
-    delta = Mlmc.delta t.est;
-    eps = Mlmc.eps t.est;
-    next_path = consumed t;
-    trials = Mlmc.total_samples t.est;
-    successes = 0;
-    deadlocks = t.deadlocks;
-    violated = t.violated;
-    errors = t.errors;
-    diverged = t.diverged;
-    dropped = t.dropped;
-    leases = [];
-    mlmc =
-      Some
-        {
-          Supervisor.Checkpoint.ml_levels =
-            Array.init (Mlmc.levels t.est) (fun l ->
-                let n, mean, m2 = Mlmc.level_state t.est ~level:l in
-                {
-                  Supervisor.Checkpoint.l_next_path = t.cursors.(l);
-                  l_count = n;
-                  l_mean = mean;
-                  l_m2 = m2;
-                });
-          ml_paths = t.paths;
-          ml_sat = t.sat;
-          ml_cost = t.cost;
-        };
-    cost = None;
-  }
+(* One telescoped sample at the allocator's level: the level-0
+   estimator alone, or the coupled pair (fine at [level], coarse at
+   [level-1]) sharing one stream — the coarse half replays the fine
+   half's RNG from a copy.  A dropped half drops the whole pair. *)
+let draw m c =
+  match Mlmc.next_level m.est with
+  | None -> assert false (* the stop test runs first *)
+  | Some level -> (
+    let id = m.cursors.(level) in
+    let rng_fine = Rng.for_path_level ~seed:m.seed ~level ~path:id in
+    let rng_coarse = Rng.copy rng_fine in
+    match half m c ~level ~id rng_fine with
+    | `Abort e -> Error e
+    | (`Sat | `Unsat | `Drop) as fine -> (
+      match
+        if level = 0 then `Unsat else half m c ~level:(level - 1) ~id rng_coarse
+      with
+      | `Abort e -> Error e
+      | (`Sat | `Unsat | `Drop) as coarse -> (
+        m.cursors.(level) <- id + 1;
+        let y = function `Sat -> 1.0 | _ -> 0.0 in
+        match (fine, coarse) with
+        | `Drop, _ | _, `Drop -> Ok Campaign.Dropped
+        | _ -> Ok (Campaign.Pair { level; diff = y fine -. y coarse }))))
 
-let save_checkpoint t =
-  match t.sup.Supervisor.checkpoint with
-  | Some { Supervisor.file; _ } ->
-    Campaign.write_checkpoint t.sup ~file (checkpoint_state t)
-  | None -> ()
+let feed m = function
+  | Campaign.Pair { level; diff } -> (
+    Mlmc.feed m.est ~level diff;
+    match m.lobs with
+    | Some cells -> Metrics.incr cells.(level).c_samples
+    | None -> ())
+  | Campaign.Sat _ | Campaign.Unsat | Campaign.Dropped -> ()
 
-let maybe_checkpoint t =
-  match t.sup.Supervisor.checkpoint with
-  | Some { Supervisor.file; every } when consumed t mod every = 0 ->
-    Campaign.write_checkpoint t.sup ~file (checkpoint_state t)
-  | _ -> ()
-
-(* Resume validation mirrors Campaign.resume_base, plus the multilevel
-   block: same seed, the mlmc generator kind, same delta/eps, and a
-   per-level block with the same level count. *)
-let resume_state sup ~seed ~delta ~eps ~levels =
-  if not sup.Supervisor.resume then Ok None
-  else
-    match sup.Supervisor.checkpoint with
-    | None ->
-      Error (Path.Model_error "resume requested without a checkpoint file")
-    | Some { Supervisor.file; _ } ->
-      if not (Sys.file_exists file) then Ok None
-      else (
-        match Supervisor.Checkpoint.load ~file with
-        | Error msg -> Error (Path.Model_error ("cannot resume: " ^ msg))
-        | Ok st ->
-          if st.Supervisor.Checkpoint.seed <> seed then
-            Error
-              (Path.Model_error
-                 (Printf.sprintf
-                    "cannot resume: checkpoint was taken with seed %Ld, not %Ld"
-                    st.Supervisor.Checkpoint.seed seed))
-          else if st.kind <> Generator.Mlmc then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint was taken with a different \
-                  statistical generator")
-          else if st.delta <> delta || st.eps <> eps then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint was taken with different delta/eps")
-          else if st.cost <> None then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint carries cost-accumulator state; \
-                  resume it with the same cost query")
-          else (
-            match st.mlmc with
-            | None ->
-              Error
-                (Path.Model_error
-                   "cannot resume: checkpoint has no multilevel state (it \
-                    was taken by a single-level generator)")
-            | Some m
-              when Array.length m.Supervisor.Checkpoint.ml_levels <> levels ->
-              Error
-                (Path.Model_error
-                   (Printf.sprintf
-                      "cannot resume: checkpoint was taken with %d levels, \
-                       not %d"
-                      (Array.length m.Supervisor.Checkpoint.ml_levels)
-                      levels))
-            | Some m -> Ok (Some (st, m))))
-
-let create ?(seed = 0x51135113L) ?config ?(engine = `Compiled)
-    ?(on_error = `Abort) ?(hold = Slimsim_sta.Expr.true_) ?supervisor ?progress
-    ?(levels = 4) ?warmup ?compiled net ~goal ~horizon ~strategy ~delta ~eps ()
-    =
-  let sup =
-    match supervisor with Some s -> s | None -> Supervisor.default ()
-  in
-  if levels < 1 || levels > max_levels then
-    Error
-      (Path.Model_error
-         (Printf.sprintf "mlmc: levels must be between 1 and %d (got %d)"
-            max_levels levels))
-  else (
-    match strategy with
-    | Strategy.Scripted _ ->
-      Error
-        (Path.Model_error
-           "mlmc: scripted strategies are stateful callbacks and cannot be \
-            replayed as coupled coarse/fine pairs; use a closed strategy or \
-            a single-level generator")
-    | _ ->
-      let base =
-        match config with
-        | Some c -> { c with Path.horizon }
-        | None -> Path.default_config ~horizon
-      in
-      (* Geometric hierarchy, factor 2: level l simulates at horizon
-         H/2^(L-1-l); the top level is the full-fidelity estimator.  The
-         weight h_l/H is also the model cost of one path at that level —
-         deterministic by construction, so allocation never depends on
-         wall clocks. *)
-      let weight l = 2.0 ** float_of_int (l - (levels - 1)) in
-      let weights = Array.init levels weight in
-      let configs =
-        Array.map (fun w -> { base with Path.horizon = horizon *. w }) weights
-      in
-      let costs =
-        Array.init levels (fun l ->
-            if l = 0 then weights.(0) else weights.(l) +. weights.(l - 1))
-      in
-      let est = Mlmc.create ?warmup ~costs ~delta ~eps () in
-      let obs =
-        if Metrics.enabled () then Some (Path.obs_cell ~worker:0) else None
-      in
-      let runners =
-        match engine with
-        | `Interpreted ->
-          Array.map
-            (fun cfg rng ->
-              fst (Path.generate ~hold ?obs net cfg strategy rng ~goal))
-            configs
-        | `Compiled ->
-          let c =
-            match compiled with
-            | Some c -> c
-            | None -> Slimsim_sta.Compiled.compile net
-          in
-          let q = Path.compile_query ~hold c ~goal in
-          let s = Slimsim_sta.Compiled.scratch c in
-          Array.map
-            (fun cfg rng -> Path.generate_compiled ?obs c s q cfg strategy rng)
-            configs
-      in
-      match resume_state sup ~seed ~delta ~eps ~levels with
-      | Error e -> Error e
-      | Ok restored ->
-        let t =
-          {
-            sup;
-            on_error;
-            seed;
-            est;
-            progress;
-            runners;
-            weights;
-            cursors = Array.make levels 0;
-            lobs = make_level_obs levels;
-            paths = 0;
-            sat = 0;
-            cost = 0.0;
-            deadlocks = 0;
-            violated = 0;
-            errors = 0;
-            diverged = 0;
-            dropped = 0;
-            consec_dropped = 0;
-            active_seconds = 0.0;
-            slice_start = 0.0;
-            outcome = Running;
-          }
-        in
-        (match restored with
-        | None -> ()
-        | Some (st, m) ->
-          Array.iteri
-            (fun l (lv : Supervisor.Checkpoint.mlmc_level) ->
-              Mlmc.restore_level est ~level:l ~n:lv.l_count ~mean:lv.l_mean
-                ~m2:lv.l_m2;
-              t.cursors.(l) <- lv.l_next_path)
-            m.Supervisor.Checkpoint.ml_levels;
-          t.paths <- m.ml_paths;
-          t.sat <- m.ml_sat;
-          t.cost <- m.ml_cost;
-          t.deadlocks <- st.Supervisor.Checkpoint.deadlocks;
-          t.violated <- st.violated;
-          t.errors <- st.errors;
-          t.diverged <- st.diverged;
-          t.dropped <- st.dropped);
-        Ok t)
-
-let wall_now t = t.active_seconds +. (Unix.gettimeofday () -. t.slice_start)
-
-let summarize t stopped =
-  let lo, hi = Mlmc.confidence_interval t.est in
+let summary m (tally : Campaign.tally) ~stopped ~wall =
+  let lo, hi = Mlmc.confidence_interval m.est in
   let r =
     {
-      probability = Mlmc.mean t.est;
+      probability = Mlmc.mean m.est;
       ci_low = lo;
       ci_high = hi;
       samples_per_level =
-        Array.init (Mlmc.levels t.est) (fun l -> Mlmc.samples t.est ~level:l);
-      paths = t.paths;
-      sat_paths = t.sat;
-      model_cost = t.cost;
-      deadlock_paths = t.deadlocks;
-      violated_paths = t.violated;
-      errors = t.errors;
-      diverged_paths = t.diverged;
-      dropped_samples = t.dropped;
+        Array.init (Mlmc.levels m.est) (fun l -> Mlmc.samples m.est ~level:l);
+      paths = m.paths;
+      sat_paths = m.sat;
+      model_cost = m.cost;
+      deadlock_paths = tally.deadlocks;
+      violated_paths = tally.violated;
+      errors = tally.errors;
+      diverged_paths = tally.diverged;
+      dropped_samples = tally.dropped;
       stopped;
-      wall_seconds = wall_now t;
+      wall_seconds = wall;
     }
   in
   Log.emit ~event:"mlmc_end"
@@ -359,147 +190,131 @@ let summarize t stopped =
     ];
   r
 
-let finish_with t stopped =
-  save_checkpoint t;
-  let r = summarize t stopped in
-  t.outcome <- Done r;
-  Done r
+let save m (tally : Campaign.tally) ~seed ~next_path =
+  {
+    Supervisor.Checkpoint.seed;
+    kind = Generator.Mlmc;
+    delta = Mlmc.delta m.est;
+    eps = Mlmc.eps m.est;
+    next_path;
+    trials = Mlmc.total_samples m.est;
+    successes = 0;
+    deadlocks = tally.deadlocks;
+    violated = tally.violated;
+    errors = tally.errors;
+    diverged = tally.diverged;
+    dropped = tally.dropped;
+    leases = [];
+    mlmc =
+      Some
+        {
+          Supervisor.Checkpoint.ml_levels =
+            Array.init (Mlmc.levels m.est) (fun l ->
+                let n, mean, m2 = Mlmc.level_state m.est ~level:l in
+                {
+                  Supervisor.Checkpoint.l_next_path = m.cursors.(l);
+                  l_count = n;
+                  l_mean = mean;
+                  l_m2 = m2;
+                });
+          ml_paths = m.paths;
+          ml_sat = m.sat;
+          ml_cost = m.cost;
+        };
+    cost = None;
+  }
 
-let fail_with t e =
-  t.outcome <- Failed e;
-  Failed e
+(* The multilevel block must be present with the same level count. *)
+let restore m st =
+  match st.Supervisor.Checkpoint.mlmc with
+  | None ->
+    Error
+      "checkpoint has no multilevel state (it was taken by a single-level \
+       generator)"
+  | Some b when Array.length b.ml_levels <> Mlmc.levels m.est ->
+    Error
+      (Printf.sprintf "checkpoint was taken with %d levels, not %d"
+         (Array.length b.ml_levels) (Mlmc.levels m.est))
+  | Some b ->
+    Array.iteri
+      (fun l (lv : Supervisor.Checkpoint.mlmc_level) ->
+        Mlmc.restore_level m.est ~level:l ~n:lv.l_count ~mean:lv.l_mean
+          ~m2:lv.l_m2;
+        m.cursors.(l) <- lv.l_next_path)
+      b.ml_levels;
+    m.paths <- b.ml_paths;
+    m.sat <- b.ml_sat;
+    m.cost <- b.ml_cost;
+    Ok ()
 
-(* One simulated half of a sample: run it, charge its model cost, tally
-   its verdict, and route it through the error/divergence policies.
-   [`Val y] is the indicator contribution, [`Drop] discards the whole
-   sample (both halves), [`Abort] kills the campaign. *)
-let half t ~level ~id rng =
-  let outcome = t.runners.(level) rng in
-  t.paths <- t.paths + 1;
-  t.cost <- t.cost +. t.weights.(level);
-  (match t.lobs with
-  | Some cells -> Metrics.incr cells.(level).c_paths
-  | None -> ());
-  match outcome with
-  | Ok (Path.Diverged d) -> (
-    t.diverged <- t.diverged + 1;
-    Log.emit ~event:"divergence"
-      [
-        ("level", Json.Int level);
-        ("path", Json.Int id);
-        ("kind", Json.String (Path.divergence_to_string d));
-        ( "policy",
-          Json.String
-            (Supervisor.divergence_policy_to_string
-               t.sup.Supervisor.on_divergence) );
-      ];
-    match t.sup.Supervisor.on_divergence with
-    | `Abort -> `Abort (Path.Diverged_path d)
-    | `Unsat -> `Val 0.0
-    | `Drop -> `Drop)
-  | Ok v ->
-    (match v with
-    | Path.Unsat_deadlock | Path.Unsat_timelock ->
-      t.deadlocks <- t.deadlocks + 1
-    | Path.Unsat_violated _ -> t.violated <- t.violated + 1
-    | Path.Sat _ -> t.sat <- t.sat + 1
-    | Path.Unsat_horizon | Path.Diverged _ -> ());
-    `Val (match v with Path.Sat _ -> 1.0 | _ -> 0.0)
-  | Error e -> (
-    Log.emit ~event:"path_error"
-      [
-        ("level", Json.Int level);
-        ("path", Json.Int id);
-        ("error", Json.String (Path.error_to_string e));
-        ( "policy",
-          Json.String (match t.on_error with `Abort -> "abort" | `Unsat -> "unsat")
-        );
-      ];
-    match t.on_error with
-    | `Abort -> `Abort e
-    | `Unsat ->
-      t.errors <- t.errors + 1;
-      `Val 0.0)
-
-let drop_sample t =
-  t.dropped <- t.dropped + 1;
-  t.consec_dropped <- t.consec_dropped + 1;
-  if t.consec_dropped >= t.sup.Supervisor.drop_stall_limit then
-    `Abort
+let create ?(seed = 0x51135113L) ?config ?engine ?on_error ?hold ?supervisor
+    ?progress ?(levels = 4) ?warmup ?compiled net ~goal ~horizon ~strategy
+    ~delta ~eps () =
+  if levels < 1 || levels > max_levels then
+    Error
       (Path.Model_error
-         (Printf.sprintf
-            "divergence policy `drop': %d consecutive samples diverged; the \
-             estimate conditioned on non-divergence cannot converge (raise \
-             the watchdog budgets or use --on-divergence unsat)"
-            t.consec_dropped))
-  else `Dropped
+         (Printf.sprintf "mlmc: levels must be between 1 and %d (got %d)"
+            max_levels levels))
+  else
+    match strategy with
+    | Strategy.Scripted _ ->
+      Error
+        (Path.Model_error
+           "mlmc: scripted strategies are stateful callbacks and cannot be \
+            replayed as coupled coarse/fine pairs; use a closed strategy or \
+            a single-level generator")
+    | _ ->
+      let base =
+        match config with
+        | Some c -> { c with Path.horizon }
+        | None -> Path.default_config ~horizon
+      in
+      (* Geometric hierarchy, factor 2: level l simulates at horizon
+         H/2^(L-1-l); the top level is the full-fidelity estimator.  The
+         weight h_l/H is also the model cost of one path at that level —
+         deterministic by construction, so allocation never depends on
+         wall clocks. *)
+      let weight l = 2.0 ** float_of_int (l - (levels - 1)) in
+      let weights = Array.init levels weight in
+      let costs =
+        Array.init levels (fun l ->
+            if l = 0 then weights.(0) else weights.(l) +. weights.(l - 1))
+      in
+      let m =
+        {
+          seed;
+          est = Mlmc.create ?warmup ~costs ~delta ~eps ();
+          run =
+            Campaign.path_runner ?engine ?hold ?compiled net ~goal ~strategy
+              ~worker:0 ();
+          configs =
+            Array.map (fun w -> { base with Path.horizon = horizon *. w }) weights;
+          weights;
+          cursors = Array.make levels 0;
+          lobs = make_level_obs levels;
+          paths = 0;
+          sat = 0;
+          cost = 0.0;
+        }
+      in
+      Campaign.create_sequential ~seed ?on_error ?supervisor ?progress
+        ~draw:(draw m)
+        {
+          Campaign.feed = feed m;
+          stop =
+            (fun () ->
+              if Mlmc.needs_more m.est then `Continue else `Converged);
+          summary = summary m;
+          save = save m;
+          restore = restore m;
+          estimate =
+            (fun () ->
+              let lo, hi = Mlmc.confidence_interval m.est in
+              (Mlmc.mean m.est, lo, hi, Mlmc.total_samples m.est));
+        }
 
-(* One telescoped sample at [level]: the level-0 estimator alone, or the
-   coupled pair (fine at [level], coarse at [level-1]) sharing one
-   stream — the coarse half replays the fine half's RNG from a copy. *)
-let sample t level =
-  let id = t.cursors.(level) in
-  let rng_fine = Rng.for_path_level ~seed:t.seed ~level ~path:id in
-  let rng_coarse = Rng.copy rng_fine in
-  match half t ~level ~id rng_fine with
-  | `Abort e -> `Abort e
-  | (`Val _ | `Drop) as fine -> (
-    match
-      if level = 0 then `Val 0.0
-      else half t ~level:(level - 1) ~id rng_coarse
-    with
-    | `Abort e -> `Abort e
-    | (`Val _ | `Drop) as coarse -> (
-      t.cursors.(level) <- id + 1;
-      match (fine, coarse) with
-      | `Val y_fine, `Val y_coarse ->
-        t.consec_dropped <- 0;
-        Mlmc.feed t.est ~level (y_fine -. y_coarse);
-        (match t.lobs with
-        | Some cells -> Metrics.incr cells.(level).c_samples
-        | None -> ());
-        `Fed
-      | (`Drop, _ | _, `Drop) -> drop_sample t))
-
-let progress_tick t =
-  match t.progress with
-  | None -> ()
-  | Some p ->
-    Progress.tick p ~paths:(consumed t) (fun () ->
-        (Mlmc.mean t.est, Mlmc.half_width t.est))
-
-let step ?(quota = max_int) t =
-  match t.outcome with
-  | (Done _ | Failed _) as s -> s
-  | Running ->
-    t.slice_start <- Unix.gettimeofday ();
-    let rec go budget =
-      if Supervisor.stop_requested t.sup then finish_with t Campaign.Interrupted
-      else
-        match Mlmc.next_level t.est with
-        | None -> finish_with t Campaign.Converged
-        | Some _ when budget <= 0 -> Running
-        | Some level -> (
-          match sample t level with
-          | `Abort e -> fail_with t e
-          | `Fed | `Dropped ->
-            maybe_checkpoint t;
-            progress_tick t;
-            go (budget - 1))
-    in
-    let s = go quota in
-    t.active_seconds <-
-      t.active_seconds +. (Unix.gettimeofday () -. t.slice_start);
-    s
-
-let rec drive t =
-  match step t with
-  | Done r -> Ok r
-  | Failed e -> Error e
-  | Running -> drive t
-
-let status t = t.outcome
-let estimator t = t.est
+let step = Campaign.step
+let drive = Campaign.drive
 
 let pp_result ppf r =
   Fmt.pf ppf "p = %.6f  [%.6f, %.6f]  (%d samples over %d levels: %a; %d \

@@ -37,12 +37,18 @@ type result = {
   wall_seconds : float;
 }
 
-type status = Running | Done of result | Failed of Path.error
+type 'r state = 'r Campaign.state =
+  | Running
+  | Done of 'r
+  | Failed of Path.error
 
-type t
-(** A resumable multilevel campaign value; sequential (the coupled pair
+type status = result state
+
+type t = result Campaign.campaign
+(** A {!Campaign} whose samples are coupled pairs; sequential (the pair
     shares mutable scratch, and the greedy allocator is consulted
-    between samples). *)
+    between samples).  Park, snapshot and checkpoint it with the
+    {!Campaign} functions. *)
 
 val create :
   ?seed:int64 ->
@@ -71,15 +77,9 @@ val create :
     seed, generator kind, delta/eps and level count. *)
 
 val step : ?quota:int -> t -> status
-(** Advance by at most [quota] telescoped samples.  Checkpointing,
-    progress and stop-flag handling as in {!Campaign.step}. *)
+(** {!Campaign.step}: advance by at most [quota] telescoped samples. *)
 
 val drive : t -> (result, Path.error) Result.t
-(** Step until converged, interrupted or failed. *)
-
-val status : t -> status
-
-val estimator : t -> Slimsim_stats.Mlmc.t
-(** The live accumulator (read-only use: snapshots, diagnostics). *)
+(** {!Campaign.drive}. *)
 
 val pp_result : Format.formatter -> result -> unit

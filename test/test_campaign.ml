@@ -2,14 +2,16 @@
    parked and resumed at arbitrary points — including mid-batch under
    parallel workers — must produce the same verdict stream, estimate and
    checkpoints as one driven to completion in a single call, across both
-   fixed-size (Chernoff) and sequential (Chow–Robbins) stopping rules.
-   This is the contract Engine.run and the serve scheduler build on. *)
+   fixed-size (Chernoff) and sequential (Chow–Robbins) stopping rules,
+   and for the cost accumulator as well as the Bernoulli one.  This is
+   the contract Engine.run and the serve scheduler build on. *)
 
 module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
 module Engine = Slimsim_sim.Engine
 module Campaign = Slimsim_sim.Campaign
+module Cost_run = Slimsim_sim.Cost_run
 module Supervisor = Slimsim_sim.Supervisor
 module Generator = Slimsim_stats.Generator
 
@@ -120,6 +122,71 @@ let chopped_case ~name ~kind ~workers () =
   let sliced = drive_chopped ~park:false (make ~kind ~workers ()) in
   same_result (name ^ ": sliced hot") reference sliced
 
+(* The cost accumulator rides the same kernel: its E[...] result is a
+   fold over the same path-ordered sample stream, so it too must be
+   bit-identical across worker counts, quota slicing and park/resume.
+   The race again, with a clock to price the hit time. *)
+let priced_race_model =
+  {|
+device D
+features
+  v: out data port bool := false;
+end D;
+device implementation D.I
+subcomponents
+  c: data clock;
+modes
+  start: initial mode;
+  good: mode;
+  idle: mode;
+transitions
+  start -[rate 1.0 then v := true]-> good;
+  start -[rate 0.5]-> idle;
+end D.I;
+root D.I;
+|}
+
+let make_cost ?(workers = 1) () =
+  let net = load priced_race_model in
+  let cost_var =
+    match Slimsim_props.Pattern.resolve_cost net "c" with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "cost var failed: %s" e
+  in
+  match
+    Cost_run.create ~workers ~seed:11L net ~goal:(goal net "v") ~horizon:2.0
+      ~strategy:Strategy.Asap ~cost_var ~query:"E[c ; <> [0, 2] v]"
+      ~kind:Generator.Chow_robbins ~delta:0.1 ~eps:0.05 ()
+  with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "cost create failed: %s" (Path.error_to_string e)
+
+let same_cost name (a : Cost_run.result) (b : Cost_run.result) =
+  same_result name a.Cost_run.reach b.Cost_run.reach;
+  Alcotest.(check int) (name ^ ": cost samples") a.Cost_run.cost_samples
+    b.Cost_run.cost_samples;
+  Alcotest.(check (float 0.0)) (name ^ ": cost mean") a.Cost_run.cost_mean
+    b.Cost_run.cost_mean;
+  Alcotest.(check (float 0.0)) (name ^ ": cost ci_low") a.Cost_run.cost_ci_low
+    b.Cost_run.cost_ci_low;
+  Alcotest.(check (float 0.0)) (name ^ ": cost ci_high")
+    a.Cost_run.cost_ci_high b.Cost_run.cost_ci_high;
+  Alcotest.(check (float 0.0)) (name ^ ": cost min") a.Cost_run.cost_min
+    b.Cost_run.cost_min;
+  Alcotest.(check (float 0.0)) (name ^ ": cost max") a.Cost_run.cost_max
+    b.Cost_run.cost_max;
+  Alcotest.(check (array int)) (name ^ ": cost buckets")
+    a.Cost_run.cost_buckets b.Cost_run.cost_buckets
+
+let cost_case ~workers () =
+  let reference = ok (Cost_run.drive (make_cost ())) in
+  same_cost "E[cost]: one-shot" reference
+    (ok (Cost_run.drive (make_cost ~workers ())));
+  same_cost "E[cost]: park+resume" reference
+    (drive_chopped (make_cost ~workers ()));
+  same_cost "E[cost]: sliced hot" reference
+    (drive_chopped ~park:false (make_cost ~workers ()))
+
 let test_status_and_snapshot () =
   let c = make () in
   (match Campaign.status c with
@@ -181,3 +248,9 @@ let suite =
     chopped "chow-robbins" Generator.Chow_robbins 2;
     chopped "chow-robbins" Generator.Chow_robbins 4;
   ]
+  @ List.map
+      (fun workers ->
+        Alcotest.test_case
+          (Printf.sprintf "E[cost], %d worker(s): chopped = one-shot" workers)
+          `Quick (cost_case ~workers))
+      [ 1; 2; 4 ]

@@ -20,6 +20,7 @@ module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
 module Campaign = Slimsim_sim.Campaign
 module Cost_run = Slimsim_sim.Cost_run
+module Mlmc_run = Slimsim_sim.Mlmc_run
 module Supervisor = Slimsim_sim.Supervisor
 module Generator = Slimsim_stats.Generator
 module Rng = Slimsim_stats.Rng
@@ -400,66 +401,122 @@ let test_checkpoint_roundtrip () =
       | Ok st' ->
         Alcotest.(check bool) "identical state" true (st = st'))
 
-let classic_checkpoint file =
-  Supervisor.Checkpoint.save ~file
-    {
-      Supervisor.Checkpoint.seed = 7L;
-      kind = Generator.Chow_robbins;
-      delta = 0.05;
-      eps = 0.1;
-      next_path = 4;
-      trials = 4;
-      successes = 2;
-      deadlocks = 0;
-      violated = 0;
-      errors = 0;
-      diverged = 0;
-      dropped = 0;
-      leases = [];
-      mlmc = None;
-      cost = None;
-    }
+(* One table for every cross-resume: a checkpoint taken by each kind of
+   campaign (rows), resumed through [create] by each kind (columns).
+   The diagonal resumes at the checkpoint's cursor; every other cell is
+   refused with its own message.  Single-level and multilevel campaigns
+   differ in generator kind, so the header check tells them apart
+   first. *)
 
-let resume_sup file =
-  Supervisor.create ~checkpoint:{ Supervisor.file; every = 1000 } ~resume:true ()
+let q1 = "E[c ; <> [0, 6] v]"
+let q2 = "E[c ; <> [0, 99] v]"
+
+type taker = Classic | Cost of string | Multilevel of int
+
+let taker_name = function
+  | Classic -> "classic"
+  | Cost q -> "cost " ^ q
+  | Multilevel l -> Printf.sprintf "mlmc L=%d" l
+
+(* [Ok (cursor, take)]: the created campaign's resume cursor, and an
+   action stepping it 20 samples then parking it (which checkpoints). *)
+let open_campaign taker ~supervisor =
+  let net = load exp_model in
+  let g = goal net "v" in
+  let delta = 0.05 and eps = 0.1 and seed = 7L in
+  let opened = function
+    | Ok c ->
+      Ok
+        ( Campaign.consumed c,
+          fun () ->
+            ignore (Campaign.step ~quota:20 c);
+            Campaign.park c )
+    | Error e -> Error e
+  in
+  match taker with
+  | Classic ->
+    opened
+      (Campaign.create ~seed ~supervisor net ~goal:g ~horizon:6.0
+         ~strategy:Strategy.Asap
+         ~generator:(Generator.create Generator.Chow_robbins ~delta ~eps)
+         ())
+  | Cost query ->
+    opened
+      (Cost_run.create ~seed ~supervisor net ~goal:g ~horizon:6.0
+         ~strategy:Strategy.Asap ~cost_var:(cost_var net "c") ~query
+         ~kind:Generator.Chow_robbins ~delta ~eps ())
+  | Multilevel levels ->
+    opened
+      (Mlmc_run.create ~seed ~supervisor ~levels net ~goal:g ~horizon:6.0
+         ~strategy:Strategy.Asap ~delta ~eps ())
 
 let test_cross_resume_rejected () =
-  (* a cost checkpoint must not resume a classic campaign ... *)
-  with_tmp (fun file ->
-      (* write a cost checkpoint: drive a fresh run to completion
-         (finish_with always saves) *)
-      let sup1 =
-        Supervisor.create ~checkpoint:{ Supervisor.file; every = 1000 } ()
-      in
-      let t =
-        make_cost ~supervisor:sup1 ~seed:7L ~delta:0.05 ~eps:0.1
-          ~query:"E[c ; <> [0, 6] v]" ()
-      in
-      let _ = ok (Cost_run.drive t) in
-      let sup = resume_sup file in
-      let gen = Generator.create Generator.Chow_robbins ~delta:0.05 ~eps:0.1 in
-      (match Campaign.resume_base sup gen (Campaign.new_tally ()) ~seed:7L with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "classic resume accepted a cost checkpoint");
-      (* ... and a cost resume under a different query is rejected *)
-      let gen' = Generator.create Generator.Chow_robbins ~delta:0.05 ~eps:0.1 in
-      match
-        Campaign.resume_cost sup gen' (Campaign.new_tally ()) ~seed:7L
-          ~query:"E[c ; <> [0, 99] v]"
-      with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "cost resume accepted a different query");
-  (* a classic checkpoint must not resume a cost campaign *)
-  with_tmp (fun file ->
-      classic_checkpoint file;
-      let sup = resume_sup file in
-      let gen = Generator.create Generator.Chow_robbins ~delta:0.05 ~eps:0.1 in
-      match
-        Campaign.resume_cost sup gen (Campaign.new_tally ()) ~seed:7L
-          ~query:"E[c ; <> [0, 6] v]"
-      with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "cost resume accepted a classic checkpoint")
+  let generator =
+    Error
+      "cannot resume: checkpoint was taken with a different statistical \
+       generator"
+  in
+  let no_cost =
+    Error
+      "cannot resume: checkpoint has no cost-accumulator state (it was taken \
+       by a plain reachability campaign)"
+  in
+  let columns = [ Classic; Cost q1; Cost q2; Multilevel 4; Multilevel 3 ] in
+  let table =
+    [
+      (Classic, [ Ok (); no_cost; no_cost; generator; generator ]);
+      ( Cost q1,
+        [
+          Error
+            "cannot resume: checkpoint carries cost-accumulator state; resume \
+             it with the same cost query";
+          Ok ();
+          Error
+            (Printf.sprintf
+               "cannot resume: checkpoint was taken for query %s, not %s" q1 q2);
+          generator;
+          generator;
+        ] );
+      ( Multilevel 4,
+        [
+          generator;
+          generator;
+          generator;
+          Ok ();
+          Error "cannot resume: checkpoint was taken with 4 levels, not 3";
+        ] );
+    ]
+  in
+  List.iter
+    (fun (taker, expected) ->
+      with_tmp (fun file ->
+          let sup resume =
+            Supervisor.create ~checkpoint:{ Supervisor.file; every = 1000 }
+              ~resume ()
+          in
+          (match open_campaign taker ~supervisor:(sup false) with
+          | Ok (_, take) -> take ()
+          | Error e ->
+            Alcotest.failf "%s: create failed: %s" (taker_name taker)
+              (Path.error_to_string e));
+          List.iter2
+            (fun resumer want ->
+              let cell =
+                Printf.sprintf "%s checkpoint -> %s" (taker_name taker)
+                  (taker_name resumer)
+              in
+              match (open_campaign resumer ~supervisor:(sup true), want) with
+              | Ok (cursor, _), Ok () ->
+                Alcotest.(check int) (cell ^ ": cursor restored") 20 cursor
+              | Error (Path.Model_error msg), Error want ->
+                Alcotest.(check string) cell want msg
+              | Ok _, Error want ->
+                Alcotest.failf "%s: resumed, expected %S" cell want
+              | Error e, _ ->
+                Alcotest.failf "%s: unexpected error %s" cell
+                  (Path.error_to_string e))
+            columns expected))
+    table
 
 let test_resume_reproduces_uninterrupted () =
   let uninterrupted = ok (Cost_run.drive (make_cost ~seed:5L ())) in
@@ -512,6 +569,43 @@ let test_mlmc_kind_rejected () =
   | Error e -> Alcotest.failf "unexpected error: %s" (Path.error_to_string e)
   | Ok _ -> Alcotest.fail "mlmc generator accepted for a cost query"
 
+(* Cost-bounded reachability has an unbounded horizon, so there are no
+   truncation levels: the facade refuses the multilevel generator with
+   a specific error (and the CLI exits 1) instead of quietly running a
+   single-level sequential rule. *)
+let test_mlmc_cost_bounded_rejected () =
+  let query = "P(<> [c <= 5] v)" in
+  let m =
+    match Slimsim.load_string exp_model with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "load failed: %s" e
+  in
+  (match
+     Slimsim.check_cost ~generator:Generator.Mlmc m ~query
+       ~strategy:Strategy.Asap ~delta:0.05 ~eps:0.05 ()
+   with
+  | Error msg ->
+    Alcotest.(check bool) "names the cost-bounded form" true
+      (Astring_contains.contains msg "cost-bounded reachability")
+  | Ok _ -> Alcotest.fail "mlmc accepted for cost-bounded reachability");
+  let bin =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "../bin/slimsim_cli.exe"
+  in
+  let model = Filename.temp_file "slimsim_cost" ".slim" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove model)
+    (fun () ->
+      Out_channel.with_open_bin model (fun oc -> output_string oc exp_model);
+      let code =
+        Sys.command
+          (Filename.quote_command bin ~stdout:Filename.null
+             ~stderr:Filename.null
+             [ "simulate"; model; "--query"; query; "-g"; "mlmc"; "--seed"; "1" ])
+      in
+      Alcotest.(check int) "CLI exit code" 1 code)
+
 let test_resolve_cost_rejects_discrete () =
   let net = load exp_model in
   (match Pattern.resolve_cost net "v" with
@@ -543,4 +637,6 @@ let suite =
     Alcotest.test_case "mlmc generator rejected" `Quick test_mlmc_kind_rejected;
     Alcotest.test_case "cost observer must be clock/continuous" `Quick
       test_resolve_cost_rejects_discrete;
+    Alcotest.test_case "mlmc rejected for cost-bounded reachability" `Quick
+      test_mlmc_cost_bounded_rejected;
   ]

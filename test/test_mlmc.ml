@@ -314,6 +314,41 @@ let test_check_mlmc_facade () =
     Alcotest.(check bool) "paths simulated" true (r.Slimsim.paths > 0);
     Alcotest.(check bool) "not interrupted" true (not r.Slimsim.interrupted)
 
+(* --- observability: both halves go through the campaign's router --- *)
+
+let test_metrics_count_both_halves () =
+  let module Metrics = Slimsim_obs.Metrics in
+  let file = Filename.temp_file "slimsim_mlmc" ".ckpt" in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ();
+      try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      let sup =
+        Supervisor.create ~checkpoint:{ Supervisor.file; every = 100 } ()
+      in
+      let r = ok (Mlmc_run.drive (make_mlmc ~supervisor:sup ~seed:5L ())) in
+      let count ?labels name =
+        Metrics.counter_value (Metrics.counter ?labels name ~help:"")
+      in
+      let verdicts =
+        List.fold_left
+          (fun n v ->
+            n + count ~labels:[ ("verdict", v) ] "slimsim_verdicts_total")
+          0
+          [
+            "sat"; "unsat_horizon"; "unsat_deadlock"; "unsat_timelock";
+            "unsat_violated"; "diverged"; "error";
+          ]
+      in
+      Alcotest.(check int) "verdicts sum to paths (both halves)"
+        r.Mlmc_run.paths verdicts;
+      Alcotest.(check bool) "checkpoints counted" true
+        (count "slimsim_checkpoints_total" >= 1))
+
 let suite =
   [
     Alcotest.test_case "one-level run is bit-identical" `Quick
@@ -328,4 +363,6 @@ let suite =
       test_resume_rejects_mismatch;
     Alcotest.test_case "create guards" `Quick test_create_guards;
     Alcotest.test_case "check_mlmc facade" `Quick test_check_mlmc_facade;
+    Alcotest.test_case "metrics count both halves" `Quick
+      test_metrics_count_both_halves;
   ]
