@@ -63,7 +63,7 @@ let table1 () =
   Fmt.pr
     " cumulative peak and so a lower bound per n.  n=8 explores 65791@.";
   Fmt.pr
-    " states in ~29 s and ~170 MB while the simulator stays linear in n.)@.";
+    " states in ~3 s and ~150 MB while the simulator stays linear in n.)@.";
   (* the timed variant the exact chain cannot treat (the reason the paper
      benchmarked an untimed model, §IV) *)
   Fmt.pr "@.timed variant (detection latency [%g, %g]), n = 2: simulator only@."

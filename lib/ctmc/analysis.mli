@@ -26,6 +26,9 @@ val check :
   horizon:float ->
   (report, string) result
 (** [lump] defaults to [true]; disabling it measures the value of the
-    reduction step (ablation X3 in DESIGN.md). *)
+    reduction step (ablation X3 in DESIGN.md).  A model that is not
+    untimed, an immediate cycle, the state cap, and a run-time type
+    error or non-linear guard met during exploration are all reported
+    as [Error]. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -11,10 +11,6 @@ type stats = {
   explore_seconds : float;
 }
 
-type key = int array * Value.t array
-
-let key_of (s : State.t) : key = (s.locs, s.vals)
-
 let check_untimed (net : Network.t) =
   Array.iter
     (fun (v : Network.var_info) ->
@@ -26,27 +22,33 @@ let check_untimed (net : Network.t) =
       | Network.Discrete -> ())
     net.vars
 
-(* Immediate moves: guarded moves enabled right now (in an untimed model
-   a guard is delay-invariant, so "window contains 0" is the whole
-   story).  Post-state invariants are trivially true. *)
-let immediate net s =
-  let timed = Moves.discrete net s in
-  List.filter_map
-    (fun { Moves.move; window } ->
-      if Moves.I.mem 0.0 window then Some move else None)
-    timed
-
 let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
   check_untimed net;
   let t0 = Unix.gettimeofday () in
-  let index : (key, int) Hashtbl.t = Hashtbl.create 4096 in
+  let c = Compiled.compile net in
+  let cs = Compiled.scratch c in
+  (* Immediate moves: guarded moves enabled right now (in an untimed
+     model a guard is delay-invariant, so "window contains 0" is the
+     whole story).  Post-state invariants are trivially true. *)
+  let immediate (s : State.t) =
+    Compiled.of_state c cs s;
+    Compiled.set_rates c cs;
+    Compiled.discrete c cs (Compiled.invariant_window c cs)
+    |> List.filter_map (fun { Moves.move; window } ->
+           if Moves.I.mem 0.0 window then Some move else None)
+  in
+  let apply (s : State.t) mv =
+    Compiled.of_state c cs s;
+    Compiled.apply c cs mv;
+    Compiled.to_state c cs
+  in
+  let index : int State.Tbl.t = State.Tbl.create 4096 in
   let states : State.t array ref = ref (Array.make 0 (State.initial net)) in
   let n = ref 0 in
   let vanishing = ref 0 in
   let worklist = Queue.create () in
   let intern (s : State.t) =
-    let k = key_of s in
-    match Hashtbl.find_opt index k with
+    match State.Tbl.find_opt index s with
     | Some i -> i
     | None ->
       let i = !n in
@@ -59,7 +61,7 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
         states := bigger
       end;
       !states.(i) <- s;
-      Hashtbl.add index k i;
+      State.Tbl.add index s i;
       incr n;
       Queue.push i worklist;
       i
@@ -67,18 +69,17 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
   (* Distribution over stable states reachable from [s] by immediate
      moves, resolved equiprobably (the simulator's rule, §III-B). *)
   let rec close (s : State.t) prob on_path acc =
-    match immediate net s with
+    match immediate s with
     | [] -> (intern s, prob) :: acc
     | moves ->
       incr vanishing;
-      let k = key_of s in
-      if List.mem k on_path then
+      if List.exists (State.equal_timeless s) on_path then
         raise
           (Immediate_cycle
              "a cycle of immediate transitions never reaches a stable state");
       let p = prob /. float_of_int (List.length moves) in
       List.fold_left
-        (fun acc mv -> close (Moves.apply net s mv) p (k :: on_path) acc)
+        (fun acc mv -> close (apply s mv) p (s :: on_path) acc)
         acc moves
   in
   let merge entries =
@@ -96,16 +97,16 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
   while not (Queue.is_empty worklist) do
     let i = Queue.pop worklist in
     let s = !states.(i) in
+    Compiled.of_state c cs s;
     List.iter
       (fun (p, tr, rate) ->
-        let s' = Moves.apply net s (Moves.Local { proc = p; tr }) in
-        let dist = merge (close s' 1.0 [] []) in
+        let dist = merge (close (apply s (Moves.Local { proc = p; tr })) 1.0 [] []) in
         List.iter
           (fun (j, prob) ->
             transitions := (i, j, rate *. prob) :: !transitions;
             incr n_trans)
           dist)
-      (Moves.markovian net s)
+      (Compiled.markovian c cs)
   done;
   let goal_arr =
     Array.init !n (fun i -> State.eval_bool !states.(i) goal)

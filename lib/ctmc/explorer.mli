@@ -5,7 +5,14 @@
     interactive (immediate) transitions: immediate moves are eliminated
     on the fly with the simulator's equiprobable resolution, so the
     baseline and the simulator agree on the underlying probability
-    measure (which is what Table I compares). *)
+    measure (which is what Table I compares).
+
+    Exploration steps on the compiled engine ({!Slimsim_sta.Compiled}),
+    which mirrors [Moves] float-op for float-op, through one scratch
+    state per call, and interns stable states in a
+    {!Slimsim_sta.State.Tbl} hashed over every location and value.  The
+    test suite checks the result, state numbering included, bit for bit
+    against an interpreter-based reference explorer. *)
 
 exception Not_untimed of string
 (** The network has clocks or continuous variables; the CTMC pipeline

@@ -29,12 +29,11 @@ let rec drop n l =
 
 let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
     (net : Network.t) ~prop =
-  let seen = Hashtbl.create 4096 in
+  let seen = State.Tbl.create 4096 in
   let queue = Queue.create () in
   let push trace s =
-    let k = State.hash_key s in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
+    if not (State.Tbl.mem seen s) then begin
+      State.Tbl.add seen s ();
       Queue.push (trace, s) queue
     end
   in
@@ -42,7 +41,7 @@ let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
   let result = ref None in
   (try
      while not (Queue.is_empty queue) do
-       if Hashtbl.length seen > max_states then
+       if State.Tbl.length seen > max_states then
          failwith (Printf.sprintf "state space exceeds %d states" max_states);
        let trace, s = Queue.pop queue in
        if not (State.eval_bool s prop) then begin
@@ -57,7 +56,7 @@ let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
                   trace = drop truncated full;
                   truncated;
                   locs = loc_vector net s;
-                  states = Hashtbl.length seen;
+                  states = State.Tbl.length seen;
                 });
          raise Exit
        end;
@@ -78,7 +77,7 @@ let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
     raise (Failure msg));
   match !result with
   | Some v -> Ok v
-  | None -> Ok (Holds { states = Hashtbl.length seen })
+  | None -> Ok (Holds { states = State.Tbl.length seen })
 
 let check_invariant ?max_states ?max_trace net ~prop =
   match check_invariant ?max_states ?max_trace net ~prop with
@@ -107,15 +106,14 @@ type certainty =
 
 let certain_reachability ?(max_states = 100_000) ?hold (net : Network.t)
     ~goal =
-  let memo = Hashtbl.create 1024 in
+  let memo = State.Tbl.create 1024 in
   let states = ref 0 in
   let witness = ref None in
   let exception Not_sure_exn of string in
   (* Returns the maximum number of moves to the goal over all paths from
      [s]; every path must end in a goal state. *)
   let rec visit path_rev s : int =
-    let k = State.hash_key s in
-    match Hashtbl.find_opt memo k with
+    match State.Tbl.find_opt memo s with
     | Some `On_stack ->
       raise (Not_sure_exn "goal-free cycle in the delay-free closure")
     | Some (`Done d) -> d
@@ -124,7 +122,7 @@ let certain_reachability ?(max_states = 100_000) ?hold (net : Network.t)
       if !states > max_states then raise (Not_sure_exn "state budget exceeded");
       if State.eval_bool s goal then begin
         if !witness = None then witness := Some (List.rev path_rev);
-        Hashtbl.replace memo k (`Done 0);
+        State.Tbl.replace memo s (`Done 0);
         0
       end
       else begin
@@ -140,7 +138,7 @@ let certain_reachability ?(max_states = 100_000) ?hold (net : Network.t)
         then raise (Not_sure_exn "time can elapse before the goal");
         let moves = Moves.enabled_after net s 0.0 (Moves.discrete net s) in
         if moves = [] then raise (Not_sure_exn "deadlock before the goal");
-        Hashtbl.replace memo k `On_stack;
+        State.Tbl.replace memo s `On_stack;
         let d =
           List.fold_left
             (fun acc mv ->
@@ -148,7 +146,7 @@ let certain_reachability ?(max_states = 100_000) ?hold (net : Network.t)
               max acc (1 + visit (Moves.describe net mv :: path_rev) s'))
             0 moves
         in
-        Hashtbl.replace memo k (`Done d);
+        State.Tbl.replace memo s (`Done d);
         d
       end
   in

@@ -58,9 +58,8 @@ let closure net budget s =
     match immediate net s with
     | [] -> out := s :: !out
     | moves ->
-      let k = State.hash_key s in
-      if not (List.mem k on_path) then
-        List.iter (fun mv -> go (Moves.apply net s mv) (k :: on_path)) moves
+      if not (List.exists (State.equal_timeless s) on_path) then
+        List.iter (fun mv -> go (Moves.apply net s mv) (s :: on_path)) moves
   in
   go s [];
   !out
@@ -91,7 +90,7 @@ let minimal_cut_sets ?(max_order = 3) ?(max_expansions = 200_000)
       let frontier = ref (List.map (fun s -> (s, Key_set.empty, [])) initial) in
       for _order = 1 to max_order do
         let next = ref [] in
-        let seen = Hashtbl.create 256 in
+        let seen = State.Tbl.create 256 in
         List.iter
           (fun (s, keys, used) ->
             if not (is_superset_of_any !mcs keys) then
@@ -123,9 +122,11 @@ let minimal_cut_sets ?(max_order = 3) ?(max_expansions = 200_000)
                       else
                         List.iter
                           (fun st ->
-                            let memo_key = (State.hash_key st, Key_set.elements keys') in
-                            if not (Hashtbl.mem seen memo_key) then begin
-                              Hashtbl.add seen memo_key ();
+                            let prev =
+                              Option.value ~default:[] (State.Tbl.find_opt seen st)
+                            in
+                            if not (List.exists (Key_set.equal keys') prev) then begin
+                              State.Tbl.replace seen st (keys' :: prev);
                               next := (st, keys', ev :: used) :: !next
                             end)
                           stables

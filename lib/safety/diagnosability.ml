@@ -28,9 +28,8 @@ let closure net budget s =
     match immediate net s with
     | [] -> out := s :: !out
     | moves ->
-      let k = State.hash_key s in
-      if not (List.mem k on_path) then
-        List.iter (fun mv -> go (Moves.apply net s mv) (k :: on_path)) moves
+      if not (List.exists (State.equal_timeless s) on_path) then
+        List.iter (fun mv -> go (Moves.apply net s mv) (s :: on_path)) moves
   in
   go s [];
   !out
@@ -66,13 +65,12 @@ let check ?(max_faults = 2) ?(max_expansions = 200_000) (net : Network.t)
     try
       (* BFS over stable states, injecting up to [max_faults] basic
          events; deduplicate on the timeless state key *)
-      let seen = Hashtbl.create 256 in
+      let seen = State.Tbl.create 256 in
       let all_states = ref [] in
       let frontier = ref [] in
       let push s =
-        let k = State.hash_key s in
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.add seen k ();
+        if not (State.Tbl.mem seen s) then begin
+          State.Tbl.add seen s ();
           all_states := s :: !all_states;
           frontier := s :: !frontier
         end

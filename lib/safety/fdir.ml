@@ -23,9 +23,8 @@ let closure net budget s =
     match immediate net s with
     | [] -> out := s :: !out
     | moves ->
-      let k = State.hash_key s in
-      if not (List.mem k on_path) then
-        List.iter (fun mv -> go (Moves.apply net s mv) (k :: on_path)) moves
+      if not (List.exists (State.equal_timeless s) on_path) then
+        List.iter (fun mv -> go (Moves.apply net s mv) (s :: on_path)) moves
   in
   go s [];
   !out

@@ -313,10 +313,8 @@ root D.I;
     (1.0 -. exp (-0.3 *. 4.0))
     (Transient.reach_probability ctmc ~horizon:4.0)
 
-let test_explorer_immediate_elimination () =
-  (* a rate transition into a vanishing state with two immediate exits:
-     the closure splits the mass equally (the simulator's rule) *)
-  let net = load {|
+(* a rate transition into a vanishing state with two immediate exits *)
+let hub_trap_model = {|
 device D
 features
   v: out data port int := 0;
@@ -333,7 +331,11 @@ transitions
   hub -[then v := 2]-> r;
 end D.I;
 root D.I;
-|} in
+|}
+
+let test_explorer_immediate_elimination () =
+  (* the closure splits the mass equally (the simulator's rule) *)
+  let net = load hub_trap_model in
   let g = goal net "v = 1" in
   let ctmc, stats = Explorer.explore net ~goal:g in
   (* hub is vanishing: only a, l, r remain *)
@@ -355,8 +357,7 @@ let test_explorer_rejects_timed () =
   | exception Explorer.Not_untimed _ -> ()
   | _ -> Alcotest.fail "timed models must be rejected"
 
-let test_explorer_immediate_cycle () =
-  let net = load {|
+let immediate_cycle_model = {|
 device D
 features
   v: out data port bool := false;
@@ -370,7 +371,10 @@ transitions
   b -[]-> a;
 end D.I;
 root D.I;
-|} in
+|}
+
+let test_explorer_immediate_cycle () =
+  let net = load immediate_cycle_model in
   let g = goal net "v" in
   match Explorer.explore net ~goal:g with
   | exception Explorer.Immediate_cycle _ -> ()
@@ -382,6 +386,164 @@ let test_explorer_state_cap () =
   match Explorer.explore ~max_states:10 net ~goal:g with
   | exception Explorer.Too_many_states _ -> ()
   | _ -> Alcotest.fail "the state cap must be enforced"
+
+(* --- the production explorer against the interpreter oracle --- *)
+
+let bits = Int64.bits_of_float
+
+let check_same_chain name (a : Ctmc.t) (b : Ctmc.t) =
+  let entries = Array.map (fun (i, x) -> (i, bits x)) in
+  let check what ok = Alcotest.(check bool) (name ^ ": " ^ what) true ok in
+  check "state count" (a.Ctmc.n_states = b.Ctmc.n_states);
+  check "initial distribution" (entries a.Ctmc.initial = entries b.Ctmc.initial);
+  check "rows" (Array.map entries a.Ctmc.rows = Array.map entries b.Ctmc.rows);
+  check "goal labels" (a.Ctmc.goal = b.Ctmc.goal);
+  check "bad labels" (a.Ctmc.bad = b.Ctmc.bad)
+
+let check_same_stats name (a : Explorer.stats) (b : Explorer.stats) =
+  Alcotest.(check (list int))
+    (name ^ ": stable states, transitions, vanishing visits")
+    [ a.Explorer.stable_states; a.Explorer.transitions; a.Explorer.vanishing_visits ]
+    [ b.Explorer.stable_states; b.Explorer.transitions; b.Explorer.vanishing_visits ]
+
+let test_explorer_matches_oracle () =
+  let sf n =
+    let net = load (Slimsim_models.Sensor_filter.source ~n) in
+    let g = goal net (Slimsim_models.Sensor_filter.goal_all_failed ~n) in
+    let hold = goal net "filters.f1.value = filters.f1.feed * 4" in
+    (* at n = 1 every fault is a goal state, so no state is bad *)
+    [
+      (Printf.sprintf "sensor/filter n=%d" n, net, g, None, false);
+      (Printf.sprintf "sensor/filter n=%d, hold" n, net, g, Some hold, n > 1);
+    ]
+  in
+  let queue capacity =
+    let net =
+      load (Slimsim_models.Queue_model.source ~arrival:0.8 ~service:1.0 ~capacity)
+    in
+    let g = goal net (Slimsim_models.Queue_model.goal_full ~capacity) in
+    [
+      (Printf.sprintf "mm1k capacity %d" capacity, net, g, None, false);
+      ( Printf.sprintf "mm1k capacity %d, hold" capacity,
+        net,
+        g,
+        Some (goal net "served < 3"),
+        true );
+    ]
+  in
+  let hub = load hub_trap_model in
+  let cases =
+    List.concat_map sf [ 1; 2; 3; 4; 5; 6 ]
+    @ queue 4 @ queue 20
+    @ [ ("hub/trap chain", hub, goal hub "v = 1", Some (goal hub "v != 2"), true) ]
+  in
+  List.iter
+    (fun (name, net, g, hold, some_bad) ->
+      let ctmc, stats = Explorer.explore ?hold net ~goal:g in
+      let ctmc', stats', _ = Explorer_oracle.explore ?hold net ~goal:g in
+      Alcotest.(check bool) (name ^ ": some state is bad") some_bad
+        (Array.exists Fun.id ctmc'.Ctmc.bad);
+      check_same_chain name ctmc ctmc';
+      check_same_stats name stats stats')
+    cases
+
+let test_explorer_oracle_failures () =
+  let raises name f =
+    match f () with
+    | exception e -> e
+    | _ -> Alcotest.failf "%s: expected an exception" name
+  in
+  let net = load immediate_cycle_model in
+  let g = goal net "v" in
+  (match
+     ( raises "explorer" (fun () -> Explorer.explore net ~goal:g),
+       raises "oracle" (fun () -> Explorer_oracle.explore net ~goal:g) )
+   with
+  | Explorer.Immediate_cycle a, Explorer.Immediate_cycle b ->
+    Alcotest.(check string) "same cycle message" b a
+  | _ -> Alcotest.fail "both explorers must report the immediate cycle");
+  let net = load (Slimsim_models.Sensor_filter.source ~n:3) in
+  let g = goal net (Slimsim_models.Sensor_filter.goal_all_failed ~n:3) in
+  match
+    ( raises "explorer" (fun () -> Explorer.explore ~max_states:10 net ~goal:g),
+      raises "oracle" (fun () -> Explorer_oracle.explore ~max_states:10 net ~goal:g) )
+  with
+  | Explorer.Too_many_states a, Explorer.Too_many_states b ->
+    Alcotest.(check int) "same cap" b a
+  | _ -> Alcotest.fail "both explorers must enforce the state cap"
+
+(* The polymorphic hash reads only a prefix of a long state; the state
+   table's hash must tell the states of a large network apart. *)
+let test_state_hash_spread () =
+  let n = 6 in
+  let net = load (Slimsim_models.Sensor_filter.source ~n) in
+  let g = goal net (Slimsim_models.Sensor_filter.goal_all_failed ~n) in
+  let _, _, states = Explorer_oracle.explore net ~goal:g in
+  Alcotest.(check int) "stable states" 4159 (Array.length states);
+  let hashes = Hashtbl.create 4096 in
+  Array.iter (fun s -> Hashtbl.replace hashes (Slimsim_sta.State.hash_timeless s) ()) states;
+  let distinct = Hashtbl.length hashes in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct hashes for %d states" distinct (Array.length states))
+    true
+    (100 * distinct >= 99 * Array.length states)
+
+let test_state_hash_agrees_with_equality () =
+  let module State = Slimsim_sta.State in
+  let module Value = Slimsim_sta.Value in
+  let st x = { State.locs = [| 0; 3 |]; vals = [| Value.Int 1; Value.Real x |]; time = 0.0 } in
+  let other_nan = Int64.float_of_bits 0x7ff8000000000001L in
+  List.iter
+    (fun (name, a, b) ->
+      let a = st a and b = st b in
+      Alcotest.(check bool) (name ^ ": equal") true (State.equal_timeless a b);
+      Alcotest.(check int) (name ^ ": same hash") (State.hash_timeless a) (State.hash_timeless b);
+      let tbl = State.Tbl.create 4 in
+      State.Tbl.replace tbl a ();
+      Alcotest.(check bool) (name ^ ": found in the table") true (State.Tbl.mem tbl b))
+    [ ("signed zeros", 0.0, -0.0); ("NaN", Float.nan, other_nan) ];
+  Alcotest.(check bool) "time is ignored" true
+    (State.equal_timeless (st 1.0) { (st 1.0) with State.time = 5.0 });
+  Alcotest.(check bool) "values are compared" false (State.equal_timeless (st 1.0) (st 2.0))
+
+(* --- run-time type errors --- *)
+
+let div_by_zero_model = {|
+device D
+features
+  r: out data port int := 0;
+  q: out data port int := 0;
+end D;
+device implementation D.I
+modes
+  a: initial mode;
+  b: mode;
+transitions
+  a -[rate 1 then r := 4 / q]-> b;
+end D.I;
+root D.I;
+|}
+
+let test_exact_type_error () =
+  let net = load div_by_zero_model in
+  (match Analysis.check net ~goal:(goal net "r = 1") ~horizon:10.0 with
+  | Error e ->
+    Alcotest.(check string) "reported like verify" "type error: integer division by zero" e
+  | Ok _ -> Alcotest.fail "a division by zero must be an error");
+  let bin =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/slimsim_cli.exe"
+  in
+  let model = Filename.temp_file "slimsim_div0" ".slim" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove model)
+    (fun () ->
+      Out_channel.with_open_bin model (fun oc -> output_string oc div_by_zero_model);
+      let code =
+        Sys.command
+          (Filename.quote_command bin ~stdout:Filename.null ~stderr:Filename.null
+             [ "exact"; model; "-p"; "P(<> [0, 10] r = 1)" ])
+      in
+      Alcotest.(check int) "CLI exit code" 1 code)
 
 (* --- bounded until on the chain pipeline --- *)
 
@@ -559,6 +721,12 @@ let suite =
     Alcotest.test_case "timed models rejected" `Quick test_explorer_rejects_timed;
     Alcotest.test_case "immediate cycle detected" `Quick test_explorer_immediate_cycle;
     Alcotest.test_case "state cap" `Quick test_explorer_state_cap;
+    Alcotest.test_case "explorer matches the oracle" `Quick test_explorer_matches_oracle;
+    Alcotest.test_case "oracle failures agree" `Quick test_explorer_oracle_failures;
+    Alcotest.test_case "state hash spread" `Quick test_state_hash_spread;
+    Alcotest.test_case "state hash agrees with equality" `Quick
+      test_state_hash_agrees_with_equality;
+    Alcotest.test_case "exact: run-time type error" `Quick test_exact_type_error;
     Alcotest.test_case "invariant holds" `Quick test_invariant_holds;
     Alcotest.test_case "invariant violated" `Quick test_invariant_violated_with_trace;
     Alcotest.test_case "invariant state cap" `Quick test_invariant_state_cap;
