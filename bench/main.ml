@@ -734,9 +734,22 @@ let micro ?(quick = false) ?(json = false) () =
      Chernoff, so every run simulates the identical path set and the
      wall-clock ratio is pure scaling; best-of-3 discards spawn noise.
      The dist layer's contract is >= 1.7x at 2 workers — only checkable
-     with at least 2 cores, so the row records the core count and the
-     verdict is skipped on a single-CPU host (where the measured ratio
-     is the layer's overhead, not its scaling). *)
+     with at least 2 cores, so the row records the core count, and on a
+     single-CPU host (where the measured ratio is the layer's overhead,
+     not its scaling) it records the reason it was skipped instead of a
+     figure. *)
+  let cores = Domain.recommended_domain_count () in
+  let speedup_row name speedup =
+    if cores < 2 then
+      Printf.sprintf
+        "{\"name\": %S, \"skipped\": \"%d cpu: a 2-worker speedup needs 2 cores\"}"
+        name cores
+    else
+      Printf.sprintf "{\"name\": %S, \"speedup\": %.2f, \"cores\": %d}" name
+        speedup cores
+  in
+  (* eps sets the fixed Chernoff N: ~40k paths quick, ~160k full *)
+  let eps = if quick then 0.0192 else 0.0096 in
   let dist_rows =
     let bin =
       match Sys.getenv_opt "SLIMSIM_BIN" with
@@ -766,8 +779,6 @@ let micro ?(quick = false) ?(json = false) () =
           on_deadlock = "falsify";
         }
       in
-      (* eps sets the fixed Chernoff N: ~40k paths quick, ~160k full *)
-      let eps = if quick then 0.0192 else 0.0096 in
       let measure workers =
         let cfg = C.config ~workers ~worker_cmd:[| bin; "work" |] () in
         let best = ref infinity and paths = ref 0 in
@@ -793,7 +804,6 @@ let micro ?(quick = false) ?(json = false) () =
         failwith
           (Printf.sprintf "dist bench: path counts differ (%d vs %d)" n1 n2);
       let speedup = w1 /. w2 in
-      let cores = Domain.recommended_domain_count () in
       Fmt.pr "  %-45s %11.3f s %14.1f paths/s@." "dist: gps-full --distribute 1"
         w1
         (float_of_int n1 /. w1);
@@ -819,11 +829,36 @@ let micro ?(quick = false) ?(json = false) () =
           "{\"name\": \"dist:gps-full-distribute-2\", \"paths_per_sec\": %.1f, \"wall_s\": %.3f, \"cores\": 2}"
           (float_of_int n2 /. w2)
           w2;
-        Printf.sprintf
-          "{\"name\": \"dist:gps-full-distribute-2-speedup\", \"speedup\": %.2f, \"cores\": %d}"
-          speedup cores;
+        speedup_row "dist:gps-full-distribute-2-speedup" speedup;
       ]
     end
+  in
+  (* The same campaign on in-process worker domains, -j 1 against -j 2:
+     recorded next to the distributed ratio, with the same skip rule and
+     no contract. *)
+  let par_rows =
+    let property = Printf.sprintf "P(<> [0, 300] %s)" Gps.goal_no_fix in
+    let measure workers =
+      let best = ref infinity and paths = ref 0 in
+      for _ = 1 to if quick then 1 else 3 do
+        let t0 = Unix.gettimeofday () in
+        let r =
+          check_ok
+            (Slimsim.check ~workers ~seed:1L full_gps ~property
+               ~strategy:Strategy.Asap ~delta:0.05 ~eps ())
+        in
+        best := Float.min !best (Unix.gettimeofday () -. t0);
+        paths := r.Slimsim.paths
+      done;
+      (!best, !paths)
+    in
+    let w1, n1 = measure 1 in
+    let w2, n2 = measure 2 in
+    if n1 <> n2 then
+      failwith (Printf.sprintf "par bench: path counts differ (%d vs %d)" n1 n2);
+    Fmt.pr "  %-45s %13.2fx (-j 1 %.3f s, -j 2 %.3f s)@."
+      "par: gps-full -j 2 speedup" (w1 /. w2) w1 w2;
+    [ speedup_row "par:gps-full-j2-speedup" (w1 /. w2) ]
   in
   (* the pre-pass contract: each bundled-model analysis completes in
      under 10 ms (best-of-5 to discard first-run allocation noise), so
@@ -852,7 +887,7 @@ let micro ?(quick = false) ?(json = false) () =
     let oc = open_out "BENCH_sim.json" in
     let pr fmt = Printf.fprintf oc fmt in
     pr "[\n";
-    let extra_rows = mlmc_rows @ cost_rows @ dist_rows in
+    let extra_rows = mlmc_rows @ cost_rows @ dist_rows @ par_rows in
     List.iteri
       (fun i (name, ns, per_sec, wall) ->
         (* one-path kernels are single-threaded by construction *)

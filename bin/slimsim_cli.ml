@@ -216,7 +216,14 @@ let simulate_cmd =
   and eps =
     Arg.(value & opt float 0.01 & info [ "e"; "eps" ] ~doc:"Error bound.")
   and workers =
-    Arg.(value & opt int 1 & info [ "j"; "workers" ] ~doc:"Parallel workers.")
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "workers" ]
+          ~doc:
+            "Path generators: this domain plus $(docv)-1 worker domains that \
+             draw contiguous path-id ranges, consumed in path order, so the \
+             estimate is bit-identical to $(b,-j 1) at the same seed."
+          ~docv:"N")
   and generator =
     let generator_conv =
       let parse s =
@@ -397,10 +404,13 @@ let simulate_cmd =
       value & opt int 256
       & info [ "buffer" ] ~docv:"N"
           ~doc:
-            "Parallel collection: how many samples one worker may run ahead \
-             of the collector before its push blocks.  Larger buffers smooth \
-             out path-length variance between workers at the cost of memory; \
-             the verdict stream is independent of the value.")
+            "With $(b,-j) > 1: the largest path-id range a generator claims \
+             at once, and so a bound on how far it may run ahead of the \
+             collector (it holds at most two unconsumed ranges).  Ranges are \
+             sized ceil(R / 4G) for a plan of R paths on G generators, \
+             clamped to [1, $(docv)]; a sequential stopping rule gets \
+             $(docv).  With --distribute: verdicts per batch frame.  The \
+             verdict stream is independent of the value.")
   and drop_stall_limit =
     Arg.(
       value & opt int 10_000
@@ -445,11 +455,15 @@ let simulate_cmd =
              $(b,work) subcommand.")
   and lease =
     Arg.(
-      value & opt int 1024
+      value
+      & opt (some int) None
       & info [ "lease" ] ~docv:"N"
           ~doc:
-            "Paths per granted lease.  Smaller leases reassign less work \
-             when a worker dies; larger ones amortize grant round-trips.")
+            "Paths per granted lease under --distribute.  Default: derived \
+             from the plan, ceil(R / 4W) for R planned paths on W workers, \
+             clamped to [1, 1024] (1024 for a sequential stopping rule).  \
+             Smaller leases reassign less work when a worker dies; larger \
+             ones amortize grant round-trips.")
   and dist_heartbeat =
     Arg.(
       value & opt float 1.0
@@ -650,7 +664,7 @@ let simulate_cmd =
       let cfg =
         try
           Coordinator.config ~workers:nworkers ~worker_cmd:worker_argv
-            ~lease_size:lease ~batch:buffer ~heartbeat:dist_heartbeat
+            ?lease_size:lease ~batch:buffer ~heartbeat:dist_heartbeat
             ~liveness:dist_liveness ~chaos ()
         with Invalid_argument e -> die 1 ("slimsim: " ^ e)
       in

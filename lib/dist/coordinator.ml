@@ -1,4 +1,5 @@
 module Campaign = Slimsim_sim.Campaign
+module Lease = Slimsim_sim.Lease
 module Path = Slimsim_sim.Path
 module Supervisor = Slimsim_sim.Supervisor
 module Generator = Slimsim_stats.Generator
@@ -11,18 +12,19 @@ module Json = Slimsim_obs.Json
 type config = {
   workers : int;
   worker_cmd : string array;
-  lease_size : int;
+  lease_size : int option;
   batch : int;
   heartbeat : float;
   liveness : float;
   chaos : string;
 }
 
-let config ?(lease_size = 1024) ?(batch = 256) ?(heartbeat = 1.0) ?(liveness = 10.0)
+let config ?lease_size ?(batch = 256) ?(heartbeat = 1.0) ?(liveness = 10.0)
     ?(chaos = "") ~workers ~worker_cmd () =
   if workers < 1 then invalid_arg "Coordinator.config: workers must be >= 1";
   if Array.length worker_cmd = 0 then invalid_arg "Coordinator.config: empty worker_cmd";
-  if lease_size < 1 then invalid_arg "Coordinator.config: lease_size must be >= 1";
+  if Option.fold ~none:false ~some:(fun n -> n < 1) lease_size then
+    invalid_arg "Coordinator.config: lease_size must be >= 1";
   if batch < 1 then invalid_arg "Coordinator.config: batch must be >= 1";
   if heartbeat <= 0.0 then invalid_arg "Coordinator.config: heartbeat must be positive";
   if liveness <= 0.0 then invalid_arg "Coordinator.config: liveness must be positive";
@@ -125,7 +127,15 @@ let run ?supervisor ?progress cfg job ~generator =
   | Error e -> Error e
   | Ok base ->
     let t0 = Unix.gettimeofday () in
-    let table = Lease.create ~base ~size:cfg.lease_size in
+    let size =
+      match cfg.lease_size with
+      | Some n -> n
+      | None ->
+        Lease.range_size
+          ~remaining:(Generator.remaining_samples generator)
+          ~workers:cfg.workers ~cap:1024
+    in
+    let table = Lease.create ~base ~size ~payload:ignore in
     let cursor = ref base in
     let last_ckpt = ref base in
     let granted = ref 0
@@ -261,14 +271,11 @@ let run ?supervisor ?progress cfg job ~generator =
           Log.emit ~event:"dist_degraded" [ ("live", Json.Int 1) ]
       end
     in
-    (* cap speculative carving for fixed-size rules: never run more than
-       one slab past what the stopping rule can still ask for *)
     let should_carve () =
       Generator.needs_more generator
-      &&
-      match Generator.remaining_samples generator with
-      | Some r -> Lease.frontier table - !cursor < r + cfg.lease_size
-      | None -> true
+      && Lease.frontier table
+         < Lease.carve_limit table ~cursor:!cursor
+             ~remaining:(Generator.remaining_samples generator)
     in
     let grant slot =
       match slot.to_worker with
@@ -322,13 +329,7 @@ let run ?supervisor ?progress cfg job ~generator =
           ~stop:(fun () ->
             (not (Generator.needs_more generator)) || Supervisor.stop_requested sup)
           ~f:(fun path c d ->
-            let div, err =
-              match d with
-              | Some (Lease.Div d) -> (Some d, None)
-              | Some (Lease.Err e) -> (None, Some e)
-              | None -> (None, None)
-            in
-            match Wire.outcome_of_char c ~div ~err with
+            match Lease.decode c d with
             | Error e -> raise (Abort_run (Path.Model_error ("wire: " ^ e)))
             | Ok outcome -> (
               match

@@ -29,7 +29,9 @@ type config = {
       (** argv spawning one worker, e.g. [[| "slimsim"; "work" |]] — or
           any command line that ends up running [slimsim work], such as
           [ssh host slimsim work] *)
-  lease_size : int;  (** paths per granted range *)
+  lease_size : int option;
+      (** paths per granted range; [None] derives it from the plan with
+          {!Slimsim_sim.Lease.range_size}, capped at 1024 *)
   batch : int;  (** verdicts per batch frame *)
   heartbeat : float;  (** worker heartbeat interval, seconds *)
   liveness : float;
@@ -48,7 +50,7 @@ val config :
   worker_cmd:string array ->
   unit ->
   config
-(** Defaults: [lease_size = 1024], [batch = 256], [heartbeat = 1.0],
+(** Defaults: a derived [lease_size], [batch = 256], [heartbeat = 1.0],
     [liveness = 10.0], no chaos.  Raises [Invalid_argument] on
     nonsensical values. *)
 

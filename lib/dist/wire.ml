@@ -357,31 +357,3 @@ let report_of_json j =
     if start < 0 then Error "bad batch start"
     else Ok (Batch { lease; start; verdicts; divs; errs })
   | t -> Error (Printf.sprintf "unknown report %S" t)
-
-(* --- verdict class codec --- *)
-
-let verdict_char = function
-  | Ok (Path.Sat _) -> 's'
-  | Ok Path.Unsat_horizon -> 'h'
-  | Ok Path.Unsat_deadlock -> 'd'
-  | Ok Path.Unsat_timelock -> 't'
-  | Ok (Path.Unsat_violated _) -> 'v'
-  | Ok (Path.Diverged _) -> 'g'
-  | Error _ -> 'e'
-
-(* The reconstruction drops payloads the collector never reads (Sat's
-   hit time, the violation time): [Campaign.consume] matches on the
-   constructor alone, so tallies, generator feeds and policies — and
-   therefore the estimate — are bit-identical to the in-process run. *)
-let outcome_of_char c ~div ~err =
-  match c with
-  | 's' -> Ok (Ok (Path.Sat 0.0))
-  | 'h' -> Ok (Ok Path.Unsat_horizon)
-  | 'd' -> Ok (Ok Path.Unsat_deadlock)
-  | 't' -> Ok (Ok Path.Unsat_timelock)
-  | 'v' -> Ok (Ok (Path.Unsat_violated 0.0))
-  | 'g' ->
-    Ok (Ok (Path.Diverged (match div with Some d -> d | None -> Path.Step_budget 0)))
-  | 'e' ->
-    Ok (Error (match err with Some e -> e | None -> Path.Model_error "worker-reported error"))
-  | c -> Error (Printf.sprintf "unknown verdict class %C" c)

@@ -16,7 +16,8 @@
     contribute batches.  Version mismatches are rejected with a clear
     error, never a decode failure.
 
-    Verdicts travel as one class character per path (['s'] Sat, ['h']
+    Verdicts travel as one class character per path
+    ({!Slimsim_sim.Lease.code}: ['s'] Sat, ['h']
     horizon, ['d'] deadlock, ['t'] timelock, ['v'] hold-violated, ['g']
     diverged, ['e'] errored) — everything the collector's accounting
     consumes.  The payloads dropped ([Sat]'s hit time, [Unsat_violated]'s
@@ -97,15 +98,3 @@ type report =
 
 val report_to_json : report -> Slimsim_obs.Json.t
 val report_of_json : Slimsim_obs.Json.t -> (report, string) result
-
-(** {1 Verdict class codec} *)
-
-val verdict_char : (Path.verdict, Path.error) Result.t -> char
-
-val outcome_of_char :
-  char ->
-  div:Path.divergence option ->
-  err:Path.error option ->
-  ((Path.verdict, Path.error) Result.t, string) result
-(** Rebuild the outcome the collector accounting needs from a class
-    char and the side-table entries for that path (if any). *)

@@ -132,7 +132,7 @@ let run_lease s (id, lo, hi) =
   for path = lo to hi - 1 do
     perform_chaos s ~path;
     let outcome, _ = s.runner path in
-    Buffer.add_char buf (Wire.verdict_char outcome);
+    Buffer.add_char buf (Slimsim_sim.Lease.code outcome);
     (match outcome with
     | Ok (Path.Diverged d) -> divs := (path, d) :: !divs
     | Error e -> errs := (path, e) :: !errs

@@ -4,8 +4,9 @@
    session) lives in a value and each [step] advances it by a bounded
    quota of samples.  Everything determinism rests on is unchanged: path
    [i] draws from an RNG derived from [(seed, i)] alone, and samples are
-   consumed in path order — sequentially or via the buffered balanced
-   collection of §III-C — so the verdict stream is a function of
+   consumed in path order — sequentially, or from contiguous path-id
+   ranges banked by several domains (§III-C) — so the verdict stream is a
+   function of
    [(model, property, strategy, generator, seed)] no matter how the
    campaign is sliced, parked or resumed.
 
@@ -108,8 +109,8 @@ let make_run_obs () =
         o_buffer =
           Metrics.histogram "slimsim_buffer_occupancy"
             ~help:
-              "Samples queued in the popped worker buffer when the collector \
-               takes one";
+              "Banked-but-unconsumed paths when the collector opens a path-id \
+               range";
       }
 
 let robs_incr robs field =
@@ -131,6 +132,7 @@ type 'r accumulator = {
   save : tally -> seed:int64 -> next_path:int -> Checkpoint.state;
   restore : Checkpoint.state -> (unit, string) Result.t;
   estimate : unit -> float * float * float * int;
+  remaining : unit -> int option;
 }
 
 (* Route one path's outcome through the error and divergence policies:
@@ -325,6 +327,7 @@ let bernoulli gen =
           Estimator.confidence_interval est ~delta:(Generator.delta gen)
         in
         (Estimator.mean est, lo, hi, Estimator.trials est));
+    remaining = (fun () -> Generator.remaining_samples gen);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -475,34 +478,38 @@ let make_runner ?engine ~seed ?hold ?compiled ?cost_var cfg net ~goal
 
 type runner = int -> outcome * float
 
-type slot = Sample of outcome * float | Crashed of string
-
-type buffer = {
-  mutex : Mutex.t;
-  not_empty : Condition.t;
-  not_full : Condition.t;
-  q : slot Queue.t;
-}
-
-(* A live parallel session: worker [w] simulates paths base+w, base+w+k,
-   … into its own buffer; the collector consumes buffers in cyclic
-   worker order, i.e. in path order base, base+1, base+2, …  This
-   implements the buffered balanced collection of [22] — the sample
-   stream seen by the (possibly sequential) accumulator is a
-   deterministic function of the seed, independent of scheduling and of
-   [k].  Parking tears the whole session down; the next step builds a
-   fresh one at the current cursor. *)
-type par = {
-  k : int;
-  par_stop : bool Atomic.t;  (* session-local halt flag, not sup.stop *)
-  buffers : buffer array;
-  domains : unit Domain.t option array;
-  restarts : int array;
-  base : int;  (* path id of the first sample of this session *)
-  mutable session : int;  (* samples consumed this session *)
-}
-
 type seq = { mutable runner : runner }
+
+(* A live parallel session: the collecting domain (generator 0) and
+   [k - 1] spawned worker domains draw contiguous path-id ranges from one
+   lease table and bank each range's verdict codes and costs in it; the
+   collector consumes the banked ranges in path order base, base+1, …
+   Whenever the range it must consume next is not banked yet, the
+   collector generates paths itself: the range holding the cursor is run
+   path by path as it is consumed, any other claimable range is run
+   ahead and banked.  This is the buffered balanced collection of [22],
+   one lock per range instead of per sample: the sample stream seen by
+   the (possibly sequential) accumulator is a deterministic function of
+   the seed, independent of scheduling and of [k].  Parking tears the
+   whole session down; the next step builds a fresh one at the current
+   cursor. *)
+type par = {
+  table : Float.Array.t Lease.t;  (* payload: cost per path *)
+  lock : Mutex.t;  (* guards [table], [dead] and [limit] *)
+  published : Condition.t;  (* a range was banked or its owner died *)
+  space : Condition.t;  (* a range was consumed, or the session halts *)
+  par_stop : bool Atomic.t;  (* session-local halt flag, not sup.stop *)
+  domains : unit Domain.t option array;  (* slot 0 is the collector *)
+  dead : string option array;  (* why a worker died mid-range *)
+  restarts : int array;
+  own : seq;  (* the collector's runner *)
+  crashed : (int, string) Hashtbl.t;  (* collector crashes run ahead *)
+  mutable cur : Float.Array.t Lease.lease option;  (* range being consumed *)
+  mutable inline : bool;  (* [cur] is run by the collector as consumed *)
+  mutable avail : int;  (* end of what [cur] can serve *)
+  mutable tries : int;  (* attempts already failed at the cursor path *)
+  mutable limit : int;  (* carve no range past this path id *)
+}
 
 type exec =
   | Idle  (* parked, or not yet started *)
@@ -566,71 +573,111 @@ let progress_tick t =
         let mean, lo, hi, _ = t.acc.estimate () in
         (mean, (hi -. lo) /. 2.0))
 
+(* A runner exception is a "worker crash" even in-process: rebuild the
+   runner (fresh scratch state) and replay the same path id —
+   deterministic regeneration makes the retry invisible in the verdict
+   stream.  The collecting domain of a parallel session runs the range
+   holding the cursor through here too; [tries] counts attempts that
+   already failed at [i]. *)
+let inject t ~worker ~path =
+  match t.sup.Supervisor.chaos with
+  | Some inject -> inject ~worker ~path
+  | None -> ()
+
+let restart_own t make e ~path ~msg ~attempt =
+  note_restart t.tally;
+  robs_incr t.robs (fun r -> r.o_restarts);
+  Log.emit ~event:"worker_restart"
+    [
+      ("worker", Json.Int 0);
+      ("path", Json.Int path);
+      ("error", Json.String msg);
+      ("attempt", Json.Int (attempt + 1));
+    ];
+  Unix.sleepf (Supervisor.backoff_delay t.sup ~attempt);
+  e.runner <- make ~worker:0 ()
+
+let seq_attempt ?(tries = 0) t make e i =
+  let rec attempt tries =
+    match
+      inject t ~worker:0 ~path:i;
+      e.runner i
+    with
+    | ran -> Ok ran
+    | exception exn ->
+      let msg = Printexc.to_string exn in
+      if tries >= t.sup.Supervisor.max_restarts then
+        Error (Path.Worker_crash msg)
+      else begin
+        restart_own t make e ~path:i ~msg ~attempt:tries;
+        attempt (tries + 1)
+      end
+  in
+  attempt tries
+
 (* --- parallel sessions --- *)
 
-(* Each worker owns a bounded buffer with its own mutex and a condition
-   per direction, so a push or pop wakes exactly the one party waiting
-   on that buffer instead of broadcasting to the whole fleet. *)
+(* A session stops generating on its own halt flag and on the
+   campaign's stop request, which is sticky. *)
+let halted t p = Atomic.get p.par_stop || Supervisor.stop_requested t.sup
 
-let push_sample ~max_buffer ~stop b slot =
-  Mutex.lock b.mutex;
-  while Queue.length b.q >= max_buffer && not (Atomic.get stop) do
-    Condition.wait b.not_full b.mutex
-  done;
-  if not (Atomic.get stop) then begin
-    Queue.push slot b.q;
-    Condition.signal b.not_empty
-  end;
-  Mutex.unlock b.mutex
+(* Whether [owner] may take another range: it holds fewer than two
+   unconsumed ones, and there is a lost range to regenerate or the
+   stopping rule may still ask for a fresh one.  Called under the lock. *)
+let claimable p owner =
+  Lease.held p.table ~owner < 2
+  && (Lease.pending p.table > 0 || Lease.frontier p.table < p.limit)
 
-(* A crashing worker's dying word skips the capacity bound: the
-   collector must see the [Crashed] marker even if the buffer is
-   full, and the worker is about to die so it cannot wait. *)
-let push_dying b slot =
-  Mutex.lock b.mutex;
-  Queue.push slot b.q;
-  Condition.signal b.not_empty;
-  Mutex.unlock b.mutex
+let bank l id (outcome, cost) =
+  Lease.store l id outcome;
+  Float.Array.unsafe_set l.Lease.payload (id - l.Lease.lo) cost
 
-let pop b observe_occupancy =
-  Mutex.lock b.mutex;
-  while Queue.is_empty b.q do
-    Condition.wait b.not_empty b.mutex
-  done;
-  observe_occupancy b.q;
-  let slot = Queue.pop b.q in
-  Condition.signal b.not_full;
-  Mutex.unlock b.mutex;
-  slot
-
-(* Worker [w] pushes exactly one slot per path, in path order, so slot
-   positions and path ids stay aligned; an exception escaping the
-   runner surfaces as a terminal [Crashed] slot sitting exactly where
-   the lost path's sample would have been. *)
-let worker_body t make p w start () =
-  match
-    Log.emit ~event:"worker_start"
-      [ ("worker", Json.Int w); ("first_path", Json.Int start) ];
-    let runner = make ~worker:w () in
-    let rec go id =
-      if Atomic.get p.par_stop then ()
-      else begin
-        (match t.sup.Supervisor.chaos with
-        | Some inject -> inject ~worker:w ~path:id
-        | None -> ());
-        let outcome, cost = runner id in
-        push_sample ~max_buffer:t.sup.Supervisor.max_buffer ~stop:p.par_stop
-          p.buffers.(w) (Sample (outcome, cost));
-        go (id + p.k)
-      end
+(* Worker [w] claims a range, fills it from its banked prefix on, and
+   publishes it once; an exception escaping the runner publishes the
+   prefix filled so far and marks the worker dead, so the collector
+   consumes the prefix and the remainder is regenerated from per-path
+   seeds by whoever claims it next. *)
+let worker_body t make p w () =
+  let runner = lazy (make ~worker:w ()) in
+  let rec go () =
+    Mutex.lock p.lock;
+    while (not (halted t p)) && not (claimable p w) do
+      Condition.wait p.space p.lock
+    done;
+    let claimed =
+      if halted t p then None else Some (Lease.grant p.table ~owner:w)
     in
-    go start
-  with
-  | () -> ()
-  | exception exn -> push_dying p.buffers.(w) (Crashed (Printexc.to_string exn))
+    Mutex.unlock p.lock;
+    match claimed with
+    | None -> ()
+    | Some l ->
+      let id = ref (l.Lease.lo + l.Lease.filled) in
+      if not (Lazy.is_val runner) then
+        Log.emit ~event:"worker_start"
+          [ ("worker", Json.Int w); ("first_path", Json.Int !id) ];
+      let crash =
+        match
+          let run = Lazy.force runner in
+          while !id < l.Lease.hi && not (halted t p) do
+            inject t ~worker:w ~path:!id;
+            bank l !id (run !id);
+            incr id
+          done
+        with
+        | () -> None
+        | exception exn -> Some (Printexc.to_string exn)
+      in
+      Mutex.lock p.lock;
+      Lease.publish l ~upto:!id;
+      p.dead.(w) <- crash;
+      Condition.signal p.published;
+      Mutex.unlock p.lock;
+      if crash = None then go ()
+  in
+  go ()
 
-let spawn_worker t make p w start =
-  p.domains.(w) <- Some (Domain.spawn (worker_body t make p w start))
+let spawn_worker t make p w =
+  p.domains.(w) <- Some (Domain.spawn (worker_body t make p w))
 
 let join_worker p w =
   match p.domains.(w) with
@@ -639,46 +686,63 @@ let join_worker p w =
     p.domains.(w) <- None
   | None -> ()
 
-let spawn_par t make =
+(* The range size for a step of [quota] samples: [R] in
+   {!Lease.range_size} is what the plan still asks for, capped by the
+   quota, so a short slice (a time-shared serve campaign) is spread
+   over all generators instead of one range. *)
+let range_size t quota =
+  let remaining =
+    match (t.acc.remaining (), quota) with
+    | r, q when q = max_int -> r
+    | None, q -> Some q
+    | Some r, q -> Some (min r q)
+  in
+  Lease.range_size ~remaining ~workers:t.workers
+    ~cap:t.sup.Supervisor.max_buffer
+
+let spawn_par t make quota =
   let k = t.workers in
+  let table =
+    Lease.create ~base:t.next_path ~size:(range_size t quota)
+      ~payload:Float.Array.create
+  in
+  Log.emit ~event:"worker_start"
+    [ ("worker", Json.Int 0); ("first_path", Json.Int t.next_path) ];
   let p =
     {
-      k;
+      table;
+      lock = Mutex.create ();
+      published = Condition.create ();
+      space = Condition.create ();
       par_stop = Atomic.make false;
-      buffers =
-        Array.init k (fun _ ->
-            {
-              mutex = Mutex.create ();
-              not_empty = Condition.create ();
-              not_full = Condition.create ();
-              q = Queue.create ();
-            });
       domains = Array.make k None;
+      dead = Array.make k None;
       restarts = Array.make k 0;
-      base = t.next_path;
-      session = 0;
+      own = { runner = make ~worker:0 () };
+      crashed = Hashtbl.create 1;
+      cur = None;
+      inline = false;
+      avail = 0;
+      tries = 0;
+      limit =
+        Lease.carve_limit table ~cursor:t.next_path
+          ~remaining:(t.acc.remaining ());
     }
   in
-  for w = 0 to k - 1 do
-    spawn_worker t make p w (p.base + w)
+  for w = 1 to k - 1 do
+    spawn_worker t make p w
   done;
   p
 
 let halt_par p =
+  Mutex.lock p.lock;
   Atomic.set p.par_stop true;
-  Array.iter
-    (fun b ->
-      Mutex.lock b.mutex;
-      Condition.broadcast b.not_full;
-      Condition.broadcast b.not_empty;
-      Mutex.unlock b.mutex)
-    p.buffers;
-  for w = 0 to p.k - 1 do
-    join_worker p w
-  done
+  Condition.broadcast p.space;
+  Mutex.unlock p.lock;
+  Array.iteri (fun w _ -> join_worker p w) p.domains
 
-(* Tear down whatever is running: workers are joined (their buffered,
-   unconsumed samples discarded) and runners dropped. *)
+(* Tear down whatever is running: workers are joined (their banked,
+   unconsumed ranges discarded) and runners dropped. *)
 let quiesce t =
   (match t.exec with Par p -> halt_par p | Seq _ | Idle -> ());
   t.exec <- Idle
@@ -729,39 +793,6 @@ let run_slice t quota next =
 
 (* --- sequential stepping --- *)
 
-(* A runner exception is a "worker crash" even in-process: rebuild the
-   runner (fresh scratch state) and replay the same path id —
-   deterministic regeneration makes the retry invisible in the verdict
-   stream. *)
-let seq_attempt t make e i =
-  let rec attempt tries =
-    match
-      (match t.sup.Supervisor.chaos with
-      | Some inject -> inject ~worker:0 ~path:i
-      | None -> ());
-      e.runner i
-    with
-    | ran -> Ok ran
-    | exception exn ->
-      if tries >= t.sup.Supervisor.max_restarts then
-        Error (Path.Worker_crash (Printexc.to_string exn))
-      else begin
-        note_restart t.tally;
-        robs_incr t.robs (fun r -> r.o_restarts);
-        Log.emit ~event:"worker_restart"
-          [
-            ("worker", Json.Int 0);
-            ("path", Json.Int i);
-            ("error", Json.String (Printexc.to_string exn));
-            ("attempt", Json.Int (tries + 1));
-          ];
-        Unix.sleepf (Supervisor.backoff_delay t.sup ~attempt:tries);
-        e.runner <- make ~worker:0 ();
-        attempt (tries + 1)
-      end
-  in
-  attempt 0
-
 let step_seq t make quota =
   let e =
     match t.exec with
@@ -779,61 +810,169 @@ let step_seq t make quota =
 
 (* --- parallel stepping --- *)
 
+(* A stop request arrived while the collector waited for the range at
+   the cursor: end the slice as interrupted without consuming it. *)
+exception Stopped
+
+(* A worker died mid-range: its prefix is consumed, and it is joined and
+   replaced (within its restart budget).  Its lost remainder is already
+   back in the pending pool, so whoever claims it next regenerates it
+   from per-path seeds and the verdict stream is bit-identical to a
+   crash-free run. *)
+let revive t make p w msg =
+  join_worker p w;
+  Log.emit ~event:"worker_crash"
+    [
+      ("worker", Json.Int w);
+      ("path", Json.Int t.next_path);
+      ("error", Json.String msg);
+    ];
+  if p.restarts.(w) >= t.sup.Supervisor.max_restarts then
+    Error (Path.Worker_crash (Printf.sprintf "worker %d: %s" w msg))
+  else begin
+    let attempt = p.restarts.(w) in
+    p.restarts.(w) <- attempt + 1;
+    note_restart t.tally;
+    robs_incr t.robs (fun r -> r.o_restarts);
+    Log.emit ~event:"worker_restart"
+      [
+        ("worker", Json.Int w);
+        ("path", Json.Int t.next_path);
+        ("attempt", Json.Int (attempt + 1));
+      ];
+    Unix.sleepf (Supervisor.backoff_delay t.sup ~attempt);
+    spawn_worker t make p w;
+    Ok ()
+  end
+
+(* The collector runs a range ahead of the cursor and publishes what it
+   banked.  A crash there is only noted, like a worker's: the prefix is
+   published, the runner rebuilt, and the crash is charged when the
+   cursor reaches that path — a stopping rule that converges first
+   never sees it. *)
+let run_ahead t make p l =
+  let rec go id =
+    if id >= l.Lease.hi || Supervisor.stop_requested t.sup then id
+    else
+      match
+        inject t ~worker:0 ~path:id;
+        p.own.runner id
+      with
+      | ran ->
+        bank l id ran;
+        go (id + 1)
+      | exception exn ->
+        Hashtbl.replace p.crashed id (Printexc.to_string exn);
+        p.own.runner <- make ~worker:0 ();
+        id
+  in
+  let upto = go (l.Lease.lo + l.Lease.filled) in
+  Mutex.lock p.lock;
+  Lease.publish l ~upto;
+  Mutex.unlock p.lock
+
+(* Make the range holding the cursor current: consume it once banked;
+   run it on the collector, path by path as consumed, when the collector
+   owns it or nobody does; revive its owner if that died; else run the
+   next claimable range ahead on the collector, and wait for a worker
+   only when none of those applies.  Consumed ranges are retired first,
+   which may let a waiting worker claim again. *)
+let rec open_range t make p =
+  let i = t.next_path in
+  Mutex.lock p.lock;
+  p.limit <-
+    Lease.carve_limit p.table ~cursor:i ~remaining:(t.acc.remaining ());
+  ignore (Lease.head p.table ~cursor:i);
+  Condition.broadcast p.space;
+  let rec decide () =
+    match Lease.head p.table ~cursor:i with
+    | Some l when i - l.Lease.lo < l.Lease.filled ->
+      (* the occupancy histogram: banked-but-unconsumed paths *)
+      (match t.robs with
+      | Some r ->
+        Metrics.observe r.o_buffer
+          (float_of_int (Lease.banked p.table ~cursor:i))
+      | None -> ());
+      `Banked l
+    | Some ({ Lease.owner = Some 0; _ } as l) -> `Own l
+    | Some { Lease.owner = None; _ } | None ->
+      `Own (Lease.grant p.table ~owner:0)
+    | Some { Lease.owner = Some w; _ } when p.dead.(w) <> None ->
+      let msg = Option.get p.dead.(w) in
+      p.dead.(w) <- None;
+      ignore (Lease.fail_owner p.table w);
+      `Revive (w, msg)
+    | Some _ when Supervisor.stop_requested t.sup -> `Stopped
+    | Some _ when claimable p 0 -> `Ahead (Lease.grant p.table ~owner:0)
+    | Some _ ->
+      Condition.wait p.published p.lock;
+      decide ()
+  in
+  let action = decide () in
+  Mutex.unlock p.lock;
+  match action with
+  | `Banked l ->
+    p.cur <- Some l;
+    p.inline <- false;
+    p.avail <- l.Lease.lo + l.Lease.filled;
+    Ok ()
+  | `Own l -> (
+    p.cur <- Some l;
+    p.inline <- true;
+    p.avail <- l.Lease.hi;
+    match Hashtbl.find_opt p.crashed i with
+    | None -> Ok ()
+    | Some msg ->
+      (* the crash noted by [run_ahead] is this path's first attempt *)
+      Hashtbl.remove p.crashed i;
+      if t.sup.Supervisor.max_restarts = 0 then Error (Path.Worker_crash msg)
+      else begin
+        restart_own t make p.own ~path:i ~msg ~attempt:0;
+        p.tries <- 1;
+        Ok ()
+      end)
+  | `Revive (w, msg) ->
+    Result.bind (revive t make p w msg) (fun () -> open_range t make p)
+  | `Ahead l ->
+    run_ahead t make p l;
+    open_range t make p
+  | `Stopped -> raise Stopped
+
 let step_par t make quota =
   let p =
     match t.exec with
-    | Par p -> p
+    | Par p ->
+      let size = range_size t quota in
+      Mutex.lock p.lock;
+      Lease.resize p.table size;
+      Mutex.unlock p.lock;
+      p
     | Idle | Seq _ ->
-      let p = spawn_par t make in
+      let p = spawn_par t make quota in
       t.exec <- Par p;
       p
   in
-  (* The collector owns the occupancy histogram: observed under the
-     buffer lock just before each pop, it records how far ahead the
-     popped worker was running. *)
-  let observe_occupancy q =
-    match t.robs with
-    | Some r -> Metrics.observe r.o_buffer (float_of_int (Queue.length q))
-    | None -> ()
-  in
-  let rec next () =
-    let w = p.session mod p.k in
-    match pop p.buffers.(w) observe_occupancy with
-    | Crashed msg ->
-      (* The worker already died; join reclaims the domain.  Its
-         replacement restarts at the exact path the collector is
-         waiting for — everything earlier was already buffered in
-         order, everything later is regenerated from per-path seeds, so
-         the verdict stream is bit-identical to a crash-free run. *)
-      join_worker p w;
-      Log.emit ~event:"worker_crash"
-        [
-          ("worker", Json.Int w);
-          ("path", Json.Int t.next_path);
-          ("error", Json.String msg);
-        ];
-      if p.restarts.(w) >= t.sup.Supervisor.max_restarts then
-        Error (Path.Worker_crash (Printf.sprintf "worker %d: %s" w msg))
-      else begin
-        let attempt = p.restarts.(w) in
-        p.restarts.(w) <- p.restarts.(w) + 1;
-        note_restart t.tally;
-        robs_incr t.robs (fun r -> r.o_restarts);
-        Log.emit ~event:"worker_restart"
-          [
-            ("worker", Json.Int w);
-            ("path", Json.Int t.next_path);
-            ("attempt", Json.Int (attempt + 1));
-          ];
-        Unix.sleepf (Supervisor.backoff_delay t.sup ~attempt);
-        spawn_worker t make p w t.next_path;
-        next ()
-      end
-    | Sample (outcome, cost) ->
-      p.session <- p.session + 1;
-      classify_in t ~path:t.next_path (outcome, cost)
-  in
-  run_slice t quota next
+  match
+    run_slice t quota (fun () ->
+        let i = t.next_path in
+        match if i < p.avail then Ok () else open_range t make p with
+        | Error e -> Error e
+        | Ok () when p.inline -> (
+          let tries = p.tries in
+          p.tries <- 0;
+          match seq_attempt ~tries t make p.own i with
+          | Error e -> Error e
+          | Ok ran -> classify_in t ~path:i ran)
+        | Ok () -> (
+          let l = Option.get p.cur in
+          match Lease.outcome l i with
+          | Error msg -> Error (Path.Model_error msg)
+          | Ok o ->
+            classify_in t ~path:i
+              (o, Float.Array.get l.Lease.payload (i - l.Lease.lo))))
+  with
+  | s -> s
+  | exception Stopped -> finish_with t Interrupted
 
 (* --- public driving interface --- *)
 

@@ -5,8 +5,8 @@
     supervisor config)] and then {e driven}: each {!step} consumes up to
     a quota of samples in deterministic path order and returns control
     to the caller, so a scheduler can time-slice many campaigns over one
-    process.  {!park} halts any worker domains (their unconsumed
-    buffered samples are discarded) and leaves the campaign as plain
+    process.  {!park} halts any worker domains (their banked, unconsumed
+    path ranges are discarded) and leaves the campaign as plain
     data — the same [(seed, path cursor, estimator counters, tallies)]
     tuple the atomic {!Supervisor.Checkpoint} persists; the next {!step}
     respawns workers at the cursor and, because path [i] always draws
@@ -92,6 +92,10 @@ type 'r accumulator = {
   estimate : unit -> float * float * float * int;
       (** the running [(mean, ci_low, ci_high, samples)] — for the
           heartbeat and {!snapshot} *)
+  remaining : unit -> int option;
+      (** how many more samples a fixed-size rule will ask for, [None]
+          for a sequential one — sizes the path-id ranges of a parallel
+          session ({!Lease.range_size}) *)
 }
 
 val bernoulli : Slimsim_stats.Generator.t -> result accumulator
@@ -185,14 +189,22 @@ val route :
 
 val step : ?quota:int -> 'r campaign -> 'r state
 (** Consume up to [quota] samples (default: run until the stopping rule
-    or stop flag fires), spawning worker domains on demand.  [Running]
-    means the quota ran out; workers are left running ahead into their
-    bounded buffers, so an immediate next [step] pays no respawn —
-    call {!park} to quiesce instead.  Once [Done] or [Failed], further
-    calls return the same status without simulating. *)
+    or stop flag fires), spawning worker domains on demand.  With
+    [workers = N > 1] the calling domain is one of the N path generators
+    and spawns N-1 domains; all of them claim contiguous path-id ranges
+    ({!Lease}, sized by {!Lease.range_size} from the plan's remaining
+    samples capped by [quota], with the supervisor's [max_buffer] as
+    cap) and the caller consumes them in path order, running the range
+    at the cursor itself, path by path, when no live worker holds it.
+    A stop request is seen before every sample and by every worker
+    before every path.  [Running] means the quota ran out; workers are
+    left running ahead by at most two ranges each, so an immediate next
+    [step] pays no respawn — call {!park} to quiesce instead.  Once
+    [Done] or [Failed], further calls return the same status without
+    simulating. *)
 
 val park : 'r campaign -> unit
-(** Halt worker domains (discarding their buffered, unconsumed samples)
+(** Halt worker domains (discarding their banked, unconsumed ranges)
     and write a checkpoint when the supervisor configures one.  A parked
     campaign holds no threads and no scratch state; the next {!step}
     resumes it bit-identically.  No-op on finished campaigns. *)

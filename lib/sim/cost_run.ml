@@ -251,6 +251,7 @@ let accumulator ~query gen =
     save = save a;
     restore = restore a;
     estimate = estimate a;
+    remaining = a.prob.Campaign.remaining;
   }
 
 let create ?workers ?seed ?config ?engine ?on_error ?hold ?supervisor ?progress

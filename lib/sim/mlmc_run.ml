@@ -311,6 +311,7 @@ let create ?(seed = 0x51135113L) ?config ?engine ?on_error ?hold ?supervisor
             (fun () ->
               let lo, hi = Mlmc.confidence_interval m.est in
               (Mlmc.mean m.est, lo, hi, Mlmc.total_samples m.est));
+          remaining = (fun () -> None);
         }
 
 let step = Campaign.step

@@ -51,10 +51,11 @@ type t = {
           ({!Slimsim_obs.Metrics.set_enabled}); the CLI also writes it
           once at exit. *)
   max_buffer : int;
-      (** Parallel collection only: how many samples one worker may run
-          ahead of the collector before its push blocks.  Larger buffers
-          smooth out path-length variance between workers at the cost of
-          memory; the verdict stream is independent of the value. *)
+      (** Parallel collection only: the largest path-id range a
+          generator claims at once ({!Lease.range_size}'s cap).  A
+          generator holds at most two unconsumed ranges, so this bounds
+          how far it runs ahead of the collector; the verdict stream is
+          independent of the value. *)
   drop_stall_limit : int;
       (** Under the [`Drop] divergence policy, abort after this many
           {e consecutive} dropped samples — a campaign whose paths

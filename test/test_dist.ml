@@ -9,7 +9,7 @@ module Coordinator = Slimsim_dist.Coordinator
 module Worker = Slimsim_dist.Worker
 module Wire = Slimsim_dist.Wire
 module Chaos = Slimsim_dist.Chaos
-module Lease = Slimsim_dist.Lease
+module Lease = Slimsim_sim.Lease
 module Campaign = Slimsim_sim.Campaign
 module Engine = Slimsim_sim.Engine
 module Supervisor = Slimsim_sim.Supervisor
@@ -166,7 +166,7 @@ let test_chaos_parse () =
 (* --- lease table --- *)
 
 let test_lease_dedup () =
-  let t = Lease.create ~base:0 ~size:4 in
+  let t = Lease.create ~base:0 ~size:4 ~payload:ignore in
   let a = Lease.grant t ~owner:0 in
   let b = Lease.grant t ~owner:1 in
   Alcotest.(check (list (triple int int int)))
@@ -228,6 +228,26 @@ let test_lease_dedup () =
   match Lease.record t ~lease_id:b.Lease.id ~start:4 "ssss" [] with
   | `Unknown -> ()
   | _ -> Alcotest.fail "late duplicate for a forgotten lease"
+
+(* One rule sizes the ranges of both topologies: a quarter of each
+   generator's share of the plan, clamped to [1, cap]. *)
+let test_range_size_rule () =
+  let size ?(cap = 1024) remaining workers =
+    Lease.range_size ~remaining ~workers ~cap
+  in
+  Alcotest.(check int) "plan smaller than the worker count" 1 (size (Some 3) 4);
+  Alcotest.(check int) "nothing left to plan" 1 (size (Some 0) 2);
+  Alcotest.(check (option int)) "gps -e 0.01 plans 147,556 paths"
+    (Some 147_556)
+    (Generator.planned_samples
+       (Generator.create Generator.Chernoff ~delta:0.05 ~eps:0.01));
+  Alcotest.(check int) "gps -e 0.01 at --distribute 2" 1024
+    (size (Some 147_556) 2);
+  Alcotest.(check int) "gps -e 0.01 on 2 domains (--buffer 256)" 256
+    (size ~cap:256 (Some 147_556) 2);
+  Alcotest.(check int) "launcher at 2 generators" 47 (size (Some 369) 2);
+  Alcotest.(check int) "unplanned rule" 1024 (size None 2);
+  Alcotest.(check int) "unplanned rule on domains" 256 (size ~cap:256 None 4)
 
 (* --- distributed campaigns vs the in-process engine --- *)
 
@@ -336,6 +356,43 @@ let test_determinism_matrix () =
         [ 1; 2; 4 ])
     [ Generator.Chernoff; Generator.Chow_robbins ]
 
+(* A plan of a few hundred long paths used to fit one fixed 1024-path
+   lease, so one worker ran it all; the derived lease size spreads it. *)
+let test_launcher_derived_lease () =
+  let source = Slimsim_models.Launcher.source ~variant:`Recoverable in
+  let goal_src = Slimsim_models.Launcher.goal_failure in
+  let gen () = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.1 in
+  let net = load source in
+  let baseline =
+    match
+      Engine.run ~workers:1 ~seed net
+        ~goal:
+          (match Loader.parse_goal net goal_src with
+          | Ok g -> g
+          | Error e -> Alcotest.failf "goal failed: %s" e)
+        ~horizon:100.0 ~strategy:Strategy.Progressive ~generator:(gen ()) ()
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "reference run failed: %s" (Path.error_to_string e)
+  in
+  let cfg =
+    Coordinator.config ~workers:2 ~worker_cmd:[| bin; "work" |] ~heartbeat:0.1 ()
+  in
+  let job =
+    {
+      job with
+      Coordinator.model_source = source;
+      property = Printf.sprintf "P(<> [0, 100] %s)" goal_src;
+      strategy = "progressive";
+    }
+  in
+  match Coordinator.run cfg job ~generator:(gen ()) with
+  | Error e -> Alcotest.failf "distributed run failed: %s" (Path.error_to_string e)
+  | Ok o ->
+    Alcotest.(check bool) "more than one lease granted" true
+      (o.Coordinator.leases_granted > 1);
+    same_estimate "launcher, derived lease" o.Coordinator.result baseline
+
 let test_quarantine_degrades () =
   let baseline = reference () in
   (* worker 1 exits at every boot; after max_restarts + 1 failures it is
@@ -414,8 +471,11 @@ let suite =
     Alcotest.test_case "chaos: grammar and firing" `Quick test_chaos_parse;
     Alcotest.test_case "lease: dedup, regrant, in-order consumption" `Quick
       test_lease_dedup;
+    Alcotest.test_case "lease: range size rule" `Quick test_range_size_rule;
     Alcotest.test_case "determinism: workers x generator x chaos" `Quick
       test_determinism_matrix;
+    Alcotest.test_case "launcher: derived lease size, bit-identical" `Quick
+      test_launcher_derived_lease;
     Alcotest.test_case "quarantine degrades, estimate unchanged" `Quick
       test_quarantine_degrades;
     Alcotest.test_case "all workers lost: partial estimate" `Quick

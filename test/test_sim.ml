@@ -611,7 +611,62 @@ let test_engine_parallel_determinism () =
       Alcotest.(check bool)
         (name ^ ": 4 workers match 1") true
         (run 4 = sequential))
-    [ Generator.Chernoff; Generator.Chow_robbins ]
+    [ Generator.Chernoff; Generator.Chow_robbins ];
+  (* A sequential rule over priced samples: E[c] of one Exp(1) firing
+     under Chow-Robbins stops after a few thousand paths, so the
+     stream spans many path-id ranges at every worker count and the
+     stop falls inside one of them. *)
+  let net =
+    load
+      {|
+device D
+features
+  v: out data port bool := false;
+end D;
+device implementation D.I
+subcomponents
+  c: data clock;
+modes
+  start: initial mode;
+  good: mode;
+transitions
+  start -[rate 1.0 then v := true]-> good;
+end D.I;
+root D.I;
+|}
+  in
+  let cost_var =
+    match Slimsim_props.Pattern.resolve_cost net "c" with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "cost var failed: %s" e
+  in
+  let run workers =
+    match
+      Slimsim_sim.Cost_run.create ~workers ~seed:29L net ~goal:(goal net "v")
+        ~horizon:6.0 ~strategy:Strategy.Asap ~cost_var
+        ~query:"E[c ; <> [0, 6] v]" ~kind:Generator.Chow_robbins ~delta:0.01
+        ~eps:0.05 ()
+    with
+    | Error e -> Alcotest.fail (Path.error_to_string e)
+    | Ok c -> (
+      match Slimsim_sim.Cost_run.drive c with
+      | Ok r ->
+        ( r.Slimsim_sim.Cost_run.cost_mean,
+          r.Slimsim_sim.Cost_run.cost_ci_low,
+          r.Slimsim_sim.Cost_run.cost_ci_high,
+          r.Slimsim_sim.Cost_run.reach.Slimsim_sim.Campaign.paths )
+      | Error e -> Alcotest.fail (Path.error_to_string e))
+  in
+  let ((_, _, _, paths) as sequential) = run 1 in
+  Alcotest.(check bool) "E[cost]: spans several ranges" true
+    (paths > 4 * Slimsim_sim.Supervisor.(default ()).max_buffer);
+  List.iter
+    (fun workers ->
+      Alcotest.(check bool)
+        (Printf.sprintf "E[cost] chow-robbins: %d workers match 1" workers)
+        true
+        (run workers = sequential))
+    [ 2; 4 ]
 
 let test_engine_scripted_needs_one_worker () =
   (* A scripted strategy with workers > 1 is downgraded to a single

@@ -307,6 +307,146 @@ let test_crash_recovery () =
         [ 1; 2; 4 ])
     [ Generator.Chernoff; Generator.Chow_robbins ]
 
+(* Parallel sessions hand out path-id ranges of the size [Lease.range_size]
+   derives from the plan; a worker crashing on the first or the last
+   path of a range publishes an empty or an almost-full prefix, is
+   revived when the cursor reaches its range, and the rest of the range
+   is regenerated by whichever generator claims it next.  The chaos hook
+   fires only on spawned workers, on the first edge path one of them
+   runs, and holds the collecting domain at its first path until then,
+   so a worker is sure to get there first. *)
+let test_crash_at_range_edges () =
+  let net = load Slimsim_models.Gps.source in
+  let g = goal net Slimsim_models.Gps.goal_no_fix in
+  let baseline = ok (run net g ~horizon:100.0) in
+  let plan =
+    Generator.planned_samples
+      (Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.1)
+  in
+  List.iter
+    (fun workers ->
+      let size =
+        Slimsim_sim.Lease.range_size ~remaining:plan ~workers
+          ~cap:(Supervisor.default ()).Supervisor.max_buffer
+      in
+      List.iter
+        (fun (edge, offset) ->
+          let crashed = Atomic.make false in
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          let chaos ~worker ~path =
+            if worker = 0 then
+              while
+                (not (Atomic.get crashed)) && Unix.gettimeofday () < deadline
+              do
+                Unix.sleepf 0.001
+              done
+            else if path mod size = offset && not (Atomic.exchange crashed true)
+            then
+              failwith
+                (Printf.sprintf "chaos: worker %d crash at %d" worker path)
+          in
+          let supervisor =
+            Supervisor.create ~restart_backoff:0.001 ~chaos ()
+          in
+          let r = ok (run ~workers ~supervisor net g ~horizon:100.0) in
+          let name =
+            Printf.sprintf "%d workers, crash at a %s path" workers edge
+          in
+          Alcotest.(check bool) (name ^ ": a worker crashed") true
+            (Atomic.get crashed);
+          same_estimate name r baseline;
+          Alcotest.(check int) (name ^ ": worker revived once") 1
+            r.Engine.worker_restarts)
+        [ ("first", 0); ("last", size - 1) ])
+    [ 2; 4 ]
+
+(* The collecting domain generates paths too: a crash there is retried
+   in place, like a sequential runner's.  The spawned workers are held
+   at their first path until the collector has crashed, so the
+   collector is sure to run a range of its own. *)
+let test_crash_on_collector () =
+  let net = load Slimsim_models.Gps.source in
+  let g = goal net Slimsim_models.Gps.goal_no_fix in
+  let baseline = ok (run net g ~horizon:100.0) in
+  List.iter
+    (fun workers ->
+      let crashed = Atomic.make false in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let chaos ~worker ~path =
+        if worker = 0 then begin
+          if not (Atomic.exchange crashed true) then
+            failwith (Printf.sprintf "chaos: collector crash at path %d" path)
+        end
+        else begin
+          while (not (Atomic.get crashed)) && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.001
+          done
+        end
+      in
+      let supervisor = Supervisor.create ~restart_backoff:0.001 ~chaos () in
+      let r = ok (run ~workers ~supervisor net g ~horizon:100.0) in
+      let name = Printf.sprintf "collector crash, %d workers" workers in
+      Alcotest.(check bool) (name ^ ": collector crashed") true
+        (Atomic.get crashed);
+      same_estimate name r baseline;
+      Alcotest.(check int) (name ^ ": one restart") 1 r.Engine.worker_restarts)
+    [ 1; 2; 4 ]
+
+(* A path that crashes every time, but only past the point where the
+   sequential rule stops: [-j 1] never runs it, and a parallel session
+   that ran it ahead of the cursor — on a worker or on the collector —
+   must not act on the crash either, so every worker count converges to
+   the same estimate with no restart charged. *)
+let test_crash_past_the_stop () =
+  let net = load Slimsim_models.Gps.source in
+  let g = goal net Slimsim_models.Gps.goal_no_fix in
+  let kind = Generator.Chow_robbins in
+  let baseline = ok (run ~kind net g ~horizon:100.0) in
+  let stop = baseline.Engine.paths in
+  let chaos ~worker ~path =
+    if path >= stop then
+      failwith (Printf.sprintf "chaos: worker %d crash at %d" worker path)
+  in
+  List.iter
+    (fun workers ->
+      let supervisor =
+        Supervisor.create ~max_restarts:1 ~restart_backoff:0.001 ~chaos ()
+      in
+      let name = Printf.sprintf "crash past the stop, %d workers" workers in
+      let r = ok (run ~workers ~supervisor ~kind net g ~horizon:100.0) in
+      Alcotest.(check bool) (name ^ ": converged") true
+        (r.Engine.stopped = Engine.Converged);
+      same_estimate name r baseline;
+      Alcotest.(check int) (name ^ ": no restart") 0 r.Engine.worker_restarts)
+    [ 1; 2; 4 ]
+
+(* A stop request reaches a parallel session within one path per
+   generator: the collector checks it before every sample — also on the
+   range it runs itself — and workers before every path, so no
+   generator runs out the rest of its range first. *)
+let test_stop_within_a_path () =
+  let net = load Slimsim_models.Gps.source in
+  let g = goal net Slimsim_models.Gps.goal_no_fix in
+  List.iter
+    (fun workers ->
+      let stop = Atomic.make false in
+      let late = Atomic.make 0 in
+      let chaos ~worker ~path:_ =
+        if Atomic.get stop then Atomic.incr late
+        else if worker = 0 then Atomic.set stop true
+      in
+      let supervisor = Supervisor.create ~stop ~chaos () in
+      let r = ok (run ~workers ~supervisor net g ~horizon:100.0) in
+      let name = Printf.sprintf "stop, %d workers" workers in
+      Alcotest.(check bool) (name ^ ": interrupted") true
+        (r.Engine.stopped = Engine.Interrupted);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d paths started after the stop" name
+           (Atomic.get late))
+        true
+        (Atomic.get late <= workers - 1))
+    [ 2; 4 ]
+
 let test_restart_budget_exhausted () =
   let net = load Slimsim_models.Gps.source in
   let g = goal net Slimsim_models.Gps.goal_no_fix in
@@ -551,6 +691,14 @@ let suite =
     Alcotest.test_case "crash recovery is invisible" `Quick test_crash_recovery;
     Alcotest.test_case "restart budget aborts" `Quick
       test_restart_budget_exhausted;
+    Alcotest.test_case "crash at a range's first and last path" `Quick
+      test_crash_at_range_edges;
+    Alcotest.test_case "crash on the collecting domain" `Quick
+      test_crash_on_collector;
+    Alcotest.test_case "crash past the stop is never charged" `Quick
+      test_crash_past_the_stop;
+    Alcotest.test_case "stop is acted on within a path" `Quick
+      test_stop_within_a_path;
     Alcotest.test_case "checkpoint round trip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "interrupt, resume, converge" `Quick
       test_interrupt_and_resume;
