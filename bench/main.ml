@@ -496,6 +496,65 @@ let micro ?(quick = false) ?(json = false) () =
         Fmt.pr "  %-45s %13.2fx@." (name ^ " speedup") (ns /. ns_c)
       | _ -> ())
     rows;
+  (* Whole compiled launcher paths on one domain, per step: the Fig. 5
+     model under bench_e2e's launcher-long-paths property.  The path set
+     is fixed (seed 1, paths 0..n-1), so every window simulates the same
+     steps; one pass with the step histogram on counts them and warms
+     the scratch up.  Recorded with the median, min and max over the
+     windows; no contract. *)
+  let launcher_step_row =
+    let module M = Slimsim_obs.Metrics in
+    let module Path = Slimsim_sim.Path in
+    let net = Slimsim.network (load (Launcher.source ~variant:`Recoverable)) in
+    let goal = check_ok (Slimsim_slim.Loader.parse_goal net Launcher.goal_failure) in
+    let c = Slimsim_sta.Compiled.compile net in
+    let q = Path.compile_query c ~goal in
+    let s = Slimsim_sta.Compiled.scratch c in
+    let cfg = Path.default_config ~horizon:100.0 in
+    let paths = if quick then 40 else 150 and windows = if quick then 5 else 9 in
+    let run ?obs () =
+      for i = 0 to paths - 1 do
+        ignore
+          (Path.generate_compiled ?obs c s q cfg Strategy.Progressive
+             (Slimsim_stats.Rng.for_path ~seed:1L ~path:i))
+      done
+    in
+    M.set_enabled true;
+    run ~obs:(Path.obs_cell ~worker:0) ();
+    M.set_enabled false;
+    let steps =
+      M.histogram_sum
+        (M.histogram ~labels:[ ("worker", "0") ] "slimsim_path_steps"
+           ~help:"Steps taken per simulated path")
+    in
+    M.reset ();
+    let ns = Array.make windows 0.0 and words = Array.make windows 0.0 in
+    for w = 0 to windows - 1 do
+      let w0 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      run ();
+      let t1 = Unix.gettimeofday () in
+      ns.(w) <- (t1 -. t0) *. 1e9 /. steps;
+      words.(w) <- (Gc.minor_words () -. w0) /. steps
+    done;
+    Array.sort compare ns;
+    Array.sort compare words;
+    let med a = a.(windows / 2) in
+    Fmt.pr
+      "  %-45s %11.1f ns/step [%.1f, %.1f], %.1f words/step (%d x %d paths, %.0f \
+       steps)@."
+      "compiled:launcher-step" (med ns) ns.(0)
+      ns.(windows - 1)
+      (med words) windows paths steps;
+    Printf.sprintf
+      "{\"name\": \"compiled:launcher-step\", \"ns_per_step\": %.1f, \
+       \"ns_per_step_min\": %.1f, \"ns_per_step_max\": %.1f, \
+       \"minor_words_per_step\": %.1f, \"windows\": %d, \"paths\": %d, \
+       \"steps\": %.0f, \"cores\": 1}"
+      (med ns) ns.(0)
+      ns.(windows - 1)
+      (med words) windows paths steps
+  in
   (* watchdog overhead: the supervised kernel (all three per-path
      budgets armed) against the same unsupervised compiled kernel; the
      robustness layer's contract is <= 5%.  Measured as best-of-7 over
@@ -887,7 +946,9 @@ let micro ?(quick = false) ?(json = false) () =
     let oc = open_out "BENCH_sim.json" in
     let pr fmt = Printf.fprintf oc fmt in
     pr "[\n";
-    let extra_rows = mlmc_rows @ cost_rows @ dist_rows @ par_rows in
+    let extra_rows =
+      (launcher_step_row :: mlmc_rows) @ cost_rows @ dist_rows @ par_rows
+    in
     List.iteri
       (fun i (name, ns, per_sec, wall) ->
         (* one-path kernels are single-threaded by construction *)

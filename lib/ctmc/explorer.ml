@@ -33,9 +33,11 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
   let immediate (s : State.t) =
     Compiled.of_state c cs s;
     Compiled.set_rates c cs;
-    Compiled.discrete c cs (Compiled.invariant_window c cs)
-    |> List.filter_map (fun { Moves.move; window } ->
-           if Moves.I.mem 0.0 window then Some move else None)
+    let n = Compiled.discrete c cs (Compiled.invariant_window c cs) in
+    List.filter_map
+      (fun i ->
+        if Compiled.window_mem cs i 0.0 then Some (Compiled.move c cs i) else None)
+      (List.init n Fun.id)
   in
   let apply (s : State.t) mv =
     Compiled.of_state c cs s;
@@ -98,6 +100,9 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
     let i = Queue.pop worklist in
     let s = !states.(i) in
     Compiled.of_state c cs s;
+    (* [close] below reuses the scratch, so read the race out first *)
+    let n = Compiled.markovian c cs in
+    let rates = Compiled.markov_buf cs in
     List.iter
       (fun (p, tr, rate) ->
         let dist = merge (close (apply s (Moves.Local { proc = p; tr })) 1.0 [] []) in
@@ -106,7 +111,8 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
             transitions := (i, j, rate *. prob) :: !transitions;
             incr n_trans)
           dist)
-      (Compiled.markovian c cs)
+      (List.init n (fun i ->
+           (Compiled.markov_proc cs i, Compiled.markov_tr cs i, rates.(i))))
   done;
   let goal_arr =
     Array.init !n (fun i -> State.eval_bool !states.(i) goal)

@@ -563,6 +563,7 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
     let wall_budget = Option.value cfg.max_wall_per_path ~default:infinity in
     let wall_start = ref nan in
     let step_n = ref 0 in
+    let u01 = Rng.below rng in
     let result =
     try
       Compiled.reset c s;
@@ -602,64 +603,45 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
               verdict :=
                 Some (dead Unsat_timelock "invariant violated with no escape")
             else begin
-              let timed = Compiled.discrete c s inv_win in
-              let markov = Compiled.markovian c s in
+              let n_timed = Compiled.discrete c s inv_win in
+              let n_markov = Compiled.markovian c s in
               let race =
-                match markov with
-                | [] -> None
-                | _ ->
-                  let buf = Compiled.markov_buf s in
-                  let n = ref 0 in
-                  List.iter
-                    (fun (_, _, r) ->
-                      buf.(!n) <- r;
-                      incr n)
-                    markov;
-                  Dist.exponential_race_n rng ~rates:buf ~n:!n
+                if n_markov = 0 then None
+                else
+                  Dist.exponential_race_n rng ~rates:(Compiled.markov_buf s)
+                    ~n:n_markov
               in
               let inv_unbounded = I.sup inv_win = I.Pos_inf in
               let d_disc =
-                match timed with
-                | [] -> None
-                | _ -> (
+                if n_timed = 0 then None
+                else
                   match strategy with
                   | Strategy.Asap ->
-                    timed
-                    |> List.filter_map (fun tm -> I.first_point ~eps tm.Moves.window)
-                    |> List.fold_left Float.min infinity
-                    |> fun d -> if d = infinity then None else Some d
+                    let d = Compiled.moves_first_point s ~eps in
+                    if d = infinity then None else Some d
                   | Strategy.Progressive ->
-                    let w =
-                      List.fold_left
-                        (fun acc tm -> I.union acc tm.Moves.window)
-                        I.empty timed
-                    in
-                    let w =
-                      if I.is_bounded w then w else I.clamp_above remaining w
-                    in
-                    I.sample_uniform (Rng.below rng) w
+                    Compiled.moves_sample_uniform s ~cap:remaining u01
                   | Strategy.Local ->
                     let w =
                       if I.is_bounded inv_win then inv_win
                       else I.clamp_above remaining inv_win
                     in
-                    I.sample_uniform (Rng.below rng) w
+                    I.sample_uniform u01 w
                   | Strategy.Max_time ->
                     if inv_unbounded then Some (remaining +. 1.0)
                     else I.last_point_below ~eps infinity inv_win
-                  | Strategy.Scripted _ -> assert false)
+                  | Strategy.Scripted _ -> assert false
               in
               let exp_candidate =
                 match race with
                 | Some (idx, t) when I.mem t inv_win ->
-                  let p, tr, _ = List.nth markov idx in
-                  Some (p, tr, t)
+                  Some (Compiled.markov_proc s idx, Compiled.markov_tr s idx, t)
                 | _ -> None
               in
               let decision =
                 match d_disc, exp_candidate with
                 | None, None ->
-                  if timed = [] && markov = [] then
+                  if n_timed = 0 && n_markov = 0 then
                     if inv_unbounded then
                       Give_up
                         (dead Unsat_deadlock "no transition will ever be enabled")
@@ -667,7 +649,7 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
                       Give_up
                         (dead Unsat_timelock
                            "invariant stops time with no enabled transition")
-                  else if timed = [] && markov <> [] then
+                  else if n_timed = 0 then
                     if inv_unbounded then Give_up Unsat_horizon
                     else
                       Give_up
@@ -713,8 +695,8 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
                 | None ->
                   if d > remaining then verdict := Some Unsat_horizon
                   else begin
-                    match Compiled.enabled_after c s d timed with
-                    | [] ->
+                    match Compiled.enabled_after c s d with
+                    | 0 ->
                       if d <= 0.0 then begin
                         incr zero_advances;
                         if !zero_advances > 1000 then
@@ -727,9 +709,9 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
                       (match obs with
                       | Some o -> Metrics.incr o.obs_advances
                       | None -> ())
-                    | moves ->
-                      let move = Dist.uniform_choice rng moves in
-                      Compiled.apply c s ~delay:d move;
+                    | n ->
+                      let k = Dist.uniform_index rng n in
+                      Compiled.apply_move c s ~delay:d (Compiled.enabled s k);
                       (match obs with
                       | Some o -> Metrics.incr o.obs_delay_firings
                       | None -> ());

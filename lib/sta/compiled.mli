@@ -1,5 +1,5 @@
-(** Staged compilation of an STA network into a closure-based,
-    allocation-free run-time representation (the UPPAAL-style "compiled
+(** Staged compilation of an STA network into a closure-based
+    run-time representation (the UPPAAL-style "compiled
     network").  [compile] runs once per network; simulation then
     operates on a mutable per-worker {!cstate} scratch.
 
@@ -17,7 +17,9 @@
       application never writes it;
     - trial execution ({!enabled_after}, {!eval_bool_after}) runs on a
       double buffer and restores the committed state before returning,
-      even on exceptions. *)
+      even on exceptions;
+    - the move buffer filled by {!discrete} and {!markovian} belongs to
+      the state the scratch held when they ran. *)
 
 module I := Slimsim_intervals.Interval_set
 
@@ -54,6 +56,11 @@ val compile_bool : Expr.t -> cbool
 val compile_float : Expr.t -> cfloat
 val compile_sat : Expr.t -> csat
 
+val compile_window : Expr.t -> csat
+(** [compile_sat] through the in-place window evaluator that guards and
+    invariants use; equal to [compile_sat] on every input.  The scratch
+    must come from {!cstate_of} or {!scratch}. *)
+
 (** {1 Scratch states} *)
 
 val scratch : t -> cstate
@@ -83,7 +90,10 @@ val to_state : t -> cstate -> State.t
 val of_state : t -> cstate -> State.t -> unit
 
 (** {1 Per-step operations} — each mirrors its [State]/[Moves]
-    counterpart exactly; none of them allocates on the hot path. *)
+    counterpart exactly.  Move enumeration fills a buffer in the scratch
+    state instead of returning lists: windows that are one interval are
+    stored unboxed, so a step over clock guards allocates next to
+    nothing. *)
 
 val set_rates : t -> cstate -> unit
 (** Refresh the rate vector for the current discrete state
@@ -91,17 +101,46 @@ val set_rates : t -> cstate -> unit
 
 val advance : t -> cstate -> float -> unit
 (** Delay by [d] under the current rate vector ([State.advance]);
-    requires {!set_rates} to have run since the last discrete change. *)
+    requires {!set_rates} to have run since the last discrete change.
+    Like [State.advance], it leaves data flows alone: the flows a delay
+    can change are marked dirty and re-evaluated by the next move. *)
 
 val invariant_window : t -> cstate -> I.t
 (** [Moves.invariant_window]. *)
 
-val discrete : t -> cstate -> I.t -> Moves.timed list
-(** [Moves.discrete]: all enabled τ/sync moves with their delay
-    windows, in the interpreter's order. *)
+val discrete : t -> cstate -> I.t -> int
+(** [Moves.discrete]: fills the move buffer with every enabled τ/sync
+    move and its delay window, in the interpreter's order, and returns
+    their number.  Moves are addressed by their index in the buffer,
+    which stays valid until the next [discrete]. *)
 
-val markovian : t -> cstate -> (int * int * float) list
-(** [Moves.markovian]: [(proc, transition, rate)] triples. *)
+val move : t -> cstate -> int -> Moves.move
+(** The [i]-th buffered move. *)
+
+val window_mem : cstate -> int -> float -> bool
+(** [window_mem s i d]: does the [i]-th buffered move's window contain
+    [d] ([Interval_set.mem]). *)
+
+val timed_moves : t -> cstate -> Moves.timed list
+(** The buffer as [Moves.discrete]'s list (allocates; for tests and
+    cold paths). *)
+
+val moves_first_point : cstate -> eps:float -> float
+(** The least [Interval_set.first_point ~eps] over the buffered
+    windows, [infinity] when none has one. *)
+
+val moves_sample_uniform : cstate -> cap:float -> (float -> float) -> float option
+(** [Interval_set.sample_uniform u01] over the union of the buffered
+    windows (folded in buffer order), clamped to [(-inf, cap]] when the
+    union is unbounded: the progressive strategy's delay. *)
+
+val markovian : t -> cstate -> int
+(** [Moves.markovian]: writes the rates of the enabled rate transitions
+    into {!markov_buf}, in the interpreter's order, and returns their
+    number; {!markov_proc} and {!markov_tr} name the [i]-th. *)
+
+val markov_proc : cstate -> int -> int
+val markov_tr : cstate -> int -> int
 
 val markov_buf : cstate -> float array
 (** Worker-local scratch for the exponential race over the markovian
@@ -111,12 +150,34 @@ val apply : t -> cstate -> ?delay:float -> Moves.move -> unit
 (** [Moves.apply], in place.  The rate vector must describe the
     pre-[apply] state (it is read by the advance but never written). *)
 
+val apply_move : t -> cstate -> delay:float -> int -> unit
+(** [apply] of the [i]-th buffered move. *)
+
 val invariants_hold : t -> cstate -> bool
-val enabled_after : t -> cstate -> float -> Moves.timed list -> Moves.move list
+
+val enabled_after : t -> cstate -> float -> int
+(** [Moves.enabled_after] over the buffered moves: tries each move
+    whose window contains the delay on the trial buffer and returns the
+    number of moves after which every invariant holds; {!enabled} names
+    them, in buffer order. *)
+
+val enabled : cstate -> int -> int
+(** [enabled s k] is the buffer index of the [k]-th enabled move. *)
 
 val eval_bool_after : t -> cstate -> cap:float -> cbool -> bool
 (** Evaluate a predicate in the state reached by delaying [cap],
     without committing the delay (trial buffer). *)
+
+(** {1 Data flows}
+
+    Every flow target equals its expression unless the flow is marked
+    dirty.  Writes that can change a flow's value mark it: a delay, a
+    transition's updates and location switch, a restart, and the
+    re-evaluation of an earlier flow it reads.  {!apply} re-evaluates
+    only the dirty flows; {!reset} and {!of_state} mark every flow. *)
+
+val dirty_flows : t -> cstate -> int list
+(** Indices of the flows currently marked dirty (for tests). *)
 
 (** {1 Formulas} *)
 

@@ -35,18 +35,15 @@ let categorical rng ~weights =
    is unchanged (exactly one [Rng.int] for two or more elements, none
    otherwise), so verdict streams are bit-identical; the determinism
    suite in test/test_compiled.ml pins this down. *)
+let uniform_index rng n =
+  if n <= 0 then invalid_arg "Dist.uniform_index: no choice"
+  else if n = 1 then 0
+  else Rng.int rng n
+
 let uniform_choice rng xs =
   match xs with
   | [] -> invalid_arg "Dist.uniform_choice: empty list"
-  | [ x ] -> x
-  | _ ->
-    let n = List.length xs in
-    let k = Rng.int rng n in
-    let rec nth k = function
-      | [] -> assert false (* k < List.length xs *)
-      | x :: tl -> if k = 0 then x else nth (k - 1) tl
-    in
-    nth k xs
+  | _ -> List.nth xs (uniform_index rng (List.length xs))
 
 let exponential_race rng ~rates =
   let total =

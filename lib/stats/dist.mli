@@ -14,8 +14,13 @@ val categorical : Rng.t -> weights:float array -> int
 val uniform_choice : Rng.t -> 'a list -> 'a
 (** Equiprobable pick from a non-empty list — the paper's resolution of
     underspecified discrete choice (§III-B).  Consumes exactly one
-    [Rng.int] draw for lists of two or more elements and none otherwise,
-    and walks the spine once per draw. *)
+    [Rng.int] draw for lists of two or more elements and none otherwise:
+    the element at {!uniform_index} of the list's length. *)
+
+val uniform_index : Rng.t -> int -> int
+(** [uniform_index rng n] is the index {!uniform_choice} picks from a
+    list of [n] elements, with the same draws: one [Rng.int] for
+    [n >= 2], none for [n = 1].  Raises [Invalid_argument] on [n <= 0]. *)
 
 val exponential_race : Rng.t -> rates:float array -> (int * float) option
 (** Winner of a race between independent exponentials: samples the

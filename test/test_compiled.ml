@@ -16,6 +16,10 @@ module Engine = Slimsim_sim.Engine
 module Generator = Slimsim_stats.Generator
 module Rng = Slimsim_stats.Rng
 module Gen = QCheck2.Gen
+module State = Slimsim_sta.State
+module Moves = Slimsim_sta.Moves
+module Network = Slimsim_sta.Network
+module Automaton = Slimsim_sta.Automaton
 
 (* ------------------------------------------------------------------ *)
 (* Random expressions and states over a small synthetic signature      *)
@@ -164,7 +168,9 @@ let prop_sat ((e, ((vals, rates, locs) as st)) : Expr.t * _) =
   in
   let s = cstate_of st in
   let compiled = classify (fun () -> Compiled.compile_sat e s) in
-  same_outcome I.equal interp compiled
+  (* and the in-place window evaluator that guards and invariants use *)
+  let windowed = classify (fun () -> Compiled.compile_window e s) in
+  same_outcome I.equal interp compiled && same_outcome I.equal interp windowed
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end verdict-stream equality on the bundled models            *)
@@ -407,6 +413,333 @@ let test_obs_bit_identity () =
     (Metrics.histogram_count steps);
   Metrics.reset ()
 
+(* ------------------------------------------------------------------ *)
+(* Per-step state equality: both engines take the same moves           *)
+
+(* The verdict-stream tests above compare verdicts only, so a stale
+   data-flow target that never flips a verdict would pass them.  Here
+   both engines take the same move at the same delay, step by step, and
+   the compiled scratch must hold the interpreter's state after every
+   step: same locations, same values, floats bitwise equal. *)
+
+let value_bits_equal a b =
+  match a, b with
+  | Value.Real x, Value.Real y -> float_equal x y
+  | _ -> a = b
+
+let show_value = function
+  | Value.Bool b -> string_of_bool b
+  | Value.Int n -> string_of_int n
+  | Value.Real x -> Printf.sprintf "%h" x
+
+let check_same_state ~ctx (expected : State.t) (got : State.t) =
+  if expected.State.locs <> got.State.locs then Alcotest.failf "%s: locations differ" ctx;
+  Array.iteri
+    (fun v x ->
+      let y = got.State.vals.(v) in
+      if not (value_bits_equal x y) then
+        Alcotest.failf "%s: variable %d is %s, compiled %s" ctx v (show_value x)
+          (show_value y))
+    expected.State.vals;
+  if not (float_equal expected.State.time got.State.time) then
+    Alcotest.failf "%s: time %h, compiled %h" ctx expected.State.time got.State.time
+
+(* A delay in [w]: its first point, or a uniform draw from it capped at
+   20 time units. *)
+let pick_delay rng w =
+  let capped = I.clamp_above 20.0 (I.inter w (I.at_least 0.0)) in
+  let first = I.first_point ~eps:1e-9 capped in
+  match Rng.int rng 2, first with
+  | 0, Some d -> d
+  | _ -> (
+    match I.sample_uniform (Rng.below rng) capped with
+    | Some d -> d
+    | None -> Option.value first ~default:0.0)
+
+let walk ~name ~seed ~steps (net : Network.t) =
+  let c = Compiled.compile net in
+  let s = ref (Compiled.scratch c) in
+  Compiled.reset c !s;
+  let st = ref (State.initial net) in
+  let rng = Rng.create seed in
+  check_same_state ~ctx:(name ^ ": reset") !st (Compiled.to_state c !s);
+  let step = ref 1 in
+  while !step <= steps do
+    let ctx = Printf.sprintf "%s, seed %Ld, step %d" name seed !step in
+    (* Now and then continue on a fresh scratch loaded from the
+       interpreter's state, as the CTMC explorer does. *)
+    if Rng.int rng 8 = 0 then begin
+      let fresh = Compiled.scratch c in
+      Compiled.of_state c fresh !st;
+      s := fresh
+    end;
+    let cs = !s in
+    Compiled.set_rates c cs;
+    let rates = State.rate_array net !st in
+    let inv = Moves.invariant_window ~rates net !st in
+    if not (I.equal inv (Compiled.invariant_window c cs)) then
+      Alcotest.failf "%s: invariant windows differ" ctx;
+    let timed = Moves.discrete ~rates ~inv_win:inv net !st in
+    let n_timed = Compiled.discrete c cs inv in
+    if n_timed <> List.length timed || compare timed (Compiled.timed_moves c cs) <> 0
+    then Alcotest.failf "%s: enabled moves differ" ctx;
+    let markov = Moves.markovian net !st in
+    let n_markov = Compiled.markovian c cs in
+    let markov_c =
+      List.init n_markov (fun i ->
+          ( Compiled.markov_proc cs i,
+            Compiled.markov_tr cs i,
+            (Compiled.markov_buf cs).(i) ))
+    in
+    if compare markov markov_c <> 0 then Alcotest.failf "%s: rate moves differ" ctx;
+    let advance d =
+      Compiled.advance c cs d;
+      st := State.advance net ~rates !st d
+    in
+    (match Rng.int rng 5 with
+    | 0 when not (I.is_empty inv) -> advance (pick_delay rng inv)
+    | _ when timed <> [] ->
+      let tm = List.nth timed (Rng.int rng (List.length timed)) in
+      let d = pick_delay rng tm.Moves.window in
+      let expected = Moves.enabled_after net !st d timed in
+      let n = Compiled.enabled_after c cs d in
+      let got = List.init n (fun k -> Compiled.move c cs (Compiled.enabled cs k)) in
+      if compare expected got <> 0 then Alcotest.failf "%s: enabled_after differs" ctx;
+      (* the trials left the committed scratch as it was *)
+      check_same_state ~ctx:(ctx ^ " (after trials)") !st (Compiled.to_state c cs);
+      if n = 0 then advance d
+      else begin
+        let k = Rng.int rng n in
+        Compiled.apply_move c cs ~delay:d (Compiled.enabled cs k);
+        st := Moves.apply net !st ~delay:d (List.nth expected k)
+      end
+    | _ when markov <> [] ->
+      let i = Rng.int rng (List.length markov) in
+      let p, tr, _ = List.nth markov i in
+      let d = pick_delay rng inv in
+      Compiled.apply c cs ~delay:d (Moves.Local { proc = p; tr });
+      st := Moves.apply net !st ~delay:d (Moves.Local { proc = p; tr })
+    | _ -> if I.is_empty inv then step := steps else advance (pick_delay rng inv));
+    check_same_state ~ctx !st (Compiled.to_state c cs);
+    incr step
+  done
+
+(* The suite runs in [_build/default/test]; by hand, from the root. *)
+let bundled_model file =
+  let dir = List.find Sys.file_exists [ "../examples/models"; "examples/models" ] in
+  let path = Filename.concat dir file in
+  load (In_channel.with_open_text path In_channel.input_all)
+
+let test_walk_bundled () =
+  List.iter
+    (fun file ->
+      let net = bundled_model file in
+      for seed = 1 to 4 do
+        walk ~name:file ~seed:(Int64.of_int seed) ~steps:300 net
+      done)
+    [
+      "launcher_recoverable.slim"; "launcher_permanent.slim"; "heater.slim"; "gps.slim";
+      "gps_nominal.slim"; "sensor_filter_2.slim"; "sensor_filter_2_timed.slim";
+      "mm1k.slim"; "mm1k_priced.slim";
+    ]
+
+(* Hand-built: every kind of write a flow depends on.
+   - [ta = a + 1], and a transition writes [ta] itself;
+   - [tc = c * 2] reads a clock, so a bare delay leaves it stale;
+   - [to_ = o * 3] reads [o], owned by the [Restart] process [r], which
+     is active while [p] is in [p1], and [rl = r in r1] reads its
+     location;
+   - [e1 = err in broken] and [e2 = not e1]: a chain through the
+     location of the error process [err]. *)
+let flow_network () =
+  let c = 0 and a = 1 and ta = 2 and tc = 3 and o = 4 and to_ = 5 and e1 = 6 and e2 = 7 in
+  let rl = 8 in
+  let v = Expr.var and r = Expr.real and i = Expr.int in
+  let bin op x y = Expr.Binop (op, x, y) in
+  let loc name invariant = { Automaton.loc_name = name; invariant; derivs = [] } in
+  let tr ?(label = Automaton.Tau) src dst guard updates =
+    { Automaton.src; dst; label; guard; updates; weight = 1.0 }
+  in
+  let p =
+    Automaton.make ~name:"p"
+      ~locations:
+        [| loc "p0" (bin Expr.Le (v c) (r 3.0)); loc "p1" (bin Expr.Le (v c) (r 3.0)) |]
+      ~initial:0
+      ~transitions:
+        [
+          tr 0 0 (Automaton.Guard (bin Expr.Ge (v c) (r 1.0))) [ (ta, i 100) ];
+          tr 0 0
+            (Automaton.Guard (bin Expr.Ge (v c) (r 2.0)))
+            [ (a, bin Expr.Add (v a) (i 1)); (c, r 0.0) ];
+          tr 0 1 (Automaton.Guard (bin Expr.Ge (v c) (r 0.5))) [ (c, r 0.0) ];
+          tr 1 0 (Automaton.Guard (bin Expr.Ge (v c) (r 0.5))) [ (c, r 0.0) ];
+        ]
+  in
+  let rp =
+    Automaton.make ~name:"r" ~locations:[| loc "r0" Expr.true_; loc "r1" Expr.true_ |]
+      ~initial:0
+      ~transitions:
+        [
+          tr 0 1 (Automaton.Guard Expr.true_) [ (o, bin Expr.Add (v o) (i 1)) ];
+          tr 1 0 (Automaton.Guard Expr.true_) [ (o, bin Expr.Mul (v o) (i 2)) ];
+        ]
+  in
+  let err =
+    Automaton.make ~name:"err"
+      ~locations:[| loc "ok" Expr.true_; loc "broken" Expr.true_ |]
+      ~initial:0
+      ~transitions:[ tr 0 1 (Automaton.Rate 0.5) []; tr 1 0 (Automaton.Rate 1.0) [] ]
+  in
+  let var name kind init owner = { Network.var_name = name; kind; init; owner } in
+  Network.make
+    ~procs:
+      [
+        (p, Network.default_meta);
+        ( rp,
+          {
+            Network.active_when = Expr.Loc (0, 1);
+            reactivation = Network.Restart;
+            owned_vars = [ o ];
+          } );
+        (err, Network.default_meta);
+      ]
+    ~vars:
+      [|
+        var "c" Network.Clock (Value.Real 0.0) None;
+        var "a" Network.Discrete (Value.Int 0) None;
+        var "ta" Network.Discrete (Value.Int 0) None;
+        var "tc" Network.Discrete (Value.Real 0.0) None;
+        var "o" Network.Discrete (Value.Int 5) (Some 1);
+        var "to" Network.Discrete (Value.Int 0) None;
+        var "e1" Network.Discrete (Value.Bool false) None;
+        var "e2" Network.Discrete (Value.Bool false) None;
+        var "rl" Network.Discrete (Value.Bool false) None;
+      |]
+    ~events:[||]
+    ~flows:
+      [
+        { Network.target = e2; expr = Expr.Unop (Expr.Not, v e1) };
+        { Network.target = ta; expr = bin Expr.Add (v a) (i 1) };
+        { Network.target = tc; expr = bin Expr.Mul (v c) (r 2.0) };
+        { Network.target = to_; expr = bin Expr.Mul (v o) (i 3) };
+        { Network.target = e1; expr = Expr.Loc (2, 1) };
+        { Network.target = rl; expr = Expr.Loc (1, 1) };
+      ]
+
+let test_walk_flows () =
+  let net = flow_network () in
+  for seed = 1 to 20 do
+    walk ~name:"flow network" ~seed:(Int64.of_int seed) ~steps:200 net
+  done
+
+(* [apply] leaves no flow dirty; a bare delay marks the clock reader. *)
+let test_dirty_marks () =
+  let net = flow_network () in
+  let c = Compiled.compile net in
+  let s = Compiled.scratch c in
+  Compiled.reset c s;
+  Alcotest.(check (list int)) "clean after reset" [] (Compiled.dirty_flows c s);
+  Compiled.set_rates c s;
+  Compiled.advance c s 1.5;
+  (* [Network.make] reorders flows: look up the one targeting [tc] *)
+  let reads_clock =
+    List.filter
+      (fun f -> net.Network.flows.(f).Network.target = 3)
+      (List.init (Array.length net.Network.flows) Fun.id)
+  in
+  Alcotest.(check (list int)) "a delay marks the clock reader only" reads_clock
+    (Compiled.dirty_flows c s);
+  Compiled.apply c s (Moves.Local { proc = 0; tr = 0 });
+  Alcotest.(check (list int)) "clean after a move" [] (Compiled.dirty_flows c s)
+
+(* A transition at c in [1, 2] sets z := 0, after which the flow
+   y = 10 / z raises inside the trial that looks ahead at it; a race
+   against err's rate transition decides whether a path gets there. *)
+let failing_trial_network () =
+  let c = 0 and z = 1 and y = 2 and w = 3 in
+  let bin op x e = Expr.Binop (op, x, e) in
+  let loc name invariant = { Automaton.loc_name = name; invariant; derivs = [] } in
+  let tr src dst guard updates =
+    { Automaton.src; dst; label = Automaton.Tau; guard; updates; weight = 1.0 }
+  in
+  let p =
+    Automaton.make ~name:"p"
+      ~locations:
+        [| loc "l0" (bin Expr.Le (Expr.var c) (Expr.real 2.0)); loc "l1" Expr.true_ |]
+      ~initial:0
+      ~transitions:
+        [
+          tr 0 1
+            (Automaton.Guard (bin Expr.Ge (Expr.var c) (Expr.real 1.0)))
+            [ (z, Expr.int 0) ];
+        ]
+  in
+  let err =
+    Automaton.make ~name:"err"
+      ~locations:[| loc "ok" Expr.true_; loc "broken" Expr.true_ |]
+      ~initial:0 ~transitions:[ tr 0 1 (Automaton.Rate 1.0) [] ]
+  in
+  let var name kind init = { Network.var_name = name; kind; init; owner = None } in
+  Network.make
+    ~procs:[ (p, Network.default_meta); (err, Network.default_meta) ]
+    ~vars:
+      [|
+        var "c" Network.Clock (Value.Real 0.0);
+        var "z" Network.Discrete (Value.Int 1);
+        var "y" Network.Discrete (Value.Int 0);
+        var "w" Network.Discrete (Value.Real 0.0);
+      |]
+    ~events:[||]
+    ~flows:
+      [
+        { Network.target = y; expr = bin Expr.Div (Expr.int 10) (Expr.var z) };
+        { Network.target = w; expr = bin Expr.Add (Expr.var c) (Expr.real 1.0) };
+      ]
+
+let test_failing_trial_is_clean () =
+  let net = failing_trial_network () in
+  let c = Compiled.compile net in
+  let q = Path.compile_query c ~goal:(Expr.Loc (1, 1)) in
+  let cfg = Path.default_config ~horizon:50.0 in
+  let run s seed =
+    Path.generate_compiled c s q cfg Strategy.Progressive (Rng.for_path ~seed ~path:0)
+  in
+  let shared = Compiled.scratch c in
+  let errors = ref 0 in
+  for seed = 1 to 30 do
+    let seed = Int64.of_int seed in
+    let fresh = Compiled.scratch c in
+    let reused = run shared seed in
+    if compare reused (run fresh seed) <> 0 then
+      Alcotest.failf "seed %Ld: reused scratch differs from a fresh one" seed;
+    (match reused with Error _ -> incr errors | Ok _ -> ());
+    let ctx = Printf.sprintf "seed %Ld: final state" seed in
+    check_same_state ~ctx (Compiled.to_state c fresh) (Compiled.to_state c shared);
+    Alcotest.(check (list int))
+      (ctx ^ ": dirty flows")
+      (Compiled.dirty_flows c fresh) (Compiled.dirty_flows c shared)
+  done;
+  Alcotest.(check bool) "some paths raise in a trial" true (!errors > 0 && !errors < 30);
+  (* directly: the raising trial leaves the committed state, dirty
+     flows included, as it found it *)
+  let s = Compiled.scratch c in
+  Compiled.reset c s;
+  Compiled.set_rates c s;
+  Compiled.advance c s 1.25;
+  let before = Compiled.to_state c s and dirty = Compiled.dirty_flows c s in
+  Alcotest.(check bool) "the delay marked w" true (dirty <> []);
+  Compiled.set_rates c s;
+  let n = Compiled.discrete c s (Compiled.invariant_window c s) in
+  Alcotest.(check int) "one move" 1 n;
+  (match Compiled.enabled_after c s 0.5 with
+  | _ -> Alcotest.fail "the trial must raise"
+  | exception Value.Type_error _ -> ());
+  check_same_state ~ctx:"after the raising trial" before (Compiled.to_state c s);
+  Alcotest.(check (list int)) "dirty flows kept" dirty (Compiled.dirty_flows c s);
+  (* and the scratch still steps: z's old value is back *)
+  Compiled.apply c s (Moves.Local { proc = 1; tr = 0 });
+  Alcotest.(check (list int)) "clean after a move" [] (Compiled.dirty_flows c s)
+
 let suite =
   [
     prop 2000 "compiled value = eval" gen_case prop_value;
@@ -423,6 +756,12 @@ let suite =
     Alcotest.test_case "engine equality" `Slow test_engine_equality;
     Alcotest.test_case "violated paths counted" `Quick test_violated_paths_counted;
     Alcotest.test_case "error policy" `Quick test_error_policy;
-    Alcotest.test_case "scratch reuse is clean" `Quick test_scratch_reuse_is_clean;
+    Alcotest.test_case "scratch reuse is clean" `Quick (fun () ->
+        test_scratch_reuse_is_clean ();
+        test_failing_trial_is_clean ());
+    Alcotest.test_case "per-step state equality: bundled models" `Quick
+      test_walk_bundled;
+    Alcotest.test_case "per-step state equality: flow network" `Quick test_walk_flows;
+    Alcotest.test_case "dirty flow marks" `Quick test_dirty_marks;
     Alcotest.test_case "observability bit-identity" `Quick test_obs_bit_identity;
   ]
