@@ -330,10 +330,9 @@ let safety () =
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment kernel.     *)
-(* Each one-path kernel is measured twice — through the interpreted    *)
-(* reference and through the staged compiled core — so the speedup of  *)
-(* the compilation pass is visible in one run.  [--json] writes the    *)
-(* table to BENCH_sim.json; [--quick] shortens the quota for CI.       *)
+(* The one-path kernels keep their historical [-compiled] names, from  *)
+(* when an interpreted twin was timed next to each.  [--json] writes   *)
+(* the table to BENCH_sim.json; [--quick] shortens the quota for CI.   *)
 
 let micro ?(quick = false) ?(json = false) () =
   line ();
@@ -366,13 +365,8 @@ let micro ?(quick = false) ?(json = false) () =
     | Ok g -> g
     | Error e -> failwith e
   in
-  let one_path net goal strategy seed =
-    let cfg = Slimsim_sim.Path.default_config ~horizon:300.0 in
-    let rng = Slimsim_stats.Rng.for_path ~seed ~path:0 in
-    ignore (Slimsim_sim.Path.generate net cfg strategy rng ~goal)
-  in
-  (* compiled kernels: network staged once, one scratch reused per run
-     (the engine's per-worker usage pattern) *)
+  (* one-path kernels: network staged once, one scratch reused per run
+     (a campaign worker's usage pattern) *)
   let one_path_compiled ?config net goal strategy =
     let c = Slimsim_sta.Compiled.compile net in
     let q = Slimsim_sim.Path.compile_query c ~goal in
@@ -384,7 +378,7 @@ let micro ?(quick = false) ?(json = false) () =
     in
     fun ?obs seed ->
       let rng = Slimsim_stats.Rng.for_path ~seed ~path:0 in
-      ignore (Slimsim_sim.Path.generate_compiled ?obs c s q cfg strategy rng)
+      ignore (Slimsim_sim.Path.generate ?obs c s q cfg strategy rng)
   in
   let sf2_c = one_path_compiled sf2_net sf2_goal Strategy.Asap in
   let gps_c =
@@ -427,17 +421,10 @@ let micro ?(quick = false) ?(json = false) () =
              | Ok (_, `Hit) -> ()
              | Ok (_, `Miss) -> failwith "warmed cache cannot miss"
              | Error e -> failwith e));
-      Test.make ~name:"table1:one-path-sensor-filter"
-        (Staged.stage (fun () -> one_path sf2_net sf2_goal Strategy.Asap 1L));
       Test.make ~name:"table1:one-path-sensor-filter-compiled"
         (Staged.stage (fun () -> sf2_c 1L));
-      Test.make ~name:"fig5-like:one-path-gps-progressive"
-        (Staged.stage (fun () ->
-             one_path (Slimsim.network full_gps) gps_goal Strategy.Progressive 1L));
       Test.make ~name:"fig5-like:one-path-gps-progressive-compiled"
         (Staged.stage (fun () -> gps_c 1L));
-      Test.make ~name:"fig2:one-path-gps-nominal"
-        (Staged.stage (fun () -> one_path nominal_net nominal_goal Strategy.Asap 1L));
       Test.make ~name:"fig2:one-path-gps-nominal-compiled"
         (Staged.stage (fun () -> nominal_c 1L));
       Test.make ~name:"fig2:one-path-gps-nominal-supervised"
@@ -488,14 +475,6 @@ let micro ?(quick = false) ?(json = false) () =
         results)
     tests;
   let rows = List.rev !rows in
-  (* compiled-vs-interpreted speedups, from this run's own numbers *)
-  List.iter
-    (fun (name, ns, _, _) ->
-      match List.assoc_opt (name ^ "-compiled") (List.map (fun (n, e, _, _) -> (n, e)) rows) with
-      | Some ns_c when ns_c > 0.0 ->
-        Fmt.pr "  %-45s %13.2fx@." (name ^ " speedup") (ns /. ns_c)
-      | _ -> ())
-    rows;
   (* Whole compiled launcher paths on one domain, per step: the Fig. 5
      model under bench_e2e's launcher-long-paths property.  The path set
      is fixed (seed 1, paths 0..n-1), so every window simulates the same
@@ -515,7 +494,7 @@ let micro ?(quick = false) ?(json = false) () =
     let run ?obs () =
       for i = 0 to paths - 1 do
         ignore
-          (Path.generate_compiled ?obs c s q cfg Strategy.Progressive
+          (Path.generate ?obs c s q cfg Strategy.Progressive
              (Slimsim_stats.Rng.for_path ~seed:1L ~path:i))
       done
     in

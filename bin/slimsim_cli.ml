@@ -254,27 +254,6 @@ let simulate_cmd =
       value & flag
       & info [ "deadlock-error" ]
           ~doc:"Abort on dead/timelocks instead of falsifying the property.")
-  and engine =
-    let engine_conv =
-      let parse = function
-        | "compiled" -> Ok `Compiled
-        | "interpreted" -> Ok `Interpreted
-        | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-      in
-      let print ppf = function
-        | `Compiled -> Fmt.string ppf "compiled"
-        | `Interpreted -> Fmt.string ppf "interpreted"
-      in
-      Arg.conv (parse, print)
-    in
-    Arg.(
-      value
-      & opt engine_conv `Compiled
-      & info [ "engine" ]
-          ~doc:
-            "Simulation core: the staged $(b,compiled) engine (default) or \
-             the reference $(b,interpreted) one; both produce identical \
-             estimates for a given seed.")
   and on_error =
     let policy_conv =
       let parse = function
@@ -488,7 +467,7 @@ let simulate_cmd =
              'w1:kill@120;a0:stall@300'.")
   in
   let run file prop query strategy delta eps workers generator mlmc_levels
-      deadlock_error engine on_error seed no_lint max_steps max_sim_time
+      deadlock_error on_error seed no_lint max_steps max_sim_time
       max_wall_per_path on_divergence checkpoint checkpoint_every resume
       metrics log_json progress no_prepass buffer drop_stall_limit max_restarts
       distribute worker_cmd lease dist_heartbeat dist_liveness chaos =
@@ -566,11 +545,6 @@ let simulate_cmd =
         ("workers", Json.Int workers);
         ("seed", Json.String (Int64.to_string seed));
         ("generator", Json.String (S.Generator.kind_to_string generator));
-        ( "engine",
-          Json.String
-            (match engine with
-            | `Compiled -> "compiled"
-            | `Interpreted -> "interpreted") );
         ( "on_divergence",
           Json.String
             (Slimsim_sim.Supervisor.divergence_policy_to_string on_divergence)
@@ -593,7 +567,7 @@ let simulate_cmd =
           "slimsim: cost queries are not supported with --distribute; run \
            them in a single process";
       (match
-         S.check_cost ~workers ~seed ~generator ~on_deadlock ~engine ~on_error
+         S.check_cost ~workers ~seed ~generator ~on_deadlock ~on_error
            ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
            ~prepass:(not no_prepass) m ~query:qsrc ~strategy ~delta ~eps ()
        with
@@ -673,10 +647,7 @@ let simulate_cmd =
           Coordinator.model_source = source;
           property = prop;
           strategy = Strategy.to_string strategy;
-          engine =
-            (match engine with
-            | `Compiled -> "compiled"
-            | `Interpreted -> "interpreted");
+          engine = "compiled";
           seed;
           on_error;
           max_steps;
@@ -772,13 +743,13 @@ let simulate_cmd =
                "the mlmc generator drives a coupled sequential sampler; \
                 running with workers = 1 (requested %d)"
                workers);
-        S.check_mlmc ~seed ~on_deadlock ~engine ~on_error ~supervisor
+        S.check_mlmc ~seed ~on_deadlock ~on_error ~supervisor
           ?progress ~max_steps ?max_sim_time ?max_wall_per_path
           ~prepass:(not no_prepass) ~levels:mlmc_levels m ~property:prop
           ~strategy ~delta ~eps ()
       end
       else
-        S.check ~workers ~seed ~generator ~on_deadlock ~engine ~on_error
+        S.check ~workers ~seed ~generator ~on_deadlock ~on_error
           ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
           ~prepass:(not no_prepass) m ~property:prop ~strategy ~delta ~eps ()
     with
@@ -818,7 +789,7 @@ let simulate_cmd =
     Term.(
       const run $ model_arg $ prop_opt $ query $ strategy_arg $ delta $ eps
       $ workers
-      $ generator $ mlmc_levels $ deadlock_error $ engine $ on_error
+      $ generator $ mlmc_levels $ deadlock_error $ on_error
       $ seed_arg $ no_lint_arg
       $ max_steps $ max_sim_time $ max_wall_per_path $ on_divergence
       $ checkpoint $ checkpoint_every $ resume $ metrics $ log_json $ progress
@@ -1060,7 +1031,7 @@ let interactive_cmd =
       | _ -> Strategy.Abort
     in
     match
-      S.simulate_one ~record:true m ~property:prop
+      S.simulate_one m ~property:prop
         ~strategy:(Strategy.Scripted script)
     with
     | Ok (verdict, _) ->

@@ -2,7 +2,6 @@ module Strategy = Slimsim_sim.Strategy
 module Generator = Slimsim_stats.Generator
 module Loader = Slimsim_slim.Loader
 module Pattern = Slimsim_props.Pattern
-module Engine = Slimsim_sim.Engine
 module Campaign = Slimsim_sim.Campaign
 module Path = Slimsim_sim.Path
 
@@ -130,7 +129,7 @@ let make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
   }
 
 let prepare ?workers ?seed ?(generator = Generator.Chernoff)
-    ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor ?progress
+    ?(on_deadlock = `Falsify) ?on_error ?supervisor ?progress
     ?max_steps ?max_sim_time ?max_wall_per_path ?compiled (m : model)
     ~property ~strategy ~delta ~eps () =
   let* goal, hold, horizon, complement = parse_pattern_full m property in
@@ -140,7 +139,7 @@ let prepare ?workers ?seed ?(generator = Generator.Chernoff)
       ~horizon ()
   in
   match
-    Campaign.create ?workers ?seed ~config ?engine ?on_error ?hold ?supervisor
+    Campaign.create ?workers ?seed ~config ?on_error ?hold ?supervisor
       ?progress ?compiled m.Loader.network ~goal ~horizon ~strategy
       ~generator:gen ()
   with
@@ -279,13 +278,13 @@ let sample_property ~on_deadlock ?max_steps ?max_sim_time ?max_wall_per_path
     Result.map (estimate_of ~complement) (sample ~goal ~hold ~horizon ~config)
 
 let check ?workers ?seed ?(generator = Generator.Chernoff)
-    ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor ?progress
+    ?(on_deadlock = `Falsify) ?on_error ?supervisor ?progress
     ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true) (m : model)
     ~property ~strategy ~delta ~eps () =
   sample_property ~on_deadlock ?max_steps ?max_sim_time ?max_wall_per_path
     ~prepass ~strategy m ~property (fun ~goal ~hold ~horizon ~config ->
       run_campaign ?progress
-        (Campaign.create ?workers ?seed ~config ?engine ?on_error ?hold
+        (Campaign.create ?workers ?seed ~config ?on_error ?hold
            ?supervisor ?progress m.Loader.network ~goal ~horizon ~strategy
            ~generator:(Generator.create generator ~delta ~eps) ()))
 
@@ -293,7 +292,7 @@ let check ?workers ?seed ?(generator = Generator.Chernoff)
    pre-pass shortcut as [check], over the coupled coarse/fine campaign
    of {!Slimsim_sim.Mlmc_run} (sequential: the pair shares scratch state
    and the allocator is consulted between samples). *)
-let check_mlmc ?seed ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor
+let check_mlmc ?seed ?(on_deadlock = `Falsify) ?on_error ?supervisor
     ?progress ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true)
     ?levels ?warmup (m : model) ~property ~strategy ~delta ~eps () =
   let module Mlmc_run = Slimsim_sim.Mlmc_run in
@@ -301,7 +300,7 @@ let check_mlmc ?seed ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor
     ~prepass ~strategy m ~property (fun ~goal ~hold ~horizon ~config ->
       let* r =
         run_campaign ?progress
-          (Mlmc_run.create ?seed ~config ?engine ?on_error ?hold ?supervisor
+          (Mlmc_run.create ?seed ~config ?on_error ?hold ?supervisor
              ?progress ?levels ?warmup m.Loader.network ~goal ~horizon
              ~strategy ~delta ~eps ())
       in
@@ -343,14 +342,14 @@ type cost_outcome =
    no time horizon (refused here), E[...]/D[...] estimate a cost
    (refused by [Cost_run.create]). *)
 let check_cost ?workers ?seed ?(generator = Generator.Chernoff)
-    ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor ?progress
+    ?(on_deadlock = `Falsify) ?on_error ?supervisor ?progress
     ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true) (m : model)
     ~query ~strategy ~delta ~eps () =
   let* q = Pattern.parse_query query in
   match q with
   | Pattern.Prob _ ->
     let* e =
-      check ?workers ?seed ~generator ~on_deadlock ?engine ?on_error
+      check ?workers ?seed ~generator ~on_deadlock ?on_error
         ?supervisor ?progress ?max_steps ?max_sim_time ?max_wall_per_path
         ~prepass m ~property:query ~strategy ~delta ~eps ()
     in
@@ -386,7 +385,7 @@ let check_cost ?workers ?seed ?(generator = Generator.Chernoff)
     | None ->
       let* r =
         run_campaign ?progress
-          (Campaign.create ?workers ?seed ~config ?engine ?on_error ~hold
+          (Campaign.create ?workers ?seed ~config ?on_error ~hold
              ?supervisor ?progress m.Loader.network ~goal ~horizon ~strategy
              ~generator:(Generator.create generator ~delta ~eps) ())
       in
@@ -420,7 +419,7 @@ let check_cost ?workers ?seed ?(generator = Generator.Chernoff)
     | _ ->
       let* r =
         run_campaign ?progress
-          (Cost_run.create ?workers ?seed ~config ?engine ?on_error ?hold
+          (Cost_run.create ?workers ?seed ~config ?on_error ?hold
              ?supervisor ?progress m.Loader.network ~goal ~horizon ~strategy
              ~cost_var:cv ~query:(Pattern.query_to_string q) ~kind:generator
              ~delta ~eps ())
@@ -452,15 +451,18 @@ let check_exact ?max_states ?lump (m : model) ~property =
       }
   | Error e -> Error e
 
-let simulate_one ?(seed = 1L) ?(record = true) (m : model) ~property ~strategy =
+let simulate_one ?(seed = 1L) (m : model) ~property ~strategy =
   let* goal, hold, horizon = parse_property m property in
   let config = Path.default_config ~horizon in
   let rng = Slimsim_stats.Rng.for_path ~seed ~path:0 in
-  let verdict, steps =
-    Path.generate ~record ?hold m.Loader.network config strategy rng ~goal
-  in
-  match verdict with
-  | Ok v -> Ok (v, steps)
+  let c = Slimsim_sta.Compiled.compile m.Loader.network in
+  let q = Path.compile_query ?hold c ~goal in
+  let steps = ref [] in
+  match
+    Path.generate ~record:steps c (Slimsim_sta.Compiled.scratch c) q config
+      strategy rng
+  with
+  | Ok v -> Ok (v, !steps)
   | Error e -> Error (Path.error_to_string e)
 
 let fault_tree ?max_order (m : model) ~goal ~top =

@@ -7,8 +7,8 @@
     {v
     SLIM text --Loader--> network of stochastic timed automata
     property  --Pattern--> goal expression + time bound
-    (model, property, strategy, generator) --Engine--> estimate
-    (model, property)                      --Ctmc-->   exact probability
+    (model, property, strategy, generator) --Campaign--> estimate
+    (model, property)                      --Ctmc-->     exact probability
     v}
 
     Quickstart:
@@ -82,7 +82,6 @@ val check :
   ?seed:int64 ->
   ?generator:Generator.kind ->
   ?on_deadlock:[ `Error | `Falsify ] ->
-  ?engine:[ `Compiled | `Interpreted ] ->
   ?on_error:[ `Abort | `Unsat ] ->
   ?supervisor:Slimsim_sim.Supervisor.t ->
   ?progress:Slimsim_obs.Progress.t ->
@@ -98,9 +97,8 @@ val check :
   unit ->
   (estimate, string) result
 (** Monte Carlo estimation (the paper's tool).  [generator] defaults to
-    the Chernoff–Hoeffding bound; [engine] to the staged compiled core
-    (bit-identical to the [`Interpreted] reference); [on_error] to
-    aborting the run on the first path-level error.
+    the Chernoff–Hoeffding bound; [on_error] to aborting the run on the
+    first path-level error.
 
     [supervisor] carries the campaign robustness policies (divergence
     handling, crash restarts, checkpoint/resume, graceful stop) — see
@@ -126,7 +124,6 @@ val check :
 val check_mlmc :
   ?seed:int64 ->
   ?on_deadlock:[ `Error | `Falsify ] ->
-  ?engine:[ `Compiled | `Interpreted ] ->
   ?on_error:[ `Abort | `Unsat ] ->
   ?supervisor:Slimsim_sim.Supervisor.t ->
   ?progress:Slimsim_obs.Progress.t ->
@@ -174,7 +171,6 @@ val prepare :
   ?seed:int64 ->
   ?generator:Generator.kind ->
   ?on_deadlock:[ `Error | `Falsify ] ->
-  ?engine:[ `Compiled | `Interpreted ] ->
   ?on_error:[ `Abort | `Unsat ] ->
   ?supervisor:Slimsim_sim.Supervisor.t ->
   ?progress:Slimsim_obs.Progress.t ->
@@ -259,7 +255,6 @@ val check_cost :
   ?seed:int64 ->
   ?generator:Generator.kind ->
   ?on_deadlock:[ `Error | `Falsify ] ->
-  ?engine:[ `Compiled | `Interpreted ] ->
   ?on_error:[ `Abort | `Unsat ] ->
   ?supervisor:Slimsim_sim.Supervisor.t ->
   ?progress:Slimsim_obs.Progress.t ->
@@ -309,15 +304,14 @@ val check_exact :
 
 val simulate_one :
   ?seed:int64 ->
-  ?record:bool ->
   model ->
   property:string ->
   strategy:Strategy.t ->
   ( Slimsim_sim.Path.verdict * Slimsim_sim.Path.step_record list,
     string )
   result
-(** Generate a single path (e.g. to inspect a trace or to drive the
-    scripted Input strategy). *)
+(** Generate path 0 of [seed] (default 1) and record its steps (e.g. to
+    inspect a trace or to drive the scripted Input strategy). *)
 
 val fault_tree :
   ?max_order:int ->

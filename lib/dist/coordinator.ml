@@ -117,7 +117,7 @@ type slot = {
 
 exception Abort_run of Path.error
 
-let run ?supervisor ?progress cfg job ~generator =
+let run_job ?supervisor ?progress cfg job ~generator =
   let sup = match supervisor with Some s -> s | None -> Supervisor.default () in
   let acc = Campaign.bernoulli generator in
   let tally = Campaign.new_tally () in
@@ -178,7 +178,6 @@ let run ?supervisor ?progress cfg job ~generator =
         model_source = job.model_source;
         property = job.property;
         strategy = job.strategy;
-        engine = job.engine;
         max_steps = job.max_steps;
         max_sim_time = job.max_sim_time;
         max_wall_per_path = job.max_wall_per_path;
@@ -545,3 +544,13 @@ let run ?supervisor ?progress cfg job ~generator =
     in
     restore_sigpipe ();
     out
+
+let run ?supervisor ?progress cfg job ~generator =
+  if job.engine <> "compiled" then
+    Error
+      (Path.Model_error
+         (Printf.sprintf
+            "distributed job: unknown engine %S (the only path generator is \
+             \"compiled\")"
+            job.engine))
+  else run_job ?supervisor ?progress cfg job ~generator

@@ -61,7 +61,10 @@ type job = {
   model_source : string;
   property : string;
   strategy : string;
-  engine : string;  (** ["compiled"] or ["interpreted"] *)
+  engine : string;
+      (** must be ["compiled"], the one path generator; any other value
+          is an [Error] from {!run}.  The field stays so that existing
+          callers that build a job record keep compiling. *)
   seed : int64;
   on_error : [ `Abort | `Unsat ];
   max_steps : int;
@@ -95,6 +98,6 @@ val run :
     and backoff, divergence/checkpoint/resume policies and the stop
     flag; [supervisor.checkpoint] persists the {!Supervisor.Checkpoint}
     state extended with outstanding leases, and [supervisor.resume]
-    continues from it.  [Error] on an unreadable checkpoint, a rejected
-    handshake, or an aborting path error — same contract as
-    {!Campaign.drive}. *)
+    continues from it.  [Error] on a job whose [engine] is not
+    ["compiled"], an unreadable checkpoint, a rejected handshake, or an
+    aborting path error — same contract as {!Campaign.drive}. *)

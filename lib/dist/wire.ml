@@ -99,7 +99,6 @@ type hello = {
   model_source : string;
   property : string;
   strategy : string;
-  engine : string;
   max_steps : int;
   max_sim_time : float option;
   max_wall_per_path : float option;
@@ -121,7 +120,6 @@ let hello_to_json h =
        ("model_source", Json.String h.model_source);
        ("property", Json.String h.property);
        ("strategy", Json.String h.strategy);
-       ("engine", Json.String h.engine);
        ("max_steps", Json.Int h.max_steps);
        ("on_deadlock", Json.String h.on_deadlock);
        ("batch", Json.Int h.batch);
@@ -158,7 +156,6 @@ let hello_of_json j =
       let* model_source = req_str j "model_source" in
       let* property = req_str j "property" in
       let* strategy = req_str j "strategy" in
-      let* engine = req_str j "engine" in
       let* max_steps = req_int j "max_steps" in
       let* on_deadlock = req_str j "on_deadlock" in
       let* batch = req_int j "batch" in
@@ -173,7 +170,6 @@ let hello_of_json j =
           model_source;
           property;
           strategy;
-          engine;
           max_steps;
           max_sim_time = opt_float j "max_sim_time";
           max_wall_per_path = opt_float j "max_wall_per_path";

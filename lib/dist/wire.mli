@@ -57,7 +57,6 @@ type hello = {
   model_source : string;
   property : string;
   strategy : string;
-  engine : string;  (** ["compiled"] or ["interpreted"] *)
   max_steps : int;
   max_sim_time : float option;
   max_wall_per_path : float option;

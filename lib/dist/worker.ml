@@ -154,12 +154,6 @@ let build_session hello =
   let* model = Slimsim.load_string hello.Wire.model_source in
   let* goal, hold, horizon = Slimsim.parse_property model hello.Wire.property in
   let* strategy = Strategy.of_string hello.Wire.strategy in
-  let* engine =
-    match hello.Wire.engine with
-    | "compiled" -> Ok `Compiled
-    | "interpreted" -> Ok `Interpreted
-    | e -> Error (Printf.sprintf "unknown engine %S" e)
-  in
   let* on_deadlock =
     match hello.Wire.on_deadlock with
     | "error" -> Ok `Error
@@ -176,7 +170,7 @@ let build_session hello =
     }
   in
   let runner =
-    Campaign.make_runner ~engine ~seed:hello.Wire.seed ?hold cfg
+    Campaign.make_runner ~seed:hello.Wire.seed ?hold cfg
       (Slimsim.network model) ~goal ~strategy ~worker:hello.Wire.worker ()
   in
   Ok

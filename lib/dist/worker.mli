@@ -2,7 +2,7 @@
     [slimsim work] subcommand.
 
     A worker speaks {!Wire} frames over stdin/stdout: it receives the
-    handshake (model source, property, strategy, seed, engine, watchdog
+    handshake (model source, property, strategy, seed, watchdog
     budgets — everything the verdict stream is a function of), loads
     and stages the model itself, then simulates granted path-id leases
     in order, streaming verdict batches and heartbeats back.  It holds

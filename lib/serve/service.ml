@@ -302,7 +302,7 @@ let handle_submit st fd (s : Protocol.submit) =
       let workers = max 1 (min s.workers st.cfg.max_workers) in
       match
         Slimsim.prepare ~workers ~seed:s.seed ~generator:s.generator
-          ~engine:`Compiled ~on_error:`Abort ~supervisor:sup
+          ~on_error:`Abort ~supervisor:sup
           ?max_steps:s.max_steps ?max_sim_time:s.max_sim_time
           ?max_wall_per_path:s.max_wall_per_path ~compiled:entry.Cache.compiled
           entry.Cache.model ~property:s.property ~strategy:s.strategy

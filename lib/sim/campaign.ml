@@ -410,13 +410,13 @@ let resume sup acc tally ~seed =
 (* ------------------------------------------------------------------ *)
 (* The runner factory: called once per worker (inside that worker's
    domain, so per-worker scratch is domain-local), yielding the
-   [config -> rng -> (outcome, cost)] function.  The compiled factory
-   stages the network once and shares the immutable tables across
-   workers.  Crash recovery and park/resume both lean on this shape: a
-   replacement runner is a fresh factory call, and path [i] always
-   draws from an RNG derived from [(seed, i)] alone, so any path a
-   dying (or parked) worker lost is regenerated bit-identically by its
-   successor.
+   [config -> rng -> (outcome, cost)] function.  The factory stages the
+   network once and shares the immutable tables across workers; each
+   worker owns one scratch state.  Crash recovery and park/resume both
+   lean on this shape: a replacement runner is a fresh factory call,
+   and path [i] always draws from an RNG derived from [(seed, i)]
+   alone, so any path a dying (or parked) worker lost is regenerated
+   bit-identically by its successor.
 
    Per-worker observability: the path generator's cell plus a
    path-duration histogram, both labeled [worker="<w>"] and created in
@@ -437,38 +437,25 @@ let timed secs f = match secs with None -> f () | Some h -> Metrics.time h f
 
 type outcome = (Path.verdict, Path.error) Result.t
 
-let path_runner ?(engine = `Compiled) ?(hold = Slimsim_sta.Expr.true_)
-    ?compiled ?cost_var net ~goal ~strategy =
-  let generator =
-    match engine with
-    | `Interpreted ->
-      fun obs cost cfg rng ->
-        fst (Path.generate ~hold ?obs ?cost net cfg strategy rng ~goal)
-    | `Compiled ->
-      let c =
-        match compiled with
-        | Some c -> c
-        | None -> Slimsim_sta.Compiled.compile net
-      in
-      let q = Path.compile_query ~hold c ~goal in
-      fun obs cost ->
-        let s = Slimsim_sta.Compiled.scratch c in
-        fun cfg rng -> Path.generate_compiled ?obs ?cost c s q cfg strategy rng
+let path_runner ?(hold = Slimsim_sta.Expr.true_) ?compiled ?cost_var net ~goal
+    ~strategy =
+  let c =
+    match compiled with Some c -> c | None -> Slimsim_sta.Compiled.compile net
   in
+  let q = Path.compile_query ~hold c ~goal in
   fun ~worker () ->
     let obs, secs = worker_obs ~worker in
     let cost = Option.map (fun v -> (v, ref nan)) cost_var in
-    let generate = generator obs cost in
+    let s = Slimsim_sta.Compiled.scratch c in
     fun cfg rng ->
       timed secs (fun () ->
-          let o = generate cfg rng in
+          let o = Path.generate ?obs ?cost c s q cfg strategy rng in
           match (cost, o) with
           | Some (_, cell), Ok (Path.Sat _) -> (o, !cell)
           | _ -> (o, nan))
 
-let make_runner ?engine ~seed ?hold ?compiled ?cost_var cfg net ~goal
-    ~strategy =
-  let runner = path_runner ?engine ?hold ?compiled ?cost_var net ~goal ~strategy in
+let make_runner ~seed ?hold ?compiled ?cost_var cfg net ~goal ~strategy =
+  let runner = path_runner ?hold ?compiled ?cost_var net ~goal ~strategy in
   fun ~worker () ->
     let run = runner ~worker () in
     fun id -> run cfg (Rng.for_path ~seed ~path:id)
@@ -1037,21 +1024,17 @@ let start ~workers ~seed ~on_error ?supervisor ?progress ~source acc =
       }
 
 let create_with ?(workers = 1) ?(seed = 0x51135113L) ?config
-    ?(engine = `Compiled) ?(on_error = `Abort) ?hold ?supervisor ?progress
-    ?compiled ?cost_var net ~goal ~horizon ~strategy acc =
+    ?(on_error = `Abort) ?hold ?supervisor ?progress ?compiled ?cost_var net
+    ~goal ~horizon ~strategy acc =
   let cfg =
     match config with
     | Some c -> { c with Path.horizon }
     | None -> Path.default_config ~horizon
   in
-  (* Scripts are stateful user callbacks observing immutable states:
-     they need the interpreter, and a single worker — parallel lanes
-     would interleave their observations.  Downgrading (rather than
-     erroring) keeps a campaign runnable when a generic harness passes
-     its usual --workers flag. *)
-  let engine =
-    match strategy with Strategy.Scripted _ -> `Interpreted | _ -> engine
-  in
+  (* Scripts are stateful user callbacks: they need a single worker —
+     parallel lanes would interleave their observations.  Downgrading
+     (rather than erroring) keeps a campaign runnable when a generic
+     harness passes its usual --workers flag. *)
   let workers =
     match strategy with
     | Strategy.Scripted _ when workers > 1 ->
@@ -1065,14 +1048,20 @@ let create_with ?(workers = 1) ?(seed = 0x51135113L) ?config
     | _ -> workers
   in
   let make =
-    make_runner ~engine ~seed ?hold ?compiled ?cost_var cfg net ~goal ~strategy
+    make_runner ~seed ?hold ?compiled ?cost_var cfg net ~goal ~strategy
   in
+  (* Worker domains share the major heap.  Started in the middle of the
+     major cycle that collects the set-up's garbage (parse, translate,
+     lint, pre-pass, staging), a -j 2 GPS campaign's wall time swung by
+     ~20% with unrelated code changes on a 2-core host; started after
+     that cycle, it does not. *)
+  if workers > 1 then Gc.major ();
   start ~workers ~seed ~on_error ?supervisor ?progress ~source:(Paths make) acc
 
-let create ?workers ?seed ?config ?engine ?on_error ?hold ?supervisor
-    ?progress ?compiled net ~goal ~horizon ~strategy ~generator () =
-  create_with ?workers ?seed ?config ?engine ?on_error ?hold ?supervisor
-    ?progress ?compiled net ~goal ~horizon ~strategy (bernoulli generator)
+let create ?workers ?seed ?config ?on_error ?hold ?supervisor ?progress
+    ?compiled net ~goal ~horizon ~strategy ~generator () =
+  create_with ?workers ?seed ?config ?on_error ?hold ?supervisor ?progress
+    ?compiled net ~goal ~horizon ~strategy (bernoulli generator)
 
 let create_sequential ~seed ?(on_error = `Abort) ?supervisor ?progress ~draw
     acc =

@@ -14,8 +14,8 @@
     discarded sample bit-identically.  A campaign stepped, parked and
     resumed at arbitrary points therefore produces the same verdict
     stream, the same estimate and the same checkpoints as one driven to
-    completion in a single call — the property the one-shot
-    {!Engine.run} wrapper and the campaign service both build on.
+    completion in a single call — the property {!drive} and the
+    campaign service both build on.
 
     The lifecycle — policy routing, the slice loop, checkpoints,
     park/resume, worker sessions, wall-clock accounting — lives here
@@ -119,7 +119,6 @@ val create :
   ?workers:int ->
   ?seed:int64 ->
   ?config:Path.config ->
-  ?engine:[ `Compiled | `Interpreted ] ->
   ?on_error:[ `Abort | `Unsat ] ->
   ?hold:Expr.t ->
   ?supervisor:Supervisor.t ->
@@ -132,20 +131,31 @@ val create :
   generator:Slimsim_stats.Generator.t ->
   unit ->
   (t, Path.error) Result.t
-(** Same parameters and semantics as {!Engine.run} (which is now a
-    [create]-then-{!drive}), with one addition: [compiled] supplies an
-    already-staged network so a resident service can amortize
-    compilation across campaigns (it must be [Compiled.compile] of
-    [net]; ignored by the interpreted engine).  Scripted strategies
-    downgrade to the interpreter on one worker, with a warning when
-    more were requested.  [Error] is returned when [supervisor.resume]
-    is set and the checkpoint file is unreadable or incompatible. *)
+(** Create the Monte Carlo campaign of the statistical generator
+    (§III-A) for [P(<> [0, horizon] goal)]; {!drive} runs it to
+    completion, on [workers] domains (§III-C, default 1).  Path [i]
+    draws from an RNG derived from [(seed, i)] alone and samples are
+    consumed in path order, so the estimate is a function of [(model,
+    property, strategy, generator, seed)]: independent of the worker
+    count, of crashed workers (regenerated from their per-path seeds),
+    of park/resume and of observability, which draws nothing.
+
+    Scripted strategies are stateful callbacks: more than one worker is
+    downgraded to one, with a warning.  [on_error] decides what a
+    path-level error does: [`Abort] (default) fails the campaign,
+    [`Unsat] counts the path in [result.errors] as a failure.
+    [supervisor] carries the divergence policy, the restart budget,
+    checkpoint/resume and the stop flag (default: abort on divergence,
+    three restarts, no checkpoints).  [progress] is ticked once per
+    consumed sample.  [compiled] supplies an already-staged network
+    ([Compiled.compile net]) so a resident service can amortize staging
+    across campaigns.  [Error] is returned when [supervisor.resume] is
+    set and the checkpoint file is unreadable or incompatible. *)
 
 val create_with :
   ?workers:int ->
   ?seed:int64 ->
   ?config:Path.config ->
-  ?engine:[ `Compiled | `Interpreted ] ->
   ?on_error:[ `Abort | `Unsat ] ->
   ?hold:Expr.t ->
   ?supervisor:Supervisor.t ->
@@ -210,8 +220,8 @@ val park : 'r campaign -> unit
     resumes it bit-identically.  No-op on finished campaigns. *)
 
 val drive : 'r campaign -> ('r, Path.error) Result.t
-(** Step to completion: the one-shot behaviour of the historical
-    engine.  An [Interrupted] stop reason is an [Ok] result. *)
+(** Step to completion.  An [Interrupted] stop reason is an [Ok]
+    result. *)
 
 val status : 'r campaign -> 'r state
 (** Last known status; never simulates. *)
@@ -276,7 +286,6 @@ val resume :
     checkpoint). *)
 
 val path_runner :
-  ?engine:[ `Compiled | `Interpreted ] ->
   ?hold:Expr.t ->
   ?compiled:Compiled.t ->
   ?cost_var:int ->
@@ -295,7 +304,6 @@ val path_runner :
     otherwise. *)
 
 val make_runner :
-  ?engine:[ `Compiled | `Interpreted ] ->
   seed:int64 ->
   ?hold:Expr.t ->
   ?compiled:Compiled.t ->
@@ -311,4 +319,4 @@ val make_runner :
 (** {!path_runner} keyed by path id: path [i] draws from an RNG derived
     from [(seed, i)] alone, so a worker process handed any range of path
     ids — including a range a dead worker lost — generates it
-    bit-identically to the in-process engine. *)
+    bit-identically to an in-process campaign. *)

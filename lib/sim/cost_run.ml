@@ -254,7 +254,7 @@ let accumulator ~query gen =
     remaining = a.prob.Campaign.remaining;
   }
 
-let create ?workers ?seed ?config ?engine ?on_error ?hold ?supervisor ?progress
+let create ?workers ?seed ?config ?on_error ?hold ?supervisor ?progress
     ?compiled net ~goal ~horizon ~strategy ~cost_var ~query ~kind ~delta ~eps
     () =
   match kind with
@@ -265,7 +265,7 @@ let create ?workers ?seed ?config ?engine ?on_error ?hold ?supervisor ?progress
           over coupled horizons, not a cost; use a fixed-size or \
           chow-robbins generator")
   | _ ->
-    Campaign.create_with ?workers ?seed ?config ?engine ?on_error ?hold
+    Campaign.create_with ?workers ?seed ?config ?on_error ?hold
       ?supervisor ?progress ?compiled ~cost_var net ~goal ~horizon ~strategy
       (accumulator ~query (Generator.create kind ~delta ~eps))
 

@@ -59,7 +59,6 @@ val create :
   ?workers:int ->
   ?seed:int64 ->
   ?config:Path.config ->
-  ?engine:[ `Compiled | `Interpreted ] ->
   ?on_error:[ `Abort | `Unsat ] ->
   ?hold:Expr.t ->
   ?supervisor:Supervisor.t ->

@@ -247,7 +247,7 @@ let restore m st =
     m.cost <- b.ml_cost;
     Ok ()
 
-let create ?(seed = 0x51135113L) ?config ?engine ?on_error ?hold ?supervisor
+let create ?(seed = 0x51135113L) ?config ?on_error ?hold ?supervisor
     ?progress ?(levels = 4) ?warmup ?compiled net ~goal ~horizon ~strategy
     ~delta ~eps () =
   if levels < 1 || levels > max_levels then
@@ -285,7 +285,7 @@ let create ?(seed = 0x51135113L) ?config ?engine ?on_error ?hold ?supervisor
           seed;
           est = Mlmc.create ?warmup ~costs ~delta ~eps ();
           run =
-            Campaign.path_runner ?engine ?hold ?compiled net ~goal ~strategy
+            Campaign.path_runner ?hold ?compiled net ~goal ~strategy
               ~worker:0 ();
           configs =
             Array.map (fun w -> { base with Path.horizon = horizon *. w }) weights;

@@ -53,7 +53,6 @@ type t = result Campaign.campaign
 val create :
   ?seed:int64 ->
   ?config:Path.config ->
-  ?engine:[ `Compiled | `Interpreted ] ->
   ?on_error:[ `Abort | `Unsat ] ->
   ?hold:Slimsim_sta.Expr.t ->
   ?supervisor:Supervisor.t ->

@@ -35,10 +35,11 @@ type verdict =
           before the goal was reached *)
   | Diverged of divergence
       (** a watchdog budget ran out before any other verdict.  Budgets
-          are checked {e before} the goal test on every step, so both
-          engines classify the same paths as divergent.  How a diverged
-          path counts toward the estimate is the supervisor's divergence
-          policy, not the path generator's concern. *)
+          are checked {e before} the goal test on every step, so a path
+          that runs out of budget on the step that reaches the goal is
+          divergent.  How a diverged path counts toward the estimate is
+          the supervisor's divergence policy, not the path generator's
+          concern. *)
 
 type error =
   | Deadlock_error of string
@@ -91,72 +92,18 @@ val obs_cell : worker:int -> obs
     not per path.  A respawned worker finds its predecessor's cell and
     keeps counting. *)
 
-val generate :
-  ?record:bool ->
-  ?hold:Expr.t ->
-  ?obs:obs ->
-  ?cost:int * float ref ->
-  Network.t ->
-  config ->
-  Strategy.t ->
-  Slimsim_stats.Rng.t ->
-  goal:Expr.t ->
-  (verdict, error) result * step_record list
-(** Run one path from the initial state.  With the default
-    [hold = true] this checks timed reachability [<> [0,u] goal]; a
-    non-trivial [hold] checks the bounded until [hold U [0,u] goal]
-    (the goal must be reached while [hold] stays true — the CSL
-    extension named as future work in §VII).  The step list is empty
-    unless [record] is set.
-
-    [cost = (v, cell)] designates variable [v] as a cost observer: on a
-    [Sat t] verdict, [cell] receives the exact value of [v] at the
-    crossing instant [t] (step-start value plus rate × dt under the
-    linear semantics — the same rule [State.advance] applies).  The
-    extraction runs after the verdict is decided, draws nothing from
-    the RNG and touches no simulation state, so verdict streams with
-    and without [cost] are bit-identical. *)
-
-val generate_weighted :
-  ?record:bool ->
-  ?hold:Expr.t ->
-  ?bias:float ->
-  ?bias_of:(int -> int -> float) ->
-  ?obs:obs ->
-  ?cost:int * float ref ->
-  Network.t ->
-  config ->
-  Strategy.t ->
-  Slimsim_stats.Rng.t ->
-  goal:Expr.t ->
-  (verdict * float, error) result * step_record list
-(** Importance-sampled path generation for rare events (§VI): every
-    exponential rate is multiplied by [bias] (failure biasing) and the
-    path's likelihood ratio w.r.t. the unbiased measure is returned, so
-    that [ratio · 1{Sat}] is an unbiased estimate of the reachability
-    probability.  [bias = 1] (the default) degenerates to {!generate}
-    with ratio 1.  [bias_of proc tr] overrides the uniform factor with a
-    per-transition one — *selective* failure biasing, which is essential
-    when the model mixes failure and repair/service rates (scaling both
-    leaves the embedded chain unchanged and only inflates the weight
-    variance). *)
-
-(** {1 Compiled path generation}
-
-    The same step loop driven by the staged run-time representation of
-    {!Slimsim_sta.Compiled}: expressions are closures, move candidates
-    come from per-location tables, and the state is a mutable per-worker
-    scratch.  Draw-for-draw and float-for-float identical to
-    {!generate}, so the verdict stream matches bit-for-bit on any fixed
-    seed; only [Scripted] strategies are unsupported (they observe
-    immutable states). *)
-
 type compiled_query
 (** A goal/hold pair compiled against a network. *)
 
 val compile_query : ?hold:Expr.t -> Compiled.t -> goal:Expr.t -> compiled_query
+(** With the default [hold = true] the query checks timed reachability
+    [<> [0,u] goal]; a non-trivial [hold] checks the bounded until
+    [hold U [0,u] goal] (the goal must be reached while [hold] stays
+    true — the CSL extension named as future work in §VII). *)
 
-val generate_compiled :
+val generate :
+  ?weight:(int -> int -> float) * float ref ->
+  ?record:step_record list ref ->
   ?obs:obs ->
   ?cost:int * float ref ->
   Compiled.t ->
@@ -166,9 +113,38 @@ val generate_compiled :
   Strategy.t ->
   Slimsim_stats.Rng.t ->
   (verdict, error) result
-(** Run one path on the scratch state (reset first; the caller owns the
-    scratch and may reuse it across paths of one worker).  Returns
-    [Model_error] for [Scripted] strategies. *)
+(** Run one path from the initial state on the scratch state (reset
+    first; the caller owns the scratch and may reuse it across paths of
+    one worker).  The loop runs on the staged tables of
+    {!Slimsim_sta.Compiled}: expressions are closures, move candidates
+    come from per-location tables, and the state is mutable.
+
+    [Scripted] strategies see each step as the interpreter shows it (an
+    immutable [State.t], the move and rate lists, unscaled rates); the
+    exponential race is drawn before the script runs.  A script that
+    picks an invalid move or rate index, a negative delay or a delay
+    outside the move's window gets a [Model_error]; [Abort] gives
+    [Aborted].
+
+    [weight = (factor, ratio)] turns on importance sampling by failure
+    biasing (§VI): every exponential rate is multiplied by
+    [factor proc tr], and on an [Ok] verdict [ratio] receives the path's
+    likelihood ratio w.r.t. the unbiased measure, so that
+    [ratio · 1{Sat}] is an unbiased estimate of the reachability
+    probability.
+
+    [record] is reset, then receives the path's firings and advances in
+    order, each stamped with its step-start time and described by
+    [Moves.describe] (or ["advance"], ["advance (missed)"]).
+
+    [cost = (v, cell)] designates variable [v] as a cost observer: on a
+    [Sat t] verdict, [cell] receives the exact value of [v] at the
+    crossing instant [t] (step-start value plus rate × dt under the
+    linear semantics — the same rule [State.advance] applies).
+
+    [record], [cost] and [obs] draw nothing from the RNG and change no
+    control flow, so the verdict stream is the same with or without
+    them. *)
 
 val divergence_to_string : divergence -> string
 val verdict_to_string : verdict -> string

@@ -15,12 +15,19 @@ type result = {
 let estimate ?(seed = 0x0DDBA11L) ?config ?hold ?bias_of net ~goal ~horizon
     ~strategy ~bias ~paths ~delta () =
   if paths <= 0 then invalid_arg "Rare.estimate: paths must be positive";
+  if bias <= 0.0 then invalid_arg "Rare.estimate: bias must be positive";
   let cfg =
     match config with
     | Some c -> { c with Path.horizon }
     | None -> Path.default_config ~horizon
   in
   let t0 = Unix.gettimeofday () in
+  let c = Slimsim_sta.Compiled.compile net in
+  let q = Path.compile_query ?hold c ~goal in
+  let s = Slimsim_sta.Compiled.scratch c in
+  let factor = match bias_of with Some f -> f | None -> fun _ _ -> bias in
+  let ratio = ref 1.0 in
+  let weight = (factor, ratio) in
   let w = Welford.create () in
   let hits = ref 0 in
   let rec go i =
@@ -41,14 +48,12 @@ let estimate ?(seed = 0x0DDBA11L) ?config ?hold ?bias_of net ~goal ~horizon
     end
     else
       let rng = Rng.for_path ~seed ~path:i in
-      match
-        fst (Path.generate_weighted ?hold ~bias ?bias_of net cfg strategy rng ~goal)
-      with
-      | Ok (Path.Sat _, ratio) ->
+      match Path.generate ~weight c s q cfg strategy rng with
+      | Ok (Path.Sat _) ->
         incr hits;
-        Welford.add w ratio;
+        Welford.add w !ratio;
         go (i + 1)
-      | Ok (_, _) ->
+      | Ok _ ->
         Welford.add w 0.0;
         go (i + 1)
       | Error e -> Error e

@@ -44,5 +44,8 @@ val estimate :
   delta:float ->
   unit ->
   (result, Path.error) Result.t
+(** Draw [paths] paths of [Path.generate] with failure biasing, path [i]
+    from the RNG of [(seed, i)], on one staged network and one scratch.
+    Raises [Invalid_argument] unless [paths > 0] and [bias > 0]. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -2,7 +2,7 @@
     SMC run — what to do with runaway paths, how to survive worker
     crashes, how to persist progress, and how to stop gracefully.
 
-    A supervisor is plain data consulted by {!Engine.run}; it owns no
+    A supervisor is plain data consulted by {!Campaign}; it owns no
     threads of its own.  The default supervisor preserves the historical
     behaviour: divergent paths abort the campaign, crashes are retried a
     few times, nothing is checkpointed, and no stop flag is observed. *)

@@ -31,7 +31,7 @@ let categorical rng ~weights =
 
 (* One length walk, one draw, one selection walk — the previous
    [List.nth xs (Rng.int rng (List.length xs))] walked the spine twice
-   per draw, in the per-step hot path of both engines.  RNG consumption
+   per draw, in the per-step hot path.  RNG consumption
    is unchanged (exactly one [Rng.int] for two or more elements, none
    otherwise), so verdict streams are bit-identical; the determinism
    suite in test/test_compiled.ml pins this down. *)

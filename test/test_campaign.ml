@@ -4,26 +4,17 @@
    checkpoints as one driven to completion in a single call, across both
    fixed-size (Chernoff) and sequential (Chow–Robbins) stopping rules,
    and for the cost accumulator as well as the Bernoulli one.  This is
-   the contract Engine.run and the serve scheduler build on. *)
+   the contract one-shot runs and the serve scheduler build on. *)
 
-module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
-module Engine = Slimsim_sim.Engine
 module Campaign = Slimsim_sim.Campaign
 module Cost_run = Slimsim_sim.Cost_run
 module Supervisor = Slimsim_sim.Supervisor
 module Generator = Slimsim_stats.Generator
 
-let load src =
-  match Loader.load_string src with
-  | Ok l -> l.Loader.network
-  | Error e -> Alcotest.failf "load failed: %s" e
-
-let goal net src =
-  match Loader.parse_goal net src with
-  | Ok g -> g
-  | Error e -> Alcotest.failf "goal failed: %s" e
+let load = Fixture.load
+let goal = Fixture.goal
 
 (* A fair race with short paths: ~2/3 of the paths set v before the
    horizon, so both stopping rules converge in a few hundred samples. *)
@@ -99,20 +90,20 @@ let drive_chopped ?(park = true) c =
   loop 0
 
 let test_drive_matches_engine () =
+  (* [drive] equals the same campaign over the reference generator *)
   let net = load race_model in
   let g = goal net "v" in
   let generator () = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.1 in
   let e =
     match
-      Engine.run ~workers:1 ~seed:11L net ~goal:g ~horizon:2.0
-        ~strategy:Strategy.Asap ~generator:(generator ()) ()
+      Fixture.oracle ~seed:11L net ~goal:g ~horizon:2.0 ~strategy:Strategy.Asap
+        ~generator:(generator ()) ()
     with
     | Ok r -> r
-    | Error e -> Alcotest.failf "engine failed: %s" (Path.error_to_string e)
+    | Error e -> Alcotest.failf "oracle failed: %s" (Path.error_to_string e)
   in
   let r = ok (Campaign.drive (make ())) in
-  (* Engine.result is definitionally Campaign.result *)
-  same_result "engine vs drive" e r
+  same_result "oracle vs drive" e r
 
 let chopped_case ~name ~kind ~workers () =
   let reference = ok (Campaign.drive (make ~kind ~workers ())) in

@@ -1,7 +1,8 @@
 (* Cross-checks for the staged compiled core (Slimsim_sta.Compiled):
    property tests comparing compiled closures against the reference
    interpreter on random expressions and states, end-to-end
-   verdict-stream equality on the bundled models, and the engine-level
+   verdict-stream equality against the reference path generator
+   ([Path_oracle]) on the bundled models, and the campaign-level
    guarantees around error/violation accounting. *)
 
 module Expr = Slimsim_sta.Expr
@@ -9,10 +10,9 @@ module Value = Slimsim_sta.Value
 module Linear = Slimsim_sta.Linear
 module Compiled = Slimsim_sta.Compiled
 module I = Slimsim_intervals.Interval_set
-module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
-module Engine = Slimsim_sim.Engine
+module Campaign = Slimsim_sim.Campaign
 module Generator = Slimsim_stats.Generator
 module Rng = Slimsim_stats.Rng
 module Gen = QCheck2.Gen
@@ -175,15 +175,8 @@ let prop_sat ((e, ((vals, rates, locs) as st)) : Expr.t * _) =
 (* ------------------------------------------------------------------ *)
 (* End-to-end verdict-stream equality on the bundled models            *)
 
-let load src =
-  match Loader.load_string src with
-  | Ok l -> l.Loader.network
-  | Error e -> Alcotest.failf "load failed: %s" e
-
-let goal net src =
-  match Loader.parse_goal net src with
-  | Ok g -> g
-  | Error e -> Alcotest.failf "goal failed: %s" e
+let load = Fixture.load
+let goal = Fixture.goal
 
 let strategies =
   [ Strategy.Asap; Strategy.Progressive; Strategy.Local; Strategy.Max_time ]
@@ -202,18 +195,18 @@ let check_verdict_stream ~name ?hold_src ~goal_src ~horizon ~seeds src =
         let seed = Int64.of_int seed in
         let interp =
           fst
-            (Path.generate ?hold net cfg strategy (Rng.for_path ~seed ~path:0)
-               ~goal:g)
+            (Path_oracle.generate ?hold net cfg strategy
+               (Rng.for_path ~seed ~path:0) ~goal:g)
         in
         let compiled =
-          Path.generate_compiled c s q cfg strategy (Rng.for_path ~seed ~path:0)
+          Path.generate c s q cfg strategy (Rng.for_path ~seed ~path:0)
         in
         let show = function
           | Ok v -> Path.verdict_to_string v
           | Error e -> Path.error_to_string e
         in
         if compare interp compiled <> 0 then
-          Alcotest.failf "%s (%s, seed %Ld): interpreted %s vs compiled %s" name
+          Alcotest.failf "%s (%s, seed %Ld): oracle %s vs compiled %s" name
             (Strategy.to_string strategy)
             seed (show interp) (show compiled)
       done)
@@ -256,17 +249,21 @@ let test_verdicts_queue_until () =
     (Slimsim_models.Queue_model.source ~arrival:0.8 ~service:0.5 ~capacity:5)
 
 (* ------------------------------------------------------------------ *)
-(* Engine-level equality and the error/violation accounting            *)
+(* Campaign-level equality and the error/violation accounting          *)
 
-let engine_result ~engine ?on_error ?hold ?config ?supervisor net ~g ~horizon
-    ~strategy ~kind =
+let campaign_result ?(oracle = false) ?on_error ?hold ?config ?supervisor net
+    ~g ~horizon ~strategy ~kind =
   let generator = Generator.create kind ~delta:0.1 ~eps:0.1 in
   match
-    Engine.run ~seed:23L ~engine ?on_error ?config ?supervisor
-      ?hold net ~goal:g ~horizon ~strategy ~generator ()
+    if oracle then
+      Fixture.oracle ~seed:23L ?on_error ?config ?supervisor ?hold net ~goal:g
+        ~horizon ~strategy ~generator ()
+    else
+      Fixture.run ~seed:23L ?on_error ?config ?supervisor ?hold net ~goal:g
+        ~horizon ~strategy ~generator ()
   with
   | Ok r -> r
-  | Error e -> Alcotest.failf "engine run failed: %s" (Path.error_to_string e)
+  | Error e -> Alcotest.failf "campaign failed: %s" (Path.error_to_string e)
 
 let test_engine_equality () =
   let net = load Slimsim_models.Gps.source in
@@ -274,19 +271,18 @@ let test_engine_equality () =
   List.iter
     (fun strategy ->
       let a =
-        engine_result ~engine:`Compiled net ~g ~horizon:100.0 ~strategy
-          ~kind:Generator.Chernoff
+        campaign_result net ~g ~horizon:100.0 ~strategy ~kind:Generator.Chernoff
       in
       let b =
-        engine_result ~engine:`Interpreted net ~g ~horizon:100.0 ~strategy
+        campaign_result ~oracle:true net ~g ~horizon:100.0 ~strategy
           ~kind:Generator.Chernoff
       in
       Alcotest.(check (float 0.0))
-        "same probability" b.Engine.probability a.Engine.probability;
-      Alcotest.(check int) "same paths" b.Engine.paths a.Engine.paths;
-      Alcotest.(check int) "same successes" b.Engine.successes a.Engine.successes;
+        "same probability" b.Campaign.probability a.Campaign.probability;
+      Alcotest.(check int) "same paths" b.Campaign.paths a.Campaign.paths;
+      Alcotest.(check int) "same successes" b.Campaign.successes a.Campaign.successes;
       Alcotest.(check int)
-        "same deadlocks" b.Engine.deadlock_paths a.Engine.deadlock_paths)
+        "same deadlocks" b.Campaign.deadlock_paths a.Campaign.deadlock_paths)
     strategies
 
 let test_violated_paths_counted () =
@@ -299,15 +295,15 @@ let test_violated_paths_counted () =
   let g = goal net "q = 3" in
   let hold = goal net "q <= 1" in
   let r =
-    engine_result ~engine:`Compiled ~hold net ~g ~horizon:50.0
+    campaign_result ~hold net ~g ~horizon:50.0
       ~strategy:Strategy.Asap ~kind:Generator.Chernoff
   in
-  Alcotest.(check int) "no successes" 0 r.Engine.successes;
-  Alcotest.(check bool) "violations counted" true (r.Engine.violated_paths > 0);
+  Alcotest.(check int) "no successes" 0 r.Campaign.successes;
+  Alcotest.(check bool) "violations counted" true (r.Campaign.violated_paths > 0);
   Alcotest.(check bool)
     "violations bounded by failures" true
-    (r.Engine.violated_paths <= r.Engine.paths - r.Engine.successes);
-  let s = Fmt.str "%a" Engine.pp_result r in
+    (r.Campaign.violated_paths <= r.Campaign.paths - r.Campaign.successes);
+  let s = Fmt.str "%a" Campaign.pp_result r in
   Alcotest.(check bool) "violations surfaced" true
     (Astring_contains.contains s "hold-violated")
 
@@ -319,7 +315,7 @@ let test_error_policy () =
   let config = { (Path.default_config ~horizon:100.0) with Path.max_steps = 0 } in
   let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.2 in
   (match
-     Engine.run ~config net ~goal:g ~horizon:100.0 ~strategy:Strategy.Asap
+     Fixture.run ~config net ~goal:g ~horizon:100.0 ~strategy:Strategy.Asap
        ~generator ()
    with
   | Error (Path.Diverged_path (Path.Step_budget _)) -> ()
@@ -328,26 +324,26 @@ let test_error_policy () =
   (* `Unsat counts every diverged path as a failure. *)
   let supervisor = Slimsim_sim.Supervisor.create ~on_divergence:`Unsat () in
   let r =
-    engine_result ~engine:`Compiled ~supervisor ~config net ~g ~horizon:100.0
+    campaign_result ~supervisor ~config net ~g ~horizon:100.0
       ~strategy:Strategy.Asap ~kind:Generator.Chernoff
   in
   Alcotest.(check int)
-    "every path diverged" r.Engine.paths r.Engine.diverged_paths;
+    "every path diverged" r.Campaign.paths r.Campaign.diverged_paths;
   Alcotest.(check (float 0.0))
-    "diverged paths count as unsat" 0.0 r.Engine.probability;
-  let s = Fmt.str "%a" Engine.pp_result r in
+    "diverged paths count as unsat" 0.0 r.Campaign.probability;
+  let s = Fmt.str "%a" Campaign.pp_result r in
   Alcotest.(check bool) "divergence surfaced" true
     (Astring_contains.contains s "diverged");
   (* on_error:`Unsat still covers genuine path errors: a script that
      picks an invalid move index raises Model_error on every path. *)
   let bad_script _alts = Strategy.Fire { index = max_int; delay = 0.0 } in
   let r =
-    engine_result ~engine:`Interpreted ~on_error:`Unsat net ~g ~horizon:100.0
+    campaign_result ~on_error:`Unsat net ~g ~horizon:100.0
       ~strategy:(Strategy.Scripted bad_script) ~kind:Generator.Chernoff
   in
-  Alcotest.(check int) "every path errored" r.Engine.paths r.Engine.errors;
-  Alcotest.(check (float 0.0)) "errors count as unsat" 0.0 r.Engine.probability;
-  let s = Fmt.str "%a" Engine.pp_result r in
+  Alcotest.(check int) "every path errored" r.Campaign.paths r.Campaign.errors;
+  Alcotest.(check (float 0.0)) "errors count as unsat" 0.0 r.Campaign.probability;
+  let s = Fmt.str "%a" Campaign.pp_result r in
   Alcotest.(check bool) "errors surfaced" true
     (Astring_contains.contains s "errored")
 
@@ -360,8 +356,7 @@ let test_scratch_reuse_is_clean () =
   let c = Compiled.compile net in
   let q = Path.compile_query c ~goal:g in
   let run s seed =
-    Path.generate_compiled c s q cfg Strategy.Progressive
-      (Rng.for_path ~seed ~path:0)
+    Path.generate c s q cfg Strategy.Progressive (Rng.for_path ~seed ~path:0)
   in
   let shared = Compiled.scratch c in
   let reused = List.map (run shared) [ 1L; 2L; 3L; 4L; 5L ] in
@@ -371,8 +366,8 @@ let test_scratch_reuse_is_clean () =
 
 let test_obs_bit_identity () =
   (* Enabling metrics and passing an obs cell must not change a single
-     verdict, on either engine: instrumentation performs no RNG draws
-     and never touches simulation state. *)
+     verdict, and the stream stays the oracle's: instrumentation performs
+     no RNG draws and never touches simulation state. *)
   let module Metrics = Slimsim_obs.Metrics in
   let net = load Slimsim_models.Gps.source in
   let g = goal net Slimsim_models.Gps.goal_no_fix in
@@ -385,11 +380,11 @@ let test_obs_bit_identity () =
         List.map
           (fun seed ->
             let s = Compiled.scratch c in
-            ( Path.generate_compiled ?obs c s q cfg strategy
+            ( Path.generate ?obs c s q cfg strategy
                 (Rng.for_path ~seed ~path:0),
               fst
-                (Path.generate ?obs net cfg strategy
-                   (Rng.for_path ~seed ~path:1) ~goal:g) ))
+                (Path_oracle.generate net cfg strategy
+                   (Rng.for_path ~seed ~path:0) ~goal:g) ))
           [ 1L; 2L; 3L; 4L; 5L ])
       strategies
   in
@@ -402,6 +397,11 @@ let test_obs_bit_identity () =
   in
   Alcotest.(check bool) "verdict streams bit-identical" true
     (compare plain instrumented = 0);
+  List.iter
+    (fun (compiled, oracle) ->
+      Alcotest.(check bool) "instrumented stream = oracle" true
+        (compare compiled oracle = 0))
+    instrumented;
   (* and the instrumentation actually recorded, rather than no-op'ing *)
   let steps =
     Metrics.histogram
@@ -409,7 +409,7 @@ let test_obs_bit_identity () =
       "slimsim_path_steps" ~help:"Steps taken per simulated path"
   in
   Alcotest.(check int) "every instrumented path observed"
-    (2 * List.length plain)
+    (List.length plain)
     (Metrics.histogram_count steps);
   Metrics.reset ()
 
@@ -702,7 +702,7 @@ let test_failing_trial_is_clean () =
   let q = Path.compile_query c ~goal:(Expr.Loc (1, 1)) in
   let cfg = Path.default_config ~horizon:50.0 in
   let run s seed =
-    Path.generate_compiled c s q cfg Strategy.Progressive (Rng.for_path ~seed ~path:0)
+    Path.generate c s q cfg Strategy.Progressive (Rng.for_path ~seed ~path:0)
   in
   let shared = Compiled.scratch c in
   let errors = ref 0 in

@@ -5,7 +5,7 @@
      label escaping, non-finite property bounds) each have a regression
      test that failed before the fix;
    - cost accumulation must leave non-cost verdict streams bit-identical
-     (engine on/off, interpreted vs compiled);
+     (cost on/off, compiled vs the reference generator);
    - E[cost] on an analytically known model (exponential firing time,
      truncated at the horizon) must fall inside the reported CI across
      seeds, under both fixed-N and Chow-Robbins stopping;
@@ -14,7 +14,6 @@
      result, and cross-resume against classic/multilevel checkpoints is
      rejected. *)
 
-module Loader = Slimsim_slim.Loader
 module Pattern = Slimsim_props.Pattern
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
@@ -27,15 +26,8 @@ module Rng = Slimsim_stats.Rng
 module Metrics = Slimsim_obs.Metrics
 module Compiled = Slimsim_sta.Compiled
 
-let load src =
-  match Loader.load_string src with
-  | Ok l -> l.Loader.network
-  | Error e -> Alcotest.failf "load failed: %s" e
-
-let goal net src =
-  match Loader.parse_goal net src with
-  | Ok g -> g
-  | Error e -> Alcotest.failf "goal failed: %s" e
+let load = Fixture.load
+let goal = Fixture.goal
 
 let cost_var net src =
   match Pattern.resolve_cost net src with
@@ -188,13 +180,13 @@ root D.I;
 let truncated_mean u = 1.0 -. (u *. exp (-.u) /. (1.0 -. exp (-.u)))
 
 let make_cost ?supervisor ?(kind = Generator.Chow_robbins) ?(delta = 0.01)
-    ?(eps = 0.05) ?(seed = 1L) ?(horizon = 6.0) ?engine
+    ?(eps = 0.05) ?(seed = 1L) ?(horizon = 6.0)
     ?(query = "E[c ; <> [0, 6] v]") () =
   let net = load exp_model in
   let g = goal net "v" in
   let cv = cost_var net "c" in
   match
-    Cost_run.create ~seed ?supervisor ?engine net ~goal:g ~horizon
+    Cost_run.create ~seed ?supervisor net ~goal:g ~horizon
       ~strategy:Strategy.Asap ~cost_var:cv ~query ~kind ~delta ~eps ()
   with
   | Ok c -> c
@@ -253,10 +245,10 @@ let test_cost_off_on_bit_identical () =
   let cfg = Path.default_config ~horizon:6.0 in
   let n = 400 in
   let seed = 42L in
-  (* interpreted engine: with and without the cost observer *)
+  (* the reference generator: with and without the cost observer *)
   let run_interp cost path =
     let rng = Rng.for_path ~seed ~path in
-    fst (Path.generate ?cost net cfg Strategy.Asap rng ~goal:g)
+    fst (Path_oracle.generate ?cost net cfg Strategy.Asap rng ~goal:g)
   in
   let cell = ref nan in
   let interp_costs = ref [] in
@@ -270,8 +262,8 @@ let test_cost_off_on_bit_identical () =
     | Ok (Path.Sat _) -> interp_costs := !cell :: !interp_costs
     | _ -> ()
   done;
-  (* compiled engine: verdicts bit-identical to the interpreter, and the
-     extracted costs are float-equal between the two engines *)
+  (* the compiled generator: verdicts bit-identical to the oracle's, and
+     the extracted costs float-equal to the oracle's *)
   let c = Compiled.compile net in
   let q = Path.compile_query c ~goal:g in
   let s = Compiled.scratch c in
@@ -280,18 +272,18 @@ let test_cost_off_on_bit_identical () =
   for path = 0 to n - 1 do
     let rng = Rng.for_path ~seed ~path in
     ccell := nan;
-    let v = Path.generate_compiled ~cost:(cv, ccell) c s q cfg Strategy.Asap rng in
+    let v = Path.generate ~cost:(cv, ccell) c s q cfg Strategy.Asap rng in
     let rng' = Rng.for_path ~seed ~path in
-    let v' = fst (Path.generate net cfg Strategy.Asap rng' ~goal:g) in
+    let v' = fst (Path_oracle.generate net cfg Strategy.Asap rng' ~goal:g) in
     if v <> v' then
-      Alcotest.failf "path %d: compiled verdict differs from interpreted" path;
+      Alcotest.failf "path %d: compiled verdict differs from the oracle's" path;
     match v with
     | Ok (Path.Sat _) -> compiled_costs := !ccell :: !compiled_costs
     | _ -> ()
   done;
   Alcotest.(check bool) "some sat paths were observed" true
     (List.length !interp_costs > 0);
-  Alcotest.(check (list (float 0.0))) "engine-exact cost values"
+  Alcotest.(check (list (float 0.0))) "oracle-exact cost values"
     (List.rev !interp_costs) (List.rev !compiled_costs);
   (* the cost is the Sat crossing time here (unit-rate clock, never
      reset), so the extraction is exact by construction *)

@@ -7,17 +7,9 @@ module Explorer = Slimsim_ctmc.Explorer
 module Lumping = Slimsim_ctmc.Lumping
 module Transient = Slimsim_ctmc.Transient
 module Analysis = Slimsim_ctmc.Analysis
-module Loader = Slimsim_slim.Loader
 
-let load src =
-  match Loader.load_string src with
-  | Ok l -> l.Loader.network
-  | Error e -> Alcotest.failf "load failed: %s" e
-
-let goal net src =
-  match Loader.parse_goal net src with
-  | Ok g -> g
-  | Error e -> Alcotest.failf "goal failed: %s" e
+let load = Fixture.load
+let goal = Fixture.goal
 
 (* --- representation --- *)
 

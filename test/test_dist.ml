@@ -1,7 +1,7 @@
 (* Distributed-campaign tests: the wire framing, the chaos grammar, the
    lease table's duplicate suppression, and — the point of the whole
    subsystem — determinism under failure: the estimate from coordinator +
-   worker processes must be bit-identical to the in-process engine at the
+   worker processes must be bit-identical to an in-process campaign at the
    same seed, for every worker count and every chaos schedule, including
    schedules that force lease reassignment and worker quarantine. *)
 
@@ -11,7 +11,6 @@ module Wire = Slimsim_dist.Wire
 module Chaos = Slimsim_dist.Chaos
 module Lease = Slimsim_sim.Lease
 module Campaign = Slimsim_sim.Campaign
-module Engine = Slimsim_sim.Engine
 module Supervisor = Slimsim_sim.Supervisor
 module Strategy = Slimsim_sim.Strategy
 module Path = Slimsim_sim.Path
@@ -111,7 +110,6 @@ let test_wire_version_mismatch () =
       model_source = "m";
       property = "p";
       strategy = "asap";
-      engine = "compiled";
       max_steps = 10;
       max_sim_time = None;
       max_wall_per_path = None;
@@ -249,12 +247,9 @@ let test_range_size_rule () =
   Alcotest.(check int) "unplanned rule" 1024 (size None 2);
   Alcotest.(check int) "unplanned rule on domains" 256 (size ~cap:256 None 4)
 
-(* --- distributed campaigns vs the in-process engine --- *)
+(* --- distributed campaigns vs the in-process campaign --- *)
 
-let load src =
-  match Loader.load_string src with
-  | Ok l -> l.Loader.network
-  | Error e -> Alcotest.failf "load failed: %s" e
+let load = Fixture.load
 
 let reference ?(kind = Generator.Chernoff) () =
   let net = load model_source in
@@ -265,7 +260,7 @@ let reference ?(kind = Generator.Chernoff) () =
   in
   let generator = Generator.create kind ~delta:0.1 ~eps:0.1 in
   match
-    Engine.run ~workers:1 ~seed net ~goal ~horizon:300.0 ~strategy:Strategy.Asap
+    Fixture.run ~workers:1 ~seed net ~goal ~horizon:300.0 ~strategy:Strategy.Asap
       ~generator ()
   with
   | Ok r -> r
@@ -356,6 +351,21 @@ let test_determinism_matrix () =
         [ 1; 2; 4 ])
     [ Generator.Chernoff; Generator.Chow_robbins ]
 
+(* A job naming any path generator other than the compiled one is
+   refused before a worker is spawned. *)
+let test_job_engine_validated () =
+  match
+    Coordinator.run
+      (Coordinator.config ~workers:1 ~worker_cmd:[| bin; "work" |] ())
+      { job with Coordinator.engine = "interpreted" }
+      ~generator:(Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.1)
+  with
+  | Error (Path.Model_error msg) ->
+    Alcotest.(check bool) "names the engine" true
+      (Astring_contains.contains msg "unknown engine \"interpreted\"")
+  | Error e -> Alcotest.failf "unexpected error: %s" (Path.error_to_string e)
+  | Ok _ -> Alcotest.fail "an interpreted job must be refused"
+
 (* A plan of a few hundred long paths used to fit one fixed 1024-path
    lease, so one worker ran it all; the derived lease size spreads it. *)
 let test_launcher_derived_lease () =
@@ -365,7 +375,7 @@ let test_launcher_derived_lease () =
   let net = load source in
   let baseline =
     match
-      Engine.run ~workers:1 ~seed net
+      Fixture.run ~workers:1 ~seed net
         ~goal:
           (match Loader.parse_goal net goal_src with
           | Ok g -> g
@@ -474,6 +484,8 @@ let suite =
     Alcotest.test_case "lease: range size rule" `Quick test_range_size_rule;
     Alcotest.test_case "determinism: workers x generator x chaos" `Quick
       test_determinism_matrix;
+    Alcotest.test_case "job: only the compiled engine" `Quick
+      test_job_engine_validated;
     Alcotest.test_case "launcher: derived lease size, bit-identical" `Quick
       test_launcher_derived_lease;
     Alcotest.test_case "quarantine degrades, estimate unchanged" `Quick

@@ -3,23 +3,14 @@
    with resume/restart), and the M/M/1/K queueing model as a further
    simulator-vs-CTMC cross-validation. *)
 
-module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
-module Engine = Slimsim_sim.Engine
+module Campaign = Slimsim_sim.Campaign
 module Generator = Slimsim_stats.Generator
-module Rng = Slimsim_stats.Rng
 module Analysis = Slimsim_ctmc.Analysis
 
-let load src =
-  match Loader.load_string src with
-  | Ok l -> l.Loader.network
-  | Error e -> Alcotest.failf "load failed: %s" e
-
-let goal net src =
-  match Loader.parse_goal net src with
-  | Ok g -> g
-  | Error e -> Alcotest.failf "goal failed: %s" e
+let load = Fixture.load
+let goal = Fixture.goal
 
 (* --- error propagation --- *)
 
@@ -84,11 +75,11 @@ let test_propagation_between_siblings () =
   (* the propagation fires as soon as the source fails: P = 1 - e^{-0.5 t} *)
   let horizon = 3.0 in
   let generator = Generator.create Generator.Chernoff ~delta:0.05 ~eps:0.02 in
-  (match Engine.run net ~goal:g ~horizon ~strategy:Strategy.Asap ~generator () with
+  (match Fixture.run net ~goal:g ~horizon ~strategy:Strategy.Asap ~generator () with
   | Ok r ->
     let expected = 1.0 -. exp (-0.5 *. horizon) in
     Alcotest.(check bool) "simulator matches the source's law" true
-      (Float.abs (r.Engine.probability -. expected) < 0.02)
+      (Float.abs (r.Campaign.probability -. expected) < 0.02)
   | Error e -> Alcotest.fail (Path.error_to_string e));
   (* and the CTMC pipeline agrees exactly *)
   match Analysis.check net ~goal:g ~horizon with
@@ -137,7 +128,7 @@ root Main.Imp;
   let net = load src in
   let g = goal net "b in mode poisoned" in
   let cfg = Path.default_config ~horizon:100.0 in
-  match fst (Path.generate net cfg Strategy.Asap (Rng.for_path ~seed:1L ~path:0) ~goal:g) with
+  match fst (Path_oracle.checked net cfg Strategy.Asap ~seed:1L ~goal:g) with
   | Ok (Path.Unsat_deadlock | Path.Unsat_horizon) -> ()
   | v ->
     Alcotest.failf "expected the propagation to be dead, got %s"
@@ -185,7 +176,7 @@ root Main.Imp;
 
 let run_to_sat net g =
   let cfg = Path.default_config ~horizon:100.0 in
-  fst (Path.generate net cfg Strategy.Asap (Rng.for_path ~seed:1L ~path:0) ~goal:g)
+  fst (Path_oracle.checked net cfg Strategy.Asap ~seed:1L ~goal:g)
 
 let test_reconfiguration_freezes_clock () =
   (* resume semantics: worker runs 0..2 (w reaches 2), freezes 2..5,
@@ -246,12 +237,12 @@ let test_mm1k_sim_vs_exact () =
     | Error e -> Alcotest.fail e
   in
   let generator = Generator.create Generator.Chernoff ~delta:0.05 ~eps:0.02 in
-  match Engine.run net ~goal:g ~horizon ~strategy:Strategy.Asap ~generator () with
+  match Fixture.run net ~goal:g ~horizon ~strategy:Strategy.Asap ~generator () with
   | Ok r ->
     Alcotest.(check bool)
-      (Printf.sprintf "sim (%.4f) within eps of exact (%.4f)" r.Engine.probability exact)
+      (Printf.sprintf "sim (%.4f) within eps of exact (%.4f)" r.Campaign.probability exact)
       true
-      (Float.abs (r.Engine.probability -. exact) <= 0.02)
+      (Float.abs (r.Campaign.probability -. exact) <= 0.02)
   | Error e -> Alcotest.fail (Path.error_to_string e)
 
 let test_mm1k_until () =
@@ -269,13 +260,13 @@ let test_mm1k_until () =
   in
   let generator = Generator.create Generator.Chernoff ~delta:0.05 ~eps:0.02 in
   match
-    Engine.run ~hold:h net ~goal:g ~horizon ~strategy:Strategy.Asap ~generator ()
+    Fixture.run ~hold:h net ~goal:g ~horizon ~strategy:Strategy.Asap ~generator ()
   with
   | Ok r ->
     Alcotest.(check bool)
-      (Printf.sprintf "until: sim (%.4f) vs exact (%.4f)" r.Engine.probability exact)
+      (Printf.sprintf "until: sim (%.4f) vs exact (%.4f)" r.Campaign.probability exact)
       true
-      (Float.abs (r.Engine.probability -. exact) <= 0.02)
+      (Float.abs (r.Campaign.probability -. exact) <= 0.02)
   | Error e -> Alcotest.fail (Path.error_to_string e)
 
 (* --- the timed sensor/filter variant (simulator only) --- *)
@@ -293,22 +284,22 @@ let test_timed_sensor_filter () =
   (* ASAP detects at the earliest instant: the probability approaches the
      untimed closed form *)
   let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.03 in
-  match Engine.run net ~goal:g ~horizon:1800.0 ~strategy:Strategy.Asap ~generator () with
+  match Fixture.run net ~goal:g ~horizon:1800.0 ~strategy:Strategy.Asap ~generator () with
   | Error e -> Alcotest.fail (Path.error_to_string e)
   | Ok asap ->
     let truth = Slimsim_models.Sensor_filter.closed_form ~n:2 ~horizon:1800.0 in
     Alcotest.(check bool) "asap near the untimed value" true
-      (Float.abs (asap.Engine.probability -. truth) < 0.04);
+      (Float.abs (asap.Campaign.probability -. truth) < 0.04);
     (* progressive pays the detection latency: clearly lower *)
     let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.03 in
     (match
-       Engine.run net ~goal:g ~horizon:1800.0 ~strategy:Strategy.Progressive
+       Fixture.run net ~goal:g ~horizon:1800.0 ~strategy:Strategy.Progressive
          ~generator ()
      with
     | Error e -> Alcotest.fail (Path.error_to_string e)
     | Ok prog ->
       Alcotest.(check bool) "progressive clearly below asap" true
-        (prog.Engine.probability < asap.Engine.probability -. 0.1))
+        (prog.Campaign.probability < asap.Campaign.probability -. 0.1))
 
 let suite =
   [

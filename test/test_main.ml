@@ -9,6 +9,7 @@ let () =
       ("translate", Test_translate.suite);
       ("sim", Test_sim.suite);
       ("compiled", Test_compiled.suite);
+      ("oracle", Test_oracle.suite);
       ("obs", Test_obs.suite);
       ("ctmc", Test_ctmc.suite);
       ("safety", Test_safety.suite);

@@ -14,7 +14,6 @@
    Plus the determinism contract: checkpoint/resume reproduces an
    uninterrupted run exactly. *)
 
-module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
 module Campaign = Slimsim_sim.Campaign
@@ -24,15 +23,8 @@ module Generator = Slimsim_stats.Generator
 module Mlmc = Slimsim_stats.Mlmc
 module Rng = Slimsim_stats.Rng
 
-let load src =
-  match Loader.load_string src with
-  | Ok l -> l.Loader.network
-  | Error e -> Alcotest.failf "load failed: %s" e
-
-let goal net src =
-  match Loader.parse_goal net src with
-  | Ok g -> g
-  | Error e -> Alcotest.failf "goal failed: %s" e
+let load = Fixture.load
+let goal = Fixture.goal
 
 (* Same fair race as the campaign tests: ~2/3 of the paths set v before
    horizon 2.0, and most hits happen early — so coarse horizons already
@@ -101,8 +93,8 @@ let test_one_level_bit_identical () =
   Alcotest.(check (array int)) "stops at the warmup floor" [| 200 |]
     r.Mlmc_run.samples_per_level;
   Alcotest.(check int) "one path per sample at level 0" 200 r.Mlmc_run.paths;
-  (* replay the same 200 paths through the plain single-level generator:
-     same seed, same per-path streams (for_path_level at level 0 is
+  (* replay the same 200 paths through the reference generator: same
+     seed, same per-path streams (for_path_level at level 0 is
      for_path), same full-horizon config *)
   let net = load race_model in
   let g = goal net "v" in
@@ -110,7 +102,7 @@ let test_one_level_bit_identical () =
   let sat = ref 0 in
   for id = 0 to 199 do
     let rng = Rng.for_path ~seed ~path:id in
-    match fst (Path.generate net cfg Strategy.Asap rng ~goal:g) with
+    match fst (Path_oracle.generate net cfg Strategy.Asap rng ~goal:g) with
     | Ok (Path.Sat _) -> incr sat
     | Ok _ -> ()
     | Error e -> Alcotest.failf "replay path %d failed: %s" id (Path.error_to_string e)

@@ -94,7 +94,11 @@ let ctmc_tests =
 
 (* --- simulator path invariants over random seeds --- *)
 
+(* Each property runs the compiled generator and requires the oracle to
+   produce the same verdict, steps and likelihood ratio. *)
 let path_invariant_tests =
+  let module Path = Slimsim_sim.Path in
+  let module Compiled = Slimsim_sta.Compiled in
   let net =
     match Slimsim_slim.Loader.load_string Slimsim_models.Gps.source with
     | Ok l -> l.Slimsim_slim.Loader.network
@@ -106,11 +110,18 @@ let path_invariant_tests =
     | Error e -> failwith e
   in
   let horizon = 120.0 in
+  let cfg = Path.default_config ~horizon in
+  let c = Compiled.compile net in
+  let q = Path.compile_query c ~goal:g in
+  let s = Compiled.scratch c in
+  let rng seed = Slimsim_stats.Rng.for_path ~seed ~path:0 in
   let run seed strategy =
-    let cfg = Slimsim_sim.Path.default_config ~horizon in
-    Slimsim_sim.Path.generate ~record:true net cfg strategy
-      (Slimsim_stats.Rng.for_path ~seed ~path:0)
-      ~goal:g
+    let steps = ref [] in
+    let v = Path.generate ~record:steps c s q cfg strategy (rng seed) in
+    let oracle = Path_oracle.generate ~record:true net cfg strategy (rng seed) ~goal:g in
+    if compare (v, !steps) oracle <> 0 then
+      failwith "compiled path differs from the oracle";
+    (v, !steps)
   in
   let gen = QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 0 3)) in
   let strategies =
@@ -120,33 +131,35 @@ let path_invariant_tests =
   [
     prop 200 "sat times stay within the horizon" gen (fun (seed, si) ->
         match run (Int64.of_int seed) strategies.(si) with
-        | Ok (Slimsim_sim.Path.Sat t), _ -> t >= 0.0 && t <= horizon +. 1e-6
+        | Ok (Path.Sat t), _ -> t >= 0.0 && t <= horizon +. 1e-6
         | Ok _, _ -> true
         | Error _, _ -> false);
     prop 200 "recorded step times are monotone" gen (fun (seed, si) ->
         let _, steps = run (Int64.of_int seed) strategies.(si) in
         let rec mono = function
-          | (a : Slimsim_sim.Path.step_record) :: (b :: _ as rest) ->
-            a.Slimsim_sim.Path.at_time <= b.Slimsim_sim.Path.at_time +. 1e-9
-            && mono rest
+          | (a : Path.step_record) :: (b :: _ as rest) ->
+            a.Path.at_time <= b.Path.at_time +. 1e-9 && mono rest
           | [ _ ] | [] -> true
         in
         mono steps
         && List.for_all
-             (fun (s : Slimsim_sim.Path.step_record) ->
-               s.Slimsim_sim.Path.chose_delay >= -1e-9)
+             (fun (s : Path.step_record) -> s.Path.chose_delay >= -1e-9)
              steps);
     prop 200 "weighted generation with bias 1 has unit ratio" gen
       (fun (seed, si) ->
-        let cfg = Slimsim_sim.Path.default_config ~horizon in
+        let seed = Int64.of_int seed in
+        let ratio = ref nan in
+        let v =
+          Path.generate ~weight:((fun _ _ -> 1.0), ratio) c s q cfg strategies.(si)
+            (rng seed)
+        in
         match
-          fst
-            (Slimsim_sim.Path.generate_weighted ~bias:1.0 net cfg strategies.(si)
-               (Slimsim_stats.Rng.for_path ~seed:(Int64.of_int seed) ~path:0)
-               ~goal:g)
+          Path_oracle.generate_weighted ~bias:1.0 net cfg strategies.(si) (rng seed)
+            ~goal:g
         with
-        | Ok (_, ratio) -> Float.abs (ratio -. 1.0) < 1e-9
-        | Error _ -> false);
+        | Ok (v', r'), _ ->
+          v = Ok v' && !ratio = r' && Float.abs (!ratio -. 1.0) < 1e-9
+        | Error _, _ -> false);
   ]
 
 (* --- engine conservation --- *)

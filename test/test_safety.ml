@@ -4,18 +4,10 @@
 module Cutsets = Slimsim_safety.Cutsets
 module Fmea = Slimsim_safety.Fmea
 module Fdir = Slimsim_safety.Fdir
-module Loader = Slimsim_slim.Loader
 module Sf = Slimsim_models.Sensor_filter
 
-let load src =
-  match Loader.load_string src with
-  | Ok l -> l.Loader.network
-  | Error e -> Alcotest.failf "load failed: %s" e
-
-let goal net src =
-  match Loader.parse_goal net src with
-  | Ok g -> g
-  | Error e -> Alcotest.failf "goal failed: %s" e
+let load = Fixture.load
+let goal = Fixture.goal
 
 let names cs = List.map (fun e -> e.Cutsets.be_label) cs
 

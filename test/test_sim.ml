@@ -3,28 +3,20 @@
    blocking, scripted strategies, and the Monte Carlo engine (including
    worker-count independence). *)
 
-module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
-module Engine = Slimsim_sim.Engine
+module Campaign = Slimsim_sim.Campaign
 module Generator = Slimsim_stats.Generator
 module Rng = Slimsim_stats.Rng
 
-let load src =
-  match Loader.load_string src with
-  | Ok l -> l.Loader.network
-  | Error e -> Alcotest.failf "load failed: %s" e
-
-let goal net src =
-  match Loader.parse_goal net src with
-  | Ok g -> g
-  | Error e -> Alcotest.failf "goal failed: %s" e
+let load = Fixture.load
+let goal = Fixture.goal
 
 let run_one ?(horizon = 1000.0) ?(seed = 1L) ?(config = None) net strategy g =
   let cfg =
     match config with Some c -> c | None -> Path.default_config ~horizon
   in
-  fst (Path.generate net cfg strategy (Rng.for_path ~seed ~path:0) ~goal:g)
+  fst (Path_oracle.checked net cfg strategy ~seed ~goal:g)
 
 (* --- strategy semantics on the GPS acquisition window [10, 120] --- *)
 
@@ -234,12 +226,12 @@ let test_exponential_reachability () =
   let horizon = 10.0 in
   let generator = Generator.create Generator.Chernoff ~delta:0.05 ~eps:0.02 in
   match
-    Engine.run net ~goal:g ~horizon ~strategy:Strategy.Asap ~generator ()
+    Fixture.run net ~goal:g ~horizon ~strategy:Strategy.Asap ~generator ()
   with
   | Ok r ->
     let expected = 1.0 -. exp (-0.1 *. horizon) in
     Alcotest.(check bool) "estimate near 1 - e^{-rate u}" true
-      (Float.abs (r.Engine.probability -. expected) < 0.02)
+      (Float.abs (r.Campaign.probability -. expected) < 0.02)
   | Error e -> Alcotest.fail (Path.error_to_string e)
 
 let test_exponential_race_in_model () =
@@ -265,10 +257,10 @@ root D.I;
   let net = load src in
   let g = goal net "v = 2" in
   let generator = Generator.create Generator.Chernoff ~delta:0.05 ~eps:0.02 in
-  match Engine.run net ~goal:g ~horizon:1000.0 ~strategy:Strategy.Asap ~generator () with
+  match Fixture.run net ~goal:g ~horizon:1000.0 ~strategy:Strategy.Asap ~generator () with
   | Ok r ->
     Alcotest.(check bool) "race follows the rates" true
-      (Float.abs (r.Engine.probability -. 0.75) < 0.02)
+      (Float.abs (r.Campaign.probability -. 0.75) < 0.02)
   | Error e -> Alcotest.fail (Path.error_to_string e)
 
 (* --- synchronization blocking (CSP multiway) --- *)
@@ -363,7 +355,7 @@ let test_until_satisfied () =
   let h = goal net "x <= 200.0" in
   let cfg = Path.default_config ~horizon:200.0 in
   match
-    fst (Path.generate ~hold:h net cfg Strategy.Asap (Rng.for_path ~seed:1L ~path:0) ~goal:g)
+    fst (Path_oracle.checked ~hold:h net cfg Strategy.Asap ~seed:1L ~goal:g)
   with
   | Ok (Path.Sat t) -> Alcotest.(check (float 1e-6)) "sat as plain reach" 10.0 t
   | v ->
@@ -377,7 +369,7 @@ let test_until_violated_mid_delay () =
   let h = goal net "x <= 5.0" in
   let cfg = Path.default_config ~horizon:200.0 in
   match
-    fst (Path.generate ~hold:h net cfg Strategy.Asap (Rng.for_path ~seed:1L ~path:0) ~goal:g)
+    fst (Path_oracle.checked ~hold:h net cfg Strategy.Asap ~seed:1L ~goal:g)
   with
   | Ok (Path.Unsat_violated t) ->
     Alcotest.(check bool) "violated just past 5" true (t >= 5.0 && t < 5.001)
@@ -391,7 +383,7 @@ let test_until_violated_initially () =
   let h = goal net "false" in
   let cfg = Path.default_config ~horizon:200.0 in
   match
-    fst (Path.generate ~hold:h net cfg Strategy.Asap (Rng.for_path ~seed:1L ~path:0) ~goal:g)
+    fst (Path_oracle.checked ~hold:h net cfg Strategy.Asap ~seed:1L ~goal:g)
   with
   | Ok (Path.Unsat_violated t) -> Alcotest.(check (float 1e-9)) "at time zero" 0.0 t
   | _ -> Alcotest.fail "expected an immediate violation"
@@ -405,8 +397,7 @@ let test_until_goal_wins_simultaneity () =
   let cfg = Path.default_config ~horizon:200.0 in
   match
     fst
-      (Path.generate ~hold:h net cfg Strategy.Max_time
-         (Rng.for_path ~seed:1L ~path:0) ~goal:g)
+      (Path_oracle.checked ~hold:h net cfg Strategy.Max_time ~seed:1L ~goal:g)
   with
   | Ok (Path.Sat t) -> Alcotest.(check bool) "sat at the boundary" true (t >= 50.0 && t < 50.001)
   | v ->
@@ -454,11 +445,13 @@ let test_importance_sampling_interval_is_welford () =
   in
   let w = Slimsim_stats.Welford.create () in
   let cfg = Path.default_config ~horizon:10.0 in
+  let ratio = ref nan in
+  let weight = ((fun _ _ -> bias), ratio) in
   for i = 0 to paths - 1 do
     let rng = Rng.for_path ~seed:0x0DDBA11L ~path:i in
-    match fst (Path.generate_weighted ~bias net cfg Strategy.Asap rng ~goal:g) with
-    | Ok (Path.Sat _, ratio) -> Slimsim_stats.Welford.add w ratio
-    | Ok (_, _) -> Slimsim_stats.Welford.add w 0.0
+    match fst (Path_oracle.compiled ~weight net cfg Strategy.Asap rng ~goal:g) with
+    | Ok (Path.Sat _) -> Slimsim_stats.Welford.add w !ratio
+    | Ok _ -> Slimsim_stats.Welford.add w 0.0
     | Error e -> Alcotest.failf "replay path %d failed: %s" i (Path.error_to_string e)
   done;
   let mean = Slimsim_stats.Welford.mean w in
@@ -481,14 +474,17 @@ let test_importance_sampling_bias_one () =
   for seed = 1 to 50 do
     let rng1 = Rng.for_path ~seed:(Int64.of_int seed) ~path:0 in
     let rng2 = Rng.for_path ~seed:(Int64.of_int seed) ~path:0 in
-    let plain = fst (Path.generate net cfg Strategy.Asap rng1 ~goal:g) in
+    let plain = fst (Path_oracle.compiled net cfg Strategy.Asap rng1 ~goal:g) in
+    let ratio = ref nan in
     let weighted =
-      fst (Path.generate_weighted ~bias:1.0 net cfg Strategy.Asap rng2 ~goal:g)
+      fst
+        (Path_oracle.compiled ~weight:((fun _ _ -> 1.0), ratio) net cfg
+           Strategy.Asap rng2 ~goal:g)
     in
     match plain, weighted with
-    | Ok v1, Ok (v2, ratio) ->
+    | Ok v1, Ok v2 ->
       Alcotest.(check bool) "same verdict" true (v1 = v2);
-      Alcotest.(check (float 1e-9)) "unit ratio" 1.0 ratio
+      Alcotest.(check (float 1e-9)) "unit ratio" 1.0 !ratio
     | _ -> Alcotest.fail "path failed"
   done
 
@@ -544,10 +540,10 @@ let test_engine_deadlock_counting () =
   let net = load deadlock_model in
   let g = goal net "v" in
   let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.3 in
-  match Engine.run net ~goal:g ~horizon:10.0 ~strategy:Strategy.Asap ~generator () with
+  match Fixture.run net ~goal:g ~horizon:10.0 ~strategy:Strategy.Asap ~generator () with
   | Ok r ->
-    Alcotest.(check int) "all paths deadlocked" r.Engine.paths r.Engine.deadlock_paths;
-    Alcotest.(check (float 1e-9)) "probability zero" 0.0 r.Engine.probability
+    Alcotest.(check int) "all paths deadlocked" r.Campaign.paths r.Campaign.deadlock_paths;
+    Alcotest.(check (float 1e-9)) "probability zero" 0.0 r.Campaign.probability
   | Error e -> Alcotest.fail (Path.error_to_string e)
 
 let test_engine_seed_determinism () =
@@ -556,10 +552,10 @@ let test_engine_seed_determinism () =
   let run seed =
     let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.1 in
     match
-      Engine.run ~seed net ~goal:g ~horizon:100.0 ~strategy:Strategy.Progressive
+      Fixture.run ~seed net ~goal:g ~horizon:100.0 ~strategy:Strategy.Progressive
         ~generator ()
     with
-    | Ok r -> (r.Engine.successes, r.Engine.paths)
+    | Ok r -> (r.Campaign.successes, r.Campaign.paths)
     | Error e -> Alcotest.fail (Path.error_to_string e)
   in
   Alcotest.(check bool) "same seed, same counts" true (run 5L = run 5L);
@@ -574,10 +570,10 @@ let test_engine_worker_independence () =
   let run workers =
     let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.15 in
     match
-      Engine.run ~workers ~seed:11L net ~goal:g ~horizon:100.0
+      Fixture.run ~workers ~seed:11L net ~goal:g ~horizon:100.0
         ~strategy:Strategy.Asap ~generator ()
     with
-    | Ok r -> (r.Engine.successes, r.Engine.paths)
+    | Ok r -> (r.Campaign.successes, r.Campaign.paths)
     | Error e -> Alcotest.fail (Path.error_to_string e)
   in
   let sequential = run 1 in
@@ -597,10 +593,10 @@ let test_engine_parallel_determinism () =
       let run workers =
         let generator = Generator.create kind ~delta:0.1 ~eps:0.15 in
         match
-          Engine.run ~workers ~seed:29L net ~goal:g ~horizon:100.0
+          Fixture.run ~workers ~seed:29L net ~goal:g ~horizon:100.0
             ~strategy:Strategy.Progressive ~generator ()
         with
-        | Ok r -> (r.Engine.probability, r.Engine.paths, r.Engine.successes)
+        | Ok r -> (r.Campaign.probability, r.Campaign.paths, r.Campaign.successes)
         | Error e -> Alcotest.fail (Path.error_to_string e)
       in
       let name = Generator.kind_to_string kind in
@@ -682,7 +678,7 @@ let test_engine_scripted_needs_one_worker () =
   let g = goal net "measurement" in
   let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.3 in
   let result =
-    Engine.run ~workers:2 net ~goal:g ~horizon:10.0
+    Fixture.run ~workers:2 net ~goal:g ~horizon:10.0
       ~strategy:(Strategy.Scripted (fun _ -> Strategy.Abort))
       ~generator ()
   in
@@ -710,11 +706,11 @@ let test_engine_ci_contains_estimate () =
   let net = load (exp_model 0.05) in
   let g = goal net "v" in
   let generator = Generator.create Generator.Hoeffding ~delta:0.05 ~eps:0.05 in
-  match Engine.run net ~goal:g ~horizon:20.0 ~strategy:Strategy.Asap ~generator () with
+  match Fixture.run net ~goal:g ~horizon:20.0 ~strategy:Strategy.Asap ~generator () with
   | Ok r ->
     Alcotest.(check bool) "interval brackets the estimate" true
-      (r.Engine.ci_low <= r.Engine.probability && r.Engine.probability <= r.Engine.ci_high);
-    Alcotest.(check int) "planned paths run" 738 r.Engine.paths
+      (r.Campaign.ci_low <= r.Campaign.probability && r.Campaign.probability <= r.Campaign.ci_high);
+    Alcotest.(check int) "planned paths run" 738 r.Campaign.paths
   | Error e -> Alcotest.fail (Path.error_to_string e)
 
 let test_trace_csv () =
@@ -722,8 +718,7 @@ let test_trace_csv () =
   let g = goal net "measurement" in
   let cfg = Path.default_config ~horizon:200.0 in
   let _, steps =
-    Path.generate ~record:true net cfg Strategy.Asap (Rng.for_path ~seed:1L ~path:0)
-      ~goal:g
+    Path_oracle.checked ~record:true net cfg Strategy.Asap ~seed:1L ~goal:g
   in
   let csv = Slimsim_sim.Trace.to_csv steps in
   let lines = String.split_on_char '\n' (String.trim csv) in

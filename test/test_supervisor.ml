@@ -4,53 +4,49 @@
    round-trips, and interrupt + resume (the resumed campaign must reach
    the same final estimate as an uninterrupted one). *)
 
-module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
-module Engine = Slimsim_sim.Engine
+module Campaign = Slimsim_sim.Campaign
 module Supervisor = Slimsim_sim.Supervisor
 module Generator = Slimsim_stats.Generator
 module Rng = Slimsim_stats.Rng
-module Compiled = Slimsim_sta.Compiled
 
-let load src =
-  match Loader.load_string src with
-  | Ok l -> l.Loader.network
-  | Error e -> Alcotest.failf "load failed: %s" e
-
-let goal net src =
-  match Loader.parse_goal net src with
-  | Ok g -> g
-  | Error e -> Alcotest.failf "goal failed: %s" e
+let load = Fixture.load
+let goal = Fixture.goal
 
 let ok = function
   | Ok r -> r
-  | Error e -> Alcotest.failf "engine run failed: %s" (Path.error_to_string e)
+  | Error e -> Alcotest.failf "campaign failed: %s" (Path.error_to_string e)
 
-let run ?(workers = 1) ?(engine = `Compiled) ?supervisor ?config ?(seed = 7L)
+(* [oracle] runs the same campaign over the reference path generator. *)
+let run ?(workers = 1) ?(oracle = false) ?supervisor ?config ?(seed = 7L)
     ?(kind = Generator.Chernoff) ?(delta = 0.1) ?(eps = 0.1) net g ~horizon =
   let generator = Generator.create kind ~delta ~eps in
-  Engine.run ~workers ~seed ?config ~engine ?supervisor net ~goal:g ~horizon
-    ~strategy:Strategy.Asap ~generator ()
+  if oracle then
+    Fixture.oracle ~seed ?config ?supervisor net ~goal:g ~horizon
+      ~strategy:Strategy.Asap ~generator ()
+  else
+    Fixture.run ~workers ~seed ?config ?supervisor net ~goal:g ~horizon
+      ~strategy:Strategy.Asap ~generator ()
 
 (* Everything that must be schedule-independent: the estimate and every
    counter derived from the verdict stream (wall time and restart
    counts legitimately differ). *)
-let same_estimate name (a : Engine.result) (b : Engine.result) =
-  Alcotest.(check (float 0.0)) (name ^ ": probability") a.Engine.probability
-    b.Engine.probability;
-  Alcotest.(check int) (name ^ ": paths") a.Engine.paths b.Engine.paths;
-  Alcotest.(check int) (name ^ ": successes") a.Engine.successes
-    b.Engine.successes;
-  Alcotest.(check int) (name ^ ": deadlocks") a.Engine.deadlock_paths
-    b.Engine.deadlock_paths;
-  Alcotest.(check int) (name ^ ": violated") a.Engine.violated_paths
-    b.Engine.violated_paths;
-  Alcotest.(check int) (name ^ ": errors") a.Engine.errors b.Engine.errors;
-  Alcotest.(check int) (name ^ ": diverged") a.Engine.diverged_paths
-    b.Engine.diverged_paths;
-  Alcotest.(check int) (name ^ ": dropped") a.Engine.dropped_paths
-    b.Engine.dropped_paths
+let same_estimate name (a : Campaign.result) (b : Campaign.result) =
+  Alcotest.(check (float 0.0)) (name ^ ": probability") a.Campaign.probability
+    b.Campaign.probability;
+  Alcotest.(check int) (name ^ ": paths") a.Campaign.paths b.Campaign.paths;
+  Alcotest.(check int) (name ^ ": successes") a.Campaign.successes
+    b.Campaign.successes;
+  Alcotest.(check int) (name ^ ": deadlocks") a.Campaign.deadlock_paths
+    b.Campaign.deadlock_paths;
+  Alcotest.(check int) (name ^ ": violated") a.Campaign.violated_paths
+    b.Campaign.violated_paths;
+  Alcotest.(check int) (name ^ ": errors") a.Campaign.errors b.Campaign.errors;
+  Alcotest.(check int) (name ^ ": diverged") a.Campaign.diverged_paths
+    b.Campaign.diverged_paths;
+  Alcotest.(check int) (name ^ ": dropped") a.Campaign.dropped_paths
+    b.Campaign.dropped_paths
 
 (* --- models --- *)
 
@@ -111,17 +107,12 @@ end D.I;
 root D.I;
 |}
 
-let one_path ~engine net cfg strategy ~seed ~g =
-  match engine with
-  | `Interpreted ->
-    fst (Path.generate net cfg strategy (Rng.for_path ~seed ~path:0) ~goal:g)
-  | `Compiled ->
-    let c = Compiled.compile net in
-    let q = Path.compile_query c ~goal:g in
-    let s = Compiled.scratch c in
-    Path.generate_compiled c s q cfg strategy (Rng.for_path ~seed ~path:0)
+let show = function
+  | Ok v -> Path.verdict_to_string v
+  | Error e -> Path.error_to_string e
 
-(* --- watchdog classification --- *)
+(* --- watchdog classification: the compiled path, checked against the
+   oracle's --- *)
 
 let test_watchdog_steps () =
   let net = load zeno_model in
@@ -129,17 +120,10 @@ let test_watchdog_steps () =
   let cfg =
     { (Path.default_config ~horizon:10.0) with Path.max_steps = 500 }
   in
-  let interp = one_path ~engine:`Interpreted net cfg Strategy.Asap ~seed:5L ~g in
-  let comp = one_path ~engine:`Compiled net cfg Strategy.Asap ~seed:5L ~g in
-  (match interp with
+  match fst (Path_oracle.checked net cfg Strategy.Asap ~seed:5L ~goal:g) with
   | Ok (Path.Diverged (Path.Step_budget n)) ->
     Alcotest.(check int) "budget exhausted just past the cap" 501 n
-  | v ->
-    Alcotest.failf "expected step-budget divergence, got %s"
-      (match v with
-      | Ok v -> Path.verdict_to_string v
-      | Error e -> Path.error_to_string e));
-  Alcotest.(check bool) "engines classify identically" true (interp = comp)
+  | v -> Alcotest.failf "expected step-budget divergence, got %s" (show v)
 
 let test_watchdog_sim_time () =
   let net = load slow_model in
@@ -149,17 +133,12 @@ let test_watchdog_sim_time () =
   in
   for seed = 1 to 5 do
     let seed = Int64.of_int seed in
-    let interp = one_path ~engine:`Interpreted net cfg Strategy.Asap ~seed ~g in
-    let comp = one_path ~engine:`Compiled net cfg Strategy.Asap ~seed ~g in
-    (match interp with
+    match fst (Path_oracle.checked net cfg Strategy.Asap ~seed ~goal:g) with
     | Ok (Path.Diverged (Path.Time_budget t)) ->
       Alcotest.(check bool) "budget reported past the cap" true (t > 1e-6)
     | v ->
       Alcotest.failf "seed %Ld: expected time-budget divergence, got %s" seed
-        (match v with
-        | Ok v -> Path.verdict_to_string v
-        | Error e -> Path.error_to_string e));
-    Alcotest.(check bool) "engines classify identically" true (interp = comp)
+        (show v)
   done
 
 let test_watchdog_wall () =
@@ -168,14 +147,11 @@ let test_watchdog_wall () =
   let cfg =
     { (Path.default_config ~horizon:10.0) with Path.max_wall_per_path = Some 0.0 }
   in
-  match one_path ~engine:`Compiled net cfg Strategy.Asap ~seed:1L ~g with
+  let rng = Rng.for_path ~seed:1L ~path:0 in
+  match fst (Path_oracle.compiled net cfg Strategy.Asap rng ~goal:g) with
   | Ok (Path.Diverged (Path.Wall_budget w)) ->
     Alcotest.(check bool) "elapsed time reported" true (w >= 0.0)
-  | v ->
-    Alcotest.failf "expected wall-budget divergence, got %s"
-      (match v with
-      | Ok v -> Path.verdict_to_string v
-      | Error e -> Path.error_to_string e)
+  | v -> Alcotest.failf "expected wall-budget divergence, got %s" (show v)
 
 (* --- divergence policies --- *)
 
@@ -201,12 +177,12 @@ let test_divergence_unsat () =
       (Generator.planned_samples
          (Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.1))
   in
-  Alcotest.(check int) "planned paths consumed" planned r1.Engine.paths;
-  Alcotest.(check bool) "some paths diverged" true (r1.Engine.diverged_paths > 0);
-  Alcotest.(check int) "nothing dropped" 0 r1.Engine.dropped_paths;
+  Alcotest.(check int) "planned paths consumed" planned r1.Campaign.paths;
+  Alcotest.(check bool) "some paths diverged" true (r1.Campaign.diverged_paths > 0);
+  Alcotest.(check int) "nothing dropped" 0 r1.Campaign.dropped_paths;
   Alcotest.(check bool) "race is roughly fair" true
     (let frac =
-       float_of_int r1.Engine.diverged_paths /. float_of_int r1.Engine.paths
+       float_of_int r1.Campaign.diverged_paths /. float_of_int r1.Campaign.paths
      in
      0.3 < frac && frac < 0.7);
   (* the estimate and counters are worker-count independent *)
@@ -217,13 +193,11 @@ let test_divergence_unsat () =
       in
       same_estimate (Printf.sprintf "unsat, %d workers" workers) r r1)
     [ 2; 4 ];
-  (* and engine independent *)
+  (* and the oracle's paths give the same campaign *)
   let ri =
-    ok
-      (run ~engine:`Interpreted ~supervisor:(sup ()) ~config net g
-         ~horizon:50.0)
+    ok (run ~oracle:true ~supervisor:(sup ()) ~config net g ~horizon:50.0)
   in
-  same_estimate "unsat, interpreted engine" ri r1
+  same_estimate "unsat, oracle" ri r1
 
 let test_divergence_drop () =
   let net = load trap_model in
@@ -237,13 +211,13 @@ let test_divergence_drop () =
          (Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.1))
   in
   (* dropping re-plans: the kept sample count still reaches the plan *)
-  Alcotest.(check int) "kept samples reach the plan" planned r1.Engine.paths;
-  Alcotest.(check bool) "some paths dropped" true (r1.Engine.dropped_paths > 0);
-  Alcotest.(check int) "dropped = diverged under `Drop" r1.Engine.diverged_paths
-    r1.Engine.dropped_paths;
+  Alcotest.(check int) "kept samples reach the plan" planned r1.Campaign.paths;
+  Alcotest.(check bool) "some paths dropped" true (r1.Campaign.dropped_paths > 0);
+  Alcotest.(check int) "dropped = diverged under `Drop" r1.Campaign.diverged_paths
+    r1.Campaign.dropped_paths;
   (* every kept sample reached the goal, so conditioning on
      non-divergence gives probability 1 *)
-  Alcotest.(check (float 0.0)) "kept samples all sat" 1.0 r1.Engine.probability;
+  Alcotest.(check (float 0.0)) "kept samples all sat" 1.0 r1.Campaign.probability;
   List.iter
     (fun workers ->
       let r =
@@ -303,7 +277,7 @@ let test_crash_recovery () =
           in
           same_estimate name r baseline;
           Alcotest.(check int) (name ^ ": two restarts") 2
-            r.Engine.worker_restarts)
+            r.Campaign.worker_restarts)
         [ 1; 2; 4 ])
     [ Generator.Chernoff; Generator.Chow_robbins ]
 
@@ -356,7 +330,7 @@ let test_crash_at_range_edges () =
             (Atomic.get crashed);
           same_estimate name r baseline;
           Alcotest.(check int) (name ^ ": worker revived once") 1
-            r.Engine.worker_restarts)
+            r.Campaign.worker_restarts)
         [ ("first", 0); ("last", size - 1) ])
     [ 2; 4 ]
 
@@ -389,7 +363,7 @@ let test_crash_on_collector () =
       Alcotest.(check bool) (name ^ ": collector crashed") true
         (Atomic.get crashed);
       same_estimate name r baseline;
-      Alcotest.(check int) (name ^ ": one restart") 1 r.Engine.worker_restarts)
+      Alcotest.(check int) (name ^ ": one restart") 1 r.Campaign.worker_restarts)
     [ 1; 2; 4 ]
 
 (* A path that crashes every time, but only past the point where the
@@ -402,7 +376,7 @@ let test_crash_past_the_stop () =
   let g = goal net Slimsim_models.Gps.goal_no_fix in
   let kind = Generator.Chow_robbins in
   let baseline = ok (run ~kind net g ~horizon:100.0) in
-  let stop = baseline.Engine.paths in
+  let stop = baseline.Campaign.paths in
   let chaos ~worker ~path =
     if path >= stop then
       failwith (Printf.sprintf "chaos: worker %d crash at %d" worker path)
@@ -415,9 +389,9 @@ let test_crash_past_the_stop () =
       let name = Printf.sprintf "crash past the stop, %d workers" workers in
       let r = ok (run ~workers ~supervisor ~kind net g ~horizon:100.0) in
       Alcotest.(check bool) (name ^ ": converged") true
-        (r.Engine.stopped = Engine.Converged);
+        (r.Campaign.stopped = Campaign.Converged);
       same_estimate name r baseline;
-      Alcotest.(check int) (name ^ ": no restart") 0 r.Engine.worker_restarts)
+      Alcotest.(check int) (name ^ ": no restart") 0 r.Campaign.worker_restarts)
     [ 1; 2; 4 ]
 
 (* A stop request reaches a parallel session within one path per
@@ -439,7 +413,7 @@ let test_stop_within_a_path () =
       let r = ok (run ~workers ~supervisor net g ~horizon:100.0) in
       let name = Printf.sprintf "stop, %d workers" workers in
       Alcotest.(check bool) (name ^ ": interrupted") true
-        (r.Engine.stopped = Engine.Interrupted);
+        (r.Campaign.stopped = Campaign.Interrupted);
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d paths started after the stop" name
            (Atomic.get late))
@@ -570,17 +544,17 @@ let test_interrupt_and_resume () =
           let r1 = ok (run ~workers ~supervisor:sup1 ~kind net g ~horizon:100.0) in
           Alcotest.(check bool)
             (name ^ ": interrupted") true
-            (r1.Engine.stopped = Engine.Interrupted);
+            (r1.Campaign.stopped = Campaign.Interrupted);
           Alcotest.(check bool)
             (name ^ ": partial estimate") true
-            (r1.Engine.paths < baseline.Engine.paths);
+            (r1.Campaign.paths < baseline.Campaign.paths);
           (* Resume: continues to the same final estimate as an
              uninterrupted campaign. *)
           let sup2 = Supervisor.create ~checkpoint ~resume:true () in
           let r2 = ok (run ~workers ~supervisor:sup2 ~kind net g ~horizon:100.0) in
           Alcotest.(check bool)
             (name ^ ": resumed run converged") true
-            (r2.Engine.stopped = Engine.Converged);
+            (r2.Campaign.stopped = Campaign.Converged);
           same_estimate (name ^ ": resume = uninterrupted") r2 baseline;
           (* Resuming a converged campaign is a no-op with the same
              answer. *)
@@ -665,7 +639,7 @@ let test_resume_mismatch () =
   with_checkpoint_file @@ fun file ->
   let checkpoint = { Supervisor.file; every = 1 } in
   let sup = Supervisor.create ~checkpoint () in
-  let (_ : Engine.result) =
+  let (_ : Campaign.result) =
     ok (run ~supervisor:sup ~seed:7L net g ~horizon:100.0)
   in
   let sup2 = Supervisor.create ~checkpoint ~resume:true () in

@@ -7,17 +7,9 @@ open Slimsim_sta
 module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
-module Rng = Slimsim_stats.Rng
 
-let load src =
-  match Loader.load_string src with
-  | Ok l -> l.Loader.network
-  | Error e -> Alcotest.failf "load failed: %s" e
-
-let goal net src =
-  match Loader.parse_goal net src with
-  | Ok g -> g
-  | Error e -> Alcotest.failf "goal failed: %s" e
+let load = Fixture.load
+let goal = Fixture.goal
 
 let val_of net (s : State.t) name =
   match Network.find_var net name with
@@ -133,7 +125,7 @@ let test_injection_views () =
      t>=1 transition to both fire *)
   let g = goal net "d.echoed = 1" in
   let cfg = Path.default_config ~horizon:5.0 in
-  match fst (Path.generate net cfg Strategy.Asap (Rng.for_path ~seed:4L ~path:0) ~goal:g) with
+  match fst (Path_oracle.checked net cfg Strategy.Asap ~seed:4L ~goal:g) with
   | Ok (Path.Sat t) ->
     Alcotest.(check bool) "own reads stay nominal despite the fault" true (t >= 1.0)
   | v ->
@@ -145,7 +137,7 @@ let test_injection_consumer_sees_fault () =
   (* the consumer's connection reads the observed view: 99 after fault *)
   let g = goal net "cons.seen = 99" in
   let cfg = Path.default_config ~horizon:5.0 in
-  match fst (Path.generate net cfg Strategy.Asap (Rng.for_path ~seed:4L ~path:0) ~goal:g) with
+  match fst (Path_oracle.checked net cfg Strategy.Asap ~seed:4L ~goal:g) with
   | Ok (Path.Sat _) -> ()
   | v ->
     Alcotest.failf "expected the consumer to observe the fault, got %s"
@@ -156,7 +148,7 @@ let test_injection_property_reads_observed () =
   (* properties prefer the observed view of an injected port *)
   let g = goal net "d.sig_v = 99" in
   let cfg = Path.default_config ~horizon:5.0 in
-  match fst (Path.generate net cfg Strategy.Asap (Rng.for_path ~seed:4L ~path:0) ~goal:g) with
+  match fst (Path_oracle.checked net cfg Strategy.Asap ~seed:4L ~goal:g) with
   | Ok (Path.Sat _) -> ()
   | v ->
     Alcotest.failf "expected the property to see the injection, got %s"
@@ -211,7 +203,7 @@ let test_alphabet_blocks_by_mode () =
   let net = load blocking_model in
   let g = goal net "p.fired" in
   let cfg = Path.default_config ~horizon:10.0 in
-  match fst (Path.generate net cfg Strategy.Asap (Rng.for_path ~seed:1L ~path:0) ~goal:g) with
+  match fst (Path_oracle.checked net cfg Strategy.Asap ~seed:1L ~goal:g) with
   | Ok (Path.Sat t) ->
     Alcotest.(check (float 1e-6)) "sender waits for the receiver's mode" 3.0 t
   | v ->
@@ -269,14 +261,14 @@ let test_deep_reset () =
      back to 0 and can rise to 1 again at t=6 *)
   let g = goal net "main in mode again and outer.combo = 0" in
   let cfg = Path.default_config ~horizon:20.0 in
-  (match fst (Path.generate net cfg Strategy.Asap (Rng.for_path ~seed:1L ~path:0) ~goal:g) with
+  (match fst (Path_oracle.checked net cfg Strategy.Asap ~seed:1L ~goal:g) with
   | Ok (Path.Sat t) -> Alcotest.(check (float 1e-6)) "reset clears the subtree" 5.0 t
   | v ->
     Alcotest.failf "expected sat at 5, got %s"
       (match v with Ok v -> Path.verdict_to_string v | Error e -> Path.error_to_string e));
   (* and the inner automaton runs again after the reset *)
   let g2 = goal net "main in mode again and outer.combo = 10" in
-  match fst (Path.generate net cfg Strategy.Asap (Rng.for_path ~seed:1L ~path:0) ~goal:g2) with
+  match fst (Path_oracle.checked net cfg Strategy.Asap ~seed:1L ~goal:g2) with
   | Ok (Path.Sat t) -> Alcotest.(check (float 1e-6)) "subtree restarts" 6.0 t
   | v ->
     Alcotest.failf "expected sat at 6, got %s"
