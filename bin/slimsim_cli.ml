@@ -197,7 +197,9 @@ let simulate_cmd =
       value
       & opt (some string) None
       & info [ "p"; "property" ] ~docv:"PROP"
-          ~doc:"Property: 'P(<> [0, u] goal)' or 'probability that goal within u'.")
+          ~doc:
+            "Property: 'P(<> [0, u] goal)' or 'probability that goal within \
+             u'; any $(b,--query) form is accepted too.")
   and query =
     Arg.(
       value
@@ -493,23 +495,16 @@ let simulate_cmd =
       teardown ();
       exit code
     in
-    (* -p takes the classic property path; --query additionally accepts
-       the priced-STA cost forms, and a plain probability given via
-       --query behaves exactly like -p. *)
-    let query_form =
+    (* -p and --query take the same query forms; every query that runs
+       in this process goes to [S.check_cost]. *)
+    let src =
       match (prop, query) with
       | Some _, Some _ ->
         die 1 "slimsim: use exactly one of -p/--property and --query"
       | None, None ->
         die 1 "slimsim: a property is required: -p PROP or --query QUERY"
-      | Some p, None -> `Prop p
-      | None, Some q -> (
-        match Slimsim_props.Pattern.parse_query q with
-        | Error e -> die 1 ("slimsim: " ^ e)
-        | Ok (Slimsim_props.Pattern.Prob _) -> `Prop q
-        | Ok _ -> `Cost q)
+      | Some q, None | None, Some q -> q
     in
-    let prop_src = match query_form with `Prop p | `Cost p -> p in
     let m =
       match load file with Ok m -> m | Error e -> die 1 e
     in
@@ -538,7 +533,7 @@ let simulate_cmd =
     Log.emit ~event:"campaign_start"
       [
         ("model", Json.String file);
-        ("property", Json.String prop_src);
+        ("property", Json.String src);
         ("strategy", Json.String (Strategy.to_string strategy));
         ("delta", Json.Float delta);
         ("eps", Json.Float eps);
@@ -550,81 +545,77 @@ let simulate_cmd =
             (Slimsim_sim.Supervisor.divergence_policy_to_string on_divergence)
         );
       ];
-    if generator = S.Generator.Mlmc && distribute <> None then
-      die 1
-        "slimsim: --generator mlmc is not supported with --distribute (the \
-         coupled sampler is sequential); drop one of the two flags";
     if mlmc_levels < 1 || mlmc_levels > 16 then
       die 1 "slimsim: --mlmc-levels must be between 1 and 16";
-    match query_form with
-    | `Cost qsrc ->
-      (* Cost queries run in one process, on any number of worker
-         domains: distribution workers and the serve protocol exchange
-         plain probability estimates and have no channel for a cost
-         accumulator. *)
-      if distribute <> None then
-        die 1
-          "slimsim: cost queries are not supported with --distribute; run \
-           them in a single process";
-      (match
-         S.check_cost ~workers ~seed ~generator ~on_deadlock ~on_error
-           ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
-           ~prepass:(not no_prepass) m ~query:qsrc ~strategy ~delta ~eps ()
-       with
-      | Error e ->
-        Log.emit ~event:"campaign_error" [ ("error", Json.String e) ];
-        die 1 e
-      | Ok outcome ->
-        Fmt.pr "%a@." S.pp_cost_outcome outcome;
-        (match outcome with
-        | S.Cost_distribution r ->
-          Fmt.pr "%a" Slimsim_sim.Cost_run.pp_distribution r
-        | _ -> ());
-        let interrupted, paths, half =
-          match outcome with
-          | S.Cost_probability e ->
-            (e.S.interrupted, e.S.paths, (e.S.ci_high -. e.S.ci_low) /. 2.0)
-          | S.Cost_expected r | S.Cost_distribution r ->
-            let c = r.Slimsim_sim.Cost_run.reach in
-            ( c.Slimsim_sim.Campaign.stopped = Slimsim_sim.Campaign.Interrupted,
-              c.Slimsim_sim.Campaign.paths,
-              (r.Slimsim_sim.Cost_run.cost_ci_high
-              -. r.Slimsim_sim.Cost_run.cost_ci_low)
-              /. 2.0 )
-        in
-        if interrupted then begin
-          Log.warn
-            ~fields:
-              [
-                ("source", Json.String "interrupt");
-                ("paths", Json.Int paths);
-                ("achieved_half_width", Json.Float half);
-                ("requested_eps", Json.Float eps);
-              ]
-            (Printf.sprintf
-               "interrupted after %d paths; achieved half-width %.6f \
-                (requested %g)"
-               paths half eps);
-          teardown ();
-          exit 4
-        end
-        else teardown ())
-    | `Prop prop -> (
-    match distribute with
-    | Some nworkers ->
-      let module Coordinator = Slimsim_dist.Coordinator in
-      let module SimC = Slimsim_sim.Campaign in
-      if nworkers < 1 then die 1 "slimsim: --distribute must be >= 1";
-      (* validate the property here for an early, local error; workers
-         re-parse it themselves and reject a bad handshake anyway *)
-      (match S.parse_property m prop with
-      | Ok _ -> ()
-      | Error e -> die 1 ("slimsim: " ^ e));
-      let complement =
-        match Slimsim_props.Pattern.parse prop with
-        | Ok pat -> pat.Slimsim_props.Pattern.complement
-        | Error e -> die 1 ("slimsim: " ^ e)
+    let fail e =
+      Log.emit ~event:"campaign_error" [ ("error", Json.String e) ];
+      die 1 e
+    in
+    (* The one report: every outcome is printed here, and a campaign
+       stopped early exits 4 with its achieved confidence. *)
+    let print outcome =
+      Fmt.pr "%a@." S.pp_cost_outcome outcome;
+      match outcome with
+      | S.Cost_distribution r ->
+        Fmt.pr "%a" Slimsim_sim.Cost_run.pp_distribution r
+      | S.Cost_probability _ | S.Cost_expected _ -> ()
+    in
+    let exit_if_interrupted outcome =
+      let interrupted, paths, half =
+        match outcome with
+        | S.Cost_probability e ->
+          (e.S.interrupted, e.S.paths, (e.S.ci_high -. e.S.ci_low) /. 2.0)
+        | S.Cost_expected r | S.Cost_distribution r ->
+          let module Cost_run = Slimsim_sim.Cost_run in
+          let c = r.Cost_run.reach in
+          ( c.Slimsim_sim.Campaign.stopped = Slimsim_sim.Campaign.Interrupted,
+            c.Slimsim_sim.Campaign.paths,
+            (r.Cost_run.cost_ci_high -. r.Cost_run.cost_ci_low) /. 2.0 )
       in
+      if interrupted then begin
+        Log.warn
+          ~fields:
+            [
+              ("source", Json.String "interrupt");
+              ("paths", Json.Int paths);
+              ("achieved_half_width", Json.Float half);
+              ("requested_eps", Json.Float eps);
+            ]
+          (Printf.sprintf
+             "interrupted after %d paths; achieved half-width %.6f \
+              (requested %g)"
+             paths half eps);
+        teardown ();
+        exit 4
+      end
+    in
+    match distribute with
+    | None -> (
+      match
+        S.check_cost ~workers ~seed ~generator ~on_deadlock ~on_error
+          ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
+          ~prepass:(not no_prepass) ~levels:mlmc_levels m ~query:src ~strategy
+          ~delta ~eps ()
+      with
+      | Error e -> fail e
+      | Ok outcome ->
+        print outcome;
+        exit_if_interrupted outcome;
+        teardown ())
+    | Some nworkers -> (
+      let module Coordinator = Slimsim_dist.Coordinator in
+      (* Distribution workers exchange Bernoulli verdicts and have no
+         channel for a cost accumulator. *)
+      let complement =
+        match S.query_complement m ~query:src with
+        | Error e -> die 1 ("slimsim: " ^ e)
+        | Ok None ->
+          die 1
+            "slimsim: cost queries are not supported with --distribute; run \
+             them in a single process"
+        | Ok (Some c) -> c
+      in
+      if nworkers < 1 then die 1 "slimsim: --distribute must be >= 1";
       let source =
         try In_channel.with_open_bin file In_channel.input_all
         with Sys_error e -> die 1 e
@@ -645,7 +636,7 @@ let simulate_cmd =
       let job =
         {
           Coordinator.model_source = source;
-          property = prop;
+          property = src;
           strategy = Strategy.to_string strategy;
           engine = "compiled";
           seed;
@@ -657,39 +648,13 @@ let simulate_cmd =
         }
       in
       let gen = S.Generator.create generator ~delta ~eps in
-      (match Coordinator.run ~supervisor ?progress cfg job ~generator:gen with
-      | Error e ->
-        let e = Slimsim_sim.Path.error_to_string e in
-        Log.emit ~event:"campaign_error" [ ("error", Json.String e) ];
-        die 1 e
+      match Coordinator.run ~supervisor ?progress cfg job ~generator:gen with
+      (* an unsupported flag combination, reported like the flag checks *)
+      | Error (Slimsim_sim.Path.Refused e) -> die 1 ("slimsim: " ^ e)
+      | Error e -> fail (Slimsim_sim.Path.error_to_string e)
       | Ok o ->
-        let r = o.Coordinator.result in
-        let pr, lo, hi =
-          if complement then
-            ( 1.0 -. r.SimC.probability,
-              1.0 -. r.SimC.ci_high,
-              1.0 -. r.SimC.ci_low )
-          else (r.SimC.probability, r.SimC.ci_low, r.SimC.ci_high)
-        in
-        let est =
-          {
-            S.probability = pr;
-            ci_low = lo;
-            ci_high = hi;
-            paths = r.SimC.paths;
-            successes = r.SimC.successes;
-            deadlock_paths = r.SimC.deadlock_paths;
-            violated_paths = r.SimC.violated_paths;
-            errors = r.SimC.errors;
-            diverged_paths = r.SimC.diverged_paths;
-            dropped_paths = r.SimC.dropped_paths;
-            worker_restarts = r.SimC.worker_restarts;
-            interrupted = r.SimC.stopped = SimC.Interrupted;
-            wall_seconds = r.SimC.wall_seconds;
-            certificate = None;
-          }
-        in
-        Fmt.pr "%a@." S.pp_estimate est;
+        let est = S.estimate_of ~complement o.Coordinator.result in
+        print (S.Cost_probability est);
         Log.emit ~event:"dist_summary"
           [
             ("workers", Json.Int nworkers);
@@ -714,68 +679,9 @@ let simulate_cmd =
                est.S.paths);
           teardown ();
           exit 5
-        end
-        else if est.S.interrupted then begin
-          let half = (est.S.ci_high -. est.S.ci_low) /. 2.0 in
-          Log.warn
-            ~fields:
-              [
-                ("source", Json.String "interrupt");
-                ("paths", Json.Int est.S.paths);
-                ("achieved_half_width", Json.Float half);
-                ("requested_eps", Json.Float eps);
-              ]
-            (Printf.sprintf
-               "interrupted after %d paths; achieved half-width %.6f \
-                (requested %g)"
-               est.S.paths half eps);
-          teardown ();
-          exit 4
-        end
-        else teardown ())
-    | None -> (
-    match
-      if generator = S.Generator.Mlmc then begin
-        if workers > 1 then
-          Log.warn
-            ~fields:[ ("requested_workers", Json.Int workers) ]
-            (Printf.sprintf
-               "the mlmc generator drives a coupled sequential sampler; \
-                running with workers = 1 (requested %d)"
-               workers);
-        S.check_mlmc ~seed ~on_deadlock ~on_error ~supervisor
-          ?progress ~max_steps ?max_sim_time ?max_wall_per_path
-          ~prepass:(not no_prepass) ~levels:mlmc_levels m ~property:prop
-          ~strategy ~delta ~eps ()
-      end
-      else
-        S.check ~workers ~seed ~generator ~on_deadlock ~on_error
-          ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
-          ~prepass:(not no_prepass) m ~property:prop ~strategy ~delta ~eps ()
-    with
-    | Ok r ->
-      Fmt.pr "%a@." S.pp_estimate r;
-      if r.S.interrupted then begin
-        let half = (r.S.ci_high -. r.S.ci_low) /. 2.0 in
-        Log.warn
-          ~fields:
-            [
-              ("source", Json.String "interrupt");
-              ("paths", Json.Int r.S.paths);
-              ("achieved_half_width", Json.Float half);
-              ("requested_eps", Json.Float eps);
-            ]
-          (Printf.sprintf
-             "interrupted after %d paths; achieved half-width %.6f (requested \
-              %g)"
-             r.S.paths half eps);
-        teardown ();
-        exit 4
-      end
-      else teardown ()
-    | Error e ->
-      Log.emit ~event:"campaign_error" [ ("error", Json.String e) ];
-      die 1 e))
+        end;
+        exit_if_interrupted (S.Cost_probability est);
+        teardown ())
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -806,11 +712,8 @@ let exact_cmd =
   in
   let run file prop no_lump max_states =
     let m = or_die (load file) in
-    match S.check_exact ~max_states ~lump:(not no_lump) m ~property:prop with
-    | Ok r -> Fmt.pr "%a@." S.pp_exact r
-    | Error e ->
-      prerr_endline e;
-      exit 1
+    Fmt.pr "%a@." S.pp_exact
+      (or_die (S.check_exact ~max_states ~lump:(not no_lump) m ~property:prop))
   in
   Cmd.v (Cmd.info "exact" ~doc:"Exact CTMC analysis (untimed models)")
     Term.(const run $ model_arg $ prop_arg $ no_lump $ max_states)
@@ -823,16 +726,14 @@ let trace_cmd =
   in
   let run file prop strategy seed csv =
     let m = or_die (load file) in
-    match S.simulate_one ~seed m ~property:prop ~strategy with
-    | Ok (verdict, steps) ->
-      if csv then print_string (Slimsim_sim.Trace.to_csv steps)
-      else begin
-        Fmt.pr "%a" Slimsim_sim.Trace.pp steps;
-        Fmt.pr "verdict: %s@." (Slimsim_sim.Path.verdict_to_string verdict)
-      end
-    | Error e ->
-      prerr_endline e;
-      exit 1
+    let verdict, steps =
+      or_die (S.simulate_one ~seed m ~property:prop ~strategy)
+    in
+    if csv then print_string (Slimsim_sim.Trace.to_csv steps)
+    else begin
+      Fmt.pr "%a" Slimsim_sim.Trace.pp steps;
+      Fmt.pr "verdict: %s@." (Slimsim_sim.Path.verdict_to_string verdict)
+    end
   in
   Cmd.v (Cmd.info "trace" ~doc:"Generate and print a single random path")
     Term.(const run $ model_arg $ prop_arg $ strategy_arg $ seed_arg $ csv)
@@ -860,26 +761,22 @@ let cutsets_cmd =
   in
   let run file goal max_order horizon dot =
     let m = or_die (load file) in
-    match S.fault_tree ~max_order m ~goal ~top:goal with
-    | Error e ->
-      prerr_endline e;
-      exit 1
-    | Ok t ->
-      if dot then print_string (Slimsim_safety.Cutsets.to_dot t)
-      else begin
-        Fmt.pr "%a@." Slimsim_safety.Cutsets.pp_fault_tree t;
-        match horizon with
-        | None -> ()
-        | Some h ->
-          List.iteri
-            (fun i cs ->
-              Fmt.pr "P(MCS %d by %g) = %.3e@." (i + 1) h
-                (Slimsim_safety.Cutsets.cut_set_probability cs ~horizon:h))
-            t.Slimsim_safety.Cutsets.cut_sets;
-          Fmt.pr "P(top by %g) ~ %.3e  (Esary-Proschan)@." h
-            (Slimsim_safety.Cutsets.top_probability
-               t.Slimsim_safety.Cutsets.cut_sets ~horizon:h)
-      end
+    let t = or_die (S.fault_tree ~max_order m ~goal ~top:goal) in
+    if dot then print_string (Slimsim_safety.Cutsets.to_dot t)
+    else begin
+      Fmt.pr "%a@." Slimsim_safety.Cutsets.pp_fault_tree t;
+      match horizon with
+      | None -> ()
+      | Some h ->
+        List.iteri
+          (fun i cs ->
+            Fmt.pr "P(MCS %d by %g) = %.3e@." (i + 1) h
+              (Slimsim_safety.Cutsets.cut_set_probability cs ~horizon:h))
+          t.Slimsim_safety.Cutsets.cut_sets;
+        Fmt.pr "P(top by %g) ~ %.3e  (Esary-Proschan)@." h
+          (Slimsim_safety.Cutsets.top_probability
+             t.Slimsim_safety.Cutsets.cut_sets ~horizon:h)
+    end
   in
   Cmd.v (Cmd.info "cutsets" ~doc:"Fault-tree generation: minimal cut sets")
     Term.(const run $ model_arg $ goal_arg $ max_order $ horizon $ dot)
@@ -887,11 +784,7 @@ let cutsets_cmd =
 let fmea_cmd =
   let run file goal =
     let m = or_die (load file) in
-    match S.fmea m ~goal with
-    | Error e ->
-      prerr_endline e;
-      exit 1
-    | Ok rows -> Fmt.pr "%a@." Slimsim_safety.Fmea.pp_table rows
+    Fmt.pr "%a@." Slimsim_safety.Fmea.pp_table (or_die (S.fmea m ~goal))
   in
   Cmd.v (Cmd.info "fmea" ~doc:"Failure Mode and Effects Analysis table")
     Term.(const run $ model_arg $ goal_arg)
@@ -912,11 +805,8 @@ let fdir_cmd =
   in
   let run file observables settle =
     let m = or_die (load file) in
-    match S.fdir ~settle_time:settle m ~observables with
-    | Error e ->
-      prerr_endline e;
-      exit 1
-    | Ok verdicts -> Fmt.pr "%a@." Slimsim_safety.Fdir.pp_table verdicts
+    Fmt.pr "%a@." Slimsim_safety.Fdir.pp_table
+      (or_die (S.fdir ~settle_time:settle m ~observables))
   in
   Cmd.v
     (Cmd.info "fdir" ~doc:"Fault Detection, Isolation and Recovery analysis")
@@ -934,15 +824,11 @@ let verify_cmd =
   in
   let run file invariant max_states =
     let m = or_die (load file) in
-    match S.verify_invariant ~max_states m ~invariant with
-    | Error e ->
-      prerr_endline e;
-      exit 1
-    | Ok outcome ->
-      Fmt.pr "%a@." Slimsim_ctmc.Qualitative.pp_outcome outcome;
-      (match outcome with
-      | Slimsim_ctmc.Qualitative.Violated _ -> exit 2
-      | Slimsim_ctmc.Qualitative.Holds _ -> ())
+    let outcome = or_die (S.verify_invariant ~max_states m ~invariant) in
+    Fmt.pr "%a@." Slimsim_ctmc.Qualitative.pp_outcome outcome;
+    match outcome with
+    | Slimsim_ctmc.Qualitative.Violated _ -> exit 2
+    | Slimsim_ctmc.Qualitative.Holds _ -> ()
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Qualitative invariant checking (untimed abstraction)")
@@ -965,11 +851,8 @@ let diagnosability_cmd =
   in
   let run file observables diagnosis max_faults =
     let m = or_die (load file) in
-    match S.diagnosability ~max_faults m ~observables ~diagnosis with
-    | Error e ->
-      prerr_endline e;
-      exit 1
-    | Ok r -> Fmt.pr "%a@." Slimsim_safety.Diagnosability.pp_report r
+    Fmt.pr "%a@." Slimsim_safety.Diagnosability.pp_report
+      (or_die (S.diagnosability ~max_faults m ~observables ~diagnosis))
   in
   Cmd.v (Cmd.info "diagnosability" ~doc:"Check that observations determine the diagnosis")
     Term.(const run $ model_arg $ observables $ diagnosis $ max_faults)
@@ -984,14 +867,10 @@ let dot_cmd =
   in
   let run file process =
     let m = or_die (load file) in
-    match process with
-    | None -> print_string (S.dot_network m)
-    | Some name -> (
-      match S.dot_process m name with
-      | Ok dot -> print_string dot
-      | Error e ->
-        prerr_endline e;
-        exit 1)
+    print_string
+      (match process with
+      | None -> S.dot_network m
+      | Some name -> or_die (S.dot_process m name))
   in
   Cmd.v (Cmd.info "dot" ~doc:"Graphviz export of the network or a process")
     Term.(const run $ model_arg $ process)
@@ -1030,15 +909,11 @@ let interactive_cmd =
       | [ idx; d ] -> Strategy.Fire { index = int_of_string idx; delay = float_of_string d }
       | _ -> Strategy.Abort
     in
-    match
-      S.simulate_one m ~property:prop
-        ~strategy:(Strategy.Scripted script)
-    with
-    | Ok (verdict, _) ->
-      Fmt.pr "verdict: %s@." (Slimsim_sim.Path.verdict_to_string verdict)
-    | Error e ->
-      prerr_endline e;
-      exit 1
+    let verdict, _ =
+      or_die
+        (S.simulate_one m ~property:prop ~strategy:(Strategy.Scripted script))
+    in
+    Fmt.pr "verdict: %s@." (Slimsim_sim.Path.verdict_to_string verdict)
   in
   Cmd.v
     (Cmd.info "interactive" ~doc:"Drive a single path by hand (the Input strategy)")

@@ -23,16 +23,72 @@ let ( let* ) = Result.bind
 let enum_lookup (m : model) x =
   Option.map snd (Slimsim_slim.Sema.enum_literal m.Loader.tables x)
 
-let parse_pattern_full (m : model) src =
-  let* pat = Pattern.parse src in
-  let* goal, hold, horizon =
-    Pattern.resolve ~enum:(enum_lookup m) m.Loader.network pat
+(* --- the one query resolver --- *)
+
+(* Every front-end reads a query through [plan]: the parsed form, the
+   resolved goal / hold / time bound, whether the reported probability
+   is the complement of the estimated one (invariance patterns), the
+   cost observer of E[...] / D[...] and the path configuration. *)
+type plan = {
+  query : Pattern.query;
+  goal : Slimsim_sta.Expr.t;
+  hold : Slimsim_sta.Expr.t option;
+  horizon : float;
+  complement : bool;
+  cost_var : int option;
+  config : Path.config;
+}
+
+let plan ?max_steps ?max_sim_time ?max_wall_per_path ?(on_deadlock = `Falsify)
+    (m : model) src =
+  let enum = enum_lookup m and net = m.Loader.network in
+  let* query = Pattern.parse_query src in
+  let* cost_var, (goal, hold, horizon), complement =
+    match query with
+    | Pattern.Prob p ->
+      let* resolved = Pattern.resolve ~enum net p in
+      Ok (None, resolved, p.Pattern.complement)
+    | Pattern.Cost_reach { cost_src; cost_bound; goal_src } ->
+      (* bounded until in cost space: hold [c <= C], no time bound (the
+         watchdog budgets backstop paths whose cost observer stalls
+         below the bound) *)
+      let module Expr = Slimsim_sta.Expr in
+      let* cv = Pattern.resolve_cost ~enum net cost_src in
+      let* goal = Loader.parse_goal ~enum net goal_src in
+      let hold = Expr.Binop (Expr.Le, Expr.var cv, Expr.real cost_bound) in
+      Ok (None, (goal, Some hold, infinity), false)
+    | Pattern.Cost_expect { cost_src; prob } | Pattern.Cost_dist { cost_src; prob }
+      ->
+      let* cv = Pattern.resolve_cost ~enum net cost_src in
+      let* resolved = Pattern.resolve ~enum net prob in
+      Ok (Some cv, resolved, false)
   in
-  Ok (goal, hold, horizon, pat.Pattern.complement)
+  let config =
+    Path.make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
+      ~horizon ()
+  in
+  Ok { query; goal; hold; horizon; complement; cost_var; config }
+
+(* The probability front-ends take every P form; E[...] / D[...]
+   estimate a cost. *)
+let probability_plan ?max_steps ?max_sim_time ?max_wall_per_path ?on_deadlock
+    m src =
+  let* p = plan ?max_steps ?max_sim_time ?max_wall_per_path ?on_deadlock m src in
+  match p.query with
+  | Pattern.Cost_expect _ | Pattern.Cost_dist _ ->
+    Error
+      (Printf.sprintf
+         "%s estimates a cost, not a probability; check it as a cost query"
+         (Pattern.query_to_string p.query))
+  | Pattern.Prob _ | Pattern.Cost_reach _ -> Ok p
 
 let parse_property (m : model) src =
-  let* goal, hold, horizon, _ = parse_pattern_full m src in
-  Ok (goal, hold, horizon)
+  let* p = probability_plan m src in
+  Ok (p.goal, p.hold, p.horizon)
+
+let query_complement (m : model) ~query =
+  let* p = plan m query in
+  Ok (match p.query with Pattern.Prob _ -> Some p.complement | _ -> None)
 
 type estimate = {
   probability : float;
@@ -64,9 +120,9 @@ let certificate_of ~complement (outcome : Prepass.outcome) =
   | _ -> None
 
 let prepass ?max_nodes (m : model) ~property =
-  let* goal, hold, _horizon, complement = parse_pattern_full m property in
-  let report = Prepass.analyze ?max_nodes ?hold m.Loader.network ~goal in
-  Ok (report, complement)
+  let* p = plan m property in
+  Ok (Prepass.analyze ?max_nodes ?hold:p.hold m.Loader.network ~goal:p.goal,
+      p.complement)
 
 (* Property-directed lint: turn a conclusive pre-pass into an I002
    (statically certain) or I003 (statically vacuous) diagnostic.  A raw
@@ -88,63 +144,34 @@ let lint_property ?max_nodes (m : model) ~property =
       | Prepass.P1 { witness; _ } -> witness
       | _ -> []
     in
+    let info code what =
+      [
+        D.make ~code ~severity:D.Info ~pos:Slimsim_slim.Ast.no_pos ~trace
+          (Printf.sprintf "property %S is %s" property what);
+      ]
+    in
     match certificate_of ~complement report.Prepass.outcome with
     | Some "P1" ->
-      [
-        D.make ~code:C.statically_certain ~severity:D.Info
-          ~pos:Slimsim_slim.Ast.no_pos ~trace
-          (Printf.sprintf
-             "property %S is statically certain (P = 1): every run surely \
-              satisfies it; simulation would only confirm the answer"
-             property);
-      ]
+      info C.statically_certain
+        "statically certain (P = 1): every run surely satisfies it; \
+         simulation would only confirm the answer"
     | Some "P0" ->
-      [
-        D.make ~code:C.statically_vacuous ~severity:D.Info
-          ~pos:Slimsim_slim.Ast.no_pos ~trace
-          (Printf.sprintf
-             "property %S is statically vacuous (P = 0): no run can satisfy \
-              it; sampling cannot produce a success"
-             property);
-      ]
+      info C.statically_vacuous
+        "statically vacuous (P = 0): no run can satisfy it; sampling cannot \
+         produce a success"
     | _ -> [])
 
-(* --- campaigns as values (the serve-mode workhorse) --- *)
+(* --- one route from a plan to its campaign --- *)
 
-type prepared = {
-  campaign : Campaign.t;
-  complement : bool;
-  horizon : float;
-}
+module Cost_run = Slimsim_sim.Cost_run
+module Mlmc_run = Slimsim_sim.Mlmc_run
 
-let make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-    ~horizon () =
-  let base = { (Path.default_config ~horizon) with Path.on_deadlock } in
-  {
-    base with
-    Path.max_steps =
-      (match max_steps with Some n -> n | None -> base.Path.max_steps);
-    max_sim_time;
-    max_wall_per_path;
-  }
+type cost_outcome =
+  | Cost_probability of estimate
+  | Cost_expected of Cost_run.result
+  | Cost_distribution of Cost_run.result
 
-let prepare ?workers ?seed ?(generator = Generator.Chernoff)
-    ?(on_deadlock = `Falsify) ?on_error ?supervisor ?progress
-    ?max_steps ?max_sim_time ?max_wall_per_path ?compiled (m : model)
-    ~property ~strategy ~delta ~eps () =
-  let* goal, hold, horizon, complement = parse_pattern_full m property in
-  let gen = Generator.create generator ~delta ~eps in
-  let config =
-    make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-      ~horizon ()
-  in
-  match
-    Campaign.create ?workers ?seed ~config ?on_error ?hold ?supervisor
-      ?progress ?compiled m.Loader.network ~goal ~horizon ~strategy
-      ~generator:gen ()
-  with
-  | Ok c -> Ok { campaign = c; complement; horizon }
-  | Error e -> Error (Path.error_to_string e)
+type prepared = { campaign : Campaign.t; complement : bool }
 
 (* invariance patterns report the complement; "successes" keeps counting
    the paths that reached the negated goal *)
@@ -172,55 +199,155 @@ let estimate_of ~complement (r : Campaign.result) =
     certificate = None;
   }
 
-let estimate_of_result p r = estimate_of ~complement:p.complement r
+(* The telescoped CLT interval is not confined to [0,1] the way a
+   Bernoulli estimator's is; clamp before the complement mapping so the
+   report stays a probability.  [paths] counts both halves of a pair. *)
+let of_mlmc (r : Mlmc_run.result) =
+  let clamp x = Float.min 1.0 (Float.max 0.0 x) in
+  {
+    Campaign.probability = clamp r.Mlmc_run.probability;
+    ci_low = clamp r.Mlmc_run.ci_low;
+    ci_high = clamp r.Mlmc_run.ci_high;
+    paths = r.Mlmc_run.paths;
+    successes = r.Mlmc_run.sat_paths;
+    deadlock_paths = r.Mlmc_run.deadlock_paths;
+    violated_paths = r.Mlmc_run.violated_paths;
+    errors = r.Mlmc_run.errors;
+    diverged_paths = r.Mlmc_run.diverged_paths;
+    dropped_paths = r.Mlmc_run.dropped_samples;
+    worker_restarts = 0;
+    stopped = r.Mlmc_run.stopped;
+    wall_seconds = r.Mlmc_run.wall_seconds;
+  }
 
-let prepass_metric result =
-  if Slimsim_obs.Metrics.enabled () then
-    Slimsim_obs.Metrics.incr
-      (Slimsim_obs.Metrics.counter ~labels:[ ("result", result) ]
-         "slimsim_prepass_total"
-         ~help:"pre-pass runs by result (p0 / p1 / inconclusive)")
+let bernoulli ?workers ?seed ?on_error ?supervisor ?progress ?compiled
+    (m : model) (p : plan) ~generator ~strategy ~delta ~eps =
+  Campaign.create ?workers ?seed ~config:p.config ?on_error ?hold:p.hold
+    ?supervisor ?progress ?compiled m.Loader.network ~goal:p.goal
+    ~horizon:p.horizon ~strategy
+    ~generator:(Generator.create generator ~delta ~eps) ()
 
-(* The qualitative shortcut shared by every checking front-end: [Some
-   (p, report)] when the skeleton pre-pass answers the property exactly.
-   The Scripted strategy hands control to a user callback (which may
-   Abort or Advance arbitrarily), so certificates about the measure of
-   all runs must not preempt it. *)
-let prepass_shortcut ~prepass ~strategy ?hold ~config ~max_wall_per_path
-    (m : model) ~goal =
+let drive map created =
+  Result.bind created (fun c -> Result.map map (Campaign.drive c))
+
+(* The one place a query form meets its campaign: P forms go to the
+   Bernoulli campaign or, under the multilevel generator, to the coupled
+   sampler of {!Slimsim_sim.Mlmc_run}; E[...] / D[...] go to the cost
+   accumulator.  Refusals and warnings are decided here, before the
+   pre-pass; the returned thunk creates and drives the campaign, after
+   it.  The multilevel generator truncates a finite time horizon, so
+   cost-bounded reachability (no time bound) refuses it here and
+   E[...] / D[...] (a cost, not a probability) in [Cost_run.create]. *)
+let route ?workers ?seed ?on_error ?supervisor ?progress ?levels ?warmup
+    (m : model) (p : plan) ~generator ~strategy ~delta ~eps =
+  let net = m.Loader.network and goal = p.goal and hold = p.hold in
+  let probability r = Cost_probability (estimate_of ~complement:p.complement r) in
+  match p.query, generator with
+  | (Pattern.Cost_expect _ | Pattern.Cost_dist _), kind ->
+    let wrap r =
+      match p.query with
+      | Pattern.Cost_dist _ -> Cost_distribution r
+      | _ -> Cost_expected r
+    in
+    Ok
+      (fun () ->
+        drive wrap
+          (Cost_run.create ?workers ?seed ~config:p.config ?on_error ?hold
+             ?supervisor ?progress net ~goal ~horizon:p.horizon ~strategy
+             ~cost_var:(Option.get p.cost_var)
+             ~query:(Pattern.query_to_string p.query) ~kind ~delta ~eps ()))
+  | Pattern.Cost_reach _, Generator.Mlmc ->
+    Error
+      "cost-bounded reachability: the multilevel generator's levels \
+       truncate the time horizon, and P(<> [c <= C] ...) has none (its \
+       horizon is unbounded); use a fixed-size or chow-robbins generator"
+  | Pattern.Prob _, Generator.Mlmc ->
+    (* sequential: the pair shares scratch state and the allocator is
+       consulted between samples *)
+    let w = Option.value workers ~default:1 in
+    if w > 1 then
+      Slimsim_obs.Log.warn
+        ~fields:[ ("requested_workers", Slimsim_obs.Json.Int w) ]
+        (Printf.sprintf
+           "the mlmc generator drives a coupled sequential sampler; running \
+            with workers = 1 (requested %d)"
+           w);
+    Ok
+      (fun () ->
+        drive
+          (fun r -> probability (of_mlmc r))
+          (Mlmc_run.create ?seed ~config:p.config ?on_error ?hold ?supervisor
+             ?progress ?levels ?warmup net ~goal ~horizon:p.horizon ~strategy
+             ~delta ~eps ()))
+  | (Pattern.Prob _ | Pattern.Cost_reach _), generator ->
+    Ok
+      (fun () ->
+        drive probability
+          (bernoulli ?workers ?seed ?on_error ?supervisor ?progress m p
+             ~generator ~strategy ~delta ~eps))
+
+let prepare ?workers ?seed ?(generator = Generator.Chernoff) ?on_deadlock
+    ?on_error ?supervisor ?progress ?max_steps ?max_sim_time ?max_wall_per_path
+    ?compiled (m : model) ~property ~strategy ~delta ~eps () =
+  let* p =
+    plan ?max_steps ?max_sim_time ?max_wall_per_path ?on_deadlock m property
+  in
+  match p.query, generator with
+  | (Pattern.Cost_reach _ | Pattern.Cost_expect _ | Pattern.Cost_dist _), _ ->
+    (* a prepared campaign is driven slice by slice and reports a
+       probability estimate; a cost accumulator has no channel there *)
+    Error
+      "cost queries (P(<> [c <= C] ...), E[...], D[...]) are not \
+       supported in serve mode; run them with 'slimsim simulate --query'"
+  | Pattern.Prob _, Generator.Mlmc ->
+    (* the multilevel sampler is a sequential driver of its own, not a
+       stopping rule for a Bernoulli campaign *)
+    Error
+      "generator mlmc is not supported by the campaign service; use \
+       `slimsim simulate --generator mlmc` (or chow-robbins here)"
+  | Pattern.Prob _, generator ->
+    bernoulli ?workers ?seed ?on_error ?supervisor ?progress ?compiled m p
+      ~generator ~strategy ~delta ~eps
+    |> Result.map (fun c -> { campaign = c; complement = p.complement })
+    |> Result.map_error Path.error_to_string
+
+(* The qualitative shortcut: [Some (p, report)] when the skeleton
+   pre-pass answers the plan's reachability exactly.  The Scripted
+   strategy hands control to a user callback (which may Abort or
+   Advance arbitrarily), so certificates about the measure of all runs
+   must not preempt it. *)
+let prepass_shortcut ~prepass ~strategy (m : model) (p : plan) =
   let scripted = match strategy with Strategy.Scripted _ -> true | _ -> false in
   if not (prepass && not scripted) then None
   else begin
-    let report = Prepass.analyze ?hold m.Loader.network ~goal in
-    let answer =
+    let module Metrics = Slimsim_obs.Metrics in
+    let module Json = Slimsim_obs.Json in
+    let report = Prepass.analyze ?hold:p.hold m.Loader.network ~goal:p.goal in
+    let answer, result =
       match report.Prepass.outcome with
-      | Prepass.P0 _ -> Some 0.0
+      | Prepass.P0 _ -> (Some 0.0, "p0")
       | Prepass.P1 { depth; _ }
       (* All runs reach the goal within [depth] delay-free moves at
          elapsed time 0, so no step / sim-time budget with room for
          [depth] steps can reclassify them; a wall-clock watchdog
          could, so its presence disables the shortcut. *)
-        when depth < config.Path.max_steps && max_wall_per_path = None ->
-        Some 1.0
-      | _ -> None
+        when depth < p.config.Path.max_steps
+             && p.config.Path.max_wall_per_path = None ->
+        (Some 1.0, "p1")
+      | Prepass.P1 _ -> (None, "p1")
+      | Prepass.Inconclusive _ -> (None, "inconclusive")
     in
-    (match answer with
-    | Some _ ->
-      prepass_metric
-        (match report.Prepass.outcome with
-        | Prepass.P0 _ -> "p0"
-        | _ -> "p1")
-    | None -> prepass_metric "inconclusive");
+    if Metrics.enabled () then
+      Metrics.incr
+        (Metrics.counter
+           ~labels:[ ("result", if answer = None then "inconclusive" else result) ]
+           "slimsim_prepass_total"
+           ~help:"pre-pass runs by result (p0 / p1 / inconclusive)");
     Slimsim_obs.Log.emit ~event:"prepass"
       [
-        ( "result",
-          Slimsim_obs.Json.String
-            (match report.Prepass.outcome with
-            | Prepass.P0 _ -> "p0"
-            | Prepass.P1 _ -> "p1"
-            | Prepass.Inconclusive _ -> "inconclusive") );
-        ("shortcut", Slimsim_obs.Json.Bool (answer <> None));
-        ("wall_seconds", Slimsim_obs.Json.Float report.Prepass.wall_seconds);
+        ("result", Json.String result);
+        ("shortcut", Json.Bool (answer <> None));
+        ("wall_seconds", Json.Float report.Prepass.wall_seconds);
       ];
     Option.map (fun p -> (p, report)) answer
   end
@@ -247,184 +374,50 @@ let exact_estimate ~complement (p_raw, report) =
     certificate = certificate_of ~complement report.Prepass.outcome;
   }
 
-(* Drive a freshly created campaign to its result; the heartbeat line
-   is cleared either way. *)
-let run_campaign ?progress created =
-  let result =
-    match created with
-    | Error e -> Error e
-    | Ok c -> Campaign.drive c
+(* Plan, route, then either the pre-pass answers exactly or the campaign
+   runs.  P forms take a certificate as the answer; for E[...] / D[...]
+   a P=0 certificate means no path ever reaches the goal (the
+   conditional expectation is undefined and sampling can only stall),
+   and a P=1 certificate does not shortcut: the cost values still have
+   to be sampled.  [resolve] is [plan] or [probability_plan]. *)
+let check_query resolve ?workers ?seed ?(generator = Generator.Chernoff)
+    ?on_deadlock ?on_error ?supervisor ?progress ?max_steps ?max_sim_time
+    ?max_wall_per_path ?(prepass = true) ?levels ?warmup (m : model) ~query
+    ~strategy ~delta ~eps () =
+  let* p =
+    resolve ?max_steps ?max_sim_time ?max_wall_per_path ?on_deadlock m query
   in
-  (match progress with
-  | Some pr -> Slimsim_obs.Progress.finish pr
-  | None -> ());
-  Result.map_error Path.error_to_string result
-
-(* The probability front-ends: parse, then either the pre-pass answers
-   exactly or [sample] estimates. *)
-let sample_property ~on_deadlock ?max_steps ?max_sim_time ?max_wall_per_path
-    ~prepass ~strategy (m : model) ~property sample =
-  let* goal, hold, horizon, complement = parse_pattern_full m property in
-  let config =
-    make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-      ~horizon ()
+  let* run =
+    route ?workers ?seed ?on_error ?supervisor ?progress ?levels ?warmup m p
+      ~generator ~strategy ~delta ~eps
   in
-  match
-    prepass_shortcut ~prepass ~strategy ?hold ~config ~max_wall_per_path m
-      ~goal
-  with
-  | Some shortcut -> Ok (exact_estimate ~complement shortcut)
-  | None ->
-    Result.map (estimate_of ~complement) (sample ~goal ~hold ~horizon ~config)
-
-let check ?workers ?seed ?(generator = Generator.Chernoff)
-    ?(on_deadlock = `Falsify) ?on_error ?supervisor ?progress
-    ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true) (m : model)
-    ~property ~strategy ~delta ~eps () =
-  sample_property ~on_deadlock ?max_steps ?max_sim_time ?max_wall_per_path
-    ~prepass ~strategy m ~property (fun ~goal ~hold ~horizon ~config ->
-      run_campaign ?progress
-        (Campaign.create ?workers ?seed ~config ?on_error ?hold
-           ?supervisor ?progress m.Loader.network ~goal ~horizon ~strategy
-           ~generator:(Generator.create generator ~delta ~eps) ()))
-
-(* The multilevel front-end: the same parse / complement mapping /
-   pre-pass shortcut as [check], over the coupled coarse/fine campaign
-   of {!Slimsim_sim.Mlmc_run} (sequential: the pair shares scratch state
-   and the allocator is consulted between samples). *)
-let check_mlmc ?seed ?(on_deadlock = `Falsify) ?on_error ?supervisor
-    ?progress ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true)
-    ?levels ?warmup (m : model) ~property ~strategy ~delta ~eps () =
-  let module Mlmc_run = Slimsim_sim.Mlmc_run in
-  sample_property ~on_deadlock ?max_steps ?max_sim_time ?max_wall_per_path
-    ~prepass ~strategy m ~property (fun ~goal ~hold ~horizon ~config ->
-      let* r =
-        run_campaign ?progress
-          (Mlmc_run.create ?seed ~config ?on_error ?hold ?supervisor
-             ?progress ?levels ?warmup m.Loader.network ~goal ~horizon
-             ~strategy ~delta ~eps ())
-      in
-      (* The telescoped CLT interval is not confined to [0,1] the way a
-         Bernoulli estimator's is; clamp before the complement mapping
-         so the report stays a probability. *)
-      let clamp x = Float.min 1.0 (Float.max 0.0 x) in
-      Ok
-        {
-          Campaign.probability = clamp r.Mlmc_run.probability;
-          ci_low = clamp r.Mlmc_run.ci_low;
-          ci_high = clamp r.Mlmc_run.ci_high;
-          paths = r.Mlmc_run.paths;
-          successes = r.Mlmc_run.sat_paths;
-          deadlock_paths = r.Mlmc_run.deadlock_paths;
-          violated_paths = r.Mlmc_run.violated_paths;
-          errors = r.Mlmc_run.errors;
-          diverged_paths = r.Mlmc_run.diverged_paths;
-          dropped_paths = r.Mlmc_run.dropped_samples;
-          worker_restarts = 0;
-          stopped = r.Mlmc_run.stopped;
-          wall_seconds = r.Mlmc_run.wall_seconds;
-        })
-
-(* --- priced-STA cost queries (UPPAAL-SMC style, arXiv:1207.1272) --- *)
-
-module Cost_run = Slimsim_sim.Cost_run
-
-type cost_outcome =
-  | Cost_probability of estimate
-  | Cost_expected of Cost_run.result
-  | Cost_distribution of Cost_run.result
-
-(* The one place a query form meets its campaign: plain probabilities
-   go to [check], cost-bounded reachability to the Bernoulli campaign
-   with a cost hold, E[...]/D[...] to the cost accumulator.  The
-   multilevel generator truncates a finite time horizon to estimate a
-   probability, so no cost form takes it: cost-bounded reachability has
-   no time horizon (refused here), E[...]/D[...] estimate a cost
-   (refused by [Cost_run.create]). *)
-let check_cost ?workers ?seed ?(generator = Generator.Chernoff)
-    ?(on_deadlock = `Falsify) ?on_error ?supervisor ?progress
-    ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true) (m : model)
-    ~query ~strategy ~delta ~eps () =
-  let* q = Pattern.parse_query query in
-  match q with
-  | Pattern.Prob _ ->
-    let* e =
-      check ?workers ?seed ~generator ~on_deadlock ?on_error
-        ?supervisor ?progress ?max_steps ?max_sim_time ?max_wall_per_path
-        ~prepass m ~property:query ~strategy ~delta ~eps ()
-    in
-    Ok (Cost_probability e)
-  | Pattern.Cost_reach _ when generator = Generator.Mlmc ->
+  match prepass_shortcut ~prepass ~strategy m p, p.query with
+  | Some (0.0, _), (Pattern.Cost_expect { prob; _ } | Pattern.Cost_dist { prob; _ })
+    ->
     Error
-      "cost-bounded reachability: the multilevel generator's levels \
-       truncate the time horizon, and P(<> [c <= C] ...) has none (its \
-       horizon is unbounded); use a fixed-size or chow-robbins generator"
-  | Pattern.Cost_reach { cost_src; cost_bound; goal_src } -> (
-    (* Cost-bounded reachability is bounded until in cost space: hold
-       [c <= C], no time bound (the watchdog budgets backstop paths
-       whose cost observer stalls below the bound). *)
-    let module Expr = Slimsim_sta.Expr in
-    let* cv =
-      Pattern.resolve_cost ~enum:(enum_lookup m) m.Loader.network cost_src
-    in
-    let* goal =
-      Loader.parse_goal ~enum:(enum_lookup m) m.Loader.network goal_src
-    in
-    let hold = Expr.Binop (Expr.Le, Expr.var cv, Expr.real cost_bound) in
-    let horizon = infinity in
-    let config =
-      make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-        ~horizon ()
-    in
-    match
-      prepass_shortcut ~prepass ~strategy ~hold ~config ~max_wall_per_path m
-        ~goal
-    with
-    | Some shortcut ->
-      Ok (Cost_probability (exact_estimate ~complement:false shortcut))
-    | None ->
-      let* r =
-        run_campaign ?progress
-          (Campaign.create ?workers ?seed ~config ?on_error ~hold
-             ?supervisor ?progress m.Loader.network ~goal ~horizon ~strategy
-             ~generator:(Generator.create generator ~delta ~eps) ())
-      in
-      Ok (Cost_probability (estimate_of ~complement:false r)))
-  | Pattern.Cost_expect { cost_src; prob } | Pattern.Cost_dist { cost_src; prob }
-    -> (
-    let* cv =
-      Pattern.resolve_cost ~enum:(enum_lookup m) m.Loader.network cost_src
-    in
-    let* goal, hold, horizon =
-      Pattern.resolve ~enum:(enum_lookup m) m.Loader.network prob
-    in
-    let config =
-      make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-        ~horizon ()
-    in
-    (* A P=0 certificate means no path ever reaches the goal: the
-       conditional expectation is undefined and sampling can only stall.
-       A P=1 certificate does NOT shortcut — the cost values still have
-       to be sampled. *)
-    match
-      prepass_shortcut ~prepass ~strategy ?hold ~config ~max_wall_per_path m
-        ~goal
-    with
-    | Some (p, _) when p = 0.0 ->
-      Error
-        (Printf.sprintf
-           "expected cost undefined: the pre-pass certifies P = 0 for %s — \
-            no path ever reaches the goal"
-           (Pattern.to_string prob))
-    | _ ->
-      let* r =
-        run_campaign ?progress
-          (Cost_run.create ?workers ?seed ~config ?on_error ?hold
-             ?supervisor ?progress m.Loader.network ~goal ~horizon ~strategy
-             ~cost_var:cv ~query:(Pattern.query_to_string q) ~kind:generator
-             ~delta ~eps ())
-      in
-      Ok (match q with Pattern.Cost_dist _ -> Cost_distribution r | _ -> Cost_expected r))
+      (Printf.sprintf
+         "expected cost undefined: the pre-pass certifies P = 0 for %s — no \
+          path ever reaches the goal"
+         (Pattern.to_string prob))
+  | Some shortcut, (Pattern.Prob _ | Pattern.Cost_reach _) ->
+    Ok (Cost_probability (exact_estimate ~complement:p.complement shortcut))
+  | _ ->
+    let outcome = run () in
+    (* the heartbeat line is cleared either way *)
+    Option.iter Slimsim_obs.Progress.finish progress;
+    Result.map_error Path.error_to_string outcome
+
+let check_cost = check_query plan
+
+let check ?workers ?seed ?generator ?on_deadlock ?on_error ?supervisor
+    ?progress ?max_steps ?max_sim_time ?max_wall_per_path ?prepass ?levels
+    ?warmup (m : model) ~property ~strategy ~delta ~eps () =
+  check_query probability_plan ?workers ?seed ?generator ?on_deadlock
+    ?on_error ?supervisor ?progress ?max_steps ?max_sim_time ?max_wall_per_path
+    ?prepass ?levels ?warmup m ~query:property ~strategy ~delta ~eps ()
+  |> Result.map (function
+       | Cost_probability e -> e
+       | Cost_expected _ | Cost_distribution _ -> assert false (* probability_plan *))
 
 type exact = {
   exact_probability : float;
@@ -434,32 +427,30 @@ type exact = {
 }
 
 let check_exact ?max_states ?lump (m : model) ~property =
-  let* goal, hold, horizon, complement = parse_pattern_full m property in
-  match
-    Slimsim_ctmc.Analysis.check ?max_states ?hold ?lump m.Loader.network ~goal
-      ~horizon
-  with
-  | Ok r ->
-    Ok
-      {
-        exact_probability =
-          (if complement then 1.0 -. r.Slimsim_ctmc.Analysis.probability
-           else r.Slimsim_ctmc.Analysis.probability);
-        states = r.Slimsim_ctmc.Analysis.stable_states;
-        lumped_states = r.Slimsim_ctmc.Analysis.lumped_states;
-        analysis_seconds = r.Slimsim_ctmc.Analysis.total_seconds;
-      }
-  | Error e -> Error e
+  let module Analysis = Slimsim_ctmc.Analysis in
+  let* p = probability_plan m property in
+  let* r =
+    Analysis.check ?max_states ?hold:p.hold ?lump m.Loader.network ~goal:p.goal
+      ~horizon:p.horizon
+  in
+  Ok
+    {
+      exact_probability =
+        (if p.complement then 1.0 -. r.Analysis.probability
+         else r.Analysis.probability);
+      states = r.Analysis.stable_states;
+      lumped_states = r.Analysis.lumped_states;
+      analysis_seconds = r.Analysis.total_seconds;
+    }
 
 let simulate_one ?(seed = 1L) (m : model) ~property ~strategy =
-  let* goal, hold, horizon = parse_property m property in
-  let config = Path.default_config ~horizon in
+  let* p = plan m property in
   let rng = Slimsim_stats.Rng.for_path ~seed ~path:0 in
   let c = Slimsim_sta.Compiled.compile m.Loader.network in
-  let q = Path.compile_query ?hold c ~goal in
+  let q = Path.compile_query ?hold:p.hold c ~goal:p.goal in
   let steps = ref [] in
   match
-    Path.generate ~record:steps c (Slimsim_sta.Compiled.scratch c) q config
+    Path.generate ~record:steps c (Slimsim_sta.Compiled.scratch c) q p.config
       strategy rng
   with
   | Ok v -> Ok (v, !steps)

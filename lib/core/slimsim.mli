@@ -48,8 +48,17 @@ val parse_property :
   string ->
   (Slimsim_sta.Expr.t * Slimsim_sta.Expr.t option * float, string) result
 (** Returns (goal, hold, horizon).  Accepts [P(<> [0,u] goal)],
-    the bounded until [P(hold U [0,u] goal)], or
-    [probability that goal within u]. *)
+    the bounded until [P(hold U [0,u] goal)],
+    [probability that goal within u], or cost-bounded reachability
+    [P(<> [c <= C] goal)] (hold [c <= C], horizon [infinity]); an
+    E[...] / D[...] query is an error.  For an invariance pattern the
+    goal is negated (see {!query_complement}). *)
+
+val query_complement : model -> query:string -> (bool option, string) result
+(** Resolve any query form as {!check_cost} does, without running
+    anything.  [Some c] for a plain or invariance probability, where [c]
+    tells whether the campaign estimates the negated goal (pass it to
+    {!estimate_of}); [None] for the cost forms. *)
 
 type estimate = {
   probability : float;
@@ -89,6 +98,8 @@ val check :
   ?max_sim_time:float ->
   ?max_wall_per_path:float ->
   ?prepass:bool ->
+  ?levels:int ->
+  ?warmup:int ->
   model ->
   property:string ->
   strategy:Strategy.t ->
@@ -96,9 +107,23 @@ val check :
   eps:float ->
   unit ->
   (estimate, string) result
-(** Monte Carlo estimation (the paper's tool).  [generator] defaults to
-    the Chernoff–Hoeffding bound; [on_error] to aborting the run on the
-    first path-level error.
+(** Monte Carlo estimation (the paper's tool) of any P form, cost-bounded
+    reachability included: {!check_cost} restricted to the probability
+    forms (an E[...] / D[...] query is an error).  [generator] defaults
+    to the Chernoff–Hoeffding bound; [on_error] to aborting the run on
+    the first path-level error.
+
+    [generator = Mlmc] runs the multilevel estimator
+    ({!Slimsim_sim.Mlmc_run}): coupled coarse/fine path pairs over a
+    horizon-truncation hierarchy of [levels] (default 4) fidelities,
+    allocated by the n_l ∝ sqrt(V_l/C_l) rule above a floor of [warmup]
+    (default 100) samples per level, so most samples run at cheap
+    levels.  It is
+    sequential by construction: [workers > 1] is downgraded to one with
+    a warning.  In its estimate [paths] counts simulations (both halves
+    of a pair), [successes] counts [Sat] verdicts across them, and the
+    interval is the telescoped CLT interval clamped to [0,1].  [levels]
+    and [warmup] are ignored by the other generators.
 
     [supervisor] carries the campaign robustness policies (divergence
     handling, crash restarts, checkpoint/resume, graceful stop) — see
@@ -121,35 +146,6 @@ val check :
     the [Scripted] strategy disables the pre-pass, since a script may
     abort runs arbitrarily. *)
 
-val check_mlmc :
-  ?seed:int64 ->
-  ?on_deadlock:[ `Error | `Falsify ] ->
-  ?on_error:[ `Abort | `Unsat ] ->
-  ?supervisor:Slimsim_sim.Supervisor.t ->
-  ?progress:Slimsim_obs.Progress.t ->
-  ?max_steps:int ->
-  ?max_sim_time:float ->
-  ?max_wall_per_path:float ->
-  ?prepass:bool ->
-  ?levels:int ->
-  ?warmup:int ->
-  model ->
-  property:string ->
-  strategy:Strategy.t ->
-  delta:float ->
-  eps:float ->
-  unit ->
-  (estimate, string) result
-(** Multilevel Monte Carlo estimation ({!Slimsim_sim.Mlmc_run}): coupled
-    coarse/fine path pairs over a horizon-truncation hierarchy of
-    [levels] (default 4) fidelities, allocated by the n_l ∝ sqrt(V_l/C_l)
-    rule so most samples run at cheap levels.  Same property parsing,
-    complement mapping and qualitative pre-pass as {!check}; sequential
-    by construction, so there is no [workers] parameter.  In the
-    returned estimate, [paths] counts simulations (both halves of a
-    pair), [successes] counts [Sat] verdicts across them, and the
-    interval is the telescoped CLT interval clamped to [0,1]. *)
-
 (** {1 Campaigns as values}
 
     [check] is a convenience: prepare a campaign, drive it to
@@ -161,9 +157,7 @@ type prepared = {
   campaign : Campaign.t;
   complement : bool;
       (** invariance patterns are estimated via their negation; map the
-          final result through {!estimate_of_result}, which undoes
-          this *)
-  horizon : float;  (** the property's parsed time bound *)
+          final result through {!estimate_of}, which undoes this *)
 }
 
 val prepare :
@@ -186,15 +180,19 @@ val prepare :
   unit ->
   (prepared, string) result
 (** Parse [property] against the model and create the (unstarted)
-    campaign for it.  Parameters are those of {!check}, minus the
-    pre-pass (a service decides itself whether to run one), plus
-    [compiled]: an already-staged network (from
+    Bernoulli campaign for it.  Parameters are those of {!check}, minus
+    the pre-pass (a service decides itself whether to run one) and the
+    multilevel ones, plus [compiled]: an already-staged network (from
     [Slimsim_sta.Compiled.compile (network m)]) so a resident process
-    can amortize staging across many campaigns over the same model. *)
+    can amortize staging across many campaigns over the same model.
+    Cost queries (cost-bounded reachability included) and the [Mlmc]
+    generator are refused: a prepared campaign reports a probability
+    estimate from one Bernoulli stream. *)
 
-val estimate_of_result : prepared -> Campaign.result -> estimate
+val estimate_of : complement:bool -> Campaign.result -> estimate
 (** Map a finished campaign's raw result to the user-facing estimate,
-    applying the pattern's complement.  [certificate] is [None]. *)
+    reporting [1 - p] (and the mirrored interval) when [complement].
+    [certificate] is [None]. *)
 
 val prepass :
   ?max_nodes:int ->
@@ -240,7 +238,7 @@ val lint_property :
       quantity (mean, CI, quantiles, histogram)
 
     Plain probability queries are accepted too and behave exactly like
-    {!check}. *)
+    {!check}: [check] is [check_cost] restricted to the P forms. *)
 
 type cost_outcome =
   | Cost_probability of estimate
@@ -262,6 +260,8 @@ val check_cost :
   ?max_sim_time:float ->
   ?max_wall_per_path:float ->
   ?prepass:bool ->
+  ?levels:int ->
+  ?warmup:int ->
   model ->
   query:string ->
   strategy:Strategy.t ->
@@ -271,11 +271,12 @@ val check_cost :
   (cost_outcome, string) result
 (** Check any query form ({!Slimsim_props.Pattern.parse_query}).
     Parameters are those of {!check}.  [P] forms route through the
-    classic campaign (cost-bounded reachability constructs the hold
-    [c <= C] and runs with an unbounded horizon — the watchdog budgets
-    backstop paths whose cost observer stalls under the bound; the
-    qualitative pre-pass applies as in {!check}).  [E]/[D] forms run
-    the {!Slimsim_sim.Cost_run} accumulator on the same campaign, on
+    classic campaign, or the multilevel one under [generator = Mlmc]
+    (cost-bounded reachability constructs the hold [c <= C] and runs
+    with an unbounded horizon — the watchdog budgets backstop paths
+    whose cost observer stalls under the bound; the qualitative
+    pre-pass applies as in {!check}).  [E]/[D] forms run the
+    {!Slimsim_sim.Cost_run} accumulator on the same campaign, on
     [workers] domains with a result independent of their number, and a
     pre-pass P=0 certificate is reported as an error (the conditional
     expectation is undefined when no path can reach the goal).  Cost

@@ -546,7 +546,12 @@ let run_job ?supervisor ?progress cfg job ~generator =
     out
 
 let run ?supervisor ?progress cfg job ~generator =
-  if job.engine <> "compiled" then
+  if Generator.kind generator = Generator.Mlmc then
+    Error
+      (Path.Refused
+         "--generator mlmc is not supported with --distribute (the coupled \
+          sampler is sequential); drop one of the two flags")
+  else if job.engine <> "compiled" then
     Error
       (Path.Model_error
          (Printf.sprintf

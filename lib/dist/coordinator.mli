@@ -100,4 +100,6 @@ val run :
     state extended with outstanding leases, and [supervisor.resume]
     continues from it.  [Error] on a job whose [engine] is not
     ["compiled"], an unreadable checkpoint, a rejected handshake, or an
-    aborting path error — same contract as {!Campaign.drive}. *)
+    aborting path error — same contract as {!Campaign.drive}.  An [Mlmc]
+    generator is [Refused] before any worker is spawned: the coupled
+    sampler is sequential. *)

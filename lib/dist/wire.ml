@@ -236,7 +236,9 @@ let divergence_of_json j =
 let error_to_json = function
   | Path.Deadlock_error m -> Json.Obj [ ("k", Json.String "deadlock"); ("m", Json.String m) ]
   | Path.Aborted -> Json.Obj [ ("k", Json.String "aborted") ]
-  | Path.Model_error m -> Json.Obj [ ("k", Json.String "model"); ("m", Json.String m) ]
+  (* workers never refuse; the coordinator does, before any spawn *)
+  | Path.Model_error m | Path.Refused m ->
+    Json.Obj [ ("k", Json.String "model"); ("m", Json.String m) ]
   | Path.Worker_crash m -> Json.Obj [ ("k", Json.String "crash"); ("m", Json.String m) ]
   | Path.Diverged_path d -> Json.Obj [ ("k", Json.String "diverged"); ("d", divergence_to_json d) ]
 

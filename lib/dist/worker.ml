@@ -161,13 +161,9 @@ let build_session hello =
     | p -> Error (Printf.sprintf "unknown deadlock policy %S" p)
   in
   let cfg =
-    {
-      (Path.default_config ~horizon) with
-      Path.max_steps = hello.Wire.max_steps;
-      max_sim_time = hello.Wire.max_sim_time;
-      max_wall_per_path = hello.Wire.max_wall_per_path;
-      on_deadlock;
-    }
+    Path.make_config ~max_steps:hello.Wire.max_steps
+      ?max_sim_time:hello.Wire.max_sim_time
+      ?max_wall_per_path:hello.Wire.max_wall_per_path ~on_deadlock ~horizon ()
   in
   let runner =
     Campaign.make_runner ~seed:hello.Wire.seed ?hold cfg

@@ -74,15 +74,7 @@ let parse_submit j =
   let* generator =
     match str j "generator" with
     | None -> Ok d.generator
-    | Some s -> (
-      match Slimsim_stats.Generator.kind_of_string s with
-      (* The multilevel sampler is a dedicated sequential driver, not a
-         drop-in stopping rule for the shared campaign loop. *)
-      | Ok Slimsim_stats.Generator.Mlmc ->
-        Error
-          "generator mlmc is not supported by the campaign service; use \
-           `slimsim simulate --generator mlmc` (or chow-robbins here)"
-      | r -> r)
+    | Some s -> Slimsim_stats.Generator.kind_of_string s
   in
   let* on_divergence =
     match str j "on_divergence" with

@@ -242,7 +242,9 @@ let run_slice st job =
        anyone else is waiting to run *)
     if Scheduler.pending st.sched > 0 then Campaign.park c;
     Scheduler.push st.sched ~tenant:job.tenant job.id
-  | Campaign.Done r -> finish st job (Ok (Slimsim.estimate_of_result job.prepared r))
+  | Campaign.Done r ->
+    let complement = job.prepared.complement in
+    finish st job (Ok (Slimsim.estimate_of ~complement r))
   | Campaign.Failed e -> finish st job (Error (Path.error_to_string e))
 
 (* ---- request handling --------------------------------------------- *)
@@ -285,19 +287,6 @@ let handle_submit st fd (s : Protocol.submit) =
     match resolved with
     | Error e -> reject e
     | Ok (entry, hit) -> (
-      (* The serve protocol exchanges probability estimates; a cost
-         query's accumulator has no channel here.  Reject explicitly so
-         the client gets a pointed message rather than a parse error. *)
-      let cost_query =
-        match Slimsim_props.Pattern.parse_query s.property with
-        | Ok (Slimsim_props.Pattern.Prob _) | Error _ -> false
-        | Ok _ -> true
-      in
-      if cost_query then
-        reject
-          "cost queries (P(<> [c <= C] ...), E[...], D[...]) are not \
-           supported in serve mode; run them with 'slimsim simulate --query'"
-      else
       let sup = Supervisor.create ~on_divergence:s.on_divergence () in
       let workers = max 1 (min s.workers st.cfg.max_workers) in
       match
@@ -504,7 +493,8 @@ let shutdown st =
         (* stop flag is set: this consumes no new samples *)
         (match Campaign.step ~quota:1 job.prepared.campaign with
         | Campaign.Done r ->
-          finish st job (Ok (Slimsim.estimate_of_result job.prepared r))
+          let complement = job.prepared.complement in
+          finish st job (Ok (Slimsim.estimate_of ~complement r))
         | Campaign.Failed e -> finish st job (Error (Path.error_to_string e))
         | Campaign.Running -> finish st job (Error "interrupted"))
       | _ -> ());

@@ -25,6 +25,7 @@ type error =
   | Model_error of string
   | Worker_crash of string
   | Diverged_path of divergence
+  | Refused of string
 
 type config = {
   horizon : float;
@@ -35,15 +36,12 @@ type config = {
   eps_nudge : float;
 }
 
-let default_config ~horizon =
-  {
-    horizon;
-    max_steps = 1_000_000;
-    max_sim_time = None;
-    max_wall_per_path = None;
-    on_deadlock = `Falsify;
-    eps_nudge = 1e-9;
-  }
+let make_config ?(max_steps = 1_000_000) ?max_sim_time ?max_wall_per_path
+    ~on_deadlock ~horizon () =
+  { horizon; max_steps; max_sim_time; max_wall_per_path; on_deadlock;
+    eps_nudge = 1e-9 }
+
+let default_config ~horizon = make_config ~on_deadlock:`Falsify ~horizon ()
 
 type step_record = { at_time : float; chose_delay : float; description : string }
 
@@ -528,3 +526,4 @@ let error_to_string = function
   | Model_error msg -> "model error: " ^ msg
   | Worker_crash msg -> "worker crashed: " ^ msg
   | Diverged_path d -> "divergent path: " ^ divergence_to_string d
+  | Refused msg -> msg

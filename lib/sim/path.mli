@@ -50,6 +50,9 @@ type error =
       (** a worker domain died repeatedly and its restart budget ran out *)
   | Diverged_path of divergence
       (** a path diverged under the [`Abort] divergence policy *)
+  | Refused of string
+      (** the driver does not support the request and ran nothing; the
+          message is the whole report *)
 
 type config = {
   horizon : float;  (** upper time bound of the property *)
@@ -66,10 +69,19 @@ type config = {
   eps_nudge : float;  (** interior nudge for open interval endpoints *)
 }
 
+val make_config :
+  ?max_steps:int ->
+  ?max_sim_time:float ->
+  ?max_wall_per_path:float ->
+  on_deadlock:[ `Error | `Falsify ] ->
+  horizon:float ->
+  unit ->
+  config
+(** [max_steps] defaults to 1_000_000, the simulated-time and wall
+    budgets to none; [eps_nudge = 1e-9]. *)
+
 val default_config : horizon:float -> config
-(** [max_steps = 1_000_000], [max_sim_time = None],
-    [max_wall_per_path = None], [on_deadlock = `Falsify],
-    [eps_nudge = 1e-9]. *)
+(** [make_config ~on_deadlock:`Falsify ~horizon ()]. *)
 
 type step_record = {
   at_time : float;

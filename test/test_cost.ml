@@ -598,6 +598,100 @@ let test_mlmc_cost_bounded_rejected () =
       in
       Alcotest.(check int) "CLI exit code" 1 code)
 
+(* Every query form under every generator family through every facade
+   front-end: each cell runs, or fails with its own specific error.
+   [""] stands for [Ok] (for [check_cost], of the form's outcome). *)
+let test_query_form_table () =
+  let m =
+    match
+      Slimsim.load_file
+        (Filename.concat
+           (Filename.dirname Sys.executable_name)
+           "../examples/models/mm1k_priced.slim")
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "load failed: %s" e
+  in
+  let forms =
+    [
+      ("P reach", "P(<> [0, 5] q = 4)");
+      ("P invariance", "P([] [0, 5] q < 4)");
+      ("cost-bounded P", "P(<> [w <= 3] q = 4)");
+      ("E", "E[w ; <> [0, 5] q = 4]");
+      ("D", "D[w ; <> [0, 5] q = 4]");
+    ]
+  in
+  let cost = "estimates a cost, not a probability"
+  and truncates = "cost-bounded reachability: the multilevel generator"
+  and not_a_cost = "the multilevel generator estimates a probability"
+  and serve = "not supported in serve mode"
+  and coupled = "generator mlmc is not supported by the campaign service" in
+  (* front-end, form: chernoff, chow-robbins, mlmc *)
+  let table =
+    [
+      ("check", "P reach", ("", "", ""));
+      ("check", "P invariance", ("", "", ""));
+      ("check", "cost-bounded P", ("", "", truncates));
+      ("check", "E", (cost, cost, cost));
+      ("check", "D", (cost, cost, cost));
+      ("check_cost", "P reach", ("", "", ""));
+      ("check_cost", "P invariance", ("", "", ""));
+      ("check_cost", "cost-bounded P", ("", "", truncates));
+      ("check_cost", "E", ("", "", not_a_cost));
+      ("check_cost", "D", ("", "", not_a_cost));
+      ("prepare", "P reach", ("", "", coupled));
+      ("prepare", "P invariance", ("", "", coupled));
+      ("prepare", "cost-bounded P", (serve, serve, serve));
+      ("prepare", "E", (serve, serve, serve));
+      ("prepare", "D", (serve, serve, serve));
+    ]
+  in
+  List.iter
+    (fun (front, form, (chernoff, chow_robbins, mlmc)) ->
+      let query = List.assoc form forms in
+      List.iter
+        (fun (generator, expected) ->
+          let cell =
+            Printf.sprintf "%s, %s, %s" front form
+              (Generator.kind_to_string generator)
+          in
+          let run f = f ~strategy:Strategy.Asap ~delta:0.1 ~eps:0.2 () in
+          let outcome =
+            match front with
+            | "check" ->
+              Result.map ignore
+                (run (Slimsim.check ~generator m ~property:query))
+            | "check_cost" ->
+              Result.bind
+                (run (Slimsim.check_cost ~generator m ~query))
+                (fun o ->
+                  match (form, o) with
+                  | "E", Slimsim.Cost_expected _
+                  | "D", Slimsim.Cost_distribution _
+                  | ("P reach" | "P invariance" | "cost-bounded P"),
+                    Slimsim.Cost_probability _ ->
+                    Ok ()
+                  | _ -> Error "wrong outcome kind")
+            | _ ->
+              Result.map ignore
+                (run (Slimsim.prepare ~generator m ~property:query))
+          in
+          match (expected, outcome) with
+          | "", Ok () -> ()
+          | "", Error e -> Alcotest.failf "%s: unexpected error: %s" cell e
+          | _, Ok () -> Alcotest.failf "%s: accepted, expected %S" cell expected
+          | _, Error e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S in %S" cell expected e)
+              true
+              (Astring_contains.contains e expected))
+        [
+          (Generator.Chernoff, chernoff);
+          (Generator.Chow_robbins, chow_robbins);
+          (Generator.Mlmc, mlmc);
+        ])
+    table
+
 let test_resolve_cost_rejects_discrete () =
   let net = load exp_model in
   (match Pattern.resolve_cost net "v" with
@@ -631,4 +725,6 @@ let suite =
       test_resolve_cost_rejects_discrete;
     Alcotest.test_case "mlmc rejected for cost-bounded reachability" `Quick
       test_mlmc_cost_bounded_rejected;
+    Alcotest.test_case "query forms x generators x front-ends" `Quick
+      test_query_form_table;
   ]

@@ -366,6 +366,31 @@ let test_job_engine_validated () =
   | Error e -> Alcotest.failf "unexpected error: %s" (Path.error_to_string e)
   | Ok _ -> Alcotest.fail "an interpreted job must be refused"
 
+(* The coupled multilevel sampler is sequential: the coordinator refuses
+   it with the message the CLI prints, before spawning anything (the
+   worker command would leave a marker file). *)
+let test_mlmc_refused () =
+  let marker = Filename.temp_file "slimsim_dist" ".spawned" in
+  Sys.remove marker;
+  let worker_cmd =
+    [| "/bin/sh"; "-c"; Printf.sprintf "touch %s; exec %s work"
+                          (Filename.quote marker) (Filename.quote bin) |]
+  in
+  (match
+     Coordinator.run
+       (Coordinator.config ~workers:2 ~worker_cmd ())
+       job
+       ~generator:(Generator.create Generator.Mlmc ~delta:0.1 ~eps:0.1)
+   with
+  | Error (Path.Refused msg) ->
+    Alcotest.(check string) "message"
+      "--generator mlmc is not supported with --distribute (the coupled \
+       sampler is sequential); drop one of the two flags"
+      msg
+  | Error e -> Alcotest.failf "unexpected error: %s" (Path.error_to_string e)
+  | Ok _ -> Alcotest.fail "the multilevel generator must be refused");
+  Alcotest.(check bool) "no worker spawned" false (Sys.file_exists marker)
+
 (* A plan of a few hundred long paths used to fit one fixed 1024-path
    lease, so one worker ran it all; the derived lease size spreads it. *)
 let test_launcher_derived_lease () =
@@ -486,6 +511,8 @@ let suite =
       test_determinism_matrix;
     Alcotest.test_case "job: only the compiled engine" `Quick
       test_job_engine_validated;
+    Alcotest.test_case "job: mlmc refused before any spawn" `Quick
+      test_mlmc_refused;
     Alcotest.test_case "launcher: derived lease size, bit-identical" `Quick
       test_launcher_derived_lease;
     Alcotest.test_case "quarantine degrades, estimate unchanged" `Quick

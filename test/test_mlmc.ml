@@ -278,7 +278,8 @@ let test_create_guards () =
   | Error (Path.Model_error _) -> ()
   | _ -> Alcotest.fail "scripted strategies must be rejected"
 
-(* --- the facade: check_mlmc parses, clamps and maps like check --- *)
+(* --- the facade: check ~generator:Mlmc parses, clamps and maps like
+   the other generators --- *)
 
 let test_check_mlmc_facade () =
   let m =
@@ -287,7 +288,8 @@ let test_check_mlmc_facade () =
     | Error e -> Alcotest.failf "load failed: %s" e
   in
   match
-    Slimsim.check_mlmc ~seed:3L ~levels:3 m ~property:"P(<> [0, 2] v)"
+    Slimsim.check ~generator:Generator.Mlmc ~seed:3L ~levels:3 m
+      ~property:"P(<> [0, 2] v)"
       ~strategy:Strategy.Asap ~delta:0.1 ~eps:0.05 ()
   with
   | Error e -> Alcotest.fail e
@@ -305,6 +307,63 @@ let test_check_mlmc_facade () =
       (Float.abs (r.Slimsim.probability -. truth) < 0.1);
     Alcotest.(check bool) "paths simulated" true (r.Slimsim.paths > 0);
     Alcotest.(check bool) "not interrupted" true (not r.Slimsim.interrupted)
+
+(* The library and the CLI agree on the multilevel generator: [check]
+   and [check_cost] given [Mlmc] run [Mlmc_run] (they once ran the
+   single-level Chow-Robbins rule: p = 0.209945 over 181 paths), and
+   [prepare], which builds a Bernoulli campaign, refuses it. *)
+let test_facade_runs_mlmc () =
+  let file =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "../examples/models/mm1k.slim"
+  in
+  let m =
+    match Slimsim.load_file file with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "load failed: %s" e
+  in
+  let property = "P(<> [0, 5] q = 4)" in
+  let reference =
+    let goal, hold, horizon = Result.get_ok (Slimsim.parse_property m property) in
+    match
+      Result.bind
+        (Mlmc_run.create ~seed:3L ?hold (Slimsim.network m) ~goal ~horizon
+           ~strategy:Strategy.Asap ~delta:0.1 ~eps:0.05 ())
+        Mlmc_run.drive
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "mlmc run failed: %s" (Path.error_to_string e)
+  in
+  let same name (e : Slimsim.estimate) =
+    let r = reference in
+    Alcotest.(check (list (float 0.0)))
+      (name ^ ": estimate and interval")
+      [ r.Mlmc_run.probability; r.Mlmc_run.ci_low; r.Mlmc_run.ci_high ]
+      [ e.Slimsim.probability; e.Slimsim.ci_low; e.Slimsim.ci_high ];
+    Alcotest.(check (pair int int))
+      (name ^ ": sat / paths")
+      (r.Mlmc_run.sat_paths, r.Mlmc_run.paths)
+      (e.Slimsim.successes, e.Slimsim.paths);
+    Alcotest.(check string) (name ^ ": the CLI's line")
+      "0.177022 [0.128154, 0.225890] 67/1146"
+      (Printf.sprintf "%.6f [%.6f, %.6f] %d/%d" e.Slimsim.probability
+         e.Slimsim.ci_low e.Slimsim.ci_high e.Slimsim.successes e.Slimsim.paths)
+  in
+  let args f = f ~strategy:Strategy.Asap ~delta:0.1 ~eps:0.05 () in
+  (match args (Slimsim.check ~generator:Generator.Mlmc ~seed:3L m ~property) with
+  | Ok e -> same "check" e
+  | Error e -> Alcotest.fail e);
+  (match
+     args (Slimsim.check_cost ~generator:Generator.Mlmc ~seed:3L m ~query:property)
+   with
+  | Ok (Slimsim.Cost_probability e) -> same "check_cost" e
+  | Ok _ -> Alcotest.fail "check_cost: not a probability"
+  | Error e -> Alcotest.fail e);
+  match args (Slimsim.prepare ~generator:Generator.Mlmc m ~property) with
+  | Error msg ->
+    Alcotest.(check bool) "prepare names the multilevel generator" true
+      (Astring_contains.contains msg "generator mlmc is not supported")
+  | Ok _ -> Alcotest.fail "prepare accepted the multilevel generator"
 
 (* --- observability: both halves go through the campaign's router --- *)
 
@@ -355,6 +414,8 @@ let suite =
       test_resume_rejects_mismatch;
     Alcotest.test_case "create guards" `Quick test_create_guards;
     Alcotest.test_case "check_mlmc facade" `Quick test_check_mlmc_facade;
+    Alcotest.test_case "check and check_cost run Mlmc_run" `Quick
+      test_facade_runs_mlmc;
     Alcotest.test_case "metrics count both halves" `Quick
       test_metrics_count_both_halves;
   ]

@@ -3,7 +3,8 @@
    only: scripted (Input) strategies, failure biasing in [Rare] and
    trace recording.  Verdicts, errors, recorded steps and estimates must
    be equal bit for bit.  The last case pins the two CLI commands that
-   drive a single path, [trace] and [interactive], byte for byte. *)
+   drive a single path, [trace] and [interactive], byte for byte, and
+   [simulate] on every query form. *)
 
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
@@ -190,16 +191,20 @@ let test_traces () =
 
 (* --- CLI pins for the single-path commands --- *)
 
-let cli ?stdin args =
+(* stdout and stderr of one CLI run, which must exit with [code] *)
+let run_cli ?stdin ?(code = 0) args =
   let out = Filename.temp_file "slimsim_pin" ".out" in
+  let err = Filename.temp_file "slimsim_pin" ".err" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove out)
+    ~finally:(fun () -> Sys.remove out; Sys.remove err)
     (fun () ->
       let bin = Filename.concat dir "../bin/slimsim_cli.exe" in
-      Alcotest.(check int) "exit code" 0
-        (Sys.command
-           (Filename.quote_command bin ?stdin ~stdout:out ~stderr:Filename.null args));
-      In_channel.with_open_bin out In_channel.input_all)
+      Alcotest.(check int) (String.concat " " args ^ ": exit code") code
+        (Sys.command (Filename.quote_command bin ?stdin ~stdout:out ~stderr:err args));
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      (read out, read err))
+
+let cli ?stdin args = fst (run_cli ?stdin args)
 
 let test_cli_pins () =
   let trace extra =
@@ -236,7 +241,83 @@ let test_cli_pins () =
          || Astring_contains.contains l " in [")
        (String.split_on_char '\n' out));
   Alcotest.(check bool) "interactive verdict" true
-    (String.ends_with ~suffix:"verdict: sat@11\n" out)
+    (String.ends_with ~suffix:"verdict: sat@11\n" out);
+  (* simulate: -p, --query and --distribute print the same line for a
+     probability, -g mlmc runs the multilevel estimator from either
+     flag, and the cost forms and refusals are those of the facade *)
+  let simulate ?code model_name args =
+    let out, err =
+      run_cli ?code ("simulate" :: model model_name :: "--no-lint" :: args)
+    in
+    (Str.global_replace (Str.regexp ", [0-9.]+s)") ")" out, err)
+  in
+  let same ?(err = "") name expected (out, e) =
+    Alcotest.(check string) (name ^ ": stdout") expected out;
+    Alcotest.(check string) (name ^ ": stderr") err e
+  in
+  let inv = [ "--seed"; "3"; "-d"; "0.1"; "-e"; "0.05" ] in
+  List.iter
+    (fun (name, args) ->
+      same name
+        "p = 0.807050 in [0.789374, 0.824727] (925/4794 paths, 0 dead/timelocked)\n"
+        (simulate "mm1k.slim" (args @ inv)))
+    [
+      ("invariance -p", [ "-p"; "P([] [0, 5] q < 4)" ]);
+      ("invariance --query", [ "--query"; "P([] [0, 5] q < 4)" ]);
+      ("invariance --distribute", [ "-p"; "P([] [0, 5] q < 4)"; "--distribute"; "2" ]);
+    ];
+  let mlmc = "p = 0.177022 in [0.128154, 0.225890] (67/1146 paths, 0 dead/timelocked)\n" in
+  List.iter
+    (fun (name, err, args) ->
+      same ~err name mlmc
+        (simulate "mm1k.slim" (args @ [ "P(<> [0, 5] q = 4)"; "-g"; "mlmc" ] @ inv)))
+    [
+      ("mlmc -p", "", [ "-p" ]);
+      ("mlmc --query", "", [ "--query" ]);
+      ( "mlmc -j 2",
+        "slimsim: warning: the mlmc generator drives a coupled sequential \
+         sampler; running with workers = 1 (requested 2)\n",
+        [ "-j"; "2"; "-p" ] );
+    ];
+  let cost form =
+    simulate "gps_nominal.slim"
+      [ "--query"; form ^ "[x ; <> [0, 300] measurement]"; "-s"; "progressive";
+        "-d"; "0.05"; "-e"; "0.05"; "--seed"; "1" ]
+  in
+  let e_line =
+    "E[cost] = 65.2269  [64.4159, 66.0379]  (5903 sat paths; p = 1.000000  \
+     [0.982324, 1.000000], 5903 paths)\n"
+  in
+  same "E[x]" e_line (cost "E");
+  let d_out, d_err = cost "D" in
+  Alcotest.(check string) "D[x]: first line" e_line
+    (String.sub d_out 0 (String.length e_line));
+  Alcotest.(check string) "D[x]: table md5" "23d4c4bf11523ef0db2aff0b79b8223e"
+    (Digest.to_hex
+       (Digest.string
+          (String.sub d_out (String.length e_line)
+             (String.length d_out - String.length e_line))));
+  Alcotest.(check string) "D[x]: stderr" "" d_err;
+  List.iter
+    (fun (name, model_name, err, args) -> same ~err name "" (simulate ~code:1 model_name args))
+    [
+      ( "cost x --distribute", "gps_nominal.slim",
+        "slimsim: cost queries are not supported with --distribute; run them \
+         in a single process\n",
+        [ "--query"; "E[x ; <> [0, 300] measurement]"; "--distribute"; "2" ] );
+      ( "mlmc x --distribute", "mm1k.slim",
+        "slimsim: --generator mlmc is not supported with --distribute (the \
+         coupled sampler is sequential); drop one of the two flags\n",
+        [ "-p"; "P(<> [0, 5] q = 4)"; "-g"; "mlmc"; "--distribute"; "2" ] );
+      ( "mlmc x cost-bounded P", "mm1k_priced.slim",
+        "cost-bounded reachability: the multilevel generator's levels \
+         truncate the time horizon, and P(<> [c <= C] ...) has none (its \
+         horizon is unbounded); use a fixed-size or chow-robbins generator\n",
+        [ "--query"; "P(<> [w <= 3] q = 4)"; "-g"; "mlmc" ] );
+      ( "-p with --query", "mm1k.slim",
+        "slimsim: use exactly one of -p/--property and --query\n",
+        [ "-p"; "P(<> [0, 5] q = 4)"; "--query"; "P(<> [0, 5] q = 4)" ] );
+    ]
 
 let suite =
   [
