@@ -517,7 +517,14 @@ let simulate_cmd =
         (fun file -> { Slimsim_sim.Supervisor.file; every = checkpoint_every })
         checkpoint
     in
+    (match S.Generator.check ~delta ~eps with
+    | Error e -> die 1 ("slimsim: " ^ e)
+    | Ok () -> ());
     if buffer <= 0 then die 1 "slimsim: --buffer must be positive";
+    if checkpoint_every <= 0 then
+      die 1 "slimsim: --checkpoint-every must be positive";
+    if Option.fold ~none:false ~some:(fun s -> not (s > 0.0)) progress then
+      die 1 "slimsim: --progress must be positive";
     if drop_stall_limit <= 0 then
       die 1 "slimsim: --drop-stall-limit must be positive";
     if max_restarts < 0 then die 1 "slimsim: --max-restarts must be >= 0";

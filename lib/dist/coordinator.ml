@@ -3,7 +3,6 @@ module Lease = Slimsim_sim.Lease
 module Path = Slimsim_sim.Path
 module Supervisor = Slimsim_sim.Supervisor
 module Generator = Slimsim_stats.Generator
-module Estimator = Slimsim_stats.Estimator
 module Metrics = Slimsim_obs.Metrics
 module Progress = Slimsim_obs.Progress
 module Log = Slimsim_obs.Log
@@ -117,16 +116,36 @@ type slot = {
 
 exception Abort_run of Path.error
 
+(* The coordinator is a sample source of the campaign kernel: [draw]
+   hands [Campaign] the path at its cursor once a worker has banked it,
+   and keeps the worker pool running while it waits.  Stopping,
+   convergence, policies, checkpoints, the heartbeat and the summary are
+   the kernel's, as under every other topology. *)
 let run_job ?supervisor ?progress cfg job ~generator =
   let sup = match supervisor with Some s -> s | None -> Supervisor.default () in
   let acc = Campaign.bernoulli generator in
-  let tally = Campaign.new_tally () in
-  let robs = Campaign.make_run_obs () in
-  let dobs = make_dobs () in
-  match Campaign.resume sup acc tally ~seed:job.seed with
+  (* The pool starts at the resume cursor, which the campaign knows once
+     it has validated the checkpoint; [leases] and [draw] are filled in
+     then.  Before that, checkpoint states carry no leases and nothing
+     is drawn. *)
+  let leases = ref None in
+  let save tally ~seed ~next_path =
+    let st = acc.Campaign.save tally ~seed ~next_path in
+    match !leases with
+    | Some table ->
+      { st with Supervisor.Checkpoint.leases = Lease.outstanding table }
+    | None -> st
+  in
+  let draw = ref (fun () -> assert false) in
+  match
+    Campaign.create_sequential ~seed:job.seed ~on_error:job.on_error
+      ~supervisor:sup ?progress
+      ~draw:(fun _ -> !draw ())
+      { acc with Campaign.save }
+  with
   | Error e -> Error e
-  | Ok base ->
-    let t0 = Unix.gettimeofday () in
+  | Ok camp ->
+    let dobs = make_dobs () in
     let size =
       match cfg.lease_size with
       | Some n -> n
@@ -135,17 +154,20 @@ let run_job ?supervisor ?progress cfg job ~generator =
           ~remaining:(Generator.remaining_samples generator)
           ~workers:cfg.workers ~cap:1024
     in
-    let table = Lease.create ~base ~size ~payload:ignore in
-    let cursor = ref base in
-    let last_ckpt = ref base in
+    let table = Lease.create ~base:(Campaign.consumed camp) ~size ~payload:ignore in
+    leases := Some table;
     let granted = ref 0
     and reassigned = ref 0
     and dups = ref 0
     and rejected = ref 0
     and missed = ref 0
-    and quarantined = ref 0 in
-    let dincr f = match dobs with Some d -> Metrics.incr (f d) | None -> () in
-    let dadd f n = match dobs with Some d -> Metrics.add (f d) n | None -> () in
+    and quarantined = ref 0
+    and all_lost = ref false in
+    (* a pool counter and its metric cell *)
+    let bump ?(n = 1) r f =
+      r := !r + n;
+      match dobs with Some d -> Metrics.add (f d) n | None -> ()
+    in
     let slots =
       Array.init cfg.workers (fun idx ->
           {
@@ -252,8 +274,7 @@ let run_job ?supervisor ?progress cfg job ~generator =
         slot.failures <- slot.failures + 1;
         if slot.failures > sup.Supervisor.max_restarts then begin
           slot.state <- Quarantined;
-          incr quarantined;
-          dincr (fun d -> d.m_quarantined);
+          bump quarantined (fun d -> d.m_quarantined);
           Log.emit ~event:"dist_quarantine"
             [ ("worker", Json.Int slot.idx); ("failures", Json.Int slot.failures) ]
         end
@@ -262,8 +283,8 @@ let run_job ?supervisor ?progress cfg job ~generator =
           slot.respawn_at <-
             Unix.gettimeofday ()
             +. Supervisor.backoff_delay sup ~attempt:(slot.failures - 1);
-          Campaign.note_restart tally;
-          dincr (fun d -> d.m_restarts)
+          Campaign.note_restart camp;
+          Option.iter (fun d -> Metrics.incr d.m_restarts) dobs
         end;
         set_live ();
         if live_count () = 1 then
@@ -271,10 +292,9 @@ let run_job ?supervisor ?progress cfg job ~generator =
       end
     in
     let should_carve () =
-      Generator.needs_more generator
-      && Lease.frontier table
-         < Lease.carve_limit table ~cursor:!cursor
-             ~remaining:(Generator.remaining_samples generator)
+      Lease.frontier table
+      < Lease.carve_limit table ~cursor:(Campaign.consumed camp)
+          ~remaining:(Generator.remaining_samples generator)
     in
     let grant slot =
       match slot.to_worker with
@@ -287,12 +307,8 @@ let run_job ?supervisor ?progress cfg job ~generator =
           && (Lease.pending table > 0 || should_carve ())
         do
           let l = Lease.grant table ~owner:slot.idx in
-          incr granted;
-          dincr (fun d -> d.m_granted);
-          if l.Lease.grants > 1 then begin
-            incr reassigned;
-            dincr (fun d -> d.m_reassigned)
-          end;
+          bump granted (fun d -> d.m_granted);
+          if l.Lease.grants > 1 then bump reassigned (fun d -> d.m_reassigned);
           Log.emit ~event:"dist_lease"
             [
               ("worker", Json.Int slot.idx);
@@ -311,55 +327,9 @@ let run_job ?supervisor ?progress cfg job ~generator =
             fail_worker slot "lease write failed"
         done
     in
-    let progress_tick () =
-      match progress with
-      | None -> ()
-      | Some p ->
-        let est = Generator.estimator generator in
-        Progress.tick p ~paths:(Estimator.trials est) (fun () ->
-            let lo, hi =
-              Estimator.confidence_interval est ~delta:(Generator.delta generator)
-            in
-            (Estimator.mean est, (hi -. lo) /. 2.0))
-    in
-    let drain () =
-      cursor :=
-        Lease.consume_ready table ~cursor:!cursor
-          ~stop:(fun () ->
-            (not (Generator.needs_more generator)) || Supervisor.stop_requested sup)
-          ~f:(fun path c d ->
-            match Lease.decode c d with
-            | Error e -> raise (Abort_run (Path.Model_error ("wire: " ^ e)))
-            | Ok outcome -> (
-              match
-                Campaign.consume ?robs ~on_error:job.on_error
-                  ~on_divergence:sup.Supervisor.on_divergence
-                  ~drop_stall_limit:sup.Supervisor.drop_stall_limit ~path acc
-                  tally outcome
-              with
-              | Error e -> raise (Abort_run e)
-              | Ok () -> progress_tick ()))
-    in
-    let checkpoint () =
-      match sup.Supervisor.checkpoint with
-      | None -> ()
-      | Some { Supervisor.file; _ } ->
-        let st =
-          {
-            (acc.Campaign.save tally ~seed:job.seed ~next_path:!cursor)
-            with
-            Supervisor.Checkpoint.leases = Lease.outstanding table;
-          }
-        in
-        Campaign.write_checkpoint ?robs sup ~file st;
-        last_ckpt := !cursor
-    in
-    let maybe_checkpoint () =
-      match sup.Supervisor.checkpoint with
-      | Some { Supervisor.every; _ } when every > 0 && !cursor / every > !last_ckpt / every
-        ->
-        checkpoint ()
-      | _ -> ()
+    let reject slot reason =
+      bump rejected (fun d -> d.m_rejected);
+      fail_worker slot reason
     in
     let handle_report slot = function
       | Wire.Ready _ ->
@@ -383,22 +353,14 @@ let run_job ?supervisor ?progress cfg job ~generator =
             details
         with
         | `New (_fresh, dup) ->
-          if dup > 0 then begin
-            dups := !dups + dup;
-            dadd (fun d -> d.m_dups) dup
-          end;
+          if dup > 0 then bump ~n:dup dups (fun d -> d.m_dups);
           (match Lease.find table b.Wire.lease with
           | Some l when l.Lease.filled >= l.Lease.hi - l.Lease.lo ->
             slot.lease_ids <- List.filter (fun id -> id <> b.Wire.lease) slot.lease_ids
           | _ -> ())
         | `Duplicate | `Unknown ->
-          let n = String.length b.Wire.verdicts in
-          dups := !dups + n;
-          dadd (fun d -> d.m_dups) n
-        | `Gap ->
-          incr rejected;
-          dincr (fun d -> d.m_rejected);
-          fail_worker slot "batch beyond the banked prefix")
+          bump ~n:(String.length b.Wire.verdicts) dups (fun d -> d.m_dups)
+        | `Gap -> reject slot "batch beyond the banked prefix")
     in
     let pump slot =
       match slot.from_worker with
@@ -414,36 +376,14 @@ let run_job ?supervisor ?progress cfg job ~generator =
           while !continue && (slot.state = Live || slot.state = Starting) do
             match Wire.next slot.reader with
             | Ok None -> continue := false
-            | Error e ->
-              incr rejected;
-              dincr (fun d -> d.m_rejected);
-              fail_worker slot ("corrupt frame: " ^ e)
+            | Error e -> reject slot ("corrupt frame: " ^ e)
             | Ok (Some j) -> (
               match Wire.report_of_json j with
-              | Error e ->
-                incr rejected;
-                dincr (fun d -> d.m_rejected);
-                fail_worker slot ("bad report: " ^ e)
+              | Error e -> reject slot ("bad report: " ^ e)
               | Ok r -> handle_report slot r)
           done
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | exception Unix.Unix_error (_, _, _) -> fail_worker slot "read error")
-    in
-    let check_liveness now =
-      Array.iter
-        (fun slot ->
-          match slot.state with
-          | (Live | Starting) when now -. slot.last_seen > cfg.liveness ->
-            incr missed;
-            dincr (fun d -> d.m_missed);
-            fail_worker slot "liveness timeout"
-          | _ -> ())
-        slots
-    in
-    let respawn_due now =
-      Array.iter
-        (fun slot -> if slot.state = Down && now >= slot.respawn_at then spawn slot)
-        slots
     in
     (* sleep until the nearest liveness or respawn deadline, capped so
        the stop flag stays responsive *)
@@ -469,81 +409,86 @@ let run_job ?supervisor ?progress cfg job ~generator =
         slots;
       set_live ()
     in
-    let finish stopped ~all_lost =
-      checkpoint ();
-      teardown ();
-      (match progress with Some p -> Progress.finish p | None -> ());
-      let result =
-        acc.Campaign.summary tally ~stopped ~wall:(Unix.gettimeofday () -. t0)
+    (* One round of pool upkeep while the campaign waits for the path
+       at its cursor; a stop request, or the last worker quarantined,
+       ends the slice. *)
+    let wait () =
+      if Supervisor.stop_requested sup then raise Campaign.Stopped;
+      let now = Unix.gettimeofday () in
+      Array.iter
+        (fun slot -> if slot.state = Down && now >= slot.respawn_at then spawn slot)
+        slots;
+      Array.iter
+        (fun slot ->
+          match slot.state with
+          | (Live | Starting) when now -. slot.last_seen > cfg.liveness ->
+            bump missed (fun d -> d.m_missed);
+            fail_worker slot "liveness timeout"
+          | _ -> ())
+        slots;
+      Array.iter
+        (fun slot -> match slot.state with Live | Starting -> grant slot | _ -> ())
+        slots;
+      if Array.for_all (fun s -> s.state = Quarantined) slots then begin
+        Log.emit ~event:"dist_degraded" [ ("live", Json.Int 0) ];
+        all_lost := true;
+        raise Campaign.Stopped
+      end;
+      let fds =
+        Array.to_list slots
+        |> List.filter_map (fun s ->
+               match (s.state, s.from_worker) with
+               | (Live | Starting), Some fd -> Some (fd, s)
+               | _ -> None)
       in
-      Ok
-        {
-          result;
-          all_lost;
-          leases_granted = !granted;
-          leases_reassigned = !reassigned;
-          duplicate_paths = !dups;
-          frames_rejected = !rejected;
-          heartbeats_missed = !missed;
-          quarantined = !quarantined;
-        }
+      let timeout = next_deadline (Unix.gettimeofday ()) in
+      match Unix.select (List.map fst fds) [] [] timeout with
+      | readable, _, _ ->
+        List.iter (fun (fd, slot) -> if List.memq fd readable then pump slot) fds
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     in
+    (* the path at the cursor, once banked, routed through the
+       campaign's policies *)
+    let rec next () =
+      let i = Campaign.consumed camp in
+      match Lease.head table ~cursor:i with
+      | Some l when i - l.Lease.lo < l.Lease.filled -> (
+        match Lease.outcome l i with
+        | Error e -> Error (Path.Model_error ("wire: " ^ e))
+        | Ok o -> (
+          match Campaign.route camp ~path:i o with
+          | `Sat -> Ok (Campaign.Sat nan)
+          | `Unsat -> Ok Campaign.Unsat
+          | `Drop -> Ok Campaign.Dropped
+          | `Abort e -> Error e))
+      | _ -> (
+        match wait () with () -> next () | exception Abort_run e -> Error e)
+    in
+    draw := next;
     let old_sigpipe =
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
       with Invalid_argument _ -> None
     in
-    let restore_sigpipe () =
-      match old_sigpipe with
-      | Some b -> ( try Sys.set_signal Sys.sigpipe b with _ -> ())
-      | None -> ()
-    in
-    let out =
-      try
-        let rec loop () =
-          drain ();
-          maybe_checkpoint ();
-          if not (Generator.needs_more generator) then
-            finish Campaign.Converged ~all_lost:false
-          else if Supervisor.stop_requested sup then
-            finish Campaign.Interrupted ~all_lost:false
-          else begin
-            let now = Unix.gettimeofday () in
-            respawn_due now;
-            check_liveness now;
-            Array.iter
-              (fun slot ->
-                match slot.state with Live | Starting -> grant slot | _ -> ())
-              slots;
-            if Array.for_all (fun s -> s.state = Quarantined) slots then begin
-              Log.emit ~event:"dist_degraded" [ ("live", Json.Int 0) ];
-              drain ();
-              finish Campaign.Interrupted ~all_lost:true
-            end
-            else begin
-              let fds =
-                Array.to_list slots
-                |> List.filter_map (fun s ->
-                       match (s.state, s.from_worker) with
-                       | (Live | Starting), Some fd -> Some (fd, s)
-                       | _ -> None)
-              in
-              let timeout = next_deadline (Unix.gettimeofday ()) in
-              (match Unix.select (List.map fst fds) [] [] timeout with
-              | readable, _, _ ->
-                List.iter (fun (fd, slot) -> if List.memq fd readable then pump slot) fds
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-              loop ()
-            end
-          end
-        in
-        loop ()
-      with Abort_run e ->
+    Fun.protect
+      ~finally:(fun () ->
         teardown ();
-        (match progress with Some p -> Progress.finish p | None -> ());
-        Error e
-    in
-    restore_sigpipe ();
-    out
+        Option.iter Progress.finish progress;
+        match old_sigpipe with
+        | Some b -> ( try Sys.set_signal Sys.sigpipe b with _ -> ())
+        | None -> ())
+      (fun () ->
+        Campaign.drive camp
+        |> Result.map (fun result ->
+               {
+                 result;
+                 all_lost = !all_lost;
+                 leases_granted = !granted;
+                 leases_reassigned = !reassigned;
+                 duplicate_paths = !dups;
+                 frames_rejected = !rejected;
+                 heartbeats_missed = !missed;
+                 quarantined = !quarantined;
+               }))
 
 let run ?supervisor ?progress cfg job ~generator =
   if Generator.kind generator = Generator.Mlmc then

@@ -1,6 +1,10 @@
 (** The coordinator half of a distributed campaign: shard path-id
-    leases across worker processes, merge their verdict batches in path
-    order, and survive any of them dying.
+    leases across worker processes, bank their verdict batches, and
+    survive any of them dying.  The campaign itself is a
+    {!Slimsim_sim.Campaign} whose samples the worker pool draws: the
+    kernel consumes the banked verdicts in path order and owns the stop
+    and convergence tests, the policies, checkpoints, heartbeat and
+    summary, exactly as for an in-process campaign.
 
     Determinism under failure is the design invariant: path [i] draws
     from an RNG derived from [(seed, i)] alone, batches are banked per
@@ -97,8 +101,9 @@ val run :
     stop flag) or collapse.  The supervisor supplies the restart budget
     and backoff, divergence/checkpoint/resume policies and the stop
     flag; [supervisor.checkpoint] persists the {!Supervisor.Checkpoint}
-    state extended with outstanding leases, and [supervisor.resume]
-    continues from it.  [Error] on a job whose [engine] is not
+    state at the same cursors as an in-process campaign (every exact
+    multiple of [every] consumed paths, and at the end), extended with
+    the outstanding leases, and [supervisor.resume] continues from it.  [Error] on a job whose [engine] is not
     ["compiled"], an unreadable checkpoint, a rejected handshake, or an
     aborting path error — same contract as {!Campaign.drive}.  An [Mlmc]
     generator is [Refused] before any worker is spawned: the coupled

@@ -89,6 +89,11 @@ let parse_submit j =
     | Some p when p <> "" -> Ok p
     | _ -> Error "submit: missing \"property\""
   in
+  let delta = Option.value (num j "delta") ~default:d.delta in
+  let eps = Option.value (num j "eps") ~default:d.eps in
+  let* () =
+    Result.map_error (( ^ ) "submit: ") (Slimsim_stats.Generator.check ~delta ~eps)
+  in
   let model_source = str j "model_source" in
   let model_file = str j "model_file" in
   let model_hash = str j "model_hash" in
@@ -104,8 +109,8 @@ let parse_submit j =
            model_hash;
            property;
            strategy;
-           delta = Option.value (num j "delta") ~default:d.delta;
-           eps = Option.value (num j "eps") ~default:d.eps;
+           delta;
+           eps;
            seed =
              (match int_field j "seed" with
              | Some s -> Int64.of_int s

@@ -14,7 +14,10 @@
    loop, the checkpoint file, park/resume and wall-clock accounting.
    What a campaign estimates is an accumulator plugged into it — the
    Bernoulli generator here, the priced-query fold in [Cost_run], the
-   multilevel estimator in [Mlmc_run]. *)
+   multilevel estimator in [Mlmc_run].  Where its samples come from is
+   its source: one path per id on one or several domains, or a [draw]
+   function — the coupled sampler of [Mlmc_run], the worker-process pool
+   of the distributed coordinator. *)
 
 module Rng = Slimsim_stats.Rng
 module Generator = Slimsim_stats.Generator
@@ -52,12 +55,6 @@ type tally = {
   mutable restarts : int;
   mutable consec_dropped : int;
 }
-
-let new_tally () =
-  { deadlocks = 0; violated = 0; errors = 0; diverged = 0; dropped = 0;
-    restarts = 0; consec_dropped = 0 }
-
-let note_restart tally = tally.restarts <- tally.restarts + 1
 
 (* Collector-side metric cells, created once per campaign when metrics
    are enabled and touched only by the collecting thread (the thread
@@ -134,107 +131,6 @@ type 'r accumulator = {
   estimate : unit -> float * float * float * int;
   remaining : unit -> int option;
 }
-
-(* Route one path's outcome through the error and divergence policies:
-   tally its verdict class, count it, log the exceptional ones.  An
-   errored or diverged path under the [`Unsat] policy comes back as a
-   failure (conservative for reachability estimates: it can only lower
-   the estimated probability); under [`Drop] it comes back as [`Drop],
-   and the sample it belongs to is discarded.  [level] tags the events
-   of a multilevel half-sample. *)
-let apply_policies ?robs ?level ~on_error ~on_divergence ~path tally outcome =
-  let at fields =
-    match level with
-    | None -> ("path", Json.Int path) :: fields
-    | Some l -> ("level", Json.Int l) :: ("path", Json.Int path) :: fields
-  in
-  match outcome with
-  | Ok (Path.Diverged d) -> (
-    tally.diverged <- tally.diverged + 1;
-    robs_incr robs (fun r -> r.v_diverged);
-    Log.emit ~event:"divergence"
-      (at
-         [
-           ("kind", Json.String (Path.divergence_to_string d));
-           ( "policy",
-             Json.String (Supervisor.divergence_policy_to_string on_divergence) );
-         ]);
-    match on_divergence with
-    | `Abort -> `Abort (Path.Diverged_path d)
-    | `Unsat -> `Unsat
-    | `Drop -> `Drop)
-  | Ok v ->
-    (match v with
-    | Path.Unsat_deadlock | Path.Unsat_timelock ->
-      tally.deadlocks <- tally.deadlocks + 1
-    | Path.Unsat_violated _ -> tally.violated <- tally.violated + 1
-    | Path.Sat _ | Path.Unsat_horizon | Path.Diverged _ -> ());
-    (match robs with
-    | Some r ->
-      Metrics.incr
-        (match v with
-        | Path.Sat _ -> r.v_sat
-        | Path.Unsat_horizon -> r.v_unsat_horizon
-        | Path.Unsat_deadlock -> r.v_deadlock
-        | Path.Unsat_timelock -> r.v_timelock
-        | Path.Unsat_violated _ -> r.v_violated
-        | Path.Diverged _ -> r.v_diverged)
-    | None -> ());
-    (match v with Path.Sat _ -> `Sat | _ -> `Unsat)
-  | Error e -> (
-    robs_incr robs (fun r -> r.v_error);
-    Log.emit ~event:"path_error"
-      (at
-         [
-           ("error", Json.String (Path.error_to_string e));
-           ( "policy",
-             Json.String
-               (match on_error with `Abort -> "abort" | `Unsat -> "unsat") );
-         ]);
-    match on_error with
-    | `Abort -> `Abort e
-    | `Unsat ->
-      tally.errors <- tally.errors + 1;
-      `Unsat)
-
-(* A one-path sample, classified; [cost] is what the runner observed at
-   the goal crossing. *)
-let classify ?robs ~on_error ~on_divergence ~path tally outcome ~cost =
-  match apply_policies ?robs ~on_error ~on_divergence ~path tally outcome with
-  | `Sat -> Ok (Sat cost)
-  | `Unsat -> Ok Unsat
-  | `Drop -> Ok Dropped
-  | `Abort e -> Error e
-
-(* The per-sample half of the drop policy, then the fold.  The stopping
-   rule never sees a dropped sample, so it keeps asking for more — the
-   re-planning is implicit; a run of drops long enough to mean nothing
-   will ever converge aborts instead of spinning. *)
-let settle ?robs ~drop_stall_limit acc tally s =
-  (match s with
-  | Dropped ->
-    tally.dropped <- tally.dropped + 1;
-    tally.consec_dropped <- tally.consec_dropped + 1;
-    robs_incr robs (fun r -> r.o_dropped)
-  | Sat _ | Unsat | Pair _ -> tally.consec_dropped <- 0);
-  match s with
-  | Dropped when tally.consec_dropped >= drop_stall_limit ->
-    Error
-      (Path.Model_error
-         (Printf.sprintf
-            "divergence policy `drop': %d consecutive samples diverged; the \
-             estimate conditioned on non-divergence cannot converge (raise \
-             the watchdog budgets or use --on-divergence unsat)"
-            tally.consec_dropped))
-  | _ ->
-    acc.feed s;
-    Ok ()
-
-let consume ?robs ~on_error ~on_divergence ~drop_stall_limit ~path acc tally
-    outcome =
-  match classify ?robs ~on_error ~on_divergence ~path tally outcome ~cost:nan with
-  | Error e -> Error e
-  | Ok s -> settle ?robs ~drop_stall_limit acc tally s
 
 (* ------------------------------------------------------------------ *)
 (* The Bernoulli generator as an accumulator. *)
@@ -331,35 +227,7 @@ let bernoulli gen =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint files. *)
-
-(* One checkpoint write, observed: the save is counted and timed, the
-   metric registry is re-exported next to it (so a crashed campaign
-   leaves current metrics behind along with its progress), and a
-   "checkpoint" event is logged.  All of that is skipped — leaving the
-   bare historical save — when observability is off. *)
-let write_checkpoint ?robs sup ~file st =
-  let observed = robs <> None || Log.active () in
-  if not observed then Checkpoint.save ~file st
-  else begin
-    let t0 = Unix.gettimeofday () in
-    Checkpoint.save ~file st;
-    (match sup.Supervisor.metrics_file with
-    | Some mf when Metrics.enabled () -> Metrics.write_file mf
-    | _ -> ());
-    let dt = Unix.gettimeofday () -. t0 in
-    (match robs with
-    | Some r ->
-      Metrics.incr r.o_checkpoints;
-      Metrics.observe r.o_checkpoint_seconds dt
-    | None -> ());
-    Log.emit ~event:"checkpoint"
-      [
-        ("file", Json.String file);
-        ("next_path", Json.Int st.Checkpoint.next_path);
-        ("seconds", Json.Float dt);
-      ]
-  end
+(* Resuming from a checkpoint file. *)
 
 (* The one resume validator.  A checkpoint resumes only a campaign that
    would have written the same header (seed, generator kind, delta/eps)
@@ -529,20 +397,133 @@ and 'r source =
 
 type t = result campaign
 
+(* Route one path's outcome through the error and divergence policies:
+   tally its verdict class, count it, log the exceptional ones.  An
+   errored or diverged path under the [`Unsat] policy comes back as a
+   failure (conservative for reachability estimates: it can only lower
+   the estimated probability); under [`Drop] it comes back as [`Drop],
+   and the sample it belongs to is discarded.  [level] tags the events
+   of a multilevel half-sample. *)
 let route t ?level ~path outcome =
-  apply_policies ?robs:t.robs ?level ~on_error:t.on_error
-    ~on_divergence:t.sup.Supervisor.on_divergence ~path t.tally outcome
+  let tally = t.tally and on_divergence = t.sup.Supervisor.on_divergence in
+  let at fields =
+    match level with
+    | None -> ("path", Json.Int path) :: fields
+    | Some l -> ("level", Json.Int l) :: ("path", Json.Int path) :: fields
+  in
+  match outcome with
+  | Ok (Path.Diverged d) -> (
+    tally.diverged <- tally.diverged + 1;
+    robs_incr t.robs (fun r -> r.v_diverged);
+    Log.emit ~event:"divergence"
+      (at
+         [
+           ("kind", Json.String (Path.divergence_to_string d));
+           ( "policy",
+             Json.String (Supervisor.divergence_policy_to_string on_divergence) );
+         ]);
+    match on_divergence with
+    | `Abort -> `Abort (Path.Diverged_path d)
+    | `Unsat -> `Unsat
+    | `Drop -> `Drop)
+  | Ok v ->
+    (match v with
+    | Path.Unsat_deadlock | Path.Unsat_timelock ->
+      tally.deadlocks <- tally.deadlocks + 1
+    | Path.Unsat_violated _ -> tally.violated <- tally.violated + 1
+    | Path.Sat _ | Path.Unsat_horizon | Path.Diverged _ -> ());
+    (match t.robs with
+    | Some r ->
+      Metrics.incr
+        (match v with
+        | Path.Sat _ -> r.v_sat
+        | Path.Unsat_horizon -> r.v_unsat_horizon
+        | Path.Unsat_deadlock -> r.v_deadlock
+        | Path.Unsat_timelock -> r.v_timelock
+        | Path.Unsat_violated _ -> r.v_violated
+        | Path.Diverged _ -> r.v_diverged)
+    | None -> ());
+    (match v with Path.Sat _ -> `Sat | _ -> `Unsat)
+  | Error e -> (
+    robs_incr t.robs (fun r -> r.v_error);
+    Log.emit ~event:"path_error"
+      (at
+         [
+           ("error", Json.String (Path.error_to_string e));
+           ( "policy",
+             Json.String
+               (match t.on_error with `Abort -> "abort" | `Unsat -> "unsat") );
+         ]);
+    match t.on_error with
+    | `Abort -> `Abort e
+    | `Unsat ->
+      tally.errors <- tally.errors + 1;
+      `Unsat)
 
+(* A one-path sample, classified; [cost] is what the runner observed at
+   the goal crossing. *)
 let classify_in t ~path (outcome, cost) =
-  classify ?robs:t.robs ~on_error:t.on_error
-    ~on_divergence:t.sup.Supervisor.on_divergence ~path t.tally outcome ~cost
+  match route t ~path outcome with
+  | `Sat -> Ok (Sat cost)
+  | `Unsat -> Ok Unsat
+  | `Drop -> Ok Dropped
+  | `Abort e -> Error e
 
+(* The per-sample half of the drop policy, then the fold.  The stopping
+   rule never sees a dropped sample, so it keeps asking for more — the
+   re-planning is implicit; a run of drops long enough to mean nothing
+   will ever converge aborts instead of spinning. *)
+let settle t s =
+  let tally = t.tally in
+  (match s with
+  | Dropped ->
+    tally.dropped <- tally.dropped + 1;
+    tally.consec_dropped <- tally.consec_dropped + 1;
+    robs_incr t.robs (fun r -> r.o_dropped)
+  | Sat _ | Unsat | Pair _ -> tally.consec_dropped <- 0);
+  match s with
+  | Dropped when tally.consec_dropped >= t.sup.Supervisor.drop_stall_limit ->
+    Error
+      (Path.Model_error
+         (Printf.sprintf
+            "divergence policy `drop': %d consecutive samples diverged; the \
+             estimate conditioned on non-divergence cannot converge (raise \
+             the watchdog budgets or use --on-divergence unsat)"
+            tally.consec_dropped))
+  | _ ->
+    t.acc.feed s;
+    Ok ()
+
+(* One checkpoint write, observed: the save is counted and timed, the
+   metric registry is re-exported next to it (so a crashed campaign
+   leaves current metrics behind along with its progress), and a
+   "checkpoint" event is logged.  All of that is skipped — leaving the
+   bare historical save — when observability is off. *)
 let save_checkpoint t =
   match t.sup.Supervisor.checkpoint with
-  | Some { Supervisor.file; _ } ->
-    write_checkpoint ?robs:t.robs t.sup ~file
-      (t.acc.save t.tally ~seed:t.seed ~next_path:t.next_path)
   | None -> ()
+  | Some { Supervisor.file; _ } ->
+    let st = t.acc.save t.tally ~seed:t.seed ~next_path:t.next_path in
+    if t.robs = None && not (Log.active ()) then Checkpoint.save ~file st
+    else begin
+      let t0 = Unix.gettimeofday () in
+      Checkpoint.save ~file st;
+      (match t.sup.Supervisor.metrics_file with
+      | Some mf when Metrics.enabled () -> Metrics.write_file mf
+      | _ -> ());
+      let dt = Unix.gettimeofday () -. t0 in
+      (match t.robs with
+      | Some r ->
+        Metrics.incr r.o_checkpoints;
+        Metrics.observe r.o_checkpoint_seconds dt
+      | None -> ());
+      Log.emit ~event:"checkpoint"
+        [
+          ("file", Json.String file);
+          ("next_path", Json.Int st.Checkpoint.next_path);
+          ("seconds", Json.Float dt);
+        ]
+    end
 
 let maybe_checkpoint t =
   match t.sup.Supervisor.checkpoint with
@@ -571,9 +552,12 @@ let inject t ~worker ~path =
   | Some inject -> inject ~worker ~path
   | None -> ()
 
+let note_restart t =
+  t.tally.restarts <- t.tally.restarts + 1;
+  robs_incr t.robs (fun r -> r.o_restarts)
+
 let restart_own t make e ~path ~msg ~attempt =
-  note_restart t.tally;
-  robs_incr t.robs (fun r -> r.o_restarts);
+  note_restart t;
   Log.emit ~event:"worker_restart"
     [
       ("worker", Json.Int 0);
@@ -736,6 +720,11 @@ let quiesce t =
 
 (* --- the slice loop --- *)
 
+(* A sample source waiting for the sample at the cursor saw a stop
+   request (or lost every generator): [step] ends the slice as
+   interrupted without consuming it. *)
+exception Stopped
+
 let wall_now t = t.active_seconds +. (Unix.gettimeofday () -. t.slice_start)
 
 let finish_with t stopped =
@@ -756,7 +745,6 @@ let fail_with t e =
    before every sample — then the drop policy, the fold, the cursor,
    the periodic checkpoint and the heartbeat after it. *)
 let run_slice t quota next =
-  let drop_stall_limit = t.sup.Supervisor.drop_stall_limit in
   let rec go budget =
     if Supervisor.stop_requested t.sup then finish_with t Interrupted
     else
@@ -768,7 +756,7 @@ let run_slice t quota next =
         match next () with
         | Error e -> fail_with t e
         | Ok s -> (
-          match settle ?robs:t.robs ~drop_stall_limit t.acc t.tally s with
+          match settle t s with
           | Error e -> fail_with t e
           | Ok () ->
             t.next_path <- t.next_path + 1;
@@ -797,10 +785,6 @@ let step_seq t make quota =
 
 (* --- parallel stepping --- *)
 
-(* A stop request arrived while the collector waited for the range at
-   the cursor: end the slice as interrupted without consuming it. *)
-exception Stopped
-
 (* A worker died mid-range: its prefix is consumed, and it is joined and
    replaced (within its restart budget).  Its lost remainder is already
    back in the pending pool, so whoever claims it next regenerates it
@@ -819,8 +803,7 @@ let revive t make p w msg =
   else begin
     let attempt = p.restarts.(w) in
     p.restarts.(w) <- attempt + 1;
-    note_restart t.tally;
-    robs_incr t.robs (fun r -> r.o_restarts);
+    note_restart t;
     Log.emit ~event:"worker_restart"
       [
         ("worker", Json.Int w);
@@ -939,27 +922,23 @@ let step_par t make quota =
       t.exec <- Par p;
       p
   in
-  match
-    run_slice t quota (fun () ->
-        let i = t.next_path in
-        match if i < p.avail then Ok () else open_range t make p with
+  run_slice t quota (fun () ->
+      let i = t.next_path in
+      match if i < p.avail then Ok () else open_range t make p with
+      | Error e -> Error e
+      | Ok () when p.inline -> (
+        let tries = p.tries in
+        p.tries <- 0;
+        match seq_attempt ~tries t make p.own i with
         | Error e -> Error e
-        | Ok () when p.inline -> (
-          let tries = p.tries in
-          p.tries <- 0;
-          match seq_attempt ~tries t make p.own i with
-          | Error e -> Error e
-          | Ok ran -> classify_in t ~path:i ran)
-        | Ok () -> (
-          let l = Option.get p.cur in
-          match Lease.outcome l i with
-          | Error msg -> Error (Path.Model_error msg)
-          | Ok o ->
-            classify_in t ~path:i
-              (o, Float.Array.get l.Lease.payload (i - l.Lease.lo))))
-  with
-  | s -> s
-  | exception Stopped -> finish_with t Interrupted
+        | Ok ran -> classify_in t ~path:i ran)
+      | Ok () -> (
+        let l = Option.get p.cur in
+        match Lease.outcome l i with
+        | Error msg -> Error (Path.Model_error msg)
+        | Ok o ->
+          classify_in t ~path:i
+            (o, Float.Array.get l.Lease.payload (i - l.Lease.lo))))
 
 (* --- public driving interface --- *)
 
@@ -969,10 +948,14 @@ let step ?(quota = max_int) t =
   | Running ->
     t.slice_start <- Unix.gettimeofday ();
     let s =
-      match t.source with
-      | Draw draw -> run_slice t quota (fun () -> draw t)
-      | Paths make when t.workers <= 1 -> step_seq t make quota
-      | Paths make -> step_par t make quota
+      match
+        match t.source with
+        | Draw draw -> run_slice t quota (fun () -> draw t)
+        | Paths make when t.workers <= 1 -> step_seq t make quota
+        | Paths make -> step_par t make quota
+      with
+      | s -> s
+      | exception Stopped -> finish_with t Interrupted
     in
     t.active_seconds <-
       t.active_seconds +. (Unix.gettimeofday () -. t.slice_start);
@@ -1001,7 +984,10 @@ let start ~workers ~seed ~on_error ?supervisor ?progress ~source acc =
   let sup =
     match supervisor with Some s -> s | None -> Supervisor.default ()
   in
-  let tally = new_tally () in
+  let tally =
+    { deadlocks = 0; violated = 0; errors = 0; diverged = 0; dropped = 0;
+      restarts = 0; consec_dropped = 0 }
+  in
   match resume sup acc tally ~seed with
   | Error e -> Error e
   | Ok base ->

@@ -18,10 +18,17 @@
     campaign service both build on.
 
     The lifecycle — policy routing, the slice loop, checkpoints,
-    park/resume, worker sessions, wall-clock accounting — lives here
-    once.  What is estimated is an {!accumulator}: the Bernoulli
-    generator ({!create}), the priced-query fold ({!Cost_run}) or the
-    multilevel estimator ({!Mlmc_run}). *)
+    park/resume, worker sessions, the heartbeat, wall-clock accounting
+    — lives here once, for every topology.  What is estimated is an
+    {!accumulator}: the Bernoulli generator ({!create}), the
+    priced-query fold ({!Cost_run}) or the multilevel estimator
+    ({!Mlmc_run}).  Where samples come from is the campaign's source:
+    one path per id, sequentially or on worker domains ({!create_with}),
+    or a [draw] function ({!create_sequential}) — the coupled multilevel
+    sampler, or the distributed coordinator's pool of worker processes
+    ([Slimsim_dist.Coordinator]), which banks their verdict batches and
+    hands the kernel the path at its cursor.  Checkpoints, their cadence
+    and the heartbeat are therefore the same under every topology. *)
 
 open Slimsim_sta
 
@@ -183,9 +190,22 @@ val create_sequential :
   ('r campaign, Path.error) Result.t
 (** A campaign whose samples come from [draw] (called once per sample at
     cursor {!consumed}, after the stop test) instead of one path per
-    id; always sequential, with the same loop, policies, checkpoints and
-    resume validation.  [draw] runs its paths itself and classifies
-    them with {!route}. *)
+    id; always sequential in consumption, with the same loop, policies,
+    checkpoints and resume validation.  [draw] produces its paths
+    itself — running them, or waiting for other processes to — and
+    classifies them with {!route}; it may raise {!Stopped} while it
+    waits. *)
+
+exception Stopped
+(** Raised by a [draw] source waiting for the sample at the cursor when
+    a stop request arrives or every generator feeding it is lost; {!step}
+    ends the slice as [Interrupted] without consuming that sample, and
+    writes the final checkpoint and summary as on any other stop. *)
+
+val note_restart : 'r campaign -> unit
+(** Count one restart of a [draw] source's generator (a respawned
+    worker process, say): [result.worker_restarts] and
+    [slimsim_worker_restarts_total], as for in-process workers. *)
 
 val route :
   'r campaign ->
@@ -234,56 +254,6 @@ val snapshot : 'r campaign -> float * float * float * int
     to call between steps (the collector is not running). *)
 
 val pp_result : Format.formatter -> result -> unit
-
-(** {1 Collection hooks}
-
-    The pieces of the campaign loop the distributed coordinator
-    ({!Slimsim_dist}) reuses verbatim, so that a coordinator merging
-    verdict batches from worker processes applies byte-for-byte the
-    same error/divergence policies, tallies, checkpoint states and
-    summaries as the in-process loop — the accounting half of the
-    bit-identity guarantee. *)
-
-val new_tally : unit -> tally
-
-val note_restart : tally -> unit
-(** Count one worker restart (surfaces as [result.worker_restarts]). *)
-
-(** Collector-side metric cells ([slimsim_verdicts_total] and friends);
-    [None] when metrics are disabled. *)
-type run_obs
-
-val make_run_obs : unit -> run_obs option
-
-val consume :
-  ?robs:run_obs ->
-  on_error:[ `Abort | `Unsat ] ->
-  on_divergence:[ `Abort | `Unsat | `Drop ] ->
-  drop_stall_limit:int ->
-  path:int ->
-  'r accumulator ->
-  tally ->
-  (Path.verdict, Path.error) Result.t ->
-  (unit, Path.error) Result.t
-(** Route one sample (for path id [path]) through the error and
-    divergence policies, update the tallies and feed the accumulator
-    (or drop); [Error] asks the caller to abort.  Samples must be
-    presented in strictly increasing path order for the estimate to be
-    schedule-independent. *)
-
-val write_checkpoint :
-  ?robs:run_obs -> Supervisor.t -> file:string -> Supervisor.Checkpoint.state -> unit
-(** One atomic checkpoint write, observed (counted, timed, metrics
-    re-exported per [supervisor.metrics_file]) when observability is
-    on. *)
-
-val resume :
-  Supervisor.t -> 'r accumulator -> tally -> seed:int64 -> (int, Path.error) Result.t
-(** When [supervisor.resume] is set, validate the checkpoint file
-    against the accumulator (seed, generator kind, delta/eps, trailing
-    block), restore accumulator and tallies, and return the resume
-    cursor (0 on a fresh start; [Error] on an incompatible or unreadable
-    checkpoint). *)
 
 val path_runner :
   ?hold:Expr.t ->

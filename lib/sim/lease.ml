@@ -124,12 +124,19 @@ let code = function
   | Ok (Path.Diverged _) -> 'g'
   | Error _ -> 'e'
 
+let store l path o =
+  Bytes.unsafe_set l.codes (path - l.lo) (code o);
+  match o with
+  | Ok (Path.Diverged d) -> Hashtbl.replace l.details path (Div d)
+  | Error e -> Hashtbl.replace l.details path (Err e)
+  | Ok _ -> ()
+
 (* The reconstruction drops payloads the collector never reads (Sat's
-   hit time, the violation time): [Campaign.consume] matches on the
+   hit time, the violation time): [Campaign.route] matches on the
    constructor alone, so tallies, generator feeds and policies — and
    therefore the estimate — are bit-identical to the in-process run. *)
-let decode c d =
-  match c with
+let outcome l path =
+  match Bytes.get l.codes (path - l.lo) with
   | 's' -> Ok (Ok (Path.Sat 0.0))
   | 'h' -> Ok (Ok Path.Unsat_horizon)
   | 'd' -> Ok (Ok Path.Unsat_deadlock)
@@ -139,28 +146,16 @@ let decode c d =
     Ok
       (Ok
          (Path.Diverged
-            (match d with Some (Div d) -> d | _ -> Path.Step_budget 0)))
+            (match Hashtbl.find_opt l.details path with
+            | Some (Div d) -> d
+            | _ -> Path.Step_budget 0)))
   | 'e' ->
     Ok
       (Error
-         (match d with
+         (match Hashtbl.find_opt l.details path with
          | Some (Err e) -> e
          | _ -> Path.Model_error "worker-reported error"))
   | c -> Error (Printf.sprintf "unknown verdict class %C" c)
-
-let detail l path c =
-  match c with 'g' | 'e' -> Hashtbl.find_opt l.details path | _ -> None
-
-let store l path o =
-  Bytes.unsafe_set l.codes (path - l.lo) (code o);
-  match o with
-  | Ok (Path.Diverged d) -> Hashtbl.replace l.details path (Div d)
-  | Error e -> Hashtbl.replace l.details path (Err e)
-  | Ok _ -> ()
-
-let outcome l path =
-  let c = Bytes.get l.codes (path - l.lo) in
-  decode c (detail l path c)
 
 let publish l ~upto = l.filled <- upto - l.lo
 
@@ -187,14 +182,3 @@ let record t ~lease_id ~start verdicts details =
         details;
       `New (fresh, dup)
     end
-
-let consume_ready t ~cursor ~stop ~f =
-  let rec go cur =
-    match head t ~cursor:cur with
-    | Some l when cur >= l.lo && cur - l.lo < l.filled && not (stop ()) ->
-      let c = Bytes.get l.codes (cur - l.lo) in
-      f cur c (detail l cur c);
-      go (cur + 1)
-    | _ -> cur
-  in
-  go cursor

@@ -91,8 +91,9 @@ val fail_owner : 'p t -> int -> int
 
 val head : 'p t -> cursor:int -> 'p lease option
 (** Forget every fully consumed lease (those ending at or before
-    [cursor]) and return the lowest unconsumed one — the lease holding
-    [cursor] — if it has been carved. *)
+    [cursor]; this bounds the table's memory) and return the lowest
+    unconsumed one — the lease holding [cursor] — if it has been
+    carved. *)
 
 val banked : 'p t -> cursor:int -> int
 (** Banked results at or past [cursor] not yet consumed. *)
@@ -102,16 +103,13 @@ val banked : 'p t -> cursor:int -> int
 val code : outcome -> char
 (** The verdict class of one path, as banked and as sent on the wire. *)
 
-val decode : char -> detail option -> (outcome, string) result
-(** Rebuild the outcome the collector accounting needs from a class
-    char and the side-table entry for that path (if any). *)
-
 val store : 'p lease -> int -> outcome -> unit
 (** Bank path [path]'s class (and detail) into its owner's lease; the
     owner publishes the prefix with {!publish}. *)
 
 val outcome : 'p lease -> int -> (outcome, string) result
-(** The banked outcome of path [path], decoded. *)
+(** The banked outcome of path [path], rebuilt from its class and its
+    side-table entry as far as the collector's accounting needs. *)
 
 val publish : 'p lease -> upto:int -> unit
 (** Results for [[lo, upto)] are banked. *)
@@ -130,14 +128,3 @@ val record :
     already fully consumed and forgotten (a late duplicate).  [`Gap]:
     the batch starts beyond the prefix — a protocol violation from a
     live owner. *)
-
-val consume_ready :
-  'p t ->
-  cursor:int ->
-  stop:(unit -> bool) ->
-  f:(int -> char -> detail option -> unit) ->
-  int
-(** Feed banked verdicts in path order starting at [cursor] to [f],
-    stopping at the first missing path or when [stop ()] — checked
-    before every path — says so.  Fully consumed leases are dropped
-    (bounding memory).  Returns the new cursor. *)

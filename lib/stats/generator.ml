@@ -15,7 +15,16 @@ let min_sequential_samples = 100
 (* Below this the CLT interval is meaningless; standard guard for
    Chow-Robbins style stopping rules. *)
 
+let check ~delta ~eps =
+  if not (delta > 0.0 && delta < 1.0) then
+    Error (Printf.sprintf "delta must lie in (0, 1), got %g" delta)
+  else if not (eps > 0.0 && Float.is_finite eps) then
+    Error (Printf.sprintf "eps must be positive and finite, got %g" eps)
+  else Ok ()
+
 let create kind ~delta ~eps =
+  Result.iter_error (fun m -> invalid_arg ("Generator.create: " ^ m))
+    (check ~delta ~eps);
   let planned =
     match kind with
     | Chernoff -> Some (Bound.chernoff_samples ~delta ~eps)

@@ -25,7 +25,12 @@ type t
 val all_kinds : kind list
 (** Every generator kind, in the order they are documented. *)
 
+val check : delta:float -> eps:float -> (unit, string) result
+(** The parameters every generator accepts: [delta] in (0, 1), [eps]
+    positive and finite.  The error names the offending one. *)
+
 val create : kind -> delta:float -> eps:float -> t
+(** Raises [Invalid_argument] on parameters {!check} rejects. *)
 
 val planned_samples : t -> int option
 (** [Some n] for fixed-size generators, [None] for sequential ones. *)

@@ -17,6 +17,7 @@ module Path = Slimsim_sim.Path
 module Loader = Slimsim_slim.Loader
 module Generator = Slimsim_stats.Generator
 module Json = Slimsim_obs.Json
+module Log = Slimsim_obs.Log
 
 let bin =
   match Sys.getenv_opt "SLIMSIM_BIN" with
@@ -163,6 +164,22 @@ let test_chaos_parse () =
 
 (* --- lease table --- *)
 
+(* The collector's read: banked outcomes in path order from [cursor]
+   through [Lease.head]/[Lease.outcome], up to the first missing path;
+   returns the new cursor. *)
+let consume_ready t ~cursor ~f =
+  let rec go cur =
+    match Lease.head t ~cursor:cur with
+    | Some l when cur >= l.Lease.lo && cur - l.Lease.lo < l.Lease.filled -> (
+      match Lease.outcome l cur with
+      | Ok o ->
+        f cur (Lease.code o);
+        go (cur + 1)
+      | Error e -> Alcotest.failf "path %d: %s" cur e)
+    | _ -> cur
+  in
+  go cursor
+
 let test_lease_dedup () =
   let t = Lease.create ~base:0 ~size:4 ~payload:ignore in
   let a = Lease.grant t ~owner:0 in
@@ -200,11 +217,7 @@ let test_lease_dedup () =
   | _ -> Alcotest.fail "gap must be rejected");
   (* in-order consumption stops at the first missing path *)
   let fed = ref [] in
-  let cur =
-    Lease.consume_ready t ~cursor:0
-      ~stop:(fun () -> false)
-      ~f:(fun p c _ -> fed := (p, c) :: !fed)
-  in
+  let cur = consume_ready t ~cursor:0 ~f:(fun p c -> fed := (p, c) :: !fed) in
   Alcotest.(check int) "cursor stops at the gap" 4 cur;
   Alcotest.(check (list (pair int char)))
     "fed in path order"
@@ -217,11 +230,7 @@ let test_lease_dedup () =
   (match Lease.record t ~lease_id:b.Lease.id ~start:4 "ssss" [] with
   | `New (2, 2) -> ()
   | _ -> Alcotest.fail "finish b");
-  let cur =
-    Lease.consume_ready t ~cursor:cur
-      ~stop:(fun () -> false)
-      ~f:(fun _ _ _ -> ())
-  in
+  let cur = consume_ready t ~cursor:cur ~f:(fun _ _ -> ()) in
   Alcotest.(check int) "b consumed" 8 cur;
   match Lease.record t ~lease_id:b.Lease.id ~start:4 "ssss" [] with
   | `Unknown -> ()
@@ -495,6 +504,70 @@ let test_interrupt_and_resume () =
       let o2 = dist_ok ~workers:2 ~supervisor:sup2 () in
       same_estimate "resumed run" o2.Coordinator.result baseline)
 
+(* Checkpoints are the kernel's under every topology: the same cursors
+   (every exact multiple of [every], then the final one) and the same
+   final state, whether the paths come from one domain, from two, or
+   from two worker processes — one of them killed mid-lease.  Only the
+   distributed lease bookkeeping differs, and is left out. *)
+let test_checkpoints_topology_independent () =
+  let net = load model_source in
+  let goal = Fixture.goal net Slimsim_models.Gps.goal_no_fix in
+  let gen () = Generator.create Generator.Chernoff ~delta:0.05 ~eps:0.05 in
+  let file = Filename.temp_file "slimsim_topology" ".ckpt" in
+  let supervisor () =
+    Supervisor.create ~checkpoint:{ Supervisor.file; every = 64 } ()
+  in
+  let ok name = function
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" name (Path.error_to_string e)
+  in
+  let capture name run =
+    Sys.remove file;
+    let events = ref [] in
+    Log.set_sink (Some (fun line -> events := line :: !events));
+    Fun.protect ~finally:(fun () -> Log.set_sink None) (fun () -> ok name (run ()));
+    let cursor line =
+      match Json.parse line with
+      | Ok j when Json.member "event" j = Some (Json.String "checkpoint") -> (
+        match Json.member "next_path" j with Some (Json.Int n) -> Some n | _ -> None)
+      | _ -> None
+    in
+    ( List.filter_map cursor (List.rev !events),
+      In_channel.with_open_bin file In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> not (String.starts_with ~prefix:"lease" l)) )
+  in
+  let in_process workers () =
+    Fixture.run ~workers ~seed:3L ~supervisor:(supervisor ()) net ~goal
+      ~horizon:300.0 ~strategy:Strategy.Progressive ~generator:(gen ()) ()
+  in
+  let distributed chaos () =
+    Coordinator.run ~supervisor:(supervisor ())
+      (Coordinator.config ~workers:2 ~worker_cmd:[| bin; "work" |]
+         ~heartbeat:0.1 ~chaos ())
+      { job with Coordinator.seed = 3L; strategy = "progressive" }
+      ~generator:(gen ())
+    |> Result.map (fun o -> o.Coordinator.result)
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+    (fun () ->
+      let cursors, state = capture "workers 1" (in_process 1) in
+      let paths = List.nth cursors (List.length cursors - 1) in
+      Alcotest.(check (list int)) "every multiple of 64, then the final cursor"
+        (List.init (paths / 64) (fun k -> 64 * (k + 1)) @ [ paths ])
+        cursors;
+      List.iter
+        (fun (name, run) ->
+          let c, st = capture name run in
+          Alcotest.(check (list int)) (name ^ ": checkpoint cursors") cursors c;
+          Alcotest.(check (list string)) (name ^ ": final checkpoint") state st)
+        [
+          ("workers 2", in_process 2);
+          ("distribute 2", distributed "");
+          ("distribute 2, a0:kill@40", distributed "a0:kill@40");
+        ])
+
 let suite =
   [
     Alcotest.test_case "wire: frames round-trip byte-at-a-time" `Quick
@@ -525,4 +598,6 @@ let suite =
       test_corrupt_frame_recovery;
     Alcotest.test_case "interrupt, checkpoint, resume" `Quick
       test_interrupt_and_resume;
+    Alcotest.test_case "checkpoints do not depend on the topology" `Quick
+      test_checkpoints_topology_independent;
   ]

@@ -317,7 +317,33 @@ let test_cli_pins () =
       ( "-p with --query", "mm1k.slim",
         "slimsim: use exactly one of -p/--property and --query\n",
         [ "-p"; "P(<> [0, 5] q = 4)"; "--query"; "P(<> [0, 5] q = 4)" ] );
-    ]
+    ];
+  (* flags out of range: exit 1 with a message, never an uncaught
+     exception (cmdliner's 125) *)
+  let ckpt = Filename.temp_file "slimsim_pin" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove ckpt)
+    (fun () ->
+      List.iter
+        (fun (args, msg) ->
+          let name = String.concat " " args in
+          let out, err =
+            simulate ~code:1 "mm1k.slim" ([ "-p"; "P(<> [0, 5] q = 4)" ] @ args)
+          in
+          Alcotest.(check string) (name ^ ": stdout") "" out;
+          Alcotest.(check bool) (name ^ ": " ^ msg) true
+            (Astring_contains.contains err msg))
+        [
+          ([ "-d"; "0" ], "slimsim: delta must lie in (0, 1)");
+          ([ "-d"; "1" ], "slimsim: delta must lie in (0, 1)");
+          ([ "-d"; "nan" ], "slimsim: delta must lie in (0, 1)");
+          ([ "-e"; "0" ], "slimsim: eps must be positive and finite");
+          ([ "-e"; "inf" ], "slimsim: eps must be positive and finite");
+          ([ "-d"; "0"; "--distribute"; "2" ], "slimsim: delta must lie in (0, 1)");
+          ([ "--progress=0" ], "slimsim: --progress must be positive");
+          ( [ "--checkpoint"; ckpt; "--checkpoint-every"; "0" ],
+            "slimsim: --checkpoint-every must be positive" );
+        ])
 
 let suite =
   [

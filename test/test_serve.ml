@@ -340,6 +340,64 @@ let test_service_end_to_end () =
   close_in_noerr ic;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket_path)
 
+(* A submit whose delta or eps no generator accepts is refused with an
+   error line; it must not take the service (and every tenant's
+   campaigns) down with it. *)
+let test_bad_submit_rejected () =
+  let dir = Filename.temp_file "slimsim_serve" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let socket_path = Filename.concat dir "serve.sock" in
+  let server =
+    Thread.create (fun () -> Service.run (Service.default_config ~socket_path)) ()
+  in
+  let fd, ic = connect socket_path in
+  (* a dead service leaves the socket open: fail instead of hanging *)
+  let answer line =
+    send fd line;
+    match Unix.select [ fd ] [] [] 10.0 with
+    | [], _, _ -> Alcotest.failf "no answer to %s" line
+    | _ -> recv ic
+  in
+  let submit ~delta ~eps =
+    Json.to_string
+      (Protocol.submit_to_json
+         {
+           Protocol.submit_defaults with
+           model_source = Some race_model;
+           property;
+           delta;
+           eps;
+           seed = 5L;
+         })
+  in
+  List.iter
+    (fun (name, delta, eps, msg) ->
+      let r = answer (submit ~delta ~eps) in
+      Alcotest.(check bool) (name ^ ": refused") true
+        (Json.member "ok" r = Some (Json.Bool false));
+      Alcotest.(check bool) (name ^ ": message") true
+        (Astring_contains.contains (str_field name "error" r) msg))
+    [
+      ("delta 0", 0.0, 0.1, "delta must lie in (0, 1)");
+      ("eps 0", 0.1, 0.0, "eps must be positive and finite");
+    ];
+  expect_ok "stats after the refusals" (answer {|{"op":"stats"}|});
+  let r = answer (submit ~delta:0.1 ~eps:0.1) in
+  expect_ok "valid submit" r;
+  let final =
+    answer
+      (Json.to_string
+         (Json.Obj
+            [ ("op", Json.String "wait"); ("id", Json.String (str_field "submit" "id" r)) ]))
+  in
+  Alcotest.(check string) "valid campaign done" "done"
+    (str_field "final" "state" final);
+  expect_ok "shutdown" (answer {|{"op":"shutdown"}|});
+  Thread.join server;
+  Slimsim_obs.Metrics.set_enabled false;
+  close_in_noerr ic
+
 let suite =
   [
     Alcotest.test_case "protocol: submit roundtrip" `Quick
@@ -351,4 +409,6 @@ let suite =
       test_scheduler_fairness;
     Alcotest.test_case "service: two tenants end-to-end" `Quick
       test_service_end_to_end;
+    Alcotest.test_case "service: bad delta/eps refused, service survives"
+      `Quick test_bad_submit_rejected;
   ]
