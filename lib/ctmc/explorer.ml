@@ -33,7 +33,8 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
   let immediate (s : State.t) =
     Compiled.of_state c cs s;
     Compiled.set_rates c cs;
-    let n = Compiled.discrete c cs (Compiled.invariant_window c cs) in
+    Compiled.invariant_window c cs;
+    let n = Compiled.discrete c cs in
     List.filter_map
       (fun i ->
         if Compiled.window_mem cs i 0.0 then Some (Compiled.move c cs i) else None)

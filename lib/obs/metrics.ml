@@ -22,17 +22,25 @@ let enabled () = Atomic.get on
    when they are step counts. *)
 let n_buckets = 64
 
+(* Read off the float's exponent bits, not [Float.frexp] (which returns
+   a tuple per call).  A normal v = 1.f * 2^(x - 1023) with f <> 0 lies
+   strictly between 2^(x - 1023) and 2^(x - 1022): bucket x - 990.  An
+   exact power of two 2^(x - 1023) (f = 0) belongs in the bucket whose
+   le it is, one below, since bucket bounds are inclusive above.
+   Subnormals (x = 0) land in bucket 1 with the smallest normals; +inf
+   (x = 2047, f = 0) and NaN (x >= 2047) in the overflow bucket. *)
 let bucket_of v =
   if v <= 0.0 then 0
-  else
-    let m, e = Float.frexp v in
-    (* frexp returns v = m * 2^e with m in [0.5, 1), so an exact power
-       of two 2^k arrives as (0.5, k+1) — but the bucket bounds are
-       inclusive above, so 2^k belongs in the bucket whose le is 2^k,
-       one below the generic e + 32. *)
-    let e = if m = 0.5 then e - 1 else e in
-    let i = e + 32 in
+  else begin
+    let bits = Int64.bits_of_float v in
+    let x = Int64.to_int (Int64.shift_right_logical bits 52) in
+    let i =
+      if x = 0 then 1
+      else if Int64.logand bits 0xF_FFFF_FFFF_FFFFL = 0L then x - 991
+      else x - 990
+    in
     if i < 1 then 1 else if i > n_buckets - 1 then n_buckets - 1 else i
+  end
 
 let bucket_upper i =
   (* upper bound (inclusive) of bucket i, as a Prometheus le label *)
@@ -48,7 +56,7 @@ type series = {
   labels : (string * string) list;  (* sorted by label name *)
   kind : kind;
   mutable count : int;       (* counter/gauge value / histogram observations *)
-  mutable sum : float;       (* histogram only *)
+  sum : float array;         (* histogram only; one unboxed cell *)
   buckets : int array;       (* histogram only; [||] for counters/gauges *)
 }
 
@@ -79,7 +87,7 @@ let find_or_create ~kind ~labels name ~help =
           labels;
           kind;
           count = 0;
-          sum = 0.0;
+          sum = [| 0.0 |];
           buckets =
             (match kind with
             | Counter | Gauge -> [||]
@@ -108,7 +116,7 @@ let gauge_value g = g.count
 let observe h v =
   if Atomic.get on then begin
     h.count <- h.count + 1;
-    h.sum <- h.sum +. v;
+    h.sum.(0) <- h.sum.(0) +. v;
     let b = h.buckets in
     let i = bucket_of v in
     b.(i) <- b.(i) + 1
@@ -125,14 +133,14 @@ let time h f =
 
 let counter_value c = c.count
 let histogram_count h = h.count
-let histogram_sum h = h.sum
+let histogram_sum h = h.sum.(0)
 
 let reset () =
   Mutex.lock registry_mutex;
   List.iter
     (fun s ->
       s.count <- 0;
-      s.sum <- 0.0;
+      s.sum.(0) <- 0.0;
       Array.fill s.buckets 0 (Array.length s.buckets) 0)
     !registry;
   Mutex.unlock registry_mutex
@@ -217,7 +225,7 @@ let render () =
                        !cum))
               s.buckets;
             Buffer.add_string b
-              (Printf.sprintf "%s_sum%s %.9g\n" name (label_string s.labels) s.sum);
+              (Printf.sprintf "%s_sum%s %.9g\n" name (label_string s.labels) s.sum.(0));
             Buffer.add_string b
               (Printf.sprintf "%s_count%s %d\n" name (label_string s.labels) s.count))
         series)

@@ -26,7 +26,8 @@ val n_buckets : int
 val bucket_of : float -> int
 (** The bucket index an observation lands in.  Bucket upper bounds are
     inclusive: an exact power of two [2^k] lands in the bucket whose
-    {!bucket_upper} is [2^k]. *)
+    {!bucket_upper} is [2^k].  [infinity] and NaN land in the overflow
+    bucket.  Allocation-free. *)
 
 val bucket_upper : int -> string
 (** Upper bound (inclusive) of bucket [i], formatted as a Prometheus

@@ -33,11 +33,6 @@ module Metrics = Slimsim_obs.Metrics
 module Log = Slimsim_obs.Log
 module Json = Slimsim_obs.Json
 
-(* Minimum sat-path count before the sequential rule may stop — the
-   CLT needs some samples before its half-width means anything; mirrors
-   the Bernoulli generators' minimum. *)
-let min_sequential_samples = 100
-
 (* A sequential rule conditioned on reaching the goal cannot converge
    if the goal is never reached; give up after this many consecutive
    paths without a sat verdict instead of spinning forever. *)
@@ -137,7 +132,8 @@ let stop a () =
     a.prob.Campaign.stop ()
   | Generator.Chow_robbins | Generator.Mlmc ->
     if
-      Welford.count a.wf >= min_sequential_samples
+      (* the Bernoulli generators' minimum, counted in sat paths *)
+      Welford.count a.wf >= Generator.min_sequential_samples
       && Welford.half_width a.wf ~delta:(Generator.delta a.gen)
          <= Generator.eps a.gen
     then `Converged

@@ -103,36 +103,24 @@ let compile_query ?(hold = Expr.true_) c ~goal =
 (* Resolve an until property along a delay of [cap] time units: the
    property is satisfied at the earliest goal crossing unless the hold
    condition fails strictly earlier (a trivial hold gives plain
-   reachability).  Exact for linear expressions; non-linear ones fall
-   back to endpoint evaluation, on the trial buffer. *)
-let until_crossing_c c s q ~eps ~cap =
+   reachability).  [pts] is the caller's cell for the two crossing
+   points of [Compiled.until_points]. *)
+let until_crossing_c c s q ~eps ~cap pts =
   if cap < 0.0 then None
   else begin
-    let window = I.inter (I.at_least 0.0) (I.at_most cap) in
-    let sat_or_endpoint (f : Compiled.formula) =
-      match f.Compiled.f_sat s with
-      | set -> I.inter set window
-      | exception Linear.Nonlinear _ ->
-        if Compiled.eval_bool_after c s ~cap f.Compiled.f_bool then I.point cap
-        else I.empty
-    in
-    let b_set = sat_or_endpoint q.q_goal in
-    let v_set =
-      if q.q_hold.Compiled.f_trivial then I.empty
-      else I.diff (I.inter (I.complement (sat_or_endpoint q.q_hold)) window) b_set
-    in
-    let base = Compiled.time s in
-    match I.first_point ~eps b_set, I.first_point ~eps v_set with
-    | Some tb, Some tv when tv < tb -> Some (Unsat_violated (base +. tv))
-    | Some tb, _ -> Some (Sat (base +. tb))
-    | None, Some tv -> Some (Unsat_violated (base +. tv))
-    | None, None -> None
+    Compiled.until_points c s ~goal:q.q_goal ~hold:q.q_hold ~eps ~cap pts;
+    let tb = pts.(0) and tv = pts.(1) in
+    (* a negative point stands for none *)
+    if tv >= 0.0 && (tb < 0.0 || tv < tb) then
+      Some (Unsat_violated (Compiled.time s +. tv))
+    else if tb >= 0.0 then Some (Sat (Compiled.time s +. tb))
+    else None
   end
 
 (* What fires next, and when. *)
 type decision =
   | Fire_disc of float
-  | Fire_markov_tr of int * int * float  (* proc, transition, delay *)
+  | Fire_markov of int  (* buffered rate transition; its delay is in the race cell *)
   | Fire_scripted of int * float  (* buffered move, delay *)
   | Advance_only of float
   | Give_up of verdict
@@ -182,11 +170,9 @@ let crossed bias s v =
 (* The verdict of a path that gives up for lack of a move before the
    horizon: a goal crossing (or hold violation) before the invariant
    deadline or the horizon, whichever is first, else [Unsat_horizon]. *)
-let horizon_verdict c s q ~eps bias inv_win remaining =
-  let cap =
-    match I.sup inv_win with I.Fin (b, _) -> Float.min b remaining | _ -> remaining
-  in
-  match until_crossing_c c s q ~eps ~cap with
+let horizon_verdict c s q ~eps pts bias remaining =
+  let cap = Float.min (Compiled.inv_sup s) remaining in
+  match until_crossing_c c s q ~eps ~cap pts with
   | Some v -> crossed bias s v
   | None -> Unsat_horizon
 
@@ -199,14 +185,20 @@ let note record s d description =
   | None -> ()
 
 let note_move record c s d move =
-  match record with
-  | Some _ -> note record s d (Moves.describe (Compiled.network c) move)
-  | None -> ()
+  note record s d (Moves.describe (Compiled.network c) move)
 
 (* [note_move] of the [i]-th buffered move. *)
 let note_buffered record c s d i =
   match record with
   | Some _ -> note_move record c s d (Compiled.move c s i)
+  | None -> ()
+
+(* [note_move] of the [i]-th buffered rate transition. *)
+let note_markov record c s d i =
+  match record with
+  | Some _ ->
+    note_move record c s d
+      (Moves.Local { proc = Compiled.markov_proc s i; tr = Compiled.markov_tr s i })
   | None -> ()
 
 let count obs counter =
@@ -215,12 +207,12 @@ let count obs counter =
 (* The script's view of the step: the interpreter's immutable state and
    lists, built from the scratch only on this (cold) branch.  [markov]
    holds the unscaled rates. *)
-let scripted_decision c s script ~step ~inv_win ~n_timed ~markov =
+let scripted_decision c s script ~step ~n_timed ~markov race_t =
   let alts =
     {
       Strategy.step;
       state = Compiled.to_state c s;
-      inv_window = inv_win;
+      inv_window = Compiled.inv_window s;
       timed = Compiled.timed_moves c s;
       markov;
     }
@@ -239,7 +231,8 @@ let scripted_decision c s script ~step ~inv_win ~n_timed ~markov =
   | Strategy.Fire_markov { index; delay } ->
     if index < 0 || index >= List.length markov then
       raise (Bail (Model_error "script chose an invalid rate index"));
-    Fire_markov_tr (Compiled.markov_proc s index, Compiled.markov_tr s index, delay)
+    race_t.(0) <- delay;
+    Fire_markov index
 
 let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
   let eps = cfg.eps_nudge in
@@ -263,6 +256,8 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
     | Some (factor, _) -> Some { factor; log_lr = 0.0; total = 0.0; biased = 0.0 }
     | None -> None
   in
+  (* unboxed cells: the race's delay, the crossing points *)
+  let race_t = [| 0.0 |] and pts = [| 0.0; 0.0 |] in
   let result =
     try
       Compiled.reset c s;
@@ -278,8 +273,8 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
            the low single digits. *)
         if !step_n > cfg.max_steps then
           raise (Bail_verdict (Diverged (Step_budget !step_n)));
-        if Compiled.time s > sim_budget then
-          raise (Bail_verdict (Diverged (Time_budget (Compiled.time s))));
+        let now = Compiled.time s in
+        if now > sim_budget then raise (Bail_verdict (Diverged (Time_budget now)));
         if
           wall_budget < infinity
           && !step_n land wall_check_mask = wall_check_mask
@@ -293,21 +288,21 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
           end
         end;
         incr step_n;
-        if q.q_goal.Compiled.f_bool s then verdict := Some (Sat (Compiled.time s))
+        if q.q_goal.Compiled.f_bool s then verdict := Some (Sat now)
         else if
           (not q.q_hold.Compiled.f_trivial) && not (q.q_hold.Compiled.f_bool s)
-        then verdict := Some (Unsat_violated (Compiled.time s))
+        then verdict := Some (Unsat_violated now)
         else begin
-          let remaining = cfg.horizon -. Compiled.time s in
+          let remaining = cfg.horizon -. now in
           if remaining < 0.0 then verdict := Some Unsat_horizon
           else begin
             Compiled.set_rates c s;
-            let inv_win = Compiled.invariant_window c s in
-            if I.is_empty inv_win then
+            Compiled.invariant_window c s;
+            if Compiled.inv_is_empty s then
               verdict :=
                 Some (dead Unsat_timelock "invariant violated with no escape")
             else begin
-              let n_timed = Compiled.discrete c s inv_win in
+              let n_timed = Compiled.discrete c s in
               let n_markov = Compiled.markovian c s in
               (* A script sees the unscaled rates, read before biasing;
                  the race is drawn before the script runs. *)
@@ -321,17 +316,16 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
               in
               (match bias with Some b -> bias_rates b s n_markov | None -> ());
               let race =
-                if n_markov = 0 then None
+                if n_markov = 0 then -1
                 else
                   Dist.exponential_race_n rng ~rates:(Compiled.markov_buf s)
-                    ~n:n_markov
+                    ~n:n_markov ~delay:race_t
               in
-              let inv_unbounded = I.sup inv_win = I.Pos_inf in
+              let inv_unbounded = Compiled.inv_unbounded s in
               let decision =
                 match strategy with
                 | Strategy.Scripted script ->
-                  scripted_decision c s script ~step:!step_n ~inv_win ~n_timed
-                    ~markov
+                  scripted_decision c s script ~step:!step_n ~n_timed ~markov race_t
                 | Strategy.Asap | Strategy.Progressive | Strategy.Local
                 | Strategy.Max_time -> (
                   (* Automated strategies: propose a discrete schedule,
@@ -346,6 +340,7 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
                       | Strategy.Progressive ->
                         Compiled.moves_sample_uniform s ~cap:remaining u01
                       | Strategy.Local ->
+                        let inv_win = Compiled.inv_window s in
                         let w =
                           if I.is_bounded inv_win then inv_win
                           else I.clamp_above remaining inv_win
@@ -353,17 +348,12 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
                         I.sample_uniform u01 w
                       | Strategy.Max_time ->
                         if inv_unbounded then Some (remaining +. 1.0)
-                        else I.last_point_below ~eps infinity inv_win
+                        else I.last_point_below ~eps infinity (Compiled.inv_window s)
                       | Strategy.Scripted _ -> assert false
                   in
-                  let exp_candidate =
-                    match race with
-                    | Some (idx, t) when I.mem t inv_win ->
-                      Some (Compiled.markov_proc s idx, Compiled.markov_tr s idx, t)
-                    | _ -> None
-                  in
+                  let exp_candidate = race >= 0 && Compiled.inv_mem s race_t.(0) in
                   match d_disc, exp_candidate with
-                  | None, None ->
+                  | None, false ->
                     if n_timed = 0 && n_markov = 0 then
                       if inv_unbounded then
                         Give_up
@@ -383,30 +373,31 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
                     else
                       (* Guarded moves exist but only beyond the horizon. *)
                       Give_up Unsat_horizon
-                  | Some d, None -> Fire_disc d
-                  | None, Some (p, tr, t) -> Fire_markov_tr (p, tr, t)
-                  | Some d, Some (p, tr, t) ->
-                    if t < d then Fire_markov_tr (p, tr, t) else Fire_disc d)
+                  | Some d, false -> Fire_disc d
+                  | None, true -> Fire_markov race
+                  | Some d, true -> if race_t.(0) < d then Fire_markov race else Fire_disc d)
               in
               match decision with
               | Give_up Unsat_horizon ->
-                verdict := Some (horizon_verdict c s q ~eps bias inv_win remaining)
+                verdict := Some (horizon_verdict c s q ~eps pts bias remaining)
               | Give_up v -> verdict := Some v
               | Fire_scripted (i, delay) -> (
                 (* Exactly the scripted move: no survival weight, no
                    target-invariant trial. *)
-                match until_crossing_c c s q ~eps ~cap:(Float.min delay remaining) with
+                match
+                  until_crossing_c c s q ~eps ~cap:(Float.min delay remaining) pts
+                with
                 | Some v -> verdict := Some v
                 | None ->
                   if delay > remaining then
-                    verdict := Some (horizon_verdict c s q ~eps bias inv_win remaining)
+                    verdict := Some (horizon_verdict c s q ~eps pts bias remaining)
                   else begin
                     note_buffered record c s delay i;
                     Compiled.apply_move c s ~delay i;
                     count obs (fun o -> o.obs_delay_firings)
                   end)
               | Advance_only d -> (
-                match until_crossing_c c s q ~eps ~cap:(Float.min d remaining) with
+                match until_crossing_c c s q ~eps ~cap:(Float.min d remaining) pts with
                 | Some v -> verdict := Some (crossed bias s v)
                 | None ->
                   if d > remaining then verdict := Some Unsat_horizon
@@ -423,26 +414,27 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
                     Compiled.advance c s d;
                     count obs (fun o -> o.obs_advances)
                   end)
-              | Fire_markov_tr (p, tr, d) -> (
-                match until_crossing_c c s q ~eps ~cap:(Float.min d remaining) with
+              | Fire_markov i -> (
+                let d = race_t.(0) in
+                match until_crossing_c c s q ~eps ~cap:(Float.min d remaining) pts with
                 | Some v -> verdict := Some (crossed bias s v)
                 | None ->
                   if d > remaining then verdict := Some Unsat_horizon
                   else begin
+                    let p = Compiled.markov_proc s i and tr = Compiled.markov_tr s i in
                     (match bias with
                     | Some b ->
                       survive bias d;
                       let f = b.factor p tr in
                       if f <> 1.0 then b.log_lr <- b.log_lr -. log f
                     | None -> ());
-                    let move = Moves.Local { proc = p; tr } in
-                    note_move record c s d move;
-                    Compiled.apply c s ~delay:d move;
+                    note_markov record c s d i;
+                    Compiled.apply_local c s ~delay:d p tr;
                     count obs (fun o -> o.obs_markov_firings);
                     zero_advances := 0
                   end)
               | Fire_disc d -> (
-                match until_crossing_c c s q ~eps ~cap:(Float.min d remaining) with
+                match until_crossing_c c s q ~eps ~cap:(Float.min d remaining) pts with
                 | Some v -> verdict := Some (crossed bias s v)
                 | None ->
                   if d > remaining then verdict := Some Unsat_horizon

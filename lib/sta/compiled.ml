@@ -1320,6 +1320,8 @@ let eval_bool_after c s ~cap (f : cbool) =
 (* ------------------------------------------------------------------ *)
 (* Moves (mirrors [Moves], table-driven, into the move buffer)        *)
 
+(* [Moves.invariant_window], into slot 0, where [discrete] and the
+   [inv_*] readers find it. *)
 let invariant_window c s =
   let ev = s.ev in
   w_set_full ev 0;
@@ -1338,10 +1340,29 @@ let invariant_window c s =
   w_inter ev 0 ev 0 ev 1;
   if Bytes.get ev.lk 0 = k_gen then
     match I.component_at 0.0 ev.gen.(0) with
-    | None -> I.empty
-    | Some iv -> I.make iv.I.lo iv.I.hi
-  else if w_mem 0.0 ev 0 then w_to_set ev 0
-  else I.empty
+    | None -> w_set_empty ev 0
+    | Some iv -> w_of_set ev 0 (I.make iv.I.lo iv.I.hi)
+  else if not (w_mem 0.0 ev 0) then w_set_empty ev 0
+
+let inv_window s = w_to_set s.ev 0
+let inv_is_empty s = w_is_empty s.ev 0
+let inv_mem s x = w_mem x s.ev 0
+
+let inv_unbounded s =
+  let ev = s.ev in
+  let lk = Bytes.get ev.lk 0 in
+  if lk = k_empty then false
+  else if lk = k_gen then I.sup ev.gen.(0) = I.Pos_inf
+  else Bytes.get ev.hk 0 = k_inf
+
+let inv_sup s =
+  let ev = s.ev in
+  let lk = Bytes.get ev.lk 0 in
+  if lk = k_empty then infinity
+  else if lk = k_gen then
+    match I.sup ev.gen.(0) with I.Fin (b, _) -> b | I.Neg_inf | I.Pos_inf -> infinity
+  else if Bytes.get ev.hk 0 = k_inf then infinity
+  else ev.hi.(0)
 
 let grow_ints a n =
   let b = Array.make (max n (2 * Array.length a)) 0 in
@@ -1441,13 +1462,12 @@ let sync_moves c s e =
     end
   end
 
-let discrete c s inv_win =
+let discrete c s =
   let ev = s.ev in
   s.n_moves <- 0;
   s.n_parts <- 0;
-  if I.is_empty inv_win then 0
+  if w_is_empty ev 0 then 0
   else begin
-    w_of_set ev 0 inv_win;
     (* Local τ moves, in process then outgoing order. *)
     for p = 0 to c.n_procs - 1 do
       let cp = c.cprocs.(p) in
@@ -1582,12 +1602,16 @@ let fire c s delay (procs : int array) (trs : int array) off len =
   done;
   apply_flows c s
 
+let apply_move c s ~delay i = fire c s delay s.pt_proc s.pt_tr s.mv_off.(i) s.mv_len.(i)
+
+let apply_local c s ~delay p tr =
+  s.ap_proc.(0) <- p;
+  s.ap_tr.(0) <- tr;
+  fire c s delay s.ap_proc s.ap_tr 0 1
+
 let apply c s ?(delay = 0.0) (move : Moves.move) =
   match move with
-  | Moves.Local { proc; tr } ->
-    s.ap_proc.(0) <- proc;
-    s.ap_tr.(0) <- tr;
-    fire c s delay s.ap_proc s.ap_tr 0 1
+  | Moves.Local { proc; tr } -> apply_local c s ~delay proc tr
   | Moves.Sync { parts; _ } ->
     (* one transition per participating process *)
     List.iteri
@@ -1596,8 +1620,6 @@ let apply c s ?(delay = 0.0) (move : Moves.move) =
         s.ap_tr.(k) <- ti)
       parts;
     fire c s delay s.ap_proc s.ap_tr 0 (List.length parts)
-
-let apply_move c s ~delay i = fire c s delay s.pt_proc s.pt_tr s.mv_off.(i) s.mv_len.(i)
 
 let enabled_after c s d =
   let n = ref 0 in
@@ -1626,20 +1648,64 @@ let enabled s k = s.enabled.(k)
 (* ------------------------------------------------------------------ *)
 (* Formulas (goal / hold properties)                                  *)
 
+(* A formula's window is evaluated at slot [f_slot] and up, above the
+   slots the crossing keeps its operands in: 0 the invariant window, 1
+   the delay window [0, cap], [ev_root] the goal's part of it. *)
+let f_slot = ev_root + 1
+
 type formula = {
   f_expr : Expr.t;
   f_trivial : bool;  (* the formula is literally [true] *)
   f_bool : cbool;
-  f_sat : csat;
+  f_win : cstate -> unit;  (* [compile_sat] of [f_expr], into slot [f_slot] *)
+  f_top : int;  (* the highest slot [f_win] uses *)
 }
 
 let compile_formula _c e =
-  {
-    f_expr = e;
-    f_trivial = e = Expr.true_;
-    f_bool = compile_bool e;
-    f_sat = compile_sat e;
-  }
+  let f_win, f_top = compile_win e f_slot in
+  { f_expr = e; f_trivial = e = Expr.true_; f_bool = compile_bool e; f_win; f_top }
+
+(* The formula's delay set within [0, cap] (slot 1) into slot [f_slot]:
+   exact for linear expressions; a non-linear one is decided at the
+   endpoint [cap] alone, on the trial buffer. *)
+let within c s f ~cap =
+  let ev = s.ev in
+  match f.f_win s with
+  | () -> w_inter ev f_slot ev f_slot ev 1
+  | exception Linear.Nonlinear _ ->
+    if eval_bool_after c s ~cap f.f_bool && nonempty k_closed cap k_closed cap then
+      w_set ev f_slot k_closed cap k_closed cap
+    else w_set_empty ev f_slot
+
+(* [Interval_set.first_point] of a set within [0, cap]: never [None]
+   unless the set is empty, and never negative, so -1 can stand for
+   none. *)
+let[@inline] first_point_within ~eps w i =
+  if w_is_empty w i then -1.0 else w_first_point ~eps w i
+
+(* With [b] the goal's set within [0, cap] and [v] the delays in
+   [0, cap] where the hold fails, outside [b]:
+   [v = diff (inter (complement (hold ∩ [0, cap])) [0, cap]) b], the
+   [Interval_set] operations in this order. *)
+let until_points c s ~goal ~hold ~eps ~cap (out : float array) =
+  let ev = s.ev in
+  let top = if hold.f_trivial then goal.f_top else max goal.f_top hold.f_top in
+  if top >= Array.length ev.lo then w_grow ev (top + 1);
+  if nonempty k_closed 0.0 k_closed cap then w_set ev 1 k_closed 0.0 k_closed cap
+  else w_set_empty ev 1;
+  within c s goal ~cap;
+  out.(0) <- first_point_within ~eps ev f_slot;
+  if hold.f_trivial then out.(1) <- -1.0
+  else begin
+    w_copy ev f_slot ev ev_root;
+    within c s hold ~cap;
+    w_complement ev f_slot;
+    w_inter ev f_slot ev f_slot ev 1;
+    (* [Interval_set.diff a b] is [inter a (complement b)] *)
+    w_complement ev ev_root;
+    w_inter ev f_slot ev f_slot ev ev_root;
+    out.(1) <- first_point_within ~eps ev f_slot
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Interop with the immutable reference representation               *)

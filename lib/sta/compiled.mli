@@ -105,14 +105,30 @@ val advance : t -> cstate -> float -> unit
     Like [State.advance], it leaves data flows alone: the flows a delay
     can change are marked dirty and re-evaluated by the next move. *)
 
-val invariant_window : t -> cstate -> I.t
-(** [Moves.invariant_window]. *)
+val invariant_window : t -> cstate -> unit
+(** [Moves.invariant_window], kept in the scratch: {!discrete} reads it
+    there, and so do the [inv_*] readers below, until the next
+    [invariant_window]. *)
 
-val discrete : t -> cstate -> I.t -> int
-(** [Moves.discrete]: fills the move buffer with every enabled τ/sync
-    move and its delay window, in the interpreter's order, and returns
-    their number.  Moves are addressed by their index in the buffer,
-    which stays valid until the next [discrete]. *)
+val inv_window : cstate -> I.t
+(** The window {!invariant_window} computed, as a set (allocates; for
+    tests and cold paths). *)
+
+val inv_is_empty : cstate -> bool
+val inv_mem : cstate -> float -> bool
+
+val inv_unbounded : cstate -> bool
+(** [Interval_set.sup (inv_window s) = Pos_inf]. *)
+
+val inv_sup : cstate -> float
+(** The window's supremum when it is finite, [infinity] otherwise. *)
+
+val discrete : t -> cstate -> int
+(** [Moves.discrete] within the window of the last {!invariant_window}:
+    fills the move buffer with every enabled τ/sync move and its delay
+    window, in the interpreter's order, and returns their number.  Moves
+    are addressed by their index in the buffer, which stays valid until
+    the next [discrete]. *)
 
 val move : t -> cstate -> int -> Moves.move
 (** The [i]-th buffered move. *)
@@ -153,6 +169,10 @@ val apply : t -> cstate -> ?delay:float -> Moves.move -> unit
 val apply_move : t -> cstate -> delay:float -> int -> unit
 (** [apply] of the [i]-th buffered move. *)
 
+val apply_local : t -> cstate -> delay:float -> int -> int -> unit
+(** [apply_local c s ~delay p tr] is
+    [apply c s ~delay (Moves.Local { proc = p; tr })]. *)
+
 val invariants_hold : t -> cstate -> bool
 
 val enabled_after : t -> cstate -> float -> int
@@ -181,11 +201,28 @@ val dirty_flows : t -> cstate -> int list
 
 (** {1 Formulas} *)
 
-type formula = {
+type formula = private {
   f_expr : Expr.t;
   f_trivial : bool;  (** the formula is literally [true] *)
   f_bool : cbool;
-  f_sat : csat;
+  f_win : cstate -> unit;
+      (** its delay set ([compile_sat]) into an evaluator slot of the
+          scratch, for {!until_points} *)
+  f_top : int;  (** the highest evaluator slot [f_win] uses *)
 }
 
 val compile_formula : t -> Expr.t -> formula
+
+val until_points :
+  t -> cstate -> goal:formula -> hold:formula -> eps:float -> cap:float ->
+  float array -> unit
+(** The until property [hold U goal] along a delay of [cap >= 0] under
+    the current rate vector: writes into [out.(0)] the
+    [Interval_set.first_point ~eps] of the goal's delay set within
+    [[0, cap]], and into [out.(1)] that of the delays in [[0, cap]]
+    where a non-trivial hold fails, outside the goal's set.  Such points
+    are never negative; [-1.] stands for none (and always for a trivial
+    hold).  Exact for linear expressions; a formula that is not
+    ([Linear.Nonlinear]) counts as the point [cap] when it holds after
+    delaying [cap] ({!eval_bool_after}), as the empty set otherwise.
+    Overwrites every evaluator slot but the invariant window's. *)

@@ -59,7 +59,7 @@ let exponential_race rng ~rates =
     let i = categorical rng ~weights:rates in
     Some (i, t)
 
-let exponential_race_n rng ~rates ~n =
+let exponential_race_n rng ~rates ~n ~delay =
   let total = ref 0.0 in
   for i = 0 to n - 1 do
     let r = rates.(i) in
@@ -67,15 +67,15 @@ let exponential_race_n rng ~rates ~n =
     total := !total +. r
   done;
   let total = !total in
-  if total <= 0.0 then None
+  if total <= 0.0 then -1
   else begin
-    let t = exponential rng ~rate:total in
+    delay.(0) <- exponential rng ~rate:total;
     let r = Rng.below rng total in
-    let rec pick i acc =
-      if i >= n - 1 then n - 1
-      else
-        let acc = acc +. rates.(i) in
-        if r < acc then i else pick (i + 1) acc
-    in
-    Some (pick 0 0.0, t)
+    (* [categorical]'s scan as a loop: no closure, no boxed accumulator *)
+    let i = ref 0 and acc = ref rates.(0) in
+    while !i < n - 1 && not (r < !acc) do
+      incr i;
+      acc := !acc +. rates.(!i)
+    done;
+    !i
   end

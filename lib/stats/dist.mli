@@ -28,8 +28,12 @@ val exponential_race : Rng.t -> rates:float array -> (int * float) option
     [rates.(i) / sum].  [None] when every rate is zero or the array is
     empty; raises [Invalid_argument] on a negative rate. *)
 
-val exponential_race_n : Rng.t -> rates:float array -> n:int -> (int * float) option
+val exponential_race_n :
+  Rng.t -> rates:float array -> n:int -> delay:float array -> int
 (** [exponential_race] restricted to the first [n] entries of a (reused)
-    buffer; draw-for-draw identical to [exponential_race] on
-    [Array.sub rates 0 n], without the allocation.  Raises
-    [Invalid_argument] on a negative rate among the first [n]. *)
+    buffer, without the allocation: returns the winner's index and
+    writes the holding time into [delay.(0)], or returns [-1] (and
+    leaves [delay] alone) when [exponential_race] gives [None].
+    Draw-for-draw identical to [exponential_race] on
+    [Array.sub rates 0 n].  Raises [Invalid_argument] on a negative rate
+    among the first [n]. *)

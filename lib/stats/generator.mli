@@ -25,6 +25,11 @@ type t
 val all_kinds : kind list
 (** Every generator kind, in the order they are documented. *)
 
+val min_sequential_samples : int
+(** The fewest samples after which a sequential (CLT) rule may stop:
+    below it the interval's half-width means nothing.  {!needs_more}
+    applies it to trials; the E[cost] rule to sat paths. *)
+
 val check : delta:float -> eps:float -> (unit, string) result
 (** The parameters every generator accepts: [delta] in (0, 1), [eps]
     positive and finite.  The error names the offending one. *)

@@ -1,18 +1,24 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte cell: a mutable [int64]
+   field would box a fresh state on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 finalizer (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.add seed golden_gamma) }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (mix (Int64.add seed golden_gamma));
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
+  mix z
 
 let for_path ~seed ~path =
   (* Decorrelate the per-path streams by hashing seed and index together. *)
@@ -52,4 +58,4 @@ let int t n =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let copy t = { state = t.state }
+let copy = Bytes.copy

@@ -17,30 +17,36 @@ module Strategy = Slimsim_sim.Strategy
 exception Bail of error
 exception Stop of verdict
 
+(* The first points of the goal's delay set within [0, cap] of [s] and
+   of the delays there where the hold fails outside it.  Exact for
+   linear expressions; non-linear ones fall back to endpoint
+   evaluation. *)
+let crossing_points rates net s ~goal ~hold ~eps ~cap =
+  let window = I.inter (I.at_least 0.0) (I.at_most cap) in
+  let sat e =
+    match
+      Linear.sat_set ~env:(State.env s) ~rate:(fun v -> rates.(v))
+        ~at_loc:(State.at_loc s) e
+    with
+    | set -> I.inter set window
+    | exception Linear.Nonlinear _ ->
+      if State.eval_bool (State.advance net ~rates s cap) e then I.point cap
+      else I.empty
+  in
+  let b = sat goal in
+  let v =
+    if hold = Expr.true_ then I.empty
+    else I.diff (I.inter (I.complement (sat hold)) window) b
+  in
+  (I.first_point ~eps b, I.first_point ~eps v)
+
 (* The earliest goal crossing within [0, cap] of [s], unless the hold
-   condition fails strictly earlier.  Exact for linear expressions;
-   non-linear ones fall back to endpoint evaluation. *)
+   condition fails strictly earlier. *)
 let until_crossing rates net s ~goal ~hold ~eps ~cap =
   if cap < 0.0 then None
   else
-    let window = I.inter (I.at_least 0.0) (I.at_most cap) in
-    let sat e =
-      match
-        Linear.sat_set ~env:(State.env s) ~rate:(fun v -> rates.(v))
-          ~at_loc:(State.at_loc s) e
-      with
-      | set -> I.inter set window
-      | exception Linear.Nonlinear _ ->
-        if State.eval_bool (State.advance net ~rates s cap) e then I.point cap
-        else I.empty
-    in
-    let b = sat goal in
-    let v =
-      if hold = Expr.true_ then I.empty
-      else I.diff (I.inter (I.complement (sat hold)) window) b
-    in
     let t0 = s.State.time in
-    match I.first_point ~eps b, I.first_point ~eps v with
+    match crossing_points rates net s ~goal ~hold ~eps ~cap with
     | Some tb, Some tv when tv < tb -> Some (Unsat_violated (t0 +. tv))
     | Some tb, _ -> Some (Sat (t0 +. tb))
     | None, Some tv -> Some (Unsat_violated (t0 +. tv))

@@ -159,7 +159,51 @@ let prop_float ((e, ((vals, _, locs) as st)) : Expr.t * _) =
   let compiled = classify (fun () -> Compiled.compile_float e s) in
   same_outcome float_equal interp compiled
 
-let prop_sat ((e, ((vals, rates, locs) as st)) : Expr.t * _) =
+(* The signature as a network: [n_procs] processes of [n_locs]
+   locations and [n_vars] unowned clocks, so that a delay on the trial
+   buffer advances every variable a random state gives a rate, as
+   [State.advance] does. *)
+let signature =
+  lazy
+    (let proc p =
+       Automaton.make ~name:(Printf.sprintf "p%d" p)
+         ~locations:
+           (Array.init n_locs (fun l ->
+                { Automaton.loc_name = Printf.sprintf "l%d" l; invariant = Expr.true_;
+                  derivs = [] }))
+         ~initial:0 ~transitions:[]
+     in
+     let net =
+       Network.make
+         ~procs:(List.init n_procs (fun p -> (proc p, Network.default_meta)))
+         ~vars:
+           (Array.init n_vars (fun v ->
+                { Network.var_name = Printf.sprintf "x%d" v; kind = Network.Clock;
+                  init = Value.Real 0.0; owner = None }))
+         ~events:[||] ~flows:[]
+     in
+     (net, Compiled.compile net))
+
+(* A product of two variables compared to a constant: non-linear in the
+   delay when both variables have a rate. *)
+let gen_nonlinear =
+  Gen.map3
+    (fun op (v1, v2) k ->
+      Expr.Binop (op, Expr.Binop (Expr.Mul, Expr.Var v1, Expr.Var v2), Expr.Const (Value.Real k)))
+    (Gen.oneofl [ Expr.Lt; Expr.Ge ])
+    (Gen.pair (Gen.int_range 0 (n_vars - 1)) (Gen.int_range 0 (n_vars - 1)))
+    (Gen.oneofl [ -1.0; 0.5; 4.0 ])
+
+(* For the crossing: a goal other than the expression (sometimes), a
+   hold (often trivial) and a delay bound. *)
+let gen_sat_case =
+  Gen.triple gen_expr gen_state
+    (Gen.triple
+       (Gen.frequency [ (3, Gen.pure None); (1, Gen.map Option.some gen_nonlinear) ])
+       (Gen.frequency [ (1, Gen.pure Expr.true_); (2, gen_expr); (1, gen_nonlinear) ])
+       (Gen.oneofl [ 0.0; 0.75; 2.0; infinity ]))
+
+let prop_sat ((e, ((vals, rates, locs) as st), (goal, hold, cap)) : Expr.t * _ * _) =
   let interp =
     classify (fun () ->
         Linear.sat_set ~env:(env_of vals)
@@ -170,7 +214,32 @@ let prop_sat ((e, ((vals, rates, locs) as st)) : Expr.t * _) =
   let compiled = classify (fun () -> Compiled.compile_sat e s) in
   (* and the in-place window evaluator that guards and invariants use *)
   let windowed = classify (fun () -> Compiled.compile_window e s) in
-  same_outcome I.equal interp compiled && same_outcome I.equal interp windowed
+  (* and the until crossing along a delay of [cap], by default with [e]
+     as the goal: the window table against [Interval_set], non-linear
+     fallback included *)
+  let goal = Option.value goal ~default:e in
+  let net, c = Lazy.force signature in
+  let eps = 1e-9 in
+  let oracle =
+    classify (fun () ->
+        Path_oracle.crossing_points rates net
+          { State.locs = Array.copy locs; vals = Array.copy vals; time = 0.0 }
+          ~goal ~hold ~eps ~cap)
+  in
+  let crossing =
+    classify (fun () ->
+        let pts = [| 0.0; 0.0 |] in
+        Compiled.until_points c (cstate_of st) ~goal:(Compiled.compile_formula c goal)
+          ~hold:(Compiled.compile_formula c hold) ~eps ~cap pts;
+        let point x = if x < 0.0 then None else Some x in
+        (point pts.(0), point pts.(1)))
+  in
+  let point_equal a b = Option.equal float_equal a b in
+  same_outcome I.equal interp compiled
+  && same_outcome I.equal interp windowed
+  && same_outcome
+       (fun (b1, v1) (b2, v2) -> point_equal b1 b2 && point_equal v1 v2)
+       oracle crossing
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end verdict-stream equality on the bundled models            *)
@@ -477,10 +546,11 @@ let walk ~name ~seed ~steps (net : Network.t) =
     Compiled.set_rates c cs;
     let rates = State.rate_array net !st in
     let inv = Moves.invariant_window ~rates net !st in
-    if not (I.equal inv (Compiled.invariant_window c cs)) then
+    Compiled.invariant_window c cs;
+    if not (I.equal inv (Compiled.inv_window cs)) then
       Alcotest.failf "%s: invariant windows differ" ctx;
     let timed = Moves.discrete ~rates ~inv_win:inv net !st in
-    let n_timed = Compiled.discrete c cs inv in
+    let n_timed = Compiled.discrete c cs in
     if n_timed <> List.length timed || compare timed (Compiled.timed_moves c cs) <> 0
     then Alcotest.failf "%s: enabled moves differ" ctx;
     let markov = Moves.markovian net !st in
@@ -529,6 +599,41 @@ let bundled_model file =
   let dir = List.find Sys.file_exists [ "../examples/models"; "examples/models" ] in
   let path = Filename.concat dir file in
   load (In_channel.with_open_text path In_channel.input_all)
+
+(* Minor words per step of whole compiled paths over a fixed path set.
+   A recording pass counts the steps (every step but a path's last
+   records one entry); the measured pass records nothing. *)
+let words_per_step file ~goal_src ~strategy ~horizon ~paths =
+  let net = bundled_model file in
+  let c = Compiled.compile net in
+  let q = Path.compile_query c ~goal:(goal net goal_src) in
+  let s = Compiled.scratch c in
+  let cfg = Path.default_config ~horizon in
+  let record = ref [] and steps = ref 0 in
+  for i = 0 to paths - 1 do
+    ignore (Path.generate ~record c s q cfg strategy (Rng.for_path ~seed:1L ~path:i));
+    steps := !steps + List.length !record + 1
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to paths - 1 do
+    ignore (Path.generate c s q cfg strategy (Rng.for_path ~seed:1L ~path:i))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int !steps
+
+(* The step allocates only what its verdicts and firings need: no
+   interval sets for the crossing or the invariant window, no boxed RNG
+   state, no boxes for the race. *)
+let test_step_allocation_budget () =
+  List.iter
+    (fun (file, goal_src, strategy, horizon) ->
+      let words = words_per_step file ~goal_src ~strategy ~horizon ~paths:2000 in
+      if words > 60.0 then
+        Alcotest.failf "%s: %.1f minor words per step (budget 60)" file words)
+    [
+      ("mm1k_priced.slim", "served = 5", Strategy.Asap, 100.0);
+      ( "gps.slim", "gps in mode active and not gps.measurement", Strategy.Progressive,
+        300.0 );
+    ]
 
 let test_walk_bundled () =
   List.iter
@@ -729,7 +834,8 @@ let test_failing_trial_is_clean () =
   let before = Compiled.to_state c s and dirty = Compiled.dirty_flows c s in
   Alcotest.(check bool) "the delay marked w" true (dirty <> []);
   Compiled.set_rates c s;
-  let n = Compiled.discrete c s (Compiled.invariant_window c s) in
+  Compiled.invariant_window c s;
+  let n = Compiled.discrete c s in
   Alcotest.(check int) "one move" 1 n;
   (match Compiled.enabled_after c s 0.5 with
   | _ -> Alcotest.fail "the trial must raise"
@@ -745,7 +851,7 @@ let suite =
     prop 2000 "compiled value = eval" gen_case prop_value;
     prop 2000 "compiled bool = eval_bool" gen_case prop_bool;
     prop 2000 "compiled float = as_float eval" gen_case prop_float;
-    prop 2000 "compiled sat = Linear.sat_set" gen_case prop_sat;
+    prop 2000 "compiled sat = Linear.sat_set" gen_sat_case prop_sat;
     Alcotest.test_case "verdicts: gps nominal" `Quick test_verdicts_gps_nominal;
     Alcotest.test_case "verdicts: gps full" `Quick test_verdicts_gps_full;
     Alcotest.test_case "verdicts: sensor-filter" `Quick test_verdicts_sensor_filter;
@@ -761,6 +867,7 @@ let suite =
         test_failing_trial_is_clean ());
     Alcotest.test_case "per-step state equality: bundled models" `Quick
       test_walk_bundled;
+    Alcotest.test_case "step allocation budget" `Quick test_step_allocation_budget;
     Alcotest.test_case "per-step state equality: flow network" `Quick test_walk_flows;
     Alcotest.test_case "dirty flow marks" `Quick test_dirty_marks;
     Alcotest.test_case "observability bit-identity" `Quick test_obs_bit_identity;

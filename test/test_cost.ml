@@ -76,6 +76,60 @@ let test_bucket_powers_of_two () =
   Metrics.reset ();
   Metrics.set_enabled was
 
+(* [bucket_of] reads the exponent bits; the [Float.frexp] form it
+   replaced is the reference on every finite positive input. *)
+let bucket_of_frexp v =
+  if v <= 0.0 then 0
+  else
+    let m, e = Float.frexp v in
+    let e = if m = 0.5 then e - 1 else e in
+    let i = e + 32 in
+    if i < 1 then 1 else if i > Metrics.n_buckets - 1 then Metrics.n_buckets - 1 else i
+
+(* Finite positives from their bits: any exponent field below 2047
+   (0 = subnormal) and any mantissa, or an exact power of two. *)
+let gen_finite_positive =
+  let open QCheck2.Gen in
+  let of_bits x f = Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int x) 52) f) in
+  oneof
+    [
+      map2 of_bits (int_range 0 2046) (map (Int64.logand 0xF_FFFF_FFFF_FFFFL) ui64);
+      map (fun f -> of_bits 0 (Int64.logand 0xF_FFFF_FFFF_FFFFL f)) ui64;
+      map (fun k -> Float.ldexp 1.0 k) (int_range (-1074) 1023);
+      map (fun x -> of_bits x 0L) (int_range 950 1100);
+      map2 of_bits (int_range 950 1100) (map (Int64.logand 0xF_FFFF_FFFF_FFFFL) ui64);
+    ]
+  |> map (fun v -> if v > 0.0 then v else Float.min_float)
+
+let test_bucket_bits_match_frexp =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:5000 ~name:"bucket: exponent bits = frexp form"
+       ~print:(Printf.sprintf "%h") gen_finite_positive (fun v ->
+         Metrics.bucket_of v = bucket_of_frexp v))
+
+let test_bucket_infinity_overflows () =
+  (* frexp gives (inf, 0) for +inf, which used to put an infinite
+     observation in bucket 32 (le="1") instead of the overflow bucket *)
+  Alcotest.(check string) "+inf lands in +Inf" "+Inf"
+    (Metrics.bucket_upper (Metrics.bucket_of infinity));
+  Alcotest.(check int) "NaN lands in the overflow bucket" (Metrics.n_buckets - 1)
+    (Metrics.bucket_of nan);
+  Alcotest.(check int) "the largest finite float" (Metrics.n_buckets - 1)
+    (Metrics.bucket_of max_float);
+  Alcotest.(check int) "the smallest subnormal" 1 (Metrics.bucket_of 5e-324);
+  (* and recording allocates nothing per observation *)
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  let h = Metrics.histogram "test_cost_observe_alloc" ~help:"allocation check" in
+  let xs = List.init 1000 (fun i -> float_of_int i *. 0.37) in
+  let observe = Metrics.observe h in
+  let w0 = Gc.minor_words () in
+  List.iter observe xs;
+  let words = Gc.minor_words () -. w0 in
+  Metrics.set_enabled was;
+  if words > 100.0 then
+    Alcotest.failf "1000 observations allocated %.0f minor words" words
+
 (* --- satellite 2: Prometheus label escaping --- *)
 
 let test_label_escaping () =
@@ -705,6 +759,9 @@ let suite =
   [
     Alcotest.test_case "bucket: exact powers of two" `Quick
       test_bucket_powers_of_two;
+    test_bucket_bits_match_frexp;
+    Alcotest.test_case "bucket: +inf overflows, observe allocates nothing" `Quick
+      test_bucket_infinity_overflows;
     Alcotest.test_case "metrics: label escaping" `Quick test_label_escaping;
     Alcotest.test_case "parser: non-finite bounds rejected" `Quick
       test_nonfinite_bounds;

@@ -22,6 +22,35 @@ let test_rng_per_path_streams () =
   let b = Rng.for_path ~seed:7L ~path:3 in
   Alcotest.(check int64) "path stream is stable" (Rng.bits64 a) (Rng.bits64 b)
 
+(* Golden values: the first draws of fixed streams, as the generator
+   produced them when its state was a boxed [int64].  Any change of
+   representation must keep every stream bit-identical. *)
+let test_rng_golden () =
+  let check name r expected =
+    List.iteri
+      (fun i x -> Alcotest.(check int64) (Printf.sprintf "%s, draw %d" name i) x (Rng.bits64 r))
+      expected
+  in
+  check "create 42" (Rng.create 42L)
+    [ 0x57e1faba65107204L; 0xf4abd143feb24055L; 0x7c816738c12903b2L;
+      0x113e5dec6f8fd8a8L; 0xad4a599062fd1739L; 0x11485b98a7ea20b7L;
+      0x32028f50341ebd74L; 0xbc16a3d4cc48678eL ];
+  check "for_path 7/3" (Rng.for_path ~seed:7L ~path:3)
+    [ 0x28b74aa5a34ad600L; 0xdc0f21342c6967bL; 0xc6eb361b24322bdeL;
+      0x82287d0885d1ca95L; 0x9cbc0c75add8a30fL; 0x84519206c98d6e3cL;
+      0x9248452a28908812L; 0x858a79d6d55b5662L ];
+  check "for_path_level 7/2/3" (Rng.for_path_level ~seed:7L ~level:2 ~path:3)
+    [ 0xc2f991e35305c655L; 0x5e30d85ad6412a7dL; 0x56441e31ffa17c45L;
+      0x1d2be6baea367102L; 0x5a4b42a469291387L; 0xa999b0b5de4ab77cL;
+      0xcf662e40f4413313L; 0xb126aad46cba0a35L ];
+  let r = Rng.create 42L in
+  List.iter
+    (fun x -> Alcotest.(check (float 0.0)) "float draw" x (Rng.float r))
+    [ 0x1.5f87eae99441cp-2; 0x1.e957a287fd648p-1; 0x1.f2059ce304a4p-2;
+      0x1.13e5dec6f8fd8p-4 ];
+  List.iter (fun k -> Alcotest.(check int) "int draw" k (Rng.int r 1000)) [ 470; 405; 893; 451 ];
+  Alcotest.(check bool) "bool draw" true (Rng.bool r)
+
 let test_rng_float_range () =
   let r = Rng.create 5L in
   for _ = 1 to 10_000 do
@@ -117,10 +146,13 @@ let test_negative_params_rejected () =
       ignore (Dist.exponential_race r ~rates:[| 0.5; -1.0 |]));
   Alcotest.check_raises "race_n negative rate"
     (Invalid_argument "Dist.exponential_race_n: negative rate") (fun () ->
-      ignore (Dist.exponential_race_n r ~rates:[| 0.5; -1.0; 3.0 |] ~n:2));
+      ignore
+        (Dist.exponential_race_n r ~rates:[| 0.5; -1.0; 3.0 |] ~n:2
+           ~delay:[| 0.0 |]));
   (* entries beyond [n] are outside the race: neither summed nor checked *)
   Alcotest.(check bool) "rates beyond n ignored" true
-    (Dist.exponential_race_n r ~rates:[| 0.5; 1.0; -3.0 |] ~n:2 <> None)
+    (Dist.exponential_race_n r ~rates:[| 0.5; 1.0; -3.0 |] ~n:2 ~delay:[| 0.0 |]
+     <> -1)
 
 let prop cnt name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:cnt ~name gen f)
@@ -148,6 +180,32 @@ let prop_categorical_frequencies (seed, ws) =
       let frac = float_of_int counts.(i) /. float_of_int n in
       if Float.abs (frac -. (w /. total)) >= 0.025 then ok := false)
     weights;
+  !ok
+
+(* [exponential_race_n] on a buffer's first [n] entries draws exactly
+   what [exponential_race] draws on those entries: the same winner, the
+   same holding time, the same stream position afterwards. *)
+let gen_race_case =
+  QCheck2.Gen.(
+    triple (int_range 1 0x3FFFFFFF)
+      (list_size (int_range 1 6) (oneofl [ 0.0; 0.25; 1.0; 3.5 ]))
+      (int_range 0 3))
+
+let prop_race_n_is_race (seed, rs, spare) =
+  let rates = Array.of_list rs in
+  let n = Array.length rates in
+  let buf = Array.append rates (Array.make spare 7.0) in
+  let a = Rng.create (Int64.of_int seed) and b = Rng.create (Int64.of_int seed) in
+  let delay = [| nan |] in
+  let ok = ref true in
+  for _ = 1 to 20 do
+    let i = Dist.exponential_race_n b ~rates:buf ~n ~delay in
+    (match Dist.exponential_race a ~rates with
+    | Some (j, t) ->
+      if i <> j || Int64.bits_of_float t <> Int64.bits_of_float delay.(0) then ok := false
+    | None -> if i <> -1 then ok := false);
+    if Rng.bits64 a <> Rng.bits64 b then ok := false
+  done;
   !ok
 
 let test_uniform_choice () =
@@ -581,6 +639,7 @@ let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng per-path streams" `Quick test_rng_per_path_streams;
+    Alcotest.test_case "rng golden values" `Quick test_rng_golden;
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
     Alcotest.test_case "rng int range" `Quick test_rng_int_range;
     Alcotest.test_case "rng uniformity" `Slow test_rng_uniformity;
@@ -590,6 +649,7 @@ let suite =
       test_negative_params_rejected;
     prop 20 "categorical frequencies track weights" gen_weight_case
       prop_categorical_frequencies;
+    prop 500 "exponential_race_n = exponential_race" gen_race_case prop_race_n_is_race;
     Alcotest.test_case "uniform choice" `Quick test_uniform_choice;
     Alcotest.test_case "exponential race" `Slow test_exponential_race;
     Alcotest.test_case "chernoff bound" `Quick test_chernoff_bound;
