@@ -13,6 +13,7 @@ let () =
       ("obs", Test_obs.suite);
       ("ctmc", Test_ctmc.suite);
       ("safety", Test_safety.suite);
+      ("safety-cli", Test_safety_cli.suite);
       ("analyze", Test_analyze.suite);
       ("prepass", Test_prepass.suite);
       ("features", Test_features.suite);
