@@ -280,7 +280,7 @@ let analyze_p0 ~max_nodes ~widen_after ?hold (net : Network.t) ~goal =
     let was_active = Array.init n_procs (active locs) in
     let fire parts =
       (* updates (pre-jump locations) -> location switch -> flows ->
-         reactivation restarts -> flows, mirroring Moves.apply *)
+         reactivation restarts -> flows, mirroring Compiled.apply *)
       let store' = Array.copy store in
       List.iter
         (fun (p, tr_idx) ->

@@ -13,13 +13,12 @@ type report = {
 }
 
 let check ?max_states ?hold ?(lump = true) net ~goal ~horizon =
+  Slimsim_sta.Walker.protect @@ fun () ->
   match Explorer.explore ?max_states ?hold net ~goal with
   | exception Explorer.Not_untimed msg -> Error ("model is not untimed: " ^ msg)
   | exception Explorer.Immediate_cycle msg -> Error msg
   | exception Explorer.Too_many_states n ->
     Error (Printf.sprintf "state space exceeds %d states" n)
-  | exception Slimsim_sta.Value.Type_error msg -> Error ("type error: " ^ msg)
-  | exception Slimsim_sta.Linear.Nonlinear msg -> Error ("non-linear guard: " ^ msg)
   | ctmc, stats ->
     let lumped, lump_seconds =
       if lump then

@@ -7,12 +7,11 @@
     baseline and the simulator agree on the underlying probability
     measure (which is what Table I compares).
 
-    Exploration steps on the compiled engine ({!Slimsim_sta.Compiled}),
-    which mirrors [Moves] float-op for float-op, through one scratch
-    state per call, and interns stable states in a
-    {!Slimsim_sta.State.Tbl} hashed over every location and value.  The
-    test suite checks the result, state numbering included, bit for bit
-    against an interpreter-based reference explorer. *)
+    Exploration runs on the state-graph walker ({!Slimsim_sta.Walker}):
+    its immediate closure (an immediate cycle raises
+    {!Immediate_cycle}), its Markovian successors and its interning
+    table.  The test suite checks the result, state numbering included,
+    bit for bit against an interpreter-based reference explorer. *)
 
 exception Not_untimed of string
 (** The network has clocks or continuous variables; the CTMC pipeline

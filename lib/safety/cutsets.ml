@@ -39,30 +39,7 @@ let basic_events (net : Network.t) =
     net.procs;
   List.rev !out
 
-(* Immediately enabled guarded moves (the untimed abstraction). *)
-let immediate net s =
-  Moves.discrete net s
-  |> List.filter_map (fun { Moves.move; window } ->
-         if Moves.I.mem 0.0 window then Some move else None)
-
-exception Search_limit of string
-
-(* All stable states reachable from [s] by immediate moves (all
-   branches).  Cycles are cut off rather than reported: a cycling branch
-   contributes no stable state. *)
-let closure net budget s =
-  let out = ref [] in
-  let rec go s on_path =
-    decr budget;
-    if !budget < 0 then raise (Search_limit "closure budget exhausted");
-    match immediate net s with
-    | [] -> out := s :: !out
-    | moves ->
-      if not (List.exists (State.equal_timeless s) on_path) then
-        List.iter (fun mv -> go (Moves.apply net s mv) (s :: on_path)) moves
-  in
-  go s [];
-  !out
+let stable_states w s = Walker.closure w ~on_cycle:ignore (fun s _ acc -> s :: acc) s []
 
 module Key_set = Set.Make (struct
   type t = int * int
@@ -70,99 +47,78 @@ module Key_set = Set.Make (struct
   let compare = compare
 end)
 
-let set_key cs = List.map (fun e -> (e.be_proc, e.be_tr)) cs |> Key_set.of_list
-
-let is_superset_of_any mcs keys =
-  List.exists (fun (found, _) -> Key_set.subset found keys) mcs
-
 let minimal_cut_sets ?(max_order = 3) ?(max_expansions = 200_000)
     (net : Network.t) ~goal =
   let events = basic_events net in
-  let budget = ref max_expansions in
+  let w = Walker.create ~budget:max_expansions net in
+  let hit = List.exists (fun s -> State.eval_bool s goal) in
+  Walker.protect @@ fun () ->
   try
-    let initial = closure net budget (State.initial net) in
-    if List.exists (fun s -> State.eval_bool s goal) initial then
+    let initial = stable_states w (State.initial net) in
+    if hit initial then
       (* the top event can occur without any fault *)
       Ok [ [] ]
     else begin
-      (* frontier: stable states with the event set that produced them *)
+      (* [mcs]: the (process, transition) sets found to reach the top
+         event; frontier: stable states with the set that produced them *)
       let mcs = ref [] in
-      let frontier = ref (List.map (fun s -> (s, Key_set.empty, [])) initial) in
+      let covered keys = List.exists (fun found -> Key_set.subset found keys) !mcs in
+      let frontier = ref (List.map (fun s -> (s, Key_set.empty)) initial) in
       for _order = 1 to max_order do
         let next = ref [] in
         let seen = State.Tbl.create 256 in
         List.iter
-          (fun (s, keys, used) ->
-            if not (is_superset_of_any !mcs keys) then
+          (fun (s, keys) ->
+            if not (covered keys) then
               List.iter
                 (fun (p, ti, _rate) ->
-                  let k = (p, ti) in
-                  if not (Key_set.mem k keys) then begin
-                    let ev =
-                      List.find
-                        (fun e -> e.be_proc = p && e.be_tr = ti)
-                        events
+                  let keys' = Key_set.add (p, ti) keys in
+                  if not (Key_set.mem (p, ti) keys || covered keys') then begin
+                    Walker.charge w;
+                    let stables =
+                      stable_states w (Walker.successor w s (Moves.Local { proc = p; tr = ti }))
                     in
-                    let keys' = Key_set.add k keys in
-                    if not (is_superset_of_any !mcs keys') then begin
-                      decr budget;
-                      if !budget < 0 then
-                        raise (Search_limit "expansion budget exhausted");
-                      let s' =
-                        Moves.apply net s (Moves.Local { proc = p; tr = ti })
-                      in
-                      let stables = closure net budget s' in
-                      let hit =
-                        List.exists (fun st -> State.eval_bool st goal) stables
-                      in
-                      if hit then begin
-                        (* drop any previously queued superset work *)
-                        mcs := (keys', ev :: used) :: !mcs
-                      end
-                      else
-                        List.iter
-                          (fun st ->
-                            let prev =
-                              Option.value ~default:[] (State.Tbl.find_opt seen st)
-                            in
-                            if not (List.exists (Key_set.equal keys') prev) then begin
-                              State.Tbl.replace seen st (keys' :: prev);
-                              next := (st, keys', ev :: used) :: !next
-                            end)
-                          stables
-                    end
+                    if hit stables then mcs := keys' :: !mcs
+                    else
+                      List.iter
+                        (fun st ->
+                          let prev =
+                            Option.value ~default:[] (State.Tbl.find_opt seen st)
+                          in
+                          if not (List.exists (Key_set.equal keys') prev) then begin
+                            State.Tbl.replace seen st (keys' :: prev);
+                            next := (st, keys') :: !next
+                          end)
+                        stables
                   end)
-                (Moves.markovian net s))
+                (Walker.markovian w s))
           !frontier;
         frontier := !next
       done;
-      (* normalize: sort each set, drop non-minimal ones *)
+      (* each set's events in (process, transition) order; drop the
+         non-minimal ones *)
       let sets =
-        List.map (fun (_, used) -> List.sort compare used) !mcs
+        List.map
+          (fun keys -> List.filter (fun e -> Key_set.mem (e.be_proc, e.be_tr) keys) events)
+          !mcs
         |> List.sort_uniq compare
       in
-      let keyed = List.map (fun cs -> (set_key cs, cs)) sets in
-      let minimal =
-        List.filter
-          (fun (k, _) ->
-            not
-              (List.exists
-                 (fun (k', _) -> (not (Key_set.equal k k')) && Key_set.subset k' k)
-                 keyed))
-          keyed
-        |> List.map snd
-        |> List.sort (fun a b ->
-               compare (List.length a, a) (List.length b, b))
-      in
-      Ok minimal
+      let subset a b = List.for_all (fun e -> List.mem e b) a in
+      Ok
+        (List.filter
+           (fun cs -> not (List.exists (fun cs' -> cs' <> cs && subset cs' cs) sets))
+           sets
+        |> List.sort (fun a b -> compare (List.length a, a) (List.length b, b)))
     end
-  with Search_limit msg -> Error msg
+  with Walker.Exhausted { in_closure } ->
+    Error
+      (if in_closure then "closure budget exhausted"
+       else "expansion budget exhausted")
 
-let fault_tree ?max_order net ~goal ~top =
-  match minimal_cut_sets ?max_order net ~goal with
-  | Error e -> Error e
-  | Ok cut_sets ->
-    Ok { top; cut_sets; max_order = Option.value ~default:3 max_order }
+let fault_tree ?(max_order = 3) net ~goal ~top =
+  Result.map
+    (fun cut_sets -> { top; cut_sets; max_order })
+    (minimal_cut_sets ~max_order net ~goal)
 
 let event_probability e ~horizon = 1.0 -. exp (-.e.be_rate *. horizon)
 

@@ -34,6 +34,13 @@ val basic_events : Slimsim_sta.Network.t -> basic_event list
 (** All rate transitions of the network, in (process, transition)
     order. *)
 
+val stable_states :
+  Slimsim_sta.Walker.t -> Slimsim_sta.State.t -> Slimsim_sta.State.t list
+(** The untimed abstraction's reaction to a state, shared by the safety
+    analyses: the stable states reached from it by immediate moves, all
+    branches, the last one reached first.  A branch that cycles through
+    immediate moves is cut: it contributes no stable state. *)
+
 val minimal_cut_sets :
   ?max_order:int ->
   ?max_expansions:int ->

@@ -27,6 +27,12 @@ type verdict = {
       (** observables that deviate, with their deviant values *)
 }
 
+val resolve_observables :
+  Slimsim_sta.Network.t -> string list -> ((string * int) list, string) result
+(** Each name with its variable: the observed [#inj] view when it
+    exists, the variable itself otherwise; an unknown name is an
+    error. *)
+
 val analyze :
   ?max_expansions:int ->
   ?settle_time:float ->

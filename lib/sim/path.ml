@@ -477,7 +477,7 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
   (* Cost extraction is purely post-verdict: on [Sat t] the scratch
      still holds the step-start state, so the cost variable's value at
      the crossing is its step-start value plus rate × (t - step-start
-     time), the linear-advance rule [State.advance] applies.  The rate
+     time), the interpreter's linear-advance rule.  The rate
      vector is current for that state whenever t exceeds the step-start
      time (the crossing came from [until_crossing_c], which runs after
      [set_rates]); at t = step-start time the dt factor is 0 and a

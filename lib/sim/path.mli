@@ -152,7 +152,7 @@ val generate :
     [cost = (v, cell)] designates variable [v] as a cost observer: on a
     [Sat t] verdict, [cell] receives the exact value of [v] at the
     crossing instant [t] (step-start value plus rate × dt under the
-    linear semantics — the same rule [State.advance] applies).
+    linear semantics, the interpreter's linear-advance rule).
 
     [record], [cost] and [obs] draw nothing from the RNG and change no
     control flow, so the verdict stream is the same with or without

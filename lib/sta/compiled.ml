@@ -4,10 +4,10 @@
    per-worker scratch state instead of immutable snapshots.
 
    The compiled core is semantically locked to the interpreter
-   (Expr.eval / Linear.sat_set / State / Moves): every float operation
-   is performed in the same order with the same primitives, so a
-   compiled path produces a bit-identical verdict stream for a fixed
-   seed.  The documented deviations: integer arithmetic feeding a
+   (Expr.eval / Linear.sat_set / State / test/moves_oracle.ml): every
+   float operation is performed in the same order with the same
+   primitives, so a compiled path produces a bit-identical verdict
+   stream for a fixed seed.  The documented deviations: integer arithmetic feeding a
    comparison is carried in doubles, so integers beyond 2^53 would
    diverge (SLIM integers are small); the *message* carried by a
    [Value.Type_error] from an ill-typed model may differ (the exception
@@ -923,7 +923,7 @@ let rec compile_win (e : Expr.t) k : (cstate -> unit) * int =
 (* Compiled network tables                                            *)
 
 type ctrans = {
-  tr_id : int;  (* index into [Automaton.transitions], for [Moves] parity *)
+  tr_id : int;  (* index into [Automaton.transitions], for parity with the interpreter *)
   t_dst : int;
   t_win : cstate -> unit;  (* the guard's delay window, into slot [ev_root] *)
   t_rate : float;  (* 0 for guarded transitions *)
@@ -1211,8 +1211,9 @@ let reset c s =
   mark_all c s;
   apply_flows c s
 
-(* Mirrors [State.rate_array]: clocks of active owners tick at 1, then
-   location-specific derivatives of active processes override. *)
+(* Mirrors [Moves_oracle.rate_array]: clocks of active owners tick at
+   1, then location-specific derivatives of active processes
+   override. *)
 let set_rates c s =
   Array.fill s.rates 0 c.n_vars 0.0;
   let clocks = c.clocks in
@@ -1318,9 +1319,9 @@ let eval_bool_after c s ~cap (f : cbool) =
     raise e
 
 (* ------------------------------------------------------------------ *)
-(* Moves (mirrors [Moves], table-driven, into the move buffer)        *)
+(* Moves (mirrors [Moves_oracle], table-driven, into the move buffer) *)
 
-(* [Moves.invariant_window], into slot 0, where [discrete] and the
+(* [Moves_oracle.invariant_window], into slot 0, where [discrete] and the
    [inv_*] readers find it. *)
 let invariant_window c s =
   let ev = s.ev in
@@ -1397,7 +1398,7 @@ let push_move s event len w j =
   s.n_moves <- i + 1
 
 (* Every candidate of every active participant on event [e] (guards are
-   evaluated for all of them, as [Moves.discrete] does), then every
+   evaluated for all of them, as [Moves_oracle.discrete] does), then every
    combination in the interpreter's order: the first participant's
    choice varies slowest. *)
 let sync_moves c s e =
@@ -1575,7 +1576,7 @@ let invariants_hold c s =
   done;
   !ok
 
-(* Mirrors [Moves.apply] for the move whose participants are
+(* Mirrors [Moves_oracle.apply] for the move whose participants are
    [procs.(off) .. procs.(off + len - 1)] with transitions [trs]:
    advance, updates (participant order), location switches, flows,
    reactivation restarts, flows again.  Only [Restart] processes can be

@@ -4,10 +4,13 @@
     operates on a mutable per-worker {!cstate} scratch.
 
     Semantic contract: every operation mirrors the reference
-    interpreter ([Expr.eval], [Linear.sat_set], [State], [Moves])
-    float-op for float-op, so a compiled simulation produces a
-    bit-identical verdict stream for a fixed seed.  The cross-check
-    tests in [test/test_compiled.ml] enforce this.
+    interpreter ([Expr.eval], [Linear.sat_set], [State], and the move
+    semantics of the test oracle [test/moves_oracle.ml]) float-op for
+    float-op, so a compiled simulation produces a bit-identical verdict
+    stream for a fixed seed.  The cross-check tests in
+    [test/test_compiled.ml] enforce this.  The simulator ([Path]) and
+    the untimed state-graph walker ({!Walker}) are the two clients of
+    this module; no production code runs the interpreter.
 
     Ownership rules for {!cstate} (see [docs/PERFORMANCE.md]):
     - a scratch state belongs to exactly one worker; never share one
@@ -89,7 +92,7 @@ val rate : cstate -> int -> float
 val to_state : t -> cstate -> State.t
 val of_state : t -> cstate -> State.t -> unit
 
-(** {1 Per-step operations} — each mirrors its [State]/[Moves]
+(** {1 Per-step operations} — each mirrors its [State]/[Moves_oracle]
     counterpart exactly.  Move enumeration fills a buffer in the scratch
     state instead of returning lists: windows that are one interval are
     stored unboxed, so a step over clock guards allocates next to
@@ -97,17 +100,18 @@ val of_state : t -> cstate -> State.t -> unit
 
 val set_rates : t -> cstate -> unit
 (** Refresh the rate vector for the current discrete state
-    ([State.rate_array]). *)
+    ([Moves_oracle.rate_array]). *)
 
 val advance : t -> cstate -> float -> unit
-(** Delay by [d] under the current rate vector ([State.advance]);
-    requires {!set_rates} to have run since the last discrete change.
-    Like [State.advance], it leaves data flows alone: the flows a delay
-    can change are marked dirty and re-evaluated by the next move. *)
+(** Delay by [d] under the current rate vector
+    ([Moves_oracle.advance]); requires {!set_rates} to have run since
+    the last discrete change.  Like [Moves_oracle.advance], it leaves
+    data flows alone: the flows a delay can change are marked dirty and
+    re-evaluated by the next move. *)
 
 val invariant_window : t -> cstate -> unit
-(** [Moves.invariant_window], kept in the scratch: {!discrete} reads it
-    there, and so do the [inv_*] readers below, until the next
+(** [Moves_oracle.invariant_window], kept in the scratch: {!discrete}
+    reads it there, and so do the [inv_*] readers below, until the next
     [invariant_window]. *)
 
 val inv_window : cstate -> I.t
@@ -124,7 +128,7 @@ val inv_sup : cstate -> float
 (** The window's supremum when it is finite, [infinity] otherwise. *)
 
 val discrete : t -> cstate -> int
-(** [Moves.discrete] within the window of the last {!invariant_window}:
+(** [Moves_oracle.discrete] within the window of the last {!invariant_window}:
     fills the move buffer with every enabled τ/sync move and its delay
     window, in the interpreter's order, and returns their number.  Moves
     are addressed by their index in the buffer, which stays valid until
@@ -138,7 +142,7 @@ val window_mem : cstate -> int -> float -> bool
     [d] ([Interval_set.mem]). *)
 
 val timed_moves : t -> cstate -> Moves.timed list
-(** The buffer as [Moves.discrete]'s list (allocates; for tests and
+(** The buffer as [Moves_oracle.discrete]'s list (allocates; for tests and
     cold paths). *)
 
 val moves_first_point : cstate -> eps:float -> float
@@ -151,7 +155,7 @@ val moves_sample_uniform : cstate -> cap:float -> (float -> float) -> float opti
     union is unbounded: the progressive strategy's delay. *)
 
 val markovian : t -> cstate -> int
-(** [Moves.markovian]: writes the rates of the enabled rate transitions
+(** [Moves_oracle.markovian]: writes the rates of the enabled rate transitions
     into {!markov_buf}, in the interpreter's order, and returns their
     number; {!markov_proc} and {!markov_tr} name the [i]-th. *)
 
@@ -163,7 +167,7 @@ val markov_buf : cstate -> float array
     rates; sized to the network's largest possible race. *)
 
 val apply : t -> cstate -> ?delay:float -> Moves.move -> unit
-(** [Moves.apply], in place.  The rate vector must describe the
+(** [Moves_oracle.apply], in place.  The rate vector must describe the
     pre-[apply] state (it is read by the advance but never written). *)
 
 val apply_move : t -> cstate -> delay:float -> int -> unit
@@ -173,10 +177,8 @@ val apply_local : t -> cstate -> delay:float -> int -> int -> unit
 (** [apply_local c s ~delay p tr] is
     [apply c s ~delay (Moves.Local { proc = p; tr })]. *)
 
-val invariants_hold : t -> cstate -> bool
-
 val enabled_after : t -> cstate -> float -> int
-(** [Moves.enabled_after] over the buffered moves: tries each move
+(** [Moves_oracle.enabled_after] over the buffered moves: tries each move
     whose window contains the delay on the trial buffer and returns the
     number of moves after which every invariant holds; {!enabled} names
     them, in buffer order. *)

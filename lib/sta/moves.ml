@@ -6,172 +6,6 @@ type move =
 
 type timed = { move : move; window : I.t }
 
-let nonneg = I.at_least 0.0
-
-let sat net state rates e =
-  ignore net;
-  Linear.sat_set ~env:(State.env state) ~rate:(fun v -> rates.(v))
-    ~at_loc:(State.at_loc state) e
-
-let invariant_window ?rates (net : Network.t) state =
-  let rates = match rates with Some r -> r | None -> State.rate_array net state in
-  let inv_set =
-    Array.to_list net.procs
-    |> List.mapi (fun p proc -> (p, proc))
-    |> List.fold_left
-         (fun acc (p, (proc : Automaton.t)) ->
-           if State.proc_active net state p then
-             I.inter acc (sat net state rates proc.locations.(state.locs.(p)).invariant)
-           else acc)
-         I.full
-  in
-  match I.component_at 0.0 (I.inter inv_set nonneg) with
-  | None -> I.empty
-  | Some iv -> I.make iv.I.lo iv.I.hi
-
-(* Per-process candidates on event [e] from the current location. *)
-let event_candidates (net : Network.t) state rates inv_win p e =
-  let proc = net.procs.(p) in
-  List.filter_map
-    (fun ti ->
-      let tr = proc.Automaton.transitions.(ti) in
-      match tr.label, tr.guard with
-      | Automaton.Event e', Automaton.Guard g when e' = e ->
-        let w = I.inter inv_win (sat net state rates g) in
-        if I.is_empty w then None else Some (ti, w)
-      | _ -> None)
-    proc.Automaton.outgoing.(state.State.locs.(p))
-
-let rec cartesian = function
-  | [] -> [ [] ]
-  | choices :: rest ->
-    let tails = cartesian rest in
-    List.concat_map (fun c -> List.map (fun t -> c :: t) tails) choices
-
-let discrete ?rates ?inv_win (net : Network.t) state =
-  let rates = match rates with Some r -> r | None -> State.rate_array net state in
-  let inv_win =
-    match inv_win with Some w -> w | None -> invariant_window ~rates net state
-  in
-  if I.is_empty inv_win then []
-  else begin
-    let moves = ref [] in
-    (* Local τ moves. *)
-    Array.iteri
-      (fun p (proc : Automaton.t) ->
-        if State.proc_active net state p then
-          List.iter
-            (fun ti ->
-              let tr = proc.transitions.(ti) in
-              match tr.label, tr.guard with
-              | Automaton.Tau, Automaton.Guard g ->
-                let w = I.inter inv_win (sat net state rates g) in
-                if not (I.is_empty w) then
-                  moves := { move = Local { proc = p; tr = ti }; window = w } :: !moves
-              | _ -> ())
-            proc.outgoing.(state.State.locs.(p)))
-      net.procs;
-    (* Multiway synchronizations: every active participant must offer a
-       transition; inactive processes do not block (they are detached by
-       dynamic reconfiguration). *)
-    Array.iteri
-      (fun e parts ->
-        let active_parts = List.filter (State.proc_active net state) parts in
-        if active_parts <> [] then begin
-          let per_proc =
-            List.map
-              (fun p -> (p, event_candidates net state rates inv_win p e))
-              active_parts
-          in
-          if List.for_all (fun (_, cs) -> cs <> []) per_proc then
-            let combos =
-              cartesian
-                (List.map (fun (p, cs) -> List.map (fun c -> (p, c)) cs) per_proc)
-            in
-            List.iter
-              (fun combo ->
-                let w =
-                  List.fold_left (fun acc (_, (_, wi)) -> I.inter acc wi) inv_win combo
-                in
-                if not (I.is_empty w) then
-                  let parts = List.map (fun (p, (ti, _)) -> (p, ti)) combo in
-                  moves := { move = Sync { event = e; parts }; window = w } :: !moves)
-              combos
-        end)
-      net.participants;
-    List.rev !moves
-  end
-
-let markovian (net : Network.t) state =
-  let out = ref [] in
-  Array.iteri
-    (fun p (proc : Automaton.t) ->
-      if State.proc_active net state p then
-        List.iter
-          (fun ti ->
-            match proc.transitions.(ti).guard with
-            | Automaton.Rate r -> out := (p, ti, r) :: !out
-            | Automaton.Guard _ -> ())
-          proc.outgoing.(state.State.locs.(p)))
-    net.procs;
-  List.rev !out
-
-let invariants_hold (net : Network.t) state =
-  let ok = ref true in
-  Array.iteri
-    (fun p (proc : Automaton.t) ->
-      if
-        !ok
-        && State.proc_active net state p
-        && not (State.eval_bool state proc.locations.(state.State.locs.(p)).invariant)
-      then ok := false)
-    net.procs;
-  !ok
-
-let apply (net : Network.t) state ?(delay = 0.0) move =
-  let state = State.advance net state delay in
-  let was_active = Array.init (Network.n_procs net) (State.proc_active net state) in
-  let parts =
-    match move with
-    | Local { proc; tr } -> [ (proc, tr) ]
-    | Sync { parts; _ } -> parts
-  in
-  (* Updates first (they read the pre-jump valuation at the fire time),
-     then the location switches. *)
-  let state =
-    List.fold_left
-      (fun st (p, ti) ->
-        State.apply_updates st net.procs.(p).Automaton.transitions.(ti).updates)
-      state parts
-  in
-  let state =
-    List.fold_left
-      (fun st (p, ti) ->
-        State.set_loc st ~proc:p ~loc:net.procs.(p).Automaton.transitions.(ti).dst)
-      state parts
-  in
-  let state = State.apply_flows net state in
-  (* Dynamic reconfiguration: restart processes that just became active
-     under a Restart policy. *)
-  let state = ref state in
-  Array.iteri
-    (fun p meta ->
-      if
-        (not was_active.(p))
-        && State.proc_active net !state p
-        && meta.Network.reactivation = Network.Restart
-      then state := State.restart_proc net !state p)
-    net.meta;
-  State.apply_flows net !state
-
-let enabled_after net state d timed_moves =
-  List.filter_map
-    (fun { move; window } ->
-      if I.mem d window && invariants_hold net (apply net state ~delay:d move) then
-        Some move
-      else None)
-    timed_moves
-
 let describe (net : Network.t) = function
   | Local { proc; tr } ->
     let p = net.procs.(proc) in

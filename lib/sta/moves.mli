@@ -1,8 +1,9 @@
-(** Enumeration of the global moves available in a state, together with
-    the delay windows at which each move is enabled, and the execution of
-    a chosen move.  This module realizes the product semantics of §II-E:
-    internal (τ) moves of a single process, multiway synchronizations on
-    shared events, and Markovian (rate) moves. *)
+(** The global moves of a network (§II-E): internal (τ) moves of a
+    single process, multiway synchronizations on shared events, and
+    Markovian (rate) moves.  {!Compiled} enumerates and executes them,
+    and {!Walker} walks the untimed state graph they span; the
+    interpreted semantics they mirror is a test oracle
+    ([test/moves_oracle.ml]). *)
 
 module I = Slimsim_intervals.Interval_set
 
@@ -14,32 +15,10 @@ type move =
 
 type timed = { move : move; window : I.t }
 (** A guarded move and the delays [d >= 0] at which it can fire: the
-    guard(s) hold after [d] and all invariants hold throughout [[0, d]]. *)
-
-val invariant_window : ?rates:float array -> Network.t -> State.t -> I.t
-(** Admissible delays: the connected component at 0 of the intersection
-    of all active processes' invariant satisfaction sets (within
-    [[0, +inf)]).  Empty iff some invariant is already violated. *)
-
-val discrete : ?rates:float array -> ?inv_win:I.t -> Network.t -> State.t -> timed list
-(** All guarded moves with non-empty windows.  Windows account for
-    source-side guards and global invariants; the target locations'
-    invariants are checked at execution time by {!enabled_after}. *)
-
-val markovian : Network.t -> State.t -> (int * int * float) list
-(** Rate transitions available now: (process, transition, rate). *)
-
-val apply : Network.t -> State.t -> ?delay:float -> move -> State.t
-(** Execute the move after letting [delay] pass (default 0): advance
-    time, apply participant updates left-to-right in participant order,
-    switch locations, recompute data flows, and perform reactivation
-    restarts for processes whose activation condition became true. *)
-
-val invariants_hold : Network.t -> State.t -> bool
-(** All active processes' invariants hold in the state. *)
-
-val enabled_after : Network.t -> State.t -> float -> timed list -> move list
-(** The moves of [timed] whose window contains the given delay and whose
-    execution lands in a state satisfying all invariants. *)
+    guard(s) hold after [d] and all invariants hold throughout [[0, d]].
+    The target locations' invariants are checked at execution time
+    ({!Compiled.enabled_after}). *)
 
 val describe : Network.t -> move -> string
+(** One line naming the move's process(es) and location switch(es),
+    with the rate of a rate transition. *)

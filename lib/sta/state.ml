@@ -23,62 +23,6 @@ let initial (net : Network.t) =
   let vals = Array.map (fun (v : Network.var_info) -> v.init) net.vars in
   apply_flows net { locs; vals; time = 0.0 }
 
-let rate_array (net : Network.t) t =
-  let rates = Array.make (Array.length net.vars) 0.0 in
-  Array.iteri
-    (fun v (info : Network.var_info) ->
-      let active =
-        match info.owner with None -> true | Some p -> proc_active net t p
-      in
-      if active then
-        match info.kind with
-        | Network.Discrete -> ()
-        | Network.Clock -> rates.(v) <- 1.0
-        | Network.Continuous -> ())
-    net.vars;
-  (* Location-specific derivative overrides. *)
-  Array.iteri
-    (fun p (proc : Automaton.t) ->
-      if proc_active net t p then
-        List.iter
-          (fun (v, r) -> rates.(v) <- r)
-          proc.locations.(t.locs.(p)).derivs)
-    net.procs;
-  rates
-
-let advance net ?rates t d =
-  if d = 0.0 then t
-  else begin
-    let rates = match rates with Some r -> r | None -> rate_array net t in
-    let vals = Array.copy t.vals in
-    Array.iteri
-      (fun v r ->
-        if r <> 0.0 then vals.(v) <- Value.Real (Value.as_float vals.(v) +. (r *. d)))
-      rates;
-    { t with vals; time = t.time +. d }
-  end
-
-let apply_updates t updates =
-  match updates with
-  | [] -> t
-  | _ ->
-    let vals = Array.copy t.vals in
-    let tmp = { t with vals } in
-    List.iter (fun (v, e) -> vals.(v) <- eval tmp e) updates;
-    { t with vals }
-
-let set_loc t ~proc ~loc =
-  let locs = Array.copy t.locs in
-  locs.(proc) <- loc;
-  { t with locs }
-
-let restart_proc (net : Network.t) t p =
-  let locs = Array.copy t.locs in
-  locs.(p) <- net.procs.(p).Automaton.initial_loc;
-  let vals = Array.copy t.vals in
-  List.iter (fun v -> vals.(v) <- net.vars.(v).Network.init) net.meta.(p).owned_vars;
-  { t with locs; vals }
-
 (* [compare]-equality, the semantics of the polymorphic [Hashtbl]:
    [0.0] equals [-0.0] and NaN equals NaN. *)
 let equal_timeless t1 t2 = compare t1.locs t2.locs = 0 && compare t1.vals t2.vals = 0

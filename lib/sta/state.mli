@@ -1,6 +1,7 @@
 (** Global states of a network: one location per process, a valuation of
-    all variables, and the elapsed global time.  States are immutable;
-    transitions produce fresh states. *)
+    all variables, and the elapsed global time.  States are immutable
+    values: the compiled engine steps on its own scratch representation
+    ({!Compiled.to_state}, {!Compiled.of_state}). *)
 
 type t = {
   locs : int array;
@@ -20,27 +21,8 @@ val proc_active : Network.t -> t -> int -> bool
 (** Dynamic reconfiguration: whether the process's activation condition
     holds in this state. *)
 
-val rate_array : Network.t -> t -> float array
-(** Current derivative of every variable: clocks tick at 1 and continuous
-    variables follow their location's derivative while the owning process
-    is active; everything else (and every variable of an inactive
-    process) has derivative 0. *)
-
-val advance : Network.t -> ?rates:float array -> t -> float -> t
-(** Timed transition: let [d] time units pass. *)
-
-val apply_updates : t -> (int * Expr.t) list -> t
-(** Discrete effects, applied left-to-right. *)
-
 val apply_flows : Network.t -> t -> t
 (** Recompute all data-port flows (already in dependency order). *)
-
-val set_loc : t -> proc:int -> loc:int -> t
-
-val restart_proc : Network.t -> t -> int -> t
-(** Reset a process to its initial location and its owned variables to
-    their initial values (used by [Restart] reactivation and [reset]
-    effects). *)
 
 val equal_timeless : t -> t -> bool
 (** Same locations and values, ignoring time.  Values are compared with

@@ -15,7 +15,7 @@ type key = int array * Value.t array
 let key_of (s : State.t) : key = (s.locs, s.vals)
 
 let immediate net s =
-  Moves.discrete net s
+  Moves_oracle.discrete net s
   |> List.filter_map (fun { Moves.move; window } ->
          if Moves.I.mem 0.0 window then Some move else None)
 
@@ -57,7 +57,7 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
              "a cycle of immediate transitions never reaches a stable state");
       let p = prob /. float_of_int (List.length moves) in
       List.fold_left
-        (fun acc mv -> close (Moves.apply net s mv) p (k :: on_path) acc)
+        (fun acc mv -> close (Moves_oracle.apply net s mv) p (k :: on_path) acc)
         acc moves
   in
   let merge entries =
@@ -77,14 +77,14 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
     let s = !states.(i) in
     List.iter
       (fun (p, tr, rate) ->
-        let s' = Moves.apply net s (Moves.Local { proc = p; tr }) in
+        let s' = Moves_oracle.apply net s (Moves.Local { proc = p; tr }) in
         let dist = merge (close s' 1.0 [] []) in
         List.iter
           (fun (j, prob) ->
             transitions := (i, j, rate *. prob) :: !transitions;
             incr n_trans)
           dist)
-      (Moves.markovian net s)
+      (Moves_oracle.markovian net s)
   done;
   let states = Array.sub !states 0 !n in
   let goal_arr = Array.map (fun s -> State.eval_bool s goal) states in

@@ -30,7 +30,7 @@ let crossing_points rates net s ~goal ~hold ~eps ~cap =
     with
     | set -> I.inter set window
     | exception Linear.Nonlinear _ ->
-      if State.eval_bool (State.advance net ~rates s cap) e then I.point cap
+      if State.eval_bool (Moves_oracle.advance net ~rates s cap) e then I.point cap
       else I.empty
   in
   let b = sat goal in
@@ -90,14 +90,14 @@ let generate_weighted ?(record = false) ?(hold = Expr.true_) ?(bias = 1.0)
       let remaining = cfg.horizon -. s.State.time in
       if remaining < 0.0 then Unsat_horizon
       else
-        let rates = State.rate_array net s in
-        let inv_win = Moves.invariant_window ~rates net s in
+        let rates = Moves_oracle.rate_array net s in
+        let inv_win = Moves_oracle.invariant_window ~rates net s in
         if I.is_empty inv_win then
           dead Unsat_timelock "invariant violated with no escape"
         else step s rates inv_win remaining
   and step s rates inv_win remaining =
-    let timed = Moves.discrete ~rates ~inv_win net s in
-    let markov = Moves.markovian net s in
+    let timed = Moves_oracle.discrete ~rates ~inv_win net s in
+    let markov = Moves_oracle.markovian net s in
     let total = List.fold_left (fun acc (_, _, r) -> acc +. r) 0.0 markov in
     let biased =
       List.fold_left (fun acc (p, tr, r) -> acc +. (r *. factor p tr)) 0.0 markov
@@ -138,7 +138,7 @@ let generate_weighted ?(record = false) ?(hold = Expr.true_) ?(bias = 1.0)
         if d <= 0.0 then no_progress "no progress: repeated zero-time advances"
         else zero_advances := 0;
         note s d "advance";
-        state := State.advance net s d;
+        state := Moves_oracle.advance net s d;
         loop ()
     in
     let fire_markov p tr d =
@@ -151,7 +151,7 @@ let generate_weighted ?(record = false) ?(hold = Expr.true_) ?(bias = 1.0)
         if f <> 1.0 then log_lr := !log_lr -. log f;
         let move = Moves.Local { proc = p; tr } in
         note s d (Moves.describe net move);
-        state := Moves.apply net s ~delay:d move;
+        state := Moves_oracle.apply net s ~delay:d move;
         zero_advances := 0;
         loop ()
     in
@@ -161,16 +161,16 @@ let generate_weighted ?(record = false) ?(hold = Expr.true_) ?(bias = 1.0)
       | None when d > remaining -> Unsat_horizon
       | None -> (
         survive d;
-        match Moves.enabled_after net s d timed with
+        match Moves_oracle.enabled_after net s d timed with
         | [] ->
           if d <= 0.0 then no_progress "no progress: enabled window is degenerate";
           note s d "advance (missed)";
-          state := State.advance net s d;
+          state := Moves_oracle.advance net s d;
           loop ()
         | moves ->
           let move = Dist.uniform_choice rng moves in
           note s d (Moves.describe net move);
-          state := Moves.apply net s ~delay:d move;
+          state := Moves_oracle.apply net s ~delay:d move;
           zero_advances := 0;
           loop ())
     in
@@ -196,7 +196,7 @@ let generate_weighted ?(record = false) ?(hold = Expr.true_) ?(bias = 1.0)
           | None when delay > remaining -> give_up ()
           | None ->
             note s delay (Moves.describe net tm.Moves.move);
-            state := Moves.apply net s ~delay tm.Moves.move;
+            state := Moves_oracle.apply net s ~delay tm.Moves.move;
             loop ()))
       | Strategy.Fire_markov { index; delay } -> (
         match List.nth_opt markov index with
@@ -260,7 +260,7 @@ let generate_weighted ?(record = false) ?(hold = Expr.true_) ?(bias = 1.0)
     let s = !state in
     out :=
       Value.as_float (State.env s cv)
-      +. ((State.rate_array net s).(cv) *. (t -. s.State.time))
+      +. ((Moves_oracle.rate_array net s).(cv) *. (t -. s.State.time))
   | _ -> ());
   (result, List.rev !steps)
 

@@ -162,7 +162,7 @@ let prop_float ((e, ((vals, _, locs) as st)) : Expr.t * _) =
 (* The signature as a network: [n_procs] processes of [n_locs]
    locations and [n_vars] unowned clocks, so that a delay on the trial
    buffer advances every variable a random state gives a rate, as
-   [State.advance] does. *)
+   [Moves_oracle.advance] does. *)
 let signature =
   lazy
     (let proc p =
@@ -544,16 +544,16 @@ let walk ~name ~seed ~steps (net : Network.t) =
     end;
     let cs = !s in
     Compiled.set_rates c cs;
-    let rates = State.rate_array net !st in
-    let inv = Moves.invariant_window ~rates net !st in
+    let rates = Moves_oracle.rate_array net !st in
+    let inv = Moves_oracle.invariant_window ~rates net !st in
     Compiled.invariant_window c cs;
     if not (I.equal inv (Compiled.inv_window cs)) then
       Alcotest.failf "%s: invariant windows differ" ctx;
-    let timed = Moves.discrete ~rates ~inv_win:inv net !st in
+    let timed = Moves_oracle.discrete ~rates ~inv_win:inv net !st in
     let n_timed = Compiled.discrete c cs in
     if n_timed <> List.length timed || compare timed (Compiled.timed_moves c cs) <> 0
     then Alcotest.failf "%s: enabled moves differ" ctx;
-    let markov = Moves.markovian net !st in
+    let markov = Moves_oracle.markovian net !st in
     let n_markov = Compiled.markovian c cs in
     let markov_c =
       List.init n_markov (fun i ->
@@ -564,14 +564,14 @@ let walk ~name ~seed ~steps (net : Network.t) =
     if compare markov markov_c <> 0 then Alcotest.failf "%s: rate moves differ" ctx;
     let advance d =
       Compiled.advance c cs d;
-      st := State.advance net ~rates !st d
+      st := Moves_oracle.advance net ~rates !st d
     in
     (match Rng.int rng 5 with
     | 0 when not (I.is_empty inv) -> advance (pick_delay rng inv)
     | _ when timed <> [] ->
       let tm = List.nth timed (Rng.int rng (List.length timed)) in
       let d = pick_delay rng tm.Moves.window in
-      let expected = Moves.enabled_after net !st d timed in
+      let expected = Moves_oracle.enabled_after net !st d timed in
       let n = Compiled.enabled_after c cs d in
       let got = List.init n (fun k -> Compiled.move c cs (Compiled.enabled cs k)) in
       if compare expected got <> 0 then Alcotest.failf "%s: enabled_after differs" ctx;
@@ -581,14 +581,14 @@ let walk ~name ~seed ~steps (net : Network.t) =
       else begin
         let k = Rng.int rng n in
         Compiled.apply_move c cs ~delay:d (Compiled.enabled cs k);
-        st := Moves.apply net !st ~delay:d (List.nth expected k)
+        st := Moves_oracle.apply net !st ~delay:d (List.nth expected k)
       end
     | _ when markov <> [] ->
       let i = Rng.int rng (List.length markov) in
       let p, tr, _ = List.nth markov i in
       let d = pick_delay rng inv in
       Compiled.apply c cs ~delay:d (Moves.Local { proc = p; tr });
-      st := Moves.apply net !st ~delay:d (Moves.Local { proc = p; tr })
+      st := Moves_oracle.apply net !st ~delay:d (Moves.Local { proc = p; tr })
     | _ -> if I.is_empty inv then step := steps else advance (pick_delay rng inv));
     check_same_state ~ctx !st (Compiled.to_state c cs);
     incr step

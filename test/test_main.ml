@@ -14,6 +14,7 @@ let () =
       ("ctmc", Test_ctmc.suite);
       ("safety", Test_safety.suite);
       ("safety-cli", Test_safety_cli.suite);
+      ("walker", Test_walker.suite);
       ("analyze", Test_analyze.suite);
       ("prepass", Test_prepass.suite);
       ("features", Test_features.suite);

@@ -271,9 +271,9 @@ let test_network_lookup () =
 let test_moves_windows () =
   let net = sync_network () in
   let s = State.initial net in
-  let inv = Moves.invariant_window net s in
+  let inv = Moves_oracle.invariant_window net s in
   Alcotest.check set_testable "invariant window" (I.closed 0.0 5.0) inv;
-  let moves = Moves.discrete net s in
+  let moves = Moves_oracle.discrete net s in
   Alcotest.(check int) "two global moves" 2 (List.length moves);
   let find_sync =
     List.find_map
@@ -295,7 +295,7 @@ let test_moves_windows () =
 let test_moves_apply_sync () =
   let net = sync_network () in
   let s = State.initial net in
-  let moves = Moves.discrete net s in
+  let moves = Moves_oracle.discrete net s in
   let sync =
     List.find_map
       (fun { Moves.move; _ } ->
@@ -303,7 +303,7 @@ let test_moves_apply_sync () =
       moves
     |> Option.get
   in
-  let s' = Moves.apply net s ~delay:3.0 sync in
+  let s' = Moves_oracle.apply net s ~delay:3.0 sync in
   Alcotest.(check int) "a moved" 1 s'.State.locs.(0);
   Alcotest.(check int) "b moved" 1 s'.State.locs.(1);
   Alcotest.(check (float 1e-9)) "time advanced" 3.0 s'.State.time;
@@ -313,8 +313,8 @@ let test_moves_apply_sync () =
 let test_moves_apply_updates () =
   let net = sync_network () in
   let s = State.initial net in
-  let s = State.advance net s 4.5 in
-  let moves = Moves.discrete net s in
+  let s = Moves_oracle.advance net s 4.5 in
+  let moves = Moves_oracle.discrete net s in
   (* after 4.5, the tau of b is enabled now *)
   let tau =
     List.find_map
@@ -325,7 +325,7 @@ let test_moves_apply_updates () =
       moves
     |> Option.get
   in
-  let s' = Moves.apply net s tau in
+  let s' = Moves_oracle.apply net s tau in
   Alcotest.(check int) "b at m2" 2 s'.State.locs.(1);
   Alcotest.(check (float 1e-9)) "y reset by update" 0.0
     (Value.as_float s'.State.vals.(1));
@@ -334,18 +334,18 @@ let test_moves_apply_updates () =
 let test_enabled_after_filters () =
   let net = sync_network () in
   let s = State.initial net in
-  let moves = Moves.discrete net s in
+  let moves = Moves_oracle.discrete net s in
   Alcotest.(check int) "nothing enabled at 1.0" 0
-    (List.length (Moves.enabled_after net s 1.0 moves));
+    (List.length (Moves_oracle.enabled_after net s 1.0 moves));
   Alcotest.(check int) "sync enabled at 2.0" 1
-    (List.length (Moves.enabled_after net s 2.0 moves));
+    (List.length (Moves_oracle.enabled_after net s 2.0 moves));
   Alcotest.(check int) "both enabled at 4.5" 2
-    (List.length (Moves.enabled_after net s 4.5 moves))
+    (List.length (Moves_oracle.enabled_after net s 4.5 moves))
 
 let test_state_restart () =
   let net = sync_network () in
-  let s = State.advance net (State.initial net) 3.0 in
-  let meta_owned = State.restart_proc net s 1 in
+  let s = Moves_oracle.advance net (State.initial net) 3.0 in
+  let meta_owned = Moves_oracle.restart_proc net s 1 in
   (* proc 1 owns no vars in default_meta, location resets *)
   Alcotest.(check int) "location reset" 0 meta_owned.State.locs.(1)
 
