@@ -31,6 +31,10 @@ let or_die = function
     prerr_endline e;
     exit 1
 
+(* Refuse a flag outside its range: exit 1, as [simulate]'s checks do. *)
+let check_flag ok flag range =
+  if not ok then or_die (Error (Printf.sprintf "slimsim: --%s must be %s" flag range))
+
 (* --- common arguments --- *)
 
 let model_arg =
@@ -767,6 +771,8 @@ let cutsets_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc:"Print the fault tree as Graphviz dot.")
   in
   let run file goal max_order horizon dot =
+    check_flag (max_order >= 0) "max-order" ">= 0";
+    Option.iter (fun h -> check_flag (h >= 0.0) "horizon" ">= 0") horizon;
     let m = or_die (load file) in
     let t = or_die (S.fault_tree ~max_order m ~goal ~top:goal) in
     if dot then print_string (Slimsim_safety.Cutsets.to_dot t)
@@ -811,6 +817,7 @@ let fdir_cmd =
           ~doc:"Fault-free settling time before the nominal baseline is taken.")
   in
   let run file observables settle =
+    check_flag (settle >= 0.0) "settle" ">= 0";
     let m = or_die (load file) in
     Fmt.pr "%a@." Slimsim_safety.Fdir.pp_table
       (or_die (S.fdir ~settle_time:settle m ~observables))
@@ -830,6 +837,7 @@ let verify_cmd =
     Arg.(value & opt int 1_000_000 & info [ "max-states" ] ~doc:"State-space cap.")
   in
   let run file invariant max_states =
+    check_flag (max_states > 0) "max-states" "positive";
     let m = or_die (load file) in
     let outcome = or_die (S.verify_invariant ~max_states m ~invariant) in
     Fmt.pr "%a@." Slimsim_ctmc.Qualitative.pp_outcome outcome;
@@ -857,6 +865,7 @@ let diagnosability_cmd =
     Arg.(value & opt int 2 & info [ "max-faults" ] ~doc:"Faults injected per scenario.")
   in
   let run file observables diagnosis max_faults =
+    check_flag (max_faults >= 0) "max-faults" ">= 0";
     let m = or_die (load file) in
     Fmt.pr "%a@." Slimsim_safety.Diagnosability.pp_report
       (or_die (S.diagnosability ~max_faults m ~observables ~diagnosis))

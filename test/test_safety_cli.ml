@@ -3,7 +3,9 @@
    exit status of each invocation.  The first eight are the ones the
    README and the tutorial document; the rest cover the dot export, a
    counterexample that mixes rate and immediate moves, and a walk over
-   the 1640 states of the generated sensor/filter model at n = 4. *)
+   the 1640 states of the generated sensor/filter model at n = 4.  The
+   refusals pin the messages for non-Boolean goals and out-of-range
+   flags. *)
 
 let dir = Filename.dirname Sys.executable_name
 let model name = Filename.concat dir ("../examples/models/" ^ name)
@@ -115,4 +117,34 @@ ambiguous observation {heater.temp_ok=false}:
           output_string oc (Slimsim_models.Sensor_filter.source ~n:4));
       pin [ "verify"; sf4; "-i"; "true" ] "invariant holds (1640 states explored)\n")
 
-let suite = [ Alcotest.test_case "safety CLI pins" `Quick test_pins ]
+(* Refusals: exit 1 with the message on stderr and nothing on stdout,
+   never an uncaught exception (cmdliner's 125). *)
+let test_refusals () =
+  List.iter
+    (fun (args, msg) ->
+      let out, err = run_cli ~code:1 args in
+      Alcotest.(check (pair string string)) (String.concat " " args) ("", msg ^ "\n") (out, err))
+    [
+      ([ "cutsets"; heater; "-g"; "3" ], "type error: expected a Boolean, got an integer");
+      ([ "fmea"; heater; "-g"; "3" ], "type error: expected a Boolean, got an integer");
+      ( [ "diagnosability"; heater; "-o"; "heater.temp_ok"; "--diagnosis"; "3" ],
+        "type error: expected a Boolean, got an integer" );
+      ([ "verify"; heater; "-i"; "3" ], "type error: expected a Boolean, got an integer");
+      ([ "cutsets"; heater; "-g"; broken; "--horizon=-3" ], "slimsim: --horizon must be >= 0");
+      ([ "cutsets"; heater; "-g"; broken; "--horizon=nan" ], "slimsim: --horizon must be >= 0");
+      ([ "cutsets"; heater; "-g"; broken; "--max-order=-1" ], "slimsim: --max-order must be >= 0");
+      ( [ "fdir"; heater; "-o"; "heater.temp_ok"; "--settle"; "nan" ],
+        "slimsim: --settle must be >= 0" );
+      ( [ "fdir"; heater; "-o"; "heater.temp_ok"; "--settle=-5" ],
+        "slimsim: --settle must be >= 0" );
+      ( [ "diagnosability"; heater; "-o"; "heater.temp_ok"; "--diagnosis"; broken;
+          "--max-faults=-1" ],
+        "slimsim: --max-faults must be >= 0" );
+      ([ "verify"; heater; "-i"; "true"; "--max-states=-5" ], "slimsim: --max-states must be positive");
+    ]
+
+let suite =
+  [
+    Alcotest.test_case "safety CLI pins" `Quick test_pins;
+    Alcotest.test_case "safety CLI refusals" `Quick test_refusals;
+  ]
