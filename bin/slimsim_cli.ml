@@ -802,14 +802,16 @@ let fmea_cmd =
   Cmd.v (Cmd.info "fmea" ~doc:"Failure Mode and Effects Analysis table")
     Term.(const run $ model_arg $ goal_arg)
 
+(* The observables of [fdir] and [diagnosability], resolved by
+   [Fdir.resolve_observables]. *)
+let observables_arg =
+  Arg.(
+    required
+    & opt (some (list string)) None
+    & info [ "o"; "observables" ] ~docv:"VARS"
+        ~doc:"Comma-separated observable variables (qualified names).")
+
 let fdir_cmd =
-  let observables =
-    Arg.(
-      required
-      & opt (some (list string)) None
-      & info [ "o"; "observables" ] ~docv:"VARS"
-          ~doc:"Comma-separated observable variables (qualified names).")
-  in
   let settle =
     Arg.(
       value & opt float 0.0
@@ -824,7 +826,7 @@ let fdir_cmd =
   in
   Cmd.v
     (Cmd.info "fdir" ~doc:"Fault Detection, Isolation and Recovery analysis")
-    Term.(const run $ model_arg $ observables $ settle)
+    Term.(const run $ model_arg $ observables_arg $ settle)
 
 let verify_cmd =
   let invariant =
@@ -850,13 +852,7 @@ let verify_cmd =
     Term.(const run $ model_arg $ invariant $ max_states)
 
 let diagnosability_cmd =
-  let observables =
-    Arg.(
-      required
-      & opt (some (list string)) None
-      & info [ "o"; "observables" ] ~docv:"VARS"
-          ~doc:"Comma-separated observable variables.")
-  and diagnosis =
+  let diagnosis =
     Arg.(
       required
       & opt (some string) None
@@ -871,7 +867,7 @@ let diagnosability_cmd =
       (or_die (S.diagnosability ~max_faults m ~observables ~diagnosis))
   in
   Cmd.v (Cmd.info "diagnosability" ~doc:"Check that observations determine the diagnosis")
-    Term.(const run $ model_arg $ observables $ diagnosis $ max_faults)
+    Term.(const run $ model_arg $ observables_arg $ diagnosis $ max_faults)
 
 let dot_cmd =
   let process =

@@ -14,10 +14,12 @@ type stats = {
 let check_untimed (net : Network.t) =
   Array.iter
     (fun (v : Network.var_info) ->
-      if v.kind <> Network.Discrete then
+      match v.kind with
+      | Network.Clock | Network.Continuous ->
         raise
           (Not_untimed
-             (Printf.sprintf "variable %s is a clock or continuous" v.var_name)))
+             (Printf.sprintf "variable %s is a clock or continuous" v.var_name))
+      | Network.Discrete -> ())
     net.vars
 
 let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
@@ -32,15 +34,11 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
   in
   (* Distribution over stable states reachable from [s] by immediate
      moves, resolved equiprobably (the simulator's rule, §III-B). *)
-  let close s =
-    Walker.closure w
-      ~on_cycle:(fun () ->
-        raise
-          (Immediate_cycle
-             "a cycle of immediate transitions never reaches a stable state"))
-      (fun s prob acc -> (intern s, prob) :: acc)
-      s []
+  let on_cycle () =
+    raise (Immediate_cycle "a cycle of immediate transitions never reaches a stable state")
   in
+  let leaf s prob acc = (intern s, prob) :: acc in
+  let close s = Walker.closure w ~on_cycle leaf s [] in
   let merge entries =
     let tbl = Hashtbl.create 8 in
     List.iter

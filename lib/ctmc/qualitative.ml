@@ -12,20 +12,20 @@ type outcome =
 (* The violating state's location vector, one "proc=loc" entry per
    process. *)
 let loc_vector net (s : State.t) =
-  List.mapi
-    (fun p l -> Printf.sprintf "%s=%s" (Network.proc_name net p) (Network.loc_name net ~proc:p l))
-    (Array.to_list s.State.locs)
+  Array.to_list
+    (Array.mapi
+       (fun p l ->
+         Printf.sprintf "%s=%s" (Network.proc_name net p)
+           (Network.loc_name net ~proc:p l))
+       s.State.locs)
 
 (* The first move of [s] that reaches [target]: the one that numbered
    [target] when the breadth-first walk expanded [s]. *)
 let move_to w s target =
-  let exception Found of Moves.move in
-  match
-    Walker.successors w s (fun mv s' ->
-        if State.equal_timeless s' target then raise (Found mv))
-  with
-  | () -> assert false
-  | exception Found mv -> mv
+  let first = ref None in
+  Walker.successors w s (fun mv s' ->
+      if !first = None && State.equal_timeless s' target then first := Some mv);
+  Option.get !first
 
 let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
     (net : Network.t) ~prop =

@@ -4,7 +4,8 @@
 
     The reachable state space is explored exhaustively over immediate
     (guarded) and Markovian transitions, abstracting from rates and
-    delays; an invariant violation comes with a counterexample trace. *)
+    delays, on the state-graph walker ({!Slimsim_sta.Walker}); an
+    invariant violation comes with a counterexample trace. *)
 
 type outcome =
   | Holds of { states : int }

@@ -115,10 +115,11 @@ let minimal_cut_sets ?(max_order = 3) ?(max_expansions = 200_000)
       (if in_closure then "closure budget exhausted"
        else "expansion budget exhausted")
 
-let fault_tree ?(max_order = 3) net ~goal ~top =
-  Result.map
-    (fun cut_sets -> { top; cut_sets; max_order })
-    (minimal_cut_sets ~max_order net ~goal)
+let fault_tree ?max_order net ~goal ~top =
+  match minimal_cut_sets ?max_order net ~goal with
+  | Error e -> Error e
+  | Ok cut_sets ->
+    Ok { top; cut_sets; max_order = Option.value ~default:3 max_order }
 
 let event_probability e ~horizon = 1.0 -. exp (-.e.be_rate *. horizon)
 

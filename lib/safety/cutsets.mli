@@ -36,10 +36,8 @@ val basic_events : Slimsim_sta.Network.t -> basic_event list
 
 val stable_states :
   Slimsim_sta.Walker.t -> Slimsim_sta.State.t -> Slimsim_sta.State.t list
-(** The untimed abstraction's reaction to a state, shared by the safety
-    analyses: the stable states reached from it by immediate moves, all
-    branches, the last one reached first.  A branch that cycles through
-    immediate moves is cut: it contributes no stable state. *)
+(** The stable states reached by immediate moves, all branches, the
+    last one first; a branch that cycles is cut. *)
 
 val minimal_cut_sets :
   ?max_order:int ->

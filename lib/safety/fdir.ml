@@ -10,75 +10,64 @@ type verdict = {
 
 let witness w s = match Cutsets.stable_states w s with s' :: _ -> s' | [] -> s
 
-(* Deterministic fault-free settling: advance along the ASAP schedule of
-   guarded moves (rate transitions suppressed) until quiescence or the
-   settle horizon.  This lets timed initialization (e.g. the GPS
-   acquisition window) and timed self-repairs complete so that verdicts
-   are judged against the operational nominal state. *)
-let settle w horizon s =
-  let eps = 1e-9 in
-  let c = Walker.compiled w and cs = Walker.scratch w in
-  let rec go iterations =
-    Walker.charge w;
-    if not (iterations > 10_000 || Compiled.time cs >= horizon) then begin
-      Compiled.set_rates c cs;
-      Compiled.invariant_window c cs;
-      ignore (Compiled.discrete c cs);
-      let first = Compiled.moves_first_point cs ~eps in
-      if not (first = infinity || Compiled.time cs +. first > horizon) then
-        if Compiled.enabled_after c cs first = 0 then
-          Compiled.advance c cs (Float.max first eps)
-        else begin
-          Compiled.apply_move c cs ~delay:first (Compiled.enabled cs 0);
-          go (iterations + 1)
-        end
-    end
+(* The host instance path of a process: "a.b#EM" and "a.b" both live in
+   the subtree rooted at "a.b". *)
+let host_path name =
+  match String.index_opt name '#' with
+  | Some i -> String.sub name 0 i
+  | None -> name
+
+let prefixes path =
+  (* "a.b.c" -> ["a.b.c"; "a.b"; "a"] *)
+  let parts = String.split_on_char '.' path in
+  let rec go = function
+    | [] -> []
+    | parts ->
+      String.concat "." parts
+      :: go (List.rev (List.tl (List.rev parts)))
   in
-  Compiled.of_state c cs s;
-  go 0;
-  Compiled.to_state c cs
+  go parts
 
 (* The model's own recovery action for the subtree hosting [proc]: the
-   innermost reset event covering it, if the model has one.  "a.b#EM"
-   and "a.b" both live in the subtree rooted at "a.b". *)
+   innermost reset event covering it, if the model has one. *)
 let reset_event_for (net : Network.t) proc =
-  let name = Network.proc_name net proc in
-  let host = match String.index_opt name '#' with Some i -> String.sub name 0 i | None -> name in
-  (* "a.b.c", "a.b", "a" *)
-  let rec prefixes path =
-    path
-    :: (match String.rindex_opt path '.' with
-       | Some i -> prefixes (String.sub path 0 i)
-       | None -> [])
-  in
+  let host = host_path (Network.proc_name net proc) in
   List.find_map
     (fun prefix ->
-      Array.find_index (String.equal ("reset:" ^ prefix)) net.events
-      |> Option.map (fun e -> (e, prefix)))
+      let name = "reset:" ^ prefix in
+      let rec find e =
+        if e >= Array.length net.events then None
+        else if net.events.(e) = name then Some (e, prefix)
+        else find (e + 1)
+      in
+      find 0)
     (prefixes host)
 
 let in_subtree net prefix p =
   let name = Network.proc_name net p in
   name = prefix
-  || String.starts_with ~prefix:(prefix ^ ".") name
-  || String.starts_with ~prefix:(prefix ^ "#") name
+  || (String.length name > String.length prefix
+     && String.sub name 0 (String.length prefix) = prefix
+     && (name.[String.length prefix] = '.' || name.[String.length prefix] = '#'))
 
 (* Fire the reset synchronization restricted to the covered subtree (the
    resetter's own move is hypothetical in this analysis). *)
-let apply_reset w s (ev, prefix) =
-  let net = Walker.network w in
-  let parts =
-    List.init (Network.n_procs net) Fun.id
-    |> List.filter_map (fun p ->
-           let proc = net.procs.(p) in
-           if not (in_subtree net prefix p) then None
-           else
-             List.find_opt
-               (fun ti -> proc.Automaton.transitions.(ti).label = Automaton.Event ev)
-               proc.outgoing.(s.State.locs.(p))
-             |> Option.map (fun ti -> (p, ti)))
-  in
-  if parts = [] then s else Walker.successor w s (Moves.Sync { event = ev; parts })
+let apply_reset (net : Network.t) w s (ev, prefix) =
+  let parts = ref [] in
+  Array.iteri
+    (fun p (proc : Automaton.t) ->
+      if in_subtree net prefix p then
+        match
+          List.find_opt
+            (fun ti ->
+              proc.transitions.(ti).Automaton.label = Automaton.Event ev)
+            proc.outgoing.(s.State.locs.(p))
+        with
+        | Some ti -> parts := (p, ti) :: !parts
+        | None -> ())
+    net.procs;
+  if !parts = [] then s
+  else Walker.successor w s (Moves.Sync { event = ev; parts = List.rev !parts })
 
 let resolve_observables (net : Network.t) names =
   let resolve name =
@@ -96,9 +85,13 @@ let analyze ?(max_expansions = 100_000) ?(settle_time = 0.0) (net : Network.t)
   Result.bind (resolve_observables net observables) @@ fun obs ->
   Walker.protect @@ fun () ->
   try
+    (* Deterministic fault-free settling lets timed initialization
+       (e.g. the GPS acquisition window) and timed self-repairs
+       complete, so that verdicts are judged against the operational
+       nominal state. *)
     let base =
       let s = witness w (State.initial net) in
-      if settle_time > 0.0 then settle w settle_time s else s
+      if settle_time > 0.0 then Walker.asap w ~horizon:settle_time s else s
     in
     let signature_of s =
       List.filter_map
@@ -120,25 +113,32 @@ let analyze ?(max_expansions = 100_000) ?(settle_time = 0.0) (net : Network.t)
                match reset_event_for net e.Cutsets.be_proc with
                | None -> false
                | Some reset ->
-                 let s' = witness w (apply_reset w after reset) in
+                 let s' = witness w (apply_reset net w after reset) in
                  let s' =
                    if settle_time > 0.0 then
-                     settle w (s'.State.time +. settle_time) s'
+                     Walker.asap w ~horizon:(s'.State.time +. settle_time) s'
                    else s'
                  in
                  signature_of s' = []
              in
              (e, signature, recovered))
     in
-    Ok
-      (List.map
-         (fun (e, signature, recovered) ->
-           let detected = signature <> [] in
-           let isolated =
-             detected && not (List.exists (fun (e', sg', _) -> e' != e && sg' = signature) raw)
-           in
-           { event = e; detected; isolated; recovered; signature })
-         raw)
+    let verdicts =
+      List.map
+        (fun (e, signature, recovered) ->
+          let detected = signature <> [] in
+          let isolated =
+            detected
+            && not
+                 (List.exists
+                    (fun (e', sg', _) ->
+                      e' != e && sg' = signature)
+                    raw)
+          in
+          { event = e; detected; isolated; recovered; signature })
+        raw
+    in
+    Ok verdicts
   with Walker.Exhausted _ -> Error "FDIR expansion budget exhausted"
 
 let pp_table ppf verdicts =

@@ -10,30 +10,47 @@ type row = {
 
 let analyze ?(max_expansions = 100_000) (net : Network.t) ~goal =
   let w = Walker.create ~budget:max_expansions net in
-  let first s = function s' :: _ -> s' | [] -> s in
   Walker.protect @@ fun () ->
   try
-    let base = first (State.initial net) (Cutsets.stable_states w (State.initial net)) in
-    let row (e : Cutsets.basic_event) =
-      let after_event =
-        Walker.successor w base (Moves.Local { proc = e.be_proc; tr = e.be_tr })
-      in
-      let consequences = Cutsets.stable_states w after_event in
-      let witness = first after_event consequences in
-      let effect i (vi : Network.var_info) =
-        let before = base.State.vals.(i) and after = witness.State.vals.(i) in
-        if Value.equal before after then None
-        else Some (vi.var_name, Value.to_string before, Value.to_string after)
-      in
-      {
-        component = Network.proc_name net e.be_proc;
-        failure_mode = e.be_label;
-        rate = e.be_rate;
-        local_effects = List.filter_map Fun.id (List.mapi effect (Array.to_list net.vars));
-        leads_to_failure = List.exists (fun s -> State.eval_bool s goal) consequences;
-      }
+    let base =
+      match Cutsets.stable_states w (State.initial net) with
+      | s :: _ -> s
+      | [] -> State.initial net
     in
-    Ok (List.map row (Cutsets.basic_events net))
+    let rows =
+      Cutsets.basic_events net
+      |> List.map (fun (e : Cutsets.basic_event) ->
+             let after_event =
+               Walker.successor w base
+                 (Moves.Local { proc = e.Cutsets.be_proc; tr = e.Cutsets.be_tr })
+             in
+             let consequences = Cutsets.stable_states w after_event in
+             let witness = match consequences with s :: _ -> s | [] -> after_event in
+             let local_effects =
+               Array.to_list net.vars
+               |> List.mapi (fun i (vi : Network.var_info) ->
+                      let before = base.State.vals.(i)
+                      and after = witness.State.vals.(i) in
+                      if Value.equal before after then None
+                      else
+                        Some
+                          ( vi.var_name,
+                            Value.to_string before,
+                            Value.to_string after ))
+               |> List.filter_map Fun.id
+             in
+             let leads_to_failure =
+               List.exists (fun s -> State.eval_bool s goal) consequences
+             in
+             {
+               component = Network.proc_name net e.Cutsets.be_proc;
+               failure_mode = e.Cutsets.be_label;
+               rate = e.Cutsets.be_rate;
+               local_effects;
+               leads_to_failure;
+             })
+    in
+    Ok rows
   with Walker.Exhausted _ -> Error "FMEA expansion budget exhausted"
 
 let pp_table ppf rows =

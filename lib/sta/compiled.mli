@@ -103,11 +103,10 @@ val set_rates : t -> cstate -> unit
     ([Moves_oracle.rate_array]). *)
 
 val advance : t -> cstate -> float -> unit
-(** Delay by [d] under the current rate vector
-    ([Moves_oracle.advance]); requires {!set_rates} to have run since
-    the last discrete change.  Like [Moves_oracle.advance], it leaves
-    data flows alone: the flows a delay can change are marked dirty and
-    re-evaluated by the next move. *)
+(** Delay by [d] under the current rate vector ([Moves_oracle.advance],
+    which it also follows in leaving data flows alone: the flows a delay
+    can change are marked dirty and re-evaluated by the next move);
+    requires {!set_rates} to have run since the last discrete change. *)
 
 val invariant_window : t -> cstate -> unit
 (** [Moves_oracle.invariant_window], kept in the scratch: {!discrete}

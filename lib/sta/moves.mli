@@ -1,9 +1,8 @@
 (** The global moves of a network (§II-E): internal (τ) moves of a
     single process, multiway synchronizations on shared events, and
     Markovian (rate) moves.  {!Compiled} enumerates and executes them,
-    and {!Walker} walks the untimed state graph they span; the
-    interpreted semantics they mirror is a test oracle
-    ([test/moves_oracle.ml]). *)
+    {!Walker} walks the untimed state graph they span, and the
+    interpreter they mirror is a test oracle ([test/moves_oracle.ml]). *)
 
 module I = Slimsim_intervals.Interval_set
 
@@ -15,10 +14,6 @@ type move =
 
 type timed = { move : move; window : I.t }
 (** A guarded move and the delays [d >= 0] at which it can fire: the
-    guard(s) hold after [d] and all invariants hold throughout [[0, d]].
-    The target locations' invariants are checked at execution time
-    ({!Compiled.enabled_after}). *)
+    guard(s) hold after [d] and all invariants hold throughout [[0, d]]. *)
 
 val describe : Network.t -> move -> string
-(** One line naming the move's process(es) and location switch(es),
-    with the rate of a rate transition. *)

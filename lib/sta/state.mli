@@ -1,7 +1,6 @@
 (** Global states of a network: one location per process, a valuation of
-    all variables, and the elapsed global time.  States are immutable
-    values: the compiled engine steps on its own scratch representation
-    ({!Compiled.to_state}, {!Compiled.of_state}). *)
+    all variables, and the elapsed global time.  States are immutable;
+    transitions produce fresh states. *)
 
 type t = {
   locs : int array;

@@ -3,40 +3,46 @@ module I = Slimsim_intervals.Interval_set
 type t = {
   c : Compiled.t;
   cs : Compiled.cstate;
+  mutable loaded : State.t option;  (* the state the scratch holds *)
   mutable budget : int;
   mutable vanishing : int;
 }
 
 let create ~budget net =
   let c = Compiled.compile net in
-  { c; cs = Compiled.scratch c; budget; vanishing = 0 }
+  { c; cs = Compiled.scratch c; loaded = None; budget; vanishing = 0 }
 
-let network w = Compiled.network w.c
-let compiled w = w.c
-let scratch w = w.cs
+(* Load [s] unless the scratch holds it already, as it does after the
+   [successor] that returned it: a scratch that went through a move
+   holds the values [of_state] would load from its [to_state]. *)
+let load w s =
+  match w.loaded with
+  | Some l when l == s -> ()
+  | _ ->
+    Compiled.of_state w.c w.cs s;
+    w.loaded <- Some s
 
 let immediate w s =
-  Compiled.of_state w.c w.cs s;
+  load w s;
   Compiled.set_rates w.c w.cs;
   Compiled.invariant_window w.c w.cs;
-  let rec collect i acc =
-    if i < 0 then acc
-    else
-      collect (i - 1)
-        (if Compiled.window_mem w.cs i 0.0 then Compiled.move w.c w.cs i :: acc else acc)
-  in
-  collect (Compiled.discrete w.c w.cs - 1) []
+  List.init (Compiled.discrete w.c w.cs) Fun.id
+  |> List.filter_map (fun i ->
+         if Compiled.window_mem w.cs i 0.0 then Some (Compiled.move w.c w.cs i) else None)
 
 let markovian w s =
-  Compiled.of_state w.c w.cs s;
+  load w s;
   let n = Compiled.markovian w.c w.cs in
   let rates = Compiled.markov_buf w.cs in
   List.init n (fun i -> (Compiled.markov_proc w.cs i, Compiled.markov_tr w.cs i, rates.(i)))
 
 let successor w s mv =
-  Compiled.of_state w.c w.cs s;
+  load w s;
+  w.loaded <- None;
   Compiled.apply w.c w.cs mv;
-  Compiled.to_state w.c w.cs
+  let s' = Compiled.to_state w.c w.cs in
+  w.loaded <- Some s';
+  s'
 
 let successors w s f =
   List.iter (fun mv -> f mv (successor w s mv)) (immediate w s);
@@ -47,7 +53,7 @@ let successors w s f =
     (markovian w s)
 
 let delay_free w s =
-  Compiled.of_state w.c w.cs s;
+  load w s;
   if Compiled.markovian w.c w.cs > 0 then `Race
   else begin
     Compiled.set_rates w.c w.cs;
@@ -67,6 +73,29 @@ let spend w ~in_closure =
   if w.budget < 0 then raise (Exhausted { in_closure })
 
 let charge w = spend w ~in_closure:false
+
+let asap w ~horizon s =
+  let eps = 1e-9 and c = w.c and cs = w.cs in
+  let rec go iterations =
+    charge w;
+    if not (iterations > 10_000 || Compiled.time cs >= horizon) then begin
+      Compiled.set_rates c cs;
+      Compiled.invariant_window c cs;
+      ignore (Compiled.discrete c cs);
+      let first = Compiled.moves_first_point cs ~eps in
+      if not (first = infinity || Compiled.time cs +. first > horizon) then
+        if Compiled.enabled_after c cs first = 0 then
+          Compiled.advance c cs (Float.max first eps)
+        else begin
+          Compiled.apply_move c cs ~delay:first (Compiled.enabled cs 0);
+          go (iterations + 1)
+        end
+    end
+  in
+  w.loaded <- None;
+  Compiled.of_state c cs s;
+  go 0;
+  Compiled.to_state c cs
 
 let closure w ~on_cycle leaf s acc =
   let rec go s prob on_path acc =

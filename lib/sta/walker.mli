@@ -3,9 +3,9 @@
     [fmea], [fdir], [diagnosability] and the CTMC explorer.
 
     A walker owns one compiled network and one scratch state.  Each
-    operation loads a {!State.t} into the scratch, steps there and reads
-    the result back, so states stay immutable values that can be
-    interned.  The oracle tests check the relation, state for state,
+    operation loads a {!State.t} into the scratch (unless it holds that
+    state already), steps there and reads the result back, so states
+    stay immutable values that can be interned.  The oracle tests check the relation, state for state,
     against the interpreter in [test/moves_oracle.ml].
 
     Two notions of "fires now" coexist and must stay distinct:
@@ -19,13 +19,6 @@ type t
 val create : budget:int -> Network.t -> t
 (** [budget] bounds {!closure} and {!charge}: one unit per visited state
     or charge. *)
-
-val network : t -> Network.t
-
-val compiled : t -> Compiled.t
-val scratch : t -> Compiled.cstate
-(** For timed steps (the FDIR settling schedule); every walker operation
-    overwrites the scratch. *)
 
 (** {1 Successors} *)
 
@@ -51,7 +44,7 @@ val delay_free :
     else the moves enabled after delay 0 into states satisfying every
     invariant. *)
 
-(** {1 Immediate closure} *)
+(** {1 Budgeted walks} *)
 
 exception Exhausted of { in_closure : bool }
 
@@ -68,6 +61,11 @@ val closure :
 
 val vanishing_visits : t -> int
 (** States with immediate moves that {!closure} has expanded. *)
+
+val asap : t -> horizon:float -> State.t -> State.t
+(** The one timed walk (FDIR's settling): follow the deterministic ASAP
+    schedule of guarded moves, rate transitions suppressed, until
+    quiescence, [horizon] or 10_000 moves, one unit of budget a step. *)
 
 (** {1 Interning} *)
 
