@@ -27,17 +27,16 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
   let t0 = Unix.gettimeofday () in
   let w = Walker.create ~budget:max_int net in
   let table = Walker.Table.create () in
-  let intern s =
-    let i = Walker.Table.intern table s ~parent:(-1) in
-    if i >= max_states then raise (Too_many_states i);
-    i
-  in
   (* Distribution over stable states reachable from [s] by immediate
      moves, resolved equiprobably (the simulator's rule, §III-B). *)
   let on_cycle () =
     raise (Immediate_cycle "a cycle of immediate transitions never reaches a stable state")
   in
-  let leaf s prob acc = (intern s, prob) :: acc in
+  let leaf s prob acc =
+    let i = Walker.Table.intern table s ~parent:(-1) in
+    if i >= max_states then raise (Too_many_states i);
+    (i, prob) :: acc
+  in
   let close s = Walker.closure w ~on_cycle leaf s [] in
   let merge entries =
     let tbl = Hashtbl.create 8 in

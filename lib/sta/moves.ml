@@ -1,10 +1,8 @@
-module I = Slimsim_intervals.Interval_set
-
 type move =
   | Local of { proc : int; tr : int }
   | Sync of { event : int; parts : (int * int) list }
 
-type timed = { move : move; window : I.t }
+type timed = { move : move; window : Slimsim_intervals.Interval_set.t }
 
 let describe (net : Network.t) = function
   | Local { proc; tr } ->

@@ -4,15 +4,13 @@
     {!Walker} walks the untimed state graph they span, and the
     interpreter they mirror is a test oracle ([test/moves_oracle.ml]). *)
 
-module I = Slimsim_intervals.Interval_set
-
 type move =
   | Local of { proc : int; tr : int }
       (** a τ-labelled guarded transition, or a rate transition *)
   | Sync of { event : int; parts : (int * int) list }
       (** one (process, transition) pair per synchronizing participant *)
 
-type timed = { move : move; window : I.t }
+type timed = { move : move; window : Slimsim_intervals.Interval_set.t }
 (** A guarded move and the delays [d >= 0] at which it can fire: the
     guard(s) hold after [d] and all invariants hold throughout [[0, d]]. *)
 

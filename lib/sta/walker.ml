@@ -1,5 +1,3 @@
-module I = Slimsim_intervals.Interval_set
-
 type t = {
   c : Compiled.t;
   cs : Compiled.cstate;
@@ -58,7 +56,8 @@ let delay_free w s =
   else begin
     Compiled.set_rates w.c w.cs;
     Compiled.invariant_window w.c w.cs;
-    if not (I.equal (Compiled.inv_window w.cs) (I.point 0.0)) then `Time_can_elapse
+    if Slimsim_intervals.Interval_set.(not (equal (Compiled.inv_window w.cs) (point 0.0)))
+    then `Time_can_elapse
     else begin
       ignore (Compiled.discrete w.c w.cs);
       let k = Compiled.enabled_after w.c w.cs 0.0 in

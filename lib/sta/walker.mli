@@ -1,18 +1,10 @@
-(** The untimed state graph on the compiled engine: the one successor
-    relation behind [verify], the P=1 side of the pre-pass, [cutsets],
-    [fmea], [fdir], [diagnosability] and the CTMC explorer.
-
-    A walker owns one compiled network and one scratch state.  Each
-    operation loads a {!State.t} into the scratch (unless it holds that
-    state already), steps there and reads the result back, so states
-    stay immutable values that can be interned.  The oracle tests check the relation, state for state,
-    against the interpreter in [test/moves_oracle.ml].
-
-    Two notions of "fires now" coexist and must stay distinct:
-    {!immediate} (the move's window holds 0: the untimed abstraction)
-    and {!delay_free} ([Compiled.enabled_after 0], which also requires
-    the target state's invariants: the P=1 certificate's soundness
-    rests on it). *)
+(** The untimed state graph on the compiled engine, for [verify], the
+    P=1 pre-pass, [cutsets], [fmea], [fdir], [diagnosability] and the
+    CTMC explorer (DESIGN.md, "State-graph walker").  A walker owns one
+    compiled network and one scratch; each operation loads a {!State.t}
+    into the scratch (unless it holds that state already), steps there
+    and reads the result back.  {!immediate} and {!delay_free} are the
+    two notions of "fires now" and must stay distinct. *)
 
 type t
 

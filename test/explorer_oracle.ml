@@ -17,7 +17,7 @@ let key_of (s : State.t) : key = (s.locs, s.vals)
 let immediate net s =
   Moves_oracle.discrete net s
   |> List.filter_map (fun { Moves.move; window } ->
-         if Moves.I.mem 0.0 window then Some move else None)
+         if Slimsim_intervals.Interval_set.mem 0.0 window then Some move else None)
 
 (* The chain, the statistics (with [explore_seconds] left at 0) and the
    stable states in their numbering. *)

@@ -4,6 +4,7 @@
 
 open Slimsim_sta
 open Moves
+module I = Slimsim_intervals.Interval_set
 
 (* Current derivative of every variable: clocks tick at 1 and continuous
    variables follow their location's derivative while the owning process

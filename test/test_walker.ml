@@ -38,7 +38,7 @@ let models () =
 let immediate net s =
   Moves_oracle.discrete net s
   |> List.filter_map (fun { Moves.move; window } ->
-         if Moves.I.mem 0.0 window then Some move else None)
+         if Slimsim_intervals.Interval_set.mem 0.0 window then Some move else None)
 
 (* [closure net s moves]: the closure from [s], whose immediate moves
    are [moves] *)
