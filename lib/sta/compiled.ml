@@ -7,15 +7,15 @@
    (Expr.eval / Linear.sat_set / State / test/moves_oracle.ml): every
    float operation is performed in the same order with the same
    primitives, so a compiled path produces a bit-identical verdict
-   stream for a fixed seed.  The documented deviations: integer arithmetic feeding a
-   comparison is carried in doubles, so integers beyond 2^53 would
-   diverge (SLIM integers are small); the *message* carried by a
-   [Value.Type_error] from an ill-typed model may differ (the exception
-   itself, and hence the verdict/error stream, does not); and [apply]
-   evaluates the activation condition of a process only when the
-   process has a [Restart] policy, so an activation condition that
-   raises only in the intermediate post-delay state surfaces at the
-   next step instead.
+   stream for a fixed seed.  The documented deviations: integer
+   arithmetic feeding a comparison is carried in doubles, so integers
+   beyond 2^53 would diverge (SLIM integers are small); the *message*
+   carried by a [Value.Type_error] from an ill-typed model may differ
+   (the exception itself, and hence the verdict/error stream, does
+   not); and [apply] evaluates the activation condition of a process
+   only when the process has a [Restart] policy, so an activation
+   condition that raises only in the intermediate post-delay state
+   surfaces at the next step instead.
 
    A move pays for what it changes.  Data flows are re-evaluated only
    when marked dirty by a write that can change their value (see

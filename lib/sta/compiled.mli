@@ -8,9 +8,9 @@
     semantics of the test oracle [test/moves_oracle.ml]) float-op for
     float-op, so a compiled simulation produces a bit-identical verdict
     stream for a fixed seed.  The cross-check tests in
-    [test/test_compiled.ml] enforce this.  The simulator ([Path]) and
-    the untimed state-graph walker ({!Walker}) are the two clients of
-    this module; no production code runs the interpreter.
+    [test/test_compiled.ml] enforce this.  Production code steps only
+    here: the simulator through [Path], the untimed analyses through
+    {!Walker}.
 
     Ownership rules for {!cstate} (see [docs/PERFORMANCE.md]):
     - a scratch state belongs to exactly one worker; never share one
@@ -127,11 +127,11 @@ val inv_sup : cstate -> float
 (** The window's supremum when it is finite, [infinity] otherwise. *)
 
 val discrete : t -> cstate -> int
-(** [Moves_oracle.discrete] within the window of the last {!invariant_window}:
-    fills the move buffer with every enabled τ/sync move and its delay
-    window, in the interpreter's order, and returns their number.  Moves
-    are addressed by their index in the buffer, which stays valid until
-    the next [discrete]. *)
+(** [Moves_oracle.discrete] within the window of the last
+    {!invariant_window}: fills the move buffer with every enabled
+    τ/sync move and its delay window, in the interpreter's order, and
+    returns their number.  Moves are addressed by their index in the
+    buffer, which stays valid until the next [discrete]. *)
 
 val move : t -> cstate -> int -> Moves.move
 (** The [i]-th buffered move. *)
@@ -141,8 +141,8 @@ val window_mem : cstate -> int -> float -> bool
     [d] ([Interval_set.mem]). *)
 
 val timed_moves : t -> cstate -> Moves.timed list
-(** The buffer as [Moves_oracle.discrete]'s list (allocates; for tests and
-    cold paths). *)
+(** The buffer as [Moves_oracle.discrete]'s list (allocates; for tests
+    and cold paths). *)
 
 val moves_first_point : cstate -> eps:float -> float
 (** The least [Interval_set.first_point ~eps] over the buffered

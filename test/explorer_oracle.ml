@@ -1,10 +1,10 @@
 (* Reference explorer for the CTMC pipeline: the state-space walk on the
-   interpreter ([Moves], [State]) with states interned in the polymorphic
-   [Hashtbl].  [Slimsim_ctmc.Explorer] runs the same loop on the compiled
-   engine and [State.Tbl]; the oracle tests require both to build the
-   same chain, state for state and bit for bit.  It raises the
-   production explorer's exceptions so that tests can compare failures
-   too. *)
+   interpreter ([Moves_oracle], [State]) with states interned in the
+   polymorphic [Hashtbl].  [Slimsim_ctmc.Explorer] runs the same loop on
+   the compiled engine ([Slimsim_sta.Walker]); the oracle tests require
+   both to build the same chain, state for state and bit for bit.  It
+   raises the production explorer's exceptions so that tests can compare
+   failures too. *)
 
 open Slimsim_sta
 module Ctmc = Slimsim_ctmc.Ctmc

@@ -1,11 +1,11 @@
 (* Reference path generator: the step loop of §III on the interpreter
-   ([State], [Moves], [Linear]) with immutable states.  [Path.generate]
-   runs the same loop on the compiled engine; the oracle tests require
-   both to draw the same random numbers, reach the same verdicts, report
-   the same errors and record the same steps, bit for bit.  Failure
-   biasing (§VI) is built in: every exponential rate is multiplied by
-   its bias factor, and the path's likelihood ratio w.r.t. the unbiased
-   measure is returned next to the verdict. *)
+   ([State], [Moves_oracle], [Linear]) with immutable states.
+   [Path.generate] runs the same loop on the compiled engine; the oracle
+   tests require both to draw the same random numbers, reach the same
+   verdicts, report the same errors and record the same steps, bit for
+   bit.  Failure biasing (§VI) is built in: every exponential rate is
+   multiplied by its bias factor, and the path's likelihood ratio w.r.t.
+   the unbiased measure is returned next to the verdict. *)
 
 open Slimsim_sta
 open Slimsim_sim.Path
