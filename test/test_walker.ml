@@ -8,7 +8,7 @@
      [Qualitative.check_invariant], and [check_invariant] reports the
      interpreter's state counts and counterexamples.
    The CLI pins of [Test_safety_cli] show the outputs; this shows the
-   relation. *)
+   relation, the cycle policies and the safety analyses' budgets. *)
 
 open Slimsim_sta
 module Qualitative = Slimsim_ctmc.Qualitative
@@ -210,8 +210,35 @@ let test_cycle_and_budget () =
     Alcotest.(check bool) "exhausted in the closure" true in_closure
   | _ -> Alcotest.fail "a budget of 3 must run out"
 
+(* Each analysis keeps its own budget accounting and message: the
+   thresholds and messages on sensor_filter_2, as the interpreted
+   analyses produced them before the walker. *)
+let test_budgets () =
+  let net = Fixture.load (Slimsim_models.Sensor_filter.source ~n:2) in
+  let goal = Fixture.goal net "sensors.exhausted or filters.exhausted" in
+  let observables = [ "sensors.s1.value"; "filters.f1.value" ] in
+  let module C = Slimsim_safety.Cutsets in
+  let module F = Slimsim_safety.Fmea in
+  let module D = Slimsim_safety.Fdir in
+  let module G = Slimsim_safety.Diagnosability in
+  let outcome = function Ok _ -> "ok" | Error e -> e in
+  let cutsets b = outcome (C.minimal_cut_sets ~max_expansions:b net ~goal) in
+  let fmea b = outcome (F.analyze ~max_expansions:b net ~goal) in
+  let fdir b = outcome (D.analyze ~max_expansions:b ~settle_time:40.0 net ~observables) in
+  let diag b = outcome (G.check ~max_expansions:b net ~observables ~diagnosis:goal) in
+  Alcotest.(check (list string)) "budgets"
+    [
+      "closure budget exhausted"; "expansion budget exhausted";
+      "closure budget exhausted"; "ok";
+      "FMEA expansion budget exhausted"; "ok";
+      "FDIR expansion budget exhausted"; "ok";
+      "diagnosability expansion budget exhausted"; "ok";
+    ]
+    [ cutsets 0; cutsets 1; cutsets 38; cutsets 39; fmea 6; fmea 7; fdir 7; fdir 8; diag 28; diag 29 ]
+
 let suite =
   [
     Alcotest.test_case "walker = interpreter" `Quick test_walker_matches_interpreter;
     Alcotest.test_case "cycle policy and budget" `Quick test_cycle_and_budget;
+    Alcotest.test_case "safety budgets and messages" `Quick test_budgets;
   ]
