@@ -722,6 +722,7 @@ let exact_cmd =
     Arg.(value & opt int 2_000_000 & info [ "max-states" ] ~doc:"State-space cap.")
   in
   let run file prop no_lump max_states =
+    check_flag (max_states > 0) "max-states" "positive";
     let m = or_die (load file) in
     Fmt.pr "%a@." S.pp_exact
       (or_die (S.check_exact ~max_states ~lump:(not no_lump) m ~property:prop))

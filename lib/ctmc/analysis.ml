@@ -9,7 +9,6 @@ type report = {
   transient_steps : int;
   steady_state : bool;
   total_seconds : float;
-  peak_words : float;
 }
 
 let check ?max_states ?hold ?(lump = true) net ~goal ~horizon =
@@ -29,7 +28,6 @@ let check ?max_states ?hold ?(lump = true) net ~goal ~horizon =
     let t0 = Unix.gettimeofday () in
     let transient = Transient.reach lumped ~horizon in
     let transient_seconds = Unix.gettimeofday () -. t0 in
-    let gc = Gc.quick_stat () in
     Ok
       {
         probability = transient.Transient.probability;
@@ -43,12 +41,4 @@ let check ?max_states ?hold ?(lump = true) net ~goal ~horizon =
         steady_state = transient.Transient.steady_state;
         total_seconds =
           stats.Explorer.explore_seconds +. lump_seconds +. transient_seconds;
-        peak_words = float_of_int gc.Gc.top_heap_words;
       }
-
-let pp_report ppf r =
-  Fmt.pf ppf
-    "p = %.6f  (%d states -> %d lumped, %d transitions; explore %.2fs, lump %.2fs, transient %.2fs, %d steps%s)"
-    r.probability r.stable_states r.lumped_states r.transitions
-    r.explore_seconds r.lump_seconds r.transient_seconds r.transient_steps
-    (if r.steady_state then ", steady state" else "")

@@ -14,7 +14,6 @@ type report = {
       (** the transient analysis stopped early because the undecided
           mass fell within its error budget (see {!Transient.reach}) *)
   total_seconds : float;
-  peak_words : float;  (** top heap words observed by the GC *)
 }
 
 val check :
@@ -30,5 +29,3 @@ val check :
     untimed, an immediate cycle, the state cap, and a run-time type
     error or non-linear guard met during exploration are all reported
     as [Error]. *)
-
-val pp_report : Format.formatter -> report -> unit

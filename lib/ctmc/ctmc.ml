@@ -6,39 +6,58 @@ type t = {
   bad : bool array;
 }
 
-let make ~n_states ~initial ~transitions ~goal =
-  if Array.length goal <> n_states then invalid_arg "Ctmc.make: goal length";
-  let bad = Array.make n_states false in
+let merge_row row =
+  let n = Array.length row in
+  let rec canonical k = k >= n - 1 || (fst row.(k) < fst row.(k + 1) && canonical (k + 1)) in
+  if canonical 0 then row
+  else begin
+    let sorted = Array.copy row in
+    Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) sorted;
+    let merged =
+      Array.fold_left
+        (fun acc (t, r) ->
+          match acc with
+          | (t', sum) :: rest when t' = t -> (t, r +. sum) :: rest
+          | acc -> (t, r) :: acc)
+        [] sorted
+    in
+    Array.of_list (List.rev merged)
+  end
+
+(* The one validation path: [make] reports its errors under its own
+   name. *)
+let build who ~initial ~rows ~goal =
+  let fail what = invalid_arg (who ^ ": " ^ what) in
+  let n_states = Array.length rows in
+  if Array.length goal <> n_states then fail "goal length";
   let mass = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 initial in
-  if Float.abs (mass -. 1.0) > 1e-9 then
-    invalid_arg "Ctmc.make: initial distribution must sum to 1";
+  if Float.abs (mass -. 1.0) > 1e-9 then fail "initial distribution must sum to 1";
   List.iter
     (fun (s, p) ->
-      if s < 0 || s >= n_states then invalid_arg "Ctmc.make: initial state";
-      if p < 0.0 then invalid_arg "Ctmc.make: negative initial probability")
+      if s < 0 || s >= n_states then fail "initial state";
+      if p < 0.0 then fail "negative initial probability")
     initial;
-  let tbl = Array.make n_states [] in
+  Array.iter
+    (Array.iter (fun (t, r) ->
+         if t < 0 || t >= n_states then fail "state out of range";
+         if r <= 0.0 then fail "rate must be positive"))
+    rows;
+  let rows = Array.map merge_row rows in
+  let bad = Array.make n_states false in
+  { n_states; initial = Array.of_list initial; rows; goal; bad }
+
+let of_rows ~initial ~rows ~goal = build "Ctmc.of_rows" ~initial ~rows ~goal
+
+let make ~n_states ~initial ~transitions ~goal =
+  (* each row in the reverse of the list's order, the order its rates
+     have always been summed in *)
+  let rows = Array.make n_states [] in
   List.iter
     (fun (s, t, r) ->
-      if s < 0 || s >= n_states || t < 0 || t >= n_states then
-        invalid_arg "Ctmc.make: state out of range";
-      if r <= 0.0 then invalid_arg "Ctmc.make: rate must be positive";
-      tbl.(s) <- (t, r) :: tbl.(s))
+      if s < 0 || s >= n_states then invalid_arg "Ctmc.make: state out of range";
+      rows.(s) <- (t, r) :: rows.(s))
     transitions;
-  let rows =
-    Array.map
-      (fun entries ->
-        let merged = Hashtbl.create 4 in
-        List.iter
-          (fun (t, r) ->
-            Hashtbl.replace merged t
-              (r +. Option.value ~default:0.0 (Hashtbl.find_opt merged t)))
-          entries;
-        Hashtbl.fold (fun t r acc -> (t, r) :: acc) merged []
-        |> List.sort compare |> Array.of_list)
-      tbl
-  in
-  { n_states; initial = Array.of_list initial; rows; goal; bad }
+  build "Ctmc.make" ~initial ~rows:(Array.map Array.of_list rows) ~goal
 
 let exit_rate t s = Array.fold_left (fun acc (_, r) -> acc +. r) 0.0 t.rows.(s)
 

@@ -19,16 +19,28 @@ type t = {
           reachability *)
 }
 
+val merge_row : (int * float) array -> (int * float) array
+(** One entry per target, sorted by target: the rates of a target add up
+    in row order, each as [r +. sum].  A row already sorted with distinct
+    targets is returned as it is. *)
+
+val of_rows :
+  initial:(int * float) list -> rows:(int * float) array array -> goal:bool array -> t
+(** The chain with [Array.length rows] states and each row passed
+    through {!merge_row}.  Validates indices, rate positivity (of every
+    entry, before merging), the goal length and that the initial
+    distribution sums to 1 (within 1e-9).  The [bad] labelling starts
+    out all-false; see {!with_bad}. *)
+
 val make :
   n_states:int ->
   initial:(int * float) list ->
   transitions:(int * int * float) list ->
   goal:bool array ->
   t
-(** Accumulates parallel edges ([s -> t] rates add up).  Validates
-    indices, rate positivity, and that the initial distribution sums to
-    1 (within 1e-9).  The [bad] labelling starts out all-false; see
-    {!with_bad}. *)
+(** {!of_rows} on the transitions grouped by source, each row in the
+    reverse of the list's order, so parallel edges ([s -> t] rates) add
+    up from the last one listed. *)
 
 val with_bad : t -> bool array -> t
 (** Attach a "hold violated" labelling (for bounded-until analysis). *)

@@ -26,9 +26,7 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
   check_untimed net;
   let t0 = Unix.gettimeofday () in
   let w = Walker.create ~budget:max_int net in
-  let table = Walker.Table.create () in
-  (* Distribution over stable states reachable from [s] by immediate
-     moves, resolved equiprobably (the simulator's rule, §III-B). *)
+  let table = Walker.Table.create net in
   let on_cycle () =
     raise (Immediate_cycle "a cycle of immediate transitions never reaches a stable state")
   in
@@ -37,52 +35,50 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
     if i >= max_states then raise (Too_many_states i);
     (i, prob) :: acc
   in
-  let close s = Walker.closure w ~on_cycle leaf s [] in
-  let merge entries =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (i, p) ->
-        Hashtbl.replace tbl i
-          (p +. Option.value ~default:0.0 (Hashtbl.find_opt tbl i)))
-      entries;
-    Hashtbl.fold (fun i p acc -> (i, p) :: acc) tbl [] |> List.sort compare
-  in
-  let initial_dist = merge (close (State.initial net)) in
-  let transitions = ref [] in
+  (* Distribution over stable states reachable from [s] by immediate
+     moves, resolved equiprobably (the simulator's rule, §III-B), by
+     state number. *)
+  let close s = Ctmc.merge_row (Array.of_list (Walker.closure w ~on_cycle leaf s [])) in
+  let initial_dist = Array.to_list (close (State.initial net)) in
+  (* row i is built when state i is expanded, its entries in the order
+     they are generated *)
+  let rows = ref [||] in
   let n_trans = ref 0 in
   let rec expand () =
     match Walker.Table.next table with
     | None -> ()
     | Some i ->
       let s = Walker.Table.state table i in
+      let entries = ref [] in
       List.iter
         (fun (p, tr, rate) ->
-          let dist = merge (close (Walker.successor w s (Moves.Local { proc = p; tr }))) in
-          List.iter
+          Array.iter
             (fun (j, prob) ->
-              transitions := (i, j, rate *. prob) :: !transitions;
+              entries := (j, rate *. prob) :: !entries;
               incr n_trans)
-            dist)
+            (close (Walker.successor w s (Moves.Local { proc = p; tr }))))
         (Walker.markovian w s);
+      if i >= Array.length !rows then begin
+        let grown = Array.make (Int.max 64 (2 * i)) [||] in
+        Array.blit !rows 0 grown 0 i;
+        rows := grown
+      end;
+      !rows.(i) <- Ctmc.merge_row (Array.of_list (List.rev !entries));
       expand ()
   in
   expand ();
   let n = Walker.Table.length table in
-  let goal_arr =
-    Array.init n (fun i -> State.eval_bool (Walker.Table.state table i) goal)
+  let state = Walker.Table.state table in
+  let goal_arr = Array.init n (fun i -> State.eval_bool (state i) goal) in
+  let bad =
+    Option.map
+      (fun h -> Array.init n (fun i -> (not goal_arr.(i)) && not (State.eval_bool (state i) h)))
+      hold
   in
   let ctmc =
-    Ctmc.make ~n_states:n ~initial:initial_dist ~transitions:!transitions
-      ~goal:goal_arr
+    Ctmc.of_rows ~initial:initial_dist ~rows:(Array.sub !rows 0 n) ~goal:goal_arr
   in
-  let ctmc =
-    match hold with
-    | None -> ctmc
-    | Some h ->
-      Ctmc.with_bad ctmc
-        (Array.init n (fun i ->
-             (not goal_arr.(i)) && not (State.eval_bool (Walker.Table.state table i) h)))
-  in
+  let ctmc = Option.fold ~none:ctmc ~some:(Ctmc.with_bad ctmc) bad in
   let stats =
     {
       stable_states = n;

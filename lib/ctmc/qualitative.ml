@@ -31,7 +31,7 @@ let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
     (net : Network.t) ~prop =
   Walker.protect @@ fun () ->
   let w = Walker.create ~budget:max_int net in
-  let table = Walker.Table.create () in
+  let table = Walker.Table.create net in
   let state = Walker.Table.state table in
   (* The parent chain of state [i]: its length, and the moves of its
      last [max_trace] steps (the suffix closest to the violation). *)
@@ -50,20 +50,22 @@ let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
     | None -> Ok (Holds { states = Walker.Table.length table })
     | Some _ when Walker.Table.length table > max_states ->
       Error (Printf.sprintf "state space exceeds %d states" max_states)
-    | Some i when not (State.eval_bool (state i) prop) ->
-      let steps, trace = trace i 0 [] in
-      Ok
-        (Violated
-           {
-             trace;
-             truncated = max 0 (steps - max_trace);
-             locs = loc_vector net (state i);
-             states = Walker.Table.length table;
-           })
     | Some i ->
-      Walker.successors w (state i) (fun _ s' ->
-          ignore (Walker.Table.intern table s' ~parent:i));
-      walk ()
+      let s = state i in
+      if State.eval_bool s prop then begin
+        Walker.successors w s (fun _ s' -> ignore (Walker.Table.intern table s' ~parent:i));
+        walk ()
+      end
+      else
+        let steps, trace = trace i 0 [] in
+        Ok
+          (Violated
+             {
+               trace;
+               truncated = max 0 (steps - max_trace);
+               locs = loc_vector net s;
+               states = Walker.Table.length table;
+             })
   in
   walk ()
 

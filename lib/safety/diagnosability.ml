@@ -29,7 +29,7 @@ let check ?(max_faults = 2) ?(max_expansions = 200_000) (net : Network.t)
     (* Stable states, injecting up to [max_faults] basic events per
        round, newest first within a round; deduplicate on the timeless
        state key *)
-    let table = Walker.Table.create () in
+    let table = Walker.Table.create net in
     let push s = ignore (Walker.Table.intern table s ~parent:(-1)) in
     List.iter push (Cutsets.stable_states w (State.initial net));
     let round_start = ref 0 in

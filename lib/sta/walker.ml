@@ -116,41 +116,184 @@ let closure w ~on_cycle leaf s acc =
 let vanishing_visits w = w.vanishing
 
 module Table = struct
+  (* Each timeless state is one key in [arena]: its locations as varints
+     (LEB128 over the 63 bits of an int), then its values, each led by a
+     tag byte: 0 and 1 the Booleans, 2 a [Real] whose 8 bytes follow, 3
+     an [Int] whose zig-zag varint follows, 4 + k the [Int] k for
+     0 <= k < 252.  A real is stored canonically, [-0.0] as [0.0] and
+     every NaN as [Float.nan], so equal keys are exactly
+     [State.equal_timeless] states. *)
   type t = {
-    index : int State.Tbl.t;
-    mutable states : State.t array;
+    procs : int;
+    vars : int;
+    max_key : int;
+    mutable arena : Bytes.t;
+    mutable offsets : int array;  (* key i is arena[offsets.(i), offsets.(i + 1)) *)
+    mutable hashes : int array;
     mutable parents : int array;
+    mutable times : Float.Array.t;  (* the time of the state first interned *)
+    mutable slots : int array;  (* open addressing: state + 1, 0 when free *)
     mutable n : int;
     mutable cursor : int;
   }
 
-  let create () =
-    { index = State.Tbl.create 4096; states = [||]; parents = [||]; n = 0; cursor = 0 }
+  let create (net : Network.t) =
+    let procs = Array.length net.procs and vars = Array.length net.vars in
+    let max_key = (9 * procs) + (10 * vars) in
+    {
+      procs;
+      vars;
+      max_key;
+      arena = Bytes.create (16 * max_key);
+      offsets = [| 0 |];
+      hashes = [||];
+      parents = [||];
+      times = Float.Array.create 0;
+      slots = Array.make 128 0;
+      n = 0;
+      cursor = 0;
+    }
 
   let length t = t.n
+  let small_ints = 252
+  let put b pos x = Bytes.unsafe_set b pos (Char.unsafe_chr x)
 
-  let intern t s ~parent =
-    match State.Tbl.find_opt t.index s with
-    | Some i -> i
-    | None ->
-      let i = t.n in
-      if i >= Array.length t.states then begin
-        let size = Int.max 64 (2 * i) in
-        let grow a x =
-          let b = Array.make size x in
-          Array.blit a 0 b 0 i;
-          b
-        in
-        t.states <- grow t.states s;
-        t.parents <- grow t.parents (-1)
-      end;
-      t.states.(i) <- s;
-      t.parents.(i) <- parent;
-      State.Tbl.add t.index s i;
-      t.n <- i + 1;
-      i
+  let rec put_varint b pos x =
+    if x >= 0 && x < 0x80 then begin
+      put b pos x;
+      pos + 1
+    end
+    else begin
+      put b pos (x land 0x7f lor 0x80);
+      put_varint b (pos + 1) (x lsr 7)
+    end
 
-  let state t i = t.states.(i)
+  let canonical f = if f = 0.0 then 0.0 else if Float.is_nan f then Float.nan else f
+
+  let put_value b pos = function
+    | Value.Bool v ->
+      put b pos (Bool.to_int v);
+      pos + 1
+    | Value.Int k when k >= 0 && k < small_ints ->
+      put b pos (4 + k);
+      pos + 1
+    | Value.Int k ->
+      put b pos 3;
+      put_varint b (pos + 1) ((k lsl 1) lxor (k asr (Sys.int_size - 1)))
+    | Value.Real f ->
+      put b pos 2;
+      Bytes.set_int64_le b (pos + 1) (Int64.bits_of_float (canonical f));
+      pos + 9
+
+  (* FNV-1a over every byte of the key, then [Hashtbl.hash] to spread the
+     low bits, which FNV's multiplications leave weak. *)
+  let hash b start stop =
+    let h = ref (stop - start) in
+    for k = start to stop - 1 do
+      h := (!h lxor Char.code (Bytes.unsafe_get b k)) * 0x100000001b3
+    done;
+    Hashtbl.hash !h
+
+  let same_key t i start stop =
+    let a = t.offsets.(i) in
+    let len = stop - start in
+    let rec from k =
+      k = len || (Bytes.unsafe_get t.arena (a + k) = Bytes.unsafe_get t.arena (start + k) && from (k + 1))
+    in
+    t.offsets.(i + 1) - a = len && from 0
+
+  let insert_slot slots h i =
+    let mask = Array.length slots - 1 in
+    let rec go k = if slots.(k) = 0 then slots.(k) <- i + 1 else go ((k + 1) land mask) in
+    go (h land mask)
+
+  let grow t =
+    let cap = Int.max 64 (2 * t.n) in
+    let extend a x =
+      let b = Array.make cap x in
+      Array.blit a 0 b 0 t.n;
+      b
+    in
+    let offsets = Array.make (cap + 1) 0 in
+    Array.blit t.offsets 0 offsets 0 (t.n + 1);
+    t.offsets <- offsets;
+    t.hashes <- extend t.hashes 0;
+    t.parents <- extend t.parents (-1);
+    let times = Float.Array.create cap in
+    Float.Array.blit t.times 0 times 0 t.n;
+    t.times <- times
+
+  (* Keep at most half of the slots in use. *)
+  let rehash t =
+    let slots = Array.make (2 * Array.length t.slots) 0 in
+    for i = 0 to t.n - 1 do
+      insert_slot slots t.hashes.(i) i
+    done;
+    t.slots <- slots
+
+  let add t slot h ~time ~parent ~stop =
+    let i = t.n in
+    if i >= Array.length t.hashes then grow t;
+    t.offsets.(i + 1) <- stop;
+    t.hashes.(i) <- h;
+    t.parents.(i) <- parent;
+    Float.Array.set t.times i time;
+    t.slots.(slot) <- i + 1;
+    t.n <- i + 1;
+    if 2 * t.n > Array.length t.slots then rehash t;
+    i
+
+  let intern t (s : State.t) ~parent =
+    if Array.length s.locs <> t.procs || Array.length s.vals <> t.vars then
+      invalid_arg "Walker.Table.intern: the state does not fit the network";
+    let start = t.offsets.(t.n) in
+    if start + t.max_key > Bytes.length t.arena then begin
+      let arena = Bytes.create (Int.max (2 * Bytes.length t.arena) (start + t.max_key)) in
+      Bytes.blit t.arena 0 arena 0 start;
+      t.arena <- arena
+    end;
+    (* the key is written past the last one and kept only if it is new *)
+    let pos = Array.fold_left (put_varint t.arena) start s.locs in
+    let stop = Array.fold_left (put_value t.arena) pos s.vals in
+    let h = hash t.arena start stop in
+    let mask = Array.length t.slots - 1 in
+    let rec probe k =
+      let e = t.slots.(k) - 1 in
+      if e < 0 then add t k h ~time:s.time ~parent ~stop
+      else if t.hashes.(e) = h && same_key t e start stop then e
+      else probe ((k + 1) land mask)
+    in
+    probe (h land mask)
+
+  let state t i =
+    if i < 0 || i >= t.n then invalid_arg "Walker.Table.state";
+    let b = t.arena and pos = ref t.offsets.(i) in
+    let byte () =
+      let c = Char.code (Bytes.get b !pos) in
+      incr pos;
+      c
+    in
+    let rec varint shift acc =
+      let c = byte () in
+      let acc = acc lor ((c land 0x7f) lsl shift) in
+      if c < 0x80 then acc else varint (shift + 7) acc
+    in
+    let locs = Array.init t.procs (fun _ -> varint 0 0) in
+    let vals =
+      Array.init t.vars (fun _ ->
+          match byte () with
+          | (0 | 1) as c -> Value.Bool (c = 1)
+          | 2 ->
+            let f = Int64.float_of_bits (Bytes.get_int64_le b !pos) in
+            pos := !pos + 8;
+            Value.Real f
+          | 3 ->
+            let z = varint 0 0 in
+            Value.Int ((z lsr 1) lxor (-(z land 1)))
+          | c -> Value.Int (c - 4))
+    in
+    { State.locs; vals; time = Float.Array.get t.times i }
+
   let parent t i = t.parents.(i)
 
   let next t =

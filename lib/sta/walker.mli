@@ -61,12 +61,19 @@ val asap : t -> horizon:float -> State.t -> State.t
 
 (** {1 Interning} *)
 
-(** Timeless states ({!State.Tbl}) numbered densely in insertion order,
-    each with the index of the state it was first reached from. *)
+(** Timeless states numbered densely in insertion order, each with the
+    index of the state it was first reached from.  A state is stored as
+    one packed key (its locations and tagged values, reals canonical:
+    [-0.0] as [0.0], every NaN as one NaN), so two states get the same
+    number exactly when {!State.equal_timeless} holds; a {!State.t} is
+    rebuilt only when {!state} asks for one. *)
 module Table : sig
   type t
 
-  val create : unit -> t
+  val create : Network.t -> t
+  (** A table for the states of this network (its process and variable
+      counts). *)
+
   val length : t -> int
 
   val intern : t -> State.t -> parent:int -> int
@@ -74,6 +81,9 @@ module Table : sig
       when it is new. *)
 
   val state : t -> int -> State.t
+  (** A fresh state, {!State.equal_timeless} to the one first interned
+      at this number and with its time. *)
+
   val parent : t -> int -> int
 
   val next : t -> int option

@@ -141,6 +141,10 @@ let test_refusals () =
           "--max-faults=-1" ],
         "slimsim: --max-faults must be >= 0" );
       ([ "verify"; heater; "-i"; "true"; "--max-states=-5" ], "slimsim: --max-states must be positive");
+      ( [ "exact"; sf2; "-p"; "P(<> [0, 1800] " ^ exhausted ^ ")"; "--max-states"; "0" ],
+        "slimsim: --max-states must be positive" );
+      ( [ "exact"; sf2; "-p"; "P(<> [0, 1800] " ^ exhausted ^ ")"; "--max-states=-5" ],
+        "slimsim: --max-states must be positive" );
     ]
 
 let suite =

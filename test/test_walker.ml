@@ -8,7 +8,9 @@
      [Qualitative.check_invariant], and [check_invariant] reports the
      interpreter's state counts and counterexamples.
    The CLI pins of [Test_safety_cli] show the outputs; this shows the
-   relation, the cycle policies and the safety analyses' budgets. *)
+   relation, the cycle policies and the safety analyses' budgets.  The
+   packed interning table is checked against a [State.Tbl] reference on
+   random states, and the memory it retains per state is bounded. *)
 
 open Slimsim_sta
 module Qualitative = Slimsim_ctmc.Qualitative
@@ -114,7 +116,7 @@ let test_walker_matches_interpreter () =
       let w = Walker.create ~budget:max_int net in
       let order = reachable net in
       (* the walker's breadth-first walk, as check_invariant runs it *)
-      let table = Walker.Table.create () in
+      let table = Walker.Table.create net in
       ignore (Walker.Table.intern table (State.initial net) ~parent:(-1));
       let rec walk () =
         match Walker.Table.next table with
@@ -236,9 +238,157 @@ let test_budgets () =
     ]
     [ cutsets 0; cutsets 1; cutsets 38; cutsets 39; fmea 6; fmea 7; fdir 7; fdir 8; diag 28; diag 29 ]
 
+(* --- the packed interning table --- *)
+
+(* States of one network's shape around a base state, each differing
+   from it in up to three places, most often the last value, so that
+   many keys share long prefixes.  Values and locations come from pools
+   that hold the cases the packing must keep apart or fold together:
+   [Real 0.0] and [Real (-0.0)], NaNs with other payloads and signs,
+   [Int n] and [Real (float n)], Booleans, negative and extreme ints,
+   ints around the one-byte encoding's bound, locations of 256 and
+   more. *)
+let value_pool =
+  let nan_bits b = Value.Real (Int64.float_of_bits b) in
+  [|
+    Value.Bool false; Bool true; Int 0; Int 1; Int 3; Int (-1); Int (-129); Int 251;
+    Int 252; Int 256; Int max_int; Int min_int; Int (1 lsl 40); Real 0.0; Real (-0.0);
+    Real 1.0; Real 3.0; Real 251.0; Real (-1.0); Real nan; nan_bits 0x7ff0000000000001L;
+    nan_bits 0xfff8000000000000L; nan_bits 0x7ff800000000abcdL; Real infinity;
+    Real neg_infinity; Real 1e-300;
+  |]
+
+let loc_pool = [| 0; 1; 2; 127; 128; 255; 256; 300; 65_536; 1 lsl 40 |]
+
+let gen_states ~procs ~vars =
+  QCheck2.Gen.(
+    let loc = oneofa loc_pool and value = oneofa value_pool in
+    let* base_locs = array_size (return procs) loc in
+    let* base_vals = array_size (return vars) value in
+    let change =
+      let* at = frequency [ (3, return (procs + vars - 1)); (2, int_range 0 (procs + vars - 1)) ] in
+      let* l = loc and* v = value in
+      return (at, l, v)
+    in
+    let state =
+      let* changes = list_size (int_range 0 3) change in
+      let* time = oneofl [ 0.0; 1.5; -0.0; 1e9 ] in
+      let locs = Array.copy base_locs and vals = Array.copy base_vals in
+      List.iter
+        (fun (at, l, v) -> if at < procs then locs.(at) <- l else vals.(at - procs) <- v)
+        changes;
+      return { State.locs; vals; time }
+    in
+    list_size (int_range 1 80) state)
+
+let print_state (s : State.t) =
+  Printf.sprintf "{locs=[%s]; vals=[%s]; time=%h}"
+    (String.concat ";" (Array.to_list (Array.map string_of_int s.locs)))
+    (String.concat ";"
+       (Array.to_list
+          (Array.map
+             (function
+               | Value.Real f -> Printf.sprintf "Real %h (%Lx)" f (Int64.bits_of_float f)
+               | v -> Value.to_string v)
+             s.vals)))
+    s.time
+
+(* Each state gets the number a [State.Tbl] reference gives it, and the
+   table gives back, for every number, a state equal to the first one
+   interned there, with its time and parent. *)
+let test_table_property =
+  let shapes =
+    List.map Fixture.load [ cycle_model; Slimsim_models.Sensor_filter.source ~n:1 ]
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* net = oneofl shapes in
+      let* states =
+        gen_states ~procs:(Array.length net.Network.procs) ~vars:(Array.length net.vars)
+      in
+      return (net, states))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"packed table = State.Tbl"
+       ~print:(fun (_, states) -> String.concat "\n" (List.map print_state states))
+       gen
+       (fun (net, states) ->
+         let table = Walker.Table.create net in
+         let reference = State.Tbl.create 16 in
+         let firsts = ref [] in
+         List.iteri
+           (fun k s ->
+             let want =
+               match State.Tbl.find_opt reference s with
+               | Some i -> i
+               | None ->
+                 let i = State.Tbl.length reference in
+                 State.Tbl.add reference s i;
+                 firsts := (s, k) :: !firsts;
+                 i
+             in
+             let got = Walker.Table.intern table s ~parent:k in
+             if got <> want then
+               QCheck2.Test.fail_reportf "state %d, %s: number %d, expected %d" k
+                 (print_state s) got want)
+           states;
+         let firsts = Array.of_list (List.rev !firsts) in
+         if Walker.Table.length table <> Array.length firsts then
+           QCheck2.Test.fail_reportf "%d states, expected %d" (Walker.Table.length table)
+             (Array.length firsts);
+         Array.iteri
+           (fun i ((first : State.t), k) ->
+             let s = Walker.Table.state table i in
+             if
+               not
+                 (State.equal_timeless s first
+                 && Int64.equal (Int64.bits_of_float s.time) (Int64.bits_of_float first.time)
+                 && Walker.Table.parent table i = k)
+             then
+               QCheck2.Test.fail_reportf "state %d is %s, interned as %s" i (print_state s)
+                 (print_state first))
+           firsts;
+         true))
+
+(* The stable states of sensor/filter n = 6, interned from the fresh
+   states the walker returns, which the test drops: what the table keeps
+   of them is bounded per state.  Packed keys take ~21 words a state; a
+   [State.Tbl] of boxed states took ~90. *)
+let test_table_retention () =
+  let net = Fixture.load (Slimsim_models.Sensor_filter.source ~n:6) in
+  let w = Walker.create ~budget:max_int net in
+  let table = Walker.Table.create net in
+  let close s =
+    Walker.closure w ~on_cycle:ignore
+      (fun s _ () -> ignore (Walker.Table.intern table s ~parent:(-1)))
+      s ()
+  in
+  close (State.initial net);
+  let rec expand () =
+    match Walker.Table.next table with
+    | None -> ()
+    | Some i ->
+      let s = Walker.Table.state table i in
+      List.iter
+        (fun (p, tr, _) -> close (Walker.successor w s (Moves.Local { proc = p; tr })))
+        (Walker.markovian w s);
+      expand ()
+  in
+  expand ();
+  let n = Walker.Table.length table in
+  Alcotest.(check int) "stable states" 4159 n;
+  Gc.full_major ();
+  let words = Obj.reachable_words (Obj.repr table) in
+  if words > 48 * n then
+    Alcotest.failf "the table retains %d words for %d states (%.1f a state, at most 48)" words
+      n
+      (float_of_int words /. float_of_int n)
+
 let suite =
   [
     Alcotest.test_case "walker = interpreter" `Quick test_walker_matches_interpreter;
     Alcotest.test_case "cycle policy and budget" `Quick test_cycle_and_budget;
     Alcotest.test_case "safety budgets and messages" `Quick test_budgets;
+    test_table_property;
+    Alcotest.test_case "table retention per state" `Quick test_table_retention;
   ]
