@@ -39,7 +39,7 @@ let table1 () =
   Fmt.pr "(horizon 1800 s, simulator: ASAP, Chernoff-Hoeffding delta=0.05 eps=0.01)@.";
   line ();
   Fmt.pr "%-3s | %-10s %-8s %-8s %-8s | %-10s %-8s %-9s | %-10s@." "n" "ctmc p"
-    "time(s)" "states" "heap(MB)" "sim p" "time(s)" "paths" "closed-form";
+    "time(s)" "states" "topheap" "sim p" "time(s)" "paths" "closed-form";
   let horizon = 1800.0 in
   List.iter
     (fun n ->
@@ -58,12 +58,9 @@ let table1 () =
         sim.Slimsim.wall_seconds sim.Slimsim.paths
         (Sf.closed_form ~n ~horizon))
     [ 1; 2; 3; 4; 5; 6; 7 ];
-  Fmt.pr
-    "(simulator memory stays at the n=1 level; the CTMC heap column is@.";
-  Fmt.pr
-    " cumulative peak and so a lower bound per n.  n=8 explores 65791@.";
-  Fmt.pr
-    " states in ~3 s and ~150 MB while the simulator stays linear in n.)@.";
+  Fmt.pr "(topheap: the GC's top heap in MB, cumulative over the rows of@.";
+  Fmt.pr " this process, not a peak per n.  EXPERIMENTS.md Table I measures@.";
+  Fmt.pr " peak RSS per n, one process per cell under bench_e2e/rusage.exe.)@.";
   (* the timed variant the exact chain cannot treat (the reason the paper
      benchmarked an untimed model, §IV) *)
   Fmt.pr "@.timed variant (detection latency [%g, %g]), n = 2: simulator only@."

@@ -426,8 +426,9 @@ let simulate_cmd =
              single-process run at the same seed, under any worker count \
              and any failure schedule.  Workers that die or stall are \
              respawned with backoff up to --max-restarts, then \
-             quarantined.  Skips the qualitative pre-pass; --buffer sets \
-             the verdicts-per-batch frame size.")
+             quarantined.  The qualitative pre-pass runs first, as in one \
+             process; cost queries and $(b,-j) > 1 are refused; --buffer \
+             sets the verdicts-per-batch frame size.")
   and worker_cmd =
     Arg.(
       value
@@ -499,8 +500,8 @@ let simulate_cmd =
       teardown ();
       exit code
     in
-    (* -p and --query take the same query forms; every query that runs
-       in this process goes to [S.check_cost]. *)
+    (* -p and --query take the same query forms; every query, on every
+       topology, goes to [S.check_cost]. *)
     let src =
       match (prop, query) with
       | Some _, Some _ ->
@@ -532,6 +533,10 @@ let simulate_cmd =
     if drop_stall_limit <= 0 then
       die 1 "slimsim: --drop-stall-limit must be positive";
     if max_restarts < 0 then die 1 "slimsim: --max-restarts must be >= 0";
+    if Option.fold ~none:false ~some:(fun n -> n < 1) distribute then
+      die 1 "slimsim: --distribute must be >= 1";
+    if distribute <> None && workers > 1 then
+      die 1 "slimsim: use at most one of -j/--workers and --distribute";
     let supervisor =
       Slimsim_sim.Supervisor.create ~on_divergence ?checkpoint ~resume
         ?metrics_file:metrics ~max_buffer:buffer ~drop_stall_limit
@@ -563,7 +568,8 @@ let simulate_cmd =
       die 1 e
     in
     (* The one report: every outcome is printed here, and a campaign
-       stopped early exits 4 with its achieved confidence. *)
+       stopped early exits 4 with its achieved confidence, or 5 when it
+       stopped because a --distribute pool lost every worker. *)
     let print outcome =
       Fmt.pr "%a@." S.pp_cost_outcome outcome;
       match outcome with
@@ -571,6 +577,8 @@ let simulate_cmd =
         Fmt.pr "%a" Slimsim_sim.Cost_run.pp_distribution r
       | S.Cost_probability _ | S.Cost_expected _ -> ()
     in
+    (* the quarantined workers, once a --distribute pool lost them all *)
+    let lost = ref None in
     let exit_if_interrupted outcome =
       let interrupted, paths, half =
         match outcome with
@@ -584,115 +592,106 @@ let simulate_cmd =
             (r.Cost_run.cost_ci_high -. r.Cost_run.cost_ci_low) /. 2.0 )
       in
       if interrupted then begin
-        Log.warn
-          ~fields:
-            [
-              ("source", Json.String "interrupt");
-              ("paths", Json.Int paths);
-              ("achieved_half_width", Json.Float half);
-              ("requested_eps", Json.Float eps);
-            ]
-          (Printf.sprintf
-             "interrupted after %d paths; achieved half-width %.6f \
-              (requested %g)"
-             paths half eps);
-        teardown ();
-        exit 4
-      end
-    in
-    match distribute with
-    | None -> (
-      match
-        S.check_cost ~workers ~seed ~generator ~on_deadlock ~on_error
-          ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
-          ~prepass:(not no_prepass) ~levels:mlmc_levels m ~query:src ~strategy
-          ~delta ~eps ()
-      with
-      | Error e -> fail e
-      | Ok outcome ->
-        print outcome;
-        exit_if_interrupted outcome;
-        teardown ())
-    | Some nworkers -> (
-      let module Coordinator = Slimsim_dist.Coordinator in
-      (* Distribution workers exchange Bernoulli verdicts and have no
-         channel for a cost accumulator. *)
-      let complement =
-        match S.query_complement m ~query:src with
-        | Error e -> die 1 ("slimsim: " ^ e)
-        | Ok None ->
-          die 1
-            "slimsim: cost queries are not supported with --distribute; run \
-             them in a single process"
-        | Ok (Some c) -> c
-      in
-      if nworkers < 1 then die 1 "slimsim: --distribute must be >= 1";
-      let source =
-        try In_channel.with_open_bin file In_channel.input_all
-        with Sys_error e -> die 1 e
-      in
-      let worker_argv =
-        match worker_cmd with
-        (* exec so signals reach the worker, not an intermediate shell *)
-        | Some cmd -> [| "/bin/sh"; "-c"; "exec " ^ cmd |]
-        | None -> [| Sys.executable_name; "work" |]
-      in
-      let cfg =
-        try
-          Coordinator.config ~workers:nworkers ~worker_cmd:worker_argv
-            ?lease_size:lease ~batch:buffer ~heartbeat:dist_heartbeat
-            ~liveness:dist_liveness ~chaos ()
-        with Invalid_argument e -> die 1 ("slimsim: " ^ e)
-      in
-      let job =
-        {
-          Coordinator.model_source = source;
-          property = src;
-          strategy = Strategy.to_string strategy;
-          engine = "compiled";
-          seed;
-          on_error;
-          max_steps;
-          max_sim_time;
-          max_wall_per_path;
-          on_deadlock = (if deadlock_error then "error" else "falsify");
-        }
-      in
-      let gen = S.Generator.create generator ~delta ~eps in
-      match Coordinator.run ~supervisor ?progress cfg job ~generator:gen with
-      (* an unsupported flag combination, reported like the flag checks *)
-      | Error (Slimsim_sim.Path.Refused e) -> die 1 ("slimsim: " ^ e)
-      | Error e -> fail (Slimsim_sim.Path.error_to_string e)
-      | Ok o ->
-        let est = S.estimate_of ~complement o.Coordinator.result in
-        print (S.Cost_probability est);
-        Log.emit ~event:"dist_summary"
-          [
-            ("workers", Json.Int nworkers);
-            ("leases_granted", Json.Int o.Coordinator.leases_granted);
-            ("leases_reassigned", Json.Int o.Coordinator.leases_reassigned);
-            ("duplicate_paths", Json.Int o.Coordinator.duplicate_paths);
-            ("frames_rejected", Json.Int o.Coordinator.frames_rejected);
-            ("heartbeats_missed", Json.Int o.Coordinator.heartbeats_missed);
-            ("quarantined", Json.Int o.Coordinator.quarantined);
-          ];
-        if o.Coordinator.all_lost then begin
+        (match !lost with
+        | Some quarantined ->
           Log.warn
             ~fields:
               [
                 ("source", Json.String "distribute");
-                ("paths", Json.Int est.S.paths);
-                ("quarantined", Json.Int o.Coordinator.quarantined);
+                ("paths", Json.Int paths);
+                ("quarantined", Json.Int quarantined);
               ]
             (Printf.sprintf
                "every worker exhausted its restart budget; partial estimate \
                 after %d paths"
-               est.S.paths);
-          teardown ();
-          exit 5
-        end;
-        exit_if_interrupted (S.Cost_probability est);
-        teardown ())
+               paths)
+        | None ->
+          Log.warn
+            ~fields:
+              [
+                ("source", Json.String "interrupt");
+                ("paths", Json.Int paths);
+                ("achieved_half_width", Json.Float half);
+                ("requested_eps", Json.Float eps);
+              ]
+            (Printf.sprintf
+               "interrupted after %d paths; achieved half-width %.6f \
+                (requested %g)"
+               paths half eps));
+        teardown ();
+        exit (if !lost = None then 4 else 5)
+      end
+    in
+    (* --distribute: the Bernoulli campaign runs on the coordinator's
+       worker pool, reached through the facade like every topology. *)
+    let runner =
+      Option.map
+        (fun nworkers ->
+          let module Coordinator = Slimsim_dist.Coordinator in
+          let source =
+            try In_channel.with_open_bin file In_channel.input_all
+            with Sys_error e -> die 1 e
+          in
+          let worker_argv =
+            match worker_cmd with
+            (* exec so signals reach the worker, not an intermediate shell *)
+            | Some cmd -> [| "/bin/sh"; "-c"; "exec " ^ cmd |]
+            | None -> [| Sys.executable_name; "work" |]
+          in
+          let cfg =
+            try
+              Coordinator.config ~workers:nworkers ~worker_cmd:worker_argv
+                ?lease_size:lease ~batch:buffer ~heartbeat:dist_heartbeat
+                ~liveness:dist_liveness ~chaos ()
+            with Invalid_argument e -> die 1 ("slimsim: " ^ e)
+          in
+          let job =
+            {
+              Coordinator.model_source = source;
+              property = src;
+              strategy = Strategy.to_string strategy;
+              engine = "compiled";
+              seed;
+              on_error;
+              max_steps;
+              max_sim_time;
+              max_wall_per_path;
+              on_deadlock = (if deadlock_error then "error" else "falsify");
+            }
+          in
+          fun generator ->
+            match Coordinator.run ~supervisor ?progress cfg job ~generator with
+            | Ok o ->
+              Log.emit ~event:"dist_summary"
+                [
+                  ("workers", Json.Int nworkers);
+                  ("leases_granted", Json.Int o.Coordinator.leases_granted);
+                  ("leases_reassigned", Json.Int o.Coordinator.leases_reassigned);
+                  ("duplicate_paths", Json.Int o.Coordinator.duplicate_paths);
+                  ("frames_rejected", Json.Int o.Coordinator.frames_rejected);
+                  ("heartbeats_missed", Json.Int o.Coordinator.heartbeats_missed);
+                  ("quarantined", Json.Int o.Coordinator.quarantined);
+                ];
+              if o.Coordinator.all_lost then
+                lost := Some o.Coordinator.quarantined;
+              Ok o.Coordinator.result
+            | Error (Slimsim_sim.Path.Refused e) ->
+              (* a flag combination, reported like the flag checks *)
+              Error (Slimsim_sim.Path.Refused ("slimsim: " ^ e))
+            | Error e -> Error e)
+        distribute
+    in
+    match
+      S.check_cost ?runner ~workers ~seed ~generator ~on_deadlock ~on_error
+        ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
+        ~prepass:(not no_prepass) ~levels:mlmc_levels m ~query:src ~strategy
+        ~delta ~eps ()
+    with
+    | Error e -> fail e
+    | Ok outcome ->
+      print outcome;
+      exit_if_interrupted outcome;
+      teardown ()
   in
   Cmd.v
     (Cmd.info "simulate"

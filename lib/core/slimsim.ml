@@ -86,10 +86,6 @@ let parse_property (m : model) src =
   let* p = probability_plan m src in
   Ok (p.goal, p.hold, p.horizon)
 
-let query_complement (m : model) ~query =
-  let* p = plan m query in
-  Ok (match p.query with Pattern.Prob _ -> Some p.complement | _ -> None)
-
 type estimate = {
   probability : float;
   ci_low : float;
@@ -237,13 +233,24 @@ let drive map created =
    pre-pass; the returned thunk creates and drives the campaign, after
    it.  The multilevel generator truncates a finite time horizon, so
    cost-bounded reachability (no time bound) refuses it here and
-   E[...] / D[...] (a cost, not a probability) in [Cost_run.create]. *)
-let route ?workers ?seed ?on_error ?supervisor ?progress ?levels ?warmup
-    (m : model) (p : plan) ~generator ~strategy ~delta ~eps =
+   E[...] / D[...] (a cost, not a probability) in [Cost_run.create].
+   Under a [runner] (the distributed topology) a P form goes to the
+   runner with its generator, and the cost forms are refused: the
+   workers exchange Bernoulli verdicts and have no channel for a cost
+   accumulator. *)
+let route ?runner ?workers ?seed ?on_error ?supervisor ?progress ?levels
+    ?warmup (m : model) (p : plan) ~generator ~strategy ~delta ~eps =
   let net = m.Loader.network and goal = p.goal and hold = p.hold in
   let probability r = Cost_probability (estimate_of ~complement:p.complement r) in
-  match p.query, generator with
-  | (Pattern.Cost_expect _ | Pattern.Cost_dist _), kind ->
+  match runner, p.query, generator with
+  | Some run, Pattern.Prob _, kind ->
+    let generator = Generator.create kind ~delta ~eps in
+    Ok (fun () -> Result.map probability (run generator))
+  | Some _, (Pattern.Cost_reach _ | Pattern.Cost_expect _ | Pattern.Cost_dist _), _ ->
+    Error
+      "slimsim: cost queries are not supported with --distribute; run them \
+       in a single process"
+  | None, (Pattern.Cost_expect _ | Pattern.Cost_dist _), kind ->
     let wrap r =
       match p.query with
       | Pattern.Cost_dist _ -> Cost_distribution r
@@ -256,12 +263,12 @@ let route ?workers ?seed ?on_error ?supervisor ?progress ?levels ?warmup
              ?supervisor ?progress net ~goal ~horizon:p.horizon ~strategy
              ~cost_var:(Option.get p.cost_var)
              ~query:(Pattern.query_to_string p.query) ~kind ~delta ~eps ()))
-  | Pattern.Cost_reach _, Generator.Mlmc ->
+  | None, Pattern.Cost_reach _, Generator.Mlmc ->
     Error
       "cost-bounded reachability: the multilevel generator's levels \
        truncate the time horizon, and P(<> [c <= C] ...) has none (its \
        horizon is unbounded); use a fixed-size or chow-robbins generator"
-  | Pattern.Prob _, Generator.Mlmc ->
+  | None, Pattern.Prob _, Generator.Mlmc ->
     (* sequential: the pair shares scratch state and the allocator is
        consulted between samples *)
     let w = Option.value workers ~default:1 in
@@ -279,7 +286,7 @@ let route ?workers ?seed ?on_error ?supervisor ?progress ?levels ?warmup
           (Mlmc_run.create ?seed ~config:p.config ?on_error ?hold ?supervisor
              ?progress ?levels ?warmup net ~goal ~horizon:p.horizon ~strategy
              ~delta ~eps ()))
-  | (Pattern.Prob _ | Pattern.Cost_reach _), generator ->
+  | None, (Pattern.Prob _ | Pattern.Cost_reach _), generator ->
     Ok
       (fun () ->
         drive probability
@@ -380,16 +387,16 @@ let exact_estimate ~complement (p_raw, report) =
    conditional expectation is undefined and sampling can only stall),
    and a P=1 certificate does not shortcut: the cost values still have
    to be sampled.  [resolve] is [plan] or [probability_plan]. *)
-let check_query resolve ?workers ?seed ?(generator = Generator.Chernoff)
-    ?on_deadlock ?on_error ?supervisor ?progress ?max_steps ?max_sim_time
-    ?max_wall_per_path ?(prepass = true) ?levels ?warmup (m : model) ~query
-    ~strategy ~delta ~eps () =
+let check_query resolve ?runner ?workers ?seed
+    ?(generator = Generator.Chernoff) ?on_deadlock ?on_error ?supervisor
+    ?progress ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true)
+    ?levels ?warmup (m : model) ~query ~strategy ~delta ~eps () =
   let* p =
     resolve ?max_steps ?max_sim_time ?max_wall_per_path ?on_deadlock m query
   in
   let* run =
-    route ?workers ?seed ?on_error ?supervisor ?progress ?levels ?warmup m p
-      ~generator ~strategy ~delta ~eps
+    route ?runner ?workers ?seed ?on_error ?supervisor ?progress ?levels
+      ?warmup m p ~generator ~strategy ~delta ~eps
   in
   match prepass_shortcut ~prepass ~strategy m p, p.query with
   | Some (0.0, _), (Pattern.Cost_expect { prob; _ } | Pattern.Cost_dist { prob; _ })

@@ -52,13 +52,7 @@ val parse_property :
     [probability that goal within u], or cost-bounded reachability
     [P(<> [c <= C] goal)] (hold [c <= C], horizon [infinity]); an
     E[...] / D[...] query is an error.  For an invariance pattern the
-    goal is negated (see {!query_complement}). *)
-
-val query_complement : model -> query:string -> (bool option, string) result
-(** Resolve any query form as {!check_cost} does, without running
-    anything.  [Some c] for a plain or invariance probability, where [c]
-    tells whether the campaign estimates the negated goal (pass it to
-    {!estimate_of}); [None] for the cost forms. *)
+    goal is negated. *)
 
 type estimate = {
   probability : float;
@@ -206,12 +200,6 @@ val prepass :
     [complement = true] certifies P=1 for the user's property, and vice
     versa.  Used by [slimsim lint --property]. *)
 
-val certificate_of :
-  complement:bool -> Slimsim_analyze.Prepass.outcome -> string option
-(** The user-facing certificate of a pre-pass outcome: [Some "P0"] /
-    [Some "P1"] with the complement mapping of {!prepass} applied,
-    [None] when inconclusive. *)
-
 val lint_property :
   ?max_nodes:int ->
   model ->
@@ -249,6 +237,7 @@ type cost_outcome =
           {!Slimsim_sim.Cost_run.pp_distribution} *)
 
 val check_cost :
+  ?runner:(Generator.t -> (Campaign.result, Slimsim_sim.Path.error) result) ->
   ?workers:int ->
   ?seed:int64 ->
   ?generator:Generator.kind ->
@@ -281,7 +270,13 @@ val check_cost :
     pre-pass P=0 certificate is reported as an error (the conditional
     expectation is undefined when no path can reach the goal).  Cost
     forms refuse [generator = Mlmc]: its levels truncate a finite time
-    horizon and estimate a probability. *)
+    horizon and estimate a probability.
+
+    [runner] runs the Bernoulli campaign elsewhere: the CLI builds it
+    from [Slimsim_dist.Coordinator.run] for [--distribute].  A [P] form
+    is planned and pre-passed as above, then run by [runner] with
+    [generator]; [workers], [levels] and [warmup] are ignored.  The
+    other forms are refused before the pre-pass. *)
 
 val pp_cost_outcome : Format.formatter -> cost_outcome -> unit
 (** {!pp_estimate} for probability forms, [Cost_run.pp_result] for

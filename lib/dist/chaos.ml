@@ -11,7 +11,6 @@ type rule = {
 type t = rule list
 
 let none = []
-let is_none t = t = []
 
 let action_to_string = function
   | Kill -> "kill"

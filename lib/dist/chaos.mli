@@ -31,7 +31,6 @@ type action = Kill | Exit of int | Stall | Corrupt | Dup | Delay of float
 type t
 
 val none : t
-val is_none : t -> bool
 
 val parse : string -> (t, string) result
 (** [""] parses to {!none}. *)

@@ -653,7 +653,8 @@ let test_mlmc_cost_bounded_rejected () =
       Alcotest.(check int) "CLI exit code" 1 code)
 
 (* Every query form under every generator family through every facade
-   front-end: each cell runs, or fails with its own specific error.
+   front-end, the distributed topology included (check_cost with a stub
+   runner): each cell runs, or fails with its own specific error.
    [""] stands for [Ok] (for [check_cost], of the form's outcome). *)
 let test_query_form_table () =
   let m =
@@ -679,7 +680,11 @@ let test_query_form_table () =
   and truncates = "cost-bounded reachability: the multilevel generator"
   and not_a_cost = "the multilevel generator estimates a probability"
   and serve = "not supported in serve mode"
-  and coupled = "generator mlmc is not supported by the campaign service" in
+  and coupled = "generator mlmc is not supported by the campaign service"
+  and distribute =
+    "slimsim: cost queries are not supported with --distribute; run them in \
+     a single process"
+  in
   (* front-end, form: chernoff, chow-robbins, mlmc *)
   let table =
     [
@@ -698,7 +703,31 @@ let test_query_form_table () =
       ("prepare", "cost-bounded P", (serve, serve, serve));
       ("prepare", "E", (serve, serve, serve));
       ("prepare", "D", (serve, serve, serve));
+      ("distribute", "P reach", ("", "", ""));
+      ("distribute", "P invariance", ("", "", ""));
+      ("distribute", "cost-bounded P", (distribute, distribute, distribute));
+      ("distribute", "E", (distribute, distribute, distribute));
+      ("distribute", "D", (distribute, distribute, distribute));
     ]
+  in
+  (* the distributed topology's stand-in: it records the generator kind
+     it is handed and estimates p = 0.25 without sampling *)
+  let stub =
+    {
+      Campaign.probability = 0.25;
+      ci_low = 0.2;
+      ci_high = 0.3;
+      paths = 100;
+      successes = 25;
+      deadlock_paths = 0;
+      violated_paths = 0;
+      errors = 0;
+      diverged_paths = 0;
+      dropped_paths = 0;
+      worker_restarts = 0;
+      stopped = Campaign.Converged;
+      wall_seconds = 0.0;
+    }
   in
   List.iter
     (fun (front, form, (chernoff, chow_robbins, mlmc)) ->
@@ -726,6 +755,25 @@ let test_query_form_table () =
                     Slimsim.Cost_probability _ ->
                     Ok ()
                   | _ -> Error "wrong outcome kind")
+            | "distribute" ->
+              let calls = ref [] in
+              let runner g =
+                calls := Generator.kind_to_string (Generator.kind g) :: !calls;
+                Ok stub
+              in
+              let outcome = run (Slimsim.check_cost ~runner ~generator m ~query) in
+              Alcotest.(check (list string)) (cell ^ ": runner calls")
+                (if expected = "" then [ Generator.kind_to_string generator ]
+                 else [])
+                !calls;
+              Result.bind outcome (function
+                | Slimsim.Cost_probability e ->
+                  (* complement-mapped like a local estimate *)
+                  Alcotest.(check (float 1e-12)) (cell ^ ": probability")
+                    (if form = "P invariance" then 0.75 else 0.25)
+                    e.Slimsim.probability;
+                  Ok ()
+                | _ -> Error "wrong outcome kind")
             | _ ->
               Result.map ignore
                 (run (Slimsim.prepare ~generator m ~property:query))

@@ -266,6 +266,38 @@ let test_cli_pins () =
       ("invariance --query", [ "--query"; "P([] [0, 5] q < 4)" ]);
       ("invariance --distribute", [ "-p"; "P([] [0, 5] q < 4)"; "--distribute"; "2" ]);
     ];
+  (* the pre-pass runs on every topology: a certified query is answered
+     without spawning a worker (the worker command would leave a marker
+     file), and --no-prepass samples the same paths on both *)
+  let marker = Filename.temp_file "slimsim_pin" ".spawned" in
+  Sys.remove marker;
+  let worker_cmd =
+    [ "--worker-cmd";
+      Printf.sprintf "sh -c %s"
+        (Filename.quote
+           (Printf.sprintf "touch %s; exec %s work" (Filename.quote marker)
+              (Filename.quote (Filename.concat dir "../bin/slimsim_cli.exe")))) ]
+  in
+  let p0 args = simulate "mm1k.slim" ([ "-p"; "P(<> [0, 50] q < 0)" ] @ args @ inv) in
+  let certified =
+    "p = 0.000000 in [0.000000, 0.000000] (0/0 paths, 0 dead/timelocked) \
+     [certificate P0: exact]\n"
+  and sampled =
+    "p = 0.000000 in [0.000000, 0.017676] (0/4794 paths, 0 dead/timelocked)\n"
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists marker then Sys.remove marker)
+    (fun () ->
+      same "certified -j 1" certified (p0 [ "-j"; "1" ]);
+      same "certified --distribute" certified
+        (p0 ([ "--distribute"; "2" ] @ worker_cmd));
+      Alcotest.(check bool) "certified --distribute: no worker spawned" false
+        (Sys.file_exists marker);
+      same "sampled -j 1" sampled (p0 [ "--no-prepass"; "-j"; "1" ]);
+      same "sampled --distribute" sampled
+        (p0 ([ "--no-prepass"; "--distribute"; "2" ] @ worker_cmd));
+      Alcotest.(check bool) "sampled --distribute: workers spawned" true
+        (Sys.file_exists marker));
   let mlmc = "p = 0.177022 in [0.128154, 0.225890] (67/1146 paths, 0 dead/timelocked)\n" in
   List.iter
     (fun (name, err, args) ->
@@ -314,6 +346,9 @@ let test_cli_pins () =
          truncate the time horizon, and P(<> [c <= C] ...) has none (its \
          horizon is unbounded); use a fixed-size or chow-robbins generator\n",
         [ "--query"; "P(<> [w <= 3] q = 4)"; "-g"; "mlmc" ] );
+      ( "-j x --distribute", "mm1k.slim",
+        "slimsim: use at most one of -j/--workers and --distribute\n",
+        [ "-p"; "P(<> [0, 5] q = 4)"; "-j"; "2"; "--distribute"; "2" ] );
       ( "-p with --query", "mm1k.slim",
         "slimsim: use exactly one of -p/--property and --query\n",
         [ "-p"; "P(<> [0, 5] q = 4)"; "--query"; "P(<> [0, 5] q = 4)" ] );
