@@ -2,10 +2,11 @@
    [fdir], [diagnosability] and [verify], with the full stdout and the
    exit status of each invocation.  The first eight are the ones the
    README and the tutorial document; the rest cover the dot export, a
-   counterexample that mixes rate and immediate moves, and a walk over
-   the 1640 states of the generated sensor/filter model at n = 4.  The
-   refusals pin the messages for non-Boolean goals and out-of-range
-   flags. *)
+   counterexample that mixes rate and immediate moves, and walks over
+   the 1640 and 28808 states of the generated sensor/filter models at
+   n = 4 and n = 6.  The refusals pin the messages for non-Boolean goals
+   and out-of-range flags; the [exact] pins show the CTMC pipeline's
+   answers on small chains. *)
 
 let dir = Filename.dirname Sys.executable_name
 let model name = Filename.concat dir ("../examples/models/" ^ name)
@@ -31,6 +32,16 @@ let heater = model "heater.slim"
 let sf2 = model "sensor_filter_2.slim"
 let broken = "heater in mode broken"
 let exhausted = "sensors.exhausted or filters.exhausted"
+
+(* [f file], with [file] the generated sensor/filter model of size [n] *)
+let with_sensor_filter n f =
+  let file = Filename.temp_file (Printf.sprintf "slimsim_sf%d" n) ".slim" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc (Slimsim_models.Sensor_filter.source ~n));
+      f file)
 
 let test_pins () =
   pin [ "cutsets"; heater; "-g"; broken; "--horizon"; "300" ]
@@ -109,13 +120,33 @@ ambiguous observation {heater.temp_ok=false}:
   violating state: sensors=dead, sensors.s1=run, sensors.s1#SensorFail=failed, sensors.s2=run, sensors.s2#SensorFail=failed, filters=use1, filters.f1=run, filters.f1#FilterFail=ok, filters.f2=run, filters.f2#FilterFail=ok
 
 |};
-  let sf4 = Filename.temp_file "slimsim_sf4" ".slim" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove sf4)
-    (fun () ->
-      Out_channel.with_open_bin sf4 (fun oc ->
-          output_string oc (Slimsim_models.Sensor_filter.source ~n:4));
-      pin [ "verify"; sf4; "-i"; "true" ] "invariant holds (1640 states explored)\n")
+  with_sensor_filter 4 (fun sf4 ->
+      pin [ "verify"; sf4; "-i"; "true" ] "invariant holds (1640 states explored)\n");
+  with_sensor_filter 6 (fun sf6 ->
+      pin [ "verify"; sf6; "-i"; "true" ] "invariant holds (28808 states explored)\n")
+
+(* [exact] on small chains, the run time stripped: the bundled n = 2 and
+   capacity-20 queue, the generated n = 4 with and without lumping, and
+   an until whose hold fails in some states, so that bad states exist.
+   The CI step "Exact pins" holds the md5 of the same lines. *)
+let test_exact_pins () =
+  let exact args expected =
+    let out, _ = run_cli ("exact" :: args) in
+    Alcotest.(check string) (String.concat " " args) expected
+      (Str.global_replace (Str.regexp ", [0-9]+\\.[0-9]+s)$") ")" out)
+  in
+  let until_exhausted = "P(<> [0, 1800] " ^ exhausted ^ ")" in
+  exact [ sf2; "-p"; until_exhausted ] "p = 0.803526806 (19 states, 9 after lumping)\n";
+  with_sensor_filter 4 (fun sf4 ->
+      exact [ sf4; "-p"; until_exhausted ] "p = 0.549242510 (271 states, 25 after lumping)\n";
+      exact [ sf4; "-p"; until_exhausted; "--no-lump" ]
+        "p = 0.549242510 (271 states, 271 after lumping)\n");
+  exact
+    [ model "mm1k_20.slim"; "-p"; "P(<> [0, 50] q = 20)" ]
+    "p = 0.006376922 (210 states, 21 after lumping)\n";
+  exact
+    [ sf2; "-p"; "P(not filters.exhausted U [0, 1800] sensors.exhausted)" ]
+    "p = 0.596205696 (19 states, 9 after lumping)\n"
 
 (* Refusals: exit 1 with the message on stderr and nothing on stdout,
    never an uncaught exception (cmdliner's 125). *)
@@ -151,4 +182,5 @@ let suite =
   [
     Alcotest.test_case "safety CLI pins" `Quick test_pins;
     Alcotest.test_case "safety CLI refusals" `Quick test_refusals;
+    Alcotest.test_case "exact CLI pins" `Quick test_exact_pins;
   ]
