@@ -553,7 +553,8 @@ let simulate_cmd =
         ("strategy", Json.String (Strategy.to_string strategy));
         ("delta", Json.Float delta);
         ("eps", Json.Float eps);
-        ("workers", Json.Int workers);
+        (* worker domains, or worker processes under --distribute *)
+        ("workers", Json.Int (Option.value distribute ~default:workers));
         ("seed", Json.String (Int64.to_string seed));
         ("generator", Json.String (S.Generator.kind_to_string generator));
         ( "on_divergence",

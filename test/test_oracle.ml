@@ -380,10 +380,45 @@ let test_cli_pins () =
             "slimsim: --checkpoint-every must be positive" );
         ])
 
+(* The [workers] field of [campaign_start] counts the campaign's workers
+   on every topology: worker domains with -j, worker processes with
+   --distribute. *)
+let test_campaign_start_workers () =
+  let log = Filename.temp_file "slimsim_workers" ".jsonl" in
+  let workers args =
+    ignore
+      (cli
+         ([ "simulate"; model "gps.slim"; "--no-lint"; "-p";
+            "P(<> [0,300] gps in mode active and not gps.measurement)"; "-e"; "0.1"; "-d";
+            "0.1"; "--seed"; "1"; "--log-json"; log ]
+         @ args));
+    let start =
+      In_channel.with_open_bin log In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.find_map (fun line ->
+             match Slimsim_obs.Json.parse line with
+             | Ok j
+               when Slimsim_obs.Json.member "event" j
+                    = Some (Slimsim_obs.Json.String "campaign_start") ->
+               Some j
+             | _ -> None)
+    in
+    match Option.bind start (Slimsim_obs.Json.member "workers") with
+    | Some (Slimsim_obs.Json.Int n) -> n
+    | _ -> Alcotest.failf "%s: no campaign_start with workers" (String.concat " " args)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove log)
+    (fun () ->
+      Alcotest.(check (list int)) "campaign_start workers: default, -j 2, --distribute 2"
+        [ 1; 2; 2 ]
+        [ workers []; workers [ "-j"; "2" ]; workers [ "--distribute"; "2" ] ])
+
 let suite =
   [
     Alcotest.test_case "scripted strategies: compiled = oracle" `Quick test_scripted;
     Alcotest.test_case "rare: compiled = oracle" `Quick test_rare;
     Alcotest.test_case "recorded traces: compiled = oracle" `Quick test_traces;
     Alcotest.test_case "cli pins: trace and interactive" `Quick test_cli_pins;
+    Alcotest.test_case "campaign_start workers" `Quick test_campaign_start_workers;
   ]
