@@ -30,16 +30,17 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
   let on_cycle () =
     raise (Immediate_cycle "a cycle of immediate transitions never reaches a stable state")
   in
-  let leaf s prob acc =
-    let i = Walker.Table.intern table s ~parent:(-1) in
+  let leaf prob acc =
+    let i = Walker.Table.add table w ~parent:(-1) in
     if i >= max_states then raise (Too_many_states i);
     (i, prob) :: acc
   in
-  (* Distribution over stable states reachable from [s] by immediate
-     moves, resolved equiprobably (the simulator's rule, §III-B), by
-     state number. *)
-  let close s = Ctmc.merge_row (Array.of_list (Walker.closure w ~on_cycle leaf s [])) in
-  let initial_dist = Array.to_list (close (State.initial net)) in
+  (* Distribution over the stable states reachable from the scratch's
+     state by immediate moves, resolved equiprobably (the simulator's
+     rule, §III-B), by state number. *)
+  let close () = Ctmc.merge_row (Array.of_list (Walker.close w ~on_cycle leaf [])) in
+  Walker.reset w;
+  let initial_dist = Array.to_list (close ()) in
   (* row i is built when state i is expanded, its entries in the order
      they are generated *)
   let rows = ref [||] in
@@ -48,22 +49,23 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
     match Walker.Table.next table with
     | None -> ()
     | Some i ->
-      let s = Walker.Table.state table i in
-      let entries = ref [] in
-      List.iter
-        (fun (p, tr, rate) ->
-          Array.iter
-            (fun (j, prob) ->
-              entries := (j, rate *. prob) :: !entries;
-              incr n_trans)
-            (close (Walker.successor w s (Moves.Local { proc = p; tr }))))
-        (Walker.markovian w s);
+      Walker.Table.load table i w;
+      let entries =
+        Walker.fold_rates w
+          (fun rate entries ->
+            Array.fold_left
+              (fun entries (j, prob) ->
+                incr n_trans;
+                (j, rate *. prob) :: entries)
+              entries (close ()))
+          []
+      in
       if i >= Array.length !rows then begin
         let grown = Array.make (Int.max 64 (2 * i)) [||] in
         Array.blit !rows 0 grown 0 i;
         rows := grown
       end;
-      !rows.(i) <- Ctmc.merge_row (Array.of_list (List.rev !entries));
+      !rows.(i) <- Ctmc.merge_row (Array.of_list (List.rev entries));
       expand ()
   in
   expand ();

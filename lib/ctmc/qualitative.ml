@@ -33,6 +33,7 @@ let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
   let w = Walker.create ~budget:max_int net in
   let table = Walker.Table.create net in
   let state = Walker.Table.state table in
+  let holds = Walker.predicate w prop in
   (* The parent chain of state [i]: its length, and the moves of its
      last [max_trace] steps (the suffix closest to the violation). *)
   let rec trace i steps acc =
@@ -44,16 +45,17 @@ let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
            Moves.describe net (move_to w (state p) (state i)) :: acc
          else acc)
   in
-  ignore (Walker.Table.intern table (State.initial net) ~parent:(-1));
+  Walker.reset w;
+  ignore (Walker.Table.add table w ~parent:(-1));
   let rec walk () =
     match Walker.Table.next table with
     | None -> Ok (Holds { states = Walker.Table.length table })
     | Some _ when Walker.Table.length table > max_states ->
       Error (Printf.sprintf "state space exceeds %d states" max_states)
     | Some i ->
-      let s = state i in
-      if State.eval_bool s prop then begin
-        Walker.successors w s (fun _ s' -> ignore (Walker.Table.intern table s' ~parent:i));
+      Walker.Table.load table i w;
+      if holds () then begin
+        Walker.fold_successors w (fun () -> ignore (Walker.Table.add table w ~parent:i)) ();
         walk ()
       end
       else
@@ -63,7 +65,7 @@ let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
              {
                trace;
                truncated = max 0 (steps - max_trace);
-               locs = loc_vector net s;
+               locs = loc_vector net (state i);
                states = Walker.Table.length table;
              })
   in

@@ -10,7 +10,8 @@
     stream for a fixed seed.  The cross-check tests in
     [test/test_compiled.ml] enforce this.  Production code steps only
     here: the simulator through [Path], the untimed analyses through
-    {!Walker}.
+    {!Walker}, which walks the state graph on one scratch with the
+    snapshot stack below.
 
     Ownership rules for {!cstate} (see [docs/PERFORMANCE.md]):
     - a scratch state belongs to exactly one worker; never share one
@@ -18,8 +19,11 @@
     - [rates] is refreshed by {!set_rates} and read by {!advance},
       {!discrete} (through guards) and the symbolic closures; discrete
       application never writes it;
-    - trial execution ({!enabled_after}, {!eval_bool_after}) runs on a
-      double buffer and restores the committed state before returning,
+    - a snapshot ({!save}) copies the unboxed arrays into the next
+      level of a stack and journals the boxed [vals] writes made under
+      it, so that {!restore} costs the copy plus the writes undone;
+    - trial execution ({!enabled_after}, {!eval_bool_after}) is a
+      snapshot on top of the stack, swapped back in before returning,
       even on exceptions;
     - the move buffer filled by {!discrete} and {!markovian} belongs to
       the state the scratch held when they ran. *)
@@ -91,6 +95,44 @@ val rate : cstate -> int -> float
 
 val to_state : t -> cstate -> State.t
 val of_state : t -> cstate -> State.t -> unit
+
+val loc : cstate -> int -> int
+(** The location of a process. *)
+
+val value : cstate -> int -> Value.t
+(** The value of a variable, as {!to_state} reads it (the unboxed cache
+    boxed afresh, without writing it back). *)
+
+val load :
+  t -> cstate -> loc:(int -> int) -> value:(int -> Value.t) -> time:float -> unit
+(** Overwrite the state: locations [loc 0], [loc 1], ..., then values
+    [value 0], ..., in this order.  Unlike {!of_state}, no flow is
+    marked dirty: the state must satisfy its flows, as every state a
+    move or {!reset} leaves does. *)
+
+(** {1 Snapshots}
+
+    A stack of saved states on the scratch, for walks that branch: save
+    before the moves, restore before each.  Level [k] is the [k]-th
+    {!save} still in force, counted from 0.  Level 0 comes with the
+    scratch; deeper levels are allocated the first time they are
+    used. *)
+
+val save : t -> cstate -> unit
+(** Push the current state (locations, values, time, dirty flows). *)
+
+val restore : t -> cstate -> unit
+(** Return to the top level, which stays saved. *)
+
+val drop : cstate -> unit
+(** Forget the top level; the current state is kept. *)
+
+val depth : cstate -> int
+(** The number of levels saved. *)
+
+val equal_saved : t -> cstate -> int -> bool
+(** [equal_saved c s k]: {!State.equal_timeless} between the current
+    state and level [k]. *)
 
 (** {1 Per-step operations} — each mirrors its [State]/[Moves_oracle]
     counterpart exactly.  Move enumeration fills a buffer in the scratch
@@ -176,6 +218,16 @@ val apply_local : t -> cstate -> delay:float -> int -> int -> unit
 (** [apply_local c s ~delay p tr] is
     [apply c s ~delay (Moves.Local { proc = p; tr })]. *)
 
+val copy_move : cstate -> int -> int array -> int array -> int -> int
+(** [copy_move s i procs trs k] copies the participants of the [i]-th
+    buffered move, processes into [procs] and transitions into [trs]
+    from index [k] on, and returns their number (at most the number of
+    processes). *)
+
+val apply_parts : t -> cstate -> int array -> int array -> int -> int -> unit
+(** [apply_parts c s procs trs off len] applies, with no delay, the
+    move whose participants {!copy_move} wrote at [off]. *)
+
 val enabled_after : t -> cstate -> float -> int
 (** [Moves_oracle.enabled_after] over the buffered moves: tries each move
     whose window contains the delay on the trial buffer and returns the
@@ -195,7 +247,8 @@ val eval_bool_after : t -> cstate -> cap:float -> cbool -> bool
     dirty.  Writes that can change a flow's value mark it: a delay, a
     transition's updates and location switch, a restart, and the
     re-evaluation of an earlier flow it reads.  {!apply} re-evaluates
-    only the dirty flows; {!reset} and {!of_state} mark every flow. *)
+    only the dirty flows; {!reset} and {!of_state} mark every flow,
+    {!load} none. *)
 
 val dirty_flows : t -> cstate -> int list
 (** Indices of the flows currently marked dirty (for tests). *)

@@ -1,18 +1,62 @@
 (** The untimed state graph on the compiled engine, for [verify], the
     P=1 pre-pass, [cutsets], [fmea], [fdir], [diagnosability] and the
     CTMC explorer (DESIGN.md, "State-graph walker").  A walker owns one
-    compiled network and one scratch; each operation loads a {!State.t}
-    into the scratch (unless it holds that state already), steps there
-    and reads the result back.  {!immediate} and {!delay_free} are the
-    two notions of "fires now" and must stay distinct. *)
+    compiled network and one scratch ({!Compiled.cstate}) and steps only
+    there.  The scratch core walks without building a {!State.t}: a
+    closure keeps one snapshot of the scratch per vanishing state on the
+    branch and restores it before each move, and {!Table} packs keys
+    from the scratch and loads them back into it.  The {!State.t}
+    operations are adapters over the same scratch: they load a state
+    (unless the scratch holds it already), step and read the result
+    back.  {!immediate} and {!delay_free} are the two notions of "fires
+    now" and must stay distinct. *)
 
 type t
 
 val create : budget:int -> Network.t -> t
-(** [budget] bounds {!closure} and {!charge}: one unit per visited state
-    or charge. *)
+(** [budget] bounds {!close} and {!charge}: one unit per visited state
+    or charge.  Cheap: snapshot levels beyond the first and the move
+    stack are allocated when a walk first needs them. *)
 
-(** {1 Successors} *)
+exception Exhausted of { in_closure : bool }
+
+val charge : t -> unit
+(** Spend one unit of the budget on the caller's own work. *)
+
+(** {1 The scratch core}
+
+    These walk from the state the scratch holds: the initial state after
+    {!reset}, state [i] after {!Table.load}. *)
+
+val reset : t -> unit
+(** Load the network's initial state. *)
+
+val predicate : t -> Expr.t -> unit -> bool
+(** A compiled Boolean expression, evaluated in the scratch's state. *)
+
+val close : t -> on_cycle:(unit -> unit) -> (float -> 'a -> 'a) -> 'a -> 'a
+(** [close w ~on_cycle leaf acc] folds [leaf] over the stable states
+    reached by immediate moves, all branches, depth first, each with its
+    weight under the equiprobable resolution (§III-B); the scratch holds
+    the stable state while [leaf] runs.  A state with immediate moves
+    that is already on the branch is a cycle: [on_cycle ()] runs, and if
+    it returns the branch is cut. *)
+
+val fold_rates : t -> (float -> 'a -> 'a) -> 'a -> 'a
+(** Fire each rate transition of the scratch's state, in the
+    interpreter's order, and fold [f rate] with the scratch holding the
+    successor. *)
+
+val fold_successors : t -> ('a -> 'a) -> 'a -> 'a
+(** The untimed abstraction's successor relation from the scratch's
+    state: the immediate moves, then the rate transitions with their
+    rates abstracted, [f] folded with the scratch holding each
+    successor. *)
+
+val vanishing_visits : t -> int
+(** States with immediate moves that {!close} has expanded. *)
+
+(** {1 State adapters} *)
 
 val immediate : t -> State.t -> Moves.move list
 (** The guarded moves whose window holds 0, in the interpreter's
@@ -25,9 +69,11 @@ val successor : t -> State.t -> Moves.move -> State.t
 (** Fire a move with no delay. *)
 
 val successors : t -> State.t -> (Moves.move -> State.t -> unit) -> unit
-(** The untimed abstraction's successor relation: the immediate moves,
-    then the rate transitions with their rates abstracted, each with its
-    successor. *)
+(** {!fold_successors} from a state, each successor with its move. *)
+
+val closure :
+  t -> on_cycle:(unit -> unit) -> (State.t -> float -> 'a -> 'a) -> State.t -> 'a -> 'a
+(** {!close} from a state, each stable state read back. *)
 
 val delay_free :
   t -> State.t -> [ `Race | `Time_can_elapse | `Moves of Moves.move list ]
@@ -35,24 +81,6 @@ val delay_free :
     [`Time_can_elapse] when the invariant window is not exactly [{0}],
     else the moves enabled after delay 0 into states satisfying every
     invariant. *)
-
-(** {1 Budgeted walks} *)
-
-exception Exhausted of { in_closure : bool }
-
-val charge : t -> unit
-(** Spend one unit of the budget on the caller's own work. *)
-
-val closure :
-  t -> on_cycle:(unit -> unit) -> (State.t -> float -> 'a -> 'a) -> State.t -> 'a -> 'a
-(** [closure w ~on_cycle leaf s acc] folds [leaf] over the stable states
-    reached from [s] by immediate moves, all branches, depth first, each
-    with its weight under the equiprobable resolution (§III-B).  A state
-    with immediate moves that is already on the branch is a cycle:
-    [on_cycle ()] runs, and if it returns the branch is cut. *)
-
-val vanishing_visits : t -> int
-(** States with immediate moves that {!closure} has expanded. *)
 
 val asap : t -> horizon:float -> State.t -> State.t
 (** The one timed walk (FDIR's settling): follow the deterministic ASAP
@@ -65,8 +93,12 @@ val asap : t -> horizon:float -> State.t -> State.t
     index of the state it was first reached from.  A state is stored as
     one packed key (its locations and tagged values, reals canonical:
     [-0.0] as [0.0], every NaN as one NaN), so two states get the same
-    number exactly when {!State.equal_timeless} holds; a {!State.t} is
-    rebuilt only when {!state} asks for one. *)
+    number exactly when {!State.equal_timeless} holds.  Keys are
+    written from a {!State.t} or straight from a walker's scratch, with
+    the same bytes, and hashed and compared a word at a time; a
+    {!State.t} is rebuilt only when {!state} asks for one. *)
+type walker := t
+
 module Table : sig
   type t
 
@@ -80,9 +112,18 @@ module Table : sig
   (** The state's number, adding it (with [parent], [-1] for a root)
       when it is new. *)
 
+  val add : t -> walker -> parent:int -> int
+  (** {!intern} of the state the walker's scratch holds, read in place.
+      The walker must walk this table's network. *)
+
   val state : t -> int -> State.t
   (** A fresh state, {!State.equal_timeless} to the one first interned
       at this number and with its time. *)
+
+  val load : t -> int -> walker -> unit
+  (** Load state [i] into the walker's scratch, with its time.  Its
+      flows are taken to hold, as in every state a walk reaches
+      ({!Compiled.load}). *)
 
   val parent : t -> int -> int
 

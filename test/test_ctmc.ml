@@ -381,6 +381,55 @@ let test_explorer_state_cap () =
 
 (* --- the production explorer against the interpreter oracle --- *)
 
+(* An immediate closure that branches at depths 1, 5 and 6 of the walk
+   from v0, where the moves to t1 and t2 leave x as the branch point
+   had it (restores must return to the right snapshot, values
+   included), with a self loop on v2 that counts x up to 2 (states with
+   equal locations that differ in a value, told apart through the
+   journal).  With [loop],
+   v4 moves back to v2 with x = 2, a vanishing state four levels below
+   the top of the branch: the cycle check must find it there. *)
+let deep_closure_model ~loop =
+  Printf.sprintf
+    {|
+device D
+features
+  x: out data port int := 0;
+  loop: out data port bool := %b;
+end D;
+device implementation D.I
+modes
+  s: initial mode;
+  v0: mode;
+  v1: mode;
+  v2: mode;
+  v3: mode;
+  v4: mode;
+  t1: mode;
+  t2: mode;
+  t3: mode;
+  t4: mode;
+transitions
+  s -[rate 1.0]-> v0;
+  v0 -[then x := 0]-> v1;
+  v1 -[]-> v2;
+  v1 -[]-> t1;
+  v2 -[when x < 2 then x := x + 1]-> v2;
+  v2 -[when x = 2]-> v3;
+  v3 -[]-> v4;
+  v3 -[]-> t2;
+  v4 -[when loop]-> v2;
+  v4 -[then x := 3]-> t3;
+  v4 -[then x := 4]-> t4;
+  t1 -[rate 2.0]-> s;
+  t2 -[rate 0.5]-> s;
+  t3 -[rate 1.5]-> s;
+  t4 -[rate 3.0 then x := 0]-> s;
+end D.I;
+root D.I;
+|}
+    loop
+
 let bits = Int64.bits_of_float
 
 let check_same_chain name (a : Ctmc.t) (b : Ctmc.t) =
@@ -424,10 +473,15 @@ let test_explorer_matches_oracle () =
     ]
   in
   let hub = load hub_trap_model in
+  let deep = load (deep_closure_model ~loop:false) in
   let cases =
     List.concat_map sf [ 1; 2; 3; 4; 5; 6 ]
     @ queue 4 @ queue 20
-    @ [ ("hub/trap chain", hub, goal hub "v = 1", Some (goal hub "v != 2"), true) ]
+    @ [
+        ("hub/trap chain", hub, goal hub "v = 1", Some (goal hub "v != 2"), true);
+        ("deep closure", deep, goal deep "x = 4", None, false);
+        ("deep closure, hold", deep, goal deep "x = 4", Some (goal deep "x != 2"), true);
+      ]
   in
   List.iter
     (fun (name, net, g, hold, some_bad) ->
@@ -437,7 +491,48 @@ let test_explorer_matches_oracle () =
         (Array.exists Fun.id ctmc'.Ctmc.bad);
       check_same_chain name ctmc ctmc';
       check_same_stats name stats stats')
-    cases
+    cases;
+  (* the cycle back to v2: a walk that cuts the branch keeps the other
+     leaves with the weights the State.t closure gave them, within a
+     budget that a walk missing the cycle would exhaust; both explorers
+     refuse the model *)
+  let net = load (deep_closure_model ~loop:true) in
+  let module Walker = Slimsim_sta.Walker in
+  let module State = Slimsim_sta.State in
+  let w = Walker.create ~budget:100 net in
+  let v0 =
+    Walker.successor w (State.initial net) (Slimsim_sta.Moves.Local { proc = 0; tr = 0 })
+  in
+  let show (s : State.t) =
+    Printf.sprintf "%s x=%s"
+      (Slimsim_sta.Network.loc_name net ~proc:0 s.locs.(0))
+      (Slimsim_sta.Value.to_string s.vals.(0))
+  in
+  let leaves = Walker.closure w ~on_cycle:ignore (fun s p acc -> (show s, bits p) :: acc) v0 [] in
+  Alcotest.(check (list (pair string int64)))
+    "deep cycle cut: leaves and weights"
+    [
+      ("t3 x=3", bits (0.25 /. 3.0));
+      ("t4 x=4", bits (0.25 /. 3.0));
+      ("t2 x=2", bits 0.25);
+      ("t1 x=0", bits 0.5);
+    ]
+    (List.rev leaves);
+  Alcotest.(check int) "deep cycle cut: vanishing visits" 8 (Walker.vanishing_visits w);
+  (* Cutsets.stable_states lists the stable states last found first *)
+  Alcotest.(check (list string))
+    "deep cycle cut: Cutsets.stable_states"
+    [ "t1 x=0"; "t2 x=2"; "t4 x=4"; "t3 x=3" ]
+    (List.map show (Slimsim_safety.Cutsets.stable_states (Walker.create ~budget:100 net) v0));
+  let g = goal net "x = 4" in
+  let cycle explore =
+    match explore () with
+    | exception Explorer.Immediate_cycle msg -> msg
+    | _ -> Alcotest.fail "the deep cycle must be reported"
+  in
+  Alcotest.(check string) "deep cycle: the oracle's message"
+    (cycle (fun () -> Explorer_oracle.explore net ~goal:g))
+    (cycle (fun () -> Explorer.explore net ~goal:g))
 
 let test_explorer_oracle_failures () =
   let raises name f =
@@ -463,6 +558,24 @@ let test_explorer_oracle_failures () =
   | Explorer.Too_many_states a, Explorer.Too_many_states b ->
     Alcotest.(check int) "same cap" b a
   | _ -> Alcotest.fail "both explorers must enforce the state cap"
+
+(* Exploration allocates little per transition: the walk steps on the
+   compiled scratch, keeps a snapshot per vanishing state on the branch
+   and packs keys in place.  On sensor/filter n = 6 it allocates ~82
+   minor words per explored transition, compiling the network included;
+   a walk that builds a State.t per successor did ~318. *)
+let test_explorer_allocation () =
+  let n = 6 in
+  let net = load (Slimsim_models.Sensor_filter.source ~n) in
+  let g = goal net (Slimsim_models.Sensor_filter.goal_all_failed ~n) in
+  let before = Gc.minor_words () in
+  let _, stats = Explorer.explore net ~goal:g in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (pair int int)) "stable states, transitions" (4159, 24705)
+    (stats.Explorer.stable_states, stats.Explorer.transitions);
+  let per = words /. float_of_int stats.Explorer.transitions in
+  if per > 160.0 then
+    Alcotest.failf "%.0f minor words per explored transition (at most 160)" per
 
 (* The polymorphic hash reads only a prefix of a long state; the state
    table's hash must tell the states of a large network apart. *)
@@ -715,6 +828,7 @@ let suite =
     Alcotest.test_case "state cap" `Quick test_explorer_state_cap;
     Alcotest.test_case "explorer matches the oracle" `Quick test_explorer_matches_oracle;
     Alcotest.test_case "oracle failures agree" `Quick test_explorer_oracle_failures;
+    Alcotest.test_case "exploration allocation per transition" `Quick test_explorer_allocation;
     Alcotest.test_case "state hash spread" `Quick test_state_hash_spread;
     Alcotest.test_case "state hash agrees with equality" `Quick
       test_state_hash_agrees_with_equality;
