@@ -39,3 +39,11 @@ val poisson_weights : lambda:float -> epsilon:float -> int * float array
     mode, whose pmf is computed in closed form by Stirling's series,
     obtained outward by the exact ratios of neighbouring weights, and
     normalised to sum to 1 over the window.  Exposed for testing. *)
+
+val window_floor : lambda:float -> epsilon:float -> float
+(** A step count below the left point of
+    [poisson_weights ~lambda ~epsilon], from the Chernoff bound on the
+    Poisson lower tail: {!reach} walks the window only once its loop
+    gets there, so a horizon far past the chain's settling (even [1e300],
+    or an infinite one, whose floor is [infinity]) costs nothing.  Exposed
+    for testing. *)

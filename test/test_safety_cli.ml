@@ -148,6 +148,25 @@ let test_exact_pins () =
     [ sf2; "-p"; "P(not filters.exhausted U [0, 1800] sensors.exhausted)" ]
     "p = 0.596205696 (19 states, 9 after lumping)\n"
 
+(* A horizon of 1e300 on the queue: the chain settles within a few
+   thousand steps, so the answer comes at once; walking the Poisson
+   window from q t first never finished. *)
+let test_exact_long_horizon () =
+  let out = Filename.temp_file "slimsim_exact" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let bin = Filename.concat dir "../bin/slimsim_cli.exe" in
+      let code =
+        Sys.command
+          (Filename.quote_command "timeout" ~stdout:out ~stderr:Filename.null
+             [ "10"; bin; "exact"; model "mm1k_20.slim"; "-p"; "P(<> [0, 1e300] q = 20)" ])
+      in
+      Alcotest.(check int) "exit code (124: timed out)" 0 code;
+      Alcotest.(check string) "answer" "p = 1.000000000 (210 states, 21 after lumping)\n"
+        (Str.global_replace (Str.regexp ", [0-9]+\\.[0-9]+s)$") ")"
+           (In_channel.with_open_bin out In_channel.input_all)))
+
 (* Refusals: exit 1 with the message on stderr and nothing on stdout,
    never an uncaught exception (cmdliner's 125). *)
 let test_refusals () =
@@ -183,4 +202,5 @@ let suite =
     Alcotest.test_case "safety CLI pins" `Quick test_pins;
     Alcotest.test_case "safety CLI refusals" `Quick test_refusals;
     Alcotest.test_case "exact CLI pins" `Quick test_exact_pins;
+    Alcotest.test_case "exact: long horizon" `Quick test_exact_long_horizon;
   ]

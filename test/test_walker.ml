@@ -384,6 +384,24 @@ let test_table_retention () =
       n
       (float_of_int words /. float_of_int n)
 
+(* The chain keeps each transition as an int target and an unboxed
+   rate: on sensor/filter n = 6 it retains ~3 words per transition, the
+   labels and the per-state row headers included.  Rows of
+   (int * float) tuples with boxed rates retained ~6.7. *)
+let test_chain_retention () =
+  let n = 6 in
+  let net = Fixture.load (Slimsim_models.Sensor_filter.source ~n) in
+  let goal = Fixture.goal net (Slimsim_models.Sensor_filter.goal_all_failed ~n) in
+  let c, _ = Slimsim_ctmc.Explorer.explore net ~goal in
+  let transitions = Slimsim_ctmc.Ctmc.n_transitions c in
+  Alcotest.(check int) "row entries" 24705 transitions;
+  Gc.full_major ();
+  let words = Obj.reachable_words (Obj.repr c) in
+  if words > 4 * transitions then
+    Alcotest.failf "the chain retains %d words for %d transitions (%.2f a transition, at most 4)"
+      words transitions
+      (float_of_int words /. float_of_int transitions)
+
 let suite =
   [
     Alcotest.test_case "walker = interpreter" `Quick test_walker_matches_interpreter;
@@ -391,4 +409,5 @@ let suite =
     Alcotest.test_case "safety budgets and messages" `Quick test_budgets;
     test_table_property;
     Alcotest.test_case "table retention per state" `Quick test_table_retention;
+    Alcotest.test_case "chain retention per transition" `Quick test_chain_retention;
   ]
