@@ -129,6 +129,98 @@ let test_p1_wall_gate () =
   Alcotest.(check bool) "paths sampled" true (r.S.paths > 0);
   Alcotest.(check (float 0.0)) "still p = 1" 1.0 r.S.probability
 
+(* --- P=1: the certificate itself, pinned --- *)
+
+(* Delay-free branches that rejoin: a fires into b, c or straight into
+   d (n = 2 in all three ways to d), and d sets the goal flag in e, the
+   one mode where time can pass. *)
+let rejoin_src =
+  {|
+device D
+features
+  done: out data port bool := false;
+  n: out data port int [0, 2] := 0;
+end D;
+device implementation D.I
+subcomponents
+  x: data clock;
+modes
+  a: initial mode while x <= 0.0;
+  b: mode while x <= 0.0;
+  c: mode while x <= 0.0;
+  d: mode while x <= 0.0;
+  e: mode;
+transitions
+  a -[then n := 1]-> b;
+  a -[then n := 1]-> c;
+  a -[then n := 2]-> d;
+  b -[then n := 2]-> d;
+  c -[then n := 2]-> d;
+  d -[then done := true]-> e;
+end D.I;
+root D.I;
+|}
+
+(* Time pinned at 0 in every mode: [a] fires into [stuck], which has no
+   move, or into [b], and [a] and [b] fire into each other forever. *)
+let cycle_src =
+  {|
+device D
+features
+  done: out data port bool := false;
+end D;
+device implementation D.I
+subcomponents
+  x: data clock;
+modes
+  a: initial mode while x <= 0.0;
+  b: mode while x <= 0.0;
+  stuck: mode while x <= 0.0;
+transitions
+  a -[]-> stuck;
+  a -[]-> b;
+  b -[]-> a;
+end D.I;
+root D.I;
+|}
+
+let test_p1_pinned () =
+  let certainty ?max_states ?hold src goal =
+    let net = S.network (load src) in
+    let hold = Option.map (Fixture.goal net) hold in
+    match Qualitative.certain_reachability ?max_states ?hold net ~goal:(Fixture.goal net goal) with
+    | Ok (Qualitative.Sure { states; depth; witness }) ->
+      Printf.sprintf "sure: %d states, depth %d, witness [%s]" states depth
+        (String.concat "; " witness)
+    | Ok (Qualitative.Not_sure { reason }) -> "not sure: " ^ reason
+    | Error e -> "error: " ^ e
+  in
+  List.iter
+    (fun (name, got, want) -> Alcotest.(check string) name want got)
+    [
+      ( "one move",
+        certainty sure_src "done",
+        "sure: 2 states, depth 1, witness [main: a -> b]" );
+      ( "branch and rejoin",
+        certainty rejoin_src "done",
+        "sure: 5 states, depth 3, witness [main: a -> b; main: b -> d; main: d -> e]" );
+      ("goal at the start", certainty rejoin_src "n = 0", "sure: 1 states, depth 0, witness []");
+      ("race", certainty queue_src "q = 2", "not sure: exponential race before the goal");
+      ( "time can elapse",
+        certainty rejoin_src "n = 3",
+        "not sure: time can elapse before the goal" );
+      ("deadlock", certainty cycle_src "done", "not sure: deadlock before the goal");
+      ( "goal-free cycle",
+        certainty cycle_src "main in mode stuck",
+        "not sure: goal-free cycle in the delay-free closure" );
+      ( "hold fails",
+        certainty ~hold:"n = 0" rejoin_src "done",
+        "not sure: hold condition fails before the goal" );
+      ( "state budget",
+        certainty ~max_states:3 rejoin_src "done",
+        "not sure: state budget exceeded" );
+    ]
+
 (* --- complement mapping on invariance patterns --- *)
 
 let test_complement_mapping () =
@@ -366,4 +458,5 @@ let suite =
       test_invariant_trace_bounded;
     Alcotest.test_case "enum: frontend to certificate" `Quick test_enum_frontend;
     Alcotest.test_case "enum: rejected misuse" `Quick test_enum_errors;
+    Alcotest.test_case "P1: certificate pinned" `Quick test_p1_pinned;
   ]

@@ -274,6 +274,43 @@ let test_dot_network () =
         (Astring_contains.contains dot frag))
     [ "digraph network"; "gps#GPSFail"; "main" ]
 
+(* The initial closure branches into three stable states that one
+   observation cannot tell apart.  A closure's stable states are
+   numbered last found first, and a class reports its lowest-numbered
+   states: c, found last, is the negative witness, not b. *)
+let test_diagnosability_witness_order () =
+  let net =
+    load
+      {|
+device D
+features
+  o: out data port int [0, 1] := 0;
+end D;
+device implementation D.I
+modes
+  s: initial mode;
+  a: mode;
+  b: mode;
+  c: mode;
+transitions
+  s -[then o := 1]-> a;
+  s -[then o := 1]-> b;
+  s -[then o := 1]-> c;
+end D.I;
+root D.I;
+|}
+  in
+  let diagnosis = goal net "main in mode a" in
+  match Slimsim_safety.Diagnosability.check net ~observables:[ "o" ] ~diagnosis with
+  | Ok r ->
+    Alcotest.(check string) "report"
+      "NOT diagnosable (3 states, 1 observation classes)\n\
+       ambiguous observation {o=1}:\n\
+      \  diagnosis holds:   main@a\n\
+      \  diagnosis fails:   main@c\n"
+      (Fmt.str "%a" Slimsim_safety.Diagnosability.pp_report r)
+  | Error e -> Alcotest.fail e
+
 let suite =
   [
     Alcotest.test_case "basic events" `Quick test_basic_events;
@@ -298,4 +335,6 @@ let suite =
       test_diagnosability_unknown_observable;
     Alcotest.test_case "dot automaton" `Quick test_dot_automaton;
     Alcotest.test_case "dot network" `Quick test_dot_network;
+    Alcotest.test_case "diagnosability witnesses, last found first" `Quick
+      test_diagnosability_witness_order;
   ]
