@@ -60,7 +60,7 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
       Walker.Table.load table i w;
       Ctmc.Row_buffer.clear row;
       Walker.fold_rates w
-        (fun rate () ->
+        (fun _ _ rate () ->
           close ();
           Ctmc.Row_buffer.append_scaled row leaves rate;
           n_trans := !n_trans + Ctmc.Row_buffer.length leaves)

@@ -19,13 +19,17 @@ let loc_vector net (s : State.t) =
            (Network.loc_name net ~proc:p l))
        s.State.locs)
 
-(* The first move of [s] that reaches [target]: the one that numbered
-   [target] when the breadth-first walk expanded [s]. *)
-let move_to w s target =
-  let first = ref None in
-  Walker.successors w s (fun mv s' ->
-      if !first = None && State.equal_timeless s' target then first := Some mv);
-  Option.get !first
+(* The first move of state [p] that reaches state [i]: the one that
+   numbered [i] when the breadth-first walk expanded [p], which interned
+   every successor of [p], so [add] here only looks them up. *)
+let move_to w table p i =
+  Walker.Table.load table p w;
+  List.find
+    (fun mv ->
+      Walker.trial w (fun () ->
+          Walker.apply w mv;
+          Walker.Table.add table w ~parent:p = i))
+    (Walker.moves w)
 
 let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
     (net : Network.t) ~prop =
@@ -42,7 +46,7 @@ let check_invariant ?(max_states = 1_000_000) ?(max_trace = 40)
     else
       trace p (steps + 1)
         (if steps < max_trace then
-           Moves.describe net (move_to w (state p) (state i)) :: acc
+           Moves.describe net (move_to w table p i) :: acc
          else acc)
   in
   Walker.reset w;
@@ -93,51 +97,58 @@ let certain_reachability ?(max_states = 100_000) ?hold (net : Network.t)
     ~goal =
   Walker.protect @@ fun () ->
   let w = Walker.create ~budget:max_int net in
-  let memo = State.Tbl.create 1024 in
-  let states = ref 0 in
+  let table = Walker.Table.create net in
+  let goal = Walker.predicate w goal and hold = Option.map (Walker.predicate w) hold in
+  (* per state number: the depth once known, -1 while on the stack *)
+  let memo = Hashtbl.create 1024 in
   let witness = ref None in
   let exception Not_sure_exn of string in
   (* Returns the maximum number of moves to the goal over all paths from
-     [s]; every path must end in a goal state. *)
-  let rec visit path_rev s : int =
-    match State.Tbl.find_opt memo s with
-    | Some `On_stack ->
-      raise (Not_sure_exn "goal-free cycle in the delay-free closure")
-    | Some (`Done d) -> d
-    | None ->
-      incr states;
-      if !states > max_states then raise (Not_sure_exn "state budget exceeded");
-      if State.eval_bool s goal then begin
+     the scratch's state; every path must end in a goal state. *)
+  let rec visit path_rev : int =
+    let known = Walker.Table.length table in
+    let i = Walker.Table.add table w ~parent:(-1) in
+    if i < known then
+      match Hashtbl.find memo i with
+      | -1 -> raise (Not_sure_exn "goal-free cycle in the delay-free closure")
+      | d -> d
+    else begin
+      if known >= max_states then raise (Not_sure_exn "state budget exceeded");
+      if goal () then begin
         if !witness = None then
           witness := Some (List.rev_map (Moves.describe net) path_rev);
-        State.Tbl.replace memo s (`Done 0);
+        Hashtbl.replace memo i 0;
         0
       end
       else begin
         (match hold with
-        | Some h when not (State.eval_bool s h) ->
+        | Some h when not (h ()) ->
           raise (Not_sure_exn "hold condition fails before the goal")
         | Some _ | None -> ());
         (* Delay-free: time must be unable to elapse, so no strategy and
            no horizon can interfere. *)
-        match Walker.delay_free w s with
+        match Walker.delay_free w with
         | `Race -> raise (Not_sure_exn "exponential race before the goal")
         | `Time_can_elapse -> raise (Not_sure_exn "time can elapse before the goal")
         | `Moves [] -> raise (Not_sure_exn "deadlock before the goal")
         | `Moves moves ->
-          State.Tbl.replace memo s `On_stack;
+          Hashtbl.replace memo i (-1);
           let d =
             List.fold_left
               (fun acc mv ->
-                let s' = Walker.successor w s mv in
-                max acc (1 + visit (mv :: path_rev) s'))
+                Walker.trial w (fun () ->
+                    Walker.apply w mv;
+                    max acc (1 + visit (mv :: path_rev))))
               0 moves
           in
-          State.Tbl.replace memo s (`Done d);
+          Hashtbl.replace memo i d;
           d
       end
+    end
   in
-  match visit [] (State.initial net) with
+  Walker.reset w;
+  match visit [] with
   | depth ->
-    Ok (Sure { states = !states; depth; witness = Option.value ~default:[] !witness })
+    let witness = Option.value ~default:[] !witness in
+    Ok (Sure { states = Walker.Table.length table; depth; witness })
   | exception Not_sure_exn reason -> Ok (Not_sure { reason })

@@ -39,8 +39,6 @@ let basic_events (net : Network.t) =
     net.procs;
   List.rev !out
 
-let stable_states w s = Walker.closure w ~on_cycle:ignore (fun s _ acc -> s :: acc) s []
-
 module Key_set = Set.Make (struct
   type t = int * int
 
@@ -51,11 +49,20 @@ let minimal_cut_sets ?(max_order = 3) ?(max_expansions = 200_000)
     (net : Network.t) ~goal =
   let events = basic_events net in
   let w = Walker.create ~budget:max_expansions net in
-  let hit = List.exists (fun s -> State.eval_bool s goal) in
   Walker.protect @@ fun () ->
   try
-    let initial = stable_states w (State.initial net) in
-    if hit initial then
+    let goal = Walker.predicate w goal in
+    let table = Walker.Table.create net in
+    (* The numbers of the stable states the scratch's state closes to,
+       the last found first, and whether the goal holds in one of them *)
+    let stable_states () =
+      Walker.close w ~on_cycle:ignore
+        (fun _ (hit, states) -> (hit || goal (), Walker.Table.add table w ~parent:(-1) :: states))
+        (false, [])
+    in
+    Walker.reset w;
+    let hit, initial = stable_states () in
+    if hit then
       (* the top event can occur without any fault *)
       Ok [ [] ]
     else begin
@@ -64,34 +71,34 @@ let minimal_cut_sets ?(max_order = 3) ?(max_expansions = 200_000)
       let mcs = ref [] in
       let covered keys = List.exists (fun found -> Key_set.subset found keys) !mcs in
       let frontier = ref (List.map (fun s -> (s, Key_set.empty)) initial) in
-      for _order = 1 to max_order do
+      let order = ref 0 in
+      while !order < max_order && !frontier <> [] do
+        incr order;
         let next = ref [] in
-        let seen = State.Tbl.create 256 in
+        let seen = Hashtbl.create 256 in
         List.iter
           (fun (s, keys) ->
-            if not (covered keys) then
-              List.iter
-                (fun (p, ti, _rate) ->
+            if not (covered keys) then begin
+              Walker.Table.load table s w;
+              Walker.fold_rates w
+                (fun p ti _rate () ->
                   let keys' = Key_set.add (p, ti) keys in
                   if not (Key_set.mem (p, ti) keys || covered keys') then begin
                     Walker.charge w;
-                    let stables =
-                      stable_states w (Walker.successor w s (Moves.Local { proc = p; tr = ti }))
-                    in
-                    if hit stables then mcs := keys' :: !mcs
+                    let hit, stables = stable_states () in
+                    if hit then mcs := keys' :: !mcs
                     else
                       List.iter
                         (fun st ->
-                          let prev =
-                            Option.value ~default:[] (State.Tbl.find_opt seen st)
-                          in
+                          let prev = Option.value ~default:[] (Hashtbl.find_opt seen st) in
                           if not (List.exists (Key_set.equal keys') prev) then begin
-                            State.Tbl.replace seen st (keys' :: prev);
+                            Hashtbl.replace seen st (keys' :: prev);
                             next := (st, keys') :: !next
                           end)
                         stables
                   end)
-                (Walker.markovian w s))
+                ()
+            end)
           !frontier;
         frontier := !next
       done;

@@ -34,11 +34,6 @@ val basic_events : Slimsim_sta.Network.t -> basic_event list
 (** All rate transitions of the network, in (process, transition)
     order. *)
 
-val stable_states :
-  Slimsim_sta.Walker.t -> Slimsim_sta.State.t -> Slimsim_sta.State.t list
-(** The stable states reached by immediate moves, all branches, the
-    last one first; a branch that cycles is cut. *)
-
 val minimal_cut_sets :
   ?max_order:int ->
   ?max_expansions:int ->

@@ -28,20 +28,27 @@ let check ?(max_faults = 2) ?(max_expansions = 200_000) (net : Network.t)
   try
     (* Stable states, injecting up to [max_faults] basic events per
        round, newest first within a round; deduplicate on the timeless
-       state key *)
-    let table = Walker.Table.create net in
-    let push s = ignore (Walker.Table.intern table s ~parent:(-1)) in
-    List.iter push (Cutsets.stable_states w (State.initial net));
-    let round_start = ref 0 in
-    for _round = 1 to max_faults do
+       state key.  A closure's stable states are numbered last found
+       first: [leaves] holds them while the closure runs. *)
+    let table = Walker.Table.create net and leaves = Walker.Table.create net in
+    let push_closure () =
+      Walker.close w ~on_cycle:ignore
+        (fun _ found -> Walker.Table.add leaves w ~parent:(-1) :: found)
+        []
+      |> List.iter (fun j ->
+             Walker.Table.load leaves j w;
+             ignore (Walker.Table.add table w ~parent:(-1)))
+    in
+    Walker.reset w;
+    push_closure ();
+    (* a round that adds no state ends the search *)
+    let round = ref 0 and round_start = ref 0 in
+    while !round < max_faults && !round_start < Walker.Table.length table do
+      incr round;
       let round_end = Walker.Table.length table in
       for i = round_end - 1 downto !round_start do
-        let s = Walker.Table.state table i in
-        List.iter
-          (fun (p, ti, _) ->
-            let s' = Walker.successor w s (Moves.Local { proc = p; tr = ti }) in
-            List.iter push (Cutsets.stable_states w s'))
-          (Walker.markovian w s)
+        Walker.Table.load table i w;
+        Walker.fold_rates w (fun _ _ _ () -> push_closure ()) ()
       done;
       round_start := round_end
     done;
@@ -49,16 +56,22 @@ let check ?(max_faults = 2) ?(max_expansions = 200_000) (net : Network.t)
     let n = Walker.Table.length table in
     let classes = Hashtbl.create 64 in
     for i = n - 1 downto 0 do
-      let s = Walker.Table.state table i in
-      let key = List.map (fun (_, v) -> Value.to_string s.State.vals.(v)) obs in
+      Walker.Table.load table i w;
+      let key = List.map (fun (_, v) -> Value.to_string (Walker.value w v)) obs in
       Hashtbl.replace classes key
-        (s :: Option.value ~default:[] (Hashtbl.find_opt classes key))
+        (i :: Option.value ~default:[] (Hashtbl.find_opt classes key))
     done;
+    let holds = Walker.predicate w diagnosis in
+    let diagnosed i =
+      Walker.Table.load table i w;
+      holds ()
+    in
     let ambiguities = ref [] in
     Hashtbl.iter
       (fun _key states ->
-        match List.partition (fun s -> State.eval_bool s diagnosis) states with
+        match List.partition diagnosed states with
         | p :: _, n :: _ ->
+          let p = Walker.Table.state table p and n = Walker.Table.state table n in
           ambiguities :=
             {
               observation =

@@ -8,8 +8,6 @@ type verdict = {
   signature : (string * string) list;
 }
 
-let witness w s = match Cutsets.stable_states w s with s' :: _ -> s' | [] -> s
-
 (* The host instance path of a process: "a.b#EM" and "a.b" both live in
    the subtree rooted at "a.b". *)
 let host_path name =
@@ -52,7 +50,7 @@ let in_subtree net prefix p =
 
 (* Fire the reset synchronization restricted to the covered subtree (the
    resetter's own move is hypothetical in this analysis). *)
-let apply_reset (net : Network.t) w s (ev, prefix) =
+let apply_reset (net : Network.t) w (ev, prefix) =
   let parts = ref [] in
   Array.iteri
     (fun p (proc : Automaton.t) ->
@@ -61,13 +59,12 @@ let apply_reset (net : Network.t) w s (ev, prefix) =
           List.find_opt
             (fun ti ->
               proc.transitions.(ti).Automaton.label = Automaton.Event ev)
-            proc.outgoing.(s.State.locs.(p))
+            proc.outgoing.(Walker.loc w p)
         with
         | Some ti -> parts := (p, ti) :: !parts
         | None -> ())
     net.procs;
-  if !parts = [] then s
-  else Walker.successor w s (Moves.Sync { event = ev; parts = List.rev !parts })
+  if !parts <> [] then Walker.apply w (Moves.Sync { event = ev; parts = List.rev !parts })
 
 let resolve_observables (net : Network.t) names =
   let resolve name =
@@ -89,37 +86,37 @@ let analyze ?(max_expansions = 100_000) ?(settle_time = 0.0) (net : Network.t)
        (e.g. the GPS acquisition window) and timed self-repairs
        complete, so that verdicts are judged against the operational
        nominal state. *)
-    let base =
-      let s = witness w (State.initial net) in
-      if settle_time > 0.0 then Walker.asap w ~horizon:settle_time s else s
-    in
-    let signature_of s =
-      List.filter_map
-        (fun (name, v) ->
-          if Value.equal base.State.vals.(v) s.State.vals.(v) then None
-          else Some (name, Value.to_string s.State.vals.(v)))
-        obs
+    Walker.reset w;
+    Walker.witness w ignore;
+    if settle_time > 0.0 then Walker.asap w ~horizon:settle_time;
+    let base = List.map (fun (_, v) -> Walker.value w v) obs in
+    (* the observables that differ from the base in the scratch's state *)
+    let deviations () =
+      List.concat
+        (List.map2
+           (fun (name, v) before ->
+             let x = Walker.value w v in
+             if Value.equal before x then [] else [ (name, Value.to_string x) ])
+           obs base)
     in
     let raw =
       Cutsets.basic_events net
       |> List.map (fun (e : Cutsets.basic_event) ->
-             let after =
-               witness w
-                 (Walker.successor w base
-                    (Moves.Local { proc = e.Cutsets.be_proc; tr = e.Cutsets.be_tr }))
-             in
-             let signature = signature_of after in
+             Walker.trial w @@ fun () ->
+             Walker.apply w (Moves.Local { proc = e.Cutsets.be_proc; tr = e.Cutsets.be_tr });
+             Walker.witness w ignore;
+             let signature = deviations () in
              let recovered =
                match reset_event_for net e.Cutsets.be_proc with
                | None -> false
                | Some reset ->
-                 let s' = witness w (apply_reset net w after reset) in
-                 let s' =
-                   if settle_time > 0.0 then
-                     Walker.asap w ~horizon:(s'.State.time +. settle_time) s'
-                   else s'
-                 in
-                 signature_of s' = []
+                 apply_reset net w reset;
+                 Walker.witness w ignore;
+                 (* every state here has the base's time: the moves
+                    since took no delay *)
+                 if settle_time > 0.0 then
+                   Walker.asap w ~horizon:(Walker.time w +. settle_time);
+                 deviations () = []
              in
              (e, signature, recovered))
     in

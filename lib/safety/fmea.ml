@@ -12,25 +12,26 @@ let analyze ?(max_expansions = 100_000) (net : Network.t) ~goal =
   let w = Walker.create ~budget:max_expansions net in
   Walker.protect @@ fun () ->
   try
-    let base =
-      match Cutsets.stable_states w (State.initial net) with
-      | s :: _ -> s
-      | [] -> State.initial net
-    in
+    let goal = Walker.predicate w goal in
+    let values () = Array.init (Array.length net.vars) (Walker.value w) in
+    (* the base: the initial closure's witness *)
+    Walker.reset w;
+    Walker.witness w ignore;
+    let base = values () in
     let rows =
       Cutsets.basic_events net
       |> List.map (fun (e : Cutsets.basic_event) ->
-             let after_event =
-               Walker.successor w base
-                 (Moves.Local { proc = e.Cutsets.be_proc; tr = e.Cutsets.be_tr })
-             in
-             let consequences = Cutsets.stable_states w after_event in
-             let witness = match consequences with s :: _ -> s | [] -> after_event in
+             Walker.trial w @@ fun () ->
+             (* fired from the base even where it is not enabled *)
+             Walker.apply w (Moves.Local { proc = e.Cutsets.be_proc; tr = e.Cutsets.be_tr });
+             let leads_to_failure = ref false in
+             Walker.witness w (fun () ->
+                 if not !leads_to_failure then leads_to_failure := goal ());
+             let witness = values () in
              let local_effects =
                Array.to_list net.vars
                |> List.mapi (fun i (vi : Network.var_info) ->
-                      let before = base.State.vals.(i)
-                      and after = witness.State.vals.(i) in
+                      let before = base.(i) and after = witness.(i) in
                       if Value.equal before after then None
                       else
                         Some
@@ -39,15 +40,12 @@ let analyze ?(max_expansions = 100_000) (net : Network.t) ~goal =
                             Value.to_string after ))
                |> List.filter_map Fun.id
              in
-             let leads_to_failure =
-               List.exists (fun s -> State.eval_bool s goal) consequences
-             in
              {
                component = Network.proc_name net e.Cutsets.be_proc;
                failure_mode = e.Cutsets.be_label;
                rate = e.Cutsets.be_rate;
                local_effects;
-               leads_to_failure;
+               leads_to_failure = !leads_to_failure;
              })
     in
     Ok rows

@@ -1821,9 +1821,10 @@ let load c s ~loc ~value ~time =
   done;
   s.time.(0) <- time
 
-let of_state c s (st : State.t) =
-  load c s ~loc:(Array.get st.State.locs) ~value:(Array.get st.State.vals) ~time:st.State.time;
-  mark_all c s
+let copy c ~src ~dst =
+  load c dst ~loc:(loc src) ~value:(value src) ~time:src.time.(0);
+  Bytes.blit src.dirty 0 dst.dirty 0 c.n_flows;
+  dst.n_dirty <- src.n_dirty
 
 let dirty_flows c s =
   List.filter (fun f -> Bytes.get s.dirty f <> '\000') (List.init c.n_flows Fun.id)

@@ -27,33 +27,6 @@ let initial (net : Network.t) =
    [0.0] equals [-0.0] and NaN equals NaN. *)
 let equal_timeless t1 t2 = compare t1.locs t2.locs = 0 && compare t1.vals t2.vals = 0
 
-(* Every location and every value is mixed in: the polymorphic
-   [Hashtbl.hash] stops after 10 meaningful words, which for a network
-   of a few dozen processes hashes only a prefix of the location vector.
-   [Hashtbl.hash] on a float folds [-0.0] onto [0.0] and all NaNs onto
-   one value, which keeps the hash consistent with [equal_timeless]. *)
-let hash_timeless t =
-  let mix h x = (h * 0x100000001b3) lxor x in
-  let h = ref (Array.length t.locs) in
-  Array.iter (fun l -> h := mix !h l) t.locs;
-  Array.iter
-    (fun v ->
-      h :=
-        mix !h
-          (match v with
-          | Value.Bool b -> Bool.to_int b
-          | Value.Int n -> n
-          | Value.Real f -> Hashtbl.hash f))
-    t.vals;
-  Hashtbl.hash !h
-
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal_timeless
-  let hash = hash_timeless
-end)
-
 let pp (net : Network.t) ppf t =
   Fmt.pf ppf "@[<v>t = %g@," t.time;
   Array.iteri

@@ -27,12 +27,4 @@ val equal_timeless : t -> t -> bool
 (** Same locations and values, ignoring time.  Values are compared with
     [compare], so [Real 0.0] equals [Real (-0.0)] and NaN equals NaN. *)
 
-val hash_timeless : t -> int
-(** A hash of every location and value, consistent with
-    {!equal_timeless}. *)
-
-(** Tables keyed on the timeless state ({!equal_timeless},
-    {!hash_timeless}): the state store of every explicit-state walk. *)
-module Tbl : Hashtbl.S with type key = t
-
 val pp : Network.t -> Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
 type t = {
   c : Compiled.t;
   cs : Compiled.cstate;
+  held : Compiled.cstate Lazy.t;  (* the last stable state [witness] reached *)
   procs : int;
-  mutable loaded : State.t option;  (* the state the scratch holds *)
   mutable budget : int;
   mutable vanishing : int;
   (* The move stack: the moves each open branch point has still to
@@ -21,8 +21,8 @@ let create ~budget (net : Network.t) =
   {
     c;
     cs = Compiled.scratch c;
+    held = lazy (Compiled.scratch c);
     procs = Int.max 1 (Array.length net.procs);
-    loaded = None;
     budget;
     vanishing = 0;
     rates = [||];
@@ -40,8 +40,6 @@ let spend w ~in_closure =
   if w.budget < 0 then raise (Exhausted { in_closure })
 
 let charge w = spend w ~in_closure:false
-
-(* --- the scratch core --- *)
 
 let grow a n x =
   let b = Array.make (Int.max n (2 * Array.length a)) x in
@@ -114,20 +112,20 @@ let unwind w depth m0 p0 =
 
 (* Fire each move pushed since the stack held [m0] moves and [p0]
    participants from the scratch's state, saved once and restored before
-   every move but the first, and fold [f rate] over the successors; then
-   pop them.  On an exception, drop back to the entry's snapshots and
-   stack. *)
+   every move but the first, and fold [f m off] over the successors, [m]
+   the move and [off] the offset of its participants; then pop them.  On
+   an exception, drop back to the entry's snapshots and stack. *)
 let branch w m0 p0 f acc =
   let c = w.c and cs = w.cs in
   let depth = Compiled.depth cs in
-  w.loaded <- None;
   match
     Compiled.save c cs;
     let acc = ref acc and off = ref p0 in
     for m = m0 to w.n_moves - 1 do
       if m > m0 then Compiled.restore c cs;
-      off := fire w m !off;
-      acc := f w.rates.(m) !acc
+      let at = !off in
+      off := fire w m at;
+      acc := f m at !acc
     done;
     !acc
   with
@@ -139,24 +137,47 @@ let branch w m0 p0 f acc =
     unwind w depth m0 p0;
     raise e
 
-let reset w =
-  w.loaded <- None;
-  Compiled.reset w.c w.cs
+let reset w = Compiled.reset w.c w.cs
 
 let predicate w e =
   let f = Compiled.compile_bool e in
   fun () -> f w.cs
 
+let loc w p = Compiled.loc w.cs p
+let value w v = Compiled.value w.cs v
+let time w = Compiled.time w.cs
+let apply w mv = Compiled.apply w.c w.cs mv
+
+let trial w f =
+  let c = w.c and cs = w.cs in
+  Compiled.save c cs;
+  Fun.protect f ~finally:(fun () ->
+      Compiled.restore c cs;
+      Compiled.drop cs)
+
 let fold_rates w f acc =
   let m0 = w.n_moves and p0 = w.n_parts in
   push_markovian w;
-  branch w m0 p0 f acc
+  branch w m0 p0 (fun m off acc -> f w.part_procs.(off) w.part_trs.(off) w.rates.(m) acc) acc
 
 let fold_successors w f acc =
   let m0 = w.n_moves and p0 = w.n_parts in
   ignore (push_immediate w);
   push_markovian w;
-  branch w m0 p0 (fun _ acc -> f acc) acc
+  branch w m0 p0 (fun _ _ acc -> f acc) acc
+
+let moves w =
+  let c = w.c and cs = w.cs in
+  Compiled.set_rates c cs;
+  Compiled.invariant_window c cs;
+  let immediate =
+    List.init (Compiled.discrete c cs) Fun.id
+    |> List.filter_map (fun i ->
+           if Compiled.window_mem cs i 0.0 then Some (Compiled.move c cs i) else None)
+  in
+  immediate
+  @ List.init (Compiled.markovian c cs) (fun i ->
+        Moves.Local { proc = Compiled.markov_proc cs i; tr = Compiled.markov_tr cs i })
 
 (* Is the scratch's state one of those saved since level [base]: the
    vanishing states on the branch? *)
@@ -200,77 +221,44 @@ let rec go w base on_cycle leaf prob acc =
 
 let close w ~on_cycle leaf acc =
   let base = Compiled.depth w.cs and m0 = w.n_moves and p0 = w.n_parts in
-  w.loaded <- None;
   match go w base on_cycle leaf 1.0 acc with
   | acc -> acc
   | exception e ->
     unwind w base m0 p0;
     raise e
 
+(* After [close] the scratch holds the state it visited last, which is
+   the last stable state unless that visit cut a cycle: so each stable
+   state is copied aside as it is reached, and the last one copied
+   back. *)
+let witness w leaf =
+  let c = w.c and cs = w.cs and held = Lazy.force w.held in
+  let keep _ _ =
+    leaf ();
+    Compiled.copy c ~src:cs ~dst:held;
+    true
+  in
+  if trial w (fun () -> close w ~on_cycle:ignore keep false) then
+    Compiled.copy c ~src:held ~dst:cs
+
 let vanishing_visits w = w.vanishing
 
-(* --- State.t adapters: load, step on the scratch, read back --- *)
-
-(* Load [s] unless the scratch holds it already, as it does after the
-   [successor] that returned it: a scratch that went through a move
-   holds the values [of_state] would load from its [to_state]. *)
-let load w s =
-  match w.loaded with
-  | Some l when l == s -> ()
-  | _ ->
-    Compiled.of_state w.c w.cs s;
-    w.loaded <- Some s
-
-let immediate w s =
-  load w s;
-  Compiled.set_rates w.c w.cs;
-  Compiled.invariant_window w.c w.cs;
-  List.init (Compiled.discrete w.c w.cs) Fun.id
-  |> List.filter_map (fun i ->
-         if Compiled.window_mem w.cs i 0.0 then Some (Compiled.move w.c w.cs i) else None)
-
-let markovian w s =
-  load w s;
-  let n = Compiled.markovian w.c w.cs in
-  let rates = Compiled.markov_buf w.cs in
-  List.init n (fun i -> (Compiled.markov_proc w.cs i, Compiled.markov_tr w.cs i, rates.(i)))
-
-let successor w s mv =
-  load w s;
-  w.loaded <- None;
-  Compiled.apply w.c w.cs mv;
-  let s' = Compiled.to_state w.c w.cs in
-  w.loaded <- Some s';
-  s'
-
-let successors w s f =
-  List.iter (fun mv -> f mv (successor w s mv)) (immediate w s);
-  List.iter
-    (fun (p, tr, _) ->
-      let mv = Moves.Local { proc = p; tr } in
-      f mv (successor w s mv))
-    (markovian w s)
-
-let closure w ~on_cycle leaf s acc =
-  load w s;
-  close w ~on_cycle (fun prob acc -> leaf (Compiled.to_state w.c w.cs) prob acc) acc
-
-let delay_free w s =
-  load w s;
-  if Compiled.markovian w.c w.cs > 0 then `Race
+let delay_free w =
+  let c = w.c and cs = w.cs in
+  if Compiled.markovian c cs > 0 then `Race
   else begin
-    Compiled.set_rates w.c w.cs;
-    Compiled.invariant_window w.c w.cs;
-    if Slimsim_intervals.Interval_set.(not (equal (Compiled.inv_window w.cs) (point 0.0)))
+    Compiled.set_rates c cs;
+    Compiled.invariant_window c cs;
+    if Slimsim_intervals.Interval_set.(not (equal (Compiled.inv_window cs) (point 0.0)))
     then `Time_can_elapse
     else begin
-      ignore (Compiled.discrete w.c w.cs);
-      let k = Compiled.enabled_after w.c w.cs 0.0 in
-      `Moves (List.init k (fun j -> Compiled.move w.c w.cs (Compiled.enabled w.cs j)))
+      ignore (Compiled.discrete c cs);
+      let k = Compiled.enabled_after c cs 0.0 in
+      `Moves (List.init k (fun j -> Compiled.move c cs (Compiled.enabled cs j)))
     end
   end
 
-let asap w ~horizon s =
+let asap w ~horizon =
   let eps = 1e-9 and c = w.c and cs = w.cs in
   let rec go iterations =
     charge w;
@@ -288,11 +276,7 @@ let asap w ~horizon s =
         end
     end
   in
-  w.loaded <- None;
-  Compiled.of_state c cs s;
-  go 0;
-  Compiled.to_state c cs
-
+  go 0
 
 type walker = t
 
@@ -525,7 +509,6 @@ module Table = struct
 
   let load t i (w : walker) =
     let loc, value = reader t i in
-    w.loaded <- None;
     Compiled.load w.c w.cs ~loc ~value ~time:(Float.Array.get t.times i)
 
   let parent t i = t.parents.(i)

@@ -2,37 +2,54 @@
     P=1 pre-pass, [cutsets], [fmea], [fdir], [diagnosability] and the
     CTMC explorer (DESIGN.md, "State-graph walker").  A walker owns one
     compiled network and one scratch ({!Compiled.cstate}) and steps only
-    there.  The scratch core walks without building a {!State.t}: a
-    closure keeps one snapshot of the scratch per vanishing state on the
-    branch and restores it before each move, and {!Table} packs keys
-    from the scratch and loads them back into it.  The {!State.t}
-    operations are adapters over the same scratch: they load a state
-    (unless the scratch holds it already), step and read the result
-    back.  {!immediate} and {!delay_free} are the two notions of "fires
-    now" and must stay distinct. *)
+    there, without building a {!State.t}: a closure keeps one snapshot
+    of the scratch per vanishing state on the branch and restores it
+    before each move, {!trial} brackets a caller's own steps the same
+    way, and {!Table} packs keys from the scratch and loads them back
+    into it.  {!Table.state} builds a {!State.t} for a reported
+    witness.  The closure's immediate moves and {!delay_free}'s moves
+    are the two notions of "fires now" and must stay distinct. *)
 
 type t
 
 val create : budget:int -> Network.t -> t
-(** [budget] bounds {!close} and {!charge}: one unit per visited state
-    or charge.  Cheap: snapshot levels beyond the first and the move
-    stack are allocated when a walk first needs them. *)
+(** [budget] bounds {!close}, {!witness}, {!asap} and {!charge}: one
+    unit per visited state, step or charge.  Cheap: snapshot levels
+    beyond the first, the move stack and {!witness}'s copy of the
+    scratch are allocated when a walk first needs them. *)
 
 exception Exhausted of { in_closure : bool }
 
 val charge : t -> unit
 (** Spend one unit of the budget on the caller's own work. *)
 
-(** {1 The scratch core}
+(** {1 The scratch}
 
-    These walk from the state the scratch holds: the initial state after
-    {!reset}, state [i] after {!Table.load}. *)
+    Every operation reads or steps the state the scratch holds: the
+    initial state after {!reset}, state [i] after {!Table.load}, the
+    successor inside a fold. *)
 
 val reset : t -> unit
 (** Load the network's initial state. *)
 
 val predicate : t -> Expr.t -> unit -> bool
 (** A compiled Boolean expression, evaluated in the scratch's state. *)
+
+val loc : t -> int -> int
+(** The location of a process. *)
+
+val value : t -> int -> Value.t
+(** The value of a variable, exactly ([-0.0] and NaN payloads kept). *)
+
+val time : t -> float
+
+val apply : t -> Moves.move -> unit
+(** Fire a move with no delay, whether or not it is enabled. *)
+
+val trial : t -> (unit -> 'a) -> 'a
+(** [trial w f] runs [f] and puts the scratch back in the state it held
+    before.  [f] may step the scratch but must leave its snapshots as
+    it found them. *)
 
 val close : t -> on_cycle:(unit -> unit) -> (float -> 'a -> 'a) -> 'a -> 'a
 (** [close w ~on_cycle leaf acc] folds [leaf] over the stable states
@@ -42,10 +59,16 @@ val close : t -> on_cycle:(unit -> unit) -> (float -> 'a -> 'a) -> 'a -> 'a
     that is already on the branch is a cycle: [on_cycle ()] runs, and if
     it returns the branch is cut. *)
 
-val fold_rates : t -> (float -> 'a -> 'a) -> 'a -> 'a
+val witness : t -> (unit -> unit) -> unit
+(** {!close} with cycles cut, [leaf ()] run at each stable state, and
+    the scratch left holding the last one reached: the witness the
+    safety analyses report.  When every branch cycles the scratch keeps
+    the state it started from. *)
+
+val fold_rates : t -> (int -> int -> float -> 'a -> 'a) -> 'a -> 'a
 (** Fire each rate transition of the scratch's state, in the
-    interpreter's order, and fold [f rate] with the scratch holding the
-    successor. *)
+    interpreter's order, and fold [f proc tr rate] with the scratch
+    holding the successor. *)
 
 val fold_successors : t -> ('a -> 'a) -> 'a -> 'a
 (** The untimed abstraction's successor relation from the scratch's
@@ -53,36 +76,19 @@ val fold_successors : t -> ('a -> 'a) -> 'a -> 'a
     rates abstracted, [f] folded with the scratch holding each
     successor. *)
 
+val moves : t -> Moves.move list
+(** The moves {!fold_successors} fires, in its order. *)
+
 val vanishing_visits : t -> int
 (** States with immediate moves that {!close} has expanded. *)
 
-(** {1 State adapters} *)
-
-val immediate : t -> State.t -> Moves.move list
-(** The guarded moves whose window holds 0, in the interpreter's
-    order. *)
-
-val markovian : t -> State.t -> (int * int * float) list
-(** The rate transitions available: (process, transition, rate). *)
-
-val successor : t -> State.t -> Moves.move -> State.t
-(** Fire a move with no delay. *)
-
-val successors : t -> State.t -> (Moves.move -> State.t -> unit) -> unit
-(** {!fold_successors} from a state, each successor with its move. *)
-
-val closure :
-  t -> on_cycle:(unit -> unit) -> (State.t -> float -> 'a -> 'a) -> State.t -> 'a -> 'a
-(** {!close} from a state, each stable state read back. *)
-
-val delay_free :
-  t -> State.t -> [ `Race | `Time_can_elapse | `Moves of Moves.move list ]
+val delay_free : t -> [ `Race | `Time_can_elapse | `Moves of Moves.move list ]
 (** The P=1 step: [`Race] when a rate transition is available,
     [`Time_can_elapse] when the invariant window is not exactly [{0}],
     else the moves enabled after delay 0 into states satisfying every
     invariant. *)
 
-val asap : t -> horizon:float -> State.t -> State.t
+val asap : t -> horizon:float -> unit
 (** The one timed walk (FDIR's settling): follow the deterministic ASAP
     schedule of guarded moves, rate transitions suppressed, until
     quiescence, [horizon] or 10_000 moves, one unit of budget a step. *)
@@ -94,9 +100,10 @@ val asap : t -> horizon:float -> State.t -> State.t
     one packed key (its locations and tagged values, reals canonical:
     [-0.0] as [0.0], every NaN as one NaN), so two states get the same
     number exactly when {!State.equal_timeless} holds.  Keys are
-    written from a {!State.t} or straight from a walker's scratch, with
-    the same bytes, and hashed and compared a word at a time; a
-    {!State.t} is rebuilt only when {!state} asks for one. *)
+    written straight from a walker's scratch ({!add}), or from a
+    {!State.t} ({!intern}) with the same bytes, and hashed and compared
+    a word at a time; a {!State.t} is rebuilt only when {!state} asks
+    for one. *)
 type walker := t
 
 module Table : sig
@@ -121,9 +128,9 @@ module Table : sig
       at this number and with its time. *)
 
   val load : t -> int -> walker -> unit
-  (** Load state [i] into the walker's scratch, with its time.  Its
-      flows are taken to hold, as in every state a walk reaches
-      ({!Compiled.load}). *)
+  (** Load state [i] into the walker's scratch, its reals canonical and
+      with the time it had when first interned.  Its flows are taken to
+      hold, as in every state a walk reaches ({!Compiled.load}). *)
 
   val parent : t -> int -> int
 

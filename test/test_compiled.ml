@@ -533,13 +533,17 @@ let walk ~name ~seed ~steps (net : Network.t) =
   let rng = Rng.create seed in
   check_same_state ~ctx:(name ^ ": reset") !st (Compiled.to_state c !s);
   let step = ref 1 in
+  (* a bare delay leaves the flows it changes to the next move *)
+  let flows_hold = ref true in
   while !step <= steps do
     let ctx = Printf.sprintf "%s, seed %Ld, step %d" name seed !step in
     (* Now and then continue on a fresh scratch loaded from the
-       interpreter's state, as the CTMC explorer does. *)
-    if Rng.int rng 8 = 0 then begin
+       interpreter's state, as the CTMC explorer loads the states a walk
+       reached: [Compiled.load] takes their flows to hold. *)
+    if Rng.int rng 8 = 0 && !flows_hold then begin
       let fresh = Compiled.scratch c in
-      Compiled.of_state c fresh !st;
+      Compiled.load c fresh ~loc:(Array.get !st.State.locs) ~value:(Array.get !st.State.vals)
+        ~time:!st.State.time;
       s := fresh
     end;
     let cs = !s in
@@ -564,7 +568,8 @@ let walk ~name ~seed ~steps (net : Network.t) =
     if compare markov markov_c <> 0 then Alcotest.failf "%s: rate moves differ" ctx;
     let advance d =
       Compiled.advance c cs d;
-      st := Moves_oracle.advance net ~rates !st d
+      st := Moves_oracle.advance net ~rates !st d;
+      flows_hold := false
     in
     (match Rng.int rng 5 with
     | 0 when not (I.is_empty inv) -> advance (pick_delay rng inv)
@@ -581,14 +586,16 @@ let walk ~name ~seed ~steps (net : Network.t) =
       else begin
         let k = Rng.int rng n in
         Compiled.apply_move c cs ~delay:d (Compiled.enabled cs k);
-        st := Moves_oracle.apply net !st ~delay:d (List.nth expected k)
+        st := Moves_oracle.apply net !st ~delay:d (List.nth expected k);
+        flows_hold := true
       end
     | _ when markov <> [] ->
       let i = Rng.int rng (List.length markov) in
       let p, tr, _ = List.nth markov i in
       let d = pick_delay rng inv in
       Compiled.apply c cs ~delay:d (Moves.Local { proc = p; tr });
-      st := Moves_oracle.apply net !st ~delay:d (Moves.Local { proc = p; tr })
+      st := Moves_oracle.apply net !st ~delay:d (Moves.Local { proc = p; tr });
+      flows_hold := true
     | _ -> if I.is_empty inv then step := steps else advance (pick_delay rng inv));
     check_same_state ~ctx !st (Compiled.to_state c cs);
     incr step

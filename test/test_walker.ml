@@ -1,16 +1,18 @@
 (* The state-graph walker ([Slimsim_sta.Walker]) against the interpreter
    of [Moves_oracle], on every bundled model and on the generated
    sensor/filter models n = 1..4:
-   - from every reachable state, the immediate moves, the rate
-     transitions and the all-branch immediate closure (cycles cut) are
-     equal, in order, states and weights bit for bit;
+   - from every reachable state, loaded into the walker's scratch, the
+     immediate moves, the rate transitions and the all-branch immediate
+     closure (cycles cut) are equal, in order, states and weights bit
+     for bit;
    - the reachable set is equal, in the breadth-first order of
      [Qualitative.check_invariant], and [check_invariant] reports the
      interpreter's state counts and counterexamples.
    The CLI pins of [Test_safety_cli] show the outputs; this shows the
    relation, the cycle policies and the safety analyses' budgets.  The
-   packed interning table is checked against a [State.Tbl] reference on
-   random states, and the memory it retains per state is bounded. *)
+   packed interning table is checked against a Stdlib [Hashtbl]
+   reference on random states, and the memory it retains per state is
+   bounded. *)
 
 open Slimsim_sta
 module Qualitative = Slimsim_ctmc.Qualitative
@@ -60,19 +62,24 @@ let closure net s moves =
   in
   go s moves 1.0 [] []
 
+(* A Stdlib [Hashtbl] key for {!State.equal_timeless}: the polymorphic
+   hash folds [-0.0] onto [0.0] and every NaN onto one, and [compare]
+   is the same equality. *)
+let timeless (s : State.t) = (s.locs, s.vals)
+
 (* Breadth-first from the initial state, pushing the successors not
    seen yet (the immediate moves, then the rate transitions): the
    states in order, each with its parent and the move that first
    reached it, the number of states seen when it is dequeued, and its
    immediate moves and rate transitions. *)
 let reachable net =
-  let seen = State.Tbl.create 1024 in
+  let seen = Hashtbl.create 1024 in
   let found = ref [] in
   let queue = Queue.create () in
   let n = ref 0 in
   let push parent (s : State.t) =
-    if not (State.Tbl.mem seen s) then begin
-      State.Tbl.add seen s ();
+    if not (Hashtbl.mem seen (timeless s)) then begin
+      Hashtbl.add seen (timeless s) ();
       Queue.push (!n, s, parent) queue;
       incr n
     end
@@ -81,7 +88,7 @@ let reachable net =
   while not (Queue.is_empty queue) do
     let i, s, parent = Queue.pop queue in
     let moves = immediate net s and rates = Moves_oracle.markovian net s in
-    found := (s, parent, State.Tbl.length seen, moves, rates) :: !found;
+    found := (s, parent, Hashtbl.length seen, moves, rates) :: !found;
     List.iter (fun mv -> push (Some (i, mv)) (Moves_oracle.apply net s mv)) moves;
     List.iter
       (fun (p, tr, _) ->
@@ -110,6 +117,14 @@ let is_not (s : State.t) =
   in
   Expr.not_ (List.fold_left Expr.and_ Expr.true_ at)
 
+(* The state the walker's scratch holds *)
+let read net w =
+  {
+    State.locs = Array.init (Array.length net.Network.procs) (Walker.loc w);
+    vals = Array.init (Array.length net.vars) (Walker.value w);
+    time = Walker.time w;
+  }
+
 let test_walker_matches_interpreter () =
   List.iter
     (fun (name, net) ->
@@ -117,13 +132,14 @@ let test_walker_matches_interpreter () =
       let order = reachable net in
       (* the walker's breadth-first walk, as check_invariant runs it *)
       let table = Walker.Table.create net in
-      ignore (Walker.Table.intern table (State.initial net) ~parent:(-1));
+      Walker.reset w;
+      ignore (Walker.Table.add table w ~parent:(-1));
       let rec walk () =
         match Walker.Table.next table with
         | None -> ()
         | Some i ->
-          Walker.successors w (Walker.Table.state table i) (fun _ s' ->
-              ignore (Walker.Table.intern table s' ~parent:i));
+          Walker.Table.load table i w;
+          Walker.fold_successors w (fun () -> ignore (Walker.Table.add table w ~parent:i)) ();
           walk ()
       in
       walk ();
@@ -132,18 +148,24 @@ let test_walker_matches_interpreter () =
         (Array.to_list (Array.map (fun (s, _, _, _, _) -> s) order));
       (* the first reachable state where the walker and the interpreter
          differ, if any *)
-      let differs (s, _, _, moves, rates) =
-        let got = Walker.closure w ~on_cycle:ignore (fun s p acc -> (s, p) :: acc) s [] in
+      let differs (i, (s, _, _, moves, rates)) =
+        let at f =
+          Walker.Table.load table i w;
+          f ()
+        in
+        let got = at (fun () -> Walker.close w ~on_cycle:ignore (fun p acc -> (read net w, p) :: acc) []) in
         let want = closure net s moves in
         let bits = List.map (fun (_, p) -> Int64.bits_of_float p) in
-        Walker.immediate w s <> moves
-        || Walker.markovian w s <> rates
+        at (fun () -> Walker.moves w)
+        <> moves @ List.map (fun (proc, tr, _) -> Moves.Local { proc; tr }) rates
+        || at (fun () -> List.rev (Walker.fold_rates w (fun p tr r acc -> (p, tr, r) :: acc) []))
+           <> rates
         || List.compare_lengths got want <> 0
         || not (List.for_all2 (fun (a, _) (b, _) -> same_state a b) got want)
         || bits got <> bits want
       in
       Alcotest.(check (option int)) (name ^ ": first state with other successors") None
-        (Array.find_index differs order);
+        (Array.find_index differs (Array.mapi (fun i x -> (i, x)) order));
       (match Qualitative.check_invariant net ~prop:Expr.true_ with
       | Ok (Qualitative.Holds { states }) ->
         Alcotest.(check int) (name ^ ": verify states") (Array.length order) states
@@ -191,21 +213,54 @@ end D.I;
 root D.I;
 |}
 
+(* [cycle_model] with the cut branch last: the closure's last visit is
+   the cycle, not the stable state *)
+let cycle_last_model =
+  {|
+device D
+features
+  v: out data port bool := false;
+end D;
+device implementation D.I
+modes
+  a: initial mode;
+  b: mode;
+  c: mode;
+transitions
+  a -[]-> c;
+  a -[]-> b;
+  b -[]-> a;
+end D.I;
+root D.I;
+|}
+
 let test_cycle_and_budget () =
   let net = Fixture.load cycle_model in
-  let s0 = State.initial net in
-  let leaves w = Walker.closure w ~on_cycle:ignore (fun s p acc -> (s, p) :: acc) s0 [] in
+  let leaves w =
+    Walker.reset w;
+    Walker.close w ~on_cycle:ignore (fun p acc -> (Walker.loc w 0, p) :: acc) []
+  in
   let w = Walker.create ~budget:max_int net in
   (match leaves w with
-  | [ (s, p) ] ->
-    Alcotest.(check string) "the stable state" "c" (Network.loc_name net ~proc:0 s.locs.(0));
+  | [ (l, p) ] ->
+    Alcotest.(check string) "the stable state" "c" (Network.loc_name net ~proc:0 l);
     Alcotest.(check (float 0.0)) "its weight, the cut branch's left out" 0.5 p
   | l -> Alcotest.failf "expected one stable state, got %d" (List.length l));
   (* a, b, then a again on the branch *)
   Alcotest.(check int) "vanishing visits" 3 (Walker.vanishing_visits w);
-  (match Walker.closure w ~on_cycle:(fun () -> raise Exit) (fun _ _ acc -> acc) s0 () with
+  Walker.reset w;
+  (match Walker.close w ~on_cycle:(fun () -> raise Exit) (fun _ acc -> acc) () with
   | exception Exit -> ()
   | () -> Alcotest.fail "on_cycle must run");
+  (* the witness is the stable state, also when the cycle comes last *)
+  List.iter
+    (fun src ->
+      let net = Fixture.load src in
+      let w = Walker.create ~budget:max_int net in
+      Walker.reset w;
+      Walker.witness w ignore;
+      Alcotest.(check string) "the witness" "c" (Network.loc_name net ~proc:0 (Walker.loc w 0)))
+    [ cycle_model; cycle_last_model ];
   (* the closure visits four states: a, b, a, c *)
   match leaves (Walker.create ~budget:3 net) with
   | exception Walker.Exhausted { in_closure } ->
@@ -293,7 +348,7 @@ let print_state (s : State.t) =
              s.vals)))
     s.time
 
-(* Each state gets the number a [State.Tbl] reference gives it, and the
+(* Each state gets the number a [Hashtbl] reference gives it, and the
    table gives back, for every number, a state equal to the first one
    interned there, with its time and parent. *)
 let test_table_property =
@@ -309,21 +364,21 @@ let test_table_property =
       return (net, states))
   in
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:500 ~name:"packed table = State.Tbl"
+    (QCheck2.Test.make ~count:500 ~name:"packed table = Hashtbl"
        ~print:(fun (_, states) -> String.concat "\n" (List.map print_state states))
        gen
        (fun (net, states) ->
          let table = Walker.Table.create net in
-         let reference = State.Tbl.create 16 in
+         let reference = Hashtbl.create 16 in
          let firsts = ref [] in
          List.iteri
            (fun k s ->
              let want =
-               match State.Tbl.find_opt reference s with
+               match Hashtbl.find_opt reference (timeless s) with
                | Some i -> i
                | None ->
-                 let i = State.Tbl.length reference in
-                 State.Tbl.add reference s i;
+                 let i = Hashtbl.length reference in
+                 Hashtbl.add reference (timeless s) i;
                  firsts := (s, k) :: !firsts;
                  i
              in
@@ -350,28 +405,25 @@ let test_table_property =
            firsts;
          true))
 
-(* The stable states of sensor/filter n = 6, interned from the fresh
-   states the walker returns, which the test drops: what the table keeps
-   of them is bounded per state.  Packed keys take ~21 words a state; a
-   [State.Tbl] of boxed states took ~90. *)
+(* The stable states of sensor/filter n = 6, interned from the walker's
+   scratch: what the table keeps of them is bounded per state.  Packed
+   keys take ~21 words a state; a hash table of boxed states took
+   ~90. *)
 let test_table_retention () =
   let net = Fixture.load (Slimsim_models.Sensor_filter.source ~n:6) in
   let w = Walker.create ~budget:max_int net in
   let table = Walker.Table.create net in
-  let close s =
-    Walker.closure w ~on_cycle:ignore
-      (fun s _ () -> ignore (Walker.Table.intern table s ~parent:(-1)))
-      s ()
+  let close () =
+    Walker.close w ~on_cycle:ignore (fun _ () -> ignore (Walker.Table.add table w ~parent:(-1))) ()
   in
-  close (State.initial net);
+  Walker.reset w;
+  close ();
   let rec expand () =
     match Walker.Table.next table with
     | None -> ()
     | Some i ->
-      let s = Walker.Table.state table i in
-      List.iter
-        (fun (p, tr, _) -> close (Walker.successor w s (Moves.Local { proc = p; tr })))
-        (Walker.markovian w s);
+      Walker.Table.load table i w;
+      Walker.fold_rates w (fun _ _ _ () -> close ()) ();
       expand ()
   in
   expand ();
