@@ -522,7 +522,11 @@ let simulate_cmd =
         (fun file -> { Slimsim_sim.Supervisor.file; every = checkpoint_every })
         checkpoint
     in
-    (match S.Generator.check ~delta ~eps with
+    (match
+       Result.bind (S.Generator.check ~delta ~eps)
+         (Slimsim_sim.Path.check_budgets ~max_steps ?max_sim_time
+            ?max_wall_per_path)
+     with
     | Error e -> die 1 ("slimsim: " ^ e)
     | Ok () -> ());
     if buffer <= 0 then die 1 "slimsim: --buffer must be positive";
@@ -1046,7 +1050,7 @@ let client_cmd =
     Arg.(
       value & opt string "chernoff"
       & info [ "g"; "generator" ]
-          ~doc:"Sample-count rule: chernoff, hoeffding, gauss or chow-robbins.")
+          ~doc:"Sample-count rule: chernoff, hoeffding, gauss, chow-robbins or mlmc.")
   and tenant =
     Arg.(
       value & opt string "default"

@@ -167,7 +167,9 @@ type cost_outcome =
   | Cost_expected of Cost_run.result
   | Cost_distribution of Cost_run.result
 
-type prepared = { campaign : Campaign.t; complement : bool }
+type session = Session : 'r Campaign.campaign * ('r -> cost_outcome) -> session
+
+type started = Answered of cost_outcome | Sampling of session
 
 (* invariance patterns report the complement; "successes" keeps counting
    the paths that reached the negated goal *)
@@ -216,36 +218,28 @@ let of_mlmc (r : Mlmc_run.result) =
     wall_seconds = r.Mlmc_run.wall_seconds;
   }
 
-let bernoulli ?workers ?seed ?on_error ?supervisor ?progress ?compiled
-    (m : model) (p : plan) ~generator ~strategy ~delta ~eps =
-  Campaign.create ?workers ?seed ~config:p.config ?on_error ?hold:p.hold
-    ?supervisor ?progress ?compiled m.Loader.network ~goal:p.goal
-    ~horizon:p.horizon ~strategy
-    ~generator:(Generator.create generator ~delta ~eps) ()
-
-let drive map created =
-  Result.bind created (fun c -> Result.map map (Campaign.drive c))
-
 (* The one place a query form meets its campaign: P forms go to the
    Bernoulli campaign or, under the multilevel generator, to the coupled
    sampler of {!Slimsim_sim.Mlmc_run}; E[...] / D[...] go to the cost
    accumulator.  Refusals and warnings are decided here, before the
-   pre-pass; the returned thunk creates and drives the campaign, after
-   it.  The multilevel generator truncates a finite time horizon, so
-   cost-bounded reachability (no time bound) refuses it here and
-   E[...] / D[...] (a cost, not a probability) in [Cost_run.create].
-   Under a [runner] (the distributed topology) a P form goes to the
-   runner with its generator, and the cost forms are refused: the
-   workers exchange Bernoulli verdicts and have no channel for a cost
+   pre-pass; the returned thunk creates the campaign, after it, as a
+   session with its result mapper.  The multilevel generator truncates
+   a finite time horizon, so cost-bounded reachability (no time bound)
+   refuses it here and E[...] / D[...] (a cost, not a probability) in
+   [Cost_run.create].  Under a [runner] (the distributed topology) a P
+   form goes to the runner with its generator, and the thunk answers
+   with the runner's result; the cost forms are refused: the workers
+   exchange Bernoulli verdicts and have no channel for a cost
    accumulator. *)
 let route ?runner ?workers ?seed ?on_error ?supervisor ?progress ?levels
-    ?warmup (m : model) (p : plan) ~generator ~strategy ~delta ~eps =
+    ?warmup ?compiled (m : model) (p : plan) ~generator ~strategy ~delta ~eps =
   let net = m.Loader.network and goal = p.goal and hold = p.hold in
   let probability r = Cost_probability (estimate_of ~complement:p.complement r) in
+  let session map = Result.map (fun c -> Sampling (Session (c, map))) in
   match runner, p.query, generator with
   | Some run, Pattern.Prob _, kind ->
     let generator = Generator.create kind ~delta ~eps in
-    Ok (fun () -> Result.map probability (run generator))
+    Ok (fun () -> Result.map (fun r -> Answered (probability r)) (run generator))
   | Some _, (Pattern.Cost_reach _ | Pattern.Cost_expect _ | Pattern.Cost_dist _), _ ->
     Error
       "slimsim: cost queries are not supported with --distribute; run them \
@@ -258,10 +252,10 @@ let route ?runner ?workers ?seed ?on_error ?supervisor ?progress ?levels
     in
     Ok
       (fun () ->
-        drive wrap
+        session wrap
           (Cost_run.create ?workers ?seed ~config:p.config ?on_error ?hold
-             ?supervisor ?progress net ~goal ~horizon:p.horizon ~strategy
-             ~cost_var:(Option.get p.cost_var)
+             ?supervisor ?progress ?compiled net ~goal ~horizon:p.horizon
+             ~strategy ~cost_var:(Option.get p.cost_var)
              ~query:(Pattern.query_to_string p.query) ~kind ~delta ~eps ()))
   | None, Pattern.Cost_reach _, Generator.Mlmc ->
     Error
@@ -281,42 +275,18 @@ let route ?runner ?workers ?seed ?on_error ?supervisor ?progress ?levels
            w);
     Ok
       (fun () ->
-        drive
+        session
           (fun r -> probability (of_mlmc r))
           (Mlmc_run.create ?seed ~config:p.config ?on_error ?hold ?supervisor
-             ?progress ?levels ?warmup net ~goal ~horizon:p.horizon ~strategy
-             ~delta ~eps ()))
-  | None, (Pattern.Prob _ | Pattern.Cost_reach _), generator ->
+             ?progress ?levels ?warmup ?compiled net ~goal ~horizon:p.horizon
+             ~strategy ~delta ~eps ()))
+  | None, (Pattern.Prob _ | Pattern.Cost_reach _), kind ->
     Ok
       (fun () ->
-        drive probability
-          (bernoulli ?workers ?seed ?on_error ?supervisor ?progress m p
-             ~generator ~strategy ~delta ~eps))
-
-let prepare ?workers ?seed ?(generator = Generator.Chernoff) ?on_deadlock
-    ?on_error ?supervisor ?progress ?max_steps ?max_sim_time ?max_wall_per_path
-    ?compiled (m : model) ~property ~strategy ~delta ~eps () =
-  let* p =
-    plan ?max_steps ?max_sim_time ?max_wall_per_path ?on_deadlock m property
-  in
-  match p.query, generator with
-  | (Pattern.Cost_reach _ | Pattern.Cost_expect _ | Pattern.Cost_dist _), _ ->
-    (* a prepared campaign is driven slice by slice and reports a
-       probability estimate; a cost accumulator has no channel there *)
-    Error
-      "cost queries (P(<> [c <= C] ...), E[...], D[...]) are not \
-       supported in serve mode; run them with 'slimsim simulate --query'"
-  | Pattern.Prob _, Generator.Mlmc ->
-    (* the multilevel sampler is a sequential driver of its own, not a
-       stopping rule for a Bernoulli campaign *)
-    Error
-      "generator mlmc is not supported by the campaign service; use \
-       `slimsim simulate --generator mlmc` (or chow-robbins here)"
-  | Pattern.Prob _, generator ->
-    bernoulli ?workers ?seed ?on_error ?supervisor ?progress ?compiled m p
-      ~generator ~strategy ~delta ~eps
-    |> Result.map (fun c -> { campaign = c; complement = p.complement })
-    |> Result.map_error Path.error_to_string
+        session probability
+          (Campaign.create ?workers ?seed ~config:p.config ?on_error ?hold
+             ?supervisor ?progress ?compiled net ~goal ~horizon:p.horizon
+             ~strategy ~generator:(Generator.create kind ~delta ~eps) ()))
 
 (* The qualitative shortcut: [Some (p, report)] when the skeleton
    pre-pass answers the plan's reachability exactly.  The Scripted
@@ -382,21 +352,22 @@ let exact_estimate ~complement (p_raw, report) =
   }
 
 (* Plan, route, then either the pre-pass answers exactly or the campaign
-   runs.  P forms take a certificate as the answer; for E[...] / D[...]
-   a P=0 certificate means no path ever reaches the goal (the
-   conditional expectation is undefined and sampling can only stall),
-   and a P=1 certificate does not shortcut: the cost values still have
-   to be sampled.  [resolve] is [plan] or [probability_plan]. *)
-let check_query resolve ?runner ?workers ?seed
+   is created; [finish] takes it from there.  P forms take a certificate
+   as the answer; for E[...] / D[...] a P=0 certificate means no path
+   ever reaches the goal (the conditional expectation is undefined and
+   sampling can only stall), and a P=1 certificate does not shortcut:
+   the cost values still have to be sampled.  [resolve] is [plan] or
+   [probability_plan]. *)
+let open_query resolve finish ~runner ?workers ?seed
     ?(generator = Generator.Chernoff) ?on_deadlock ?on_error ?supervisor
     ?progress ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true)
-    ?levels ?warmup (m : model) ~query ~strategy ~delta ~eps () =
+    ?levels ?warmup ?compiled (m : model) ~query ~strategy ~delta ~eps () =
   let* p =
     resolve ?max_steps ?max_sim_time ?max_wall_per_path ?on_deadlock m query
   in
-  let* run =
+  let* create =
     route ?runner ?workers ?seed ?on_error ?supervisor ?progress ?levels
-      ?warmup m p ~generator ~strategy ~delta ~eps
+      ?warmup ?compiled m p ~generator ~strategy ~delta ~eps
   in
   match prepass_shortcut ~prepass ~strategy m p, p.query with
   | Some (0.0, _), (Pattern.Cost_expect { prob; _ } | Pattern.Cost_dist { prob; _ })
@@ -407,21 +378,35 @@ let check_query resolve ?runner ?workers ?seed
           path ever reaches the goal"
          (Pattern.to_string prob))
   | Some shortcut, (Pattern.Prob _ | Pattern.Cost_reach _) ->
-    Ok (Cost_probability (exact_estimate ~complement:p.complement shortcut))
-  | _ ->
-    let outcome = run () in
-    (* the heartbeat line is cleared either way *)
-    Option.iter Slimsim_obs.Progress.finish progress;
-    Result.map_error Path.error_to_string outcome
+    finish progress
+      (Ok
+         (Answered
+            (Cost_probability (exact_estimate ~complement:p.complement shortcut))))
+  | _ -> finish progress (create ())
 
-let check_cost = check_query plan
+let start =
+  open_query plan (fun _ started -> Result.map_error Path.error_to_string started)
+    ~runner:None
+
+let drive progress started =
+  let outcome =
+    Result.bind started (function
+      | Answered o -> Ok o
+      | Sampling (Session (c, map)) -> Result.map map (Campaign.drive c))
+  in
+  (* the heartbeat line is cleared either way *)
+  Option.iter Slimsim_obs.Progress.finish progress;
+  Result.map_error Path.error_to_string outcome
+
+let check_cost ?runner = open_query plan drive ~runner ?compiled:None
 
 let check ?workers ?seed ?generator ?on_deadlock ?on_error ?supervisor
     ?progress ?max_steps ?max_sim_time ?max_wall_per_path ?prepass ?levels
     ?warmup (m : model) ~property ~strategy ~delta ~eps () =
-  check_query probability_plan ?workers ?seed ?generator ?on_deadlock
-    ?on_error ?supervisor ?progress ?max_steps ?max_sim_time ?max_wall_per_path
-    ?prepass ?levels ?warmup m ~query:property ~strategy ~delta ~eps ()
+  open_query probability_plan drive ~runner:None ?workers ?seed ?generator
+    ?on_deadlock ?on_error ?supervisor ?progress ?max_steps ?max_sim_time
+    ?max_wall_per_path ?prepass ?levels ?warmup m ~query:property ~strategy
+    ~delta ~eps ()
   |> Result.map (function
        | Cost_probability e -> e
        | Cost_expected _ | Cost_distribution _ -> assert false (* probability_plan *))

@@ -140,54 +140,6 @@ val check :
     the [Scripted] strategy disables the pre-pass, since a script may
     abort runs arbitrarily. *)
 
-(** {1 Campaigns as values}
-
-    [check] is a convenience: prepare a campaign, drive it to
-    completion, map the result.  A resident service does the same three
-    things, but drives the campaign incrementally ({!Campaign.step} /
-    {!Campaign.park}) under its own scheduler. *)
-
-type prepared = {
-  campaign : Campaign.t;
-  complement : bool;
-      (** invariance patterns are estimated via their negation; map the
-          final result through {!estimate_of}, which undoes this *)
-}
-
-val prepare :
-  ?workers:int ->
-  ?seed:int64 ->
-  ?generator:Generator.kind ->
-  ?on_deadlock:[ `Error | `Falsify ] ->
-  ?on_error:[ `Abort | `Unsat ] ->
-  ?supervisor:Slimsim_sim.Supervisor.t ->
-  ?progress:Slimsim_obs.Progress.t ->
-  ?max_steps:int ->
-  ?max_sim_time:float ->
-  ?max_wall_per_path:float ->
-  ?compiled:Slimsim_sta.Compiled.t ->
-  model ->
-  property:string ->
-  strategy:Strategy.t ->
-  delta:float ->
-  eps:float ->
-  unit ->
-  (prepared, string) result
-(** Parse [property] against the model and create the (unstarted)
-    Bernoulli campaign for it.  Parameters are those of {!check}, minus
-    the pre-pass (a service decides itself whether to run one) and the
-    multilevel ones, plus [compiled]: an already-staged network (from
-    [Slimsim_sta.Compiled.compile (network m)]) so a resident process
-    can amortize staging across many campaigns over the same model.
-    Cost queries (cost-bounded reachability included) and the [Mlmc]
-    generator are refused: a prepared campaign reports a probability
-    estimate from one Bernoulli stream. *)
-
-val estimate_of : complement:bool -> Campaign.result -> estimate
-(** Map a finished campaign's raw result to the user-facing estimate,
-    reporting [1 - p] (and the mirrored interval) when [complement].
-    [certificate] is [None]. *)
-
 val prepass :
   ?max_nodes:int ->
   model ->
@@ -282,6 +234,64 @@ val pp_cost_outcome : Format.formatter -> cost_outcome -> unit
 (** {!pp_estimate} for probability forms, [Cost_run.pp_result] for
     cost forms ([D] callers typically also print
     {!Slimsim_sim.Cost_run.pp_distribution}). *)
+
+(** {1 Campaigns as values}
+
+    [check_cost] plans a query, routes it to its campaign, runs the
+    pre-pass and drives the campaign to the end.  {!start} does all but
+    the last: it hands back the campaign with its result mapper, so a
+    resident service can step it slice by slice ({!Campaign.step},
+    {!Campaign.park}) under its own scheduler and still give the answer
+    [check_cost] gives, bit for bit up to the wall-clock field. *)
+
+type session =
+  | Session : 'r Campaign.campaign * ('r -> cost_outcome) -> session
+      (** an unstarted campaign — Bernoulli, cost
+          ({!Slimsim_sim.Cost_run}) or multilevel
+          ({!Slimsim_sim.Mlmc_run}) — and the map from its finished
+          result to the query's outcome *)
+
+type started =
+  | Answered of cost_outcome
+      (** the pre-pass certified a P form: [paths = 0], a zero-width
+          interval and [certificate = Some "P0"/"P1"] *)
+  | Sampling of session
+
+val start :
+  ?workers:int ->
+  ?seed:int64 ->
+  ?generator:Generator.kind ->
+  ?on_deadlock:[ `Error | `Falsify ] ->
+  ?on_error:[ `Abort | `Unsat ] ->
+  ?supervisor:Slimsim_sim.Supervisor.t ->
+  ?progress:Slimsim_obs.Progress.t ->
+  ?max_steps:int ->
+  ?max_sim_time:float ->
+  ?max_wall_per_path:float ->
+  ?prepass:bool ->
+  ?levels:int ->
+  ?warmup:int ->
+  ?compiled:Slimsim_sta.Compiled.t ->
+  model ->
+  query:string ->
+  strategy:Strategy.t ->
+  delta:float ->
+  eps:float ->
+  unit ->
+  (started, string) result
+(** {!check_cost} up to the campaign: the same plan, refusals and
+    pre-pass, then [Sampling] with the created campaign instead of
+    driving it.  Every error [check_cost] reports before sampling, this
+    reports too — the E[...] / D[...] with a P=0 certificate included.
+    [compiled] supplies an already-staged network (from
+    [Slimsim_sta.Compiled.compile (network m)]), so a resident process
+    amortizes staging across many campaigns over the same model. *)
+
+val estimate_of : complement:bool -> Campaign.result -> estimate
+(** A campaign's raw result as the user-facing estimate, reporting
+    [1 - p] (and the mirrored interval) when [complement];
+    [certificate] is [None].  A cost result's [reach] field maps with
+    [complement = false]. *)
 
 type exact = {
   exact_probability : float;

@@ -57,6 +57,8 @@ let num j key =
   match Json.member key j with
   | Some (Json.Int i) -> Some (float_of_int i)
   | Some (Json.Float f) -> Some f
+  (* the encoder's spelling of a non-finite float *)
+  | Some (Json.String ("nan" | "inf" | "-inf" as s)) -> Some (float_of_string s)
   | _ -> None
 
 let int_field j key =
@@ -91,8 +93,14 @@ let parse_submit j =
   in
   let delta = Option.value (num j "delta") ~default:d.delta in
   let eps = Option.value (num j "eps") ~default:d.eps in
+  let max_steps = int_field j "max_steps"
+  and max_sim_time = num j "max_sim_time"
+  and max_wall_per_path = num j "max_wall_per_path" in
   let* () =
-    Result.map_error (( ^ ) "submit: ") (Slimsim_stats.Generator.check ~delta ~eps)
+    Result.map_error (( ^ ) "submit: ")
+      (Result.bind (Slimsim_stats.Generator.check ~delta ~eps)
+         (Slimsim_sim.Path.check_budgets ?max_steps ?max_sim_time
+            ?max_wall_per_path))
   in
   let model_source = str j "model_source" in
   let model_file = str j "model_file" in
@@ -117,9 +125,9 @@ let parse_submit j =
              | None -> d.seed);
            generator;
            workers = Option.value (int_field j "workers") ~default:d.workers;
-           max_steps = int_field j "max_steps";
-           max_sim_time = num j "max_sim_time";
-           max_wall_per_path = num j "max_wall_per_path";
+           max_steps;
+           max_sim_time;
+           max_wall_per_path;
            on_divergence;
          })
 

@@ -1,9 +1,10 @@
 (* The slimsim campaign service: a single-threaded select loop that
-   alternates protocol work with scheduling slices.  Campaigns are
-   Slimsim.Campaign values — stepping, parking and resuming them here is
-   the same code path the one-shot engine drives to completion, so the
+   alternates protocol work with scheduling slices.  A submission starts
+   where every [slimsim simulate] query does ([Slimsim.start]: plan,
+   route, pre-pass), and its campaign is the value the one-shot engine
+   drives to completion, here stepped, parked and resumed, so the
    service inherits its determinism: a campaign time-sliced across many
-   turns produces the estimate the same submission would get from
+   turns produces the answer the same submission would get from
    [slimsim simulate].
 
    Concurrency model: the loop owns every mutable structure; worker
@@ -46,17 +47,22 @@ let default_config ~socket_path =
 
 (* ------------------------------------------------------------------ *)
 
+(* A job samples through its session until it is finished; a query the
+   pre-pass certifies is finished at submit. *)
 type job = {
   id : string;
   tenant : string;
-  prepared : Slimsim.prepared;
   sup : Supervisor.t;
   mutable active_seconds : float;
   mutable budget : string option;  (* "paths" / "wall" when a budget fired *)
   mutable cancelled : bool;
-  mutable finished : (Slimsim.estimate, string) result option;
+  mutable run :
+    [ `Sampling of Slimsim.session
+    | `Finished of (Slimsim.cost_outcome, string) result ];
   mutable waiters : Unix.file_descr list;
 }
+
+let running job = match job.run with `Sampling _ -> true | `Finished _ -> false
 
 type client = {
   fd : Unix.file_descr;
@@ -134,11 +140,11 @@ let send_line st fd line =
 
 let unfinished_of_tenant st tenant =
   Hashtbl.fold
-    (fun _ j acc -> if j.tenant = tenant && j.finished = None then acc + 1 else acc)
+    (fun _ j acc -> if j.tenant = tenant && running j then acc + 1 else acc)
     st.jobs 0
 
 let running_jobs st =
-  Hashtbl.fold (fun _ j acc -> if j.finished = None then acc + 1 else acc) st.jobs 0
+  Hashtbl.fold (fun _ j acc -> if running j then acc + 1 else acc) st.jobs 0
 
 let estimate_fields (e : Slimsim.estimate) =
   [
@@ -156,21 +162,39 @@ let estimate_fields (e : Slimsim.estimate) =
     ("interrupted", Json.Bool e.interrupted);
     ("wall_seconds", Json.Float e.wall_seconds);
   ]
+  @ Option.fold ~none:[] ~some:(fun c -> [ ("certificate", Json.String c) ])
+      e.certificate
+
+(* E[...] / D[...]: the cost statistics, then the reachability fields of
+   the campaign they were folded over *)
+let outcome_fields = function
+  | Slimsim.Cost_probability e -> estimate_fields e
+  | Slimsim.Cost_expected r | Slimsim.Cost_distribution r ->
+    let module C = Slimsim_sim.Cost_run in
+    [
+      ("cost_mean", Json.Float r.C.cost_mean);
+      ("cost_ci_low", Json.Float r.C.cost_ci_low);
+      ("cost_ci_high", Json.Float r.C.cost_ci_high);
+      ("cost_min", Json.Float r.C.cost_min);
+      ("cost_max", Json.Float r.C.cost_max);
+      ("sat_paths", Json.Int r.C.cost_samples);
+    ]
+    @ estimate_fields (Slimsim.estimate_of ~complement:false r.C.reach)
 
 let job_status_fields job =
   let base = [ ("id", Json.String job.id); ("tenant", Json.String job.tenant) ] in
   let budget =
     match job.budget with None -> [] | Some b -> [ ("budget", Json.String b) ]
   in
-  match job.finished with
-  | Some (Ok e) ->
+  match job.run with
+  | `Finished (Ok o) ->
     base
     @ [ ("state", Json.String (if job.cancelled then "cancelled" else "done")) ]
-    @ estimate_fields e @ budget
-  | Some (Error msg) ->
+    @ outcome_fields o @ budget
+  | `Finished (Error msg) ->
     base @ [ ("state", Json.String "failed"); ("reason", Json.String msg) ]
-  | None ->
-    let mean, lo, hi, trials = Campaign.snapshot job.prepared.campaign in
+  | `Sampling (Slimsim.Session (c, _)) ->
+    let mean, lo, hi, trials = Campaign.snapshot c in
     base
     @ [
         ("state", Json.String "running");
@@ -183,13 +207,13 @@ let job_status_fields job =
 
 (* Finished jobs stay queryable by [status] until this many newer ones
    finish; beyond that they are evicted so a long-lived service does not
-   pin every past campaign (and its prepared network) forever.  The
+   pin every past campaign (and its staged network) forever.  The
    result itself is always delivered: waiters are answered in [finish]
    before any eviction. *)
 let max_finished_jobs = 256
 
 let finish st job result =
-  job.finished <- Some result;
+  job.run <- `Finished result;
   Queue.push job.id st.done_order;
   while Queue.length st.done_order > max_finished_jobs do
     Hashtbl.remove st.jobs (Queue.pop st.done_order)
@@ -210,10 +234,10 @@ let finish st job result =
   List.iter (fun fd -> send_line st fd line) job.waiters;
   job.waiters <- []
 
-let check_budgets st job =
+let check_budgets st job c =
   if job.budget = None then begin
     (match st.cfg.max_paths_per_campaign with
-    | Some n when Campaign.consumed job.prepared.campaign >= n ->
+    | Some n when Campaign.consumed c >= n ->
       job.budget <- Some "paths";
       Supervisor.request_stop job.sup
     | _ -> ());
@@ -224,8 +248,14 @@ let check_budgets st job =
     | _ -> ()
   end
 
-let run_slice st job =
-  let c = job.prepared.campaign in
+(* a step's status as a finished job's result; a campaign still running
+   when the service stops is reported as interrupted *)
+let result_of map = function
+  | Campaign.Done r -> Ok (map r)
+  | Campaign.Failed e -> Error (Path.error_to_string e)
+  | Campaign.Running -> Error "interrupted"
+
+let run_slice st job (Slimsim.Session (c, map)) =
   let before = Campaign.consumed c in
   let t0 = Unix.gettimeofday () in
   let status = Campaign.step ~quota:st.cfg.slice c in
@@ -237,103 +267,89 @@ let run_slice st job =
   Metrics.add (tenant_paths job.tenant) consumed;
   match status with
   | Campaign.Running ->
-    check_budgets st job;
+    check_budgets st job c;
     (* share the domain pool: quiesce before yielding the slot when
        anyone else is waiting to run *)
     if Scheduler.pending st.sched > 0 then Campaign.park c;
     Scheduler.push st.sched ~tenant:job.tenant job.id
-  | Campaign.Done r ->
-    let complement = job.prepared.complement in
-    finish st job (Ok (Slimsim.estimate_of ~complement r))
-  | Campaign.Failed e -> finish st job (Error (Path.error_to_string e))
+  | status -> finish st job (result_of map status)
 
 (* ---- request handling --------------------------------------------- *)
 
 let handle_submit st fd (s : Protocol.submit) =
-  let reject msg = send_line st fd (Protocol.error_line msg) in
-  if unfinished_of_tenant st s.tenant >= st.cfg.max_campaigns_per_tenant then
-    reject
-      (Printf.sprintf "admission: tenant %S is at its campaign limit (%d)"
-         s.tenant st.cfg.max_campaigns_per_tenant)
-  else
-    let resolved =
-      match s.model_hash with
-      | Some h -> (
-        match Cache.find_hash st.cache h with
-        | Some e ->
-          Metrics.incr st.m_cache_hits;
-          Ok (e, `Hit)
-        | None -> Error (Printf.sprintf "unknown model_hash %S (not resident)" h))
-      | None -> (
-        let source =
-          match (s.model_source, s.model_file) with
-          | Some src, _ -> Ok src
-          | None, Some file -> (
-            try Ok (In_channel.with_open_bin file In_channel.input_all)
-            with Sys_error e -> Error e)
-          | None, None -> Error "submit without a model"
-        in
-        match source with
-        | Error e -> Error e
-        | Ok src -> (
-          match Cache.load st.cache ~source:src with
-          | Ok (e, hit) ->
-            (match hit with
-            | `Hit -> Metrics.incr st.m_cache_hits
-            | `Miss -> Metrics.incr st.m_cache_misses);
-            Ok (e, hit)
-          | Error e -> Error e))
+  let ( let* ) = Result.bind in
+  let resolve () =
+    match (s.model_hash, s.model_source, s.model_file) with
+    | Some h, _, _ ->
+      Cache.find_hash st.cache h
+      |> Option.map (fun e -> (e, `Hit))
+      |> Option.to_result ~none:(Printf.sprintf "unknown model_hash %S (not resident)" h)
+    | None, Some src, _ -> Cache.load st.cache ~source:src
+    | None, None, Some file -> (
+      match In_channel.with_open_bin file In_channel.input_all with
+      | src -> Cache.load st.cache ~source:src
+      | exception Sys_error e -> Error e)
+    | None, None, None -> Error "submit without a model"
+  in
+  let sup = Supervisor.create ~on_divergence:s.on_divergence () in
+  let admitted =
+    let* () =
+      if unfinished_of_tenant st s.tenant >= st.cfg.max_campaigns_per_tenant then
+        Error
+          (Printf.sprintf "admission: tenant %S is at its campaign limit (%d)"
+             s.tenant st.cfg.max_campaigns_per_tenant)
+      else Ok ()
     in
-    match resolved with
-    | Error e -> reject e
-    | Ok (entry, hit) -> (
-      let sup = Supervisor.create ~on_divergence:s.on_divergence () in
-      let workers = max 1 (min s.workers st.cfg.max_workers) in
-      match
-        Slimsim.prepare ~workers ~seed:s.seed ~generator:s.generator
-          ~on_error:`Abort ~supervisor:sup
-          ?max_steps:s.max_steps ?max_sim_time:s.max_sim_time
-          ?max_wall_per_path:s.max_wall_per_path ~compiled:entry.Cache.compiled
-          entry.Cache.model ~property:s.property ~strategy:s.strategy
-          ~delta:s.delta ~eps:s.eps ()
-      with
-      | Error e -> reject e
-      | Ok prepared ->
-        st.next_id <- st.next_id + 1;
-        let id = Printf.sprintf "c%d" st.next_id in
-        let job =
-          {
-            id;
-            tenant = s.tenant;
-            prepared;
-            sup;
-            active_seconds = 0.0;
-            budget = None;
-            cancelled = false;
-            finished = None;
-            waiters = [];
-          }
-        in
-        Hashtbl.replace st.jobs id job;
-        Scheduler.push st.sched ~tenant:s.tenant id;
-        Metrics.set_gauge st.m_running (running_jobs st);
-        Metrics.set_gauge st.m_entries (Cache.length st.cache);
-        Log.emit ~event:"serve_submit"
-          [
-            ("id", Json.String id);
-            ("tenant", Json.String s.tenant);
-            ("network_hash", Json.String entry.Cache.hash);
-            ("cache", Json.String (match hit with `Hit -> "hit" | `Miss -> "miss"));
-          ];
-        send_line st fd
-          (Protocol.ok_line
-             [
-               ("id", Json.String id);
-               ("tenant", Json.String s.tenant);
-               ("network_hash", Json.String entry.Cache.hash);
-               ( "cache",
-                 Json.String (match hit with `Hit -> "hit" | `Miss -> "miss") );
-             ]))
+    let* entry, hit = resolve () in
+    Metrics.incr (match hit with `Hit -> st.m_cache_hits | `Miss -> st.m_cache_misses);
+    let* started =
+      Slimsim.start ~workers:(max 1 (min s.workers st.cfg.max_workers))
+        ~seed:s.seed ~generator:s.generator ~on_error:`Abort ~supervisor:sup
+        ?max_steps:s.max_steps ?max_sim_time:s.max_sim_time
+        ?max_wall_per_path:s.max_wall_per_path ~compiled:entry.Cache.compiled
+        entry.Cache.model ~query:s.property ~strategy:s.strategy
+        ~delta:s.delta ~eps:s.eps ()
+    in
+    Ok (entry, hit, started)
+  in
+  match admitted with
+  | Error e -> send_line st fd (Protocol.error_line e)
+  | Ok (entry, hit, started) -> (
+    st.next_id <- st.next_id + 1;
+    let id = Printf.sprintf "c%d" st.next_id in
+    let run =
+      match started with
+      | Slimsim.Sampling session -> `Sampling session
+      | Slimsim.Answered o -> `Finished (Ok o)
+    in
+    let job =
+      {
+        id;
+        tenant = s.tenant;
+        sup;
+        active_seconds = 0.0;
+        budget = None;
+        cancelled = false;
+        run;
+        waiters = [];
+      }
+    in
+    Hashtbl.replace st.jobs id job;
+    if running job then Scheduler.push st.sched ~tenant:s.tenant id;
+    Metrics.set_gauge st.m_running (running_jobs st);
+    Metrics.set_gauge st.m_entries (Cache.length st.cache);
+    let receipt =
+      [
+        ("id", Json.String id);
+        ("tenant", Json.String s.tenant);
+        ("network_hash", Json.String entry.Cache.hash);
+        ("cache", Json.String (match hit with `Hit -> "hit" | `Miss -> "miss"));
+      ]
+    in
+    Log.emit ~event:"serve_submit" receipt;
+    send_line st fd (Protocol.ok_line receipt);
+    (* a certified query is done at submit: no campaign to schedule *)
+    match run with `Finished r -> finish st job r | `Sampling _ -> ())
 
 let stats_fields st =
   let tenants =
@@ -396,15 +412,14 @@ let handle_line st fd line =
     | Wait id -> (
       match Hashtbl.find_opt st.jobs id with
       | None -> send_line st fd (Protocol.error_line ("unknown campaign " ^ id))
-      | Some job -> (
-        match job.finished with
-        | Some _ -> send_line st fd (Protocol.ok_line (job_status_fields job))
-        | None -> job.waiters <- fd :: job.waiters))
+      | Some job ->
+        if running job then job.waiters <- fd :: job.waiters
+        else send_line st fd (Protocol.ok_line (job_status_fields job)))
     | Cancel id -> (
       match Hashtbl.find_opt st.jobs id with
       | None -> send_line st fd (Protocol.error_line ("unknown campaign " ^ id))
       | Some job ->
-        if job.finished = None then begin
+        if running job then begin
           job.cancelled <- true;
           Supervisor.request_stop job.sup;
           Log.emit ~event:"serve_cancel" [ ("id", Json.String id) ]
@@ -414,8 +429,7 @@ let handle_line st fd line =
              [
                ("id", Json.String id);
                ( "state",
-                 Json.String
-                   (if job.finished = None then "cancelling" else "finished") );
+                 Json.String (if running job then "cancelling" else "finished") );
              ]))
     | Stats -> send_line st fd (Protocol.ok_line (stats_fields st))
     | Metrics ->
@@ -482,21 +496,16 @@ let shutdown st =
   (* stop every unfinished campaign cooperatively and answer its
      waiters with the partial estimate *)
   Hashtbl.iter
-    (fun _ job -> if job.finished = None then Supervisor.request_stop job.sup)
+    (fun _ job -> if running job then Supervisor.request_stop job.sup)
     st.jobs;
   let rec drain () =
     match Scheduler.take st.sched with
     | None -> ()
     | Some (_, id) ->
       (match Hashtbl.find_opt st.jobs id with
-      | Some job when job.finished = None ->
+      | Some ({ run = `Sampling (Slimsim.Session (c, map)); _ } as job) ->
         (* stop flag is set: this consumes no new samples *)
-        (match Campaign.step ~quota:1 job.prepared.campaign with
-        | Campaign.Done r ->
-          let complement = job.prepared.complement in
-          finish st job (Ok (Slimsim.estimate_of ~complement r))
-        | Campaign.Failed e -> finish st job (Error (Path.error_to_string e))
-        | Campaign.Running -> finish st job (Error "interrupted"))
+        finish st job (result_of map (Campaign.step ~quota:1 c))
       | _ -> ());
       drain ()
   in
@@ -605,7 +614,7 @@ let run cfg =
           | None -> ()
           | Some (_, id) -> (
             match Hashtbl.find_opt st.jobs id with
-            | Some job when job.finished = None -> run_slice st job
+            | Some ({ run = `Sampling s; _ } as job) -> run_slice st job s
             | _ -> ())
       done;
       shutdown st)

@@ -2,8 +2,8 @@
 
     One process, one Unix-domain socket, many tenants: submissions are
     admitted against per-tenant budgets, their models resolved through
-    the compiled-network {!Cache}, and the resulting {!Slimsim.Campaign}
-    values time-sliced by the fair-share {!Scheduler} — a campaign that
+    the compiled-network {!Cache}, started by {!Slimsim.start} and their
+    campaigns time-sliced by the fair-share {!Scheduler} — a campaign that
     still needs samples after its slice is parked (when others are
     waiting) and resumes bit-identically on its next turn, so service
     answers equal one-shot [slimsim simulate] answers by construction.

@@ -372,8 +372,6 @@ type exec =
   | Par of par
 
 type 'r state = Running | Done of 'r | Failed of Path.error
-type status = result state
-
 type 'r campaign = {
   sup : Supervisor.t;
   on_error : [ `Abort | `Unsat ];

@@ -120,8 +120,6 @@ type 'r state =
   | Done of 'r
   | Failed of Path.error
 
-type status = result state
-
 val create :
   ?workers:int ->
   ?seed:int64 ->

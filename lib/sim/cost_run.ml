@@ -51,13 +51,6 @@ type result = {
   cost_buckets : int array;  (* Metrics.bucket_of convention *)
 }
 
-type 'r state = 'r Campaign.state =
-  | Running
-  | Done of 'r
-  | Failed of Path.error
-
-type status = result state
-
 type t = result Campaign.campaign
 
 (* Cost-specific observability, single-writer (only the collecting
@@ -265,7 +258,6 @@ let create ?workers ?seed ?config ?on_error ?hold ?supervisor ?progress
       ?supervisor ?progress ?compiled ~cost_var net ~goal ~horizon ~strategy
       (accumulator ~query (Generator.create kind ~delta ~eps))
 
-let step = Campaign.step
 let drive = Campaign.drive
 
 (* ------------------------------------------------------------------ *)

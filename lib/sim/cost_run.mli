@@ -44,13 +44,6 @@ type result = {
           convention ([Metrics.n_buckets] entries) *)
 }
 
-type 'r state = 'r Campaign.state =
-  | Running
-  | Done of 'r
-  | Failed of Path.error
-
-type status = result state
-
 type t = result Campaign.campaign
 (** A {!Campaign} over the cost accumulator: step, park, drive and
     snapshot it with the {!Campaign} functions. *)
@@ -83,9 +76,6 @@ val create :
     interpreter on one worker; [kind = Mlmc] is an error.  [Error] is
     returned when [supervisor.resume] is set and the checkpoint is
     unreadable, incompatible, or was taken for a different query. *)
-
-val step : ?quota:int -> t -> status
-(** {!Campaign.step}. *)
 
 val drive : t -> (result, Path.error) Result.t
 (** {!Campaign.drive}. *)

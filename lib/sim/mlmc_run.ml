@@ -53,12 +53,6 @@ type result = {
   wall_seconds : float;
 }
 
-type 'r state = 'r Campaign.state =
-  | Running
-  | Done of 'r
-  | Failed of Path.error
-
-type status = result state
 type t = result Campaign.campaign
 
 (* Per-level observability: sample and path counters labeled with the
@@ -314,7 +308,6 @@ let create ?(seed = 0x51135113L) ?config ?on_error ?hold ?supervisor
           remaining = (fun () -> None);
         }
 
-let step = Campaign.step
 let drive = Campaign.drive
 
 let pp_result ppf r =

@@ -37,13 +37,6 @@ type result = {
   wall_seconds : float;
 }
 
-type 'r state = 'r Campaign.state =
-  | Running
-  | Done of 'r
-  | Failed of Path.error
-
-type status = result state
-
 type t = result Campaign.campaign
 (** A {!Campaign} whose samples are coupled pairs; sequential (the pair
     shares mutable scratch, and the greedy allocator is consulted
@@ -74,9 +67,6 @@ val create :
     supervisor requests [resume] and the checkpoint file exists, the
     per-level accumulators and cursors are restored after validating
     seed, generator kind, delta/eps and level count. *)
-
-val step : ?quota:int -> t -> status
-(** {!Campaign.step}: advance by at most [quota] telescoped samples. *)
 
 val drive : t -> (result, Path.error) Result.t
 (** {!Campaign.drive}. *)

@@ -43,6 +43,16 @@ let make_config ?(max_steps = 1_000_000) ?max_sim_time ?max_wall_per_path
 
 let default_config ~horizon = make_config ~on_deadlock:`Falsify ~horizon ()
 
+let check_budgets ?max_steps ?max_sim_time ?max_wall_per_path () =
+  [ ("--max-steps", Option.map float_of_int max_steps);
+    ("--max-sim-time", max_sim_time);
+    ("--max-wall-per-path", max_wall_per_path) ]
+  |> List.find_map (function
+       | flag, Some t when not (t > 0.0) ->
+         Some (Printf.sprintf "%s must be positive, got %g" flag t)
+       | _ -> None)
+  |> Option.fold ~none:(Ok ()) ~some:Result.error
+
 type step_record = { at_time : float; chose_delay : float; description : string }
 
 (* Per-worker observability cell: one set of single-writer series per

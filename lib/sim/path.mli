@@ -83,6 +83,16 @@ val make_config :
 val default_config : horizon:float -> config
 (** [make_config ~on_deadlock:`Falsify ~horizon ()]. *)
 
+val check_budgets :
+  ?max_steps:int ->
+  ?max_sim_time:float ->
+  ?max_wall_per_path:float ->
+  unit ->
+  (unit, string) result
+(** The watchdog budgets every front-end accepts: [max_steps] at least
+    1, the two times positive and not NaN ([infinity] sets no budget).
+    The error names the offending budget by its CLI flag. *)
+
 type step_record = {
   at_time : float;
   chose_delay : float;

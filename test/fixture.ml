@@ -49,3 +49,31 @@ let oracle ?(seed = 0x51135113L) ?config ?on_error ?hold ?supervisor net ~goal
     (Campaign.create_sequential ~seed ?on_error ?supervisor ~draw
        (Campaign.bernoulli generator))
     Campaign.drive
+
+(* What [Slimsim.start] started, driven as the service drives it:
+   [quota] samples per slice, parked between slices. *)
+let sliced ?(quota = 7) = function
+  | Slimsim.Answered o -> Ok o
+  | Slimsim.Sampling (Slimsim.Session (c, map)) ->
+    let rec go () =
+      match Campaign.step ~quota c with
+      | Campaign.Running ->
+        Campaign.park c;
+        go ()
+      | Campaign.Done r -> Ok (map r)
+      | Campaign.Failed e -> Error (Path.error_to_string e)
+    in
+    go ()
+
+(* An outcome with its wall-clock time zeroed, the one field two runs
+   of the same campaign may disagree on; compare with [compare], which
+   equates NaN cost statistics. *)
+let without_wall = function
+  | Slimsim.Cost_probability e ->
+    Slimsim.Cost_probability { e with Slimsim.wall_seconds = 0.0 }
+  | Slimsim.Cost_expected r ->
+    Slimsim.Cost_expected
+      { r with reach = { r.Slimsim_sim.Cost_run.reach with wall_seconds = 0.0 } }
+  | Slimsim.Cost_distribution r ->
+    Slimsim.Cost_distribution
+      { r with reach = { r.Slimsim_sim.Cost_run.reach with wall_seconds = 0.0 } }

@@ -193,10 +193,10 @@ let test_resume_bit_identical () =
         Supervisor.create ~checkpoint:{ Supervisor.file; every = 50 } ()
       in
       let b = make_mlmc ~supervisor:sup_b ~seed () in
-      (match Mlmc_run.step ~quota:137 b with
-      | Mlmc_run.Running -> ()
-      | Mlmc_run.Done _ -> Alcotest.fail "converged before the warmup floor"
-      | Mlmc_run.Failed e -> Alcotest.failf "step failed: %s" (Path.error_to_string e));
+      (match Campaign.step ~quota:137 b with
+      | Campaign.Running -> ()
+      | Campaign.Done _ -> Alcotest.fail "converged before the warmup floor"
+      | Campaign.Failed e -> Alcotest.failf "step failed: %s" (Path.error_to_string e));
       Alcotest.(check bool) "checkpoint written" true (Sys.file_exists file);
       (* C: fresh campaign resumed from B's checkpoint, driven to the end *)
       let sup_c =
@@ -215,8 +215,8 @@ let test_resume_rejects_mismatch () =
         Supervisor.create ~checkpoint:{ Supervisor.file; every = 50 } ()
       in
       let b = make_mlmc ~supervisor:sup ~seed:21L () in
-      (match Mlmc_run.step ~quota:60 b with
-      | Mlmc_run.Running -> ()
+      (match Campaign.step ~quota:60 b with
+      | Campaign.Running -> ()
       | _ -> Alcotest.fail "expected a running campaign");
       let resume_with ?(levels = 3) ?(seed = 21L) () =
         let net = load race_model in
@@ -310,8 +310,8 @@ let test_check_mlmc_facade () =
 
 (* The library and the CLI agree on the multilevel generator: [check]
    and [check_cost] given [Mlmc] run [Mlmc_run] (they once ran the
-   single-level Chow-Robbins rule: p = 0.209945 over 181 paths), and
-   [prepare], which builds a Bernoulli campaign, refuses it. *)
+   single-level Chow-Robbins rule: p = 0.209945 over 181 paths), and so
+   does the service's entry point [start], stepped in parked slices. *)
 let test_facade_runs_mlmc () =
   let file =
     Filename.concat (Filename.dirname Sys.executable_name)
@@ -359,11 +359,14 @@ let test_facade_runs_mlmc () =
   | Ok (Slimsim.Cost_probability e) -> same "check_cost" e
   | Ok _ -> Alcotest.fail "check_cost: not a probability"
   | Error e -> Alcotest.fail e);
-  match args (Slimsim.prepare ~generator:Generator.Mlmc m ~property) with
-  | Error msg ->
-    Alcotest.(check bool) "prepare names the multilevel generator" true
-      (Astring_contains.contains msg "generator mlmc is not supported")
-  | Ok _ -> Alcotest.fail "prepare accepted the multilevel generator"
+  match
+    Result.bind
+      (args (Slimsim.start ~generator:Generator.Mlmc ~seed:3L m ~query:property))
+      Fixture.sliced
+  with
+  | Ok (Slimsim.Cost_probability e) -> same "serve" e
+  | Ok _ -> Alcotest.fail "serve: not a probability"
+  | Error e -> Alcotest.fail e
 
 (* --- observability: both halves go through the campaign's router --- *)
 

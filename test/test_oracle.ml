@@ -378,6 +378,14 @@ let test_cli_pins () =
           ([ "--progress=0" ], "slimsim: --progress must be positive");
           ( [ "--checkpoint"; ckpt; "--checkpoint-every"; "0" ],
             "slimsim: --checkpoint-every must be positive" );
+          ([ "--max-steps=0" ], "slimsim: --max-steps must be positive");
+          ([ "--max-steps=-3" ], "slimsim: --max-steps must be positive");
+          ([ "--max-sim-time=nan" ], "slimsim: --max-sim-time must be positive");
+          ([ "--max-sim-time=0" ], "slimsim: --max-sim-time must be positive");
+          ([ "--max-wall-per-path=-1" ], "slimsim: --max-wall-per-path must be positive");
+          ([ "--max-wall-per-path=nan" ], "slimsim: --max-wall-per-path must be positive");
+          ( [ "--max-steps=0"; "--distribute"; "2" ],
+            "slimsim: --max-steps must be positive" );
         ])
 
 (* The [workers] field of [campaign_start] counts the campaign's workers

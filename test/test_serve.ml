@@ -340,9 +340,9 @@ let test_service_end_to_end () =
   close_in_noerr ic;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket_path)
 
-(* A submit whose delta or eps no generator accepts is refused with an
-   error line; it must not take the service (and every tenant's
-   campaigns) down with it. *)
+(* A submit whose delta or eps no generator accepts, or whose watchdog
+   budget cannot be met, is refused with an error line; it must not take
+   the service (and every tenant's campaigns) down with it. *)
 let test_bad_submit_rejected () =
   let dir = Filename.temp_file "slimsim_serve" "" in
   Sys.remove dir;
@@ -359,31 +359,41 @@ let test_bad_submit_rejected () =
     | [], _, _ -> Alcotest.failf "no answer to %s" line
     | _ -> recv ic
   in
-  let submit ~delta ~eps =
+  let submit f =
     Json.to_string
       (Protocol.submit_to_json
-         {
-           Protocol.submit_defaults with
-           model_source = Some race_model;
-           property;
-           delta;
-           eps;
-           seed = 5L;
-         })
+         (f
+            {
+              Protocol.submit_defaults with
+              model_source = Some race_model;
+              property;
+              delta = 0.1;
+              eps = 0.1;
+              seed = 5L;
+            }))
   in
   List.iter
-    (fun (name, delta, eps, msg) ->
-      let r = answer (submit ~delta ~eps) in
+    (fun (name, f, msg) ->
+      let r = answer (submit f) in
       Alcotest.(check bool) (name ^ ": refused") true
         (Json.member "ok" r = Some (Json.Bool false));
       Alcotest.(check bool) (name ^ ": message") true
         (Astring_contains.contains (str_field name "error" r) msg))
     [
-      ("delta 0", 0.0, 0.1, "delta must lie in (0, 1)");
-      ("eps 0", 0.1, 0.0, "eps must be positive and finite");
+      ("delta 0", (fun s -> { s with Protocol.delta = 0.0 }), "delta must lie in (0, 1)");
+      ("eps 0", (fun s -> { s with Protocol.eps = 0.0 }), "eps must be positive and finite");
+      ( "max_steps 0",
+        (fun s -> { s with Protocol.max_steps = Some 0 }),
+        "submit: --max-steps must be positive" );
+      ( "max_sim_time nan",
+        (fun s -> { s with Protocol.max_sim_time = Some nan }),
+        "submit: --max-sim-time must be positive" );
+      ( "max_wall_per_path -1",
+        (fun s -> { s with Protocol.max_wall_per_path = Some (-1.0) }),
+        "submit: --max-wall-per-path must be positive" );
     ];
   expect_ok "stats after the refusals" (answer {|{"op":"stats"}|});
-  let r = answer (submit ~delta:0.1 ~eps:0.1) in
+  let r = answer (submit Fun.id) in
   expect_ok "valid submit" r;
   let final =
     answer
@@ -393,6 +403,134 @@ let test_bad_submit_rejected () =
   in
   Alcotest.(check string) "valid campaign done" "done"
     (str_field "final" "state" final);
+  expect_ok "shutdown" (answer {|{"op":"shutdown"}|});
+  Thread.join server;
+  Slimsim_obs.Metrics.set_enabled false;
+  close_in_noerr ic
+
+(* Every query form through the service answers what the one-shot
+   pipeline ([Slimsim.check_cost], behind [slimsim simulate]) answers,
+   field for field and bit for bit, wall time aside: E[...], D[...] and
+   the multilevel generator, each submitted twice at once (workers 1 and
+   2, so that their slices park); a query the pre-pass certifies, done
+   at submit; and E[...] over a goal the pre-pass proves unreachable,
+   refused with the facade's error. *)
+let test_every_query_form () =
+  let dir = Filename.temp_file "slimsim_serve" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let socket_path = Filename.concat dir "serve.sock" in
+  let cfg = { (Service.default_config ~socket_path) with max_workers = 2 } in
+  let server = Thread.create (fun () -> Service.run cfg) () in
+  let fd, ic = connect socket_path in
+  let file name =
+    Filename.concat (Filename.dirname Sys.executable_name) ("../examples/models/" ^ name)
+  in
+  let answer line =
+    send fd line;
+    recv ic
+  in
+  let submit (model, query, strategy, generator, eps) ~workers =
+    answer
+      (Json.to_string
+         (Protocol.submit_to_json
+            {
+              Protocol.submit_defaults with
+              model_source = Some (In_channel.with_open_bin (file model) In_channel.input_all);
+              property = query;
+              strategy;
+              generator;
+              eps;
+              seed = 7L;
+              workers;
+            }))
+  in
+  let wait receipt =
+    answer
+      (Json.to_string
+         (Json.Obj
+            [ ("op", Json.String "wait"); ("id", Json.String (str_field "submit" "id" receipt)) ]))
+  in
+  let check_cost (model, query, strategy, generator, eps) =
+    let m = Result.get_ok (Slimsim.load_file (file model)) in
+    Slimsim.check_cost ~seed:7L ~generator m ~query ~strategy ~delta:0.05 ~eps ()
+  in
+  let rec fields = function
+    | Slimsim.Cost_probability e ->
+      [
+        ("probability", Json.Float e.Slimsim.probability);
+        ("ci_low", Json.Float e.Slimsim.ci_low);
+        ("ci_high", Json.Float e.Slimsim.ci_high);
+        ("paths", Json.Int e.Slimsim.paths);
+        ("successes", Json.Int e.Slimsim.successes);
+        ("deadlock_paths", Json.Int e.Slimsim.deadlock_paths);
+        ("violated_paths", Json.Int e.Slimsim.violated_paths);
+        ("errors", Json.Int e.Slimsim.errors);
+        ("diverged_paths", Json.Int e.Slimsim.diverged_paths);
+        ("dropped_paths", Json.Int e.Slimsim.dropped_paths);
+        ("worker_restarts", Json.Int e.Slimsim.worker_restarts);
+        ("interrupted", Json.Bool e.Slimsim.interrupted);
+      ]
+      @ Option.fold ~none:[] ~some:(fun c -> [ ("certificate", Json.String c) ])
+          e.Slimsim.certificate
+    | Slimsim.Cost_expected r | Slimsim.Cost_distribution r ->
+      let module C = Slimsim_sim.Cost_run in
+      [
+        ("cost_mean", Json.Float r.C.cost_mean);
+        ("cost_ci_low", Json.Float r.C.cost_ci_low);
+        ("cost_ci_high", Json.Float r.C.cost_ci_high);
+        ("cost_min", Json.Float r.C.cost_min);
+        ("cost_max", Json.Float r.C.cost_max);
+        ("sat_paths", Json.Int r.C.cost_samples);
+      ]
+      @ fields (Slimsim.Cost_probability (Slimsim.estimate_of ~complement:false r.C.reach))
+  in
+  (* every field of the outcome, encoded as the wire encodes it, and no
+     other field than the job's identity and its wall time *)
+  let same name outcome final =
+    expect_ok name final;
+    Alcotest.(check string) (name ^ ": state") "done" (str_field name "state" final);
+    let expected = fields outcome in
+    List.iter
+      (fun (k, v) ->
+        Alcotest.(check string) (name ^ ": " ^ k) (Json.to_string v)
+          (Option.fold ~none:"missing" ~some:Json.to_string (Json.member k final)))
+      expected;
+    let keys = function Json.Obj kvs -> List.map fst kvs | _ -> [] in
+    Alcotest.(check (list string)) (name ^ ": fields")
+      (List.sort compare ("id" :: "ok" :: "state" :: "tenant" :: "wall_seconds" :: List.map fst expected))
+      (List.sort compare (keys final))
+  in
+  let gps query =
+    ("gps_nominal.slim", query, Strategy.Progressive, Generator.Chow_robbins, 0.5)
+  in
+  List.iter
+    (fun (name, case) ->
+      let reference =
+        match check_cost case with Ok o -> o | Error e -> Alcotest.failf "%s: %s" name e
+      in
+      let r1 = submit case ~workers:1 in
+      let r2 = submit case ~workers:2 in
+      same (name ^ ", workers 1") reference (wait r1);
+      same (name ^ ", workers 2") reference (wait r2))
+    [
+      ("E", gps "E[x ; <> [0, 300] measurement]");
+      ("D", gps "D[x ; <> [0, 300] measurement]");
+      ("mlmc", ("mm1k.slim", "P(<> [0, 5] q = 4)", Strategy.Asap, Generator.Mlmc, 0.01));
+    ];
+  let vacuous = ("mm1k.slim", "P(<> [0, 50] q < 0)", Strategy.Asap, Generator.Chernoff, 0.01) in
+  let final = wait (submit vacuous ~workers:1) in
+  same "P0 certificate" (Result.get_ok (check_cost vacuous)) final;
+  Alcotest.(check string) "certified at submit" "P0" (str_field "P0" "certificate" final);
+  let undefined =
+    ("mm1k_priced.slim", "E[w ; <> [0, 50] q < 0]", Strategy.Asap, Generator.Chernoff, 0.01)
+  in
+  let refused = submit undefined ~workers:1 in
+  Alcotest.(check bool) "E over a P0 goal refused" true
+    (Json.member "ok" refused = Some (Json.Bool false));
+  (match check_cost undefined with
+  | Error e -> Alcotest.(check string) "the facade's error" e (str_field "E" "error" refused)
+  | Ok _ -> Alcotest.fail "check_cost sampled an E over a P0 goal");
   expect_ok "shutdown" (answer {|{"op":"shutdown"}|});
   Thread.join server;
   Slimsim_obs.Metrics.set_enabled false;
@@ -411,4 +549,6 @@ let suite =
       test_service_end_to_end;
     Alcotest.test_case "service: bad delta/eps refused, service survives"
       `Quick test_bad_submit_rejected;
+    Alcotest.test_case "service: every query form equals simulate" `Quick
+      test_every_query_form;
   ]
