@@ -52,66 +52,85 @@ let submit_defaults =
 (* ---- field accessors over Json.Obj, tolerant of Int-vs-Float ---- *)
 
 let str j key = match Json.member key j with Some (Json.String s) -> Some s | _ -> None
-
-let num j key =
-  match Json.member key j with
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | Some (Json.Float f) -> Some f
-  (* the encoder's spelling of a non-finite float *)
-  | Some (Json.String ("nan" | "inf" | "-inf" as s)) -> Some (float_of_string s)
-  | _ -> None
-
-let int_field j key =
-  match Json.member key j with Some (Json.Int i) -> Some i | _ -> None
-
 let ( let* ) = Result.bind
+
+(* A submit field: [None] when absent, and an error naming it when it is
+   present with the wrong JSON type, so that no spelling of a value gets
+   past the checks on it as the default. *)
+let field kind of_json j key =
+  match Json.member key j with
+  | None -> Ok None
+  | Some v -> (
+    match of_json v with
+    | Some x -> Ok (Some x)
+    | None -> Error (Printf.sprintf "submit: %S must be %s" key kind))
+
+let string_field = field "a string" (function Json.String s -> Some s | _ -> None)
+
+let num =
+  field "a number" (function
+    | Json.Int i -> Some (float_of_int i)
+    | Json.Float f -> Some f
+    (* the encoder's spelling of a non-finite float *)
+    | Json.String ("nan" | "inf" | "-inf" as s) -> Some (float_of_string s)
+    | _ -> None)
+
+let int_field = field "an integer" (function Json.Int i -> Some i | _ -> None)
 
 let parse_submit j =
   let d = submit_defaults in
+  let* strategy = string_field j "strategy" in
   let* strategy =
-    match str j "strategy" with
+    match strategy with
     | None -> Ok d.strategy
     | Some s -> Slimsim_sim.Strategy.of_string s
   in
+  let* generator = string_field j "generator" in
   let* generator =
-    match str j "generator" with
+    match generator with
     | None -> Ok d.generator
     | Some s -> Slimsim_stats.Generator.kind_of_string s
   in
+  let* on_divergence = string_field j "on_divergence" in
   let* on_divergence =
-    match str j "on_divergence" with
+    match on_divergence with
     | None -> Ok d.on_divergence
     | Some "abort" -> Ok `Abort
     | Some "unsat" -> Ok `Unsat
     | Some "drop" -> Ok `Drop
     | Some s -> Error (Printf.sprintf "unknown on_divergence %S" s)
   in
+  let* property = string_field j "property" in
   let* property =
-    match str j "property" with
+    match property with
     | Some p when p <> "" -> Ok p
     | _ -> Error "submit: missing \"property\""
   in
-  let delta = Option.value (num j "delta") ~default:d.delta in
-  let eps = Option.value (num j "eps") ~default:d.eps in
-  let max_steps = int_field j "max_steps"
-  and max_sim_time = num j "max_sim_time"
-  and max_wall_per_path = num j "max_wall_per_path" in
+  let* delta = num j "delta" in
+  let* eps = num j "eps" in
+  let* max_steps = int_field j "max_steps" in
+  let* max_sim_time = num j "max_sim_time" in
+  let* max_wall_per_path = num j "max_wall_per_path" in
+  let delta = Option.value delta ~default:d.delta and eps = Option.value eps ~default:d.eps in
   let* () =
     Result.map_error (( ^ ) "submit: ")
       (Result.bind (Slimsim_stats.Generator.check ~delta ~eps)
          (Slimsim_sim.Path.check_budgets ?max_steps ?max_sim_time
             ?max_wall_per_path))
   in
-  let model_source = str j "model_source" in
-  let model_file = str j "model_file" in
-  let model_hash = str j "model_hash" in
+  let* model_source = string_field j "model_source" in
+  let* model_file = string_field j "model_file" in
+  let* model_hash = string_field j "model_hash" in
+  let* tenant = string_field j "tenant" in
+  let* seed = int_field j "seed" in
+  let* workers = int_field j "workers" in
   if model_source = None && model_file = None && model_hash = None then
     Error "submit: one of \"model_source\", \"model_file\", \"model_hash\" is required"
   else
     Ok
       (Submit
          {
-           tenant = Option.value (str j "tenant") ~default:d.tenant;
+           tenant = Option.value tenant ~default:d.tenant;
            model_source;
            model_file;
            model_hash;
@@ -119,12 +138,9 @@ let parse_submit j =
            strategy;
            delta;
            eps;
-           seed =
-             (match int_field j "seed" with
-             | Some s -> Int64.of_int s
-             | None -> d.seed);
+           seed = Option.fold seed ~none:d.seed ~some:Int64.of_int;
            generator;
-           workers = Option.value (int_field j "workers") ~default:d.workers;
+           workers = Option.value workers ~default:d.workers;
            max_steps;
            max_sim_time;
            max_wall_per_path;

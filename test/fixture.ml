@@ -77,3 +77,76 @@ let without_wall = function
   | Slimsim.Cost_distribution r ->
     Slimsim.Cost_distribution
       { r with reach = { r.Slimsim_sim.Cost_run.reach with wall_seconds = 0.0 } }
+
+(* A hand-built untimed network where the int lane meets the variables
+   it must leave boxed (SLIM's front end would refuse some of these
+   writes):
+   - [n] is in the lane: [n + 1], [n / 2] and [(n * 3) mod 5];
+   - [r] is a real assigned the int expression [n * 2], so it holds an
+     [Int] after the first write;
+   - [k] is an int written by [r + 1], which is not [Int]-shaped, so it
+     stays boxed and may hold a [Real];
+   - the flow [m := n + k] reads [k], so [m] stays boxed too;
+   - the flows [q] and [d] are in the lane: if-then-else, [min], [max],
+     negatives, truncating [/] and [mod]. *)
+let lane_network () =
+  let module Sta = Slimsim_sta in
+  let module E = Sta.Expr in
+  let n = 0 and r = 1 and k = 2 and m = 3 and q = 4 and d = 5 in
+  let v = E.var and i = E.int in
+  let bin op x y = E.Binop (op, x, y) in
+  let loc name = { Sta.Automaton.loc_name = name; invariant = E.true_; derivs = [] } in
+  let tr src dst guard updates =
+    { Sta.Automaton.src; dst; label = Sta.Automaton.Tau; guard; updates; weight = 1.0 }
+  in
+  let p =
+    Sta.Automaton.make ~name:"p" ~locations:[| loc "a0"; loc "a1" |] ~initial:0
+      ~transitions:
+        [
+          tr 0 1 (Sta.Automaton.Rate 1.0) [ (n, bin E.Add (v n) (i 1)) ];
+          tr 1 0 (Sta.Automaton.Rate 2.0) [ (n, bin E.Div (v n) (i 2)) ];
+          tr 1 0 (Sta.Automaton.Rate 0.5)
+            [ (k, bin E.Add (v r) (i 1)); (n, bin E.Mod (bin E.Mul (v n) (i 3)) (i 5)) ];
+        ]
+  in
+  let g e = Sta.Automaton.Guard e in
+  let c =
+    Sta.Automaton.make ~name:"c" ~locations:[| loc "c0"; loc "c1" |] ~initial:0
+      ~transitions:
+        [
+          tr 0 1 (g (bin E.Gt (v n) (i 1))) [ (r, bin E.Mul (v n) (i 2)) ];
+          tr 1 0 (g (bin E.And (bin E.Ge (v k) (i 3)) (bin E.Gt (v q) (i 3)))) [ (k, i 1) ];
+          tr 1 0 (g (bin E.Le (v n) (i 1))) [];
+        ]
+  in
+  let var name init =
+    { Sta.Network.var_name = name; kind = Sta.Network.Discrete; init; owner = None }
+  in
+  Sta.Network.make
+    ~procs:[ (p, Sta.Network.default_meta); (c, Sta.Network.default_meta) ]
+    ~vars:
+      [|
+        var "n" (Sta.Value.Int 0);
+        var "r" (Sta.Value.Real 0.0);
+        var "k" (Sta.Value.Int 1);
+        var "m" (Sta.Value.Int 0);
+        var "q" (Sta.Value.Int 0);
+        var "d" (Sta.Value.Int 0);
+      |]
+    ~events:[||]
+    ~flows:
+      [
+        { Sta.Network.target = m; expr = bin E.Add (v n) (v k) };
+        {
+          Sta.Network.target = q;
+          expr =
+            E.Ite
+              ( bin E.Gt (v n) (i 2),
+                bin E.Max (bin E.Mul (v n) (v n)) (i 5),
+                bin E.Min (E.Unop (E.Neg, v n)) (i (-1)) );
+        };
+        {
+          Sta.Network.target = d;
+          expr = bin E.Add (bin E.Div (bin E.Sub (v q) (i 7)) (i 2)) (bin E.Mod (bin E.Sub (v n) (i 5)) (i 3));
+        };
+      ]

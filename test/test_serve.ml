@@ -372,25 +372,38 @@ let test_bad_submit_rejected () =
               seed = 5L;
             }))
   in
+  (* the valid submit with one field of the wrong JSON type *)
+  let retyped key v =
+    match Json.parse (submit Fun.id) with
+    | Ok (Json.Obj fields) -> Json.to_string (Json.Obj ((key, v) :: List.remove_assoc key fields))
+    | _ -> Alcotest.fail "the submit line is an object"
+  in
   List.iter
-    (fun (name, f, msg) ->
-      let r = answer (submit f) in
+    (fun (name, line, msg) ->
+      let r = answer line in
       Alcotest.(check bool) (name ^ ": refused") true
         (Json.member "ok" r = Some (Json.Bool false));
       Alcotest.(check bool) (name ^ ": message") true
         (Astring_contains.contains (str_field name "error" r) msg))
     [
-      ("delta 0", (fun s -> { s with Protocol.delta = 0.0 }), "delta must lie in (0, 1)");
-      ("eps 0", (fun s -> { s with Protocol.eps = 0.0 }), "eps must be positive and finite");
+      ("delta 0", submit (fun s -> { s with Protocol.delta = 0.0 }), "delta must lie in (0, 1)");
+      ( "eps 0",
+        submit (fun s -> { s with Protocol.eps = 0.0 }),
+        "eps must be positive and finite" );
       ( "max_steps 0",
-        (fun s -> { s with Protocol.max_steps = Some 0 }),
+        submit (fun s -> { s with Protocol.max_steps = Some 0 }),
         "submit: --max-steps must be positive" );
       ( "max_sim_time nan",
-        (fun s -> { s with Protocol.max_sim_time = Some nan }),
+        submit (fun s -> { s with Protocol.max_sim_time = Some nan }),
         "submit: --max-sim-time must be positive" );
       ( "max_wall_per_path -1",
-        (fun s -> { s with Protocol.max_wall_per_path = Some (-1.0) }),
+        submit (fun s -> { s with Protocol.max_wall_per_path = Some (-1.0) }),
         "submit: --max-wall-per-path must be positive" );
+      ( "max_steps 0.0",
+        retyped "max_steps" (Json.Float 0.0),
+        {|submit: "max_steps" must be an integer|} );
+      ("delta \"0\"", retyped "delta" (Json.String "0"), {|submit: "delta" must be a number|});
+      ("strategy 3", retyped "strategy" (Json.Int 3), {|submit: "strategy" must be a string|});
     ];
   expect_ok "stats after the refusals" (answer {|{"op":"stats"}|});
   let r = answer (submit Fun.id) in

@@ -1,6 +1,6 @@
 (* The state-graph walker ([Slimsim_sta.Walker]) against the interpreter
-   of [Moves_oracle], on every bundled model and on the generated
-   sensor/filter models n = 1..4:
+   of [Moves_oracle], on every bundled model, on the generated
+   sensor/filter models n = 1..4 and on [Fixture.lane_network]:
    - from every reachable state, loaded into the walker's scratch, the
      immediate moves, the rate transitions and the all-branch immediate
      closure (cycles cut) are equal, in order, states and weights bit
@@ -36,6 +36,7 @@ let models () =
       (fun n ->
         (Printf.sprintf "sensor/filter n=%d" n, Fixture.load (Slimsim_models.Sensor_filter.source ~n)))
       [ 1; 2; 3; 4 ]
+  @ [ ("lane network", Fixture.lane_network ()) ]
 
 (* --- the interpreter's untimed abstraction --- *)
 
@@ -172,8 +173,15 @@ let test_walker_matches_interpreter () =
       | _ -> Alcotest.failf "%s: the invariant true must hold" name);
       (* a violation at the middle state: the count of states seen and
          the counterexample (its last three steps) *)
-      let k = Array.length order / 2 in
-      let s, _, seen, _, _ = order.(k) in
+      let s, _, _, _, _ = order.(Array.length order / 2) in
+      let prop = is_not s in
+      (* the first state where [prop] fails: the middle one, unless an
+         earlier state's values equal its own under [Value.equal] (an
+         [Int] and a [Real] of the same number) *)
+      let k =
+        Option.get (Array.find_index (fun (s, _, _, _, _) -> not (State.eval_bool s prop)) order)
+      in
+      let _, _, seen, _, _ = order.(k) in
       let rec chain k acc =
         match order.(k) with
         | _, None, _, _, _ -> acc
@@ -181,7 +189,7 @@ let test_walker_matches_interpreter () =
       in
       let full = chain k [] in
       let truncated = max 0 (List.length full - 3) in
-      match Qualitative.check_invariant ~max_trace:3 net ~prop:(is_not s) with
+      match Qualitative.check_invariant ~max_trace:3 net ~prop with
       | Ok (Qualitative.Violated v) ->
         Alcotest.(check int) (name ^ ": states at the violation") seen v.states;
         Alcotest.(check int) (name ^ ": steps omitted") truncated v.truncated;
