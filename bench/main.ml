@@ -573,8 +573,9 @@ let micro ?(quick = false) ?(json = false) () =
      BENCH_sim.json) predate the instrumentation. *)
   let obs_overheads =
     let module M = Slimsim_obs.Metrics in
-    (* cells are registered once, outside the timed region, like the
-       engine does at worker spawn *)
+    (* the cell is made once, outside the timed region, like the
+       engine does at worker spawn (made while metrics are off, it is
+       not registered, which costs its recording nothing) *)
     let cell = Slimsim_sim.Path.obs_cell ~worker:0 in
     let measure (label, kernel, batch) =
       let time_batch f =

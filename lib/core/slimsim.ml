@@ -314,12 +314,11 @@ let prepass_shortcut ~prepass ~strategy (m : model) (p : plan) =
       | Prepass.P1 _ -> (None, "p1")
       | Prepass.Inconclusive _ -> (None, "inconclusive")
     in
-    if Metrics.enabled () then
-      Metrics.incr
-        (Metrics.counter
-           ~labels:[ ("result", if answer = None then "inconclusive" else result) ]
-           "slimsim_prepass_total"
-           ~help:"pre-pass runs by result (p0 / p1 / inconclusive)");
+    Metrics.incr
+      (Metrics.counter
+         ~labels:[ ("result", if answer = None then "inconclusive" else result) ]
+         "slimsim_prepass_total"
+         ~help:"pre-pass runs by result (p0 / p1 / inconclusive)");
     Slimsim_obs.Log.emit ~event:"prepass"
       [
         ("result", Json.String result);

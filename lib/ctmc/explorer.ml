@@ -50,14 +50,22 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
   close ();
   let initial_dist = Ctmc.Row_buffer.to_list leaves in
   (* row i is built when state i is expanded, its entries in the order
-     they are generated *)
-  let targets = ref [||] and rates = ref [||] in
+     they are generated; so is its label byte: [is_goal], and [is_bad]
+     where the hold breaks outside the goal *)
+  let is_goal = 1 and is_bad = 2 in
+  let goal_f = Walker.predicate w goal in
+  let hold_f = Option.map (Walker.predicate w) hold in
+  let targets = ref [||] and rates = ref [||] and labels = ref Bytes.empty in
   let n_trans = ref 0 in
   let rec expand () =
     match Walker.Table.next table with
     | None -> ()
     | Some i ->
       Walker.Table.load table i w;
+      let label =
+        if goal_f () then is_goal
+        else match hold_f with Some f when not (f ()) -> is_bad | _ -> 0
+      in
       Ctmc.Row_buffer.clear row;
       Walker.fold_rates w
         (fun _ _ rate () ->
@@ -74,35 +82,26 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
           grown
         in
         targets := grow !targets [||];
-        rates := grow !rates (Float.Array.create 0)
+        rates := grow !rates (Float.Array.create 0);
+        let grown = Bytes.create size in
+        Bytes.blit !labels 0 grown 0 i;
+        labels := grown
       end;
       !targets.(i) <- Ctmc.Row_buffer.targets row;
       !rates.(i) <- Ctmc.Row_buffer.rates row;
+      Bytes.unsafe_set !labels i (Char.unsafe_chr label);
       expand ()
   in
   expand ();
   let n = Walker.Table.length table in
-  (* labels on the scratch, the goal's first, then the hold's where the
-     goal does not hold *)
-  let holds e =
-    let f = Walker.predicate w e in
-    fun i ->
-      Walker.Table.load table i w;
-      f ()
-  in
-  let goal_arr = Array.init n (holds goal) in
-  let bad =
-    Option.map
-      (fun h ->
-        let hold = holds h in
-        Array.init n (fun i -> (not goal_arr.(i)) && not (hold i)))
-      hold
-  in
+  let labelled l = Array.init n (fun i -> Char.code (Bytes.get !labels i) = l) in
   let ctmc =
     Ctmc.of_arrays ~initial:initial_dist ~targets:(Array.sub !targets 0 n)
-      ~rates:(Array.sub !rates 0 n) ~goal:goal_arr
+      ~rates:(Array.sub !rates 0 n) ~goal:(labelled is_goal)
   in
-  let ctmc = Option.fold ~none:ctmc ~some:(Ctmc.with_bad ctmc) bad in
+  let ctmc =
+    if hold = None then ctmc else Ctmc.with_bad ctmc (labelled is_bad)
+  in
   let stats =
     {
       stable_states = n;

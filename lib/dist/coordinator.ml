@@ -67,35 +67,32 @@ type dobs = {
 }
 
 let make_dobs () =
-  if not (Metrics.enabled ()) then None
-  else
-    Some
-      {
-        m_live =
-          Metrics.gauge "slimsim_dist_workers_live"
-            ~help:"Worker processes currently spawned and not failed";
-        m_granted =
-          Metrics.counter "slimsim_dist_leases_granted_total"
-            ~help:"Path-id leases granted to workers (including re-grants)";
-        m_reassigned =
-          Metrics.counter "slimsim_dist_leases_reassigned_total"
-            ~help:"Leases re-granted after their owner failed";
-        m_missed =
-          Metrics.counter "slimsim_dist_heartbeats_missed_total"
-            ~help:"Worker liveness deadlines expired";
-        m_rejected =
-          Metrics.counter "slimsim_dist_frames_rejected_total"
-            ~help:"Corrupt or protocol-violating frames from workers";
-        m_dups =
-          Metrics.counter "slimsim_dist_duplicate_paths_total"
-            ~help:"Duplicate path verdicts suppressed by the lease prefix";
-        m_restarts =
-          Metrics.counter "slimsim_dist_worker_restarts_total"
-            ~help:"Worker process respawns after a failure";
-        m_quarantined =
-          Metrics.counter "slimsim_dist_workers_quarantined_total"
-            ~help:"Workers retired after exhausting their restart budget";
-      }
+  {
+    m_live =
+      Metrics.gauge "slimsim_dist_workers_live"
+        ~help:"Worker processes currently spawned and not failed";
+    m_granted =
+      Metrics.counter "slimsim_dist_leases_granted_total"
+        ~help:"Path-id leases granted to workers (including re-grants)";
+    m_reassigned =
+      Metrics.counter "slimsim_dist_leases_reassigned_total"
+        ~help:"Leases re-granted after their owner failed";
+    m_missed =
+      Metrics.counter "slimsim_dist_heartbeats_missed_total"
+        ~help:"Worker liveness deadlines expired";
+    m_rejected =
+      Metrics.counter "slimsim_dist_frames_rejected_total"
+        ~help:"Corrupt or protocol-violating frames from workers";
+    m_dups =
+      Metrics.counter "slimsim_dist_duplicate_paths_total"
+        ~help:"Duplicate path verdicts suppressed by the lease prefix";
+    m_restarts =
+      Metrics.counter "slimsim_dist_worker_restarts_total"
+        ~help:"Worker process respawns after a failure";
+    m_quarantined =
+      Metrics.counter "slimsim_dist_workers_quarantined_total"
+        ~help:"Workers retired after exhausting their restart budget";
+  }
 
 (* --- worker slots --- *)
 
@@ -166,7 +163,7 @@ let run_job ?supervisor ?progress cfg job ~generator =
     (* a pool counter and its metric cell *)
     let bump ?(n = 1) r f =
       r := !r + n;
-      match dobs with Some d -> Metrics.add (f d) n | None -> ()
+      Metrics.add (f dobs) n
     in
     let slots =
       Array.init cfg.workers (fun idx ->
@@ -189,7 +186,7 @@ let run_job ?supervisor ?progress cfg job ~generator =
         0 slots
     in
     let set_live () =
-      match dobs with Some d -> Metrics.set_gauge d.m_live (live_count ()) | None -> ()
+      Metrics.set_gauge dobs.m_live (live_count ())
     in
     let hello_of slot =
       {
@@ -284,7 +281,7 @@ let run_job ?supervisor ?progress cfg job ~generator =
             Unix.gettimeofday ()
             +. Supervisor.backoff_delay sup ~attempt:(slot.failures - 1);
           Campaign.note_restart camp;
-          Option.iter (fun d -> Metrics.incr d.m_restarts) dobs
+          Metrics.incr dobs.m_restarts
         end;
         set_live ();
         if live_count () = 1 then

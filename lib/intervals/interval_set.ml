@@ -149,9 +149,6 @@ let rec sup = function
   | [ iv ] -> iv.hi
   | _ :: rest -> sup rest
 
-let min_elt s =
-  match inf s with Fin (x, true) -> Some x | Neg_inf | Fin (_, false) | Pos_inf -> None
-
 let width iv =
   match iv.lo, iv.hi with
   | Fin (a, _), Fin (b, _) -> b -. a
@@ -266,8 +263,6 @@ let add s1 s2 =
     |> of_intervals
 
 let sub s1 s2 = add s1 (neg s2)
-
-let hull s = match s with [] | [ _ ] -> s | _ -> make (inf s) (sup s)
 
 let mul s1 s2 =
   match s1, s2 with

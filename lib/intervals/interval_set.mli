@@ -73,9 +73,6 @@ val inf : t -> bound
 val sup : t -> bound
 (** Least upper bound of the set; [Neg_inf] when empty. *)
 
-val min_elt : t -> float option
-(** Smallest element, when the set has one (inf attained). *)
-
 val measure : t -> float
 (** Lebesgue measure; [infinity] for unbounded sets. *)
 
@@ -129,9 +126,6 @@ val mul : t -> t -> t
 
 val pointwise_min : t -> t -> t
 val pointwise_max : t -> t -> t
-
-val hull : t -> t
-(** Smallest single interval containing the set. *)
 
 val as_point : t -> float option
 (** [Some x] iff the set is exactly the closed singleton [{x}]. *)

@@ -64,11 +64,16 @@ type counter = series
 type gauge = series
 type histogram = series
 
-(* Registration is rare (module init, one per worker spawn) and guarded;
-   recording never takes this mutex. *)
+(* Registration is rare (campaign start, one per worker spawn) and
+   guarded; recording never takes this mutex. *)
 let registry_mutex = Mutex.create ()
 let registry : series list ref = ref []
 
+(* The one switch: a series is registered only while metrics are on.
+   While they are off, a caller gets the registered series if there is
+   one, and otherwise a fresh cell nobody renders — so callers ask for
+   their cells unconditionally, and the gate on every recording entry
+   point below keeps those cells at zero. *)
 let find_or_create ~kind ~labels name ~help =
   let labels = List.sort (fun (a, _) (b, _) -> compare a b) labels in
   Mutex.lock registry_mutex;
@@ -94,7 +99,7 @@ let find_or_create ~kind ~labels name ~help =
             | Histogram -> Array.make n_buckets 0);
         }
       in
-      registry := s :: !registry;
+      if Atomic.get on then registry := s :: !registry;
       s
   in
   Mutex.unlock registry_mutex;
@@ -111,7 +116,6 @@ let add c n = if Atomic.get on then c.count <- c.count + n
    rather than bumped; the enabled gate matches every other entry
    point. *)
 let set_gauge g v = if Atomic.get on then g.count <- v
-let gauge_value g = g.count
 
 let observe h v =
   if Atomic.get on then begin
@@ -233,11 +237,14 @@ let render () =
   Buffer.contents b
 
 (* Atomic like the checkpoint file: a reader polling the file mid-run
-   sees a complete exposition or the previous one, never a torn write. *)
+   sees a complete exposition or the previous one, never a torn write.
+   Gated like every recording entry point. *)
 let write_file file =
-  let tmp = file ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (render ()));
-  Unix.rename tmp file
+  if Atomic.get on then begin
+    let tmp = file ^ ".tmp" in
+    let oc = open_out tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () -> output_string oc (render ()));
+    Unix.rename tmp file
+  end

@@ -9,10 +9,13 @@
     torn, so mid-run snapshots are approximate for in-flight series and
     exact once the owning domains have been joined.
 
-    The whole subsystem is gated by a global flag (default off): every
-    recording entry point is one atomic load and a branch when disabled,
-    and verdict streams are bit-identical either way — instrumentation
-    performs no RNG draws and never touches simulation state. *)
+    The whole subsystem is gated by a global flag (default off), the
+    only switch its callers need: every recording entry point is one
+    atomic load and a branch when disabled, and a series is registered
+    (and so rendered) only when it is first requested while enabled.
+    Callers therefore request their cells unconditionally.  Verdict
+    streams are bit-identical either way — instrumentation performs no
+    RNG draws and never touches simulation state. *)
 
 type counter
 type gauge
@@ -34,14 +37,19 @@ val bucket_upper : int -> string
     [le] label value ("0", "%g", or "+Inf"). *)
 
 val set_enabled : bool -> unit
-(** Master switch, default [false].  Enable before the campaign starts
-    (the engine and path generators read it when workers spawn). *)
+(** Master switch, default [false].  Enable before the campaign starts:
+    its cells are requested, and so registered or not, when it is
+    created and when its workers spawn. *)
 
 val enabled : unit -> bool
 
 val counter : ?labels:(string * string) list -> string -> help:string -> counter
 (** Find or create the series [name{labels}]; the same arguments return
-    the same cell, so a respawned worker keeps its counts. *)
+    the same cell, so a respawned worker keeps its counts.  A series
+    first requested while metrics are disabled is not registered: the
+    call returns a fresh cell that no exposition renders (and that stays
+    at zero); one registered while enabled is found again after they
+    are disabled.  The same holds for {!gauge} and {!histogram}. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -51,7 +59,6 @@ val gauge : ?labels:(string * string) list -> string -> help:string -> gauge
     depth): set rather than accumulated, exposed with [# TYPE gauge]. *)
 
 val set_gauge : gauge -> int -> unit
-val gauge_value : gauge -> int
 
 val histogram : ?labels:(string * string) list -> string -> help:string -> histogram
 (** Log2-bucketed: bucket 0 holds observations [<= 0], then one bucket
@@ -76,4 +83,5 @@ val render : unit -> string
     [_sum]/[_count] per histogram series. *)
 
 val write_file : string -> unit
-(** Atomically (tmp + rename) write {!render} to a file. *)
+(** Atomically (tmp + rename) write {!render} to a file; nothing is
+    written while metrics are disabled. *)

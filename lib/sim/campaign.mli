@@ -23,8 +23,8 @@
     {!accumulator}: the Bernoulli generator ({!create}), the
     priced-query fold ({!Cost_run}) or the multilevel estimator
     ({!Mlmc_run}).  Where samples come from is the campaign's source:
-    one path per id, sequentially or on worker domains ({!create_with}),
-    or a [draw] function ({!create_sequential}) — the coupled multilevel
+    one path per id, from a session of one or more generator domains
+    ({!create_with}), or a [draw] function ({!create_sequential}) — the coupled multilevel
     sampler, or the distributed coordinator's pool of worker processes
     ([Slimsim_dist.Coordinator]), which banks their verdict batches and
     hands the kernel the path at its cursor.  Checkpoints, their cadence
@@ -173,8 +173,8 @@ val create_with :
   strategy:Strategy.t ->
   'r accumulator ->
   ('r campaign, Path.error) Result.t
-(** {!create} for any accumulator over one-path samples, sequential or
-    on [workers] domains.  With [cost_var], each [Sat] sample carries
+(** {!create} for any accumulator over one-path samples, on [workers]
+    domains.  With [cost_var], each [Sat] sample carries
     the exact value of that clock or continuous variable at the goal
     crossing. *)
 
@@ -217,13 +217,15 @@ val route :
 
 val step : ?quota:int -> 'r campaign -> 'r state
 (** Consume up to [quota] samples (default: run until the stopping rule
-    or stop flag fires), spawning worker domains on demand.  With
-    [workers = N > 1] the calling domain is one of the N path generators
-    and spawns N-1 domains; all of them claim contiguous path-id ranges
-    ({!Lease}, sized by {!Lease.range_size} from the plan's remaining
-    samples capped by [quota], with the supervisor's [max_buffer] as
-    cap) and the caller consumes them in path order, running the range
-    at the cursor itself, path by path, when no live worker holds it.
+    or stop flag fires), opening a session of [workers] path generators
+    on demand: the calling domain is one of them and spawns the other
+    [workers - 1] domains (none at [workers = 1]).  Every generator
+    claims contiguous path-id ranges ({!Lease}, sized by
+    {!Lease.range_size} from the plan's remaining samples capped by
+    [quota], with the supervisor's [max_buffer] as cap) and the caller
+    consumes them in path order, running the range at the cursor
+    itself, path by path, when no live worker holds it — at
+    [workers = 1], every range.
     A stop request is seen before every sample and by every worker
     before every path.  [Running] means the quota ran out; workers are
     left running ahead by at most two ranges each, so an immediate next

@@ -63,30 +63,25 @@ type cost_obs = {
 }
 
 let make_cost_obs () =
-  if not (Metrics.enabled ()) then None
-  else
-    Some
-      {
-        h_value =
-          Metrics.histogram "slimsim_cost_value"
-            ~help:"Cost observer value at the goal crossing, over sat paths";
-        c_sat =
-          Metrics.counter
-            ~labels:[ ("verdict", "sat") ]
-            "slimsim_cost_paths_total"
-            ~help:"Paths consumed by the cost campaign, by verdict class";
-        c_unsat =
-          Metrics.counter
-            ~labels:[ ("verdict", "unsat") ]
-            "slimsim_cost_paths_total"
-            ~help:"Paths consumed by the cost campaign, by verdict class";
-      }
+  let paths verdict =
+    Metrics.counter
+      ~labels:[ ("verdict", verdict) ]
+      "slimsim_cost_paths_total"
+      ~help:"Paths consumed by the cost campaign, by verdict class"
+  in
+  {
+    h_value =
+      Metrics.histogram "slimsim_cost_value"
+        ~help:"Cost observer value at the goal crossing, over sat paths";
+    c_sat = paths "sat";
+    c_unsat = paths "unsat";
+  }
 
 type acc = {
   query : string;
   gen : Generator.t;
   prob : Campaign.result Campaign.accumulator;  (* Bernoulli, over [gen] *)
-  cobs : cost_obs option;
+  cobs : cost_obs;
   mutable wf : Welford.t;
   buckets : int array;
   mutable cost_min : float;
@@ -106,14 +101,11 @@ let feed a s =
     a.buckets.(b) <- a.buckets.(b) + 1;
     if cost < a.cost_min then a.cost_min <- cost;
     if cost > a.cost_max then a.cost_max <- cost;
-    (match a.cobs with
-    | Some o ->
-      Metrics.observe o.h_value cost;
-      Metrics.incr o.c_sat
-    | None -> ())
-  | Campaign.Unsat | Campaign.Pair _ | Campaign.Dropped -> (
+    Metrics.observe a.cobs.h_value cost;
+    Metrics.incr a.cobs.c_sat
+  | Campaign.Unsat | Campaign.Pair _ | Campaign.Dropped ->
     a.no_sat_run <- a.no_sat_run + 1;
-    match a.cobs with Some o -> Metrics.incr o.c_unsat | None -> ())
+    Metrics.incr a.cobs.c_unsat
 
 (* Fixed-size generators keep their planned path count (the probability
    estimate keeps its guarantee); the sequential rule stops on the cost

@@ -21,6 +21,7 @@ type 'p t = {
   mutable next_lo : int;
   mutable size : int;
   payload : int -> 'p;
+  mutable spare : 'p lease option;  (* last forgotten lease, for its buffers *)
 }
 
 let range_size ~remaining ~workers ~cap =
@@ -40,6 +41,7 @@ let create ~base ~size ~payload =
     next_lo = base;
     size;
     payload;
+    spare = None;
   }
 
 let grant t ~owner =
@@ -50,14 +52,25 @@ let grant t ~owner =
     l.grants <- l.grants + 1;
     l
   | [] ->
+    (* a fresh range takes over the buffers of the last one consumed, so
+       a long campaign does not churn (and promote) one set per range *)
+    let codes, payload, details =
+      match t.spare with
+      | Some s when Bytes.length s.codes = t.size ->
+        t.spare <- None;
+        Bytes.fill s.codes 0 t.size '\000';
+        Hashtbl.reset s.details;
+        (s.codes, s.payload, s.details)
+      | _ -> (Bytes.make t.size '\000', t.payload t.size, Hashtbl.create 1)
+    in
     let l =
       {
         id = t.next_id;
         lo = t.next_lo;
         hi = t.next_lo + t.size;
-        codes = Bytes.make t.size '\000';
-        payload = t.payload t.size;
-        details = Hashtbl.create 1;
+        codes;
+        payload;
+        details;
         filled = 0;
         owner = Some owner;
         grants = 1;
@@ -107,6 +120,7 @@ let rec head t ~cursor =
     (* fully consumed: forget it *)
     ignore (Queue.pop t.order);
     Hashtbl.remove t.by_id l.id;
+    t.spare <- Some l;
     head t ~cursor
   | h -> h
 

@@ -93,7 +93,9 @@ val head : 'p t -> cursor:int -> 'p lease option
 (** Forget every fully consumed lease (those ending at or before
     [cursor]; this bounds the table's memory) and return the lowest
     unconsumed one — the lease holding [cursor] — if it has been
-    carved. *)
+    carved.  The next fresh range of the same size reuses the buffers
+    (codes, payload, details) of the last lease forgotten, so nothing
+    may keep reading a lease once it is consumed. *)
 
 val banked : 'p t -> cursor:int -> int
 (** Banked results at or past [cursor] not yet consumed. *)

@@ -61,21 +61,18 @@ type t = result Campaign.campaign
 type level_obs = { c_samples : Metrics.counter; c_paths : Metrics.counter }
 
 let make_level_obs levels =
-  if not (Metrics.enabled ()) then None
-  else
-    Some
-      (Array.init levels (fun l ->
-           let labels = [ ("level", string_of_int l) ] in
-           {
-             c_samples =
-               Metrics.counter ~labels "slimsim_mlmc_samples_total"
-                 ~help:"Telescoped samples fed per MLMC level";
-             c_paths =
-               Metrics.counter ~labels "slimsim_mlmc_paths_total"
-                 ~help:
-                   "Paths simulated per MLMC level (a coupled pair counts \
-                    one path at each of its two levels)";
-           }))
+  Array.init levels (fun l ->
+      let labels = [ ("level", string_of_int l) ] in
+      {
+        c_samples =
+          Metrics.counter ~labels "slimsim_mlmc_samples_total"
+            ~help:"Telescoped samples fed per MLMC level";
+        c_paths =
+          Metrics.counter ~labels "slimsim_mlmc_paths_total"
+            ~help:
+              "Paths simulated per MLMC level (a coupled pair counts one \
+               path at each of its two levels)";
+      })
 
 (* The sample schedule: the allocator, per-level cursors and the
    per-level path configurations.  Everything else — policies,
@@ -87,7 +84,7 @@ type sched = {
   configs : Path.config array;  (* level l runs at horizon H/2^(L-1-l) *)
   weights : float array;  (* per-path model cost at each level: h_l/H *)
   cursors : int array;
-  lobs : level_obs array option;
+  lobs : level_obs array;
   mutable paths : int;
   mutable sat : int;
   mutable cost : float;
@@ -99,9 +96,7 @@ let half m c ~level ~id rng =
   let outcome, _ = m.run m.configs.(level) rng in
   m.paths <- m.paths + 1;
   m.cost <- m.cost +. m.weights.(level);
-  (match m.lobs with
-  | Some cells -> Metrics.incr cells.(level).c_paths
-  | None -> ());
+  Metrics.incr m.lobs.(level).c_paths;
   let r = Campaign.route c ~level ~path:id outcome in
   (match r with `Sat -> m.sat <- m.sat + 1 | _ -> ());
   r
@@ -132,11 +127,9 @@ let draw m c =
         | _ -> Ok (Campaign.Pair { level; diff = y fine -. y coarse }))))
 
 let feed m = function
-  | Campaign.Pair { level; diff } -> (
+  | Campaign.Pair { level; diff } ->
     Mlmc.feed m.est ~level diff;
-    match m.lobs with
-    | Some cells -> Metrics.incr cells.(level).c_samples
-    | None -> ())
+    Metrics.incr m.lobs.(level).c_samples
   | Campaign.Sat _ | Campaign.Unsat | Campaign.Dropped -> ()
 
 let summary m (tally : Campaign.tally) ~stopped ~wall =
@@ -309,20 +302,3 @@ let create ?(seed = 0x51135113L) ?config ?on_error ?hold ?supervisor
         }
 
 let drive = Campaign.drive
-
-let pp_result ppf r =
-  Fmt.pf ppf "p = %.6f  [%.6f, %.6f]  (%d samples over %d levels: %a; %d \
-              paths, model cost %.1f, %.2fs)"
-    r.probability r.ci_low r.ci_high
-    (Array.fold_left ( + ) 0 r.samples_per_level)
-    (Array.length r.samples_per_level)
-    Fmt.(array ~sep:(any "/") int)
-    r.samples_per_level r.paths r.model_cost r.wall_seconds;
-  if r.deadlock_paths > 0 then
-    Fmt.pf ppf " (%d dead/timelocked)" r.deadlock_paths;
-  if r.violated_paths > 0 then Fmt.pf ppf " (%d hold-violated)" r.violated_paths;
-  if r.errors > 0 then Fmt.pf ppf " (%d errored)" r.errors;
-  if r.diverged_paths > 0 then
-    Fmt.pf ppf " (%d diverged, %d samples dropped)" r.diverged_paths
-      r.dropped_samples;
-  if r.stopped = Campaign.Interrupted then Fmt.pf ppf " [interrupted]"

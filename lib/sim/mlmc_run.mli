@@ -70,5 +70,3 @@ val create :
 
 val drive : t -> (result, Path.error) Result.t
 (** {!Campaign.drive}. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -53,6 +53,3 @@ let count t =
   let n = ref 0 in
   iter (fun _ -> incr n) t;
   !n
-
-let path_string t =
-  match t.path with [] -> "main" | p -> String.concat "." p

@@ -21,4 +21,3 @@ val iter : (t -> unit) -> t -> unit
 (** Pre-order traversal. *)
 
 val count : t -> int
-val path_string : t -> string

@@ -25,7 +25,7 @@
       among them, into the next level of a stack and journals the boxed
       [vals] writes made under it, so that {!restore} costs the copy
       plus the writes undone;
-    - trial execution ({!enabled_after}, {!eval_bool_after}) is a
+    - trial execution ({!enabled_after}, a predicate after a delay) is a
       snapshot on top of the stack, swapped back in before returning,
       even on exceptions;
     - the move buffer filled by {!discrete} and {!markovian} belongs to
@@ -300,10 +300,6 @@ val enabled_after : t -> cstate -> float -> int
 val enabled : cstate -> int -> int
 (** [enabled s k] is the buffer index of the [k]-th enabled move. *)
 
-val eval_bool_after : t -> cstate -> cap:float -> cbool -> bool
-(** Evaluate a predicate in the state reached by delaying [cap],
-    without committing the delay (trial buffer). *)
-
 (** {1 Data flows}
 
     Every flow target equals its expression unless the flow is marked
@@ -340,5 +336,5 @@ val until_points :
     are never negative; [-1.] stands for none (and always for a trivial
     hold).  Exact for linear expressions; a formula that is not
     ([Linear.Nonlinear]) counts as the point [cap] when it holds after
-    delaying [cap] ({!eval_bool_after}), as the empty set otherwise.
+    a trial delay of [cap], as the empty set otherwise.
     Overwrites every evaluator slot but the invariant window's. *)

@@ -60,8 +60,9 @@ let rec eval_sym ~env ~rate ~at_loc (e : Expr.t) : sval =
     | Num { a; b } -> Num { a = -.a; b = -.b })
   | Unop (Not, _) | Binop ((And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge), _, _)
     ->
-    (* Boolean in a numeric context is only reachable through [eval_num]
-       misuse; evaluate at d = 0 to produce the proper type error. *)
+    (* Boolean in a numeric context is only reachable through an
+       ill-typed operand; evaluate at d = 0 to produce the proper type
+       error. *)
     Disc (Expr.eval ~env ~at_loc e)
   | Binop (Add, e1, e2) -> lift2 ~env ~rate ~at_loc ( +. ) Value.add e1 e2
   | Binop (Sub, e1, e2) -> lift2 ~env ~rate ~at_loc ( -. ) Value.sub e1 e2
@@ -170,8 +171,3 @@ and sat_set ~env ~rate ~at_loc (e : Expr.t) : I.t =
     let s1 = sat_set ~env ~rate ~at_loc e1 in
     let s2 = sat_set ~env ~rate ~at_loc e2 in
     I.union (I.inter cset s1) (I.inter (I.complement cset) s2)
-
-let eval_num ~env ~rate ~at_loc e =
-  match eval_sym ~env ~rate ~at_loc e with
-  | Num l -> l
-  | Disc v -> const_lin (Value.as_float v)

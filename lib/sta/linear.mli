@@ -28,15 +28,6 @@ val solve_cmp : Expr.binop -> lin -> Slimsim_intervals.Interval_set.t
 (** [solve_cmp op l] is the solution set of [l.a + l.b·d ⋈ 0] for the
     comparison [op] ([Eq]/[Neq]/[Lt]/[Le]/[Gt]/[Ge] only). *)
 
-val eval_num :
-  env:(int -> Value.t) ->
-  rate:(int -> float) ->
-  at_loc:(int -> int -> bool) ->
-  Expr.t ->
-  lin
-(** Affine form of a numeric expression.  Raises [Value.Type_error] on a
-    Boolean result, [Nonlinear] outside the affine fragment. *)
-
 val sat_set :
   env:(int -> Value.t) ->
   rate:(int -> float) ->

@@ -11,8 +11,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 with fewer than two samples. *)
 
-val stddev : t -> float
-
 val state : t -> int * float * float
 (** [(n, mean, m2)] — the full accumulator state. *)
 

@@ -232,9 +232,15 @@ let test_lease_dedup () =
   | _ -> Alcotest.fail "finish b");
   let cur = consume_ready t ~cursor:cur ~f:(fun _ _ -> ()) in
   Alcotest.(check int) "b consumed" 8 cur;
-  match Lease.record t ~lease_id:b.Lease.id ~start:4 "ssss" [] with
+  (match Lease.record t ~lease_id:b.Lease.id ~start:4 "ssss" [] with
   | `Unknown -> ()
-  | _ -> Alcotest.fail "late duplicate for a forgotten lease"
+  | _ -> Alcotest.fail "late duplicate for a forgotten lease");
+  (* the next fresh range takes over the forgotten one's buffers, and
+     starts with nothing banked *)
+  let c = Lease.grant t ~owner:0 in
+  Alcotest.(check (pair int int)) "fresh range" (8, 0) (c.Lease.lo, c.Lease.filled);
+  Alcotest.(check bool) "no verdict left over" true
+    (Result.is_error (Lease.outcome c 8))
 
 (* One rule sizes the ranges of both topologies: a quarter of each
    generator's share of the plan, clamped to [1, cap]. *)

@@ -95,6 +95,34 @@ let test_metrics_disabled_noop () =
   Alcotest.(check int) "histogram untouched while disabled" 0
     (Metrics.histogram_count h)
 
+(* Metrics is the one switch: a series is registered only while metrics
+   are on.  One first requested while they are off is never rendered,
+   even after they are turned on; one registered while they are on is
+   the same cell when requested again after they are turned off. *)
+let test_metrics_register_only_when_on () =
+  let rendered name = Astring_contains.contains (Metrics.render ()) name in
+  let early = Metrics.counter "slimsim_test_early_total" ~help:"t" in
+  let early_h = Metrics.histogram "slimsim_test_early_seconds" ~help:"t" in
+  with_metrics @@ fun () ->
+  Metrics.incr early;
+  Metrics.observe early_h 1.0;
+  Alcotest.(check bool) "counter requested while off: not rendered" false
+    (rendered "slimsim_test_early_total");
+  Alcotest.(check bool) "histogram requested while off: not rendered" false
+    (rendered "slimsim_test_early_seconds");
+  let c = Metrics.counter "slimsim_test_late_total" ~help:"t" in
+  let h = Metrics.histogram "slimsim_test_late_seconds" ~help:"t" in
+  Metrics.incr c;
+  Metrics.observe h 0.5;
+  Alcotest.(check bool) "registered while on: rendered" true
+    (rendered "slimsim_test_late_total 1");
+  Metrics.set_enabled false;
+  Alcotest.(check int) "counter found again while off" 1
+    (Metrics.counter_value (Metrics.counter "slimsim_test_late_total" ~help:"t"));
+  Alcotest.(check int) "histogram found again while off" 1
+    (Metrics.histogram_count
+       (Metrics.histogram "slimsim_test_late_seconds" ~help:"t"))
+
 let test_metrics_counter () =
   with_metrics @@ fun () ->
   let c = Metrics.counter "slimsim_test_total" ~labels:[ ("k", "a") ] ~help:"t" in
@@ -311,6 +339,8 @@ let suite =
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json member" `Quick test_json_member;
     Alcotest.test_case "metrics disabled no-op" `Quick test_metrics_disabled_noop;
+    Alcotest.test_case "metrics registered only while on" `Quick
+      test_metrics_register_only_when_on;
     Alcotest.test_case "metrics counter" `Quick test_metrics_counter;
     Alcotest.test_case "metrics histogram" `Quick test_metrics_histogram;
     Alcotest.test_case "metrics render" `Quick test_metrics_render;
