@@ -25,7 +25,9 @@ val check :
   horizon:float ->
   (report, string) result
 (** [lump] defaults to [true]; disabling it measures the value of the
-    reduction step (ablation X3 in DESIGN.md).  A model that is not
+    reduction step (ablation X3 in DESIGN.md).  The steps run as the
+    observability phases [explore], [lump] (when it runs) and
+    [transient] ({!Slimsim_obs.Phase.run}).  A model that is not
     untimed, an immediate cycle, the state cap, and a run-time type
     error or non-linear guard met during exploration are all reported
     as [Error]. *)

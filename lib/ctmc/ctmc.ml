@@ -97,7 +97,8 @@ module Row_buffer = struct
     Float.Array.blit src.rate 0 dst.rate dst.len src.len;
     dst.len <- dst.len + src.len
 
-  let append_scaled dst src by =
+  let append_scaled dst src rates m =
+    let by = rates.(m) in
     reserve dst src.len;
     for k = 0 to src.len - 1 do
       dst.tgt.(dst.len + k) <- src.tgt.(k);

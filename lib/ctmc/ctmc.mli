@@ -62,9 +62,10 @@ module Row_buffer : sig
   val append : t -> t -> unit
   (** [append dst src] pushes [src]'s entries onto [dst]. *)
 
-  val append_scaled : t -> t -> float -> unit
-  (** [append_scaled dst src by] pushes [src]'s entries onto [dst], each
-      rate [r] as [by *. r]. *)
+  val append_scaled : t -> t -> float array -> int -> unit
+  (** [append_scaled dst src rates m] pushes [src]'s entries onto [dst],
+      each rate [r] as [rates.(m) *. r]: the factor is read in place, so
+      it is never boxed. *)
 
   val load : t -> map:int array -> int array -> Float.Array.t -> unit
   (** [load b ~map targets rates] makes [b] the row [(targets, rates)]

@@ -49,14 +49,23 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
   Walker.reset w;
   close ();
   let initial_dist = Ctmc.Row_buffer.to_list leaves in
-  (* row i is built when state i is expanded, its entries in the order
+  (* Row i is built when state i is expanded, its entries in the order
      they are generated; so is its label byte: [is_goal], and [is_bad]
-     where the hold breaks outside the goal *)
+     where the hold breaks outside the goal.  Rows and labels are kept in
+     chunks, which growing does not copy, and the chain's arrays are
+     built once, at the end. *)
   let is_goal = 1 and is_bad = 2 in
   let goal_f = Walker.predicate w goal in
   let hold_f = Option.map (Walker.predicate w) hold in
-  let targets = ref [||] and rates = ref [||] and labels = ref Bytes.empty in
+  let targets = Chunked.entries [||] and rates = Chunked.entries (Float.Array.create 0) in
+  let labels = Chunked.create (fun _ -> Bytes.create Chunked.size) in
+  let label_chunk i = Chunked.chunk labels (i / Chunked.size) in
   let n_trans = ref 0 in
+  let add_rate m () =
+    close ();
+    Ctmc.Row_buffer.append_scaled row leaves (Walker.rates w) m;
+    n_trans := !n_trans + Ctmc.Row_buffer.length leaves
+  in
   let rec expand () =
     match Walker.Table.next table with
     | None -> ()
@@ -67,37 +76,21 @@ let explore ?(max_states = 2_000_000) ?hold (net : Network.t) ~goal =
         else match hold_f with Some f when not (f ()) -> is_bad | _ -> 0
       in
       Ctmc.Row_buffer.clear row;
-      Walker.fold_rates w
-        (fun _ _ rate () ->
-          close ();
-          Ctmc.Row_buffer.append_scaled row leaves rate;
-          n_trans := !n_trans + Ctmc.Row_buffer.length leaves)
-        ();
+      Walker.fold_rates w add_rate ();
       Ctmc.Row_buffer.merge row;
-      if i >= Array.length !targets then begin
-        let size = Int.max 64 (2 * i) in
-        let grow a empty =
-          let grown = Array.make size empty in
-          Array.blit a 0 grown 0 i;
-          grown
-        in
-        targets := grow !targets [||];
-        rates := grow !rates (Float.Array.create 0);
-        let grown = Bytes.create size in
-        Bytes.blit !labels 0 grown 0 i;
-        labels := grown
-      end;
-      !targets.(i) <- Ctmc.Row_buffer.targets row;
-      !rates.(i) <- Ctmc.Row_buffer.rates row;
-      Bytes.unsafe_set !labels i (Char.unsafe_chr label);
+      Chunked.set targets i (Ctmc.Row_buffer.targets row);
+      Chunked.set rates i (Ctmc.Row_buffer.rates row);
+      Bytes.set (label_chunk i) (i mod Chunked.size) (Char.unsafe_chr label);
       expand ()
   in
   expand ();
   let n = Walker.Table.length table in
-  let labelled l = Array.init n (fun i -> Char.code (Bytes.get !labels i) = l) in
+  let labelled l =
+    Array.init n (fun i -> Char.code (Bytes.get (label_chunk i) (i mod Chunked.size)) = l)
+  in
   let ctmc =
-    Ctmc.of_arrays ~initial:initial_dist ~targets:(Array.sub !targets 0 n)
-      ~rates:(Array.sub !rates 0 n) ~goal:(labelled is_goal)
+    Ctmc.of_arrays ~initial:initial_dist ~targets:(Chunked.to_array targets n)
+      ~rates:(Chunked.to_array rates n) ~goal:(labelled is_goal)
   in
   let ctmc =
     if hold = None then ctmc else Ctmc.with_bad ctmc (labelled is_bad)

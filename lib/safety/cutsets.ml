@@ -81,7 +81,8 @@ let minimal_cut_sets ?(max_order = 3) ?(max_expansions = 200_000)
             if not (covered keys) then begin
               Walker.Table.load table s w;
               Walker.fold_rates w
-                (fun p ti _rate () ->
+                (fun m () ->
+                  let p = Walker.rate_proc w m and ti = Walker.rate_tr w m in
                   let keys' = Key_set.add (p, ti) keys in
                   if not (Key_set.mem (p, ti) keys || covered keys') then begin
                     Walker.charge w;

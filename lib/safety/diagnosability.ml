@@ -48,7 +48,7 @@ let check ?(max_faults = 2) ?(max_expansions = 200_000) (net : Network.t)
       let round_end = Walker.Table.length table in
       for i = round_end - 1 downto !round_start do
         Walker.Table.load table i w;
-        Walker.fold_rates w (fun _ _ _ () -> push_closure ()) ()
+        Walker.fold_rates w (fun _ () -> push_closure ()) ()
       done;
       round_start := round_end
     done;

@@ -6,9 +6,10 @@ type t = {
   mutable budget : int;
   mutable vanishing : int;
   (* The move stack: the moves each open branch point has still to
-     fire, with their rates (0 for an immediate move), their numbers of
-     participants and the participants themselves. *)
+     fire, with their rates (0 for an immediate move), the offsets and
+     numbers of their participants and the participants themselves. *)
   mutable rates : float array;
+  mutable starts : int array;
   mutable lens : int array;
   mutable n_moves : int;
   mutable part_procs : int array;
@@ -26,6 +27,7 @@ let create ~budget (net : Network.t) =
     budget;
     vanishing = 0;
     rates = [||];
+    starts = [||];
     lens = [||];
     n_moves = 0;
     part_procs = [||];
@@ -51,6 +53,7 @@ let grow a n x =
 let reserve w =
   if w.n_moves = Array.length w.lens then begin
     w.rates <- grow w.rates (w.n_moves + 1) 0.0;
+    w.starts <- grow w.starts (w.n_moves + 1) 0;
     w.lens <- grow w.lens (w.n_moves + 1) 0
   end;
   if w.n_parts + w.procs > Array.length w.part_procs then begin
@@ -60,6 +63,7 @@ let reserve w =
 
 let push w rate len =
   w.rates.(w.n_moves) <- rate;
+  w.starts.(w.n_moves) <- w.n_parts;
   w.lens.(w.n_moves) <- len;
   w.n_moves <- w.n_moves + 1;
   w.n_parts <- w.n_parts + len
@@ -91,12 +95,9 @@ let push_markovian w =
     push w rates.(i) 1
   done
 
-(* Apply move [m] of the stack, whose participants start at [off], to
-   the scratch; the offset of the next move's. *)
-let fire w m off =
-  let len = w.lens.(m) in
-  Compiled.apply_parts w.c w.cs w.part_procs w.part_trs off len;
-  off + len
+(* Apply move [m] of the stack to the scratch. *)
+let fire w m =
+  Compiled.apply_parts w.c w.cs w.part_procs w.part_trs w.starts.(m) w.lens.(m)
 
 let pop w m0 p0 =
   w.n_moves <- m0;
@@ -112,20 +113,19 @@ let unwind w depth m0 p0 =
 
 (* Fire each move pushed since the stack held [m0] moves and [p0]
    participants from the scratch's state, saved once and restored before
-   every move but the first, and fold [f m off] over the successors, [m]
-   the move and [off] the offset of its participants; then pop them.  On
-   an exception, drop back to the entry's snapshots and stack. *)
+   every move but the first, and fold [f m] over the successors, [m]
+   the move; then pop them.  On an exception, drop back to the entry's
+   snapshots and stack. *)
 let branch w m0 p0 f acc =
   let c = w.c and cs = w.cs in
   let depth = Compiled.depth cs in
   match
     Compiled.save c cs;
-    let acc = ref acc and off = ref p0 in
+    let acc = ref acc in
     for m = m0 to w.n_moves - 1 do
       if m > m0 then Compiled.restore c cs;
-      let at = !off in
-      off := fire w m at;
-      acc := f m at !acc
+      fire w m;
+      acc := f m !acc
     done;
     !acc
   with
@@ -158,13 +158,17 @@ let trial w f =
 let fold_rates w f acc =
   let m0 = w.n_moves and p0 = w.n_parts in
   push_markovian w;
-  branch w m0 p0 (fun m off acc -> f w.part_procs.(off) w.part_trs.(off) w.rates.(m) acc) acc
+  branch w m0 p0 f acc
+
+let rates w = w.rates
+let rate_proc w m = w.part_procs.(w.starts.(m))
+let rate_tr w m = w.part_trs.(w.starts.(m))
 
 let fold_successors w f acc =
   let m0 = w.n_moves and p0 = w.n_parts in
   ignore (push_immediate w);
   push_markovian w;
-  branch w m0 p0 (fun _ _ acc -> f acc) acc
+  branch w m0 p0 (fun _ acc -> f acc) acc
 
 let moves w =
   let c = w.c and cs = w.cs in
@@ -207,10 +211,10 @@ let rec go w base on_cycle leaf prob acc =
     else begin
       let p = prob /. float_of_int k and c = w.c and cs = w.cs in
       Compiled.save c cs;
-      let acc = ref acc and off = ref p0 in
+      let acc = ref acc in
       for m = m0 to m0 + k - 1 do
         if m > m0 then Compiled.restore c cs;
-        off := fire w m !off;
+        fire w m;
         acc := go w base on_cycle leaf p !acc
       done;
       Compiled.drop cs;
@@ -281,46 +285,73 @@ let asap w ~horizon =
 type walker = t
 
 module Table = struct
-  (* Each timeless state is one key in [arena]: its locations as varints
-     (LEB128 over the 63 bits of an int), then its values, each led by a
-     tag byte: 0 and 1 the Booleans, 2 a [Real] whose 8 bytes follow, 3
-     an [Int] whose zig-zag varint follows, 4 + k the [Int] k for
-     0 <= k < 252.  A real is stored canonically, [-0.0] as [0.0] and
-     every NaN as [Float.nan], so equal keys are exactly
+  (* Each timeless state is one key in the arena: its locations as
+     varints (LEB128 over the 63 bits of an int), then its values, each
+     led by a tag byte: 0 and 1 the Booleans, 2 a [Real] whose 8 bytes
+     follow, 3 an [Int] whose zig-zag varint follows, 4 + k the [Int] k
+     for 0 <= k < 252.  A real is stored canonically, [-0.0] as [0.0]
+     and every NaN as [Float.nan], so equal keys are exactly
      [State.equal_timeless] states.  Keys start on 8-byte boundaries and
      are padded with zeros to a whole number of words, which the hash
      and the comparison read.  Padding keeps keys apart: no key is a
-     proper prefix of another of the same network. *)
+     proper prefix of another of the same network.
+
+     The arena is chunks of at most [1 lsl arena_bits] bytes, 64 KiB or
+     the longest key if that is longer.  The first holds 16 of the
+     longest keys and each next one is twice as long, up to that size,
+     so a small table stays small.  A key that does not fit in what is
+     left of a chunk starts the next one, so no key straddles two.
+     State i's span packs its key's position in the arena (its chunk's
+     number times [1 lsl arena_bits], plus its offset there) above
+     [len_bits] bits of its length.  Spans, hashes, parents and times
+     are kept in chunks too ({!Chunked.entries}): growing the table
+     copies no key, and no per-state entry once there are 1024.  Only
+     [slots] doubles. *)
   type t = {
     procs : int;
     vars : int;
     max_key : int;
-    mutable arena : Bytes.t;
-    mutable offsets : int array;  (* key i is arena[offsets.(i), offsets.(i + 1)) *)
-    mutable hashes : int array;
-    mutable parents : int array;
-    mutable times : Float.Array.t;  (* the time of the state first interned *)
+    arena_bits : int;
+    len_bits : int;
+    arena : Bytes.t Chunked.t;
+    mutable chunk : int;  (* the arena chunk keys are written to *)
+    mutable buf : Bytes.t;  (* that chunk *)
+    mutable free : int;  (* its first byte past the last key *)
+    spans : int array Chunked.t;
+    hashes : int array Chunked.t;
+    parents : int array Chunked.t;
+    times : float array Chunked.t;  (* the time of the state first interned *)
     mutable slots : int array;  (* open addressing: state + 1, 0 when free *)
     mutable n : int;
     mutable cursor : int;
-    mutable rpos : int;  (* the next byte the readers below decode *)
+    mutable rbuf : Bytes.t;  (* the arena chunk the readers below decode *)
+    mutable rpos : int;  (* the next byte they decode *)
   }
 
   let create (net : Network.t) =
     let procs = Array.length net.procs and vars = Array.length net.vars in
     let max_key = (9 * procs) + (10 * vars) + 7 in
+    let rec fits b n = if 1 lsl b >= n then b else fits (b + 1) n in
+    let arena_bits = fits 16 max_key and first_bits = fits 0 (16 * max_key) in
+    let arena k = Bytes.create (1 lsl Int.min arena_bits (first_bits + k)) in
     {
       procs;
       vars;
       max_key;
-      arena = Bytes.create (16 * max_key);
-      offsets = [| 0 |];
-      hashes = [||];
-      parents = [||];
-      times = Float.Array.create 0;
+      arena_bits;
+      len_bits = arena_bits + 1;
+      arena = Chunked.create arena;
+      chunk = -1;
+      buf = Bytes.empty;
+      free = 0;
+      spans = Chunked.entries 0;
+      hashes = Chunked.entries 0;
+      parents = Chunked.entries 0;
+      times = Chunked.entries 0.0;
       slots = Array.make 128 0;
       n = 0;
       cursor = 0;
+      rbuf = Bytes.empty;
       rpos = 0;
     }
 
@@ -376,13 +407,19 @@ module Table = struct
     done;
     Hashtbl.hash !h
 
+  (* State i's key: [key_len span] bytes at [key_pos t span] in chunk
+     [key_chunk t span] of the arena. *)
+  let key_len t span = span land ((1 lsl t.len_bits) - 1)
+  let key_chunk t span = Chunked.chunk t.arena (span lsr (t.len_bits + t.arena_bits))
+  let key_pos t span = (span lsr t.len_bits) land ((1 lsl t.arena_bits) - 1)
+
+  (* Is state i's key the one written at [buf[start, stop)]? *)
   let same_key t i start stop =
-    let a = t.offsets.(i) and b = t.arena in
-    let len = stop - start in
-    t.offsets.(i + 1) - a = len
+    let span = Chunked.get t.spans i and len = stop - start in
+    key_len t span = len
     &&
-    let k = ref 0 in
-    while !k < len && (get64 b (a + !k) : int64) = get64 b (start + !k) do
+    let b = key_chunk t span and a = key_pos t span and k = ref 0 in
+    while !k < len && (get64 b (a + !k) : int64) = get64 t.buf (start + !k) do
       k := !k + 8
     done;
     !k = len
@@ -392,63 +429,49 @@ module Table = struct
     let rec go k = if slots.(k) = 0 then slots.(k) <- i + 1 else go ((k + 1) land mask) in
     go (h land mask)
 
-  let grow t =
-    let cap = Int.max 64 (2 * t.n) in
-    let extend a x =
-      let b = Array.make cap x in
-      Array.blit a 0 b 0 t.n;
-      b
-    in
-    let offsets = Array.make (cap + 1) 0 in
-    Array.blit t.offsets 0 offsets 0 (t.n + 1);
-    t.offsets <- offsets;
-    t.hashes <- extend t.hashes 0;
-    t.parents <- extend t.parents (-1);
-    let times = Float.Array.create cap in
-    Float.Array.blit t.times 0 times 0 t.n;
-    t.times <- times
-
-  (* Keep at most half of the slots in use. *)
+  (* Keep at most half of the slots in use: the index of state numbers
+     is the one part of the table that grows by doubling and copying. *)
   let rehash t =
     let slots = Array.make (2 * Array.length t.slots) 0 in
     for i = 0 to t.n - 1 do
-      insert_slot slots t.hashes.(i) i
+      insert_slot slots (Chunked.get t.hashes i) i
     done;
     t.slots <- slots
 
-  (* The next key is written at [start], past the last one, and kept only
-     if it is new. *)
+  (* The next key is written at [start] in [buf], past the last one, or
+     at the start of the next chunk when the longest key would not fit;
+     it is kept only if it is new. *)
   let start t =
-    let start = t.offsets.(t.n) in
-    if start + t.max_key > Bytes.length t.arena then begin
-      let arena = Bytes.create (Int.max (2 * Bytes.length t.arena) (start + t.max_key)) in
-      Bytes.blit t.arena 0 arena 0 start;
-      t.arena <- arena
+    if t.free + t.max_key > Bytes.length t.buf then begin
+      t.chunk <- t.chunk + 1;
+      t.buf <- Chunked.chunk t.arena t.chunk;
+      t.free <- 0
     end;
-    start
+    t.free
 
   (* The state whose key is at [start, stop), or [-1 - k] with [k] the
      free slot where it goes. *)
   let rec probe t h start stop k =
     let e = t.slots.(k) - 1 in
     if e < 0 then -1 - k
-    else if t.hashes.(e) = h && same_key t e start stop then e
+    else if Chunked.get t.hashes e = h && same_key t e start stop then e
     else probe t h start stop ((k + 1) land (Array.length t.slots - 1))
 
   (* The number of the key written at [start, stop), adding it when it
      is new; a new state's time is the caller's to set. *)
   let find_or_add t start stop ~parent =
     let padded = (stop + 7) land lnot 7 in
-    Bytes.fill t.arena stop (padded - stop) '\000';
-    let h = hash t.arena start padded in
+    Bytes.fill t.buf stop (padded - stop) '\000';
+    let h = hash t.buf start padded in
     let e = probe t h start padded (h land (Array.length t.slots - 1)) in
     if e >= 0 then e
     else begin
       let i = t.n in
-      if i >= Array.length t.hashes then grow t;
-      t.offsets.(i + 1) <- padded;
-      t.hashes.(i) <- h;
-      t.parents.(i) <- parent;
+      let pos = (t.chunk lsl t.arena_bits) lor start in
+      Chunked.set t.spans i ((pos lsl t.len_bits) lor (padded - start));
+      Chunked.set t.hashes i h;
+      Chunked.set t.parents i parent;
+      t.free <- padded;
       t.slots.(-1 - e) <- i + 1;
       t.n <- i + 1;
       if 2 * t.n > Array.length t.slots then rehash t;
@@ -459,17 +482,17 @@ module Table = struct
     if Array.length s.locs <> t.procs || Array.length s.vals <> t.vars then
       invalid_arg "Walker.Table.intern: the state does not fit the network";
     let start = start t in
-    let pos = Array.fold_left (put_varint t.arena) start s.locs in
-    let stop = Array.fold_left (put_value t.arena) pos s.vals in
+    let pos = Array.fold_left (put_varint t.buf) start s.locs in
+    let stop = Array.fold_left (put_value t.buf) pos s.vals in
     let n = t.n in
     let i = find_or_add t start stop ~parent in
-    if t.n > n then Float.Array.set t.times i s.time;
+    if t.n > n then Chunked.set t.times i s.time;
     i
 
   (* [intern] of the scratch's state, the int lane's variables packed
      straight from the lane. *)
   let add t (w : walker) ~parent =
-    let start = start t and cs = w.cs and b = t.arena in
+    let start = start t and cs = w.cs and b = t.buf in
     let locs = Compiled.locs cs and ints = Compiled.ints cs in
     let lane = Compiled.lane_vars w.c in
     let pos = ref start and k = ref 0 in
@@ -486,7 +509,7 @@ module Table = struct
     done;
     let n = t.n in
     let i = find_or_add t start !pos ~parent in
-    if t.n > n then Float.Array.set t.times i (Compiled.time cs);
+    if t.n > n then Chunked.set t.times i (Compiled.time cs);
     i
 
   let boxed_ints = Array.init small_ints (fun k -> Value.Int k)
@@ -497,7 +520,7 @@ module Table = struct
      value, to be called in order: [read_value] boxes a value,
      [read_int] reads an [Int] unboxed. *)
   let read_byte t =
-    let c = Char.code (Bytes.get t.arena t.rpos) in
+    let c = Char.code (Bytes.get t.rbuf t.rpos) in
     t.rpos <- t.rpos + 1;
     c
 
@@ -523,7 +546,7 @@ module Table = struct
     | 0 -> vfalse
     | 1 -> vtrue
     | 2 ->
-      let f = Int64.float_of_bits (Bytes.get_int64_le t.arena t.rpos) in
+      let f = Int64.float_of_bits (Bytes.get_int64_le t.rbuf t.rpos) in
       t.rpos <- t.rpos + 8;
       Value.Real f
     | 3 -> Value.Int (read_zigzag t)
@@ -531,20 +554,24 @@ module Table = struct
 
   let seek t i =
     if i < 0 || i >= t.n then invalid_arg "Walker.Table: no such state";
-    t.rpos <- t.offsets.(i)
+    let span = Chunked.get t.spans i in
+    t.rbuf <- key_chunk t span;
+    t.rpos <- key_pos t span
 
   let state t i =
     seek t i;
     let locs = Array.init t.procs (read_loc t) in
     let vals = Array.init t.vars (read_value t) in
-    { State.locs; vals; time = Float.Array.get t.times i }
+    { State.locs; vals; time = Chunked.get t.times i }
 
   let load t i (w : walker) =
     seek t i;
     Compiled.load w.c w.cs t ~loc:read_loc ~int:read_int ~value:read_value
-      ~time:(Float.Array.get t.times i)
+      ~time:(Chunked.get t.times i)
 
-  let parent t i = t.parents.(i)
+  let parent t i =
+    if i < 0 || i >= t.n then invalid_arg "Walker.Table: no such state";
+    Chunked.get t.parents i
 
   let next t =
     if t.cursor >= t.n then None

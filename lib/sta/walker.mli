@@ -65,10 +65,18 @@ val witness : t -> (unit -> unit) -> unit
     safety analyses report.  When every branch cycles the scratch keeps
     the state it started from. *)
 
-val fold_rates : t -> (int -> int -> float -> 'a -> 'a) -> 'a -> 'a
+val fold_rates : t -> (int -> 'a -> 'a) -> 'a -> 'a
 (** Fire each rate transition of the scratch's state, in the
-    interpreter's order, and fold [f proc tr rate] with the scratch
-    holding the successor. *)
+    interpreter's order, and fold [f m] with the scratch holding the
+    successor.  While [f] runs, [m] names the transition: its rate is
+    [(rates w).(m)], its process [rate_proc w m] and its transition
+    [rate_tr w m].  The fold builds no closure and boxes no rate. *)
+
+val rates : t -> float array
+(** The walker's own buffer of rates, read in place. *)
+
+val rate_proc : t -> int -> int
+val rate_tr : t -> int -> int
 
 val fold_successors : t -> ('a -> 'a) -> 'a -> 'a
 (** The untimed abstraction's successor relation from the scratch's
@@ -103,7 +111,11 @@ val asap : t -> horizon:float -> unit
     written straight from a walker's scratch ({!add}), or from a
     {!State.t} ({!intern}) with the same bytes, and hashed and compared
     a word at a time; a {!State.t} is rebuilt only when {!state} asks
-    for one. *)
+    for one.  The keys (in arena chunks, which no key straddles) and
+    each state's key span, hash, parent and time are kept in chunks
+    ({!Chunked}) of up to 64 KiB and 1024 entries: a large table grows
+    without copying them, and only its index of state numbers doubles.
+    The first chunks are small, so a small table stays small. *)
 type walker := t
 
 module Table : sig

@@ -331,6 +331,30 @@ let test_phase () =
     | Error e -> Alcotest.failf "phase line: %s" e)
   | l -> Alcotest.failf "expected one phase event, got %d" (List.length l)
 
+(* [Analysis.check]'s three steps are phases: with a log sink installed
+   (and metrics off), sensor/filter n = 4 logs them in pipeline order.
+   Exploration's staging of the network logs its own "stage" phase,
+   unless that network was the last one staged. *)
+let test_exact_phases () =
+  let n = 4 in
+  let net = Fixture.load (Slimsim_models.Sensor_filter.source ~n) in
+  let goal = Fixture.goal net (Slimsim_models.Sensor_filter.goal_all_failed ~n) in
+  let events = ref [] in
+  (with_sink events @@ fun () ->
+   match Slimsim_ctmc.Analysis.check net ~goal ~horizon:1800.0 with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "exact: %s" e);
+  let steps = [ "explore"; "lump"; "transient" ] in
+  let step line =
+    match Json.parse line with
+    | Ok json when Json.member "event" json = Some (Json.String "phase") -> (
+      match Json.member "phase" json with
+      | Some (Json.String p) when List.mem p steps -> Some p
+      | _ -> None)
+    | _ -> None
+  in
+  Alcotest.(check (list string)) "phases" steps (List.filter_map step (List.rev !events))
+
 let suite =
   [
     Alcotest.test_case "json render" `Quick test_json_render;
@@ -351,4 +375,5 @@ let suite =
     Alcotest.test_case "progress heartbeat" `Quick test_progress;
     Alcotest.test_case "progress lazy stats" `Quick test_progress_lazy_stats;
     Alcotest.test_case "phase timing" `Quick test_phase;
+    Alcotest.test_case "exact phases" `Quick test_exact_phases;
   ]

@@ -159,7 +159,11 @@ let test_walker_matches_interpreter () =
         let bits = List.map (fun (_, p) -> Int64.bits_of_float p) in
         at (fun () -> Walker.moves w)
         <> moves @ List.map (fun (proc, tr, _) -> Moves.Local { proc; tr }) rates
-        || at (fun () -> List.rev (Walker.fold_rates w (fun p tr r acc -> (p, tr, r) :: acc) []))
+        || at (fun () ->
+               List.rev
+                 (Walker.fold_rates w
+                    (fun m acc -> (Walker.rate_proc w m, Walker.rate_tr w m, (Walker.rates w).(m)) :: acc)
+                    []))
            <> rates
         || List.compare_lengths got want <> 0
         || not (List.for_all2 (fun (a, _) (b, _) -> same_state a b) got want)
@@ -413,10 +417,67 @@ let test_table_property =
            firsts;
          true))
 
+(* The table keeps keys in arena chunks that double up to 64 KiB and
+   its per-state entries in chunks of 1024; the property above never
+   leaves the first entry chunk or the first few, small, arena chunks.
+   20,000 distinct states of sensor/filter n = 1's shape (6 locations,
+   10 values), their keys 48 to 72 bytes long, fill ~24 arena chunks
+   and 20 entry chunks: the lengths mix short values
+   with 9-byte reals and varints of every size, so keys land at many
+   offsets next to each arena chunk's end.  Every state is interned
+   twice, and numbers, states, parents and times must match a
+   [Hashtbl] reference. *)
+let test_table_chunks () =
+  let net = Fixture.load (Slimsim_models.Sensor_filter.source ~n:1) in
+  let procs = Array.length net.Network.procs and vars = Array.length net.vars in
+  let n = 20_000 in
+  let state k =
+    let value v =
+      match (k + v) mod 5 with
+      | 0 -> Value.Bool (k land (1 lsl v) <> 0)
+      | 1 -> Value.Int (k mod 200)
+      | 2 -> Value.Real (float_of_int k /. 7.0)
+      | 3 -> Value.Int ((k * 1_000_003) lsl (k mod 40))
+      | _ -> Value.Real (float_of_int (k mod 3))
+    in
+    {
+      State.locs = Array.init procs (fun p -> (k lsr p) land 3);
+      vals = Array.init vars (fun v -> if v = 0 then Value.Int k else value v);
+      time = float_of_int k;
+    }
+  in
+  let table = Walker.Table.create net in
+  let reference = Hashtbl.create n in
+  for k = 0 to n - 1 do
+    let s = state k in
+    Hashtbl.replace reference (timeless s) k;
+    let i = Walker.Table.intern table s ~parent:(k - 1) in
+    if i <> k then Alcotest.failf "state %d is numbered %d" k i
+  done;
+  for k = n - 1 downto 0 do
+    let s = { (state k) with State.time = -1.0 } in
+    let i = Walker.Table.intern table s ~parent:0 in
+    if Some i <> Hashtbl.find_opt reference (timeless s) then
+      Alcotest.failf "state %d interned again as %d" k i
+  done;
+  Alcotest.(check int) "states" n (Walker.Table.length table);
+  for i = 0 to n - 1 do
+    let want = state i and got = Walker.Table.state table i in
+    if
+      not
+        (State.equal_timeless got want
+        && Int64.equal (Int64.bits_of_float got.time) (Int64.bits_of_float want.time)
+        && Walker.Table.parent table i = i - 1)
+    then
+      Alcotest.failf "state %d is %s, interned as %s" i (print_state got) (print_state want)
+  done
+
 (* The stable states of sensor/filter n = 6, interned from the walker's
    scratch: what the table keeps of them is bounded per state.  Packed
-   keys take ~21 words a state; a hash table of boxed states took
-   ~90. *)
+   keys in chunks take 18.3 words a state (the bound rounds that up),
+   ~9.5 of them the keys, ~5 the per-state entries and ~4 the
+   open-addressing slots; grown by doubling, the table took 20.9, and a
+   hash table of boxed states ~90. *)
 let test_table_retention () =
   let net = Fixture.load (Slimsim_models.Sensor_filter.source ~n:6) in
   let w = Walker.create ~budget:max_int net in
@@ -431,7 +492,7 @@ let test_table_retention () =
     | None -> ()
     | Some i ->
       Walker.Table.load table i w;
-      Walker.fold_rates w (fun _ _ _ () -> close ()) ();
+      Walker.fold_rates w (fun _ () -> close ()) ();
       expand ()
   in
   expand ();
@@ -439,8 +500,8 @@ let test_table_retention () =
   Alcotest.(check int) "stable states" 4159 n;
   Gc.full_major ();
   let words = Obj.reachable_words (Obj.repr table) in
-  if words > 48 * n then
-    Alcotest.failf "the table retains %d words for %d states (%.1f a state, at most 48)" words
+  if words > 19 * n then
+    Alcotest.failf "the table retains %d words for %d states (%.1f a state, at most 19)" words
       n
       (float_of_int words /. float_of_int n)
 
@@ -468,6 +529,7 @@ let suite =
     Alcotest.test_case "cycle policy and budget" `Quick test_cycle_and_budget;
     Alcotest.test_case "safety budgets and messages" `Quick test_budgets;
     test_table_property;
+    Alcotest.test_case "table chunk boundaries" `Quick test_table_chunks;
     Alcotest.test_case "table retention per state" `Quick test_table_retention;
     Alcotest.test_case "chain retention per transition" `Quick test_chain_retention;
   ]
