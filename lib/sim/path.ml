@@ -68,6 +68,7 @@ type obs = {
   obs_delay_firings : Metrics.counter;
   obs_markov_firings : Metrics.counter;
   obs_advances : Metrics.counter;
+  obs_trial_fires : Metrics.counter;
 }
 
 let obs_cell ~worker =
@@ -88,6 +89,9 @@ let obs_cell ~worker =
     obs_advances =
       Metrics.counter ~labels:w "slimsim_advances_total"
         ~help:"Pure time advances (missed windows and scripted advances)";
+    obs_trial_fires =
+      Metrics.counter ~labels:w "slimsim_trial_fires_total"
+        ~help:"Moves fired on trial to test a landing state's invariants";
   }
 
 exception Bail of error
@@ -268,6 +272,8 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
   in
   (* unboxed cells: the race's delay, the crossing points *)
   let race_t = [| 0.0 |] and pts = [| 0.0; 0.0 |] in
+  (* the scratch counts its trials; the path's share is added at its end *)
+  let trials = match obs with Some _ -> Compiled.trials s | None -> 0 in
   let result =
     try
       Compiled.reset c s;
@@ -504,7 +510,8 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
   (match obs with
   | Some o ->
     Metrics.observe o.obs_steps (float_of_int !step_n);
-    Metrics.observe o.obs_sim_time (Compiled.time s)
+    Metrics.observe o.obs_sim_time (Compiled.time s);
+    Metrics.add o.obs_trial_fires (Compiled.trials s - trials)
   | None -> ());
   result
 

@@ -101,7 +101,8 @@ type step_record = {
 
 type obs
 (** A per-worker bundle of metric series (steps per path, simulated time
-    reached, firing counters by kind, pure advances).  Each worker domain
+    reached, firing counters by kind, pure advances, moves fired on
+    trial, added once per path).  Each worker domain
     owns its cell exclusively — series are merged only at exposition — so
     recording is synchronization-free.  Instrumented generation performs
     exactly the same RNG draws and float operations as uninstrumented

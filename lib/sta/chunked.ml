@@ -27,6 +27,13 @@ let chunk v k = if k >= 0 && k < v.made then Array.unsafe_get v.spine k else mak
 let entries x = create (fun k -> Array.make (if k = 0 then 64 else size) x)
 let get v i = (chunk v (i asr bits)).(i land (size - 1))
 
+let get_or v i x =
+  let k = i asr bits and j = i land (size - 1) in
+  if k >= v.made then x
+  else
+    let c = Array.unsafe_get v.spine k in
+    if j < Array.length c then c.(j) else x
+
 (* Only the first chunk of [entries] is ever short: it doubles as it is
    written, up to [size].  [grown] holds [x] at [j] already. *)
 let set v i x =

@@ -32,6 +32,12 @@ val entries : 'a -> 'a array t
 val get : 'a array t -> int -> 'a
 (** An entry that was {!set}. *)
 
+val get_or : 'a array t -> int -> 'a -> 'a
+(** [get_or v i x] is entry [i], or [x] when nothing was ever {!set}
+    at or past it in its chunk: it makes no chunk.  With [x] the value
+    the chunks are made full of, a store read this way needs {!set}
+    only for entries that differ from [x]. *)
+
 val set : 'a array t -> int -> 'a -> unit
 
 val to_array : 'a array t -> int -> 'a array

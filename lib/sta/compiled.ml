@@ -21,7 +21,21 @@
    when marked dirty by a write that can change their value (see
    [compile] for the tables), and trial execution copies the unboxed
    arrays but journals the few boxed writes it makes instead of
-   copying the value store.
+   copying the value store.  Two rules skip work whose outcome is known
+   in advance, so enabled sets, windows and error streams stay as
+   the interpreter's:
+   - [enabled_after] fires on trial only the moves that are not
+     trial-free ([stage]).  A trial-free move writes nothing that
+     another process's invariant or an activation condition reads,
+     cannot raise, and lands where its own invariant holds, so one
+     check shared by all of them (the delay alone, then each active
+     invariant) decides them.  That check stays: the window is solved
+     symbolically, and a clock advanced by its last point can round
+     past the bound that set it.  If the check raises or restarts a
+     process, every move is tried, as before.
+   - [sync_moves] evaluates no guard of an event when an active
+     participant has no transition on it at its location, unless one
+     of the event's guards could raise.
 
    A variable that provably only ever holds an [Int] lives in the int
    lane, an unboxed [int array], and the updates, flows and comparisons
@@ -320,6 +334,9 @@ type cstate = {
   mutable pt_tr : int array;
   mutable n_parts : int;
   mutable enabled : int array;  (* filled by [enabled_after] *)
+  mutable inv_failed : int;  (* the shared check's last failing process *)
+  mutable trials : int;  (* moves [enabled_after] fired on trial *)
+  mutable restarts : int;  (* processes [fire] restarted *)
   cw : wtab;  (* windows of one event's candidate transitions *)
   mutable cd_tr : int array;
   act : int array;  (* the event's active participants *)
@@ -455,6 +472,9 @@ let make_cstate ~n_procs ~n_vars ~n_flows ~n_markov ~n_slots =
     pt_tr = Array.make moves 0;
     n_parts = 0;
     enabled = Array.make moves 0;
+    inv_failed = -1;
+    trials = 0;
+    restarts = 0;
     cw = wtab moves;
     cd_tr = Array.make moves 0;
     act = Array.make np 0;
@@ -589,6 +609,74 @@ let int_operand : Expr.t -> (int * int) option = function
 (* [Value.equal] and [Value.compare_num] on two [Int]s. *)
 let[@inline] int_cmp (op : Expr.binop) (x : int) y =
   match op with Eq -> x = y | Neq -> x <> y | Lt -> x < y | Le -> x <= y | Gt -> x > y | _ -> x >= y
+
+(* Raise-freedom.  [num_shaped] and [bool_shaped]: the expression, if
+   it evaluates at all, gives a number, or a Boolean, when every
+   variable [num] accepts holds a number and every one [bool] accepts a
+   Boolean. *)
+let rec num_shaped num : Expr.t -> bool = function
+  | Const (Value.Int _ | Value.Real _) -> true
+  | Var v -> num v
+  | Unop (Neg, e) -> num_shaped num e
+  | Binop ((Add | Sub | Mul | Div | Mod | Min | Max), e1, e2) | Ite (_, e1, e2) ->
+    num_shaped num e1 && num_shaped num e2
+  | Const _ | Loc _ | Unop (Not, _) | Binop _ -> false
+
+let rec bool_shaped bool : Expr.t -> bool = function
+  | Const (Value.Bool _) | Loc _ | Unop (Not, _)
+  | Binop ((And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge), _, _) ->
+    true
+  | Var v -> bool v
+  | Ite (_, e1, e2) -> bool_shaped bool e1 && bool_shaped bool e2
+  | Const _ | Unop (Neg, _) | Binop _ -> false
+
+(* The variables known to hold a number, and a Boolean. *)
+type types = { num : int -> bool; bool : int -> bool }
+
+(* True when [compile_value] of the expression cannot raise: no
+   division or modulo (a zero divisor raises), and every operator
+   applied to operands of its type.  [bool_safe] is the same for
+   [compile_bool]; a comparison of two numbers runs on ints or floats
+   and cannot raise, [Value.equal] never does. *)
+let rec value_safe ty (e : Expr.t) =
+  match e with
+  | Const _ | Var _ | Loc _ -> true
+  | Unop (Neg, e1) -> num_shaped ty.num e1 && value_safe ty e1
+  | Unop (Not, _) | Binop ((And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge), _, _) ->
+    bool_safe ty e
+  | Binop ((Add | Sub | Mul | Min | Max), e1, e2) ->
+    num_shaped ty.num e1 && num_shaped ty.num e2 && value_safe ty e1 && value_safe ty e2
+  | Binop ((Div | Mod), _, _) -> false
+  | Ite (c, e1, e2) -> bool_safe ty c && value_safe ty e1 && value_safe ty e2
+
+and bool_safe ty (e : Expr.t) =
+  match e with
+  | Const (Value.Bool _) | Loc _ -> true
+  | Var v -> ty.bool v
+  | Unop (Not, e1) -> bool_safe ty e1
+  | Binop ((And | Or | Implies), e1, e2) -> bool_safe ty e1 && bool_safe ty e2
+  | Binop ((Eq | Neq), e1, e2) -> value_safe ty e1 && value_safe ty e2
+  | Binop ((Lt | Le | Gt | Ge), e1, e2) ->
+    num_shaped ty.num e1 && num_shaped ty.num e2 && value_safe ty e1 && value_safe ty e2
+  | Ite (c, e1, e2) -> bool_safe ty c && bool_safe ty e1 && bool_safe ty e2
+  | Const _ | Unop (Neg, _) | Binop ((Add | Sub | Mul | Div | Mod | Min | Max), _, _) -> false
+
+(* True when [compile_win] of the expression cannot raise: Boolean
+   structure over atoms, and comparisons of two numeric variables or
+   constants, or [=]/[<>] of two Boolean ones (no Boolean is timed, so
+   those compare with [Value.equal]).  Anything else is taken to be
+   able to raise. *)
+let rec win_safe ty (e : Expr.t) =
+  match e with
+  | Const (Value.Bool _) -> true
+  | Var _ | Loc _ -> bool_safe ty e
+  | Unop (Not, e1) -> win_safe ty e1
+  | Binop ((And | Or | Implies), e1, e2) -> win_safe ty e1 && win_safe ty e2
+  | Binop (((Eq | Neq | Lt | Le | Gt | Ge) as op), ((Var _ | Const _) as e1), ((Var _ | Const _) as e2))
+    ->
+    (num_shaped ty.num e1 && num_shaped ty.num e2)
+    || ((op = Eq || op = Neq) && bool_shaped ty.bool e1 && bool_shaped ty.bool e2)
+  | _ -> false
 
 let rec compile_value lane (e : Expr.t) : cvalue =
   match e with
@@ -1106,6 +1194,7 @@ type ctrans = {
   t_rate : float;  (* 0 for guarded transitions *)
   t_updates : (cstate -> unit) array;  (* each evaluates and stores one update *)
   t_marks : int array;  (* flows its updates and location switch can change *)
+  t_free : bool;  (* a trial-free local transition, see [stage] *)
 }
 
 type cloc = {
@@ -1132,6 +1221,9 @@ type t = {
   net : Network.t;
   cprocs : cproc array;
   sync_parts : int array array;  (* per event, its participants *)
+  sync_skip : bool array;
+      (* per event, no guard on it can raise: [sync_moves] may skip it
+         unevaluated when an active participant has no candidate *)
   restart_procs : int array;  (* processes with a [Restart] policy *)
   (* The processes the per-state loops visit, in order: a process whose
      activation is trivial and that has no invariant (no τ transition,
@@ -1231,14 +1323,30 @@ let stage (net : Network.t) : t =
       (Array.fold_left (fun acc (f : Network.flow) -> (f.target, f.expr) :: acc) [] flows)
       net.procs
   in
-  let rec settle () =
+  (* The greatest subset of the variables marked [yes] in [set] whose
+     writers are all [shaped]: unmark every variable a writer
+     disqualifies until none does. *)
+  let rec settle set yes shaped =
     let dropped =
-      List.filter (fun (v, e) -> in_lane lane v && not (int_shaped lane e)) writers
+      List.filter (fun (v, e) -> Bytes.get set v = yes && not (shaped e)) writers
     in
-    List.iter (fun (v, _) -> Bytes.set lane v t_box) dropped;
-    if dropped <> [] then settle ()
+    List.iter (fun (v, _) -> Bytes.set set v '\000') dropped;
+    if dropped <> [] then settle set yes shaped
   in
-  settle ();
+  settle lane t_int (int_shaped lane);
+  (* The variables that only ever hold a number, and a Boolean, found
+     the same way: a restart writes the initial value, and a delay
+     writes a number to a timed variable, which no Boolean is. *)
+  let nums = Bytes.make (max n_vars 1) '\000' and bools = Bytes.make (max n_vars 1) '\000' in
+  Array.iteri
+    (fun v (info : Network.var_info) ->
+      match info.init with
+      | Value.Int _ | Value.Real _ -> Bytes.set nums v '\001'
+      | Value.Bool _ -> if not (Array.mem v timed_vars) then Bytes.set bools v '\001')
+    net.vars;
+  let ty = { num = (fun v -> Bytes.get nums v = '\001'); bool = (fun v -> Bytes.get bools v = '\001') } in
+  settle nums '\001' (num_shaped ty.num);
+  settle bools '\001' (bool_shaped ty.bool);
   let store (v, e) =
     if in_lane lane v then begin
       let c = compile_int lane e in
@@ -1255,6 +1363,127 @@ let stage (net : Network.t) : t =
     max_slot := max !max_slot m;
     c
   in
+  (* Trial-free local transitions: [enabled_after] decides a candidate
+     whose transition is trial-free from one check shared by all of
+     them, without firing it (see there).  The flag is set on a guarded
+     τ transition when
+     (a) none of its updates can raise (a constant, a variable or a
+         location, or int-lane arithmetic without [/] and [mod]), and
+         neither can a flow its updates or location switch mark, nor
+         one those flows mark in turn;
+     (b) nothing it writes (those variables, the targets of those
+         flows, its process's location) is read by a non-trivial
+         activation condition or by another process's invariant;
+     (c) its destination invariant is trivial, or reads only variables
+         the transition sets to constants, none of them a flow target,
+         and holds at those constants. *)
+  let act_vars = Bytes.make (max n_vars 1) '\000' in
+  let act_procs = Bytes.make (max n_procs 1) '\000' in
+  Array.iter
+    (fun (meta : Network.proc_meta) ->
+      if meta.active_when <> Expr.true_ then begin
+        List.iter (fun v -> Bytes.set act_vars v '\001') (Expr.free_vars meta.active_when);
+        List.iter (fun p -> Bytes.set act_procs p '\001') (loc_reads meta.active_when)
+      end)
+    net.meta;
+  (* per variable and per process, the processes with an invariant
+     reading it *)
+  let inv_vars = Array.make (max n_vars 1) [] and inv_locs = Array.make (max n_procs 1) [] in
+  Array.iteri
+    (fun q (proc : Automaton.t) ->
+      Array.iter
+        (fun (l : Automaton.location) ->
+          List.iter (fun v -> inv_vars.(v) <- q :: inv_vars.(v)) (Expr.free_vars l.invariant);
+          List.iter (fun p -> inv_locs.(p) <- q :: inv_locs.(p)) (loc_reads l.invariant))
+        proc.locations)
+    net.procs;
+  let targets = Bytes.make (max n_vars 1) '\000' in
+  Array.iter (fun (fl : Network.flow) -> Bytes.set targets fl.target '\001') flows;
+  (* the flows [fs] and every flow they mark in turn *)
+  let seen = Bytes.make (max (Array.length flows) 1) '\000' in
+  let reach fs =
+    let reached = ref [] in
+    let rec go f =
+      if Bytes.get seen f = '\000' then begin
+        Bytes.set seen f '\001';
+        reached := f :: !reached;
+        Array.iter go f_deps.(f)
+      end
+    in
+    Array.iter go fs;
+    List.iter (fun f -> Bytes.set seen f '\000') !reached;
+    !reached
+  in
+  let flow_safe = Array.map (fun (fl : Network.flow) -> value_safe ty fl.expr) flows in
+  let rec int_safe (e : Expr.t) =
+    match e with
+    | Const (Value.Int _) -> true
+    | Var v -> in_lane lane v
+    | Unop (Neg, e1) -> int_safe e1
+    | Binop ((Add | Sub | Mul | Min | Max), e1, e2) -> int_safe e1 && int_safe e2
+    | _ -> false
+  in
+  let update_safe (v, (e : Expr.t)) =
+    match e with Const _ | Var _ | Loc _ -> true | _ -> in_lane lane v && int_safe e
+  in
+  (* a scratch with the lane's tags, to evaluate an invariant at the
+     constants a transition sets: it reads nothing else *)
+  let consts_scratch =
+    lazy
+      (let s =
+         make_cstate ~n_procs ~n_vars ~n_flows:0 ~n_markov:0 ~n_slots:(ev_root + 1)
+       in
+       Bytes.blit lane 0 s.ftag 0 n_vars;
+       s)
+  in
+  let lands_safely (tr : Automaton.transition) (inv : Expr.t) =
+    inv = Expr.true_
+    ||
+    let last v = List.fold_left (fun acc (w, e) -> if w = v then Some e else acc) None tr.updates in
+    let consts =
+      List.map
+        (fun v ->
+          match last v with
+          | Some (Expr.Const x) when Bytes.get targets v = '\000' -> Some (v, x)
+          | _ -> None)
+        (Expr.free_vars inv)
+    in
+    loc_reads inv = []
+    && List.for_all Option.is_some consts
+    &&
+    let s = Lazy.force consts_scratch in
+    List.iter
+      (function
+        | Some (v, Value.Int n) when in_lane lane v -> s.ival.(v) <- n
+        | Some (v, x) -> s.vals.(v) <- x
+        | None -> ())
+      consts;
+    match compile_bool lane inv s with b -> b | exception _ -> false
+  in
+  let trial_free p (tr : Automaton.transition) marks =
+    match tr.label, tr.guard with
+    | Automaton.Tau, Automaton.Guard _ ->
+      let reached = reach marks in
+      let written = List.map fst tr.updates @ List.map (fun f -> flows.(f).Network.target) reached in
+      let others = List.exists (fun q -> q <> p) in
+      List.for_all update_safe tr.updates
+      && List.for_all (fun f -> flow_safe.(f)) reached
+      && List.for_all (fun v -> Bytes.get act_vars v = '\000' && not (others inv_vars.(v))) written
+      && Bytes.get act_procs p = '\000'
+      && (not (others inv_locs.(p)))
+      && lands_safely tr net.procs.(p).locations.(tr.dst).invariant
+    | _ -> false
+  in
+  let sync_skip = Array.make (max n_events 1) true in
+  Array.iter
+    (fun (proc : Automaton.t) ->
+      Array.iter
+        (fun (tr : Automaton.transition) ->
+          match tr.label, tr.guard with
+          | Automaton.Event e, Automaton.Guard g -> if not (win_safe ty g) then sync_skip.(e) <- false
+          | _ -> ())
+        proc.transitions)
+    net.procs;
   let no_window : cstate -> unit = fun s -> w_set_full s.ev ev_root in
   let no_candidates : ctrans array array = Array.make (max n_events 1) [||] in
   let cprocs =
@@ -1264,6 +1493,9 @@ let stage (net : Network.t) : t =
         let p_trans =
           Array.mapi
             (fun i (tr : Automaton.transition) ->
+                 let t_marks =
+                   int_set (writes (List.map fst tr.Automaton.updates) @ proc_flows.(p))
+                 in
                  {
                    tr_id = i;
                    t_dst = tr.Automaton.dst;
@@ -1276,9 +1508,8 @@ let stage (net : Network.t) : t =
                      | Automaton.Rate r -> r
                      | Automaton.Guard _ -> 0.0);
                    t_updates = Array.of_list (List.map store tr.Automaton.updates);
-                   t_marks =
-                     int_set
-                       (writes (List.map fst tr.Automaton.updates) @ proc_flows.(p));
+                   t_marks;
+                   t_free = trial_free p tr t_marks;
                  })
             proc.transitions
         in
@@ -1358,6 +1589,7 @@ let stage (net : Network.t) : t =
     tau_procs = procs_with (fun cl -> Array.length cl.tau > 0);
     markov_procs = procs_with (fun cl -> Array.length cl.markov > 0);
     sync_parts = Array.map Array.of_list net.participants;
+    sync_skip;
     restart_procs =
       Array.of_list
         (List.filter
@@ -1509,6 +1741,7 @@ let apply_updates s (ups : (cstate -> unit) array) =
   done
 
 let restart_proc c s p =
+  s.restarts <- s.restarts + 1;
   let cp = c.cprocs.(p) in
   s.locs.(p) <- cp.p_initial;
   let owned = cp.p_owned in
@@ -1721,10 +1954,20 @@ let push_move s event len w j =
   w_copy w j s.mw i;
   s.n_moves <- i + 1
 
+(* Has one of the first [na] active participants of event [e] no
+   candidate on it at its location? *)
+let rec any_silent c s e na k =
+  k < na
+  && (let p = s.act.(k) in
+      Array.length c.cprocs.(p).p_locs.(s.locs.(p)).by_event.(e) = 0
+      || any_silent c s e na (k + 1))
+
 (* Every candidate of every active participant on event [e] (guards are
    evaluated for all of them, as [Moves_oracle.discrete] does), then every
    combination in the interpreter's order: the first participant's
-   choice varies slowest. *)
+   choice varies slowest.  When an active participant has no candidate
+   at its location the event offers no move; unless one of its guards
+   could raise ([sync_skip]), no guard is evaluated then. *)
 let sync_moves c s e =
   let ev = s.ev in
   let parts = c.sync_parts.(e) in
@@ -1737,7 +1980,7 @@ let sync_moves c s e =
     end
   done;
   let na = !na in
-  if na > 0 then begin
+  if na > 0 && not (c.sync_skip.(e) && any_silent c s e na 0) then begin
     let n_cand = ref 0 and all_offer = ref true in
     for k = 0 to na - 1 do
       let p = s.act.(k) in
@@ -1957,27 +2200,89 @@ let apply c s ?(delay = 0.0) (move : Moves.move) =
       parts;
     fire c s delay s.ap_proc s.ap_tr 0 (List.length parts)
 
+(* Does move [i] land in a state where every active invariant holds?
+   Fire it on trial and see. *)
+let trial c s d i =
+  s.trials <- s.trials + 1;
+  begin_trial c s;
+  match
+    apply_move c s ~delay:d i;
+    invariants_hold c s
+  with
+  | ok ->
+    end_trial c s;
+    ok
+  | exception e ->
+    end_trial c s;
+    raise e
+
+let free_move c s i =
+  Array.unsafe_get s.mv_event i < 0
+  &&
+  let off = s.mv_off.(i) in
+  c.cprocs.(s.pt_proc.(off)).p_trans.(s.pt_tr.(off)).t_free
+
+(* The check the trial-free candidates share: let [d] pass as any move
+   would (advance, flows, restarts) and count the active processes
+   whose invariant fails then, the last of them in [inv_failed].  -1
+   when that raised or restarted a process: the caller then tries every
+   move, and a raise surfaces from the trial it comes from. *)
+let shared_check c s d =
+  begin_trial c s;
+  let restarts = s.restarts in
+  match
+    fire c s d s.ap_proc s.ap_tr 0 0;
+    let fails = ref 0 in
+    for i = 0 to Array.length c.inv_procs - 1 do
+      let p = c.inv_procs.(i) in
+      let cp = c.cprocs.(p) in
+      if cp.active_trivial || cp.active s then begin
+        let cl = cp.p_locs.(s.locs.(p)) in
+        if (not cl.inv_trivial) && not (cl.inv_bool s) then begin
+          incr fails;
+          s.inv_failed <- p
+        end
+      end
+    done;
+    !fails
+  with
+  | fails ->
+    end_trial c s;
+    if s.restarts = restarts then fails else -1
+  | exception _ ->
+    end_trial c s;
+    -1
+
+(* A trial-free move (see [stage]) writes nothing that an activation
+   condition or another process's invariant reads, cannot raise, and
+   lands where its own invariant holds: its trial would find exactly
+   the other active processes' invariants as [shared_check] finds them.
+   So it is enabled when none of those failed, and only the moves that
+   are not trial-free are fired on trial.  The check itself stays: at
+   the upper edge of a window, a clock advanced by [d] can round past
+   the bound its invariant set. *)
+let rec any_free c s d i =
+  i < s.n_moves && ((w_mem d s.mw i && free_move c s i) || any_free c s d (i + 1))
+
 let enabled_after c s d =
+  let fails = if any_free c s d 0 then shared_check c s d else -1 in
   let n = ref 0 in
   for i = 0 to s.n_moves - 1 do
-    if w_mem d s.mw i then begin
-      begin_trial c s;
-      match
-        apply_move c s ~delay:d i;
-        invariants_hold c s
-      with
-      | ok ->
-        end_trial c s;
-        if ok then begin
-          s.enabled.(!n) <- i;
-          incr n
-        end
-      | exception e ->
-        end_trial c s;
-        raise e
+    if
+      w_mem d s.mw i
+      &&
+      if fails >= 0 && free_move c s i then
+        fails = 0 || (fails = 1 && s.inv_failed = s.pt_proc.(s.mv_off.(i)))
+      else trial c s d i
+    then begin
+      s.enabled.(!n) <- i;
+      incr n
     end
   done;
   !n
+
+let trials s = s.trials
+let trial_free c ~proc ~tr = c.cprocs.(proc).p_trans.(tr).t_free
 
 let enabled s k = s.enabled.(k)
 

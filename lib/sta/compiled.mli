@@ -292,10 +292,23 @@ val apply_parts : t -> cstate -> int array -> int array -> int -> int -> unit
     move whose participants {!copy_move} wrote at [off]. *)
 
 val enabled_after : t -> cstate -> float -> int
-(** [Moves_oracle.enabled_after] over the buffered moves: tries each move
-    whose window contains the delay on the trial buffer and returns the
-    number of moves after which every invariant holds; {!enabled} names
-    them, in buffer order. *)
+(** [Moves_oracle.enabled_after] over the buffered moves: the number of
+    moves whose window contains the delay and after which every
+    invariant holds; {!enabled} names them, in buffer order.  A move of
+    a {!trial_free} transition is decided by one check all of them
+    share (the delay and its flows, on the trial buffer); every other
+    move is fired on the trial buffer. *)
+
+val trial_free : t -> proc:int -> tr:int -> bool
+(** Whether {!enabled_after} decides the local move of this transition
+    without firing it: a guarded τ transition none of whose updates (or
+    the flows they mark) can raise, that writes nothing a non-trivial
+    activation condition or another process's invariant reads, and
+    whose destination invariant is trivial or holds at the constants
+    the transition sets. *)
+
+val trials : cstate -> int
+(** Moves {!enabled_after} has fired on trial on this scratch so far. *)
 
 val enabled : cstate -> int -> int
 (** [enabled s k] is the buffer index of the [k]-th enabled move. *)

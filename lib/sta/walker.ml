@@ -306,7 +306,10 @@ module Table = struct
      [len_bits] bits of its length.  Spans, hashes, parents and times
      are kept in chunks too ({!Chunked.entries}): growing the table
      copies no key, and no per-state entry once there are 1024.  Only
-     [slots] doubles. *)
+     [slots] doubles.  A parent of -1 and a time of [+0.0] are not
+     written ({!Chunked.get_or} reads them back), so a caller that
+     interns only roots at time 0, as the CTMC explorer does, makes no
+     chunk of either. *)
   type t = {
     procs : int;
     vars : int;
@@ -346,7 +349,7 @@ module Table = struct
       free = 0;
       spans = Chunked.entries 0;
       hashes = Chunked.entries 0;
-      parents = Chunked.entries 0;
+      parents = Chunked.entries (-1);
       times = Chunked.entries 0.0;
       slots = Array.make 128 0;
       n = 0;
@@ -470,13 +473,16 @@ module Table = struct
       let pos = (t.chunk lsl t.arena_bits) lor start in
       Chunked.set t.spans i ((pos lsl t.len_bits) lor (padded - start));
       Chunked.set t.hashes i h;
-      Chunked.set t.parents i parent;
+      if parent <> -1 then Chunked.set t.parents i parent;
       t.free <- padded;
       t.slots.(-1 - e) <- i + 1;
       t.n <- i + 1;
       if 2 * t.n > Array.length t.slots then rehash t;
       i
     end
+
+  let set_time t i x = if Int64.bits_of_float x <> 0L then Chunked.set t.times i x
+  let time t i = Chunked.get_or t.times i 0.0
 
   let intern t (s : State.t) ~parent =
     if Array.length s.locs <> t.procs || Array.length s.vals <> t.vars then
@@ -486,7 +492,7 @@ module Table = struct
     let stop = Array.fold_left (put_value t.buf) pos s.vals in
     let n = t.n in
     let i = find_or_add t start stop ~parent in
-    if t.n > n then Chunked.set t.times i s.time;
+    if t.n > n then set_time t i s.time;
     i
 
   (* [intern] of the scratch's state, the int lane's variables packed
@@ -509,7 +515,7 @@ module Table = struct
     done;
     let n = t.n in
     let i = find_or_add t start !pos ~parent in
-    if t.n > n then Chunked.set t.times i (Compiled.time cs);
+    if t.n > n then set_time t i (Compiled.time cs);
     i
 
   let boxed_ints = Array.init small_ints (fun k -> Value.Int k)
@@ -562,16 +568,16 @@ module Table = struct
     seek t i;
     let locs = Array.init t.procs (read_loc t) in
     let vals = Array.init t.vars (read_value t) in
-    { State.locs; vals; time = Chunked.get t.times i }
+    { State.locs; vals; time = time t i }
 
   let load t i (w : walker) =
     seek t i;
     Compiled.load w.c w.cs t ~loc:read_loc ~int:read_int ~value:read_value
-      ~time:(Chunked.get t.times i)
+      ~time:(time t i)
 
   let parent t i =
     if i < 0 || i >= t.n then invalid_arg "Walker.Table: no such state";
-    Chunked.get t.parents i
+    Chunked.get_or t.parents i (-1)
 
   let next t =
     if t.cursor >= t.n then None

@@ -115,7 +115,10 @@ val asap : t -> horizon:float -> unit
     each state's key span, hash, parent and time are kept in chunks
     ({!Chunked}) of up to 64 KiB and 1024 entries: a large table grows
     without copying them, and only its index of state numbers doubles.
-    The first chunks are small, so a small table stays small. *)
+    The first chunks are small, so a small table stays small.  Parents
+    and times are stored only when some state has a parent other than
+    -1 or a time other than [+0.0]: a caller that interns only roots at
+    time 0 keeps neither. *)
 type walker := t
 
 module Table : sig

@@ -515,13 +515,15 @@ let check_same_state ~ctx (expected : State.t) (got : State.t) =
   if not (float_equal expected.State.time got.State.time) then
     Alcotest.failf "%s: time %h, compiled %h" ctx expected.State.time got.State.time
 
-(* A delay in [w]: its first point, or a uniform draw from it capped at
-   20 time units. *)
+(* A delay in the window, capped at 20: its first point, its last point
+   (the upper edge maxtime fires at, where a clock advanced by it can
+   round past its invariant's bound) or a uniform draw. *)
 let pick_delay rng w =
   let capped = I.clamp_above 20.0 (I.inter w (I.at_least 0.0)) in
   let first = I.first_point ~eps:1e-9 capped in
-  match Rng.int rng 2, first with
+  match Rng.int rng 3, first with
   | 0, Some d -> d
+  | 1, Some d -> Option.value (I.last_point_below ~eps:1e-9 20.0 capped) ~default:d
   | _ -> (
     match I.sample_uniform (Rng.below rng) capped with
     | Some d -> d
@@ -611,11 +613,7 @@ let walk ~name ~seed ~steps (net : Network.t) =
     incr step
   done
 
-(* The suite runs in [_build/default/test]; by hand, from the root. *)
-let bundled_model file =
-  let dir = List.find Sys.file_exists [ "../examples/models"; "examples/models" ] in
-  let path = Filename.concat dir file in
-  load (In_channel.with_open_text path In_channel.input_all)
+let bundled_model = Fixture.bundled_model
 
 (* Minor words per step of whole compiled paths over a fixed path set.
    A recording pass counts the steps (every step but a path's last
@@ -866,6 +864,308 @@ let test_failing_trial_is_clean () =
   Alcotest.(check (list int)) "clean after a move" [] (Compiled.dirty_flows c s)
 
 (* ------------------------------------------------------------------ *)
+(* Trial-free enabling                                                 *)
+
+let loc name invariant = { Automaton.loc_name = name; invariant; derivs = [] }
+
+let tau src dst guard updates =
+  { Automaton.src; dst; label = Automaton.Tau; guard = Automaton.Guard guard; updates;
+    weight = 1.0 }
+
+let var name kind init = { Network.var_name = name; kind; init; owner = None }
+let bin op x y = Expr.Binop (op, x, y)
+
+(* The transitions of process [proc] from location [src] to [dst]. *)
+let transitions net ~proc ~src ~dst =
+  let p = Option.get (Network.find_proc net proc) in
+  let l name = Option.get (Network.find_loc net ~proc:p name) in
+  let a = net.Network.procs.(p) in
+  ( p,
+    List.filter
+      (fun i ->
+        let t = a.Automaton.transitions.(i) in
+        t.Automaton.src = l src && t.Automaton.dst = l dst)
+      (List.init (Array.length a.Automaton.transitions) Fun.id) )
+
+let check_free c net ~proc ~src ~dst want =
+  let p, trs = transitions net ~proc ~src ~dst in
+  Alcotest.(check bool) (Printf.sprintf "%s: %s -> %s exists" proc src dst) true (trs <> []);
+  List.iter
+    (fun tr ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s -> %s trial-free" proc src dst)
+        want (Compiled.trial_free c ~proc:p ~tr))
+    trs
+
+(* [a] is a clock no move of [m] resets, [k] an int-lane counter; [n]'s
+   location is read by [watcher]'s activation condition. *)
+let classified_network () =
+  let x = 0 and k = 1 in
+  let m =
+    Automaton.make ~name:"m"
+      ~locations:[| loc "m0" Expr.true_; loc "m1" (bin Expr.Le (Expr.var x) (Expr.real 5.0));
+                    loc "m2" Expr.true_ |]
+      ~initial:0
+      ~transitions:
+        [
+          (* into an invariant over a clock the move leaves running *)
+          tau 0 1 Expr.true_ [];
+          (* a [/] update *)
+          tau 0 2 Expr.true_ [ (k, bin Expr.Div (Expr.var k) (Expr.int 2)) ];
+          (* controls: the clock reset, and int-lane arithmetic *)
+          tau 2 1 Expr.true_ [ (x, Expr.real 0.0) ];
+          tau 1 2 Expr.true_ [ (k, bin Expr.Add (Expr.var k) (Expr.int 1)) ];
+        ]
+  in
+  let n =
+    Automaton.make ~name:"n" ~locations:[| loc "n0" Expr.true_; loc "n1" Expr.true_ |]
+      ~initial:0 ~transitions:[ tau 0 1 Expr.true_ [] ]
+  in
+  let watcher =
+    Automaton.make ~name:"watcher" ~locations:[| loc "w0" Expr.true_ |] ~initial:0
+      ~transitions:[]
+  in
+  Network.make
+    ~procs:
+      [
+        (m, Network.default_meta);
+        (n, Network.default_meta);
+        ( watcher,
+          { Network.active_when = Expr.Loc (1, 0); reactivation = Network.Resume;
+            owned_vars = [] } );
+      ]
+    ~vars:[| var "x" Network.Clock (Value.Real 0.0); var "k" Network.Discrete (Value.Int 8) |]
+    ~events:[||] ~flows:[]
+
+let test_trial_free_classification () =
+  let net = bundled_model "launcher_recoverable.slim" in
+  let c = Compiled.compile net in
+  List.iter
+    (fun ch ->
+      check_free c net ~proc:ch ~src:"watch" ~dst:"watch" true;
+      check_free c net ~proc:ch ~src:"watch" ~dst:"waiting" true;
+      check_free c net ~proc:ch ~src:"waiting" ~dst:"verify" false)
+    [ "tri1.ch1"; "tri2.ch3" ];
+  check_free c net ~proc:"gps1" ~src:"acquisition" ~dst:"active" true;
+  (* every synchronized transition (the reset syncs among them) is
+     fired on trial *)
+  Array.iteri
+    (fun p (a : Automaton.t) ->
+      Array.iteri
+        (fun tr (t : Automaton.transition) ->
+          match t.Automaton.label with
+          | Automaton.Event e ->
+            if Compiled.trial_free c ~proc:p ~tr then
+              Alcotest.failf "%s: transition %d on %s is trial-free"
+                (Network.proc_name net p) tr (Network.event_name net e)
+          | Automaton.Tau -> ())
+        a.Automaton.transitions)
+    net.Network.procs;
+  let gps = bundled_model "gps.slim" in
+  check_free (Compiled.compile gps) gps ~proc:"gps" ~src:"acquisition" ~dst:"active" true;
+  let net = classified_network () in
+  let c = Compiled.compile net in
+  check_free c net ~proc:"m" ~src:"m0" ~dst:"m1" false;
+  check_free c net ~proc:"m" ~src:"m0" ~dst:"m2" false;
+  check_free c net ~proc:"m" ~src:"m2" ~dst:"m1" true;
+  check_free c net ~proc:"m" ~src:"m1" ~dst:"m2" true;
+  check_free c net ~proc:"n" ~src:"n0" ~dst:"n1" false
+
+(* [enabled_after] at delay [d] from the initial state advanced by
+   [d0], compiled against the oracle; also returns the moves that were
+   fired on trial. *)
+let enabled_after_both net ~d0 ~d =
+  let c = Compiled.compile net in
+  let s = Compiled.scratch c in
+  Compiled.reset c s;
+  let st = ref (State.initial net) in
+  if d0 > 0.0 then begin
+    Compiled.set_rates c s;
+    Compiled.advance c s d0;
+    st := Moves_oracle.advance net !st d0
+  end;
+  Compiled.set_rates c s;
+  Compiled.invariant_window c s;
+  let rates = Moves_oracle.rate_array net !st in
+  let inv = Moves_oracle.invariant_window ~rates net !st in
+  let timed = Moves_oracle.discrete ~rates ~inv_win:inv net !st in
+  if Compiled.discrete c s <> List.length timed then Alcotest.fail "move counts differ";
+  let d = d timed in
+  let expected = Moves_oracle.enabled_after net !st d timed in
+  let trials = Compiled.trials s in
+  let n = Compiled.enabled_after c s d in
+  let got = List.init n (fun k -> Compiled.move c s (Compiled.enabled s k)) in
+  (expected, got, Compiled.trials s - trials)
+
+let show_moves ms =
+  String.concat "; "
+    (List.map
+       (function
+         | Moves.Local { proc; tr } -> Printf.sprintf "%d.%d" proc tr
+         | Moves.Sync { event; _ } -> Printf.sprintf "sync %d" event)
+       ms)
+
+(* Clocks [x] and [y] at 0.03 with bounds of 0.3: the windows end at
+   0.27, and 0.03 + 0.27 rounds to 0.30000000000000004.  [p]'s
+   self-loop and [r]'s exit are trial-free; [q] (when present) only
+   has an invariant. *)
+let rounding_network ~with_q =
+  let x = 0 and y = 1 and n = 2 in
+  let bound v = bin Expr.Le (Expr.var v) (Expr.real 0.3) in
+  let q =
+    Automaton.make ~name:"q" ~locations:[| loc "q0" (bound x) |] ~initial:0 ~transitions:[]
+  in
+  let p =
+    Automaton.make ~name:"p" ~locations:[| loc "p0" Expr.true_ |] ~initial:0
+      ~transitions:[ tau 0 0 Expr.true_ [ (n, Expr.int 1) ] ]
+  in
+  let r =
+    Automaton.make ~name:"r" ~locations:[| loc "r0" (bound y); loc "r1" Expr.true_ |]
+      ~initial:0 ~transitions:[ tau 0 1 Expr.true_ [] ]
+  in
+  Network.make
+    ~procs:
+      ((if with_q then [ (q, Network.default_meta) ] else [])
+      @ [ (p, Network.default_meta); (r, Network.default_meta) ])
+    ~vars:
+      [|
+        var "x" Network.Clock (Value.Real 0.0);
+        var "y" Network.Clock (Value.Real 0.0);
+        var "n" Network.Discrete (Value.Int 0);
+      |]
+    ~events:[||] ~flows:[]
+
+(* A trial-free move is decided without its own trial, but the shared
+   check stays: at a window's upper edge an invariant can fail by
+   rounding, another process's (no move is enabled) or the moving
+   process's own (only its exit is). *)
+let test_trial_free_rounding () =
+  let last timed =
+    match I.sup (List.hd timed).Moves.window with
+    | I.Fin (b, true) -> b
+    | _ -> Alcotest.fail "a window closed above"
+  in
+  List.iter
+    (fun (with_q, want) ->
+      let expected, got, trials =
+        enabled_after_both (rounding_network ~with_q) ~d0:0.03 ~d:last
+      in
+      Alcotest.(check int) "the edge rounds past the bound" 1
+        (compare (0.03 +. 0.27) 0.3);
+      Alcotest.(check string) "compiled = oracle" (show_moves expected) (show_moves got);
+      Alcotest.(check int) "enabled" want (List.length got);
+      Alcotest.(check int) "no move fired on trial" 0 trials)
+    [ (true, 0); (false, 1) ]
+
+(* [y = 3 - x] divides [p]'s invariant at [l0] by zero once [x] is 3.
+   The shared check, which still has [p] at [l0], raises there; [p]'s
+   own trial does not, as it leaves to [l1]. *)
+let test_trial_free_raising_check () =
+  let x = 0 and y = 1 in
+  let p =
+    Automaton.make ~name:"p"
+      ~locations:
+        [| loc "l0" (bin Expr.Ge (bin Expr.Div (Expr.real 1.0) (Expr.var y)) (Expr.real 0.0));
+           loc "l1" Expr.true_ |]
+      ~initial:0 ~transitions:[ tau 0 1 Expr.true_ [] ]
+  in
+  let net =
+    Network.make ~procs:[ (p, Network.default_meta) ]
+      ~vars:[| var "x" Network.Clock (Value.Real 0.0); var "y" Network.Discrete (Value.Real 3.0) |]
+      ~events:[||]
+      ~flows:[ { Network.target = y; expr = bin Expr.Sub (Expr.real 3.0) (Expr.var x) } ]
+  in
+  Alcotest.(check bool) "trial-free" true (Compiled.trial_free (Compiled.compile net) ~proc:0 ~tr:0);
+  let expected, got, trials = enabled_after_both net ~d0:0.0 ~d:(fun _ -> 3.0) in
+  Alcotest.(check string) "compiled = oracle" (show_moves expected) (show_moves got);
+  Alcotest.(check int) "the exit is enabled" 1 (List.length got);
+  Alcotest.(check int) "fired on trial instead" 1 trials
+
+(* [p] is active while [x <= 2] or [hot], a flow that turns true at
+   [x = 2.2], and restarts to [l1], whose invariant [n <= 0] reads what
+   its exit to [l2] writes.  At [x = 2.5] the delay alone restarts [p]:
+   the shared check finds [l1]'s invariant holding, but a move that
+   sets [n := 1] first lands back there with it failing, so each move
+   is fired on trial. *)
+let test_trial_free_restart () =
+  let x = 0 and n = 1 and hot = 2 in
+  let p =
+    Automaton.make ~name:"p"
+      ~locations:
+        [| loc "l0" Expr.true_; loc "l1" (bin Expr.Le (Expr.var n) (Expr.int 0));
+           loc "l2" Expr.true_ |]
+      ~initial:1
+      ~transitions:[ tau 1 2 Expr.true_ [ (n, Expr.int 1) ] ]
+  in
+  let net =
+    Network.make
+      ~procs:
+        [
+          ( p,
+            { Network.active_when =
+                bin Expr.Or (bin Expr.Le (Expr.var x) (Expr.real 2.0)) (Expr.var hot);
+              reactivation = Network.Restart; owned_vars = [] } );
+        ]
+      ~vars:
+        [|
+          var "x" Network.Clock (Value.Real 0.0);
+          var "n" Network.Discrete (Value.Int 0);
+          var "hot" Network.Discrete (Value.Bool false);
+        |]
+      ~events:[||]
+      ~flows:[ { Network.target = hot; expr = bin Expr.Ge (Expr.var x) (Expr.real 2.2) } ]
+  in
+  Alcotest.(check bool) "trial-free" true (Compiled.trial_free (Compiled.compile net) ~proc:0 ~tr:0);
+  let expected, got, trials = enabled_after_both net ~d0:1.0 ~d:(fun _ -> 1.5) in
+  Alcotest.(check string) "compiled = oracle" (show_moves expected) (show_moves got);
+  Alcotest.(check int) "not enabled" 0 (List.length got);
+  Alcotest.(check int) "fired on trial instead" 1 trials
+
+(* [p]'s only candidate on [e] divides by [y], which [err] sets to 0;
+   [q] never offers [e].  A skipped guard would hide the error, so the
+   event is not skipped: the oracle's error stream comes out. *)
+let test_sync_skip_raising_guard () =
+  let x = 0 and y = 1 in
+  let on_e src dst guard =
+    { Automaton.src; dst; label = Automaton.Event 0; guard = Automaton.Guard guard;
+      updates = []; weight = 1.0 }
+  in
+  let p =
+    Automaton.make ~name:"p" ~locations:[| loc "p0" Expr.true_; loc "p1" Expr.true_ |]
+      ~initial:0
+      ~transitions:
+        [ on_e 0 1 (bin Expr.Gt (bin Expr.Div (Expr.var x) (Expr.var y)) (Expr.real 1.0)) ]
+  in
+  let q =
+    Automaton.make ~name:"q" ~locations:[| loc "q0" Expr.true_; loc "q1" Expr.true_ |]
+      ~initial:0 ~transitions:[ on_e 1 1 Expr.true_ ]
+  in
+  let err =
+    Automaton.make ~name:"err" ~locations:[| loc "ok" Expr.true_; loc "broken" Expr.true_ |]
+      ~initial:0
+      ~transitions:
+        [ { Automaton.src = 0; dst = 1; label = Automaton.Tau; guard = Automaton.Rate 0.3;
+            updates = [ (y, Expr.real 0.0) ]; weight = 1.0 } ]
+  in
+  let net =
+    Network.make
+      ~procs:[ (p, Network.default_meta); (q, Network.default_meta); (err, Network.default_meta) ]
+      ~vars:[| var "x" Network.Clock (Value.Real 0.0); var "y" Network.Discrete (Value.Real 1.0) |]
+      ~events:[| "e" |] ~flows:[]
+  in
+  verdict_streams ~name:"raising sync guard" ~goal:(Expr.Loc (0, 1)) ~horizon:5.0 ~seeds:10 net;
+  let c = Compiled.compile net in
+  let q = Path.compile_query c ~goal:(Expr.Loc (0, 1)) in
+  let s = Compiled.scratch c and cfg = Path.default_config ~horizon:5.0 in
+  let errors =
+    List.length
+      (List.filter Result.is_error
+         (List.init 10 (fun i ->
+              Path.generate c s q cfg Strategy.Progressive (Rng.for_path ~seed:1L ~path:i))))
+  in
+  Alcotest.(check bool) "some paths raise in the guard" true (errors > 0 && errors < 10)
+
+(* ------------------------------------------------------------------ *)
 (* The int lane                                                        *)
 
 (* Variables 0 and 1 are in the lane; 2 holds an [Int] outside it and 3
@@ -1016,4 +1316,12 @@ let suite =
     prop 2000 "lane: mixed Int/Real stays boxed" (Gen.pair gen_mixed_expr gen_lane_state)
       prop_lane_mixed;
     Alcotest.test_case "lane: hand-built network" `Quick test_lane_network;
+    Alcotest.test_case "trial-free: classification" `Quick test_trial_free_classification;
+    Alcotest.test_case "trial-free: rounding at a window's edge" `Quick
+      test_trial_free_rounding;
+    Alcotest.test_case "trial-free: a raising shared check" `Quick
+      test_trial_free_raising_check;
+    Alcotest.test_case "trial-free: a restart in the shared check" `Quick
+      test_trial_free_restart;
+    Alcotest.test_case "sync skip: a raising guard" `Quick test_sync_skip_raising_guard;
   ]

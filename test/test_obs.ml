@@ -355,6 +355,62 @@ let test_exact_phases () =
   in
   Alcotest.(check (list string)) "phases" steps (List.filter_map step (List.rev !events))
 
+(* ------------------------------------------------------------------ *)
+(* The trial-fire counter                                              *)
+
+(* The launcher query of the CI pin (Chernoff, 369 paths at seed 1):
+   each path adds the moves it fired on trial, so the counter is the
+   sum of the per-path counts of the paths generated.  At -j 1 those
+   are the 369 consumed; at -j 2, with one-path ranges, the generators
+   can run one path past the plan. *)
+let test_trial_fires () =
+  let module Campaign = Slimsim_sim.Campaign in
+  let module Path = Slimsim_sim.Path in
+  let module Compiled = Slimsim_sta.Compiled in
+  let net = Fixture.bundled_model "launcher_recoverable.slim" in
+  let goal = Fixture.goal net Slimsim_models.Launcher.goal_failure in
+  let strategy = Slimsim_sim.Strategy.Progressive and horizon = 100.0 and seed = 1L in
+  let per_path =
+    let c = Compiled.compile net in
+    let q = Path.compile_query c ~goal and s = Compiled.scratch c in
+    let cfg = Path.default_config ~horizon in
+    Array.init 371 (fun i ->
+        let before = Compiled.trials s in
+        ignore (Path.generate c s q cfg strategy (Slimsim_stats.Rng.for_path ~seed ~path:i));
+        Compiled.trials s - before)
+  in
+  let first n = Array.fold_left ( + ) 0 (Array.sub per_path 0 n) in
+  let run workers =
+    with_metrics @@ fun () ->
+    let generator =
+      Slimsim_stats.Generator.create Slimsim_stats.Generator.Chernoff ~delta:0.05 ~eps:0.2
+    in
+    let supervisor = Slimsim_sim.Supervisor.create ~max_buffer:1 () in
+    match
+      Fixture.run ~workers ~seed ~supervisor net ~goal ~horizon ~strategy ~generator ()
+    with
+    | Error e -> Alcotest.failf "campaign failed: %s" (Path.error_to_string e)
+    | Ok r ->
+      Alcotest.(check (pair int int)) "31 of 369 paths" (31, 369)
+        (r.Campaign.successes, r.Campaign.paths);
+      let sum series count =
+        List.fold_left ( + ) 0
+          (List.init workers (fun w ->
+               count (series ~labels:[ ("worker", string_of_int w) ])))
+      in
+      ( sum (fun ~labels -> Metrics.counter ~labels "slimsim_trial_fires_total" ~help:"")
+          Metrics.counter_value,
+        sum (fun ~labels -> Metrics.histogram ~labels "slimsim_path_steps" ~help:"")
+          Metrics.histogram_count )
+  in
+  let trials, paths = run 1 in
+  Alcotest.(check int) "-j 1: 369 paths generated" 369 paths;
+  Alcotest.(check int) "-j 1: the paths' trial fires" (first 369) trials;
+  Alcotest.(check int) "-j 1: the launcher's count at seed 1" 9660 trials;
+  let trials, paths = run 2 in
+  if paths > 370 then Alcotest.failf "-j 2 generated %d paths, at most 370 expected" paths;
+  Alcotest.(check int) "-j 2: the paths' trial fires" (first paths) trials
+
 let suite =
   [
     Alcotest.test_case "json render" `Quick test_json_render;
@@ -376,4 +432,5 @@ let suite =
     Alcotest.test_case "progress lazy stats" `Quick test_progress_lazy_stats;
     Alcotest.test_case "phase timing" `Quick test_phase;
     Alcotest.test_case "exact phases" `Quick test_exact_phases;
+    Alcotest.test_case "trial fires: -j 1 and -j 2" `Quick test_trial_fires;
   ]
