@@ -39,6 +39,10 @@ let basic_events (net : Network.t) =
     net.procs;
   List.rev !out
 
+let enabled_at w =
+  let moves = Walker.moves w in
+  fun e -> List.mem (Moves.Local { proc = e.be_proc; tr = e.be_tr }) moves
+
 module Key_set = Set.Make (struct
   type t = int * int
 

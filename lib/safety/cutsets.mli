@@ -34,6 +34,11 @@ val basic_events : Slimsim_sta.Network.t -> basic_event list
 (** All rate transitions of the network, in (process, transition)
     order. *)
 
+val enabled_at : Slimsim_sta.Walker.t -> basic_event -> bool
+(** [enabled_at w] tells whether a basic event can fire in the state
+    the walker's scratch holds now: its process is active and in the
+    event's source location. *)
+
 val minimal_cut_sets :
   ?max_order:int ->
   ?max_expansions:int ->

@@ -15,6 +15,12 @@
       automaton (the model's own @activation machinery) restores every
       observable to its nominal value.
 
+    A failure mode is injected only where it is enabled: in the base
+    state, the initial configuration after its immediate closure (and
+    the settling below).  One that is not enabled there (a second step
+    of an error chain, say) keeps its verdict, marked as such, and is
+    neither detected, isolated nor recovered.
+
     The analysis works on the untimed abstraction, like fault-tree
     generation. *)
 
@@ -25,6 +31,7 @@ type verdict = {
   recovered : bool;
   signature : (string * string) list;
       (** observables that deviate, with their deviant values *)
+  enabled : bool;  (** the event is enabled in the base state *)
 }
 
 val resolve_observables :

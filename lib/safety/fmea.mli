@@ -1,11 +1,13 @@
 (** FMEA (Failure Mode and Effects Analysis) table generation — the
     second safety-analysis artifact of COMPASS (§II-C).
 
-    For every basic event (failure mode) of the model, the analysis
-    injects just that event from the initial configuration, closes over
-    the immediately enabled reactions, and reports the observable
-    effects: which variables changed, and whether the system-level
-    failure condition holds. *)
+    For every basic event (failure mode) of the model that is enabled in
+    the initial configuration, after its immediate closure, the analysis
+    injects just that event there, closes over the immediately enabled
+    reactions, and reports the observable effects: which variables
+    changed, and whether the system-level failure condition holds.  An
+    event that is not enabled there (a second step of an error chain,
+    say) keeps its row, marked as such, with no effects. *)
 
 type row = {
   component : string;  (** process carrying the failure mode *)
@@ -15,6 +17,9 @@ type row = {
       (** (variable, before, after); only changed variables *)
   leads_to_failure : bool;
       (** the goal holds in some immediate consequence state *)
+  enabled : bool;
+      (** the event is enabled in the initial configuration; when it is
+          not, it was not injected: no effects, no failure *)
 }
 
 val analyze :

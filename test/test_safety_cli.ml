@@ -5,8 +5,8 @@
    counterexample that mixes rate and immediate moves, walks over
    the 1640 and 28808 states of the generated sensor/filter models at
    n = 4 and n = 6, the four analyses on n = 4, FMEA on a queue where
-   most basic events are not enabled at the base state, and a cut set
-   of order 20.  The refusals pin the messages for non-Boolean goals
+   most basic events are not enabled at the base state (and so are not
+   injected), and a cut set of order 20.  The refusals pin the messages for non-Boolean goals
    and out-of-range flags; the [exact] pins show the CTMC pipeline's
    answers on small chains. *)
 
@@ -183,18 +183,18 @@ ambiguous observation {sensors.s1.value=3, filters.f1.value=0}:
   diagnosis fails:   sensors@use1, sensors.s1@run, sensors.s1#SensorFail@ok, sensors.s2@run, sensors.s2#SensorFail@ok, sensors.s3@run, sensors.s3#SensorFail@ok, sensors.s4@run, sensors.s4#SensorFail@ok, filters@use2, filters.f1@run, filters.f1#FilterFail@failed, filters.f2@run, filters.f2#FilterFail@ok, filters.f3@run, filters.f3#FilterFail@ok, filters.f4@run, filters.f4#FilterFail@ok
 
 |});
-  (* FMEA fires every basic event from the base state, q0, even where
-     its source location is not current *)
+  (* FMEA injects a basic event only where it is enabled: at the base
+     state, q0, that is the first arrival alone *)
   pin [ "fmea"; model "mm1k.slim"; "-g"; "q = 3" ]
     {|component                    failure mode                                 rate       failure  effects
 main                         main: q0 -> q1                               0.8        -        q: 0->1
-main                         main: q1 -> q2                               0.8        -        q: 0->2
-main                         main: q2 -> q3                               0.8        SYSTEM   q: 0->3
-main                         main: q3 -> q4                               0.8        -        q: 0->4
-main                         main: q1 -> q0                               1          -        served: 0->1
-main                         main: q2 -> q1                               1          -        q: 0->1, served: 0->1
-main                         main: q3 -> q2                               1          -        q: 0->2, served: 0->1
-main                         main: q4 -> q3                               1          SYSTEM   q: 0->3, served: 0->1
+main                         main: q1 -> q2                               0.8        -        not enabled initially
+main                         main: q2 -> q3                               0.8        -        not enabled initially
+main                         main: q3 -> q4                               0.8        -        not enabled initially
+main                         main: q1 -> q0                               1          -        not enabled initially
+main                         main: q2 -> q1                               1          -        not enabled initially
+main                         main: q3 -> q2                               1          -        not enabled initially
+main                         main: q4 -> q3                               1          -        not enabled initially
 
 |};
   pin [ "cutsets"; model "mm1k_20.slim"; "-g"; "q = 20"; "--max-order"; "25" ]
