@@ -724,15 +724,29 @@ let exact_cmd =
     Arg.(value & flag & info [ "no-lump" ] ~doc:"Skip the lumping reduction.")
   and max_states =
     Arg.(value & opt int 2_000_000 & info [ "max-states" ] ~doc:"State-space cap.")
+  and log_json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "log-json" ] ~docv:"FILE"
+          ~doc:
+            "Write the pipeline's phase timings to $(docv), one JSON object \
+             per line: a $(b,phase) event each for parse, sema, translate, \
+             stage, explore, lump and transient.  The answer is the same \
+             with or without this flag.")
   in
-  let run file prop no_lump max_states =
+  let run file prop no_lump max_states log_json =
     check_flag (max_states > 0) "max-states" "positive";
+    (* the sink comes up before the model loads, so the front-end phases
+       are logged; it writes each line through, so an exit on an error
+       loses none *)
+    Option.iter (fun file -> Log.set_sink (Some (fst (Log.file_sink file)))) log_json;
     let m = or_die (load file) in
     Fmt.pr "%a@." S.pp_exact
       (or_die (S.check_exact ~max_states ~lump:(not no_lump) m ~property:prop))
   in
   Cmd.v (Cmd.info "exact" ~doc:"Exact CTMC analysis (untimed models)")
-    Term.(const run $ model_arg $ prop_arg $ no_lump $ max_states)
+    Term.(const run $ model_arg $ prop_arg $ no_lump $ max_states $ log_json)
 
 (* --- trace --- *)
 
