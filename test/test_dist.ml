@@ -182,8 +182,8 @@ let consume_ready t ~cursor ~f =
 
 let test_lease_dedup () =
   let t = Lease.create ~base:0 ~size:4 ~payload:ignore in
-  let a = Lease.grant t ~owner:0 in
-  let b = Lease.grant t ~owner:1 in
+  let a = Lease.grant t ~owner:0 ~limit:max_int in
+  let b = Lease.grant t ~owner:1 ~limit:max_int in
   Alcotest.(check (list (triple int int int)))
     "carved in order"
     [ (a.Lease.id, 0, 4); (b.Lease.id, 4, 8) ]
@@ -195,7 +195,7 @@ let test_lease_dedup () =
   | _ -> Alcotest.fail "fresh prefix");
   Alcotest.(check int) "one lease reclaimed" 1 (Lease.fail_owner t 0);
   Alcotest.(check int) "pending pool" 1 (Lease.pending t);
-  let a' = Lease.grant t ~owner:1 in
+  let a' = Lease.grant t ~owner:1 ~limit:max_int in
   Alcotest.(check int) "pending range regranted first" a.Lease.id a'.Lease.id;
   Alcotest.(check int) "regrant counted" 2 a'.Lease.grants;
   (* the replacement regenerates from lo: the overlap is duplicate *)
@@ -237,7 +237,7 @@ let test_lease_dedup () =
   | _ -> Alcotest.fail "late duplicate for a forgotten lease");
   (* the next fresh range takes over the forgotten one's buffers, and
      starts with nothing banked *)
-  let c = Lease.grant t ~owner:0 in
+  let c = Lease.grant t ~owner:0 ~limit:max_int in
   Alcotest.(check (pair int int)) "fresh range" (8, 0) (c.Lease.lo, c.Lease.filled);
   Alcotest.(check bool) "no verdict left over" true
     (Result.is_error (Lease.outcome c 8))
