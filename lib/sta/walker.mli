@@ -111,10 +111,12 @@ val asap : t -> horizon:float -> unit
     written straight from a walker's scratch ({!add}), or from a
     {!State.t} ({!intern}) with the same bytes, and hashed and compared
     a word at a time; a {!State.t} is rebuilt only when {!state} asks
-    for one.  The keys (in arena chunks, which no key straddles) and
-    each state's key span, hash, parent and time are kept in chunks
-    ({!Chunked}) of up to 64 KiB and 1024 entries: a large table grows
-    without copying them, and only its index of state numbers doubles.
+    for one.  {!add} patches the key and hash of the state last
+    {!load}ed with the fields written since, when it can.  The keys (in
+    arena chunks, which no key straddles) and each state's key span,
+    parent and time are kept in chunks ({!Chunked}) of up to 64 KiB and
+    1024 entries: a large table grows without copying them, and only
+    its index of state numbers doubles.
     The first chunks are small, so a small table stays small.  Parents
     and times are stored only when some state has a parent other than
     -1 or a time other than [+0.0]: a caller that interns only roots at
@@ -135,8 +137,12 @@ module Table : sig
       when it is new. *)
 
   val add : t -> walker -> parent:int -> int
-  (** {!intern} of the state the walker's scratch holds, read in place.
-      The walker must walk this table's network. *)
+  (** {!intern} of the state the walker's scratch holds, read in place:
+      the key of the state last {!load}ed into this walker with the
+      fields its scratch journaled since patched in
+      ({!Compiled.written}), or packed afresh when there is no such
+      state or a field would change its packed length.  The walker must
+      walk this table's network. *)
 
   val state : t -> int -> State.t
   (** A fresh state, {!State.equal_timeless} to the one first interned
