@@ -106,21 +106,26 @@ exception Bail_verdict of verdict
    useful wall budget. *)
 let wall_check_mask = 127
 
-type compiled_query = { q_goal : Compiled.formula; q_hold : Compiled.formula }
+type compiled_query = {
+  q_goal : Compiled.formula;
+  q_hold : Compiled.formula;
+  q_static : bool;  (* no delay changes the goal or the hold *)
+}
 
 let compile_query ?(hold = Expr.true_) c ~goal =
-  {
-    q_goal = Compiled.compile_formula c goal;
-    q_hold = Compiled.compile_formula c hold;
-  }
+  let q_goal = Compiled.compile_formula c goal
+  and q_hold = Compiled.compile_formula c hold in
+  { q_goal; q_hold; q_static = q_goal.f_static && q_hold.f_static }
 
 (* Resolve an until property along a delay of [cap] time units: the
    property is satisfied at the earliest goal crossing unless the hold
    condition fails strictly earlier (a trivial hold gives plain
    reachability).  [pts] is the caller's cell for the two crossing
-   points of [Compiled.until_points]. *)
+   points of [Compiled.until_points].  The step calls it only once it
+   has found the goal false and the hold true at its start; a static
+   query stays so along the delay, and crosses nothing. *)
 let until_crossing_c c s q ~eps ~cap pts =
-  if cap < 0.0 then None
+  if cap < 0.0 || q.q_static then None
   else begin
     Compiled.until_points c s ~goal:q.q_goal ~hold:q.q_hold ~eps ~cap pts;
     let tb = pts.(0) and tv = pts.(1) in

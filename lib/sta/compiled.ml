@@ -2000,26 +2000,31 @@ let eval_bool_after c s ~cap (f : cbool) =
    [inv_*] readers find it. *)
 let invariant_window c s =
   let ev = s.ev in
-  w_set_full ev 0;
-  for i = 0 to Array.length c.inv_procs - 1 do
-    let p = c.inv_procs.(i) in
-    let cp = c.cprocs.(p) in
-    if cp.active_trivial || cp.active s then begin
-      let cl = cp.p_locs.(s.locs.(p)) in
-      if not cl.inv_trivial then begin
-        cl.inv_win s;
-        w_inter ev 0 ev 0 ev ev_root
+  if Array.length c.inv_procs = 0 then
+    (* no invariant to meet: the window the steps below would leave *)
+    w_set ev 0 k_closed 0.0 k_inf infinity
+  else begin
+    w_set_full ev 0;
+    for i = 0 to Array.length c.inv_procs - 1 do
+      let p = c.inv_procs.(i) in
+      let cp = c.cprocs.(p) in
+      if cp.active_trivial || cp.active s then begin
+        let cl = cp.p_locs.(s.locs.(p)) in
+        if not cl.inv_trivial then begin
+          cl.inv_win s;
+          w_inter ev 0 ev 0 ev ev_root
+        end
       end
-    end
-  done;
-  (* ∩ [0, +inf), then the component containing 0 *)
-  w_set ev 1 k_closed 0.0 k_inf infinity;
-  w_inter ev 0 ev 0 ev 1;
-  if Bytes.get ev.lk 0 = k_gen then
-    match I.component_at 0.0 ev.gen.(0) with
-    | None -> w_set_empty ev 0
-    | Some iv -> w_of_set ev 0 (I.make iv.I.lo iv.I.hi)
-  else if not (w_mem 0.0 ev 0) then w_set_empty ev 0
+    done;
+    (* ∩ [0, +inf), then the component containing 0 *)
+    w_set ev 1 k_closed 0.0 k_inf infinity;
+    w_inter ev 0 ev 0 ev 1;
+    if Bytes.get ev.lk 0 = k_gen then
+      match I.component_at 0.0 ev.gen.(0) with
+      | None -> w_set_empty ev 0
+      | Some iv -> w_of_set ev 0 (I.make iv.I.lo iv.I.hi)
+    else if not (w_mem 0.0 ev 0) then w_set_empty ev 0
+  end
 
 let inv_window s = w_to_set s.ev 0
 let inv_is_empty s = w_is_empty s.ev 0
@@ -2418,6 +2423,7 @@ let f_slot = ev_root + 1
 type formula = {
   f_expr : Expr.t;
   f_trivial : bool;  (* the formula is literally [true] *)
+  f_static : bool;  (* it reads no variable with a rate: a delay leaves it as it is *)
   f_bool : cbool;
   f_win : cstate -> unit;  (* [compile_sat] of [f_expr], into slot [f_slot] *)
   f_top : int;  (* the highest slot [f_win] uses *)
@@ -2425,7 +2431,14 @@ type formula = {
 
 let compile_formula c e =
   let f_win, f_top = compile_win c.lane e f_slot in
-  { f_expr = e; f_trivial = e = Expr.true_; f_bool = compile_bool c.lane e; f_win; f_top }
+  {
+    f_expr = e;
+    f_trivial = e = Expr.true_;
+    f_static = List.for_all (fun v -> not (Array.mem v c.timed_vars)) (Expr.free_vars e);
+    f_bool = compile_bool c.lane e;
+    f_win;
+    f_top;
+  }
 
 (* The formula's delay set within [0, cap] (slot 1) into slot [f_slot]:
    exact for linear expressions; a non-linear one is decided at the

@@ -352,6 +352,11 @@ val dirty_flows : t -> cstate -> int list
 type formula = private {
   f_expr : Expr.t;
   f_trivial : bool;  (** the formula is literally [true] *)
+  f_static : bool;
+      (** it reads no clock and no variable with a derivative (a flow
+          target counts as read at its stored value), so no delay
+          changes its value: it holds along a delay exactly when it
+          holds at its start *)
   f_bool : cbool;
   f_win : cstate -> unit;
       (** its delay set ([compile_sat]) into an evaluator slot of the

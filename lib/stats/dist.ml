@@ -1,7 +1,9 @@
+(* 1 - u in (0,1] avoids log 0. *)
+let[@inline] exp_of_uniform u rate = -.log (1.0 -. u) /. rate
+
 let exponential rng ~rate =
   if rate <= 0.0 then invalid_arg "Dist.exponential: rate must be positive";
-  (* 1 - u in (0,1] avoids log 0. *)
-  -.log (1.0 -. Rng.float rng) /. rate
+  exp_of_uniform (Rng.float rng) rate
 
 let bernoulli rng ~p = Rng.float rng < p
 
@@ -69,8 +71,13 @@ let exponential_race_n rng ~rates ~n ~delay =
   let total = !total in
   if total <= 0.0 then -1
   else begin
-    delay.(0) <- exponential rng ~rate:total;
-    let r = Rng.below rng total in
+    (* [exponential] and [Rng.below] with their float operations in
+       order, each draw passing through the cell unboxed *)
+    Rng.float_into rng delay 0;
+    let t = exp_of_uniform delay.(0) total in
+    Rng.float_into rng delay 0;
+    let r = delay.(0) *. total in
+    delay.(0) <- t;
     (* [categorical]'s scan as a loop: no closure, no boxed accumulator *)
     let i = ref 0 and acc = ref rates.(0) in
     while !i < n - 1 && not (r < !acc) do

@@ -40,10 +40,14 @@ let for_path_level ~seed ~level ~path =
 
 let split t = create (bits64 t)
 
-let float t =
+let[@inline] float t =
   (* 53 random bits into [0,1). *)
   let x = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float x *. (1.0 /. 9007199254740992.0)
+
+(* The draw stays unboxed: a float returned across a module boundary
+   is boxed unless the caller can inline the callee. *)
+let float_into t cell i = cell.(i) <- float t
 
 let uniform t ~lo ~hi = lo +. (float t *. (hi -. lo))
 

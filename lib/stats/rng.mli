@@ -31,6 +31,10 @@ val bits64 : t -> int64
 val float : t -> float
 (** Uniform draw in [[0, 1)]. *)
 
+val float_into : t -> float array -> int -> unit
+(** [float_into t cell i] writes the next {!float} draw into [cell.(i)]
+    without boxing it. *)
+
 val uniform : t -> lo:float -> hi:float -> float
 (** Uniform draw in [[lo, hi)]; requires [lo <= hi]. *)
 

@@ -12,11 +12,13 @@ let load src =
   | Ok l -> l.Loader.network
   | Error e -> Alcotest.failf "load failed: %s" e
 
-(* A bundled model: the suite runs in [_build/default/test]; by hand,
-   from the root. *)
-let bundled_model file =
+(* A bundled model's source: the suite runs in [_build/default/test];
+   by hand, from the root. *)
+let bundled_source file =
   let dir = List.find Sys.file_exists [ "../examples/models"; "examples/models" ] in
-  load (In_channel.with_open_text (Filename.concat dir file) In_channel.input_all)
+  In_channel.with_open_text (Filename.concat dir file) In_channel.input_all
+
+let bundled_model file = load (bundled_source file)
 
 let goal net src =
   match Loader.parse_goal net src with

@@ -821,6 +821,27 @@ let test_resolve_cost_rejects_discrete () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "compound expression accepted as a cost observer"
 
+(* --- coverage of the E[cost] interval on the priced queue --- *)
+
+(* 200 Chow-Robbins campaigns of the benchmark's E[w] query at eps 0.3,
+   delta 0.1, seeds 1-200: each interval misses the reference with
+   probability about delta, so the misses follow Binomial(200, 0.1).  The
+   bound is [Coverage.max_misses], one below the 0.1 % tail (34): the
+   misses exceed 33 with probability 0.15 %.  The CLI counts 15 here.
+   The full sweep (1,000 campaigns at delta 0.05, same rule) is
+   [dune build @coverage]. *)
+let test_expected_cost_coverage () =
+  let module Coverage = Slimsim_coverage.Coverage in
+  let bound = Coverage.max_misses ~campaigns:200 ~delta:0.1 in
+  Alcotest.(check int) "one below the 0.1 % tail of Binomial(200, 0.1)" 33 bound;
+  let m = Result.get_ok (Slimsim.load_string (Fixture.bundled_source "mm1k_priced.slim")) in
+  match Coverage.misses m ~campaigns:200 ~delta:0.1 with
+  | Error e -> Alcotest.fail e
+  | Ok misses ->
+    if misses > bound then
+      Alcotest.failf "%d of 200 intervals miss E[w] = %g (at most %d expected)" misses
+        Coverage.reference bound
+
 let suite =
   [
     Alcotest.test_case "bucket: exact powers of two" `Quick
@@ -850,4 +871,6 @@ let suite =
       test_mlmc_cost_bounded_rejected;
     Alcotest.test_case "query forms x generators x front-ends" `Quick
       test_query_form_table;
+    Alcotest.test_case "E[w] coverage on the priced queue" `Slow
+      test_expected_cost_coverage;
   ]
