@@ -119,8 +119,7 @@ let stop a () =
     if
       (* the Bernoulli generators' minimum, counted in sat paths *)
       Welford.count a.wf >= Generator.min_sequential_samples
-      && Welford.half_width a.wf ~delta:(Generator.delta a.gen)
-         <= Generator.eps a.gen
+      && Welford.half_width_z a.wf ~z:(Generator.z a.gen) <= Generator.eps a.gen
     then `Converged
     else if a.no_sat_run >= no_sat_stall_limit then
       `Fail

@@ -123,9 +123,10 @@ let compile_query ?(hold = Expr.true_) c ~goal =
    reachability).  [pts] is the caller's cell for the two crossing
    points of [Compiled.until_points].  The step calls it only once it
    has found the goal false and the hold true at its start; a static
-   query stays so along the delay, and crosses nothing. *)
+   query stays so along the delay, and crosses nothing, so the step
+   tests [q_static] before it builds the boxed [~cap]. *)
 let until_crossing_c c s q ~eps ~cap pts =
-  if cap < 0.0 || q.q_static then None
+  if cap < 0.0 then None
   else begin
     Compiled.until_points c s ~goal:q.q_goal ~hold:q.q_hold ~eps ~cap pts;
     let tb = pts.(0) and tv = pts.(1) in
@@ -139,7 +140,8 @@ let until_crossing_c c s q ~eps ~cap pts =
 (* What fires next, and when. *)
 type decision =
   | Fire_disc of float
-  | Fire_markov of int  (* buffered rate transition; its delay is in the race cell *)
+  | Fire_race  (* the race's winner; its delay is in the race cell *)
+  | Fire_markov of int  (* the rate transition a script chose; its delay too *)
   | Fire_scripted of int * float  (* buffered move, delay *)
   | Advance_only of float
   | Give_up of verdict
@@ -190,10 +192,12 @@ let crossed bias s v =
    horizon: a goal crossing (or hold violation) before the invariant
    deadline or the horizon, whichever is first, else [Unsat_horizon]. *)
 let horizon_verdict c s q ~eps pts bias remaining =
-  let cap = Float.min (Compiled.inv_sup s) remaining in
-  match until_crossing_c c s q ~eps ~cap pts with
-  | Some v -> crossed bias s v
-  | None -> Unsat_horizon
+  if q.q_static then Unsat_horizon
+  else
+    let cap = Float.min (Compiled.inv_sup s) remaining in
+    match until_crossing_c c s q ~eps ~cap pts with
+    | Some v -> crossed bias s v
+    | None -> Unsat_horizon
 
 (* Steps are recorded before they run, stamped with the step-start time;
    descriptions are only built when recording. *)
@@ -275,8 +279,9 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
     | Some (factor, _) -> Some { factor; log_lr = 0.0; total = 0.0; biased = 0.0 }
     | None -> None
   in
-  (* unboxed cells: the race's delay, the crossing points *)
-  let race_t = [| 0.0 |] and pts = [| 0.0; 0.0 |] in
+  (* unboxed cells: the race's delay, the crossing points, and the
+     scratch's own model time *)
+  let race_t = [| 0.0 |] and pts = [| 0.0; 0.0 |] and clock = Compiled.time_cell s in
   (* the scratch counts its trials; the path's share is added at its end *)
   let trials = match obs with Some _ -> Compiled.trials s | None -> 0 in
   let result =
@@ -294,7 +299,7 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
            the low single digits. *)
         if !step_n > cfg.max_steps then
           raise (Bail_verdict (Diverged (Step_budget !step_n)));
-        let now = Compiled.time s in
+        let now = clock.(0) in
         if now > sim_budget then raise (Bail_verdict (Diverged (Time_budget now)));
         if
           wall_budget < infinity
@@ -372,7 +377,14 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
                         else I.last_point_below ~eps infinity (Compiled.inv_window s)
                       | Strategy.Scripted _ -> assert false
                   in
-                  let exp_candidate = race >= 0 && Compiled.inv_mem s race_t.(0) in
+                  (* an unbounded window is [0, +inf): [inv_mem] is the
+                     test below *)
+                  let exp_candidate =
+                    race >= 0
+                    &&
+                    if inv_unbounded then race_t.(0) >= 0.0
+                    else Compiled.inv_mem s race_t.(0)
+                  in
                   match d_disc, exp_candidate with
                   | None, false ->
                     if n_timed = 0 && n_markov = 0 then
@@ -395,8 +407,8 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
                       (* Guarded moves exist but only beyond the horizon. *)
                       Give_up Unsat_horizon
                   | Some d, false -> Fire_disc d
-                  | None, true -> Fire_markov race
-                  | Some d, true -> if race_t.(0) < d then Fire_markov race else Fire_disc d)
+                  | None, true -> Fire_race
+                  | Some d, true -> if race_t.(0) < d then Fire_race else Fire_disc d)
               in
               match decision with
               | Give_up Unsat_horizon ->
@@ -406,7 +418,8 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
                 (* Exactly the scripted move: no survival weight, no
                    target-invariant trial. *)
                 match
-                  until_crossing_c c s q ~eps ~cap:(Float.min delay remaining) pts
+                  if q.q_static then None
+                  else until_crossing_c c s q ~eps ~cap:(Float.min delay remaining) pts
                 with
                 | Some v -> verdict := Some v
                 | None ->
@@ -418,7 +431,10 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
                     count obs (fun o -> o.obs_delay_firings)
                   end)
               | Advance_only d -> (
-                match until_crossing_c c s q ~eps ~cap:(Float.min d remaining) pts with
+                match
+                  if q.q_static then None
+                  else until_crossing_c c s q ~eps ~cap:(Float.min d remaining) pts
+                with
                 | Some v -> verdict := Some (crossed bias s v)
                 | None ->
                   if d > remaining then verdict := Some Unsat_horizon
@@ -435,9 +451,13 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
                     Compiled.advance c s d;
                     count obs (fun o -> o.obs_advances)
                   end)
-              | Fire_markov i -> (
+              | (Fire_race | Fire_markov _) as fire -> (
+                let i = match fire with Fire_markov i -> i | _ -> race in
                 let d = race_t.(0) in
-                match until_crossing_c c s q ~eps ~cap:(Float.min d remaining) pts with
+                match
+                  if q.q_static then None
+                  else until_crossing_c c s q ~eps ~cap:(Float.min d remaining) pts
+                with
                 | Some v -> verdict := Some (crossed bias s v)
                 | None ->
                   if d > remaining then verdict := Some Unsat_horizon
@@ -450,12 +470,15 @@ let generate ?weight ?record ?obs ?cost c s q cfg strategy rng =
                       if f <> 1.0 then b.log_lr <- b.log_lr -. log f
                     | None -> ());
                     note_markov record c s d i;
-                    Compiled.apply_local c s ~delay:d p tr;
+                    Compiled.apply_local c s race_t p tr;
                     count obs (fun o -> o.obs_markov_firings);
                     zero_advances := 0
                   end)
               | Fire_disc d -> (
-                match until_crossing_c c s q ~eps ~cap:(Float.min d remaining) pts with
+                match
+                  if q.q_static then None
+                  else until_crossing_c c s q ~eps ~cap:(Float.min d remaining) pts
+                with
                 | Some v -> verdict := Some (crossed bias s v)
                 | None ->
                   if d > remaining then verdict := Some Unsat_horizon

@@ -41,8 +41,8 @@ module I := Slimsim_intervals.Interval_set
 
 type cstate
 (** Mutable per-worker simulation state: location vector, value store
-    with an unboxed float cache and an unboxed int lane, current rate
-    vector and model time. *)
+    with an unboxed float store (a cache, and the real lane) and an
+    unboxed int lane, current rate vector and model time. *)
 
 type cvalue = cstate -> Value.t
 type cbool = cstate -> bool
@@ -59,7 +59,7 @@ type t
 val compile : Network.t -> t
 val network : t -> Network.t
 
-(** {1 The int lane}
+(** {1 The int lane and the real lane}
 
     A variable that provably only ever holds an [Int] is kept unboxed,
     in the int lane, and the updates, flows and comparisons over it run
@@ -67,21 +67,42 @@ val network : t -> Network.t
     discrete variable joins when its initial value is an [Int] and every
     update and flow writing it is [Int]-shaped (integer constants, lane
     variables, and negation, [+], [-], [*], [/], [mod], [min], [max]
-    and if-then-else over them).  A variable outside the lane keeps the
-    boxed [Value.t] store, so [Value] semantics never change.  A lane
-    variable is boxed only when read back as a [Value.t] ({!value},
-    {!to_state}). *)
+    and if-then-else over them).
+
+    A variable that provably only ever holds a [Real] is kept in the
+    real lane, the unboxed float store, and the updates, flows and
+    comparisons over it run on floats.  It joins when its initial value
+    is a [Real] and every update and flow writing it is real-shaped: a
+    [Real] constant or a real-lane variable is an operand of [+], [-],
+    [*] or [/], or both operands of [min] and [max], both branches of an
+    if-then-else, or the operand of a negation.  Delays (clocks,
+    continuous variables) and restarts (the initial value) store a
+    [Real] anyway, so clocks and timers join unless an update writes
+    them an [Int].  Both lanes are found as the greatest set closed
+    under those rules.
+
+    A variable outside the lanes keeps the boxed [Value.t] store, so
+    [Value] semantics never change; [Value.equal] and
+    [Value.compare_num] hold for the lanes' comparisons, NaN and [-0.0]
+    included.  A lane variable is boxed only when read back as a
+    [Value.t] ({!value}, {!to_state}, a generic read): each such read
+    boxes it afresh, and never moves it out of its lane. *)
 
 val lane_vars : t -> int array
-(** The network's lane variables, in increasing order: read-only. *)
+(** The network's int-lane variables, in increasing order: read-only. *)
+
+val real_vars : t -> int array
+(** The network's real-lane variables, in increasing order: read-only. *)
 
 type lane
-(** A set of variables kept in the int lane, for the property tests
-    below.  A network's own lane never leaves {!compile}: code that
+(** A set of variables kept in the lanes, for the property tests
+    below.  A network's own lanes never leave {!compile}: code that
     evaluates on the network's scratches compiles through
     {!compile_formula}. *)
 
-val lane_of : int list -> lane
+val lane_of : ?reals:int list -> int list -> lane
+(** [lane_of ~reals ints]: [ints] in the int lane, [reals] in the real
+    lane (none by default). *)
 
 (** {1 Expression compilation}
 
@@ -91,7 +112,7 @@ val lane_of : int list -> lane
     specialization, [compile_float] its numeric specialization
     (integer division/modulo semantics preserved), [compile_sat] ≡
     [Linear.sat_set].  Compiled against a [~lane] (none by default),
-    they read its variables from the int lane, so the closures may run
+    they read its variables from the lanes, so the closures may run
     only on scratches that keep exactly that lane ({!cstate_of}).
     Compiled without one, they run on any scratch. *)
 
@@ -104,6 +125,11 @@ val compile_int : ?lane:lane -> Expr.t -> (cstate -> int) option
 (** The expression on the int lane when it is [Int]-shaped over
     [~lane], [None] otherwise: [Expr.eval]'s [Int] unboxed, its
     [Value.Type_error]s included. *)
+
+val compile_real : ?lane:lane -> Expr.t -> (cstate -> float) option
+(** The expression on floats when it is real-shaped over [~lane]'s real
+    lane, [None] otherwise: the payload of the [Real] that [Expr.eval]
+    gives, bit for bit, and a [Value.Type_error] where it raises one. *)
 
 val compile_window : ?lane:lane -> Expr.t -> csat
 (** [compile_sat] through the in-place window evaluator that guards and
@@ -125,10 +151,15 @@ val cstate_of :
   locs:int array -> vals:Value.t array -> rates:float array -> time:float -> unit -> cstate
 (** Build a standalone scratch from explicit contents — for tests that
     evaluate compiled expressions against synthetic states.  The
-    variables of [~lane] (none by default) are kept in the int lane;
-    each must hold an [Int] at rate 0 ([Invalid_argument] otherwise). *)
+    variables of [~lane] (none by default) are kept in its lanes: an
+    int-lane one must hold an [Int] at rate 0, a real-lane one a [Real]
+    ([Invalid_argument] otherwise). *)
 
 val time : cstate -> float
+
+val time_cell : cstate -> float array
+(** The model time's own cell, at index 0: read-only.  Reading it costs
+    no boxed float, as a call to {!time} does. *)
 
 val var_float : cstate -> int -> float
 (** Current numeric value of a variable, reading the unboxed cache when
@@ -146,15 +177,19 @@ val loc : cstate -> int -> int
 (** The location of a process. *)
 
 val value : cstate -> int -> Value.t
-(** The value of a variable, as {!to_state} reads it (the unboxed cache
-    or the int lane boxed afresh, without writing it back). *)
+(** The value of a variable, as {!to_state} reads it (the unboxed float
+    store or the int lane boxed afresh, without writing it back). *)
 
 val locs : cstate -> int array
 (** The location vector itself, process [p] at index [p]: read-only. *)
 
 val ints : cstate -> int array
-(** The int lane itself, the value of lane variable [v] at index [v]
+(** The int lane itself, the value of int-lane variable [v] at index [v]
     (other indices hold nothing): read-only. *)
+
+val floats : cstate -> float array
+(** The unboxed float store, the value of real-lane variable [v] at
+    index [v] (other indices may hold stale values): read-only. *)
 
 val load :
   t ->
@@ -162,13 +197,15 @@ val load :
   'a ->
   loc:('a -> int -> int) ->
   int:('a -> int -> int) ->
+  real:('a -> int -> float) ->
   value:('a -> int -> Value.t) ->
   time:float ->
   unit
-(** [load c s src ~loc ~int ~value ~time] overwrites the state from
-    [src]: locations [loc src 0], [loc src 1], ..., then for each
-    variable [v] in order, [int src v] when it is in the network's lane
-    and [value src v] otherwise.  No flow is marked dirty: the state
+(** [load c s src ~loc ~int ~real ~value ~time] overwrites the state
+    from [src]: locations [loc src 0], [loc src 1], ..., then for each
+    variable [v] in order, [int src v] when it is in the network's int
+    lane, [real src v] when it is in its real lane, and [value src v]
+    otherwise.  No flow is marked dirty: the state
     must satisfy its flows, as every state a move or {!reset} leaves
     does.  At depth 0 the load is the origin {!written} counts from. *)
 
@@ -300,9 +337,10 @@ val apply : t -> cstate -> ?delay:float -> Moves.move -> unit
 val apply_move : t -> cstate -> delay:float -> int -> unit
 (** [apply] of the [i]-th buffered move. *)
 
-val apply_local : t -> cstate -> delay:float -> int -> int -> unit
-(** [apply_local c s ~delay p tr] is
-    [apply c s ~delay (Moves.Local { proc = p; tr })]. *)
+val apply_local : t -> cstate -> float array -> int -> int -> unit
+(** [apply_local c s cell p tr] is
+    [apply c s ~delay:cell.(0) (Moves.Local { proc = p; tr })]: the delay
+    is read from the caller's cell (the race's), so it is not boxed. *)
 
 val copy_move : cstate -> int -> int array -> int array -> int -> int
 (** [copy_move s i procs trs k] copies the participants of the [i]-th

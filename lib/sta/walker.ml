@@ -411,7 +411,7 @@ module Table = struct
       put_varint b (pos + 1) (x lsr 7)
     end
 
-  let canonical f = if f = 0.0 then 0.0 else if Float.is_nan f then Float.nan else f
+  let[@inline] canonical f = if f = 0.0 then 0.0 else if Float.is_nan f then Float.nan else f
   let zigzag k = (k lsl 1) lxor (k asr (Sys.int_size - 1))
 
   let put_int b pos k =
@@ -424,15 +424,17 @@ module Table = struct
       put_varint b (pos + 1) (zigzag k)
     end
 
+  let[@inline] put_real b pos f =
+    put b pos 2;
+    Bytes.set_int64_le b (pos + 1) (Int64.bits_of_float (canonical f));
+    pos + 9
+
   let put_value b pos = function
     | Value.Bool v ->
       put b pos (Bool.to_int v);
       pos + 1
     | Value.Int k -> put_int b pos k
-    | Value.Real f ->
-      put b pos 2;
-      Bytes.set_int64_le b (pos + 1) (Int64.bits_of_float (canonical f));
-      pos + 9
+    | Value.Real f -> put_real b pos f
 
   external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
   external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
@@ -556,25 +558,29 @@ module Table = struct
     if t.n > n then set_time t i s.time;
     i
 
-  (* The network's int lane, one byte a variable, taken from the first
-     walker the table meets. *)
+  (* The network's lanes, one byte a variable, 1 for the int lane and 2
+     for the real lane, taken from the first walker the table meets. *)
   let lane t (w : walker) =
     if Bytes.length t.lane <> t.vars then begin
       let lane = Bytes.make t.vars '\000' in
       Array.iter (fun v -> Bytes.set lane v '\001') (Compiled.lane_vars w.c);
+      Array.iter (fun v -> Bytes.set lane v '\002') (Compiled.real_vars w.c);
       t.lane <- lane
     end;
     t.lane
 
   (* Field [f] of the scratch's state at [b.[pos]], as [intern] packs it:
      the location of process [f], else variable [f - procs], a lane
-     variable's int read straight from the lane; the position past it. *)
+     variable's int or float read straight from its lane; the position
+     past it. *)
   let put_field t (w : walker) lane b pos f =
     if f < t.procs then put_varint b pos (Compiled.loc w.cs f)
     else
       let v = f - t.procs in
-      if Bytes.unsafe_get lane v <> '\000' then put_int b pos (Array.unsafe_get (Compiled.ints w.cs) v)
-      else put_value b pos (Compiled.value w.cs v)
+      match Bytes.unsafe_get lane v with
+      | '\001' -> put_int b pos (Array.unsafe_get (Compiled.ints w.cs) v)
+      | '\002' -> put_real b pos (Array.unsafe_get (Compiled.floats w.cs) v)
+      | _ -> put_value b pos (Compiled.value w.cs v)
 
   let pack t w start =
     let lane = lane t w and pos = ref start in
@@ -645,8 +651,8 @@ module Table = struct
 
   (* Readers of a key from [t.rpos] on, each of the next location or
      value, to be called in order: [read_value] boxes a value,
-     [read_int] reads an [Int] unboxed.  Each notes where its field
-     starts in [offs]. *)
+     [read_int] reads an [Int] unboxed and [read_real] a [Real]'s float.
+     Each notes where its field starts in [offs]. *)
   let read_byte t =
     let c = Char.code (Bytes.get t.rbuf t.rpos) in
     t.rpos <- t.rpos + 1;
@@ -673,6 +679,13 @@ module Table = struct
     | 3 -> read_zigzag t
     | c when c >= 4 -> c - 4
     | _ -> invalid_arg "Walker.Table: not an Int"
+
+  let read_real t v =
+    note t (t.procs + v);
+    if read_byte t <> 2 then invalid_arg "Walker.Table: not a Real";
+    let f = Int64.float_of_bits (Bytes.get_int64_le t.rbuf t.rpos) in
+    t.rpos <- t.rpos + 8;
+    f
 
   let read_value t v =
     note t (t.procs + v);
@@ -702,7 +715,8 @@ module Table = struct
 
   let load t i (w : walker) =
     seek t i;
-    Compiled.load w.c w.cs t ~loc:read_loc ~int:read_int ~value:read_value ~time:(time t i);
+    Compiled.load w.c w.cs t ~loc:read_loc ~int:read_int ~real:read_real ~value:read_value
+      ~time:(time t i);
     note t (t.procs + t.vars);
     ignore (lane t w);
     t.base <- i;

@@ -73,6 +73,7 @@ let estimator t = t.est
 let kind t = t.kind
 let delta t = t.delta
 let eps t = t.eps
+let z t = t.z
 
 let restore t ~trials ~successes = Estimator.restore t.est ~trials ~successes
 

@@ -59,6 +59,10 @@ val kind : t -> kind
 val delta : t -> float
 val eps : t -> float
 
+val z : t -> float
+(** The normal quantile [z_{1-delta/2}] of the CLT intervals, computed
+    once at {!create}. *)
+
 val restore : t -> trials:int -> successes:int -> unit
 (** Overwrite the underlying estimator state from a checkpoint.  Both
     the fixed-size rules and the sequential Chow–Robbins rule are pure

@@ -35,11 +35,9 @@ let of_string s =
     | _ -> Error (Printf.sprintf "malformed welford state %S" s))
   | _ -> Error (Printf.sprintf "malformed welford state %S" s)
 
-let half_width t ~delta =
-  if t.n = 0 then infinity
-  else
-    let z = Bound.normal_quantile (1.0 -. (delta /. 2.0)) in
-    z *. stddev t /. sqrt (float_of_int t.n)
+let half_width_z t ~z = if t.n = 0 then infinity else z *. stddev t /. sqrt (float_of_int t.n)
+
+let half_width t ~delta = half_width_z t ~z:(Bound.normal_quantile (1.0 -. (delta /. 2.0)))
 
 let confidence_interval t ~delta =
   if t.n = 0 then (neg_infinity, infinity)

@@ -30,5 +30,11 @@ val half_width : t -> delta:float -> float
     samples.  The single home of the z-quantile logic for CLT intervals
     on real-valued samples. *)
 
+val half_width_z : t -> z:float -> float
+(** [half_width] with the quantile [z] given: for a stopping rule that
+    tests the interval after every sample, with the [z] of its
+    generator ({!Generator.z}); the same float operations, so the same
+    half-width bit for bit. *)
+
 val confidence_interval : t -> delta:float -> float * float
 (** CLT interval [mean ± half_width]. *)

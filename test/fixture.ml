@@ -158,3 +158,77 @@ let lane_network () =
           expr = bin E.Add (bin E.Div (bin E.Sub (v q) (i 7)) (i 2)) (bin E.Mod (bin E.Sub (v n) (i 5)) (i 3));
         };
       ]
+
+(* A hand-built network where the real lane meets the variables it
+   must leave boxed (SLIM's front end would refuse some of these
+   writes):
+   - [x] is in the lane: [min (x + 0.5, 1.5)], [-x] (so [-0.0]) and
+     [max (x - 1.0, -1.5)];
+   - the flow [y := x * 2.0] and [z := r1 + 0.5] are in the lane: a
+     [Real] constant is an operand, whatever [r1] holds;
+   - [r1] is a real written by [r1 := 1], and [r2] one written by the
+     integer division [n / 2], so each holds an [Int] after its first
+     write and stays boxed;
+   - [k] is a real written by [min (x, n)], which may be the [Int] [n],
+     so it stays boxed too;
+   - the clock [c] is in the lane, reset to [0.0], and read by a guard
+     and an invariant beside [x] and [y].
+   [n] is in the int lane, and counts modulo 4, so the state graph is
+   finite. *)
+let real_lane_network () =
+  let module Sta = Slimsim_sta in
+  let module E = Sta.Expr in
+  let n = 0 and x = 1 and y = 2 and r1 = 3 and r2 = 4 and z = 5 and k = 6 and c = 7 in
+  let v = E.var and i = E.int and r = E.real in
+  let bin op a b = E.Binop (op, a, b) in
+  let loc ?(invariant = E.true_) name = { Sta.Automaton.loc_name = name; invariant; derivs = [] } in
+  let tr src dst guard updates =
+    { Sta.Automaton.src; dst; label = Sta.Automaton.Tau; guard; updates; weight = 1.0 }
+  in
+  let p =
+    Sta.Automaton.make ~name:"p" ~locations:[| loc "a0"; loc "a1" |] ~initial:0
+      ~transitions:
+        [
+          tr 0 1 (Sta.Automaton.Rate 1.0)
+            [
+              (n, bin E.Mod (bin E.Add (v n) (i 1)) (i 4));
+              (x, bin E.Min (bin E.Add (v x) (r 0.5)) (r 1.5));
+            ];
+          tr 1 0 (Sta.Automaton.Rate 2.0) [ (x, E.Unop (E.Neg, v x)); (r1, i 1) ];
+          tr 1 0 (Sta.Automaton.Rate 0.5)
+            [
+              (x, bin E.Max (bin E.Sub (v x) (r 1.0)) (r (-1.5)));
+              (r2, bin E.Div (v n) (i 2));
+              (k, bin E.Min (v x) (v n));
+            ];
+        ]
+  in
+  let g e = Sta.Automaton.Guard e in
+  let q =
+    Sta.Automaton.make ~name:"g"
+      ~locations:[| loc "g0"; loc ~invariant:(bin E.Le (v c) (r 5.0)) "g1" |]
+      ~initial:0
+      ~transitions:
+        [
+          tr 0 1 (g (bin E.Ge (v x) (r 1.0))) [ (z, bin E.Add (v r1) (r 0.5)); (c, r 0.0) ];
+          tr 1 0
+            (g (bin E.Or (bin E.Eq (v x) (v y)) (bin E.And (bin E.Lt (v x) (i 0)) (bin E.Ge (v c) (r 2.0)))))
+            [];
+        ]
+  in
+  let var ?(kind = Sta.Network.Discrete) name init = { Sta.Network.var_name = name; kind; init; owner = None } in
+  Sta.Network.make
+    ~procs:[ (p, Sta.Network.default_meta); (q, Sta.Network.default_meta) ]
+    ~vars:
+      [|
+        var "n" (Sta.Value.Int 0);
+        var "x" (Sta.Value.Real 0.0);
+        var "y" (Sta.Value.Real 0.0);
+        var "r1" (Sta.Value.Real 0.0);
+        var "r2" (Sta.Value.Real 0.0);
+        var "z" (Sta.Value.Real 0.0);
+        var "k" (Sta.Value.Real 0.0);
+        var ~kind:Sta.Network.Clock "c" (Sta.Value.Real 0.0);
+      |]
+    ~events:[||]
+    ~flows:[ { Sta.Network.target = y; expr = bin E.Mul (v x) (r 2.0) } ]

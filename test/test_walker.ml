@@ -1,6 +1,7 @@
 (* The state-graph walker ([Slimsim_sta.Walker]) against the interpreter
    of [Moves_oracle], on every bundled model, on the generated
-   sensor/filter models n = 1..4 and on [Fixture.lane_network]:
+   sensor/filter models n = 1..4 and on [Fixture.lane_network] and
+   [Fixture.real_lane_network]:
    - from every reachable state, loaded into the walker's scratch, the
      immediate moves, the rate transitions and the all-branch immediate
      closure (cycles cut) are equal, in order, states and weights bit
@@ -36,7 +37,7 @@ let models () =
       (fun n ->
         (Printf.sprintf "sensor/filter n=%d" n, Fixture.load (Slimsim_models.Sensor_filter.source ~n)))
       [ 1; 2; 3; 4 ]
-  @ [ ("lane network", Fixture.lane_network ()) ]
+  @ [ ("lane network", Fixture.lane_network ()); ("real lane network", Fixture.real_lane_network ()) ]
 
 (* --- the interpreter's untimed abstraction --- *)
 
@@ -532,7 +533,9 @@ let test_chain_retention () =
    locations (a location past 127 takes two bytes), a lane int that
    jumps by 200 and changes sign, and an Int that an update makes a
    Real.  A successor's key patched from the loaded state must then
-   fall back to a full pack. *)
+   fall back to a full pack.  Beside them a real-lane variable that
+   takes [-0.0], infinities and NaNs, which its key must hold as
+   [intern] packs them: [0.0] and [Float.nan]. *)
 let wide_network () =
   let module E = Expr in
   let v = E.var and i = E.int in
@@ -551,12 +554,16 @@ let wide_network () =
                   tr k ((k + 129) mod n) 1.0 [ (0, bin E.Add (v 0) (i 200)) ];
                   tr k ((k + 100) mod n) 2.0 [ (0, bin E.Sub (i 0) (v 0)) ];
                   tr k k 0.5 [ (1, bin E.Add (v 1) (E.real 0.5)); (2, E.Unop (E.Not, v 2)) ];
+                  tr k k 0.5 [ (3, E.Unop (E.Neg, v 3)) ];
+                  tr k k 0.25 [ (3, bin E.Mul (bin E.Add (v 3) (E.real 1.0)) (E.real 1e308)) ];
+                  tr k k 0.25 [ (3, bin E.Sub (v 3) (v 3)) ];
                 ])))
   in
   let var name init = { Network.var_name = name; kind = Network.Discrete; init; owner = None } in
   Network.make
     ~procs:[ (walk, Network.default_meta) ]
-    ~vars:[| var "x" (Value.Int 0); var "y" (Value.Int 0); var "b" (Value.Bool false) |]
+    ~vars:
+      [| var "x" (Value.Int 0); var "y" (Value.Int 0); var "b" (Value.Bool false); var "z" (Value.Real 0.0) |]
     ~events:[||] ~flows:[]
 
 let scratch_state net w =
