@@ -42,6 +42,7 @@ type builder = {
   mutable vars_rev : N.var_info list;
   mutable n_vars : int;
   var_idx : (string, int) Hashtbl.t;
+  var_ty : (int, V.ty) Hashtbl.t;  (* declared types, as the initial values' *)
   (* events *)
   mutable events_rev : string list;
   mutable n_events : int;
@@ -69,6 +70,7 @@ let add_var b name kind init =
   if Hashtbl.mem b.var_idx name then fail "duplicate variable %s" name;
   let i = b.n_vars in
   Hashtbl.add b.var_idx name i;
+  Hashtbl.add b.var_ty i (V.type_of init);
   b.vars_rev <- { N.var_name = name; kind; init; owner = None } :: b.vars_rev;
   b.n_vars <- b.n_vars + 1;
   i
@@ -126,6 +128,13 @@ let default_init (ty : Ast.ty) =
   | Ast.T_clock | Ast.T_continuous -> V.Real 0.0
   | Ast.T_enum _ -> V.Int 0
 
+(* A value written to a real, clock or continuous variable is a real:
+   an [int] becomes one. *)
+let widen_value (ty : Ast.ty) (v : V.t) =
+  match ty, v with
+  | (Ast.T_real | Ast.T_clock | Ast.T_continuous), V.Int n -> V.Real (float_of_int n)
+  | _ -> v
+
 let kind_of_ty = function
   | Ast.T_clock -> N.Clock
   | Ast.T_continuous -> N.Continuous
@@ -148,6 +157,17 @@ let read_var b inst (p : Ast.name_path) =
     if Hashtbl.mem b.injected k then var b (k ^ "#inj") else var b k
 
 let write_var b inst (p : Ast.name_path) = var b (key_in inst p)
+
+(* [e] as written to variable [v]: an [int] expression written to a real
+   becomes [e + 0.0], which [Value] computes as [float_of_int e] exactly,
+   and an [int] constant the real it stands for. *)
+let widen b v (e : E.t) =
+  if Hashtbl.find b.var_ty v <> V.Treal then e
+  else
+    match e, E.static_type (Hashtbl.find_opt b.var_ty) e with
+    | E.Const (V.Int n), _ -> E.real (float_of_int n)
+    | _, Some V.Tint -> E.Binop (E.Add, e, E.real 0.0)
+    | _ -> e
 
 let rec tr_expr b inst (e : Ast.expr) : E.t =
   match e with
@@ -191,7 +211,7 @@ let declare_vars b =
             let init =
               match d.sd_init with
               | None -> default_init d.sd_ty
-              | Some e -> const_eval b.tables e
+              | Some e -> widen_value d.sd_ty (const_eval b.tables e)
             in
             ignore (add_var b (key_in inst [ d.sd_name ]) (kind_of_ty d.sd_ty) init)
           | Ast.Sub_comp _ -> ())
@@ -204,7 +224,7 @@ let declare_vars b =
             let init =
               match default with
               | None -> default_init ty
-              | Some e -> const_eval b.tables e
+              | Some e -> widen_value ty (const_eval b.tables e)
             in
             let k = key_in inst [ f.f_name ] in
             ignore (add_var b k N.Discrete init);
@@ -476,7 +496,8 @@ let build_nominal_proc b (inst : Instance.t) =
         List.filter_map
           (function
             | Ast.Eff_assign (p, e) ->
-              Some (write_var b inst p, tr_expr b inst e)
+              let v = write_var b inst p in
+              Some (v, widen b v (tr_expr b inst e))
             | Ast.Eff_reset _ -> None)
           t.t_effects
       in
@@ -651,7 +672,7 @@ let record_flows b =
         (fun (fl : Ast.flow) ->
           let target = write_var b inst [ fl.fl_target ] in
           b.flows <-
-            { N.target; expr = tr_expr b inst fl.fl_expr } :: b.flows)
+            { N.target; expr = widen b target (tr_expr b inst fl.fl_expr) } :: b.flows)
         inst.ci.ci_flows;
       List.iter
         (fun (cn : Ast.connection) ->
@@ -668,7 +689,7 @@ let record_flows b =
           | Some { f_kind = Ast.P_data _; _ }, Some { f_kind = Ast.P_data _; _ } ->
             let src = read_var b inst cn.cn_src in
             let dst = write_var b inst cn.cn_dst in
-            b.flows <- { N.target = dst; expr = E.var src } :: b.flows
+            b.flows <- { N.target = dst; expr = widen b dst (E.var src) } :: b.flows
           | _ -> ())
         inst.ci.ci_connections)
     b.root
@@ -718,7 +739,7 @@ let record_injection_flows b =
               (fun acc (inj : Ast.injection) ->
                 E.Ite
                   ( E.Loc (err_proc, state_index inj.inj_state),
-                    tr_expr b inst inj.inj_value,
+                    widen b observed (tr_expr b inst inj.inj_value),
                     acc ))
               (E.var nominal) injs
           in
@@ -740,6 +761,7 @@ let translate (tables : Sema.tables) =
           vars_rev = [];
           n_vars = 0;
           var_idx = Hashtbl.create 64;
+          var_ty = Hashtbl.create 64;
           events_rev = [];
           n_events = 0;
           event_idx = Hashtbl.create 32;

@@ -7,15 +7,11 @@
    (Expr.eval / Linear.sat_set / State / test/moves_oracle.ml): every
    float operation is performed in the same order with the same
    primitives, so a compiled path produces a bit-identical verdict
-   stream for a fixed seed.  The documented deviations: outside the int
-   lane, integer arithmetic feeding a comparison is carried in doubles,
-   so integers beyond 2^53 would diverge (SLIM integers are small); the *message*
-   carried by a [Value.Type_error] from an ill-typed model may differ
-   (the exception itself, and hence the verdict/error stream, does
-   not); and [apply] evaluates the activation condition of a process
-   only when the process has a [Restart] policy, so an activation
-   condition that raises only in the intermediate post-delay state
-   surfaces at the next step instead.
+   stream for a fixed seed.  The documented deviation: [apply]
+   evaluates the activation condition of a process only when the
+   process has a [Restart] policy, so an activation condition that
+   raises only in the intermediate post-delay state surfaces at the
+   next step instead.
 
    A move pays for what it changes.  Data flows are re-evaluated only
    when marked dirty by a write that can change their value (see
@@ -38,14 +34,16 @@
      participant has no transition on it at its location, unless one
      of the event's guards could raise.
 
-   A variable that provably only ever holds an [Int] lives in the int
-   lane, an unboxed [int array], and the updates, flows and comparisons
-   that read or write it run on native ints ([compile_int]); it is boxed
-   only when read back as a [Value.t] (see [stage] for the rule).  A
-   variable that provably only ever holds a [Real] lives in the real
-   lane, the unboxed float store: the delay advances it there, and the
-   updates, flows and comparisons over it run on floats
-   ([compile_float]); it too is boxed only when read back. *)
+   A variable lives in the store of its declared type, the type of its
+   initial value: an [Int] or a [Bool] (as 0 or 1) in the unboxed
+   [int array], a [Real] in the unboxed [float array], where the delay
+   advances a clock.  [Network.make] has checked that every update and
+   flow writes its target's type, so a well-typed expression compiles
+   to native ints, floats and Booleans ([compile_int], [real_typed],
+   [bool_typed]); an expression with no static type, which only a
+   hand-built guard or goal can be, is evaluated by [Expr.eval] over
+   the boxed values.  A variable is boxed only when read back as a
+   [Value.t]. *)
 
 module I = Slimsim_intervals.Interval_set
 
@@ -292,17 +290,11 @@ let[@inline] w_solve_cmp w k (op : Expr.binop) (a : float) (b : float) =
 
 type cstate = {
   locs : int array;
-  vals : Value.t array;
-      (* authoritative for variable [v] where [ftag.(v)] is [t_box] *)
-  fval : float array;
-      (* unboxed numeric store; authoritative where [ftag] is [t_float]
-         or [t_real] *)
-  ival : int array;
-      (* the int lane; authoritative where [ftag] is [t_int] *)
-  ftag : Bytes.t;
-      (* per variable, which store holds it: [t_box], [t_float], [t_int]
-         or [t_real]; [t_int] and [t_real] mark the lanes' variables and
-         never change *)
+  ty : Value.ty array;
+      (* each variable's declared type, which names its store: shared by
+         the scratches of one network *)
+  ival : int array;  (* an [Int] variable's value, a [Bool] one's as 0 or 1 *)
+  fval : float array;  (* a [Real] variable's value: reals, clocks, continuous *)
   dl : float array;  (* singleton cell: the delay [fire] lets pass *)
   rates : float array;  (* current derivative vector, see [set_rates] *)
   time : float array;  (* singleton cell: flat float array = unboxed *)
@@ -313,17 +305,15 @@ type cstate = {
   n_procs : int;
   (* The undo journal: one entry per write to the state while it is on
      ([jlen >= 0]), the written field's previous contents.  [jkey] is
-     the field, its index shifted past a three-bit kind; the previous
-     contents are in [jint] for a location ([j_loc]) or a lane int
-     ([j_int]), in [jflt] for a variable that held an unboxed float
-     ([j_flt]) and in [jold] for one that held a box ([j_box]).  The
+     the field, its index shifted past a two-bit kind; the previous
+     contents are in [jint] for a location ([j_loc]) or a variable of
+     [ival] ([j_int]), and in [jflt] for one of [fval] ([j_flt]).  The
      journal is on under a snapshot and, at depth 0, from a [load] on
      ([origin >= 0]) until it would grow. *)
   mutable jlen : int;
   mutable jkey : int array;
   mutable jint : int array;
   mutable jflt : float array;
-  mutable jold : Value.t array;
   mutable origin : int;  (* the [load] the journal runs from, or -1 *)
   (* The snapshot stack, one level per [save] in force: level [k] holds
      the journal's length, the time and the dirty count when it was
@@ -365,14 +355,6 @@ type cstate = {
 
 let ev_root = 2
 
-let t_box = '\000'
-let t_float = '\001'
-let t_int = '\002'
-let t_real = '\003'
-
-(* [t_float] and [t_real]: [fval] holds the variable *)
-let[@inline] in_fval t = Char.code t land 1 = 1
-
 let time s = s.time.(0)
 let time_cell s = s.time
 let markov_buf s = s.markov_buf
@@ -384,9 +366,9 @@ let vbool b = if b then vtrue else vfalse
 let j_loc = 0
 let j_int = 1
 let j_flt = 2
-let j_box = 3
-let j_dirty = 4  (* a flow dirty at a save: see [save] *)
-let j_bits = 3
+let j_dirty = 3  (* a flow dirty at a save: see [save] *)
+let j_bits = 2
+let j_mask = (1 lsl j_bits) - 1
 
 (* Room for one more journal entry: under a snapshot the journal
    doubles; at depth 0, where it runs only from a [load] on, it stops
@@ -400,23 +382,20 @@ let[@inline never] journal_full s =
   end
   else begin
     let m = 2 * n in
-    let jkey = Array.make m 0 and jint = Array.make m 0 in
-    let jflt = Array.make m 0.0 and jold = Array.make m vfalse in
+    let jkey = Array.make m 0 and jint = Array.make m 0 and jflt = Array.make m 0.0 in
     Array.blit s.jkey 0 jkey 0 n;
     Array.blit s.jint 0 jint 0 n;
     Array.blit s.jflt 0 jflt 0 n;
-    Array.blit s.jold 0 jold 0 n;
     s.jkey <- jkey;
     s.jint <- jint;
     s.jflt <- jflt;
-    s.jold <- jold;
     true
   end
 
 let[@inline] room s = s.jlen < Array.length s.jkey || journal_full s
 
 (* The journal's writers, for a journal that is on: a field whose
-   previous contents are one int, and a variable's store. *)
+   previous contents are one int, and a variable of [fval]. *)
 let journal_int s key old =
   if room s then begin
     let n = s.jlen in
@@ -425,86 +404,38 @@ let journal_int s key old =
     s.jlen <- n + 1
   end
 
-let journal_var s v =
+let journal_flt s v =
   if room s then begin
     let n = s.jlen in
-    if in_fval (Bytes.unsafe_get s.ftag v) then begin
-      Array.unsafe_set s.jkey n ((v lsl j_bits) lor j_flt);
-      Array.unsafe_set s.jflt n (Array.unsafe_get s.fval v)
-    end
-    else begin
-      Array.unsafe_set s.jkey n ((v lsl j_bits) lor j_box);
-      Array.unsafe_set s.jold n (Array.unsafe_get s.vals v)
-    end;
+    Array.unsafe_set s.jkey n ((v lsl j_bits) lor j_flt);
+    Array.unsafe_set s.jflt n (Array.unsafe_get s.fval v);
     s.jlen <- n + 1
   end
 
-(* [vals]/[fval] coherence: a delay advance writes the unboxed cell and
-   sets the tag; a generic read materializes the box once and clears the
-   tag; a discrete write stores the box and clears the tag.  A lane
-   variable, int or real, is read back as a fresh box and never leaves
-   its lane: its tag stays.  Every write below goes through the journal
-   when it is on. *)
-
-let get_v s v =
-  let t = Bytes.unsafe_get s.ftag v in
-  if t = t_box then Array.unsafe_get s.vals v
-  else if t = t_int then Value.Int (Array.unsafe_get s.ival v)
-  else if t = t_real then Value.Real (Array.unsafe_get s.fval v)
-  else begin
-    let b = Value.Real (Array.unsafe_get s.fval v) in
-    if s.jlen >= 0 then journal_var s v;
-    s.vals.(v) <- b;
-    Bytes.unsafe_set s.ftag v t_box;
-    b
-  end
-
-let[@inline] get_f s v =
-  let t = Bytes.unsafe_get s.ftag v in
-  if in_fval t then Array.unsafe_get s.fval v
-  else if t = t_int then float_of_int (Array.unsafe_get s.ival v)
-  else Value.as_float (Array.unsafe_get s.vals v)
+(* A variable as a [Value.t], boxed afresh from its store. *)
+let value s v =
+  match Array.unsafe_get s.ty v with
+  | Value.Tint -> Value.Int (Array.unsafe_get s.ival v)
+  | Treal -> Value.Real (Array.unsafe_get s.fval v)
+  | Tbool -> vbool (Array.unsafe_get s.ival v <> 0)
 
 (* Read-only views for cost extraction: the current numeric value of a
    variable and its derivative as of the last [set_rates]. *)
-let var_float s v = get_f s v
+let var_float s v =
+  match Array.unsafe_get s.ty v with
+  | Value.Treal -> Array.unsafe_get s.fval v
+  | Tint -> float_of_int (Array.unsafe_get s.ival v)
+  | Tbool -> Value.as_float (value s v)
+
 let rate s v = s.rates.(v)
 
-(* A boxed write; only a lane's own writers write a lane variable.
-   Writing the box that is there already writes nothing. *)
-let set_v s v x =
-  if Bytes.unsafe_get s.ftag v <> t_box || Array.unsafe_get s.vals v != x then begin
-    if s.jlen >= 0 then journal_var s v;
-    s.vals.(v) <- x;
-    Bytes.unsafe_set s.ftag v t_box
-  end
-
-(* Does variable [v], outside the lane, hold exactly [x]: the same
-   constructor and payload, a real's bits included? *)
-let[@inline] same_bits (a : float) b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let holds s v (x : Value.t) =
-  if in_fval (Bytes.unsafe_get s.ftag v) then
-    match x with Value.Real f -> same_bits f (Array.unsafe_get s.fval v) | _ -> false
-  else
-    let y = Array.unsafe_get s.vals v in
-    y == x
-    ||
-    match x, y with
-    | Value.Int a, Value.Int b -> a = b
-    | Value.Bool a, Value.Bool b -> a = b
-    | Value.Real a, Value.Real b -> same_bits a b
-    | _ -> false
-
-(* An unboxed write: a variable outside the lanes now holds a [Real]
-   there, a real-lane variable keeps its tag. *)
+(* The writes, each through the journal when it is on: a variable of
+   [fval], one of [ival], and a location switch.  Writing an int or a
+   location that is there already writes nothing. *)
 let[@inline] set_f s v x =
-  if s.jlen >= 0 then journal_var s v;
-  Array.unsafe_set s.fval v x;
-  if Bytes.unsafe_get s.ftag v = t_box then Bytes.unsafe_set s.ftag v t_float
+  if s.jlen >= 0 then journal_flt s v;
+  Array.unsafe_set s.fval v x
 
-(* A lane write, and a location switch; writing what is there already
-   writes nothing. *)
 let[@inline] set_i s v n =
   let old = Array.unsafe_get s.ival v in
   if old <> n then begin
@@ -519,26 +450,24 @@ let[@inline] set_loc s p l =
     Array.unsafe_set s.locs p l
   end
 
-(* The entries [vs] of [src] into [dst] as plain stores: [Array.blit]
-   cannot tell an int array from one of pointers and runs the write
-   barrier on every element of a destination in the major heap. *)
-let copy_at (vs : int array) (src : int array) (dst : int array) =
-  for k = 0 to Array.length vs - 1 do
-    let v = Array.unsafe_get vs k in
-    Array.unsafe_set dst v (Array.unsafe_get src v)
-  done
+(* Do two floats have the same bits? *)
+let[@inline] same_bits (a : float) b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* A scratch for [n_procs] processes, [n_vars] variables, [n_flows]
+(* A value's bits, in the store of its type: a [Bool] as 0 or 1 in
+   [ival]. *)
+let ival_of = function Value.Int n -> n | Bool b -> Bool.to_int b | Real _ -> 0
+let fval_of = function Value.Real x -> x | Int _ | Bool _ -> 0.0
+
+(* A scratch for [n_procs] processes, variables of types [ty], [n_flows]
    flows, [n_markov] rate transitions and [n_slots] evaluator slots. *)
-let make_cstate ~n_procs ~n_vars ~n_flows ~n_markov ~n_slots =
-  let np = max n_procs 1 and nv = max n_vars 1 and nf = max n_flows 1 in
+let make_cstate ~n_procs ~ty ~n_flows ~n_markov ~n_slots =
+  let np = max n_procs 1 and nv = max (Array.length ty) 1 and nf = max n_flows 1 in
   let moves = 16 and levels = 4 and entries = 16 in
   {
     locs = Array.make np 0;
-    vals = Array.make nv vfalse;
-    fval = Array.make nv 0.0;
+    ty;
     ival = Array.make nv 0;
-    ftag = Bytes.make nv t_box;
+    fval = Array.make nv 0.0;
     dl = [| 0.0 |];
     rates = Array.make nv 0.0;
     time = [| 0.0 |];
@@ -549,7 +478,6 @@ let make_cstate ~n_procs ~n_vars ~n_flows ~n_markov ~n_slots =
     jkey = Array.make entries 0;
     jint = Array.make entries 0;
     jflt = Array.make entries 0.0;
-    jold = Array.make entries vfalse;
     origin = -1;
     depth = 0;
     sv_mark = Array.make levels 0;
@@ -583,45 +511,22 @@ let make_cstate ~n_procs ~n_vars ~n_flows ~n_markov ~n_slots =
     was_active = Bytes.make np '\000';
   }
 
-(* The variables a compilation keeps in the lanes, as a fresh scratch's
-   [ftag]: byte [v] is [t_int] for an int-lane variable, [t_real] for a
-   real-lane one and [t_box] otherwise; past the end, none is in a
-   lane. *)
-type lane = Bytes.t
-
-let no_lane = Bytes.empty
-let[@inline] in_lane (lane : lane) v = v < Bytes.length lane && Bytes.unsafe_get lane v = t_int
-let[@inline] in_real (lane : lane) v = v < Bytes.length lane && Bytes.unsafe_get lane v = t_real
-
-let lane_of ?(reals = []) vs =
-  let n = List.fold_left (fun n v -> Int.max n (v + 1)) 0 (vs @ reals) in
-  let lane = Bytes.make n t_box in
-  List.iter (fun v -> Bytes.set lane v t_int) vs;
-  List.iter (fun v -> Bytes.set lane v t_real) reals;
-  lane
-
-let cstate_of ?(lane = no_lane) ~locs ~vals ~rates ~time () =
+let cstate_of ~locs ~vals ~rates ~time () =
+  let ty = Array.map Value.type_of vals in
+  Array.iteri
+    (fun v r ->
+      if r <> 0.0 && v < Array.length ty && ty.(v) <> Value.Treal then
+        invalid_arg "Compiled.cstate_of: only a real variable has a rate")
+    rates;
   let s =
-    make_cstate ~n_procs:(Array.length locs) ~n_vars:(Array.length vals) ~n_flows:0
-      ~n_markov:0 ~n_slots:64
+    make_cstate ~n_procs:(Array.length locs) ~ty ~n_flows:0 ~n_markov:0 ~n_slots:64
   in
   Array.blit locs 0 s.locs 0 (Array.length locs);
-  Array.blit vals 0 s.vals 0 (Array.length vals);
   Array.blit rates 0 s.rates 0 (Array.length rates);
   Array.iteri
     (fun v x ->
-      if in_lane lane v then
-        match x with
-        | Value.Int n when v >= Array.length rates || rates.(v) = 0.0 ->
-          s.ival.(v) <- n;
-          Bytes.set s.ftag v t_int
-        | _ -> invalid_arg "Compiled.cstate_of: a lane variable must hold an Int at rate 0"
-      else if in_real lane v then
-        match x with
-        | Value.Real f ->
-          s.fval.(v) <- f;
-          Bytes.set s.ftag v t_real
-        | _ -> invalid_arg "Compiled.cstate_of: a real-lane variable must hold a Real")
+      s.ival.(v) <- ival_of x;
+      s.fval.(v) <- fval_of x)
     vals;
   s.time.(0) <- time;
   s
@@ -634,225 +539,158 @@ type cbool = cstate -> bool
 type cfloat = cstate -> float
 type csat = cstate -> I.t
 
-(* Static shape of an expression's result, used to pick unboxed
-   specializations only where they provably agree with [Expr.eval]; a
-   lane variable holds a number. *)
-type shape = Sbool | Snum | Sunknown
+(* The declared types expressions are compiled against, one per
+   variable: a variable past the end has none, and neither has an
+   expression that reads it.  An expression with a static type
+   ([Expr.static_type]) compiles to the store of each variable it reads
+   and to native ints, floats and Booleans; one without is evaluated by
+   [Expr.eval] over [value], so it raises what the interpreter raises
+   where it raises it. *)
+type types = Value.ty array
 
-let rec shape lane : Expr.t -> shape = function
-  | Const (Value.Bool _) -> Sbool
-  | Const (Value.Int _ | Value.Real _) -> Snum
-  | Var v -> if in_lane lane v || in_real lane v then Snum else Sunknown
-  | Loc _ -> Sbool
-  | Unop (Not, _) -> Sbool
-  | Unop (Neg, _) -> Snum
-  | Binop ((And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge), _, _) -> Sbool
-  | Binop ((Add | Sub | Mul | Div | Mod | Min | Max), _, _) -> Snum
-  | Ite (_, a, b) -> (
-    match shape lane a, shape lane b with
-    | Sbool, Sbool -> Sbool
-    | Snum, Snum -> Snum
-    | _ -> Sunknown)
+let stype (tys : types) e =
+  Expr.static_type (fun v -> if v < Array.length tys then Some tys.(v) else None) e
 
-(* True when the expression, if it evaluates to a number at all, is a
-   [Real], given that every variable of the real lane holds one — the
-   condition under which float division agrees with [Value.div] (which
-   is integer division on two [Int]s), and under which [compile_float]
-   computes the payload of the [Real] that [Expr.eval] gives.  It is the
-   real lane's shape: an update or flow writing such an expression
-   stores a [Real]. *)
-let rec definitely_real lane : Expr.t -> bool = function
-  | Const (Value.Real _) -> true
-  | Var v -> in_real lane v
-  | Const _ | Loc _ -> false
-  | Unop (Neg, e) -> definitely_real lane e
-  | Unop (Not, _) -> false
-  | Binop ((Add | Sub | Mul | Div), e1, e2) ->
-    definitely_real lane e1 || definitely_real lane e2
-  | Binop ((Min | Max), e1, e2) -> definitely_real lane e1 && definitely_real lane e2
-  | Binop ((Mod | And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge), _, _) ->
-    false
-  | Ite (_, a, b) -> definitely_real lane a && definitely_real lane b
+let is_real (tys : types) v = v < Array.length tys && tys.(v) = Value.Treal
 
-(* A comparison operand that is a variable or a constant, read without
-   a closure call (a float returned by a closure is boxed): [(v, _, _)]
-   for [Var v], [(-1, c, x)] for [Const c] with [x] its numeric value,
-   or NaN when [c] is not numeric ([Value.as_float c] then raises). *)
-let operand : Expr.t -> int * Value.t * float = function
-  | Var v -> (v, vfalse, 0.0)
-  | Const (Value.Int n as c) -> (-1, c, float_of_int n)
-  | Const (Value.Real x as c) when x = x -> (-1, c, x)
-  | Const c -> (-1, c, nan)
-  | _ -> invalid_arg "Compiled.operand"
+let at_loc s p l = s.locs.(p) = l
+let generic (e : Expr.t) : cvalue = fun s -> Expr.eval ~env:(value s) ~at_loc:(at_loc s) e
+
+(* Does the expression divide, or take a modulo: the only ways a
+   well-typed expression can raise? *)
+let rec divides : Expr.t -> bool = function
+  | Const _ | Var _ | Loc _ -> false
+  | Unop (_, e) -> divides e
+  | Binop ((Div | Mod), _, _) -> true
+  | Binop (_, e1, e2) -> divides e1 || divides e2
+  | Ite (c, e1, e2) -> divides c || divides e1 || divides e2
+
+let may_raise tys e = stype tys e = None || divides e
+
+(* Can [compile_win] of the expression not raise: Boolean structure
+   over Boolean atoms and well-typed comparisons of two variables or
+   constants?  Anything else is taken to be able to raise. *)
+let rec win_safe tys (e : Expr.t) =
+  match e with
+  | Const (Value.Bool _) | Loc _ -> true
+  | Var _ -> stype tys e = Some Tbool
+  | Unop (Not, e1) -> win_safe tys e1
+  | Binop ((And | Or | Implies), e1, e2) -> win_safe tys e1 && win_safe tys e2
+  | Binop ((Eq | Neq | Lt | Le | Gt | Ge), (Var _ | Const _), (Var _ | Const _)) ->
+    stype tys e <> None
+  | _ -> false
+
+(* A well-typed expression that reads no real variable (the only kind
+   with a rate), divides nothing and has no if-then-else: the
+   delay-symbolic evaluation ([compile_sym]) keeps every part of it
+   discrete and agrees with the Boolean one, errors included (its
+   division reports a zero divisor as "division by zero", and its
+   if-then-else decides the condition as a delay set). *)
+let untimed tys e =
+  let rec go : Expr.t -> bool = function
+    | Const _ | Loc _ -> true
+    | Var v -> not (is_real tys v)
+    | Unop (_, e1) -> go e1
+    | Binop (Div, _, _) | Ite _ -> false
+    | Binop (_, e1, e2) -> go e1 && go e2
+  in
+  go e && stype tys e <> None
+
+(* A numeric comparison operand that is a variable or a constant, read
+   without a closure call (a float returned by a closure, or by a
+   function that is not inlined, is boxed):
+   [(v, int, _)] for the variable [v], an [Int] one when [int], and
+   [(-1, _, x)] for a constant of value [x]. *)
+let num_operand tys : Expr.t -> int * bool * float = function
+  | Var v -> (v, not (is_real tys v), 0.0)
+  | Const c -> (-1, false, Value.as_float c)
+  | _ -> invalid_arg "Compiled.num_operand"
 
 let is_operand : Expr.t -> bool = function Var _ | Const _ -> true | _ -> false
 
-(* True when the expression provably evaluates to an [Int], given that
-   every variable of the lane holds one: [compile_int] then computes it
-   unboxed, with [Value]'s integer semantics.  Anything mixed with a
-   [Real], a [Bool] or a variable outside the lane stays boxed. *)
-let rec int_shaped lane : Expr.t -> bool = function
-  | Const (Value.Int _) -> true
-  | Var v -> in_lane lane v
-  | Unop (Neg, e) -> int_shaped lane e
-  | Binop ((Add | Sub | Mul | Div | Mod | Min | Max), e1, e2) | Ite (_, e1, e2) ->
-    int_shaped lane e1 && int_shaped lane e2
-  | Const _ | Loc _ | Unop (Not, _) | Binop _ -> false
-
-(* [int_shaped], where the delay-symbolic evaluation ([compile_sym])
-   agrees with the integer one: every lane variable has rate 0, but
-   [compile_sym]'s division reports a zero divisor as "division by
-   zero" and its if-then-else decides the condition as a delay set. *)
-let rec sym_int lane : Expr.t -> bool = function
-  | Const (Value.Int _) -> true
-  | Var v -> in_lane lane v
-  | Unop (Neg, e) -> sym_int lane e
-  | Binop ((Add | Sub | Mul | Mod | Min | Max), e1, e2) -> sym_int lane e1 && sym_int lane e2
-  | Const _ | Loc _ | Unop (Not, _) | Binop _ | Ite _ -> false
-
-(* An [int_shaped] comparison operand read without a closure call:
-   [(v, _)] for the lane variable [v], [(-1, n)] for [Const (Int n)]. *)
+(* An [Int] comparison operand read without a closure call: [(v, _)]
+   for the variable [v], [(-1, n)] for [Const (Int n)]. *)
 let int_operand : Expr.t -> (int * int) option = function
   | Var v -> Some (v, 0)
   | Const (Value.Int n) -> Some (-1, n)
   | _ -> None
 
-(* [Value.equal] and [Value.compare_num] on two [Int]s. *)
+(* [Value.equal] and [Value.compare_num] on two [Int]s, and on two
+   numbers not both [Int]s: [Float.compare] is [compare_num]'s order
+   on floats, NaN included. *)
 let[@inline] int_cmp (op : Expr.binop) (x : int) y =
   match op with Eq -> x = y | Neq -> x <> y | Lt -> x < y | Le -> x <= y | Gt -> x > y | _ -> x >= y
 
-(* Raise-freedom.  [num_shaped] and [bool_shaped]: the expression, if
-   it evaluates at all, gives a number, or a Boolean, when every
-   variable [num] accepts holds a number and every one [bool] accepts a
-   Boolean. *)
-let rec num_shaped num : Expr.t -> bool = function
-  | Const (Value.Int _ | Value.Real _) -> true
-  | Var v -> num v
-  | Unop (Neg, e) -> num_shaped num e
-  | Binop ((Add | Sub | Mul | Div | Mod | Min | Max), e1, e2) | Ite (_, e1, e2) ->
-    num_shaped num e1 && num_shaped num e2
-  | Const _ | Loc _ | Unop (Not, _) | Binop _ -> false
+let[@inline] float_cmp (op : Expr.binop) (x : float) y =
+  match op with
+  | Eq -> x = y
+  | Neq -> not (x = y)
+  | Lt -> Float.compare x y < 0
+  | Le -> Float.compare x y <= 0
+  | Gt -> Float.compare x y > 0
+  | _ -> Float.compare x y >= 0
 
-let rec bool_shaped bool : Expr.t -> bool = function
-  | Const (Value.Bool _) | Loc _ | Unop (Not, _)
-  | Binop ((And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge), _, _) ->
-    true
-  | Var v -> bool v
-  | Ite (_, e1, e2) -> bool_shaped bool e1 && bool_shaped bool e2
-  | Const _ | Unop (Neg, _) | Binop _ -> false
-
-(* The variables known to hold a number, and a Boolean. *)
-type types = { num : int -> bool; bool : int -> bool }
-
-(* True when [compile_value] of the expression cannot raise: no
-   division or modulo (a zero divisor raises), and every operator
-   applied to operands of its type.  [bool_safe] is the same for
-   [compile_bool]; a comparison of two numbers runs on ints or floats
-   and cannot raise, [Value.equal] never does. *)
-let rec value_safe ty (e : Expr.t) =
-  match e with
-  | Const _ | Var _ | Loc _ -> true
-  | Unop (Neg, e1) -> num_shaped ty.num e1 && value_safe ty e1
-  | Unop (Not, _) | Binop ((And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge), _, _) ->
-    bool_safe ty e
-  | Binop ((Add | Sub | Mul | Min | Max), e1, e2) ->
-    num_shaped ty.num e1 && num_shaped ty.num e2 && value_safe ty e1 && value_safe ty e2
-  | Binop ((Div | Mod), _, _) -> false
-  | Ite (c, e1, e2) -> bool_safe ty c && value_safe ty e1 && value_safe ty e2
-
-and bool_safe ty (e : Expr.t) =
-  match e with
-  | Const (Value.Bool _) | Loc _ -> true
-  | Var v -> ty.bool v
-  | Unop (Not, e1) -> bool_safe ty e1
-  | Binop ((And | Or | Implies), e1, e2) -> bool_safe ty e1 && bool_safe ty e2
-  | Binop ((Eq | Neq), e1, e2) -> value_safe ty e1 && value_safe ty e2
-  | Binop ((Lt | Le | Gt | Ge), e1, e2) ->
-    num_shaped ty.num e1 && num_shaped ty.num e2 && value_safe ty e1 && value_safe ty e2
-  | Ite (c, e1, e2) -> bool_safe ty c && bool_safe ty e1 && bool_safe ty e2
-  | Const _ | Unop (Neg, _) | Binop ((Add | Sub | Mul | Div | Mod | Min | Max), _, _) -> false
-
-(* True when [compile_win] of the expression cannot raise: Boolean
-   structure over atoms, and comparisons of two numeric variables or
-   constants, or [=]/[<>] of two Boolean ones (no Boolean is timed, so
-   those compare with [Value.equal]).  Anything else is taken to be
-   able to raise. *)
-let rec win_safe ty (e : Expr.t) =
-  match e with
-  | Const (Value.Bool _) -> true
-  | Var _ | Loc _ -> bool_safe ty e
-  | Unop (Not, e1) -> win_safe ty e1
-  | Binop ((And | Or | Implies), e1, e2) -> win_safe ty e1 && win_safe ty e2
-  | Binop (((Eq | Neq | Lt | Le | Gt | Ge) as op), ((Var _ | Const _) as e1), ((Var _ | Const _) as e2))
-    ->
-    (num_shaped ty.num e1 && num_shaped ty.num e2)
-    || ((op = Eq || op = Neq) && bool_shaped ty.bool e1 && bool_shaped ty.bool e2)
-  | _ -> false
-
-let rec compile_value lane (e : Expr.t) : cvalue =
-  match e with
-  | Const v -> fun _ -> v
-  | (Var _ | Unop _ | Binop _ | Ite _) when int_shaped lane e ->
-    let c = compile_int lane e in
-    fun s -> Value.Int (c s)
-  | Var v when in_real lane v -> fun s -> Value.Real (Array.unsafe_get s.fval v)
-  | Var v -> fun s -> get_v s v
-  | Loc (p, l) -> fun s -> vbool (s.locs.(p) = l)
-  | Unop (Neg, e1) ->
-    let c = compile_value lane e1 in
-    fun s -> Value.neg (c s)
-  | Unop (Not, e1) ->
-    let c = compile_bool lane e1 in
-    fun s -> vbool (not (c s))
-  | Binop (And, _, _) | Binop (Or, _, _) | Binop (Implies, _, _)
-  | Binop (Eq, _, _) | Binop (Neq, _, _)
-  | Binop (Lt, _, _) | Binop (Le, _, _) | Binop (Gt, _, _) | Binop (Ge, _, _) ->
-    let c = compile_bool lane e in
+let rec compile_value tys (e : Expr.t) : cvalue =
+  match e, stype tys e with
+  | Const v, _ -> fun _ -> v
+  | _, Some Tbool ->
+    let c = bool_typed tys e in
     fun s -> vbool (c s)
-  | Binop (op, e1, e2) ->
-    let c1 = compile_value lane e1 and c2 = compile_value lane e2 in
-    let f =
-      match op with
-      | Add -> Value.add
-      | Sub -> Value.sub
-      | Mul -> Value.mul
-      | Div -> Value.div
-      | Mod -> Value.modulo
-      | Min -> Value.min_v
-      | Max -> Value.max_v
-      | _ -> assert false
-    in
-    fun s ->
-      let v1 = c1 s in
-      let v2 = c2 s in
-      f v1 v2
-  | Ite (c, e1, e2) ->
-    let cc = compile_bool lane c and c1 = compile_value lane e1 and c2 = compile_value lane e2 in
-    fun s -> if cc s then c1 s else c2 s
+  | _, Some Tint ->
+    let c = compile_int tys e in
+    fun s -> Value.Int (c s)
+  | _, Some Treal ->
+    let c = real_typed tys e in
+    fun s -> Value.Real (c s)
+  | _, None -> generic e
 
-and compile_bool lane (e : Expr.t) : cbool =
+and compile_bool tys (e : Expr.t) : cbool =
+  match stype tys e with
+  | Some Tbool -> bool_typed tys e
+  | Some (Tint | Treal) | None ->
+    let c = compile_value tys e in
+    fun s -> Value.as_bool (c s)
+
+(* A [Bool]-typed expression. *)
+and bool_typed tys (e : Expr.t) : cbool =
   match e with
-  | Const (Value.Bool b) -> fun _ -> b
-  | Const v -> fun _ -> Value.as_bool v
-  | Var v -> fun s -> Value.as_bool (get_v s v)
+  | Const v ->
+    let b = Value.as_bool v in
+    fun _ -> b
+  | Var v -> fun s -> Array.unsafe_get s.ival v <> 0
   | Loc (p, l) -> fun s -> s.locs.(p) = l
   | Unop (Not, e1) ->
-    let c = compile_bool lane e1 in
+    let c = bool_typed tys e1 in
     fun s -> not (c s)
-  | Unop (Neg, _) ->
-    let c = compile_value lane e in
-    fun s -> Value.as_bool (c s)
   | Binop (And, e1, e2) ->
-    let c1 = compile_bool lane e1 and c2 = compile_bool lane e2 in
+    let c1 = bool_typed tys e1 and c2 = bool_typed tys e2 in
     fun s -> c1 s && c2 s
   | Binop (Or, e1, e2) ->
-    let c1 = compile_bool lane e1 and c2 = compile_bool lane e2 in
+    let c1 = bool_typed tys e1 and c2 = bool_typed tys e2 in
     fun s -> c1 s || c2 s
   | Binop (Implies, e1, e2) ->
-    let c1 = compile_bool lane e1 and c2 = compile_bool lane e2 in
+    let c1 = bool_typed tys e1 and c2 = bool_typed tys e2 in
     fun s -> (not (c1 s)) || c2 s
-  | Binop ((Eq | Neq | Lt | Le | Gt | Ge) as op, e1, e2)
-    when int_shaped lane e1 && int_shaped lane e2 -> (
+  | Binop ((Eq | Neq | Lt | Le | Gt | Ge) as op, e1, e2) -> compile_cmp tys op e1 e2
+  | Ite (c, e1, e2) ->
+    let cc = bool_typed tys c and c1 = bool_typed tys e1 and c2 = bool_typed tys e2 in
+    fun s -> if cc s then c1 s else c2 s
+  | Unop (Neg, _) | Binop ((Add | Sub | Mul | Div | Mod | Min | Max), _, _) ->
+    invalid_arg "Compiled.bool_typed"
+
+(* A well-typed comparison: of two Booleans, of two [Int]s on ints, or
+   of two numbers on floats, each side a variable or a constant read
+   without a closure call where it can be. *)
+and compile_cmp tys op e1 e2 : cbool =
+  match stype tys e1, stype tys e2 with
+  | Some Tbool, _ ->
+    let neg = op = Neq in
+    let c1 = bool_typed tys e1 and c2 = bool_typed tys e2 in
+    fun s ->
+      let x = c1 s in
+      let y = c2 s in
+      x = y <> neg
+  | Some Tint, Some Tint -> (
     match int_operand e1, int_operand e2 with
     | Some (v1, n1), Some (v2, n2) ->
       fun s ->
@@ -860,170 +698,113 @@ and compile_bool lane (e : Expr.t) : cbool =
         let y = if v2 >= 0 then Array.unsafe_get s.ival v2 else n2 in
         int_cmp op x y
     | _ ->
-      let c1 = compile_int lane e1 and c2 = compile_int lane e2 in
+      let c1 = compile_int tys e1 and c2 = compile_int tys e2 in
       fun s ->
         let x = c1 s in
         let y = c2 s in
         int_cmp op x y)
-  | Binop ((Eq | Neq) as op, e1, e2)
-    when is_operand e1 && is_operand e2 && shape lane e1 = Snum && shape lane e2 = Snum ->
-    (* the [Snum] case below, each side a lane variable or a numeric
-       constant read without a closure call *)
-    let v1, _, f1 = operand e1 and v2, _, f2 = operand e2 in
-    let neg = op = Neq in
+  | _ when is_operand e1 && is_operand e2 ->
+    let v1, i1, x1 = num_operand tys e1 and v2, i2, x2 = num_operand tys e2 in
     fun s ->
-      let x = if v1 >= 0 then get_f s v1 else f1 in
-      let y = if v2 >= 0 then get_f s v2 else f2 in
-      x = y <> neg
-  | Binop ((Eq | Neq) as op, e1, e2) -> (
-    let neg = op = Neq in
-    match shape lane e1, shape lane e2 with
-    | Sbool, Sbool ->
-      let c1 = compile_bool lane e1 and c2 = compile_bool lane e2 in
-      fun s ->
-        let x = c1 s in
-        let y = c2 s in
-        x = y <> neg
-    | Snum, Snum ->
-      let c1 = compile_float lane e1 and c2 = compile_float lane e2 in
-      fun s ->
-        let x = c1 s in
-        let y = c2 s in
-        x = y <> neg
-    | _ ->
-      let c1 = compile_value lane e1 and c2 = compile_value lane e2 in
-      if neg then fun s ->
-        let v1 = c1 s in
-        let v2 = c2 s in
-        not (Value.equal v1 v2)
-      else fun s ->
-        let v1 = c1 s in
-        let v2 = c2 s in
-        Value.equal v1 v2)
-  | Binop ((Lt | Le | Gt | Ge) as op, e1, e2) when is_operand e1 && is_operand e2 ->
-    (* [compile_float] on each side, inlined *)
-    let v1, x1, f1 = operand e1 and v2, x2, f2 = operand e2 in
+      let x =
+        if v1 < 0 then x1
+        else if i1 then float_of_int (Array.unsafe_get s.ival v1)
+        else Array.unsafe_get s.fval v1
+      in
+      let y =
+        if v2 < 0 then x2
+        else if i2 then float_of_int (Array.unsafe_get s.ival v2)
+        else Array.unsafe_get s.fval v2
+      in
+      float_cmp op x y
+  | _ ->
+    let c1 = compile_float tys e1 and c2 = compile_float tys e2 in
     fun s ->
-      let x = if v1 >= 0 then get_f s v1 else if f1 = f1 then f1 else Value.as_float x1 in
-      let y = if v2 >= 0 then get_f s v2 else if f2 = f2 then f2 else Value.as_float x2 in
-      let c = Float.compare x y in
-      (match op with Lt -> c < 0 | Le -> c <= 0 | Gt -> c > 0 | _ -> c >= 0)
-  | Binop ((Lt | Le | Gt | Ge) as op, e1, e2) ->
-    let c1 = compile_float lane e1 and c2 = compile_float lane e2 in
-    (* [Float.compare] matches [Value.compare_num]'s total order (it
-       falls back to polymorphic compare on floats, incl. NaN). *)
-    (match op with
-    | Lt -> fun s ->
-        let x = c1 s in
-        let y = c2 s in
-        Float.compare x y < 0
-    | Le -> fun s ->
-        let x = c1 s in
-        let y = c2 s in
-        Float.compare x y <= 0
-    | Gt -> fun s ->
-        let x = c1 s in
-        let y = c2 s in
-        Float.compare x y > 0
-    | Ge -> fun s ->
-        let x = c1 s in
-        let y = c2 s in
-        Float.compare x y >= 0
-    | _ -> assert false)
-  | Binop ((Add | Sub | Mul | Div | Mod | Min | Max), _, _) ->
-    let c = compile_value lane e in
-    fun s -> Value.as_bool (c s)
-  | Ite (c, e1, e2) ->
-    let cc = compile_bool lane c and c1 = compile_bool lane e1 and c2 = compile_bool lane e2 in
-    fun s -> if cc s then c1 s else c2 s
+      let x = c1 s in
+      let y = c2 s in
+      float_cmp op x y
 
-and compile_float lane (e : Expr.t) : cfloat =
+and compile_float tys (e : Expr.t) : cfloat =
   match e with
   | Const (Value.Int n) ->
     let x = float_of_int n in
     fun _ -> x
   | Const (Value.Real x) -> fun _ -> x
-  | Const v -> fun _ -> Value.as_float v
-  | (Var _ | Unop _ | Binop _ | Ite _) when int_shaped lane e ->
-    let c = compile_int lane e in
-    fun s -> float_of_int (c s)
-  | Var v -> fun s -> get_f s v
-  | Loc _ ->
-    let c = compile_bool lane e in
-    fun s -> Value.as_float (vbool (c s))
-  | Unop (Neg, e1) when definitely_real lane e1 ->
-    let c = compile_float lane e1 in
+  | _ -> (
+    match stype tys e with
+    | Some Tint ->
+      let c = compile_int tys e in
+      fun s -> float_of_int (c s)
+    | Some Treal -> real_typed tys e
+    | Some Tbool | None ->
+      let c = compile_value tys e in
+      fun s -> Value.as_float (c s))
+
+(* A [Real]-typed expression on floats: the payload of the [Real] that
+   [Expr.eval] gives, bit for bit.  An [Int] operand is computed on
+   ints and converted, as [Value] converts it. *)
+and real_typed tys (e : Expr.t) : cfloat =
+  match e with
+  | Const (Value.Real x) -> fun _ -> x
+  | Var v -> fun s -> Array.unsafe_get s.fval v
+  | Unop (Neg, e1) ->
+    let c = real_typed tys e1 in
     fun s -> -.(c s)
-  | Unop (Neg, _) ->
-    (* A possibly-[Int] operand: [Value.neg (Int 0)] is [+0.0] where the
-       float negate would give [-0.0]. *)
-    let c = compile_value lane e in
-    fun s -> Value.as_float (c s)
-  | Unop (Not, _)
-  | Binop ((And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge), _, _) ->
-    let c = compile_bool lane e in
-    fun s -> Value.as_float (vbool (c s))
   | Binop (Add, e1, e2) ->
-    let c1 = compile_float lane e1 and c2 = compile_float lane e2 in
+    let c1 = compile_float tys e1 and c2 = compile_float tys e2 in
     fun s ->
       let x = c1 s in
       let y = c2 s in
       x +. y
   | Binop (Sub, e1, e2) ->
-    let c1 = compile_float lane e1 and c2 = compile_float lane e2 in
+    let c1 = compile_float tys e1 and c2 = compile_float tys e2 in
     fun s ->
       let x = c1 s in
       let y = c2 s in
       x -. y
-  | Binop (Mul, e1, e2) when definitely_real lane e1 || definitely_real lane e2 ->
-    let c1 = compile_float lane e1 and c2 = compile_float lane e2 in
+  | Binop (Mul, e1, e2) ->
+    let c1 = compile_float tys e1 and c2 = compile_float tys e2 in
     fun s ->
       let x = c1 s in
       let y = c2 s in
       x *. y
-  | Binop (Mul, _, _) ->
-    (* Two possibly-[Int] operands: [Int 0 * Int (-1)] is [+0.0] where
-       the float product would give [-0.0]. *)
-    let c = compile_value lane e in
-    fun s -> Value.as_float (c s)
-  | Binop (Div, e1, e2) when definitely_real lane e1 || definitely_real lane e2 ->
-    let c1 = compile_float lane e1 and c2 = compile_float lane e2 in
+  | Binop (Div, e1, e2) ->
+    let c1 = compile_float tys e1 and c2 = compile_float tys e2 in
     fun s ->
       let x = c1 s in
       let y = c2 s in
       if y = 0.0 then raise (Value.Type_error "division by zero") else x /. y
-  | Binop ((Div | Mod), _, _) ->
-    (* Two possibly-[Int] operands: integer division/modulo semantics. *)
-    let c = compile_value lane e in
-    fun s -> Value.as_float (c s)
   | Binop (Min, e1, e2) ->
-    let c1 = compile_float lane e1 and c2 = compile_float lane e2 in
+    let c1 = compile_float tys e1 and c2 = compile_float tys e2 in
     fun s ->
       let x = c1 s in
       let y = c2 s in
       if Float.compare x y <= 0 then x else y
   | Binop (Max, e1, e2) ->
-    let c1 = compile_float lane e1 and c2 = compile_float lane e2 in
+    let c1 = compile_float tys e1 and c2 = compile_float tys e2 in
     fun s ->
       let x = c1 s in
       let y = c2 s in
       if Float.compare x y >= 0 then x else y
   | Ite (c, e1, e2) ->
-    let cc = compile_bool lane c and c1 = compile_float lane e1 and c2 = compile_float lane e2 in
+    let cc = bool_typed tys c and c1 = real_typed tys e1 and c2 = real_typed tys e2 in
     fun s -> if cc s then c1 s else c2 s
+  | Const _ | Loc _ | Unop (Not, _)
+  | Binop ((Mod | And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge), _, _) ->
+    invalid_arg "Compiled.real_typed"
 
-(* An [int_shaped] expression on the int lane: [Value.add] and the rest
-   on two [Int]s, operands evaluated left to right, and a zero divisor
-   raising [Value.div]'s and [Value.modulo]'s own errors. *)
-and compile_int lane (e : Expr.t) : cstate -> int =
+(* An [Int]-typed expression on ints: [Value.add] and the rest on two
+   [Int]s, operands evaluated left to right, and a zero divisor raising
+   [Value.div]'s and [Value.modulo]'s own errors. *)
+and compile_int tys (e : Expr.t) : cstate -> int =
   match e with
   | Const (Value.Int n) -> fun _ -> n
   | Var v -> fun s -> Array.unsafe_get s.ival v
   | Unop (Neg, e1) ->
-    let c = compile_int lane e1 in
+    let c = compile_int tys e1 in
     fun s -> -c s
   | Binop (op, e1, e2) -> (
-    let c1 = compile_int lane e1 and c2 = compile_int lane e2 in
+    let c1 = compile_int tys e1 and c2 = compile_int tys e2 in
     match op with
     | Add -> fun s ->
         let x = c1 s in
@@ -1055,39 +836,39 @@ and compile_int lane (e : Expr.t) : cstate -> int =
         if x >= y then x else y
     | And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge -> invalid_arg "Compiled.compile_int")
   | Ite (c, e1, e2) ->
-    let cc = compile_bool lane c and c1 = compile_int lane e1 and c2 = compile_int lane e2 in
+    let cc = bool_typed tys c and c1 = compile_int tys e1 and c2 = compile_int tys e2 in
     fun s -> if cc s then c1 s else c2 s
   | Const _ | Loc _ | Unop (Not, _) -> invalid_arg "Compiled.compile_int"
 
 (* Staged [Linear.eval_sym] / [Linear.sat_set]: the delay-dependent
    symbolic evaluation with the AST dispatch done once. *)
-and compile_sym lane (e : Expr.t) : cstate -> Linear.sval =
+and compile_sym tys (e : Expr.t) : cstate -> Linear.sval =
   match e with
   | Const v -> fun _ -> Linear.Disc v
-  | Var v when in_real lane v ->
+  | Var v when is_real tys v ->
     fun s ->
       let r = s.rates.(v) and x = Array.unsafe_get s.fval v in
       if r = 0.0 then Linear.Disc (Value.Real x) else Linear.Num { a = x; b = r }
   | Var v ->
     fun s ->
       let r = s.rates.(v) in
-      if r = 0.0 then Linear.Disc (get_v s v)
-      else Linear.Num { a = get_f s v; b = r }
+      if r = 0.0 then Linear.Disc (value s v)
+      else Linear.Num { a = Value.as_float (value s v); b = r }
   | Loc (p, l) -> fun s -> Linear.Disc (vbool (s.locs.(p) = l))
   | Unop (Neg, e1) ->
-    let c = compile_sym lane e1 in
+    let c = compile_sym tys e1 in
     fun s ->
       (match c s with
       | Linear.Disc v -> Linear.Disc (Value.neg v)
       | Linear.Num { a; b } -> Linear.Num { a = -.a; b = -.b })
   | Unop (Not, _) | Binop ((And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge), _, _)
     ->
-    let c = compile_value lane e in
+    let c = compile_value tys e in
     fun s -> Linear.Disc (c s)
-  | Binop (Add, e1, e2) -> compile_lift2 lane ( +. ) Value.add e1 e2
-  | Binop (Sub, e1, e2) -> compile_lift2 lane ( -. ) Value.sub e1 e2
+  | Binop (Add, e1, e2) -> compile_lift2 tys ( +. ) Value.add e1 e2
+  | Binop (Sub, e1, e2) -> compile_lift2 tys ( -. ) Value.sub e1 e2
   | Binop (Mul, e1, e2) ->
-    let c1 = compile_sym lane e1 and c2 = compile_sym lane e2 in
+    let c1 = compile_sym tys e1 and c2 = compile_sym tys e2 in
     fun s ->
       let s1 = c1 s in
       let s2 = c2 s in
@@ -1101,7 +882,7 @@ and compile_sym lane (e : Expr.t) : cstate -> Linear.sval =
         else if l2.b = 0.0 then Linear.Num { a = l1.a *. l2.a; b = l2.a *. l1.b }
         else raise (Linear.Nonlinear "product of two delay-dependent terms"))
   | Binop (Div, e1, e2) ->
-    let c1 = compile_sym lane e1 and c2 = compile_sym lane e2 in
+    let c1 = compile_sym tys e1 and c2 = compile_sym tys e2 in
     fun s ->
       let s1 = c1 s in
       let s2 = c2 s in
@@ -1127,7 +908,7 @@ and compile_sym lane (e : Expr.t) : cstate -> Linear.sval =
         end
         else raise (Linear.Nonlinear "division by a delay-dependent term"))
   | Binop (Mod, e1, e2) ->
-    let c1 = compile_sym lane e1 and c2 = compile_sym lane e2 in
+    let c1 = compile_sym tys e1 and c2 = compile_sym tys e2 in
     fun s ->
       let s1 = c1 s in
       let s2 = c2 s in
@@ -1135,7 +916,7 @@ and compile_sym lane (e : Expr.t) : cstate -> Linear.sval =
       | Linear.Disc v1, Linear.Disc v2 -> Linear.Disc (Value.modulo v1 v2)
       | _ -> raise (Linear.Nonlinear "mod of a delay-dependent term"))
   | Binop ((Min | Max) as op, e1, e2) ->
-    let c1 = compile_sym lane e1 and c2 = compile_sym lane e2 in
+    let c1 = compile_sym tys e1 and c2 = compile_sym tys e2 in
     let f = if op = Min then Value.min_v else Value.max_v in
     fun s ->
       let s1 = c1 s in
@@ -1144,15 +925,15 @@ and compile_sym lane (e : Expr.t) : cstate -> Linear.sval =
       | Linear.Disc v1, Linear.Disc v2 -> Linear.Disc (f v1 v2)
       | _ -> raise (Linear.Nonlinear "min/max of a delay-dependent term"))
   | Ite (c, e1, e2) ->
-    let cc = compile_sat lane c and c1 = compile_sym lane e1 and c2 = compile_sym lane e2 in
+    let cc = compile_sat tys c and c1 = compile_sym tys e1 and c2 = compile_sym tys e2 in
     fun s ->
       let cset = cc s in
       if I.equal cset I.full then c1 s
       else if I.is_empty cset then c2 s
       else raise (Linear.Nonlinear "if-then-else condition depends on the delay")
 
-and compile_lift2 lane fop vop e1 e2 =
-  let c1 = compile_sym lane e1 and c2 = compile_sym lane e2 in
+and compile_lift2 tys fop vop e1 e2 =
+  let c1 = compile_sym tys e1 and c2 = compile_sym tys e2 in
   fun s ->
     let s1 = c1 s in
     let s2 = c2 s in
@@ -1162,39 +943,39 @@ and compile_lift2 lane fop vop e1 e2 =
       let l1 = Linear.promote s1 and l2 = Linear.promote s2 in
       Linear.Num { a = fop l1.Linear.a l2.Linear.a; b = fop l1.Linear.b l2.Linear.b }
 
-and compile_sat lane (e : Expr.t) : csat =
+and compile_sat tys (e : Expr.t) : csat =
   match e with
   | Const (Value.Bool true) -> fun _ -> I.full
   | Const (Value.Bool false) -> fun _ -> I.empty
   | Const v -> fun _ -> if Value.as_bool v then I.full else I.empty
   | Var _ | Loc _ ->
-    let c = compile_bool lane e in
+    let c = compile_bool tys e in
     fun s -> if c s then I.full else I.empty
   | Unop (Not, e1) ->
-    let c = compile_sat lane e1 in
+    let c = compile_sat tys e1 in
     fun s -> I.complement (c s)
   | Unop (Neg, _) ->
     fun _ -> raise (Value.Type_error "numeric expression used as a guard")
   | Binop (And, e1, e2) ->
-    let c1 = compile_sat lane e1 and c2 = compile_sat lane e2 in
+    let c1 = compile_sat tys e1 and c2 = compile_sat tys e2 in
     fun s ->
       let s1 = c1 s in
       let s2 = c2 s in
       I.inter s1 s2
   | Binop (Or, e1, e2) ->
-    let c1 = compile_sat lane e1 and c2 = compile_sat lane e2 in
+    let c1 = compile_sat tys e1 and c2 = compile_sat tys e2 in
     fun s ->
       let s1 = c1 s in
       let s2 = c2 s in
       I.union s1 s2
   | Binop (Implies, e1, e2) ->
-    let c1 = compile_sat lane e1 and c2 = compile_sat lane e2 in
+    let c1 = compile_sat tys e1 and c2 = compile_sat tys e2 in
     fun s ->
       let s1 = c1 s in
       let s2 = c2 s in
       I.union (I.complement s1) s2
   | Binop ((Eq | Neq | Lt | Le | Gt | Ge) as op, e1, e2) ->
-    let c1 = compile_sym lane e1 and c2 = compile_sym lane e2 in
+    let c1 = compile_sym tys e1 and c2 = compile_sym tys e2 in
     fun s ->
       let s1 = c1 s in
       let s2 = c2 s in
@@ -1218,38 +999,39 @@ and compile_sat lane (e : Expr.t) : csat =
   | Binop ((Add | Sub | Mul | Div | Mod | Min | Max), _, _) ->
     fun _ -> raise (Value.Type_error "numeric expression used as a guard")
   | Ite (c, e1, e2) ->
-    let cc = compile_sat lane c and c1 = compile_sat lane e1 and c2 = compile_sat lane e2 in
+    let cc = compile_sat tys c and c1 = compile_sat tys e1 and c2 = compile_sat tys e2 in
     fun s ->
       let cset = cc s in
       let s1 = c1 s in
       let s2 = c2 s in
       I.union (I.inter cset s1) (I.inter (I.complement cset) s2)
 
-(* [compile_win lane e k] is [compile_sat lane e] writing its result into
+(* [compile_win tys e k] is [compile_sat tys e] writing its result into
    evaluator slot [k] (using the slots above [k] as scratch) instead of
    returning an [Interval_set.t]: guards and invariants over clocks and
    data then cost no allocation.  Returns the closure and the highest slot used.
-   Comparisons whose operands are variables or constants, Boolean
-   atoms, negation, conjunction and disjunction are evaluated in place;
-   anything else goes through [compile_sat] and is stored as it comes. *)
-let rec compile_win lane (e : Expr.t) k : (cstate -> unit) * int =
+   Comparisons no delay changes ([untimed]), comparisons of two numeric
+   variables or constants, Boolean atoms, negation, conjunction and
+   disjunction are evaluated in place; anything else goes through
+   [compile_sat] and is stored as it comes. *)
+let rec compile_win tys (e : Expr.t) k : (cstate -> unit) * int =
   match e with
   | Const (Value.Bool true) -> ((fun s -> w_set_full s.ev k), k)
   | Const (Value.Bool false) -> ((fun s -> w_set_empty s.ev k), k)
   | Const v ->
     ((fun s -> if Value.as_bool v then w_set_full s.ev k else w_set_empty s.ev k), k)
   | Var _ | Loc _ ->
-    let c = compile_bool lane e in
+    let c = compile_bool tys e in
     ((fun s -> if c s then w_set_full s.ev k else w_set_empty s.ev k), k)
   | Unop (Not, e1) ->
-    let c1, m = compile_win lane e1 k in
+    let c1, m = compile_win tys e1 k in
     ( (fun s ->
         c1 s;
         w_complement s.ev k),
       m )
   | Binop ((And | Or | Implies) as op, e1, e2) ->
-    let c1, m1 = compile_win lane e1 k in
-    let c2, m2 = compile_win lane e2 (k + 1) in
+    let c1, m1 = compile_win tys e1 k in
+    let c2, m2 = compile_win tys e2 (k + 1) in
     let f =
       match op with
       | And ->
@@ -1270,67 +1052,44 @@ let rec compile_win lane (e : Expr.t) k : (cstate -> unit) * int =
           w_union s.ev k s.ev k s.ev (k + 1)
     in
     (f, max m1 m2)
-  | Binop ((Eq | Neq | Lt | Le | Gt | Ge), e1, e2) when sym_int lane e1 && sym_int lane e2
-    ->
-    (* every operand is [Disc]: the comparison on the int lane *)
-    let c = compile_bool lane e in
+
+  | Binop ((Eq | Neq | Lt | Le | Gt | Ge), _, _) when untimed tys e ->
+    (* every operand is [Disc]: the comparison as a Boolean *)
+    let c = bool_typed tys e in
     ((fun s -> if c s then w_set_full s.ev k else w_set_empty s.ev k), k)
   | Binop
       ( ((Eq | Neq | Lt | Le | Gt | Ge) as op),
         ((Var _ | Const _) as e1),
-        ((Var _ | Const _) as e2) ) ->
-    (* [compile_sym] on each side: a variable with a non-zero rate is
-       [Num {a = value; b = rate}], anything else is [Disc value].  Two
-       [Disc] numbers, not both [Int]s ([sym_int] takes those), compare
-       as floats; anything else is compared boxed. *)
-    let v1, x1, f1 = operand e1 and v2, x2, f2 = operand e2 in
-    let nums = shape lane e1 = Snum && shape lane e2 = Snum in
+        ((Var _ | Const _) as e2) )
+    when stype tys e <> None ->
+    (* two numbers, one of them a real variable: [compile_sym] on each
+       side gives [Num {a = value; b = rate}] for a variable with a
+       non-zero rate and [Disc value] otherwise, and two [Disc] numbers
+       compare as [Value] compares them *)
+    let v1, i1, x1 = num_operand tys e1 and v2, i2, x2 = num_operand tys e2 in
     ( (fun s ->
         let b1 = if v1 < 0 then 0.0 else s.rates.(v1) in
         let b2 = if v2 < 0 then 0.0 else s.rates.(v2) in
-        if b1 = 0.0 && b2 = 0.0 && nums then begin
-          let x = if v1 >= 0 then get_f s v1 else f1 in
-          let y = if v2 >= 0 then get_f s v2 else f2 in
-          let holds =
-            match op with
-            | Eq -> x = y
-            | Neq -> not (x = y)
-            | Lt -> Float.compare x y < 0
-            | Le -> Float.compare x y <= 0
-            | Gt -> Float.compare x y > 0
-            | _ -> Float.compare x y >= 0
-          in
-          if holds then w_set_full s.ev k else w_set_empty s.ev k
-        end
-        else if b1 = 0.0 && b2 = 0.0 then begin
-          let x1 = if v1 < 0 then x1 else get_v s v1 in
-          let x2 = if v2 < 0 then x2 else get_v s v2 in
-          let holds =
-            match op with
-            | Eq -> Value.equal x1 x2
-            | Neq -> not (Value.equal x1 x2)
-            | Lt -> Value.compare_num x1 x2 < 0
-            | Le -> Value.compare_num x1 x2 <= 0
-            | Gt -> Value.compare_num x1 x2 > 0
-            | Ge -> Value.compare_num x1 x2 >= 0
-            | _ -> assert false
-          in
-          if holds then w_set_full s.ev k else w_set_empty s.ev k
-        end
+        let a1 =
+          if v1 < 0 then x1
+          else if i1 then float_of_int (Array.unsafe_get s.ival v1)
+          else Array.unsafe_get s.fval v1
+        in
+        let a2 =
+          if v2 < 0 then x2
+          else if i2 then float_of_int (Array.unsafe_get s.ival v2)
+          else Array.unsafe_get s.fval v2
+        in
+        if b1 = 0.0 && b2 = 0.0 then
+          if float_cmp op a1 a2 then w_set_full s.ev k else w_set_empty s.ev k
         else begin
           (* [Linear.promote]: a [Disc] side has slope +0 *)
-          let a1 =
-            if v1 >= 0 then get_f s v1 else if f1 = f1 then f1 else Value.as_float x1
-          in
-          let a2 =
-            if v2 >= 0 then get_f s v2 else if f2 = f2 then f2 else Value.as_float x2
-          in
           let b1 = if b1 = 0.0 then 0.0 else b1 and b2 = if b2 = 0.0 then 0.0 else b2 in
           w_solve_cmp s.ev k op (a1 -. a2) (b1 -. b2)
         end),
       k )
   | _ ->
-    let c = compile_sat lane e in
+    let c = compile_sat tys e in
     ((fun s -> w_of_set s.ev k (c s)), k)
 
 (* ------------------------------------------------------------------ *)
@@ -1385,12 +1144,9 @@ type t = {
   f_deps : int array array;  (* per flow, the later flows reading its target *)
   time_marks : int array;  (* flows a delay can change *)
   timed_vars : int array;  (* variables that can have a non-zero rate *)
-  inits : Value.t array;
-  lane : lane;  (* also a fresh scratch's [ftag] *)
-  lane_vars : int array;  (* the int lane's variables *)
-  ints0 : int array;  (* a fresh scratch's int lane *)
-  real_vars : int array;  (* the real lane's variables *)
-  reals0 : float array;  (* their initial values, in a fresh scratch's [fval] *)
+  tys : types;  (* the declared types, shared by every scratch *)
+  ints0 : int array;  (* the initial values in [ival] *)
+  reals0 : float array;  (* the initial values in [fval] *)
   clocks : (int * int) array;  (* (var, owner + 1); 0 = unowned *)
   n_vars : int;
   n_procs : int;
@@ -1453,84 +1209,45 @@ let stage (net : Network.t) : t =
   let timed_vars = int_set (vars_of Network.Clock @ derived) in
   let continuous = vars_of Network.Continuous in
   let time_marks = int_set (writes (Array.to_list timed_vars @ continuous)) in
-  (* The int lane: a discrete variable joins when its initial value is
-     an [Int], no delay changes it, and every update and flow writing it
-     is [int_shaped] over the lane.  Starting from every candidate and
-     dropping the variables a writer disqualifies, until none does,
-     leaves the greatest such set: every write to a lane variable stores
-     an [Int], and so does a restart, which writes the initial value. *)
-  let lane = Bytes.make (max n_vars 1) t_box in
-  Array.iteri
-    (fun v (info : Network.var_info) ->
-      match info.init, info.kind with
-      | Value.Int _, Network.Discrete when not (Array.mem v timed_vars) ->
-        Bytes.set lane v t_int
-      | _ -> ())
-    net.vars;
-  let writers =
-    Array.fold_left
-      (fun acc (proc : Automaton.t) ->
-        Array.fold_left (fun acc (tr : Automaton.transition) -> tr.updates @ acc) acc
-          proc.transitions)
-      (Array.fold_left (fun acc (f : Network.flow) -> (f.target, f.expr) :: acc) [] flows)
-      net.procs
+  let tys = Array.map (fun (info : Network.var_info) -> Value.type_of info.init) net.vars in
+  (* An update or a flow writes its target's store: [Network.make] has
+     checked that the expression has the target's type.  A real
+     variable or constant is read without a closure call, as a float
+     returned by a closure is boxed. *)
+  let compile_ival (e : Expr.t) =
+    if stype tys e = Some Tbool then begin
+      let c = bool_typed tys e in
+      fun s -> Bool.to_int (c s)
+    end
+    else compile_int tys e
   in
-  (* The greatest subset of the variables marked [yes] in [set] whose
-     writers are all [shaped]: unmark every variable a writer
-     disqualifies until none does. *)
-  let rec settle set yes shaped =
-    let dropped =
-      List.filter (fun (v, e) -> Bytes.get set v = yes && not (shaped e)) writers
-    in
-    List.iter (fun (v, _) -> Bytes.set set v '\000') dropped;
-    if dropped <> [] then settle set yes shaped
-  in
-  settle lane t_int (int_shaped lane);
-  (* The real lane, found the same way: a variable joins when its
-     initial value is a [Real] and every update and flow writing it is
-     real-shaped ([definitely_real]) over the lane.  A delay writes a
-     [Real] to a timed variable, and a restart the initial value. *)
-  Array.iteri
-    (fun v (info : Network.var_info) ->
-      match info.init with Value.Real _ -> Bytes.set lane v t_real | _ -> ())
-    net.vars;
-  settle lane t_real (definitely_real lane);
-  (* The variables that only ever hold a number, and a Boolean, found
-     the same way: a restart writes the initial value, and a delay
-     writes a number to a timed variable, which no Boolean is. *)
-  let nums = Bytes.make (max n_vars 1) '\000' and bools = Bytes.make (max n_vars 1) '\000' in
-  Array.iteri
-    (fun v (info : Network.var_info) ->
-      match info.init with
-      | Value.Int _ | Value.Real _ -> Bytes.set nums v '\001'
-      | Value.Bool _ -> if not (Array.mem v timed_vars) then Bytes.set bools v '\001')
-    net.vars;
-  let ty = { num = (fun v -> Bytes.get nums v = '\001'); bool = (fun v -> Bytes.get bools v = '\001') } in
-  settle nums '\001' (num_shaped ty.num);
-  settle bools '\001' (bool_shaped ty.bool);
-  (* A real-lane write of a variable or a constant reads it without a
-     closure call, as a float returned by a closure is boxed. *)
   let store (v, (e : Expr.t)) =
-    if in_lane lane v then begin
-      let c = compile_int lane e in
+    match tys.(v), e with
+    | Treal, Var w -> fun s -> set_f s v (Array.unsafe_get s.fval w)
+    | Treal, Const (Value.Real x) -> fun s -> set_f s v x
+    | Treal, _ ->
+      let c = real_typed tys e in
+      fun s -> set_f s v (c s)
+    | (Tint | Tbool), _ ->
+      let c = compile_ival e in
       fun s -> set_i s v (c s)
-    end
-    else if in_real lane v then begin
-      match e with
-      | Var w -> fun s -> set_f s v (get_f s w)
-      | Const (Value.Real x) -> fun s -> set_f s v x
-      | _ ->
-        let c = compile_float lane e in
-        fun s -> set_f s v (c s)
-    end
-    else begin
-      let c = compile_value lane e in
-      fun s -> set_v s v (c s)
-    end
   in
   let flow_store (v, (e : Expr.t)) =
-    if in_lane lane v then begin
-      let c = compile_int lane e in
+    match tys.(v), e with
+    (* a value that differs, its bits included; the test is written out
+       twice, as a function taking the float is not inlined here and
+       would box it *)
+    | Treal, Var w ->
+      fun s ->
+        let x = Array.unsafe_get s.fval w in
+        (not (same_bits x (Array.unsafe_get s.fval v))) && (set_f s v x; true)
+    | Treal, _ ->
+      let c = real_typed tys e in
+      fun s ->
+        let x = c s in
+        (not (same_bits x (Array.unsafe_get s.fval v))) && (set_f s v x; true)
+    | (Tint | Tbool), _ ->
+      let c = compile_ival e in
       fun s ->
         let x = c s in
         x <> Array.unsafe_get s.ival v
@@ -1538,36 +1255,10 @@ let stage (net : Network.t) : t =
           set_i s v x;
           true
         end
-    end
-    else if in_real lane v then begin
-      (* a value that differs, its bits included, as [holds] decides for
-         a box; the test is written out twice, as a function taking the
-         float is not inlined here and would box it *)
-      match e with
-      | Var w ->
-        fun s ->
-          let x = get_f s w in
-          (not (same_bits x (Array.unsafe_get s.fval v))) && (set_f s v x; true)
-      | _ ->
-        let c = compile_float lane e in
-        fun s ->
-          let x = c s in
-          (not (same_bits x (Array.unsafe_get s.fval v))) && (set_f s v x; true)
-    end
-    else begin
-      let c = compile_value lane e in
-      fun s ->
-        let x = c s in
-        (not (holds s v x))
-        && begin
-          set_v s v x;
-          true
-        end
-    end
   in
   let max_slot = ref ev_root in
   let win e =
-    let c, m = compile_win lane e ev_root in
+    let c, m = compile_win tys e ev_root in
     max_slot := max !max_slot m;
     c
   in
@@ -1575,10 +1266,9 @@ let stage (net : Network.t) : t =
      whose transition is trial-free from one check shared by all of
      them, without firing it (see there).  The flag is set on a guarded
      τ transition when
-     (a) none of its updates can raise (a constant, a variable or a
-         location, or int-lane arithmetic without [/] and [mod]), and
-         neither can a flow its updates or location switch mark, nor
-         one those flows mark in turn;
+     (a) none of its updates can raise (none divides, see
+         [may_raise]), and neither can a flow its updates or location
+         switch mark, nor one those flows mark in turn;
      (b) nothing it writes (those variables, the targets of those
          flows, its process's location) is read by a non-trivial
          activation condition or by another process's invariant;
@@ -1622,27 +1312,11 @@ let stage (net : Network.t) : t =
     List.iter (fun f -> Bytes.set seen f '\000') !reached;
     !reached
   in
-  let flow_safe = Array.map (fun (fl : Network.flow) -> value_safe ty fl.expr) flows in
-  let rec int_safe (e : Expr.t) =
-    match e with
-    | Const (Value.Int _) -> true
-    | Var v -> in_lane lane v
-    | Unop (Neg, e1) -> int_safe e1
-    | Binop ((Add | Sub | Mul | Min | Max), e1, e2) -> int_safe e1 && int_safe e2
-    | _ -> false
-  in
-  let update_safe (v, (e : Expr.t)) =
-    match e with Const _ | Var _ | Loc _ -> true | _ -> in_lane lane v && int_safe e
-  in
-  (* a scratch with the lane's tags, to evaluate an invariant at the
-     constants a transition sets: it reads nothing else *)
+  let flow_safe = Array.map (fun (fl : Network.flow) -> not (may_raise tys fl.expr)) flows in
+  (* a scratch to evaluate an invariant at the constants a transition
+     sets: it reads nothing else *)
   let consts_scratch =
-    lazy
-      (let s =
-         make_cstate ~n_procs ~n_vars ~n_flows:0 ~n_markov:0 ~n_slots:(ev_root + 1)
-       in
-       Bytes.blit lane 0 s.ftag 0 n_vars;
-       s)
+    lazy (make_cstate ~n_procs ~ty:tys ~n_flows:0 ~n_markov:0 ~n_slots:(ev_root + 1))
   in
   let lands_safely (tr : Automaton.transition) (inv : Expr.t) =
     inv = Expr.true_
@@ -1662,12 +1336,12 @@ let stage (net : Network.t) : t =
     let s = Lazy.force consts_scratch in
     List.iter
       (function
-        | Some (v, Value.Int n) when in_lane lane v -> s.ival.(v) <- n
-        | Some (v, Value.Real x) when in_real lane v -> s.fval.(v) <- x
-        | Some (v, x) -> s.vals.(v) <- x
+        | Some (v, x) ->
+          s.ival.(v) <- ival_of x;
+          s.fval.(v) <- fval_of x
         | None -> ())
       consts;
-    match compile_bool lane inv s with b -> b | exception _ -> false
+    match compile_bool tys inv s with b -> b | exception _ -> false
   in
   let trial_free p (tr : Automaton.transition) marks =
     match tr.label, tr.guard with
@@ -1675,7 +1349,7 @@ let stage (net : Network.t) : t =
       let reached = reach marks in
       let written = List.map fst tr.updates @ List.map (fun f -> flows.(f).Network.target) reached in
       let others = List.exists (fun q -> q <> p) in
-      List.for_all update_safe tr.updates
+      List.for_all (fun (_, e) -> not (may_raise tys e)) tr.updates
       && List.for_all (fun f -> flow_safe.(f)) reached
       && List.for_all (fun v -> Bytes.get act_vars v = '\000' && not (others inv_vars.(v))) written
       && Bytes.get act_procs p = '\000'
@@ -1689,7 +1363,7 @@ let stage (net : Network.t) : t =
       Array.iter
         (fun (tr : Automaton.transition) ->
           match tr.label, tr.guard with
-          | Automaton.Event e, Automaton.Guard g -> if not (win_safe ty g) then sync_skip.(e) <- false
+          | Automaton.Event e, Automaton.Guard g -> if not (win_safe tys g) then sync_skip.(e) <- false
           | _ -> ())
         proc.transitions)
     net.procs;
@@ -1766,7 +1440,7 @@ let stage (net : Network.t) : t =
               {
                 inv_trivial = loc.Automaton.invariant = Expr.true_;
                 inv_win = win loc.Automaton.invariant;
-                inv_bool = compile_bool lane loc.Automaton.invariant;
+                inv_bool = compile_bool tys loc.Automaton.invariant;
                 l_derivs = Array.of_list loc.Automaton.derivs;
                 tau;
                 by_event;
@@ -1776,7 +1450,7 @@ let stage (net : Network.t) : t =
         in
         {
           active_trivial = meta.Network.active_when = Expr.true_;
-          active = compile_bool lane meta.Network.active_when;
+          active = compile_bool tys meta.Network.active_when;
           p_initial = proc.Automaton.initial_loc;
           p_trans;
           p_locs;
@@ -1808,20 +1482,9 @@ let stage (net : Network.t) : t =
     f_deps;
     time_marks;
     timed_vars;
-    inits = Array.map (fun (v : Network.var_info) -> v.Network.init) net.vars;
-    lane;
-    lane_vars = Array.of_list (List.filter (in_lane lane) (List.init n_vars Fun.id));
-    ints0 =
-      Array.init (max n_vars 1) (fun v ->
-          match net.vars.(v).Network.init with
-          | Value.Int n when in_lane lane v -> n
-          | _ -> 0);
-    real_vars = Array.of_list (List.filter (in_real lane) (List.init n_vars Fun.id));
-    reals0 =
-      Array.init (max n_vars 1) (fun v ->
-          match net.vars.(v).Network.init with
-          | Value.Real x when in_real lane v -> x
-          | _ -> 0.0);
+    tys;
+    ints0 = Array.map (fun (v : Network.var_info) -> ival_of v.init) net.vars;
+    reals0 = Array.map (fun (v : Network.var_info) -> fval_of v.init) net.vars;
     clocks =
       Array.of_list
         (List.filter_map
@@ -1863,12 +1526,11 @@ let proc_active c s p =
 
 let scratch c =
   let s =
-    make_cstate ~n_procs:c.n_procs ~n_vars:c.n_vars ~n_flows:c.n_flows
-      ~n_markov:c.n_markov ~n_slots:c.n_slots
+    make_cstate ~n_procs:c.n_procs ~ty:c.tys ~n_flows:c.n_flows ~n_markov:c.n_markov
+      ~n_slots:c.n_slots
   in
-  Bytes.blit c.lane 0 s.ftag 0 c.n_vars;
-  copy_at c.lane_vars c.ints0 s.ival;
-  Array.iter (fun v -> s.fval.(v) <- c.reals0.(v)) c.real_vars;
+  Array.blit c.ints0 0 s.ival 0 c.n_vars;
+  Array.blit c.reals0 0 s.fval 0 c.n_vars;
   s
 
 let mark s (flows : int array) =
@@ -1912,15 +1574,17 @@ let end_origin s =
     s.origin <- -1
   end
 
+(* Variable [v] back to its initial value. *)
+let init c s v =
+  if c.tys.(v) = Value.Treal then set_f s v c.reals0.(v) else set_i s v c.ints0.(v)
+
 let reset c s =
   end_origin s;
   for p = 0 to c.n_procs - 1 do
     set_loc s p c.cprocs.(p).p_initial
   done;
   for v = 0 to c.n_vars - 1 do
-    if in_lane c.lane v then set_i s v c.ints0.(v)
-    else if in_real c.lane v then set_f s v c.reals0.(v)
-    else set_v s v c.inits.(v)
+    init c s v
   done;
   s.time.(0) <- 0.0;
   mark_all c s;
@@ -1961,7 +1625,7 @@ let advance_dl c s =
     for i = 0 to Array.length vs - 1 do
       let v = Array.unsafe_get vs i in
       let r = s.rates.(v) in
-      if r <> 0.0 then set_f s v (get_f s v +. (r *. d))
+      if r <> 0.0 then set_f s v (Array.unsafe_get s.fval v +. (r *. d))
     done;
     s.time.(0) <- s.time.(0) +. d;
     mark s c.time_marks
@@ -1982,10 +1646,7 @@ let restart_proc c s p =
   set_loc s p cp.p_initial;
   let owned = cp.p_owned in
   for i = 0 to Array.length owned - 1 do
-    let v = owned.(i) in
-    if in_lane c.lane v then set_i s v c.ints0.(v)
-    else if in_real c.lane v then set_f s v c.reals0.(v)
-    else set_v s v c.inits.(v)
+    init c s owned.(i)
   done;
   mark s cp.p_marks
 
@@ -2025,17 +1686,10 @@ let save s =
 let undo s mark =
   for e = s.jlen - 1 downto mark do
     let key = Array.unsafe_get s.jkey e in
-    let x = key lsr j_bits and kind = key land 7 in
+    let x = key lsr j_bits and kind = key land j_mask in
     if kind = j_loc then Array.unsafe_set s.locs x (Array.unsafe_get s.jint e)
     else if kind = j_int then Array.unsafe_set s.ival x (Array.unsafe_get s.jint e)
-    else if kind = j_flt then begin
-      if Bytes.unsafe_get s.ftag x = t_box then Bytes.unsafe_set s.ftag x t_float;
-      Array.unsafe_set s.fval x (Array.unsafe_get s.jflt e)
-    end
-    else if kind = j_box then begin
-      Bytes.unsafe_set s.ftag x t_box;
-      s.vals.(x) <- Array.unsafe_get s.jold e
-    end
+    else if kind = j_flt then Array.unsafe_set s.fval x (Array.unsafe_get s.jflt e)
   done;
   s.jlen <- mark
 
@@ -2057,27 +1711,18 @@ let drop s =
 
 let depth s = s.depth
 
-(* [compare] between two values as [State] holds them, each given as a
-   box [a], or as [Real xa] when [fa] says it is an unboxed float;
-   nothing is boxed. *)
-let same_value fa a xa fb b xb =
-  if fa then
-    if fb then Float.compare xa xb = 0
-    else match b with Value.Real y -> Float.compare xa y = 0 | _ -> false
-  else if fb then match a with Value.Real y -> Float.compare y xb = 0 | _ -> false
-  else compare a b = 0
-
 (* [State.equal_timeless] between the scratch and the snapshot at level
-   [k], over the fields written since: a location or lane int compared
-   as an int, a value boxed as [State] holds it and compared with
-   [compare].  A field's first entry from the level's mark on holds what
-   it was at the level; a field with none has not changed.  [same] runs
-   over the entries from [e] on, visiting each field once. *)
+   [k], over the fields written since: a location or a variable of
+   [ival] compared as an int, one of [fval] with [Float.compare], as
+   [compare] compares a [Real].  A field's first entry from the level's
+   mark on holds what it was at the level; a field with none has not
+   changed.  [same] runs over the entries from [e] on, visiting each
+   field once. *)
 let rec same s epoch e =
   e >= s.jlen
   ||
   let key = Array.unsafe_get s.jkey e in
-  let x = key lsr j_bits and kind = key land 7 in
+  let x = key lsr j_bits and kind = key land j_mask in
   if kind = j_dirty then same s epoch (e + 1)
   else begin
     let id = if kind = j_loc then x else s.n_procs + x in
@@ -2086,11 +1731,7 @@ let rec same s epoch e =
       Array.unsafe_set s.seen id epoch;
       (if kind = j_loc then Array.unsafe_get s.locs x = Array.unsafe_get s.jint e
        else if kind = j_int then Array.unsafe_get s.ival x = Array.unsafe_get s.jint e
-       else
-         same_value
-           (in_fval (Bytes.unsafe_get s.ftag x))
-           (Array.unsafe_get s.vals x) (Array.unsafe_get s.fval x)
-           (kind = j_flt) (Array.unsafe_get s.jold e) (Array.unsafe_get s.jflt e))
+       else Float.compare (Array.unsafe_get s.fval x) (Array.unsafe_get s.jflt e) = 0)
       && same s epoch (e + 1)
     end
   end
@@ -2568,12 +2209,12 @@ type formula = {
 }
 
 let compile_formula c e =
-  let f_win, f_top = compile_win c.lane e f_slot in
+  let f_win, f_top = compile_win c.tys e f_slot in
   {
     f_expr = e;
     f_trivial = e = Expr.true_;
     f_static = List.for_all (fun v -> not (Array.mem v c.timed_vars)) (Expr.free_vars e);
-    f_bool = compile_bool c.lane e;
+    f_bool = compile_bool c.tys e;
     f_win;
     f_top;
   }
@@ -2626,7 +2267,7 @@ let until_points c s ~goal ~hold ~eps ~cap (out : float array) =
 let to_state c s : State.t =
   {
     State.locs = Array.sub s.locs 0 c.n_procs;
-    vals = Array.init c.n_vars (fun v -> get_v s v);
+    vals = Array.init c.n_vars (value s);
     time = s.time.(0);
   }
 
@@ -2634,14 +2275,6 @@ let loc s p = s.locs.(p)
 let locs s = s.locs
 let ints s = s.ival
 let floats s = s.fval
-let lane_vars c = c.lane_vars
-let real_vars c = c.real_vars
-
-let value s v =
-  let t = Bytes.get s.ftag v in
-  if t = t_box then s.vals.(v)
-  else if t = t_int then Value.Int s.ival.(v)
-  else Value.Real s.fval.(v)
 
 (* Origins are numbered across all scratches, so that one names a load
    on one scratch. *)
@@ -2650,15 +2283,16 @@ let origins = Atomic.make 0
 (* A load at depth 0 turns the journal on from there: it is the origin
    [written] counts from.  Under a snapshot it is journaled as any
    write, and no origin remains. *)
-let load c s src ~loc ~int ~real ~value ~time =
+let load c s src ~loc ~int ~real ~bool ~time =
   end_origin s;
   for p = 0 to c.n_procs - 1 do
     set_loc s p (loc src p)
   done;
   for v = 0 to c.n_vars - 1 do
-    if in_lane c.lane v then set_i s v (int src v)
-    else if in_real c.lane v then set_f s v (real src v)
-    else set_v s v (value src v)
+    match c.tys.(v) with
+    | Value.Tint -> set_i s v (int src v)
+    | Treal -> set_f s v (real src v)
+    | Tbool -> set_i s v (Bool.to_int (bool src v))
   done;
   s.time.(0) <- time;
   if s.depth = 0 then begin
@@ -2671,7 +2305,8 @@ let copy c ~src ~dst =
   load c dst src ~loc
     ~int:(fun s v -> s.ival.(v))
     ~real:(fun s v -> s.fval.(v))
-    ~value ~time:src.time.(0);
+    ~bool:(fun s v -> s.ival.(v) <> 0)
+    ~time:src.time.(0);
   Bytes.blit src.dirty 0 dst.dirty 0 c.n_flows;
   dst.n_dirty <- src.n_dirty
 
@@ -2680,27 +2315,25 @@ let written s = if s.origin < 0 then 0 else s.jlen
 
 let written_field s e =
   let key = s.jkey.(e) in
-  let kind = key land 7 in
+  let kind = key land j_mask in
   if kind = j_dirty then -1 else if kind = j_loc then key lsr j_bits else s.n_procs + (key lsr j_bits)
 
 let dirty_flows c s =
   List.filter (fun f -> Bytes.get s.dirty f <> '\000') (List.init c.n_flows Fun.id)
 
-(* The expression compilers as the property tests use them: against a
-   lane (none by default), whose closures then run only on scratches
-   with that lane. *)
-let compile_real ?(lane = no_lane) e =
-  if definitely_real lane e then Some (compile_float lane e) else None
-
-let compile_value ?(lane = no_lane) e = compile_value lane e
-let compile_bool ?(lane = no_lane) e = compile_bool lane e
-let compile_float ?(lane = no_lane) e = compile_float lane e
-let compile_sat e = compile_sat no_lane e
-let compile_int ?(lane = no_lane) e = if int_shaped lane e then Some (compile_int lane e) else None
+(* The expression compilers as the property tests use them: against
+   declared types (none by default), whose closures then run only on
+   scratches whose variables have those types. *)
+let compile_value ?(types = [||]) e = compile_value types e
+let compile_bool ?(types = [||]) e = compile_bool types e
+let compile_float ?(types = [||]) e = compile_float types e
+let compile_sat ?(types = [||]) e = compile_sat types e
+let compile_int ?(types = [||]) e = if stype types e = Some Tint then Some (compile_int types e) else None
+let compile_real ?(types = [||]) e = if stype types e = Some Treal then Some (real_typed types e) else None
 
 (* For tests: [compile_sat] through the in-place window evaluator. *)
-let compile_window ?(lane = no_lane) e =
-  let c, _ = compile_win lane e 0 in
+let compile_window ?(types = [||]) e =
+  let c, _ = compile_win types e 0 in
   fun s ->
     c s;
     w_to_set s.ev 0

@@ -21,8 +21,8 @@
     - [rates] is refreshed by {!set_rates} and read by {!advance},
       {!discrete} (through guards) and the symbolic closures; discrete
       application never writes it;
-    - every write to a location, a value (boxed, unboxed float or int
-      lane) or a dirty flag while a snapshot is in force goes on one
+    - every write to a location, a value (in either store) or a dirty
+      flag while a snapshot is in force goes on one
       undo journal, the field and what it held; {!save} records the
       journal's length, the time and the dirty count and copies
       nothing, and {!restore} undoes the journal down to that length,
@@ -40,9 +40,9 @@
 module I := Slimsim_intervals.Interval_set
 
 type cstate
-(** Mutable per-worker simulation state: location vector, value store
-    with an unboxed float store (a cache, and the real lane) and an
-    unboxed int lane, current rate vector and model time. *)
+(** Mutable per-worker simulation state: location vector, an int store
+    and a float store for the values (below), current rate vector and
+    model time. *)
 
 type cvalue = cstate -> Value.t
 type cbool = cstate -> bool
@@ -59,50 +59,20 @@ type t
 val compile : Network.t -> t
 val network : t -> Network.t
 
-(** {1 The int lane and the real lane}
+(** {1 Stores by declared type}
 
-    A variable that provably only ever holds an [Int] is kept unboxed,
-    in the int lane, and the updates, flows and comparisons over it run
-    on native ints.  {!compile} decides from the network alone: a
-    discrete variable joins when its initial value is an [Int] and every
-    update and flow writing it is [Int]-shaped (integer constants, lane
-    variables, and negation, [+], [-], [*], [/], [mod], [min], [max]
-    and if-then-else over them).
-
-    A variable that provably only ever holds a [Real] is kept in the
-    real lane, the unboxed float store, and the updates, flows and
-    comparisons over it run on floats.  It joins when its initial value
-    is a [Real] and every update and flow writing it is real-shaped: a
-    [Real] constant or a real-lane variable is an operand of [+], [-],
-    [*] or [/], or both operands of [min] and [max], both branches of an
-    if-then-else, or the operand of a negation.  Delays (clocks,
-    continuous variables) and restarts (the initial value) store a
-    [Real] anyway, so clocks and timers join unless an update writes
-    them an [Int].  Both lanes are found as the greatest set closed
-    under those rules.
-
-    A variable outside the lanes keeps the boxed [Value.t] store, so
-    [Value] semantics never change; [Value.equal] and
-    [Value.compare_num] hold for the lanes' comparisons, NaN and [-0.0]
-    included.  A lane variable is boxed only when read back as a
-    [Value.t] ({!value}, {!to_state}, a generic read): each such read
-    boxes it afresh, and never moves it out of its lane. *)
-
-val lane_vars : t -> int array
-(** The network's int-lane variables, in increasing order: read-only. *)
-
-val real_vars : t -> int array
-(** The network's real-lane variables, in increasing order: read-only. *)
-
-type lane
-(** A set of variables kept in the lanes, for the property tests
-    below.  A network's own lanes never leave {!compile}: code that
-    evaluates on the network's scratches compiles through
-    {!compile_formula}. *)
-
-val lane_of : ?reals:int list -> int list -> lane
-(** [lane_of ~reals ints]: [ints] in the int lane, [reals] in the real
-    lane (none by default). *)
+    Each variable lives in the store of its declared type, the type of
+    its initial value ({!Network.var_type}): an [Int] in the int store,
+    a [Bool] there as 0 or 1, and a [Real] (a real, a clock, a
+    continuous variable) in the float store.  {!Network.make} has
+    checked that every update and flow writes its target's type, so no
+    write moves a variable to another store.  An expression with a
+    static type ({!Expr.static_type}) compiles to native ints, floats
+    and Booleans over the stores and computes what [Expr.eval] computes,
+    bit for bit and error for error; one without is evaluated by
+    [Expr.eval] itself, over {!value}.  A variable is boxed only when it
+    is read back as a [Value.t] ({!value}, {!to_state}, such an
+    evaluation). *)
 
 (** {1 Expression compilation}
 
@@ -111,27 +81,28 @@ val lane_of : ?reals:int list -> int list -> lane
     point: [compile_value] ≡ [Expr.eval], [compile_bool] its Boolean
     specialization, [compile_float] its numeric specialization
     (integer division/modulo semantics preserved), [compile_sat] ≡
-    [Linear.sat_set].  Compiled against a [~lane] (none by default),
-    they read its variables from the lanes, so the closures may run
-    only on scratches that keep exactly that lane ({!cstate_of}).
-    Compiled without one, they run on any scratch. *)
+    [Linear.sat_set].  Compiled against [~types], one declared type per
+    variable (none by default), they read each variable from the store
+    of its type, so the closures may run only on scratches whose
+    variables have those types ({!cstate_of}).  Compiled without, they
+    run on any scratch. *)
 
-val compile_value : ?lane:lane -> Expr.t -> cvalue
-val compile_bool : ?lane:lane -> Expr.t -> cbool
-val compile_float : ?lane:lane -> Expr.t -> cfloat
-val compile_sat : Expr.t -> csat
+val compile_value : ?types:Value.ty array -> Expr.t -> cvalue
+val compile_bool : ?types:Value.ty array -> Expr.t -> cbool
+val compile_float : ?types:Value.ty array -> Expr.t -> cfloat
+val compile_sat : ?types:Value.ty array -> Expr.t -> csat
 
-val compile_int : ?lane:lane -> Expr.t -> (cstate -> int) option
-(** The expression on the int lane when it is [Int]-shaped over
-    [~lane], [None] otherwise: [Expr.eval]'s [Int] unboxed, its
-    [Value.Type_error]s included. *)
+val compile_int : ?types:Value.ty array -> Expr.t -> (cstate -> int) option
+(** The expression on ints when it is [Int]-typed over [~types], [None]
+    otherwise: [Expr.eval]'s [Int] unboxed, its [Value.Type_error]s
+    included. *)
 
-val compile_real : ?lane:lane -> Expr.t -> (cstate -> float) option
-(** The expression on floats when it is real-shaped over [~lane]'s real
-    lane, [None] otherwise: the payload of the [Real] that [Expr.eval]
-    gives, bit for bit, and a [Value.Type_error] where it raises one. *)
+val compile_real : ?types:Value.ty array -> Expr.t -> (cstate -> float) option
+(** The expression on floats when it is [Real]-typed over [~types],
+    [None] otherwise: the payload of the [Real] that [Expr.eval] gives,
+    bit for bit, and a [Value.Type_error] where it raises one. *)
 
-val compile_window : ?lane:lane -> Expr.t -> csat
+val compile_window : ?types:Value.ty array -> Expr.t -> csat
 (** [compile_sat] through the in-place window evaluator that guards and
     invariants use; equal to [compile_sat] on every input.  The scratch
     must come from {!cstate_of} or {!scratch}. *)
@@ -147,13 +118,11 @@ val reset : t -> cstate -> unit
     initial locations, initial values, flows applied, time 0. *)
 
 val cstate_of :
-  ?lane:lane ->
   locs:int array -> vals:Value.t array -> rates:float array -> time:float -> unit -> cstate
 (** Build a standalone scratch from explicit contents — for tests that
-    evaluate compiled expressions against synthetic states.  The
-    variables of [~lane] (none by default) are kept in its lanes: an
-    int-lane one must hold an [Int] at rate 0, a real-lane one a [Real]
-    ([Invalid_argument] otherwise). *)
+    evaluate compiled expressions against synthetic states.  Each
+    variable's declared type is its value's, and only a [Real] one may
+    have a non-zero rate ([Invalid_argument] otherwise). *)
 
 val time : cstate -> float
 
@@ -162,8 +131,8 @@ val time_cell : cstate -> float array
     no boxed float, as a call to {!time} does. *)
 
 val var_float : cstate -> int -> float
-(** Current numeric value of a variable, reading the unboxed cache when
-    it is authoritative (≡ [Value.as_float (State.env _ v)]). *)
+(** Current numeric value of a variable, unboxed
+    (≡ [Value.as_float (State.env _ v)]). *)
 
 val rate : cstate -> int -> float
 (** Current derivative of a variable, as last refreshed by
@@ -177,19 +146,20 @@ val loc : cstate -> int -> int
 (** The location of a process. *)
 
 val value : cstate -> int -> Value.t
-(** The value of a variable, as {!to_state} reads it (the unboxed float
-    store or the int lane boxed afresh, without writing it back). *)
+(** The value of a variable, as {!to_state} reads it: boxed afresh from
+    its store. *)
 
 val locs : cstate -> int array
 (** The location vector itself, process [p] at index [p]: read-only. *)
 
 val ints : cstate -> int array
-(** The int lane itself, the value of int-lane variable [v] at index [v]
-    (other indices hold nothing): read-only. *)
+(** The int store itself: the value of an [Int] variable [v] at index
+    [v], a [Bool] one's as 0 or 1 (other indices hold nothing):
+    read-only. *)
 
 val floats : cstate -> float array
-(** The unboxed float store, the value of real-lane variable [v] at
-    index [v] (other indices may hold stale values): read-only. *)
+(** The float store itself, the value of a [Real] variable [v] at index
+    [v] (other indices hold nothing): read-only. *)
 
 val load :
   t ->
@@ -198,14 +168,13 @@ val load :
   loc:('a -> int -> int) ->
   int:('a -> int -> int) ->
   real:('a -> int -> float) ->
-  value:('a -> int -> Value.t) ->
+  bool:('a -> int -> bool) ->
   time:float ->
   unit
-(** [load c s src ~loc ~int ~real ~value ~time] overwrites the state
+(** [load c s src ~loc ~int ~real ~bool ~time] overwrites the state
     from [src]: locations [loc src 0], [loc src 1], ..., then for each
-    variable [v] in order, [int src v] when it is in the network's int
-    lane, [real src v] when it is in its real lane, and [value src v]
-    otherwise.  No flow is marked dirty: the state
+    variable [v] in order, [int src v], [real src v] or [bool src v], by
+    its declared type.  No flow is marked dirty: the state
     must satisfy its flows, as every state a move or {!reset} leaves
     does.  At depth 0 the load is the origin {!written} counts from. *)
 
@@ -253,8 +222,8 @@ val written : cstate -> int
 
 val written_field : cstate -> int -> int
 (** [written_field s e] is the field the [e]-th of them wrote: [p] for
-    the location of process [p], [n_procs + v] for variable [v] (in
-    the int lane or not), [-1] for a dirty flag.  A field may appear
+    the location of process [p], [n_procs + v] for variable [v], [-1]
+    for a dirty flag.  A field may appear
     more than once, and may hold what it held at the load. *)
 
 (** {1 Per-step operations} — each mirrors its [State]/[Moves_oracle]

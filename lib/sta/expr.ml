@@ -80,6 +80,28 @@ let rec eval ~env ~at_loc e =
 
 let eval_bool ~env ~at_loc e = Value.as_bool (eval ~env ~at_loc e)
 
+let rec static_type ty e : Value.ty option =
+  match e with
+  | Const v -> Some (Value.type_of v)
+  | Var v -> ty v
+  | Loc _ -> Some Tbool
+  | Unop (Not, e1) -> if static_type ty e1 = Some Tbool then Some Tbool else None
+  | Unop (Neg, e1) -> (
+    match static_type ty e1 with Some (Tint | Treal) as t -> t | Some Tbool | None -> None)
+  | Binop (op, e1, e2) -> (
+    let t1 = static_type ty e1 and t2 = static_type ty e2 in
+    match op, t1, t2 with
+    | (And | Or | Implies | Eq | Neq), Some Tbool, Some Tbool -> Some Tbool
+    | (Eq | Neq | Lt | Le | Gt | Ge), Some (Tint | Treal), Some (Tint | Treal) -> Some Tbool
+    | (Add | Sub | Mul | Div | Mod | Min | Max), Some Tint, Some Tint -> Some Tint
+    | (Add | Sub | Mul | Div | Min | Max), Some (Tint | Treal), Some (Tint | Treal) ->
+      Some Treal
+    | _ -> None)
+  | Ite (c, e1, e2) -> (
+    match static_type ty c, static_type ty e1, static_type ty e2 with
+    | Some Tbool, (Some t1 as t), Some t2 when t1 = t2 -> t
+    | _ -> None)
+
 let free_vars e =
   let rec go acc = function
     | Const _ | Loc _ -> acc

@@ -41,6 +41,14 @@ val eval : env:(int -> Value.t) -> at_loc:(int -> int -> bool) -> t -> Value.t
 
 val eval_bool : env:(int -> Value.t) -> at_loc:(int -> int -> bool) -> t -> bool
 
+val static_type : (int -> Value.ty option) -> t -> Value.ty option
+(** The type of every value [eval] can give, when the variables hold
+    values of the types [ty] gives: [Some t] when every operator of the
+    expression meets operands of its types ([Int] with [Real] giving
+    [Real], both branches of an if-then-else of one type), [None]
+    otherwise.  A well-typed expression raises only a zero divisor's
+    [Value.Type_error]. *)
+
 val free_vars : t -> int list
 (** Sorted, de-duplicated variable indices read by the expression. *)
 

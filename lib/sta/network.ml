@@ -69,18 +69,72 @@ let make ~procs ~vars ~events ~flows =
     if v < 0 || v >= n_vars then invalid "%s references variable %d out of range" ctx v
   in
   let check_expr ctx e = List.iter (check_var ctx) (Expr.free_vars e) in
+  (* The declared type of a variable is that of its initial value: a
+     clock or a continuous variable is a real, an if-then-else has
+     branches of one type, and every update and flow writes its
+     target's type. *)
+  let ty v = Value.type_of vars.(v).init in
+  let typed = Expr.static_type (fun v -> Some (ty v)) in
+  let tname = Value.type_name in
+  let a t = (if t = Value.Tint then "an " else "a ") ^ tname t in
+  Array.iter
+    (fun info ->
+      match info.kind, Value.type_of info.init with
+      | Discrete, _ | (Clock | Continuous), Value.Treal -> ()
+      | (Clock | Continuous), t ->
+        invalid "%s variable %s has type %s; it must be real"
+          (if info.kind = Clock then "clock" else "continuous")
+          info.var_name (tname t))
+    vars;
+  let rec check_ite ctx (e : Expr.t) =
+    match e with
+    | Const _ | Var _ | Loc _ -> ()
+    | Unop (_, e1) -> check_ite ctx e1
+    | Binop (_, e1, e2) ->
+      check_ite ctx e1;
+      check_ite ctx e2
+    | Ite (c, e1, e2) -> (
+      check_ite ctx c;
+      check_ite ctx e1;
+      check_ite ctx e2;
+      match typed e1, typed e2 with
+      | Some t1, Some t2 when t1 <> t2 ->
+        invalid "%s: an if-then-else has %s and %s branches" ctx (tname t1) (tname t2)
+      | _ -> ())
+  in
+  let check ctx e =
+    check_expr ctx e;
+    check_ite ctx e
+  in
+  let check_write ctx v e =
+    check_var ctx v;
+    check_expr ctx e;
+    let name = vars.(v).var_name in
+    check_ite (Printf.sprintf "%s, writing %s" ctx name) e;
+    match typed e with
+    | Some t when t = ty v -> ()
+    | Some t -> invalid "%s: %s variable %s is written %s" ctx (tname (ty v)) name (a t)
+    | None -> invalid "%s: %s variable %s is written an ill-typed expression" ctx (tname (ty v)) name
+  in
   List.iter
-    (fun (p, _) ->
+    (fun ((p : Automaton.t), (meta : proc_meta)) ->
       let open Automaton in
-      Array.iter (fun l -> check_expr p.proc_name l.invariant) p.locations;
+      check p.proc_name meta.active_when;
+      Array.iter
+        (fun l ->
+          check p.proc_name l.invariant;
+          List.iter
+            (fun (v, _) ->
+              check_var p.proc_name v;
+              if ty v <> Value.Treal then
+                invalid "%s: derivative of %s variable %s; only a real has one" p.proc_name
+                  (tname (ty v)) vars.(v).var_name)
+            l.derivs)
+        p.locations;
       Array.iter
         (fun tr ->
-          (match tr.guard with Guard g -> check_expr p.proc_name g | Rate _ -> ());
-          List.iter
-            (fun (v, e) ->
-              check_var p.proc_name v;
-              check_expr p.proc_name e)
-            tr.updates;
+          (match tr.guard with Guard g -> check p.proc_name g | Rate _ -> ());
+          List.iter (fun (v, e) -> check_write p.proc_name v e) tr.updates;
           match tr.label with
           | Event e ->
             if e < 0 || e >= Array.length events then
@@ -88,11 +142,7 @@ let make ~procs ~vars ~events ~flows =
           | Tau -> ())
         p.transitions)
     procs;
-  List.iter
-    (fun f ->
-      check_var "flow" f.target;
-      check_expr "flow" f.expr)
-    flows;
+  List.iter (fun f -> check_write "flow" f.target f.expr) flows;
   let flows = topo_sort_flows n_vars flows in
   let procs_arr = Array.of_list (List.map fst procs) in
   let meta = Array.of_list (List.map snd procs) in
@@ -105,6 +155,7 @@ let make ~procs ~vars ~events ~flows =
   in
   { procs = procs_arr; meta; vars; events; flows; participants }
 
+let var_type t v = Value.type_of t.vars.(v).init
 let n_procs t = Array.length t.procs
 let n_vars t = Array.length t.vars
 

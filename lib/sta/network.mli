@@ -12,7 +12,7 @@ type var_kind =
 type var_info = {
   var_name : string;  (** fully qualified, e.g. ["sys.gps.fix"] *)
   kind : var_kind;
-  init : Value.t;
+  init : Value.t;  (** its constructor is the variable's declared type *)
   owner : int option;  (** owning process; its activation freezes flow *)
 }
 
@@ -50,9 +50,18 @@ val make :
   t
 (** Validates: variable/event indices in range, flow targets written at
     most once, flow dependencies acyclic (flows are re-sorted into
-    dependency order).  Raises [Invalid_network]. *)
+    dependency order), and the declared types: a clock or a continuous
+    variable starts at a [Real], only a [Real] variable has a
+    derivative, every update and flow has its target's type
+    ([Expr.static_type]), and every if-then-else has branches of one
+    type.  Guards, invariants and activation conditions may be
+    ill-typed; they raise [Value.Type_error] when evaluated.  Raises
+    [Invalid_network], naming the variable and the types. *)
 
 val default_meta : proc_meta
+
+val var_type : t -> int -> Value.ty
+(** A variable's declared type: its initial value's. *)
 
 val n_procs : t -> int
 val n_vars : t -> int

@@ -1,4 +1,8 @@
 type t = Bool of bool | Int of int | Real of float
+type ty = Tbool | Tint | Treal
+
+let type_of = function Bool _ -> Tbool | Int _ -> Tint | Real _ -> Treal
+let type_name = function Tbool -> "bool" | Tint -> "int" | Treal -> "real"
 
 exception Type_error of string
 
@@ -58,8 +62,13 @@ let neg = function
   | Real x -> Real (-.x)
   | Bool _ -> type_error "negation applied to a Boolean"
 
-let min_v v1 v2 = if compare_num v1 v2 <= 0 then v1 else v2
-let max_v v1 v2 = if compare_num v1 v2 >= 0 then v1 else v2
+(* An [Int] and a [Real] give a [Real], as the other arithmetic does. *)
+let pick v1 v2 first =
+  let v = if first then v1 else v2 in
+  match v1, v2 with Int _, Real _ | Real _, Int _ -> Real (as_float v) | _ -> v
+
+let min_v v1 v2 = pick v1 v2 (compare_num v1 v2 <= 0)
+let max_v v1 v2 = pick v1 v2 (compare_num v1 v2 >= 0)
 
 let pp ppf = function
   | Bool b -> Fmt.bool ppf b

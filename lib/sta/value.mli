@@ -3,6 +3,14 @@
 
 type t = Bool of bool | Int of int | Real of float
 
+type ty = Tbool | Tint | Treal
+(** A value's type: its constructor.  A variable's declared type is
+    that of its initial value. *)
+
+val type_of : t -> ty
+val type_name : ty -> string
+(** ["bool"], ["int"] or ["real"]. *)
+
 exception Type_error of string
 
 val equal : t -> t -> bool
@@ -27,5 +35,8 @@ val modulo : t -> t -> t
 val neg : t -> t
 val min_v : t -> t -> t
 val max_v : t -> t -> t
+(** The lesser (greater) operand, by [compare_num]; an [Int] and a
+    [Real] give a [Real]. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

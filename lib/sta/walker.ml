@@ -350,7 +350,7 @@ module Table = struct
     offs : int array;
     mutable psum : int;  (* the sum [patch] leaves *)
     field : Bytes.t;  (* one field, packed *)
-    mutable lane : Bytes.t;
+    types : Value.ty array;  (* the variables' declared types: their fields' layouts *)
   }
 
   let create (net : Network.t) =
@@ -394,7 +394,7 @@ module Table = struct
       offs = Array.make (procs + vars + 1) 0;
       psum = 0;
       field = Bytes.create 16;
-      lane = Bytes.empty;
+      types = Array.init vars (Network.var_type net);
     }
 
   let length t = t.n
@@ -558,34 +558,25 @@ module Table = struct
     if t.n > n then set_time t i s.time;
     i
 
-  (* The network's lanes, one byte a variable, 1 for the int lane and 2
-     for the real lane, taken from the first walker the table meets. *)
-  let lane t (w : walker) =
-    if Bytes.length t.lane <> t.vars then begin
-      let lane = Bytes.make t.vars '\000' in
-      Array.iter (fun v -> Bytes.set lane v '\001') (Compiled.lane_vars w.c);
-      Array.iter (fun v -> Bytes.set lane v '\002') (Compiled.real_vars w.c);
-      t.lane <- lane
-    end;
-    t.lane
-
   (* Field [f] of the scratch's state at [b.[pos]], as [intern] packs it:
-     the location of process [f], else variable [f - procs], a lane
-     variable's int or float read straight from its lane; the position
-     past it. *)
-  let put_field t (w : walker) lane b pos f =
+     the location of process [f], else variable [f - procs], read
+     straight from the store of its declared type; the position past
+     it. *)
+  let put_field t (w : walker) b pos f =
     if f < t.procs then put_varint b pos (Compiled.loc w.cs f)
     else
       let v = f - t.procs in
-      match Bytes.unsafe_get lane v with
-      | '\001' -> put_int b pos (Array.unsafe_get (Compiled.ints w.cs) v)
-      | '\002' -> put_real b pos (Array.unsafe_get (Compiled.floats w.cs) v)
-      | _ -> put_value b pos (Compiled.value w.cs v)
+      match Array.unsafe_get t.types v with
+      | Value.Tint -> put_int b pos (Array.unsafe_get (Compiled.ints w.cs) v)
+      | Treal -> put_real b pos (Array.unsafe_get (Compiled.floats w.cs) v)
+      | Tbool ->
+        put b pos (Array.unsafe_get (Compiled.ints w.cs) v);
+        pos + 1
 
   let pack t w start =
-    let lane = lane t w and pos = ref start in
+    let pos = ref start in
     for f = 0 to t.procs + t.vars - 1 do
-      pos := put_field t w lane t.buf !pos f
+      pos := put_field t w t.buf !pos f
     done;
     !pos
 
@@ -594,7 +585,7 @@ module Table = struct
      value would change its length.  A field is packed into [field]
      first, and patched only where its bytes differ. *)
   let patch t (w : walker) start =
-    let b = t.buf and cs = w.cs and lane = t.lane in
+    let b = t.buf and cs = w.cs in
     let j = ref 0 in
     while !j < t.base_len do
       set64 b (start + !j) (get64 t.rbuf (t.rstart + !j));
@@ -608,7 +599,7 @@ module Table = struct
       if f >= 0 then begin
         let off = Array.unsafe_get t.offs f in
         let len = Array.unsafe_get t.offs (f + 1) - off in
-        if put_field t w lane t.field 0 f <> len then ok := false
+        if put_field t w t.field 0 f <> len then ok := false
         else begin
           let k = ref 0 in
           while !k < len && Bytes.unsafe_get t.field !k = Bytes.unsafe_get b (start + off + !k) do
@@ -651,7 +642,8 @@ module Table = struct
 
   (* Readers of a key from [t.rpos] on, each of the next location or
      value, to be called in order: [read_value] boxes a value,
-     [read_int] reads an [Int] unboxed and [read_real] a [Real]'s float.
+     [read_int] reads an [Int] unboxed, [read_real] a [Real]'s float and
+     [read_bool] a [Bool]'s byte.
      Each notes where its field starts in [offs]. *)
   let read_byte t =
     let c = Char.code (Bytes.get t.rbuf t.rpos) in
@@ -687,6 +679,13 @@ module Table = struct
     t.rpos <- t.rpos + 8;
     f
 
+  let read_bool t v =
+    note t (t.procs + v);
+    match read_byte t with
+    | 0 -> false
+    | 1 -> true
+    | _ -> invalid_arg "Walker.Table: not a Boolean"
+
   let read_value t v =
     note t (t.procs + v);
     match read_byte t with
@@ -715,10 +714,9 @@ module Table = struct
 
   let load t i (w : walker) =
     seek t i;
-    Compiled.load w.c w.cs t ~loc:read_loc ~int:read_int ~real:read_real ~value:read_value
+    Compiled.load w.c w.cs t ~loc:read_loc ~int:read_int ~real:read_real ~bool:read_bool
       ~time:(time t i);
     note t (t.procs + t.vars);
-    ignore (lane t w);
     t.base <- i;
     t.base_origin <- Compiled.origin w.cs;
     t.base_len <- key_len t (Chunked.get t.spans i);

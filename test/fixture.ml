@@ -86,21 +86,20 @@ let without_wall = function
     Slimsim.Cost_distribution
       { r with reach = { r.Slimsim_sim.Cost_run.reach with wall_seconds = 0.0 } }
 
-(* A hand-built untimed network where the int lane meets the variables
-   it must leave boxed (SLIM's front end would refuse some of these
-   writes):
-   - [n] is in the lane: [n + 1], [n / 2] and [(n * 3) mod 5];
-   - [r] is a real assigned the int expression [n * 2], so it holds an
-     [Int] after the first write;
-   - [k] is an int written by [r + 1], which is not [Int]-shaped, so it
-     stays boxed and may hold a [Real];
-   - the flow [m := n + k] reads [k], so [m] stays boxed too;
-   - the flows [q] and [d] are in the lane: if-then-else, [min], [max],
-     negatives, truncating [/] and [mod]. *)
+(* A hand-built untimed network that writes each store, ints, reals
+   and Booleans, from both sides, updates and flows:
+   - [n] counts with [n + 1], the truncating [n / 2] and
+     [(n * 3) mod 5], and [k] takes [min (n, 3) + 1] and [1];
+   - the flows [m := n + k], [q] (if-then-else, [min], [max],
+     negatives) and [d] (negative operands of [/] and [mod]) are ints;
+   - the real [r] takes [n * 2.5], and the flow [h := r / 2.0 + n]
+     mixes it with an int;
+   - the Boolean [b] flips with [not b], and the flow [e := n > 2 or b]
+     reads it, as does a guard. *)
 let lane_network () =
   let module Sta = Slimsim_sta in
   let module E = Sta.Expr in
-  let n = 0 and r = 1 and k = 2 and m = 3 and q = 4 and d = 5 in
+  let n = 0 and r = 1 and k = 2 and m = 3 and q = 4 and d = 5 and b = 6 and e = 7 and h = 8 in
   let v = E.var and i = E.int in
   let bin op x y = E.Binop (op, x, y) in
   let loc name = { Sta.Automaton.loc_name = name; invariant = E.true_; derivs = [] } in
@@ -111,10 +110,14 @@ let lane_network () =
     Sta.Automaton.make ~name:"p" ~locations:[| loc "a0"; loc "a1" |] ~initial:0
       ~transitions:
         [
-          tr 0 1 (Sta.Automaton.Rate 1.0) [ (n, bin E.Add (v n) (i 1)) ];
+          tr 0 1 (Sta.Automaton.Rate 1.0)
+            [ (n, bin E.Add (v n) (i 1)); (b, E.Unop (E.Not, v b)) ];
           tr 1 0 (Sta.Automaton.Rate 2.0) [ (n, bin E.Div (v n) (i 2)) ];
           tr 1 0 (Sta.Automaton.Rate 0.5)
-            [ (k, bin E.Add (v r) (i 1)); (n, bin E.Mod (bin E.Mul (v n) (i 3)) (i 5)) ];
+            [
+              (k, bin E.Add (bin E.Min (v n) (i 3)) (i 1));
+              (n, bin E.Mod (bin E.Mul (v n) (i 3)) (i 5));
+            ];
         ]
   in
   let g e = Sta.Automaton.Guard e in
@@ -122,9 +125,9 @@ let lane_network () =
     Sta.Automaton.make ~name:"c" ~locations:[| loc "c0"; loc "c1" |] ~initial:0
       ~transitions:
         [
-          tr 0 1 (g (bin E.Gt (v n) (i 1))) [ (r, bin E.Mul (v n) (i 2)) ];
+          tr 0 1 (g (bin E.Gt (v n) (i 1))) [ (r, bin E.Mul (v n) (E.real 2.5)) ];
           tr 1 0 (g (bin E.And (bin E.Ge (v k) (i 3)) (bin E.Gt (v q) (i 3)))) [ (k, i 1) ];
-          tr 1 0 (g (bin E.Le (v n) (i 1))) [];
+          tr 1 0 (g (bin E.And (bin E.Le (v n) (i 1)) (E.Unop (E.Not, v e)))) [];
         ]
   in
   let var name init =
@@ -140,6 +143,9 @@ let lane_network () =
         var "m" (Sta.Value.Int 0);
         var "q" (Sta.Value.Int 0);
         var "d" (Sta.Value.Int 0);
+        var "b" (Sta.Value.Bool false);
+        var "e" (Sta.Value.Bool false);
+        var "h" (Sta.Value.Real 0.0);
       |]
     ~events:[||]
     ~flows:
@@ -157,24 +163,19 @@ let lane_network () =
           Sta.Network.target = d;
           expr = bin E.Add (bin E.Div (bin E.Sub (v q) (i 7)) (i 2)) (bin E.Mod (bin E.Sub (v n) (i 5)) (i 3));
         };
+        { Sta.Network.target = e; expr = bin E.Or (bin E.Gt (v n) (i 2)) (v b) };
+        { Sta.Network.target = h; expr = bin E.Add (bin E.Div (v r) (E.real 2.0)) (v n) };
       ]
 
-(* A hand-built network where the real lane meets the variables it
-   must leave boxed (SLIM's front end would refuse some of these
-   writes):
-   - [x] is in the lane: [min (x + 0.5, 1.5)], [-x] (so [-0.0]) and
-     [max (x - 1.0, -1.5)];
-   - the flow [y := x * 2.0] and [z := r1 + 0.5] are in the lane: a
-     [Real] constant is an operand, whatever [r1] holds;
-   - [r1] is a real written by [r1 := 1], and [r2] one written by the
-     integer division [n / 2], so each holds an [Int] after its first
-     write and stays boxed;
-   - [k] is a real written by [min (x, n)], which may be the [Int] [n],
-     so it stays boxed too;
-   - the clock [c] is in the lane, reset to [0.0], and read by a guard
-     and an invariant beside [x] and [y].
-   [n] is in the int lane, and counts modulo 4, so the state graph is
-   finite. *)
+(* A hand-built timed network of reals, written from both sides:
+   - [x] takes [min (x + 0.5, 1.5)], [-x] (so [-0.0]) and
+     [max (x - 1.0, -1.5)], and the flow [y := x * 2.0] reads it;
+   - [r1] takes [n + 0.5] and [r2] the real division [n / 2.0], each
+     an int mixed with a real;
+   - [k] takes [min (x, n)], a real whichever operand is the lesser;
+   - [z := r1 + 0.5] is written beside the clock [c]'s reset to [0.0],
+     and a guard and an invariant read [c] beside [x] and [y].
+   [n] is an int counting modulo 4, so the state graph is finite. *)
 let real_lane_network () =
   let module Sta = Slimsim_sta in
   let module E = Sta.Expr in
@@ -194,11 +195,11 @@ let real_lane_network () =
               (n, bin E.Mod (bin E.Add (v n) (i 1)) (i 4));
               (x, bin E.Min (bin E.Add (v x) (r 0.5)) (r 1.5));
             ];
-          tr 1 0 (Sta.Automaton.Rate 2.0) [ (x, E.Unop (E.Neg, v x)); (r1, i 1) ];
+          tr 1 0 (Sta.Automaton.Rate 2.0) [ (x, E.Unop (E.Neg, v x)); (r1, bin E.Add (v n) (r 0.5)) ];
           tr 1 0 (Sta.Automaton.Rate 0.5)
             [
               (x, bin E.Max (bin E.Sub (v x) (r 1.0)) (r (-1.5)));
-              (r2, bin E.Div (v n) (i 2));
+              (r2, bin E.Div (v n) (r 2.0));
               (k, bin E.Min (v x) (v n));
             ];
         ]

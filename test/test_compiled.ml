@@ -22,21 +22,33 @@ module Network = Slimsim_sta.Network
 module Automaton = Slimsim_sta.Automaton
 
 (* ------------------------------------------------------------------ *)
-(* Random expressions and states over a small synthetic signature      *)
+(* Random expressions and states over a small typed signature          *)
 
-let n_vars = 4
+(* Each variable has a declared type: two Booleans, two ints and two
+   reals.  Expressions are drawn over it without regard to types, so
+   ill-typed ones exercise the evaluation that has no static type. *)
+let types = [| Value.Tbool; Value.Tbool; Value.Tint; Value.Tint; Value.Treal; Value.Treal |]
+let n_vars = Array.length types
 let n_procs = 2
 let n_locs = 3
 
-let gen_value =
-  Gen.oneof
+(* Ints reach +-2^62, a few units apart, which a double cannot tell
+   apart: an int computed or compared in floats would show.  Sums and
+   products wrap, as native ints do. *)
+let gen_int =
+  Gen.frequency
     [
-      Gen.map (fun b -> Value.Bool b) Gen.bool;
-      Gen.map (fun n -> Value.Int n) (Gen.int_range (-4) 4);
-      Gen.map
-        (fun x -> Value.Real x)
-        (Gen.oneofl [ -2.5; -1.0; -0.25; 0.0; 0.5; 1.0; 3.25 ]);
+      (1, Gen.int_range (-4) 4);
+      (2, Gen.map2 ( + ) (Gen.oneofl [ max_int - 4; min_int + 4 ]) (Gen.int_range (-4) 4));
     ]
+let gen_real = Gen.oneofl [ -2.5; -1.0; -0.25; 0.0; 0.5; 1.0; 3.25 ]
+
+let gen_of_type = function
+  | Value.Tbool -> Gen.map (fun b -> Value.Bool b) Gen.bool
+  | Value.Tint -> Gen.map (fun n -> Value.Int n) gen_int
+  | Value.Treal -> Gen.map (fun x -> Value.Real x) gen_real
+
+let gen_value = Gen.oneof (List.map gen_of_type [ Value.Tbool; Value.Tint; Value.Treal ])
 
 let gen_leaf =
   Gen.oneof
@@ -57,12 +69,9 @@ let gen_binop =
       Expr.Min; Expr.Max;
     ]
 
-(* Depth-bounded: at most 2^4 = 16 leaves with |const| <= 4, so integer
-   intermediates stay far below 2^53 and never wrap — the domain on
-   which the compiled unboxed arithmetic provably agrees bit-for-bit
-   with the interpreter (the documented deviation is integers beyond
-   the double mantissa, which SLIM models never produce). *)
-let gen_expr =
+(* Depth-bounded: at most 2^4 = 16 leaves, drawn with no regard to
+   types, so that most are ill-typed. *)
+let gen_untyped =
   Gen.fix
     (fun self depth ->
       if depth <= 0 then gen_leaf
@@ -90,13 +99,80 @@ let gen_expr =
           ])
     4
 
-(* Rates concentrate on 0 so that the delay-invariant fast paths and
-   affine paths are both exercised. *)
+let gen_leaf_of_type = function
+  | Value.Tbool ->
+    Gen.oneof
+      [ Gen.map Expr.bool Gen.bool; Gen.map Expr.var (Gen.int_range 0 1);
+        Gen.map2 (fun p l -> Expr.Loc (p, l)) (Gen.int_range 0 (n_procs - 1))
+          (Gen.int_range 0 (n_locs - 1)) ]
+  | Value.Tint -> Gen.oneof [ Gen.map Expr.int gen_int; Gen.map Expr.var (Gen.int_range 2 3) ]
+  | Value.Treal -> Gen.oneof [ Gen.map Expr.real gen_real; Gen.map Expr.var (Gen.int_range 4 5) ]
+
+(* An expression of type [ty], depth-bounded, with now and then a leaf
+   of any type in place of a typed part, which leaves it ill-typed. *)
+let gen_typed =
+  Gen.fix (fun self (ty, depth) ->
+      let open Gen in
+      let sub t = self (t, depth - 1) in
+      let num = oneofl [ Value.Tint; Value.Treal ] in
+      let bin ops a b = map3 (fun op x y -> Expr.Binop (op, x, y)) (oneofl ops) a b in
+      let typed =
+        match ty with
+        | Value.Tbool ->
+          oneof
+            [
+              map (fun e -> Expr.Unop (Expr.Not, e)) (sub Value.Tbool);
+              bin [ Expr.And; Expr.Or; Expr.Implies; Expr.Eq; Expr.Neq ] (sub Value.Tbool)
+                (sub Value.Tbool);
+              (let* t1 = num and* t2 = num in
+               bin [ Expr.Eq; Expr.Neq; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ] (sub t1) (sub t2));
+            ]
+        | Value.Tint ->
+          oneof
+            [
+              map (fun e -> Expr.Unop (Expr.Neg, e)) (sub Value.Tint);
+              bin
+                [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Div; Expr.Mod; Expr.Min; Expr.Max ]
+                (sub Value.Tint) (sub Value.Tint);
+            ]
+        | Value.Treal ->
+          oneof
+            [
+              map (fun e -> Expr.Unop (Expr.Neg, e)) (sub Value.Treal);
+              (let* t = num and* left = bool in
+               let a = sub Value.Treal and b = sub t in
+               let ops = [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Div; Expr.Min; Expr.Max ] in
+               if left then bin ops a b else bin ops b a);
+            ]
+      in
+      if depth <= 0 then gen_leaf_of_type ty
+      else
+        frequency
+          [
+            (2, gen_leaf_of_type ty);
+            (1, gen_leaf);
+            (6, typed);
+            (1, map3 (fun c x y -> Expr.Ite (c, x, y)) (sub Value.Tbool) (sub ty) (sub ty));
+          ])
+
+(* Half well-typed (of each type in turn) and half untyped. *)
+let gen_expr =
+  Gen.oneof
+    [
+      gen_untyped;
+      Gen.bind (Gen.oneofl [ Value.Tbool; Value.Tint; Value.Treal ]) (fun t -> gen_typed (t, 4));
+    ]
+
+(* Only the reals have rates, which concentrate on 0 so that the
+   delay-invariant fast paths and affine paths are both exercised. *)
 let gen_state =
   let open Gen in
-  let* vals = array_size (pure n_vars) gen_value in
+  let* vals = flatten_a (Array.map gen_of_type types) in
   let* rates =
-    array_size (pure n_vars) (oneofl [ 0.0; 0.0; 0.0; 1.0; -0.5; 2.0 ])
+    flatten_a
+      (Array.map
+         (fun t -> if t = Value.Treal then oneofl [ 0.0; 0.0; 0.0; 1.0; -0.5; 2.0 ] else pure 0.0)
+         types)
   in
   let* locs = array_size (pure n_procs) (int_range 0 (n_locs - 1)) in
   pure (vals, rates, locs)
@@ -110,21 +186,20 @@ let at_loc_of locs p l = locs.(p) = l
 let cstate_of (vals, rates, locs) =
   Compiled.cstate_of ~locs ~vals ~rates ~time:0.0 ()
 
-(* The compiled core matches the interpreter up to the *message* carried
-   by a type error on ill-typed input (the exception, and hence the
-   verdict, is the same) — so outcomes compare by constructor class. *)
-type 'a outcome = V of 'a | Type_err | Non_linear
+(* The compiled core matches the interpreter on ill-typed input too: the
+   same exception with the same message. *)
+type 'a outcome = V of 'a | Type_err of string | Non_linear of string
 
 let classify f =
   match f () with
   | v -> V v
-  | exception Value.Type_error _ -> Type_err
-  | exception Linear.Nonlinear _ -> Non_linear
+  | exception Value.Type_error m -> Type_err m
+  | exception Linear.Nonlinear m -> Non_linear m
 
 let same_outcome equal o1 o2 =
   match o1, o2 with
   | V a, V b -> equal a b
-  | Type_err, Type_err | Non_linear, Non_linear -> true
+  | Type_err m1, Type_err m2 | Non_linear m1, Non_linear m2 -> String.equal m1 m2
   | _ -> false
 
 let prop ?print count name gen f =
@@ -138,7 +213,7 @@ let prop_value ((e, ((vals, _, locs) as st)) : Expr.t * _) =
     classify (fun () -> Expr.eval ~env:(env_of vals) ~at_loc:(at_loc_of locs) e)
   in
   let s = cstate_of st in
-  let compiled = classify (fun () -> Compiled.compile_value e s) in
+  let compiled = classify (fun () -> Compiled.compile_value ~types e s) in
   same_outcome value_equal interp compiled
 
 let prop_bool ((e, ((vals, _, locs) as st)) : Expr.t * _) =
@@ -147,7 +222,7 @@ let prop_bool ((e, ((vals, _, locs) as st)) : Expr.t * _) =
         Expr.eval_bool ~env:(env_of vals) ~at_loc:(at_loc_of locs) e)
   in
   let s = cstate_of st in
-  let compiled = classify (fun () -> Compiled.compile_bool e s) in
+  let compiled = classify (fun () -> Compiled.compile_bool ~types e s) in
   same_outcome Bool.equal interp compiled
 
 let prop_float ((e, ((vals, _, locs) as st)) : Expr.t * _) =
@@ -156,15 +231,13 @@ let prop_float ((e, ((vals, _, locs) as st)) : Expr.t * _) =
         Value.as_float (Expr.eval ~env:(env_of vals) ~at_loc:(at_loc_of locs) e))
   in
   let s = cstate_of st in
-  let compiled = classify (fun () -> Compiled.compile_float e s) in
+  let compiled = classify (fun () -> Compiled.compile_float ~types e s) in
   same_outcome float_equal interp compiled
 
 (* The signature as a network: [n_procs] processes of [n_locs]
-   locations and [n_vars] unowned clocks, so that a delay on the trial
-   buffer advances every variable a random state gives a rate, as
-   [Moves_oracle.advance] does.  The clocks start at [Int 0], which
-   keeps them out of the real lane: a random state puts any value in
-   any variable, and the scratch it gives keeps every one boxed. *)
+   locations, the Booleans and ints discrete and the reals unowned
+   clocks, so that a delay on the trial buffer advances every variable
+   a random state gives a rate, as [Moves_oracle.advance] does. *)
 let signature =
   lazy
     (let proc p =
@@ -179,21 +252,28 @@ let signature =
        Network.make
          ~procs:(List.init n_procs (fun p -> (proc p, Network.default_meta)))
          ~vars:
-           (Array.init n_vars (fun v ->
-                { Network.var_name = Printf.sprintf "x%d" v; kind = Network.Clock;
-                  init = Value.Int 0; owner = None }))
+           (Array.mapi
+              (fun v t ->
+                let kind, init =
+                  match t with
+                  | Value.Tbool -> (Network.Discrete, Value.Bool false)
+                  | Tint -> (Network.Discrete, Value.Int 0)
+                  | Treal -> (Network.Clock, Value.Real 0.0)
+                in
+                { Network.var_name = Printf.sprintf "x%d" v; kind; init; owner = None })
+              types)
          ~events:[||] ~flows:[]
      in
      (net, Compiled.compile net))
 
-(* A product of two variables compared to a constant: non-linear in the
+(* A product of two reals compared to a constant: non-linear in the
    delay when both variables have a rate. *)
 let gen_nonlinear =
   Gen.map3
     (fun op (v1, v2) k ->
       Expr.Binop (op, Expr.Binop (Expr.Mul, Expr.Var v1, Expr.Var v2), Expr.Const (Value.Real k)))
     (Gen.oneofl [ Expr.Lt; Expr.Ge ])
-    (Gen.pair (Gen.int_range 0 (n_vars - 1)) (Gen.int_range 0 (n_vars - 1)))
+    (Gen.pair (Gen.int_range 4 5) (Gen.int_range 4 5))
     (Gen.oneofl [ -1.0; 0.5; 4.0 ])
 
 (* For the crossing: a goal other than the expression (sometimes), a
@@ -213,9 +293,9 @@ let prop_sat ((e, ((vals, rates, locs) as st), (goal, hold, cap)) : Expr.t * _ *
           ~at_loc:(at_loc_of locs) e)
   in
   let s = cstate_of st in
-  let compiled = classify (fun () -> Compiled.compile_sat e s) in
+  let compiled = classify (fun () -> Compiled.compile_sat ~types e s) in
   (* and the in-place window evaluator that guards and invariants use *)
-  let windowed = classify (fun () -> Compiled.compile_window e s) in
+  let windowed = classify (fun () -> Compiled.compile_window ~types e s) in
   (* and the until crossing along a delay of [cap], by default with [e]
      as the goal: the window table against [Interval_set], non-linear
      fallback included *)
@@ -641,20 +721,17 @@ let walk ~name ~seed ~steps (net : Network.t) =
        reached: [Compiled.load] takes their flows to hold. *)
     if Rng.int rng 8 = 0 && !flows_hold then begin
       let fresh = Compiled.scratch c in
-      let int (st : State.t) v =
-        match st.vals.(v) with
-        | Value.Int n -> n
-        | x -> Alcotest.failf "%s: lane variable %d holds %s" ctx v (Value.to_string x)
-      in
-      let real (st : State.t) v =
-        match st.vals.(v) with
-        | Value.Real x -> x
-        | x -> Alcotest.failf "%s: real-lane variable %d holds %s" ctx v (Value.to_string x)
+      let read what get (st : State.t) v =
+        match get st.vals.(v) with
+        | Some x -> x
+        | None ->
+          Alcotest.failf "%s: %s variable %d holds %s" ctx what v (Value.to_string st.vals.(v))
       in
       Compiled.load c fresh !st
         ~loc:(fun st -> Array.get st.State.locs)
-        ~int ~real
-        ~value:(fun st -> Array.get st.State.vals)
+        ~int:(read "an int" (function Value.Int n -> Some n | _ -> None))
+        ~real:(read "a real" (function Value.Real x -> Some x | _ -> None))
+        ~bool:(read "a Boolean" (function Value.Bool b -> Some b | _ -> None))
         ~time:!st.State.time;
       s := fresh
     end;
@@ -1000,7 +1077,7 @@ let check_free c net ~proc ~src ~dst want =
         want (Compiled.trial_free c ~proc:p ~tr))
     trs
 
-(* [a] is a clock no move of [m] resets, [k] an int-lane counter; [n]'s
+(* [a] is a clock no move of [m] resets, [k] an int counter; [n]'s
    location is read by [watcher]'s activation condition. *)
 let classified_network () =
   let x = 0 and k = 1 in
@@ -1015,7 +1092,7 @@ let classified_network () =
           tau 0 1 Expr.true_ [];
           (* a [/] update *)
           tau 0 2 Expr.true_ [ (k, bin Expr.Div (Expr.var k) (Expr.int 2)) ];
-          (* controls: the clock reset, and int-lane arithmetic *)
+          (* controls: the clock reset, and int arithmetic *)
           tau 2 1 Expr.true_ [ (x, Expr.real 0.0) ];
           tau 1 2 Expr.true_ [ (k, bin Expr.Add (Expr.var k) (Expr.int 1)) ];
         ]
@@ -1269,11 +1346,10 @@ let test_sync_skip_raising_guard () =
   Alcotest.(check bool) "some paths raise in the guard" true (errors > 0 && errors < 10)
 
 (* ------------------------------------------------------------------ *)
-(* The int lane                                                        *)
+(* Ints on the int store                                               *)
 
-(* Variables 0 and 1 are in the lane; 2 holds an [Int] outside it and 3
-   a [Real]. *)
-let lane = Compiled.lane_of [ 0; 1 ]
+(* Variables 0, 1 and 2 are ints and 3 a real. *)
+let lane = [| Value.Tint; Value.Tint; Value.Tint; Value.Treal |]
 
 let gen_lane_state =
   let open Gen in
@@ -1290,8 +1366,8 @@ let gen_int_op =
 
 let gen_cmp = Gen.oneofl [ Expr.Eq; Expr.Neq; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ]
 
-(* [Int]-shaped over the lane, depth 3: with |leaves| <= 9 no
-   intermediate wraps.  Division and [mod] often meet a zero. *)
+(* [Int]-typed, depth 3: with |leaves| <= 9 no intermediate wraps.
+   Division and [mod] often meet a zero. *)
 let gen_int_expr =
   Gen.fix
     (fun self depth ->
@@ -1310,19 +1386,8 @@ let gen_int_expr =
           ])
     3
 
-(* An [Int]-shaped expression combined with a [Real] or a variable
-   outside the lane: it must stay off the lane. *)
-let gen_mixed_expr =
-  let off =
-    Gen.oneof
-      [ Gen.map Expr.var (Gen.int_range 2 3); Gen.map Expr.real (Gen.oneofl [ -1.5; 0.0; 2.0 ]) ]
-  in
-  Gen.map2
-    (fun (op, left) (e, o) -> if left then Expr.Binop (op, o, e) else Expr.Binop (op, e, o))
-    (Gen.pair gen_int_op Gen.bool) (Gen.pair gen_int_expr off)
-
-(* Outcomes with the exception's message: the lane must raise what
-   [Value] raises, word for word. *)
+(* Outcomes with the exception's message: the compiled core must raise
+   what [Value] raises, word for word. *)
 let exactly f =
   match f () with
   | v -> Ok v
@@ -1330,73 +1395,61 @@ let exactly f =
   | exception Linear.Nonlinear m -> Error ("non-linear: " ^ m)
 
 let lane_scratch (vals, locs) =
-  Compiled.cstate_of ~lane ~locs ~vals ~rates:(Array.make (Array.length vals) 0.0) ~time:0.0 ()
+  Compiled.cstate_of ~locs ~vals ~rates:(Array.make (Array.length vals) 0.0) ~time:0.0 ()
 
 let eval_in (vals, locs) e = Expr.eval ~env:(env_of vals) ~at_loc:(at_loc_of locs) e
 
 let prop_lane_int ((e, st) : Expr.t * _) =
   let s = lane_scratch st in
   let want = exactly (fun () -> eval_in st e) in
-  match Compiled.compile_int ~lane e with
+  match Compiled.compile_int ~types:lane e with
   | None -> false
   | Some f ->
     exactly (fun () -> Value.Int (f s)) = want
-    && exactly (fun () -> Compiled.compile_value ~lane e s) = want
+    && exactly (fun () -> Compiled.compile_value ~types:lane e s) = want
     && Result.equal ~ok:float_equal ~error:String.equal
-         (exactly (fun () -> Compiled.compile_float ~lane e s))
+         (exactly (fun () -> Compiled.compile_float ~types:lane e s))
          (Result.map Value.as_float want)
 
-(* A comparison of two [Int]-shaped sides: as a Boolean, and as the
-   delay window of a guard (every lane variable has rate 0). *)
+(* A comparison of two [Int]-typed sides: as a Boolean, and as the
+   delay window of a guard (no int has a rate). *)
 let prop_lane_cmp ((op, e1, e2, ((vals, locs) as st)) : _ * Expr.t * Expr.t * _) =
   let e = Expr.Binop (op, e1, e2) in
   let s = lane_scratch st in
-  exactly (fun () -> Compiled.compile_bool ~lane e s)
+  exactly (fun () -> Compiled.compile_bool ~types:lane e s)
   = exactly (fun () -> Value.as_bool (eval_in st e))
   && Result.equal ~ok:I.equal ~error:String.equal
-       (exactly (fun () -> Compiled.compile_window ~lane e s))
+       (exactly (fun () -> Compiled.compile_window ~types:lane e s))
        (exactly (fun () ->
             Linear.sat_set ~env:(env_of vals) ~rate:(fun _ -> 0.0) ~at_loc:(at_loc_of locs) e))
 
-let prop_lane_mixed ((e, st) : Expr.t * _) =
-  let s = lane_scratch st in
-  let want = exactly (fun () -> eval_in st e) in
-  Compiled.compile_int ~lane e = None
-  && Result.equal ~ok:value_equal ~error:String.equal
-       (exactly (fun () -> Compiled.compile_value ~lane e s))
-       want
-  && Result.equal ~ok:float_equal ~error:String.equal
-       (exactly (fun () -> Compiled.compile_float ~lane e s))
-       (Result.bind want (fun v -> exactly (fun () -> Value.as_float v)))
-
-(* The membership rule on the hand-built network, then the network
-   through the per-step equality with the interpreter and the path
-   oracle's verdict streams. *)
+(* The hand-built networks through the per-step equality with the
+   interpreter (loads from its states included) and the path oracle's
+   verdict streams. *)
 let test_lane_network () =
+  let bin op x y = Expr.Binop (op, x, y) in
   let net = Fixture.lane_network () in
-  let c = Compiled.compile net in
-  Alcotest.(check (list string)) "lane variables" [ "n"; "q"; "d" ]
-    (List.map
-       (fun v -> net.Network.vars.(v).Network.var_name)
-       (Array.to_list (Compiled.lane_vars c)));
   for seed = 1 to 3 do
     walk ~name:"lane network" ~seed:(Int64.of_int seed) ~steps:200 net
   done;
-  let bin op x y = Expr.Binop (op, x, y) in
   verdict_streams ~name:"lane network" ~goal:(bin Expr.Gt (Expr.var 3) (Expr.int 6))
-    ~hold:(bin Expr.Le (Expr.var 1) (Expr.real 8.0)) ~horizon:50.0 ~seeds:3 net
+    ~hold:(bin Expr.Le (Expr.var 1) (Expr.real 8.0)) ~horizon:50.0 ~seeds:3 net;
+  let net = Fixture.real_lane_network () in
+  for seed = 1 to 3 do
+    walk ~name:"real lane network" ~seed:(Int64.of_int seed) ~steps:200 net
+  done;
+  verdict_streams ~name:"real lane network" ~goal:(bin Expr.Gt (Expr.var 5) (Expr.real 1.0))
+    ~hold:(bin Expr.Neq (Expr.var 6) (Expr.int 1)) ~horizon:50.0 ~seeds:3 net
 
 (* ------------------------------------------------------------------ *)
-(* The real lane                                                       *)
+(* Reals on the float store                                            *)
 
-(* Variables 0 and 1 are in the int lane and 2 and 3 in the real lane;
-   4 holds an [Int] and 5 a [Real] outside the lanes. *)
-let real_lane = Compiled.lane_of ~reals:[ 2; 3 ] [ 0; 1 ]
+(* Variables 0, 1 and 4 are ints, 2, 3 and 5 reals. *)
+let real_lane = [| Value.Tint; Value.Tint; Value.Treal; Value.Treal; Value.Tint; Value.Treal |]
 
 let reals = [ -2.5; -0.0; 0.0; 0.5; 3.25; infinity; nan ]
 
-(* The real-lane variables and the boxed [Real] may have a rate; the
-   int lane has none. *)
+(* The reals may have a rate; the ints have none. *)
 let gen_real_state =
   let open Gen in
   let* ints = array_size (pure 2) (int_range (-9) 9) in
@@ -1413,11 +1466,11 @@ let gen_real_state =
   pure (vals, [| 0.0; 0.0; rates.(0); rates.(1); 0.0; rates.(2) |], locs)
 
 let gen_real_leaf =
-  Gen.oneof [ Gen.map Expr.var (Gen.int_range 2 3); Gen.map Expr.real (Gen.oneofl reals) ]
+  Gen.oneof [ Gen.map Expr.var (Gen.oneofl [ 2; 3; 5 ]); Gen.map Expr.real (Gen.oneofl reals) ]
 
-(* Real-shaped over the lane, depth 3: a [Real] operand meets another
-   real, an [Int]-shaped expression over the int lane or a variable
-   outside the lanes, on either side. *)
+(* [Real]-typed, depth 3: a real operand meets another real, an
+   [Int]-typed expression or an int variable, on either side, and
+   [min] and [max] mix a real with an int. *)
 let gen_real_expr =
   Gen.fix
     (fun self depth ->
@@ -1434,27 +1487,16 @@ let gen_real_expr =
               let* op = oneofl [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Div ] in
               let* a = sub and* b = other and* left = bool in
               pure (if left then Expr.Binop (op, a, b) else Expr.Binop (op, b, a)) );
-            (1, map3 (fun op a b -> Expr.Binop (op, a, b)) (oneofl [ Expr.Min; Expr.Max ]) sub sub);
+            ( 1,
+              let* op = oneofl [ Expr.Min; Expr.Max ] in
+              let* a = sub and* b = other and* left = bool in
+              pure (if left then Expr.Binop (op, a, b) else Expr.Binop (op, b, a)) );
             ( 1,
               map3
                 (fun (op, a, b) e1 e2 -> Expr.Ite (Expr.Binop (op, a, b), e1, e2))
                 (triple gen_cmp sub other) sub sub );
           ])
     3
-
-(* A real mixed with an [Int] where the result may be either, or raise:
-   it must stay off the lane. *)
-let gen_real_mixed =
-  let open Gen in
-  let int_side = oneof [ gen_int_expr; map Expr.var (int_range 4 5) ] in
-  let* a = gen_real_expr and* b = int_side and* left = bool in
-  let* form = int_range 0 2 in
-  let a, b = if left then (a, b) else (b, a) in
-  pure
-    (match form with
-    | 0 -> Expr.Binop (Expr.Min, a, b)
-    | 1 -> Expr.Binop (Expr.Max, a, b)
-    | _ -> Expr.Ite (Expr.Binop (Expr.Lt, Expr.var 2, Expr.var 0), a, b))
 
 let show_expr = Expr.to_string ~names:(Printf.sprintf "v%d")
 
@@ -1465,17 +1507,15 @@ let show_real_state (vals, rates, _) =
 
 let print_real_case (e, st) = show_expr e ^ " at " ^ show_real_state st
 
-let real_scratch (vals, rates, locs) =
-  Compiled.cstate_of ~lane:real_lane ~locs ~vals ~rates ~time:0.0 ()
+let real_scratch (vals, rates, locs) = Compiled.cstate_of ~locs ~vals ~rates ~time:0.0 ()
 
 let eval_real (vals, _, locs) e = Expr.eval ~env:(env_of vals) ~at_loc:(at_loc_of locs) e
 
-(* A float against a value, messages aside: a [Value.Type_error] is
-   the same outcome whatever it says. *)
+(* A float against a value, errors word for word. *)
 let same_real got want =
   match got, want with
   | Ok x, Ok (Value.Real y) -> float_equal x y
-  | Error _, Error _ -> true
+  | Error m1, Error m2 -> String.equal m1 m2
   | _ -> false
 
 (* [compile_real] computes the payload of the [Real] that [Expr.eval]
@@ -1485,26 +1525,15 @@ let prop_real_value ((e, st) : Expr.t * _) =
   let s = real_scratch st in
   let want = exactly (fun () -> eval_real st e) in
   (match want with Ok (Value.Real _) | Error _ -> true | Ok _ -> false)
-  && (match Compiled.compile_real ~lane:real_lane e with
+  && (match Compiled.compile_real ~types:real_lane e with
      | None -> false
      | Some f -> same_real (exactly (fun () -> f s)) want)
-  && same_real (exactly (fun () -> Compiled.compile_float ~lane:real_lane e s)) want
+  && same_real (exactly (fun () -> Compiled.compile_float ~types:real_lane e s)) want
   && Result.equal ~ok:value_bits_equal ~error:String.equal
-       (exactly (fun () -> Compiled.compile_value ~lane:real_lane e s))
+       (exactly (fun () -> Compiled.compile_value ~types:real_lane e s))
        want
 
-let prop_real_mixed ((e, st) : Expr.t * _) =
-  let s = real_scratch st in
-  let want = exactly (fun () -> eval_real st e) in
-  Compiled.compile_real ~lane:real_lane e = None
-  && Result.equal ~ok:value_bits_equal ~error:String.equal
-       (exactly (fun () -> Compiled.compile_value ~lane:real_lane e s))
-       want
-  && Result.equal ~ok:float_equal ~error:(fun _ _ -> true)
-       (exactly (fun () -> Compiled.compile_float ~lane:real_lane e s))
-       (Result.bind want (fun v -> exactly (fun () -> Value.as_float v)))
-
-(* A comparison side: often a lane variable or a constant, which the
+(* A comparison side: often a variable or a constant, which the
    comparisons read without a closure call, sometimes a Boolean. *)
 let gen_cmp_side =
   Gen.frequency
@@ -1528,49 +1557,17 @@ let prop_real_cmp ((op, e1, e2, ((vals, rates, locs) as st)) : _ * Expr.t * Expr
   let e = Expr.Binop (op, e1, e2) in
   let s = real_scratch st in
   same_outcome ( = )
-    (classify (fun () -> Compiled.compile_bool ~lane:real_lane e s))
+    (classify (fun () -> Compiled.compile_bool ~types:real_lane e s))
     (classify (fun () -> Value.as_bool (eval_real st e)))
   && same_outcome same_set
-       (classify (fun () -> Compiled.compile_window ~lane:real_lane e s))
+       (classify (fun () -> Compiled.compile_window ~types:real_lane e s))
        (classify (fun () ->
             Linear.sat_set ~env:(env_of vals) ~rate:(fun v -> rates.(v)) ~at_loc:(at_loc_of locs) e))
 
-let var_names (net : Network.t) vs =
-  List.map (fun v -> net.Network.vars.(v).Network.var_name) (Array.to_list vs)
-
-(* The membership rule on two bundled models and the hand-built
-   network, then that network through the per-step equality with the
-   interpreter (loads from its states included) and the path oracle's
-   verdict streams. *)
-let test_real_lane_classification () =
-  let lanes name net ~ints ~reals =
-    let c = Compiled.compile net in
-    Alcotest.(check (list string)) (name ^ ": int lane") ints (var_names net (Compiled.lane_vars c));
-    Alcotest.(check (list string)) (name ^ ": real lane") reals (var_names net (Compiled.real_vars c))
-  in
-  lanes "mm1k_priced" (bundled_model "mm1k_priced.slim") ~ints:[ "q"; "served" ]
-    ~reals:[ "w"; "waiting" ];
-  let gps = bundled_model "gps.slim" in
-  lanes "gps" gps ~ints:[] ~reals:[ "w"; "gps.x"; "gps#GPSFail.timer" ];
-  let real_vars = Compiled.real_vars (Compiled.compile gps) in
-  Array.iteri
-    (fun v (info : Network.var_info) ->
-      if info.kind = Network.Clock && not (Array.mem v real_vars) then
-        Alcotest.failf "gps: the clock %s is not in the real lane" info.var_name)
-    gps.vars;
-  let net = Fixture.real_lane_network () in
-  lanes "hand-built" net ~ints:[ "n" ] ~reals:[ "x"; "y"; "z"; "c" ];
-  for seed = 1 to 3 do
-    walk ~name:"real lane network" ~seed:(Int64.of_int seed) ~steps:200 net
-  done;
-  let bin op x y = Expr.Binop (op, x, y) in
-  verdict_streams ~name:"real lane network" ~goal:(bin Expr.Gt (Expr.var 5) (Expr.real 1.0))
-    ~hold:(bin Expr.Neq (Expr.var 6) (Expr.int 1)) ~horizon:50.0 ~seeds:3 net
-
 (* --- the snapshot journal --- *)
 
-(* The bundled models, untimed and timed, and the hand-built lane
-   networks. *)
+(* The bundled models, untimed and timed, and the hand-built networks
+   of every store. *)
 let journal_models =
   let dir = List.find Sys.file_exists [ "../examples/models"; "examples/models" ] in
   lazy
@@ -1695,8 +1692,6 @@ let suite =
       (Gen.map2 (fun (op, a, b) st -> (op, a, b, st)) (Gen.triple gen_cmp gen_int_expr gen_int_expr)
          gen_lane_state)
       prop_lane_cmp;
-    prop 2000 "lane: mixed Int/Real stays boxed" (Gen.pair gen_mixed_expr gen_lane_state)
-      prop_lane_mixed;
     Alcotest.test_case "lane: hand-built network" `Quick test_lane_network;
     Alcotest.test_case "trial-free: classification" `Quick test_trial_free_classification;
     Alcotest.test_case "trial-free: rounding at a window's edge" `Quick
@@ -1717,7 +1712,4 @@ let suite =
       (Gen.map2 (fun (op, a, b) st -> (op, a, b, st)) (Gen.triple gen_cmp gen_cmp_side gen_cmp_side)
          gen_real_state)
       prop_real_cmp;
-    prop ~print:print_real_case 2000 "real lane: mixed Int/Real stays boxed"
-      (Gen.pair gen_real_mixed gen_real_state) prop_real_mixed;
-    Alcotest.test_case "real lane: classification" `Quick test_real_lane_classification;
   ]

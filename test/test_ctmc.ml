@@ -577,8 +577,8 @@ let test_explorer_matches_oracle () =
         ("deep closure", deep, goal deep "x = 4", None, false);
         ("deep closure, hold", deep, goal deep "x = 4", Some (goal deep "x != 2"), true);
         ("fan-in closure", fan, goal fan "x = 1", None, false);
-        (* the int lane beside boxed ints and reals; m > 6 needs k boxed
-           as a real or an int above 2 *)
+        (* ints, reals and Booleans written by updates and flows; the
+           hold fails once r = n * 2.5 reaches 6 *)
         ( "lane network, hold",
           lane,
           Slimsim_sta.Expr.Binop (Gt, Var 3, Slimsim_sta.Expr.int 6),
@@ -670,7 +670,7 @@ let test_explorer_oracle_failures () =
 
 (* Exploration allocates little per transition: the walk steps on the
    compiled scratch, keeps a snapshot per vanishing state on the branch
-   and packs keys in place, integer data stays in the unboxed int lane,
+   and packs keys in place, integer data stays in the unboxed int store,
    states are loaded without closures, rows are merged in reusable
    unboxed buffers, the rate transitions are folded without a closure
    or a boxed rate, and a flow whose value holds marks no reader.  On

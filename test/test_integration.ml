@@ -230,6 +230,26 @@ let test_load_errors_are_reported () =
   Alcotest.(check bool) "property error surfaces" true
     (Result.is_error (Slimsim.check_exact model ~property:"P(nonsense)"))
 
+(* A real written an int holds a real ([test/models/widen.slim]): the
+   port initialiser [r := 3] and the update [w := k], with [k] an int
+   equal to 3, store 3.0, so [r / 2] and [w / 2] divide reals.  Both
+   engines, through the loader's parse, sema and translation. *)
+let test_real_written_an_int () =
+  let file = List.find Sys.file_exists [ "models/widen.slim"; "test/models/widen.slim" ] in
+  let model = check_ok (Slimsim.load_file file) in
+  List.iter
+    (fun (goal, want) ->
+      let property = Printf.sprintf "P(<> [0, 10] %s)" goal in
+      let exact = check_ok (Slimsim.check_exact model ~property) in
+      Alcotest.(check (float 0.0)) ("exact: " ^ goal) want exact.Slimsim.exact_probability;
+      let sim =
+        check_ok
+          (Slimsim.check model ~property ~strategy:Slimsim.Strategy.Asap ~delta:0.1 ~eps:0.05
+             ())
+      in
+      Alcotest.(check (float 0.0)) ("simulate: " ^ goal) want sim.Slimsim.probability)
+    [ ("r / 2 = 1.5", 1.0); ("r / 2 = 1", 0.0); ("w / 2 = 1.5", 1.0); ("w / 2 = 1", 0.0) ]
+
 let suite =
   [
     Alcotest.test_case "sensor-filter: sim vs ctmc vs closed form" `Slow
@@ -248,4 +268,5 @@ let suite =
     Alcotest.test_case "mode goal = value goal" `Quick test_mode_goal_matches_value_goal;
     Alcotest.test_case "single path recording" `Quick test_simulate_one_records_steps;
     Alcotest.test_case "errors are reported" `Quick test_load_errors_are_reported;
+    Alcotest.test_case "a real written an int" `Quick test_real_written_an_int;
   ]

@@ -30,6 +30,23 @@ let test_value_arith () =
     Alcotest.fail "division by zero must raise"
   with Value.Type_error _ -> ()
 
+(* [min] and [max] of an [Int] and a [Real] are [Real]s, whichever
+   operand wins, as sema types them; [Value.equal] takes [Int 3] for
+   [Real 3.0], so the constructor is checked too. *)
+let test_min_max_mixed () =
+  let check name want got =
+    match want, got with
+    | Value.Real x, Value.Real y when Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) -> ()
+    | Value.Int a, Value.Int b when a = b -> ()
+    | _ -> Alcotest.failf "%s: %s, expected %s" name (Value.to_string got) (Value.to_string want)
+  in
+  check "min (3.0, 2)" (v_real 2.0) (Value.min_v (v_real 3.0) (v_int 2));
+  check "min (2, 3.0)" (v_real 2.0) (Value.min_v (v_int 2) (v_real 3.0));
+  check "max (3.0, 2)" (v_real 3.0) (Value.max_v (v_real 3.0) (v_int 2));
+  check "max (2, 3.0)" (v_real 3.0) (Value.max_v (v_int 2) (v_real 3.0));
+  check "min (3, 2)" (v_int 2) (Value.min_v (v_int 3) (v_int 2));
+  check "max (-0.0, 0.0)" (v_real (-0.0)) (Value.max_v (v_real (-0.0)) (v_real 0.0))
+
 (* --- expressions --- *)
 
 let eval_const e = Expr.eval ~env:(fun _ -> assert false) ~at_loc:(fun _ _ -> false) e
@@ -398,9 +415,46 @@ let test_flow_ordering () =
   Alcotest.(check bool) "b = a+1" true (Value.equal s.State.vals.(1) (Value.Int 2));
   Alcotest.(check bool) "c = b+1" true (Value.equal s.State.vals.(2) (Value.Int 3))
 
+(* A network breaking its declared types is refused, with a message
+   naming the variable and both types. *)
+let test_declared_types () =
+  let var ?(kind = Network.Discrete) name init = { Network.var_name = name; kind; init; owner = None } in
+  let proc ?(derivs = []) updates =
+    Automaton.make ~name:"p"
+      ~locations:[| { Automaton.loc_name = "l"; invariant = Expr.true_; derivs } |]
+      ~initial:0
+      ~transitions:
+        [ { Automaton.src = 0; dst = 0; label = Automaton.Tau; guard = Automaton.Guard Expr.true_;
+            updates; weight = 1.0 } ]
+  in
+  let refused name ~vars ?(flows = []) p want =
+    match Network.make ~procs:[ (p, Network.default_meta) ] ~vars ~events:[||] ~flows with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Network.Invalid_network msg -> Alcotest.(check string) name want msg
+  in
+  refused "a clock starting at an int"
+    ~vars:[| var ~kind:Network.Clock "c" (v_int 0) |]
+    (proc [])
+    "clock variable c has type int; it must be real";
+  refused "an int written a real"
+    ~vars:[| var "k" (v_int 0) |]
+    (proc [ (0, Expr.Binop (Expr.Add, Expr.var 0, Expr.real 0.5)) ])
+    "p: int variable k is written a real";
+  refused "a derivative on an int"
+    ~vars:[| var "n" (v_int 0) |]
+    (proc ~derivs:[ (0, 1.0) ] [])
+    "p: derivative of int variable n; only a real has one";
+  refused "mixed if-then-else branches"
+    ~vars:[| var "r" (v_real 0.0); var "b" (v_bool false) |]
+    ~flows:[ { Network.target = 0; expr = Expr.Ite (Expr.var 1, Expr.int 1, Expr.real 2.0) } ]
+    (proc [])
+    "flow, writing r: an if-then-else has int and real branches"
+
 let suite =
   [
     Alcotest.test_case "value arithmetic" `Quick test_value_arith;
+    Alcotest.test_case "min and max of an int and a real" `Quick test_min_max_mixed;
+    Alcotest.test_case "declared types enforced" `Quick test_declared_types;
     Alcotest.test_case "expr evaluation" `Quick test_expr_eval;
     Alcotest.test_case "expr helpers" `Quick test_expr_helpers;
     Alcotest.test_case "linear atoms" `Quick test_linear_atoms;

@@ -530,12 +530,12 @@ let test_chain_retention () =
       (float_of_int words /. float_of_int transitions)
 
 (* Values whose packed length changes in one move: a process of 130
-   locations (a location past 127 takes two bytes), a lane int that
-   jumps by 200 and changes sign, and an Int that an update makes a
-   Real.  A successor's key patched from the loaded state must then
-   fall back to a full pack.  Beside them a real-lane variable that
-   takes [-0.0], infinities and NaNs, which its key must hold as
-   [intern] packs them: [0.0] and [Float.nan]. *)
+   locations (a location past 127 takes two bytes) and an int that
+   jumps by 200 and changes sign.  A successor's key patched from the
+   loaded state must then fall back to a full pack.  Beside them a
+   real counting by halves, a Boolean, and a real that takes [-0.0],
+   infinities and NaNs, which its key must hold as [intern] packs
+   them: [0.0] and [Float.nan]. *)
 let wide_network () =
   let module E = Expr in
   let v = E.var and i = E.int in
@@ -563,7 +563,7 @@ let wide_network () =
   Network.make
     ~procs:[ (walk, Network.default_meta) ]
     ~vars:
-      [| var "x" (Value.Int 0); var "y" (Value.Int 0); var "b" (Value.Bool false); var "z" (Value.Real 0.0) |]
+      [| var "x" (Value.Int 0); var "y" (Value.Real 0.0); var "b" (Value.Bool false); var "z" (Value.Real 0.0) |]
     ~events:[||] ~flows:[]
 
 let scratch_state net w =
