@@ -614,14 +614,34 @@ let check_recursion ctx =
 
 (* --- extension declarations --- *)
 
-let check_extension ctx ex =
+(* The implementation of the instance at [path] below [ci], if any. *)
+let rec instance_impl ctx ci = function
+  | [] -> Some ci
+  | s :: path ->
+    Option.bind (find_comp_sub ci s) (fun sc ->
+        Option.bind (Hashtbl.find_opt ctx.tables.comp_impls sc.sc_impl) (fun ci ->
+            instance_impl ctx ci path))
+
+(* An injected value is read in the extended instance's scope (below
+   [root], the root implementation) and must fit its port. *)
+let check_extension ctx root ex =
   match Hashtbl.find_opt ctx.tables.error_models ex.ex_error_model with
   | None -> err ctx ex.ex_pos "extension with unknown error model %S" ex.ex_error_model
   | Some em ->
+    let inst = Option.bind root (fun ci -> instance_impl ctx ci ex.ex_target) in
     List.iter
       (fun inj ->
+        let pos = inj.inj_pos in
         if not (List.exists (fun s -> s.es_name = inj.inj_state) em.em_states) then
-          err ctx inj.inj_pos "injection for unknown error state %S" inj.inj_state)
+          err ctx pos "injection for unknown error state %S" inj.inj_state;
+        Option.iter
+          (fun ci ->
+            match resolve_data_path ctx ci pos inj.inj_target, infer ctx ci pos inj.inj_value with
+            | Some target, Some value when not (assignable ~target ~value) ->
+              err ctx pos "injection into %s: value type %s does not fit %s"
+                (path_to_string inj.inj_target) (ety_to_string value) (ety_to_string target)
+            | _ -> ())
+          inst)
       ex.ex_injections
 
 let analyze (m : model) =
@@ -707,7 +727,7 @@ let analyze (m : model) =
       | D_comp_type ct -> check_comp_type ctx ct
       | D_comp_impl ci -> check_comp_impl ctx ci
       | D_error_model em -> check_error_model ctx em
-      | D_extension ex -> check_extension ctx ex)
+      | D_extension ex -> check_extension ctx (Hashtbl.find_opt tables.comp_impls m.root) ex)
     m.declarations;
   check_recursion ctx;
   let result =

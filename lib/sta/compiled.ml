@@ -2283,16 +2283,13 @@ let origins = Atomic.make 0
 (* A load at depth 0 turns the journal on from there: it is the origin
    [written] counts from.  Under a snapshot it is journaled as any
    write, and no origin remains. *)
-let load c s src ~loc ~int ~real ~bool ~time =
+let load c s ~locs ~ints ~floats ~time =
   end_origin s;
   for p = 0 to c.n_procs - 1 do
-    set_loc s p (loc src p)
+    set_loc s p locs.(p)
   done;
   for v = 0 to c.n_vars - 1 do
-    match c.tys.(v) with
-    | Value.Tint -> set_i s v (int src v)
-    | Treal -> set_f s v (real src v)
-    | Tbool -> set_i s v (Bool.to_int (bool src v))
+    if c.tys.(v) = Value.Treal then set_f s v floats.(v) else set_i s v ints.(v)
   done;
   s.time.(0) <- time;
   if s.depth = 0 then begin
@@ -2302,11 +2299,7 @@ let load c s src ~loc ~int ~real ~bool ~time =
   else s.origin <- -1
 
 let copy c ~src ~dst =
-  load c dst src ~loc
-    ~int:(fun s v -> s.ival.(v))
-    ~real:(fun s v -> s.fval.(v))
-    ~bool:(fun s v -> s.ival.(v) <> 0)
-    ~time:src.time.(0);
+  load c dst ~locs:src.locs ~ints:src.ival ~floats:src.fval ~time:src.time.(0);
   Bytes.blit src.dirty 0 dst.dirty 0 c.n_flows;
   dst.n_dirty <- src.n_dirty
 

@@ -162,26 +162,19 @@ val floats : cstate -> float array
     [v] (other indices hold nothing): read-only. *)
 
 val load :
-  t ->
-  cstate ->
-  'a ->
-  loc:('a -> int -> int) ->
-  int:('a -> int -> int) ->
-  real:('a -> int -> float) ->
-  bool:('a -> int -> bool) ->
-  time:float ->
-  unit
-(** [load c s src ~loc ~int ~real ~bool ~time] overwrites the state
-    from [src]: locations [loc src 0], [loc src 1], ..., then for each
-    variable [v] in order, [int src v], [real src v] or [bool src v], by
-    its declared type.  No flow is marked dirty: the state
-    must satisfy its flows, as every state a move or {!reset} leaves
-    does.  At depth 0 the load is the origin {!written} counts from. *)
+  t -> cstate -> locs:int array -> ints:int array -> floats:float array -> time:float -> unit
+(** [load c s ~locs ~ints ~floats ~time] overwrites the state from
+    stores in the scratch's own layout ({!locs}, {!ints}, {!floats}):
+    process [p]'s location [locs.(p)], and each variable [v]'s value
+    [floats.(v)] if it is declared [Real], else [ints.(v)] (a [Bool] as
+    0 or 1).  No flow is marked dirty: the state must satisfy its flows,
+    as every state a move or {!reset} leaves does.  At depth 0 the load
+    is the origin {!written} counts from. *)
 
 val copy : t -> src:cstate -> dst:cstate -> unit
-(** Overwrite [dst] with [src]'s state, exactly: locations, values,
-    time and dirty flows.  [dst]'s snapshots stay, and the writes are
-    undone by its next {!restore} like any other. *)
+(** Overwrite [dst] with [src]'s state, exactly: one {!load} from
+    [src]'s stores, then its dirty flows.  [dst]'s snapshots stay, and
+    the writes are undone by its next {!restore} like any other. *)
 
 (** {1 Snapshots}
 

@@ -287,14 +287,16 @@ type walker = t
 module Table = struct
   (* Each timeless state is one key in the arena: its locations as
      varints (LEB128 over the 63 bits of an int), then its values, each
-     led by a tag byte: 0 and 1 the Booleans, 2 a [Real] whose 8 bytes
-     follow, 3 an [Int] whose zig-zag varint follows, 4 + k the [Int] k
-     for 0 <= k < 252.  A real is stored canonically, [-0.0] as [0.0]
-     and every NaN as [Float.nan], so equal keys are exactly
-     [State.equal_timeless] states.  Keys start on 8-byte boundaries and
-     are padded with zeros to a whole number of words, which the hash
-     and the comparison read.  Padding keeps keys apart: no key is a
-     proper prefix of another of the same network.
+     laid out by its variable's declared type and by nothing else: a
+     [Bool] is one byte, 0 or 1; a [Real] its 8 bytes, canonical
+     ([-0.0] as [0.0], every NaN as [Float.nan]); an [Int] k the byte k
+     for 0 <= k < [small_ints], else the byte [small_ints] and k's
+     zig-zag varint.  [intern] refuses a value not of its variable's
+     type, so equal keys are exactly [State.equal_timeless] states.
+     Keys start on 8-byte boundaries and are padded with zeros to a
+     whole number of words, which the hash and the comparison read.
+     Padding keeps keys apart: no key is a proper prefix of another of
+     the same network.
 
      A key's hash is a sum over its words, each weighed by multipliers
      of its position, then mixed: a successor's key is the key of the
@@ -336,9 +338,15 @@ module Table = struct
     mutable slots : int array;  (* open addressing: hash bits, state + 1; 0 when free *)
     mutable n : int;
     mutable cursor : int;
-    mutable rbuf : Bytes.t;  (* the arena chunk the readers below decode *)
-    mutable rpos : int;  (* the next byte they decode *)
-    mutable rstart : int;  (* where the key they decode starts *)
+    mutable rbuf : Bytes.t;  (* the arena chunk [decode] reads *)
+    mutable rpos : int;  (* the next byte it reads *)
+    mutable rstart : int;  (* where the key it reads starts *)
+    (* Staging stores in {!Compiled}'s layout: [intern] unboxes a state
+       into them to pack it, and [decode] unpacks a key into them for
+       [load] to hand to {!Compiled.load} and [state] to box. *)
+    locs : int array;
+    ints : int array;
+    floats : float array;
     (* The state [load] last put on a scratch, -1 when none (its key
        stays at [rbuf.[rstart]]): the scratch's journal origin then, its
        key's sum and padded length, and the offset of each of its
@@ -351,6 +359,7 @@ module Table = struct
     mutable psum : int;  (* the sum [patch] leaves *)
     field : Bytes.t;  (* one field, packed *)
     types : Value.ty array;  (* the variables' declared types: their fields' layouts *)
+    names : string array;  (* the variables' names, for [intern]'s refusals *)
   }
 
   let create (net : Network.t) =
@@ -387,6 +396,9 @@ module Table = struct
       rbuf = Bytes.empty;
       rpos = 0;
       rstart = 0;
+      locs = Array.make procs 0;
+      ints = Array.make vars 0;
+      floats = Array.make vars 0.0;
       base = -1;
       base_origin = -1;
       base_sum = 0;
@@ -395,6 +407,7 @@ module Table = struct
       psum = 0;
       field = Bytes.create 16;
       types = Array.init vars (Network.var_type net);
+      names = Array.map (fun (v : Network.var_info) -> v.var_name) net.vars;
     }
 
   let length t = t.n
@@ -413,28 +426,38 @@ module Table = struct
 
   let[@inline] canonical f = if f = 0.0 then 0.0 else if Float.is_nan f then Float.nan else f
   let zigzag k = (k lsl 1) lxor (k asr (Sys.int_size - 1))
+  let unzigzag z = (z lsr 1) lxor -(z land 1)
 
   let put_int b pos k =
     if k >= 0 && k < small_ints then begin
-      put b pos (4 + k);
+      put b pos k;
       pos + 1
     end
     else begin
-      put b pos 3;
+      put b pos small_ints;
       put_varint b (pos + 1) (zigzag k)
     end
 
-  let[@inline] put_real b pos f =
-    put b pos 2;
-    Bytes.set_int64_le b (pos + 1) (Int64.bits_of_float (canonical f));
-    pos + 9
+  (* The encoder: field [f] of the state whose stores are [locs], [ints]
+     (Booleans as 0 or 1, which [put_int] packs as one byte) and
+     [floats], packed at [b.[pos]]: the location of process [f], else
+     variable [f - procs] by its declared type; the position past it. *)
+  let put_field t locs ints floats b pos f =
+    if f < t.procs then put_varint b pos (Array.unsafe_get locs f)
+    else
+      let v = f - t.procs in
+      if Array.unsafe_get t.types v = Value.Treal then begin
+        Bytes.set_int64_le b pos (Int64.bits_of_float (canonical (Array.unsafe_get floats v)));
+        pos + 8
+      end
+      else put_int b pos (Array.unsafe_get ints v)
 
-  let put_value b pos = function
-    | Value.Bool v ->
-      put b pos (Bool.to_int v);
-      pos + 1
-    | Value.Int k -> put_int b pos k
-    | Value.Real f -> put_real b pos f
+  let pack t locs ints floats start =
+    let pos = ref start in
+    for f = 0 to t.procs + t.vars - 1 do
+      pos := put_field t locs ints floats t.buf !pos f
+    done;
+    !pos
 
   external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
   external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
@@ -550,43 +573,33 @@ module Table = struct
   let intern t (s : State.t) ~parent =
     if Array.length s.locs <> t.procs || Array.length s.vals <> t.vars then
       invalid_arg "Walker.Table.intern: the state does not fit the network";
+    Array.iteri
+      (fun v x ->
+        match t.types.(v), x with
+        | Value.Tint, Value.Int k -> t.ints.(v) <- k
+        | Tbool, Bool b -> t.ints.(v) <- Bool.to_int b
+        | Treal, Real f -> t.floats.(v) <- f
+        | ty, _ ->
+          invalid_arg
+            (Printf.sprintf "Walker.Table.intern: variable %s is declared %s, not %s (%s)"
+               t.names.(v) (Value.type_name ty)
+               (Value.type_name (Value.type_of x))
+               (Value.to_string x)))
+      s.vals;
     let start = start t in
-    let pos = Array.fold_left (put_varint t.buf) start s.locs in
-    let stop = Array.fold_left (put_value t.buf) pos s.vals in
+    let stop = pack t s.locs t.ints t.floats start in
     let n = t.n in
     let i = pad_and_add t start stop ~parent in
     if t.n > n then set_time t i s.time;
     i
 
-  (* Field [f] of the scratch's state at [b.[pos]], as [intern] packs it:
-     the location of process [f], else variable [f - procs], read
-     straight from the store of its declared type; the position past
-     it. *)
-  let put_field t (w : walker) b pos f =
-    if f < t.procs then put_varint b pos (Compiled.loc w.cs f)
-    else
-      let v = f - t.procs in
-      match Array.unsafe_get t.types v with
-      | Value.Tint -> put_int b pos (Array.unsafe_get (Compiled.ints w.cs) v)
-      | Treal -> put_real b pos (Array.unsafe_get (Compiled.floats w.cs) v)
-      | Tbool ->
-        put b pos (Array.unsafe_get (Compiled.ints w.cs) v);
-        pos + 1
-
-  let pack t w start =
-    let pos = ref start in
-    for f = 0 to t.procs + t.vars - 1 do
-      pos := put_field t w t.buf !pos f
-    done;
-    !pos
-
-  (* The base's key at [start] with the fields written since its load
-     patched in, its sum in [psum]: [false] as soon as a field's new
-     value would change its length.  A field is packed into [field]
-     first, and patched only where its bytes differ. *)
-  let patch t (w : walker) start =
-    let b = t.buf and cs = w.cs in
-    let j = ref 0 in
+  (* The base's key at [start] with the fields scratch [cs] (its stores
+     [locs], [ints] and [floats]) wrote since its load patched in, its
+     sum in [psum]: [false] as soon as a field's new value would change
+     its length.  A field is packed into [field] first, and patched only
+     where its bytes differ. *)
+  let patch t cs locs ints floats start =
+    let b = t.buf and j = ref 0 in
     while !j < t.base_len do
       set64 b (start + !j) (get64 t.rbuf (t.rstart + !j));
       j := !j + 8
@@ -599,7 +612,7 @@ module Table = struct
       if f >= 0 then begin
         let off = Array.unsafe_get t.offs f in
         let len = Array.unsafe_get t.offs (f + 1) - off in
-        if put_field t w t.field 0 f <> len then ok := false
+        if put_field t locs ints floats t.field 0 f <> len then ok := false
         else begin
           let k = ref 0 in
           while !k < len && Bytes.unsafe_get t.field !k = Bytes.unsafe_get b (start + off + !k) do
@@ -623,100 +636,71 @@ module Table = struct
     t.psum <- !sum;
     !ok
 
-  (* [intern] of the scratch's state, patched from the state last loaded
-     when every write since is on the scratch's journal, packed afresh
-     otherwise. *)
+  (* [intern] of the scratch's state, read from its stores: patched from
+     the state last loaded when every write since is on the scratch's
+     journal, packed afresh otherwise. *)
   let add t (w : walker) ~parent =
-    let start = start t and n = t.n in
+    let cs = w.cs and start = start t and n = t.n in
+    let locs = Compiled.locs cs and ints = Compiled.ints cs and floats = Compiled.floats cs in
     let i =
-      if t.base >= 0 && t.base_origin >= 0 && Compiled.origin w.cs = t.base_origin && patch t w start
+      if t.base >= 0 && t.base_origin >= 0 && Compiled.origin cs = t.base_origin
+         && patch t cs locs ints floats start
       then find_or_add t start (start + t.base_len) t.psum ~parent
-      else pad_and_add t start (pack t w start) ~parent
+      else pad_and_add t start (pack t locs ints floats start) ~parent
     in
-    if t.n > n then set_time t i (Compiled.time w.cs);
+    if t.n > n then set_time t i (Compiled.time cs);
     i
 
-  let boxed_ints = Array.init small_ints (fun k -> Value.Int k)
-  let vtrue = Value.Bool true
-  let vfalse = Value.Bool false
-
-  (* Readers of a key from [t.rpos] on, each of the next location or
-     value, to be called in order: [read_value] boxes a value,
-     [read_int] reads an [Int] unboxed, [read_real] a [Real]'s float and
-     [read_bool] a [Bool]'s byte.
-     Each notes where its field starts in [offs]. *)
-  let read_byte t =
+  (* The varint at [rbuf.[rpos]], [rpos] moved past it. *)
+  let rec read_varint t shift acc =
     let c = Char.code (Bytes.get t.rbuf t.rpos) in
     t.rpos <- t.rpos + 1;
-    c
-
-  let rec read_varint t shift acc =
-    let c = read_byte t in
     let acc = acc lor ((c land 0x7f) lsl shift) in
     if c < 0x80 then acc else read_varint t (shift + 7) acc
 
-  let note t f = Array.unsafe_set t.offs f (t.rpos - t.rstart)
-
-  let read_loc t p =
-    note t p;
-    read_varint t 0 0
-
-  let read_zigzag t =
-    let z = read_varint t 0 0 in
-    (z lsr 1) lxor -(z land 1)
-
-  let read_int t v =
-    note t (t.procs + v);
-    match read_byte t with
-    | 3 -> read_zigzag t
-    | c when c >= 4 -> c - 4
-    | _ -> invalid_arg "Walker.Table: not an Int"
-
-  let read_real t v =
-    note t (t.procs + v);
-    if read_byte t <> 2 then invalid_arg "Walker.Table: not a Real";
-    let f = Int64.float_of_bits (Bytes.get_int64_le t.rbuf t.rpos) in
-    t.rpos <- t.rpos + 8;
-    f
-
-  let read_bool t v =
-    note t (t.procs + v);
-    match read_byte t with
-    | 0 -> false
-    | 1 -> true
-    | _ -> invalid_arg "Walker.Table: not a Boolean"
-
-  let read_value t v =
-    note t (t.procs + v);
-    match read_byte t with
-    | 0 -> vfalse
-    | 1 -> vtrue
-    | 2 ->
-      let f = Int64.float_of_bits (Bytes.get_int64_le t.rbuf t.rpos) in
-      t.rpos <- t.rpos + 8;
-      Value.Real f
-    | 3 -> Value.Int (read_zigzag t)
-    | c -> boxed_ints.(c - 4)
-
-  let seek t i =
+  (* The decoder: state [i]'s key back into the staging stores, noting
+     where each field starts in [offs], the end of the last one after
+     them.  A field's first byte is read in place: most fields are one
+     byte long. *)
+  let decode t i =
     if i < 0 || i >= t.n then invalid_arg "Walker.Table: no such state";
     let span = Chunked.get t.spans i in
+    let b = key_chunk t span and start = key_pos t span and procs = t.procs in
     t.base <- -1;
-    t.rbuf <- key_chunk t span;
-    t.rpos <- key_pos t span;
-    t.rstart <- t.rpos
+    t.rbuf <- b;
+    t.rpos <- start;
+    t.rstart <- start;
+    for p = 0 to procs - 1 do
+      Array.unsafe_set t.offs p (t.rpos - start);
+      let c = Char.code (Bytes.get b t.rpos) in
+      Array.unsafe_set t.locs p (if c < 0x80 then (t.rpos <- t.rpos + 1; c) else read_varint t 0 0)
+    done;
+    for v = 0 to t.vars - 1 do
+      Array.unsafe_set t.offs (procs + v) (t.rpos - start);
+      if Array.unsafe_get t.types v = Value.Treal then begin
+        Array.unsafe_set t.floats v (Int64.float_of_bits (Bytes.get_int64_le b t.rpos));
+        t.rpos <- t.rpos + 8
+      end
+      else
+        let c = Char.code (Bytes.get b t.rpos) in
+        t.rpos <- t.rpos + 1;
+        Array.unsafe_set t.ints v (if c < small_ints then c else unzigzag (read_varint t 0 0))
+    done;
+    t.offs.(procs + t.vars) <- t.rpos - start
 
   let state t i =
-    seek t i;
-    let locs = Array.init t.procs (read_loc t) in
-    let vals = Array.init t.vars (read_value t) in
-    { State.locs; vals; time = time t i }
+    decode t i;
+    let value v : Value.t =
+      match t.types.(v) with
+      | Tint -> Int t.ints.(v)
+      | Tbool -> Bool (t.ints.(v) <> 0)
+      | Treal -> Real t.floats.(v)
+    in
+    { State.locs = Array.copy t.locs; vals = Array.init t.vars value; time = time t i }
 
   let load t i (w : walker) =
-    seek t i;
-    Compiled.load w.c w.cs t ~loc:read_loc ~int:read_int ~real:read_real ~bool:read_bool
-      ~time:(time t i);
-    note t (t.procs + t.vars);
+    decode t i;
+    Compiled.load w.c w.cs ~locs:t.locs ~ints:t.ints ~floats:t.floats ~time:(time t i);
     t.base <- i;
     t.base_origin <- Compiled.origin w.cs;
     t.base_len <- key_len t (Chunked.get t.spans i);

@@ -105,18 +105,18 @@ val asap : t -> horizon:float -> unit
 
 (** Timeless states numbered densely in insertion order, each with the
     index of the state it was first reached from.  A state is stored as
-    one packed key (its locations and tagged values, reals canonical:
-    [-0.0] as [0.0], every NaN as one NaN), so two states get the same
-    number exactly when {!State.equal_timeless} holds.  Keys are
-    written straight from a walker's scratch ({!add}), or from a
-    {!State.t} ({!intern}) with the same bytes, and hashed and compared
-    a word at a time; a {!State.t} is rebuilt only when {!state} asks
-    for one.  {!add} patches the key and hash of the state last
-    {!load}ed with the fields written since, when it can.  The keys (in
-    arena chunks, which no key straddles) and each state's key span,
-    parent and time are kept in chunks ({!Chunked}) of up to 64 KiB and
-    1024 entries: a large table grows without copying them, and only
-    its index of state numbers doubles.
+    one packed key: its locations, then its values, each laid out by its
+    variable's declared type, reals canonical ([-0.0] as [0.0], every
+    NaN as one NaN), so two states get the same number exactly when
+    {!State.equal_timeless} holds.  Keys are written straight from a
+    walker's scratch ({!add}), or from a {!State.t} ({!intern}) with the
+    same bytes, and hashed and compared a word at a time; a {!State.t}
+    is rebuilt only when {!state} asks for one.  {!add} patches the key
+    and hash of the state last {!load}ed with the fields written since,
+    when it can.  The keys (in arena chunks, which no key straddles) and
+    each state's key span, parent and time are kept in chunks
+    ({!Chunked}) of up to 64 KiB and 1024 entries: a large table grows
+    without copying them, and only its index of state numbers doubles.
     The first chunks are small, so a small table stays small.  Parents
     and times are stored only when some state has a parent other than
     -1 or a time other than [+0.0]: a caller that interns only roots at
@@ -134,7 +134,9 @@ module Table : sig
 
   val intern : t -> State.t -> parent:int -> int
   (** The state's number, adding it (with [parent], [-1] for a root)
-      when it is new. *)
+      when it is new.  [Invalid_argument] when the state has other
+      process or variable counts than the network, or a value not of
+      its variable's declared type (the message names the variable). *)
 
   val add : t -> walker -> parent:int -> int
   (** {!intern} of the state the walker's scratch holds, read in place:

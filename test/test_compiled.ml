@@ -721,18 +721,19 @@ let walk ~name ~seed ~steps (net : Network.t) =
        reached: [Compiled.load] takes their flows to hold. *)
     if Rng.int rng 8 = 0 && !flows_hold then begin
       let fresh = Compiled.scratch c in
-      let read what get (st : State.t) v =
-        match get st.vals.(v) with
-        | Some x -> x
-        | None ->
-          Alcotest.failf "%s: %s variable %d holds %s" ctx what v (Value.to_string st.vals.(v))
+      let vals = !st.State.vals in
+      let store v =
+        match Network.var_type net v, vals.(v) with
+        | Value.Tint, Int n -> (n, 0.0)
+        | Tbool, Bool b -> (Bool.to_int b, 0.0)
+        | Treal, Real x -> (0, x)
+        | ty, x ->
+          Alcotest.failf "%s: %s variable %d holds %s" ctx (Value.type_name ty) v
+            (Value.to_string x)
       in
-      Compiled.load c fresh !st
-        ~loc:(fun st -> Array.get st.State.locs)
-        ~int:(read "an int" (function Value.Int n -> Some n | _ -> None))
-        ~real:(read "a real" (function Value.Real x -> Some x | _ -> None))
-        ~bool:(read "a Boolean" (function Value.Bool b -> Some b | _ -> None))
-        ~time:!st.State.time;
+      let stores = Array.init (Array.length vals) store in
+      Compiled.load c fresh ~locs:!st.State.locs ~ints:(Array.map fst stores)
+        ~floats:(Array.map snd stores) ~time:!st.State.time;
       s := fresh
     end;
     let cs = !s in

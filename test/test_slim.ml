@@ -572,12 +572,60 @@ end S.I;
 root S.I;
 |}
 
-(* --- instantiation and translation --- *)
-
 let load src =
   match Loader.load_string src with
   | Ok l -> l
   | Error e -> Alcotest.failf "load failed: %s" e
+
+(* An injected value is typed in the extended instance's scope against
+   its port: a Boolean into an [int] port is an error at the injection,
+   an [int] into a [real] port is legal (translation widens it). *)
+let injection_model ~port ~value =
+  Printf.sprintf
+    {|
+error model E
+states
+  ok: initial state;
+  bad: state;
+events
+  fault: occurrence poisson 1.0;
+transitions
+  ok -[fault]-> bad;
+end E;
+device D
+features
+  v: out data port %s := 0;
+end D;
+device implementation D.I
+end D.I;
+system S
+end S;
+system implementation S.I
+subcomponents
+  d: device D.I;
+end S.I;
+extend d with E
+injections
+  inject bad: v := %s;
+end extend;
+root S.I;
+|}
+    port value
+
+let test_sema_injection_types () =
+  (match analyze (injection_model ~port:"int" ~value:"true") with
+  | Ok _ -> Alcotest.fail "a Boolean injected into an int port passed"
+  | Error errs ->
+    let msgs = List.map (fun (d : Diag.t) -> (d.pos.line, d.msg)) errs in
+    Alcotest.(check (list (pair int string)))
+      "errors"
+      [ (25, "injection into v: value type bool does not fit int") ]
+      msgs);
+  match analyze (injection_model ~port:"real" ~value:"3") with
+  | Error errs -> Alcotest.failf "unexpected errors: %s" (Sema.errors_to_string errs)
+  | Ok _ -> ignore (load (injection_model ~port:"real" ~value:"3"))
+
+(* --- instantiation and translation --- *)
 
 let test_instance_tree () =
   let { Loader.tables; _ } = load (Slimsim_models.Sensor_filter.source ~n:3) in
@@ -677,6 +725,7 @@ let suite =
     Alcotest.test_case "sema rejections" `Quick test_sema_rejections;
     Alcotest.test_case "sema rejections (more)" `Quick test_sema_rejections_more;
     Alcotest.test_case "sema type inference" `Quick test_sema_type_inference_details;
+    Alcotest.test_case "sema types injection values" `Quick test_sema_injection_types;
     Alcotest.test_case "instance tree" `Quick test_instance_tree;
     Alcotest.test_case "translate gps" `Quick test_translate_gps;
     Alcotest.test_case "translate initial flows" `Quick test_translate_initial_flows;

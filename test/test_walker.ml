@@ -308,12 +308,50 @@ let test_budgets () =
 
 (* --- the packed interning table --- *)
 
+(* Values whose packed length changes in one move: a process of 130
+   locations (a location past 127 takes two bytes) and an int that
+   jumps by 200 and changes sign.  A successor's key patched from the
+   loaded state must then fall back to a full pack.  Beside them a
+   real counting by halves, a Boolean, and a real that takes [-0.0],
+   infinities and NaNs, which its key must hold as [intern] packs
+   them: [0.0] and [Float.nan]. *)
+let wide_network () =
+  let module E = Expr in
+  let v = E.var and i = E.int in
+  let bin op x y = E.Binop (op, x, y) in
+  let loc k = { Automaton.loc_name = Printf.sprintf "l%d" k; invariant = E.true_; derivs = [] } in
+  let tr src dst rate updates =
+    { Automaton.src; dst; label = Automaton.Tau; guard = Automaton.Rate rate; updates; weight = 1.0 }
+  in
+  let n = 130 in
+  let walk =
+    Automaton.make ~name:"walk" ~locations:(Array.init n loc) ~initial:0
+      ~transitions:
+        (List.concat
+           (List.init n (fun k ->
+                [
+                  tr k ((k + 129) mod n) 1.0 [ (0, bin E.Add (v 0) (i 200)) ];
+                  tr k ((k + 100) mod n) 2.0 [ (0, bin E.Sub (i 0) (v 0)) ];
+                  tr k k 0.5 [ (1, bin E.Add (v 1) (E.real 0.5)); (2, E.Unop (E.Not, v 2)) ];
+                  tr k k 0.5 [ (3, E.Unop (E.Neg, v 3)) ];
+                  tr k k 0.25 [ (3, bin E.Mul (bin E.Add (v 3) (E.real 1.0)) (E.real 1e308)) ];
+                  tr k k 0.25 [ (3, bin E.Sub (v 3) (v 3)) ];
+                ])))
+  in
+  let var name init = { Network.var_name = name; kind = Network.Discrete; init; owner = None } in
+  Network.make
+    ~procs:[ (walk, Network.default_meta) ]
+    ~vars:
+      [| var "x" (Value.Int 0); var "y" (Value.Real 0.0); var "b" (Value.Bool false); var "z" (Value.Real 0.0) |]
+    ~events:[||] ~flows:[]
+
 (* States of one network's shape around a base state, each differing
    from it in up to three places, most often the last value, so that
-   many keys share long prefixes.  Values and locations come from pools
-   that hold the cases the packing must keep apart or fold together:
-   [Real 0.0] and [Real (-0.0)], NaNs with other payloads and signs,
-   [Int n] and [Real (float n)], Booleans, negative and extreme ints,
+   many keys share long prefixes.  Each value is drawn from the pool
+   entries of its variable's declared type, and locations from their
+   own pool.  The pools hold the cases the packing must keep apart or
+   fold together: [Real 0.0] and [Real (-0.0)], NaNs with other
+   payloads and signs, infinities, Booleans, negative and extreme ints,
    ints around the one-byte encoding's bound, locations of 256 and
    more. *)
 let value_pool =
@@ -328,14 +366,19 @@ let value_pool =
 
 let loc_pool = [| 0; 1; 2; 127; 128; 255; 256; 300; 65_536; 1 lsl 40 |]
 
-let gen_states ~procs ~vars =
+let gen_states (net : Network.t) =
+  let procs = Array.length net.procs and vars = Array.length net.vars in
+  let pool v =
+    let ty = Network.var_type net v in
+    Array.of_list (List.filter (fun x -> Value.type_of x = ty) (Array.to_list value_pool))
+  in
   QCheck2.Gen.(
-    let loc = oneofa loc_pool and value = oneofa value_pool in
+    let loc = oneofa loc_pool and value v = oneofa (pool v) in
     let* base_locs = array_size (return procs) loc in
-    let* base_vals = array_size (return vars) value in
+    let* base_vals = flatten_a (Array.init vars value) in
     let change =
       let* at = frequency [ (3, return (procs + vars - 1)); (2, int_range 0 (procs + vars - 1)) ] in
-      let* l = loc and* v = value in
+      let* l = loc and* v = if at < procs then return (Value.Bool false) else value (at - procs) in
       return (at, l, v)
     in
     let state =
@@ -370,13 +413,12 @@ let parent_of k = (k / 2) - 1
 let test_table_property =
   let shapes =
     List.map Fixture.load [ cycle_model; Slimsim_models.Sensor_filter.source ~n:1 ]
+    @ [ wide_network () ]
   in
   let gen =
     QCheck2.Gen.(
       let* net = oneofl shapes in
-      let* states =
-        gen_states ~procs:(Array.length net.Network.procs) ~vars:(Array.length net.vars)
-      in
+      let* states = gen_states net in
       return (net, states))
   in
   QCheck_alcotest.to_alcotest
@@ -421,32 +463,46 @@ let test_table_property =
            firsts;
          true))
 
+(* A network of [procs] one-location processes and variables of the
+   declared [types], none of them written: a shape to intern states of. *)
+let shape ~procs types =
+  let proc k =
+    let only = { Automaton.loc_name = "l"; invariant = Expr.true_; derivs = [] } in
+    ( Automaton.make ~name:(Printf.sprintf "p%d" k) ~locations:[| only |] ~initial:0 ~transitions:[],
+      Network.default_meta )
+  in
+  let var v ty =
+    let init = match ty with Value.Tbool -> Value.Bool false | Tint -> Int 0 | Treal -> Real 0.0 in
+    { Network.var_name = Printf.sprintf "v%d" v; kind = Network.Discrete; init; owner = None }
+  in
+  Network.make ~procs:(List.init procs proc) ~vars:(Array.mapi var types) ~events:[||] ~flows:[]
+
 (* The table keeps keys in arena chunks that double up to 64 KiB and
    its per-state entries in chunks of 1024; the property above never
    leaves the first entry chunk or the first few, small, arena chunks.
-   20,000 distinct states of sensor/filter n = 1's shape (6 locations,
-   10 values), their keys 48 to 72 bytes long, fill ~24 arena chunks
-   and 20 entry chunks: the lengths mix short values
-   with 9-byte reals and varints of every size, so keys land at many
-   offsets next to each arena chunk's end.  Every state is interned
-   twice, and numbers, states, parents and times must match a
-   [Hashtbl] reference. *)
+   20,000 distinct states of 6 locations and 10 values (the first an
+   int numbering the state, then ints, reals and a Boolean), their keys
+   48 to 72 bytes long, fill 24 arena chunks and 20 entry chunks: the
+   lengths mix one-byte values with 8-byte reals and varints of every
+   size, so keys land at many offsets next to each arena chunk's end.
+   Every state is interned twice, and numbers, states, parents and
+   times must match a [Hashtbl] reference. *)
 let test_table_chunks () =
-  let net = Fixture.load (Slimsim_models.Sensor_filter.source ~n:1) in
-  let procs = Array.length net.Network.procs and vars = Array.length net.vars in
+  let types = Value.[| Tint; Tint; Treal; Tint; Treal; Tbool; Tint; Treal; Tint; Treal |] in
+  let net = shape ~procs:6 types in
   let n = 20_000 in
   let state k =
     let value v =
-      match (k + v) mod 5 with
-      | 0 -> Value.Bool (k land (1 lsl v) <> 0)
-      | 1 -> Value.Int (k mod 200)
-      | 2 -> Value.Real (float_of_int k /. 7.0)
-      | 3 -> Value.Int ((k * 1_000_003) lsl (k mod 40))
-      | _ -> Value.Real (float_of_int (k mod 3))
+      match types.(v) with
+      | Tbool -> Value.Bool (k land (1 lsl v) <> 0)
+      | Tint when (k + v) mod 2 = 0 -> Int (k mod 200)
+      | Tint -> Int ((k * 1_000_003) lsl (k mod 40))
+      | Treal when (k + v) mod 3 = 0 -> Real (float_of_int (k mod 3))
+      | Treal -> Real (float_of_int k /. 7.0)
     in
     {
-      State.locs = Array.init procs (fun p -> (k lsr p) land 3);
-      vals = Array.init vars (fun v -> if v = 0 then Value.Int k else value v);
+      State.locs = Array.init 6 (fun p -> (k lsr p) land 3);
+      vals = Array.init (Array.length types) (fun v -> if v = 0 then Value.Int k else value v);
       time = float_of_int k;
     }
   in
@@ -475,6 +531,29 @@ let test_table_chunks () =
     then
       Alcotest.failf "state %d is %s, interned as %s" i (print_state got) (print_state want)
   done
+
+(* A key has no byte that says which type a value is: [intern] refuses
+   a value that is not of its variable's declared type, naming the
+   variable, and keeps nothing of the state.  [wide_network]'s variables
+   are the int [x], the reals [y] and [z] and the Boolean [b]. *)
+let test_table_mistyped () =
+  let net = wide_network () in
+  let table = Walker.Table.create net in
+  let state vals = { State.locs = [| 0 |]; vals; time = 0.0 } in
+  let refused vals want =
+    match Walker.Table.intern table (state vals) ~parent:(-1) with
+    | i -> Alcotest.failf "%s: interned as %d" want i
+    | exception Invalid_argument msg -> Alcotest.(check string) want want msg
+  in
+  let ok = Value.[| Int 0; Real 0.0; Bool false; Real 0.0 |] in
+  let with_ v x = Array.mapi (fun u y -> if u = v then x else y) ok in
+  refused (with_ 1 (Int 1)) "Walker.Table.intern: variable y is declared real, not int (1)";
+  refused (with_ 0 (Real 1.0)) "Walker.Table.intern: variable x is declared int, not real (1)";
+  refused (with_ 2 (Int 0)) "Walker.Table.intern: variable b is declared bool, not int (0)";
+  refused (with_ 3 (Bool true)) "Walker.Table.intern: variable z is declared real, not bool (true)";
+  refused [| Value.Int 0 |] "Walker.Table.intern: the state does not fit the network";
+  Alcotest.(check int) "states" 0 (Walker.Table.length table);
+  Alcotest.(check int) "well typed" 0 (Walker.Table.intern table (state ok) ~parent:(-1))
 
 (* The stable states of sensor/filter n = 6, interned from the walker's
    scratch, as the CTMC explorer interns them (roots at time 0): what
@@ -529,43 +608,6 @@ let test_chain_retention () =
       words transitions
       (float_of_int words /. float_of_int transitions)
 
-(* Values whose packed length changes in one move: a process of 130
-   locations (a location past 127 takes two bytes) and an int that
-   jumps by 200 and changes sign.  A successor's key patched from the
-   loaded state must then fall back to a full pack.  Beside them a
-   real counting by halves, a Boolean, and a real that takes [-0.0],
-   infinities and NaNs, which its key must hold as [intern] packs
-   them: [0.0] and [Float.nan]. *)
-let wide_network () =
-  let module E = Expr in
-  let v = E.var and i = E.int in
-  let bin op x y = E.Binop (op, x, y) in
-  let loc k = { Automaton.loc_name = Printf.sprintf "l%d" k; invariant = E.true_; derivs = [] } in
-  let tr src dst rate updates =
-    { Automaton.src; dst; label = Automaton.Tau; guard = Automaton.Rate rate; updates; weight = 1.0 }
-  in
-  let n = 130 in
-  let walk =
-    Automaton.make ~name:"walk" ~locations:(Array.init n loc) ~initial:0
-      ~transitions:
-        (List.concat
-           (List.init n (fun k ->
-                [
-                  tr k ((k + 129) mod n) 1.0 [ (0, bin E.Add (v 0) (i 200)) ];
-                  tr k ((k + 100) mod n) 2.0 [ (0, bin E.Sub (i 0) (v 0)) ];
-                  tr k k 0.5 [ (1, bin E.Add (v 1) (E.real 0.5)); (2, E.Unop (E.Not, v 2)) ];
-                  tr k k 0.5 [ (3, E.Unop (E.Neg, v 3)) ];
-                  tr k k 0.25 [ (3, bin E.Mul (bin E.Add (v 3) (E.real 1.0)) (E.real 1e308)) ];
-                  tr k k 0.25 [ (3, bin E.Sub (v 3) (v 3)) ];
-                ])))
-  in
-  let var name init = { Network.var_name = name; kind = Network.Discrete; init; owner = None } in
-  Network.make
-    ~procs:[ (walk, Network.default_meta) ]
-    ~vars:
-      [| var "x" (Value.Int 0); var "y" (Value.Real 0.0); var "b" (Value.Bool false); var "z" (Value.Real 0.0) |]
-    ~events:[||] ~flows:[]
-
 let scratch_state net w =
   {
     State.locs = Array.init (Array.length net.Network.procs) (Walker.loc w);
@@ -617,6 +659,7 @@ let suite =
     Alcotest.test_case "safety budgets and messages" `Quick test_budgets;
     test_table_property;
     Alcotest.test_case "table chunk boundaries" `Quick test_table_chunks;
+    Alcotest.test_case "intern refuses a mistyped state" `Quick test_table_mistyped;
     Alcotest.test_case "table retention per state" `Quick test_table_retention;
     Alcotest.test_case "chain retention per transition" `Quick test_chain_retention;
     test_patched_keys;
